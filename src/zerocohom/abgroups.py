@@ -15,11 +15,13 @@ are integer vectors with coordinate i taken mod d_i.
 ...     GroupHom(FinAbGroup([0, 0]), FinAbGroup([0]), [[0, 1]]),
 ... ).group.invariants()
 (2,)
+>>> subgroup(FinAbGroup([2, 4]), [[1, 2]]).group.invariants()
+(2,)
 """
 
 from math import gcd
 
-from .errors import NotAComplex
+from .errors import NotAComplex, NotInSubgroup
 
 
 class IntMatrix:
@@ -327,10 +329,15 @@ def smith_triple(rows):
 def solve_exact(M, b):
     """One integer solution of M x = b, or None."""
     D, U, V, _, _ = smith_normal_form(M)
+    return _solve_factored(D.diagonal(), U, V, b)
+
+
+def _solve_factored(diag, U, V, b):
+    """Solve M x = b from U*M*V = D, given D's diagonal, U and V."""
     ub = U.vec(b)
-    y = [0] * M.n
-    for i in range(M.m):
-        d = D.a[i][i] if i < M.n else 0
+    y = [0] * V.m
+    for i in range(U.m):
+        d = diag[i] if i < len(diag) else 0
         if d:
             if ub[i] % d != 0:
                 return None
@@ -358,15 +365,20 @@ def _relation_columns(factors):
     return cols
 
 
-def solve_mod(M, b, target_factors):
-    """Solve M x = b componentwise mod target_factors (0 = exact)."""
+def _pad_relations(M, target_factors):
+    """M with a column d*e_i appended for every finite target factor d."""
     rel = _relation_columns(target_factors)
     aug = IntMatrix(M.m, M.n + len(rel))
     for i in range(M.m):
         aug.a[i][: M.n] = M.a[i]
         for j, c in enumerate(rel):
             aug.a[i][M.n + j] = c[i]
-    x = solve_exact(aug, b)
+    return aug
+
+
+def solve_mod(M, b, target_factors):
+    """Solve M x = b componentwise mod target_factors (0 = exact)."""
+    x = solve_exact(_pad_relations(M, target_factors), b)
     if x is None:
         return None
     return x[: M.n]
@@ -374,15 +386,8 @@ def solve_mod(M, b, target_factors):
 
 def kernel_mod(M, target_factors):
     """Basis of {x : M x = 0 mod target_factors} as a lattice in Z^n."""
-    rel = _relation_columns(target_factors)
-    aug = IntMatrix(M.m, M.n + len(rel))
-    for i in range(M.m):
-        aug.a[i][: M.n] = M.a[i]
-        for j, c in enumerate(rel):
-            aug.a[i][M.n + j] = c[i]
-    ker = kernel_columns(aug)
-    projected = [c[: M.n] for c in ker]
-    return lattice_basis(projected, M.n)
+    ker = kernel_columns(_pad_relations(M, target_factors))
+    return lattice_basis([c[: M.n] for c in ker], M.n)
 
 
 def lattice_basis(cols, dim):
@@ -470,16 +475,13 @@ class FinAbGroup:
         return elts
 
     def invariants(self):
-        diag = [[0] * self.rank for _ in range(self.rank)]
-        for i, d in enumerate(self.factors):
-            diag[i][i] = d
-        if self.rank == 0:
-            return ()
-        D, _, _, _, _ = smith_normal_form(IntMatrix.from_rows(diag))
-        out = [D.a[i][i] for i in range(self.rank)]
-        finite = sorted(d for d in out if d > 1)
-        zeros = [0] * sum(1 for d in out if d == 0)
-        return tuple(finite + zeros)
+        # (a, b) -> (gcd, lcm) over all pairs leaves a divisibility chain
+        fs = [d for d in self.factors if d > 1]
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                g = gcd(fs[i], fs[j])
+                fs[i], fs[j] = g, fs[i] * fs[j] // g
+        return tuple([d for d in fs if d > 1] + [0] * self.factors.count(0))
 
     def is_invariant_form(self):
         return self.factors == self.invariants()
@@ -489,9 +491,6 @@ class FinAbGroup:
 
     def direct_sum(self, other):
         return FinAbGroup(self.factors + other.factors)
-
-    def isomorphic(self, other):
-        return self.invariants() == other.invariants()
 
     def __eq__(self, other):
         return isinstance(other, FinAbGroup) and self.factors == other.factors
@@ -560,10 +559,6 @@ class GroupHom:
         return True
 
     @classmethod
-    def zero_map(cls, source, target):
-        return cls(source, target, IntMatrix(target.rank, source.rank))
-
-    @classmethod
     def identity(cls, group):
         return cls(group, group, IntMatrix.identity(group.rank))
 
@@ -574,52 +569,43 @@ class GroupHom:
 class QuotientPresentation:
     """The group span(K)/span(M) inside Z^dim, with witness generators.
 
-    ``witnesses`` are ambient vectors generating the quotient (one per
-    non-unit invariant factor, infinite factors last); ``coords(v)``
-    expresses an ambient vector v in span(K) as coefficients on the
-    witnesses, or returns None when v is not in span(K).
+    ``k_basis`` lists independent columns; every column of ``m_cols``
+    must lie in their span, else NotInSubgroup names the first one that
+    does not.  ``witnesses`` are ambient vectors generating the quotient
+    (one per non-unit invariant factor, infinite factors last);
+    ``coords(v)`` expresses an ambient vector v in span(K) as
+    coefficients on the witnesses, or returns None when v is not in
+    span(K).  K is factored once, here; ``coords`` reuses that
+    factorization.
     """
 
-    __slots__ = ("dim", "group", "witnesses", "_kmat", "_U", "_dvec", "_keep")
+    __slots__ = ("dim", "group", "witnesses", "_ksnf", "_U", "_dvec", "_keep")
 
     def __init__(self, dim, k_basis, m_cols):
         self.dim = dim
-        r = len(k_basis)
-        if r == 0:
-            self.group = FinAbGroup(())
-            self.witnesses = []
-            self._kmat = None
-            self._U = None
-            self._dvec = []
-            self._keep = []
-            return
         K = IntMatrix.from_columns(k_basis, dim)
+        D, U, V, _, _ = smith_normal_form(K)
+        self._ksnf = (D.diagonal(), U, V)
         # coordinates of the m-generators in the K-basis
         xcols = []
-        for c in m_cols:
-            y = solve_exact(K, c)
-            assert y is not None, "relation vector outside the subgroup lattice"
+        for j, c in enumerate(m_cols):
+            y = _solve_factored(*self._ksnf, c)
+            if y is None:
+                raise NotInSubgroup(j)
             xcols.append(y)
-        X = IntMatrix.from_columns(xcols, r) if xcols else IntMatrix(r, 0)
-        D, U, V, Uinv, Vinv = smith_normal_form(X)
-        dvec = []
-        for i in range(r):
-            d = D.a[i][i] if i < X.n else 0
-            dvec.append(d)
-        keep = [i for i, d in enumerate(dvec) if d != 1]
-        factors = [dvec[i] for i in keep]
-        self.group = FinAbGroup(factors)
-        self._kmat = K
+        r = K.n
+        X = IntMatrix.from_columns(xcols, r)
+        D, U, _, Uinv, _ = smith_normal_form(X)
+        dvec = [D.a[i][i] if i < X.n else 0 for i in range(r)]
         self._U = U
         self._dvec = dvec
-        self._keep = keep
+        self._keep = [i for i, d in enumerate(dvec) if d != 1]
+        self.group = FinAbGroup([dvec[i] for i in self._keep])
         kui = K.mul(Uinv)
-        self.witnesses = [kui.col(i) for i in keep]
+        self.witnesses = [kui.col(i) for i in self._keep]
 
     def coords(self, v):
-        if self._kmat is None:
-            return () if all(x == 0 for x in v) else None
-        y = solve_exact(self._kmat, list(v))
+        y = _solve_factored(*self._ksnf, list(v))
         if y is None:
             return None
         c = self._U.vec(y)
@@ -630,23 +616,8 @@ class QuotientPresentation:
         return tuple(out)
 
 
-class HomologyResult:
-    __slots__ = ("group", "presentation")
-
-    def __init__(self, group, presentation):
-        self.group = group
-        self.presentation = presentation
-
-    @property
-    def witnesses(self):
-        return self.presentation.witnesses
-
-    def coords(self, v):
-        return self.presentation.coords(v)
-
-
 def complex_homology(d_in, d_out):
-    """ker(d_out)/im(d_in) for a two-step complex at the middle group.
+    """ker(d_out)/im(d_in) at the middle group, as a QuotientPresentation.
 
     Raises NotAComplex (with a witness generator index) when
     d_out o d_in is nonzero.
@@ -660,94 +631,18 @@ def complex_homology(d_in, d_out):
             raise NotAComplex(j)
     K = kernel_mod(d_out.matrix, d_out.target.factors)
     m_cols = d_in.matrix.columns() + _relation_columns(mid.factors)
-    pres = QuotientPresentation(mid.rank, K, m_cols)
-    return HomologyResult(pres.group.normalized(), pres)
+    return QuotientPresentation(mid.rank, K, m_cols)
 
 
-def image_invariants(hom):
-    """Invariant factors of the image subgroup of a GroupHom."""
-    return subgroup_invariants(hom.target, hom.matrix.columns())
+def subgroup(group, gen_cols):
+    """The subgroup of ``group`` generated by the columns.
 
-
-def subgroup_invariants(group, gen_cols):
-    """Invariants of the subgroup of ``group`` generated by the columns."""
-    dim = group.rank
-    rel = _relation_columns(group.factors)
-    k_basis = lattice_basis(gen_cols + rel, dim)
-    # subgroup == span(gens + rel)/span(rel)
-    pres = QuotientPresentation(dim, k_basis, rel)
-    return pres.group.invariants()
-
-
-def kernel_invariants(hom):
-    """Invariants of the kernel subgroup of a GroupHom."""
-    K = kernel_mod(hom.matrix, hom.target.factors)
-    rel = _relation_columns(hom.source.factors)
-    k_basis = lattice_basis(K + rel, hom.source.rank)
-    pres = QuotientPresentation(hom.source.rank, k_basis, rel)
-    return pres.group.invariants()
-
-
-class SubgroupPresentation:
-    """Subgroup of ``group`` generated by columns, in its own coordinates.
-
-    ``embed`` maps new coordinates to ambient vectors; ``express(v)``
-    inverts it on the subgroup (None if v is outside).
+    It is span(gens + relations)/span(relations): the witnesses embed it
+    in the ambient coordinates and ``coords`` expresses an ambient
+    vector in it (None when the vector lies outside).
     """
-
-    __slots__ = ("ambient", "gens", "group", "_uinv", "_u", "_dvec", "_keep")
-
-    def __init__(self, ambient, gen_cols):
-        self.ambient = ambient
-        gens = [list(ambient.reduce(c)) for c in gen_cols]
-        self.gens = gens
-        # relations among the generators: {x : sum x_j g_j = 0 in ambient}
-        if gens:
-            M = IntMatrix.from_columns(gens, ambient.rank)
-            relmat = kernel_mod(M, ambient.factors)
-            R = IntMatrix.from_columns(relmat, len(gens)) if relmat else IntMatrix(len(gens), 0)
-            diag = []
-            D, U, V, Uinv, Vinv = smith_normal_form(R)
-            for i in range(len(gens)):
-                d = D.a[i][i] if i < R.n else 0
-                diag.append(d)
-            # change generators so relations become diagonal: new gens = old * Uinv
-            self._uinv = Uinv
-            self._u = U
-            self._dvec = diag
-            keep = [i for i, d in enumerate(diag) if d != 1]
-            self._keep = keep
-            self.group = FinAbGroup([diag[i] for i in keep])
-        else:
-            self._uinv = None
-            self._u = None
-            self._dvec = []
-            self._keep = []
-            self.group = FinAbGroup(())
-
-    def embed(self, coords):
-        v = [0] * self.ambient.rank
-        for pos, i in enumerate(self._keep):
-            c = coords[pos]
-            if c:
-                for r in range(self.ambient.rank):
-                    col = sum(self._uinv.a[j][i] * self.gens[j][r] for j in range(len(self.gens)))
-                    v[r] += c * col
-        return self.ambient.reduce(v)
-
-    def express(self, v):
-        if not self.gens:
-            return () if not any(self.ambient.reduce(v)) else None
-        M = IntMatrix.from_columns(self.gens, self.ambient.rank)
-        y = solve_mod(M, list(v), self.ambient.factors)
-        if y is None:
-            return None
-        c = self._u.vec(y)
-        out = []
-        for i in self._keep:
-            d = self._dvec[i]
-            out.append(c[i] % d if d else c[i])
-        return tuple(out)
+    rel = _relation_columns(group.factors)
+    return QuotientPresentation(group.rank, lattice_basis(list(gen_cols) + rel, group.rank), rel)
 
 
 def finite_invariants_from_orders(cosets, add, zero):

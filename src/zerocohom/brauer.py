@@ -18,11 +18,12 @@ modifications with coefficients in the Galois-twisted unit group.
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 
 from .abgroups import GroupHom, IntMatrix
 from .catalog import cyclic_group
 from .cohomology import coboundary, cohomology_group, nerve
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidFieldOrder
 from .modules import galois_units_module
 from .semigroups import Semigroup, validate_table
 
@@ -55,6 +56,18 @@ class WeakCocycle:
         return hash(((self.q, self.n), self.key()))
 
 
+def _require_field_order(q):
+    """Raise InvalidFieldOrder unless GF(q) exists, i.e. q is a prime power >= 2."""
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        r = q
+        while r % p == 0:
+            r //= p
+        if r == 1:
+            return
+    raise InvalidFieldOrder(q)
+
+
 def galois_group(n):
     """Z/n as the Galois group of GF(q^n)/GF(q), generated by Frobenius."""
     return cyclic_group(n)
@@ -70,10 +83,6 @@ class Modification:
     base: object  # the group
     semigroup: Semigroup  # monoid on G u {0}
     pattern: frozenset  # set of pairs (x, y) with x o y = 0
-
-    def supp_pairs(self):
-        n = self.base.order
-        return frozenset((x, y) for x in range(n) for y in range(n) if (x, y) not in self.pattern)
 
 
 def _galois_act(q, n, k, e):
@@ -292,6 +301,7 @@ def brauer_monoid(q, n, cap=26):
     """
     from .schur import SemilatticeOfGroups
 
+    _require_field_order(q)
     G = galois_group(n)
     mods = enumerate_modifications(G, cap)
     keys = [m.pattern for m in mods]
@@ -386,6 +396,7 @@ def zero_cocycle_to_weak_cocycle(mod, q, cochain):
 
 def enumerate_weak_cocycles(q, n, cap=2_000_000):
     """All weak cocycles for GF(q^n)/GF(q), by brute force."""
+    _require_field_order(q)
     G = galois_group(n)
     e = G.identity
     free = [(s, t) for s in range(G.order) for t in range(G.order) if s != e and t != e]

@@ -20,7 +20,14 @@ with the degree-0 rule a |-> (x a - a), resp. (x a - a x).
 from dataclasses import dataclass
 from itertools import product
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, finite_invariants_from_orders
+from .abgroups import (
+    FinAbGroup,
+    GroupHom,
+    IntMatrix,
+    complex_homology,
+    finite_invariants_from_orders,
+    solve_mod,
+)
 from .errors import CapExceeded, DegreeMismatch, InvalidModule, NoZero
 from .modules import Bimodule, validate_module
 
@@ -133,55 +140,64 @@ def coboundary(M, f, variant="zero"):
     return Cochain(n + 1, out)
 
 
-def _cochain_group(A, count):
-    return FinAbGroup(A.factors * count)
+def cochain_group(tuples, group_of):
+    """The direct sum of group_of(t) over the tuples, with block offsets."""
+    factors = []
+    offsets = []
+    for t in tuples:
+        offsets.append(len(factors))
+        factors.extend(group_of(t).factors)
+    return FinAbGroup(factors), offsets
+
+
+def assemble_coboundary(S, n, nerve_variant, group_of, first_block, last_block):
+    """The alternating-sum coboundary in degree n as a GroupHom.
+
+    ``group_of(t)`` is the coefficient group at the nerve tuple t;
+    ``first_block(t)`` and ``last_block(t)`` are the matrices of the
+    first-slot term (from t[1:] to t) and the last-slot term (from
+    t[:-1] to t).  The middle terms merge two neighbours, keep the full
+    product and so the group, and enter as identity blocks.
+    """
+    src_tuples = nerve(S, n, nerve_variant)
+    dst_tuples = nerve(S, n + 1, nerve_variant)
+    src, src_off = cochain_group(src_tuples, group_of)
+    dst, dst_off = cochain_group(dst_tuples, group_of)
+    if src.rank * max(dst.rank, 1) > 4_000_000:
+        raise CapExceeded(f"coboundary matrix {dst.rank}x{src.rank} too large")
+    pos = dict(zip(src_tuples, src_off))
+    mat = IntMatrix(dst.rank, src.rank)
+    a = mat.a
+
+    def add_block(r0, c0, block, sign):
+        for r, brow in enumerate(block.a):
+            row = a[r0 + r]
+            for c, x in enumerate(brow):
+                if x:
+                    row[c0 + c] += sign * x
+
+    for t, r0, r1 in zip(dst_tuples, dst_off, dst_off[1:] + [dst.rank]):
+        add_block(r0, pos[t[1:]], first_block(t), 1)
+        sign = -1
+        for i in range(n):
+            c0 = pos[t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]] - r0
+            for r in range(r0, r1):
+                a[r][c0 + r] += sign
+            sign = -sign
+        add_block(r0, pos[t[:-1]], last_block(t), sign)
+    return GroupHom(src, dst, mat)
 
 
 def coboundary_hom(S, M, n, variant="zero"):
     """The coboundary in degree n as a GroupHom between cochain groups."""
-    nerve_variant = "em" if variant == "em" else "zero"
-    src_tuples = nerve(S, n, nerve_variant)
-    dst_tuples = nerve(S, n + 1, nerve_variant)
     A = M.group
-    k = A.rank
-    src = _cochain_group(A, len(src_tuples))
-    dst = _cochain_group(A, len(dst_tuples))
-    if src.rank * max(dst.rank, 1) > 4_000_000:
-        raise CapExceeded("coboundary matrix too large")
-    pos = {t: i for i, t in enumerate(src_tuples)}
-    mat = IntMatrix(dst.rank, src.rank)
-    bimod = variant == "bimodule"
-    for di, t in enumerate(dst_tuples):
-        # first term
-        rest = t[1:]
-        if rest in pos:
-            act = M.matrix(t[0])
-            base = pos[rest] * k
-            for r in range(k):
-                row = mat.a[di * k + r]
-                for c in range(k):
-                    row[base + c] += act.a[r][c]
-        sign = -1
-        for i in range(n):
-            merged = t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]
-            if merged in pos:
-                base = pos[merged] * k
-                for r in range(k):
-                    mat.a[di * k + r][base + r] += sign
-            sign = -sign
-        head = t[:-1]
-        if head in pos:
-            base = pos[head] * k
-            if bimod:
-                act = M.right[t[-1]]
-                for r in range(k):
-                    row = mat.a[di * k + r]
-                    for c in range(k):
-                        row[base + c] += sign * act.a[r][c]
-            else:
-                for r in range(k):
-                    mat.a[di * k + r][base + r] += sign
-    return GroupHom(src, dst, mat)
+    one = IntMatrix.identity(A.rank)
+    if variant == "bimodule":
+        last = lambda t: M.right[t[-1]]
+    else:
+        last = lambda t: one
+    nerve_variant = "em" if variant == "em" else "zero"
+    return assemble_coboundary(S, n, nerve_variant, lambda t: A, lambda t: M.matrix(t[0]), last)
 
 
 @dataclass
@@ -246,28 +262,31 @@ def cohomology_group(S, M, n, variant="zero"):
 def witness_report(S, M, f, variant="zero"):
     """Certify a cochain: cocycle? coboundary? (with an integer preimage)."""
     _check_module_for_variant(S, M, variant)
-    n = f.degree
-    nerve_variant = "em" if variant == "em" else "zero"
     df = coboundary(M, f, variant)
     is_cocycle = all(not any(v) for v in df.values.values())
-    d_prev = coboundary_hom(S, M, n - 1, variant) if n >= 1 else None
-    preimage = None
-    is_coboundary = False
-    if n == 0:
-        is_coboundary = not any(any(v) for v in f.values.values())
-    else:
-        from .abgroups import solve_mod
-
-        target_vec = cochain_vector(S, M, f, nerve_variant)
-        x = solve_mod(d_prev.matrix, target_vec, d_prev.target.factors)
-        if x is not None:
-            is_coboundary = True
-            preimage = cochain_from_vector(S, M, n - 1, nerve_variant, x)
+    is_coboundary, preimage = coboundary_preimage(S, M, f, variant)
     return {
         "is_cocycle": is_cocycle,
         "is_coboundary": is_coboundary,
         "preimage": preimage,
     }
+
+
+def coboundary_preimage(S, M, f, variant="zero"):
+    """(True, g) with coboundary(g) = f, or (False, None).
+
+    In degree 0 only the zero cochain is a coboundary, and it has no
+    preimage cochain: the answer is then (True, None).
+    """
+    n = f.degree
+    if n == 0:
+        return (not any(any(v) for v in f.values.values()), None)
+    nerve_variant = "em" if variant == "em" else "zero"
+    d_prev = coboundary_hom(S, M, n - 1, variant)
+    x = solve_mod(d_prev.matrix, cochain_vector(S, M, f, nerve_variant), d_prev.target.factors)
+    if x is None:
+        return (False, None)
+    return (True, cochain_from_vector(S, M, n - 1, nerve_variant, x))
 
 
 def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):

@@ -116,3 +116,15 @@ class DivisionUndefined(ZerocohomError):
 
 class UncertifiedInput(ZerocohomError):
     pass
+
+
+class NotInSubgroup(ZerocohomError):
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"relation column {witness} lies outside the subgroup lattice")
+
+
+class InvalidFieldOrder(ZerocohomError):
+    def __init__(self, q):
+        self.q = q
+        super().__init__(f"no finite field has q = {q} elements: q must be a prime power >= 2")

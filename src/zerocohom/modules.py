@@ -9,7 +9,7 @@ coefficient module for totally-defined cochains.
 
 from dataclasses import dataclass, field
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, SubgroupPresentation
+from .abgroups import FinAbGroup, IntMatrix, subgroup
 from .errors import InvalidLabeling, InvalidModule, NotIdempotent
 from .semigroups import subsemigroup
 
@@ -180,7 +180,8 @@ def corner_module(M, e, restrict_to=None):
 
     ``e`` must be idempotent; ``restrict_to`` (default: the whole action
     domain) must be closed under multiplication and satisfy
-    x * eA <= eA for all its elements.
+    x * eA <= eA for all its elements.  Returns the module and eA as a
+    subgroup presentation of M.group (see abgroups.subgroup).
     """
     S = M.semigroup
     if S.table[e][e] != e:
@@ -188,7 +189,7 @@ def corner_module(M, e, restrict_to=None):
     domain = sorted(M.action) if restrict_to is None else sorted(restrict_to)
     pe = M.matrix(e)
     gens = [pe.col(j) for j in range(M.group.rank)]
-    sub = SubgroupPresentation(M.group, gens)
+    sub = subgroup(M.group, gens)
     eA = sub.group
     if restrict_to is None:
         newS = S
@@ -198,14 +199,12 @@ def corner_module(M, e, restrict_to=None):
     action = {}
     for s in domain:
         cols = []
-        for j in range(eA.rank):
-            v = sub.embed(tuple(1 if i == j else 0 for i in range(eA.rank)))
-            img = M.act(s, v)
-            c = sub.express(img)
+        for w in sub.witnesses:
+            c = sub.coords(M.act(s, w))
             if c is None:
                 raise InvalidModule((s, e), "action does not preserve the corner")
             cols.append(list(c))
-        action[mapping[s]] = IntMatrix.from_columns(cols, eA.rank) if cols else IntMatrix(0, 0)
+        action[mapping[s]] = IntMatrix.from_columns(cols, eA.rank)
     return ZeroModule(newS, eA, action), sub
 
 
@@ -214,8 +213,3 @@ def restrict_module(M, indices):
     newS, mapping = subsemigroup(M.semigroup, indices)
     action = {mapping[s]: M.matrix(s) for s in indices}
     return ZeroModule(newS, M.group, action)
-
-
-def module_hom_from_action(M, s):
-    """The endomorphism of the coefficient group given by one element."""
-    return GroupHom(M.group, M.group, M.matrix(s))

@@ -18,7 +18,7 @@ from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology
 from .errors import CapExceeded, FunctorialityError, NotMonoidWithZero
-from .cohomology import nerve
+from .cohomology import assemble_coboundary, cochain_group, nerve
 
 
 def _require_monoid_with_zero(S):
@@ -246,51 +246,31 @@ def trivial_Z(S):
 NATSYS_DEGREE_CAP = 3
 
 
+def _object(S, t):
+    """The full product of a nerve tuple; the identity for the empty tuple."""
+    return S.mul_word(t) if t else S.identity
+
+
 def _tuple_group(D, tuples):
     S = D.semigroup
-    factors = []
-    offsets = []
-    for t in tuples:
-        obj = S.mul_word(t) if t else S.identity
-        offsets.append(len(factors))
-        factors.extend(D.groups[obj].factors)
-    return FinAbGroup(factors), offsets
+    return cochain_group(tuples, lambda t: D.groups[_object(S, t)])
 
 
 def natsys_coboundary_hom(S, D, n):
-    """Degree-n coboundary of the natural-system cochain complex."""
-    src_tuples = nerve(S, n, "zero")
-    dst_tuples = nerve(S, n + 1, "zero")
-    src, src_off = _tuple_group(D, src_tuples)
-    dst, dst_off = _tuple_group(D, dst_tuples)
-    pos = {t: i for i, t in enumerate(src_tuples)}
-    mat = IntMatrix(dst.rank, src.rank)
+    """Degree-n coboundary of the natural-system cochain complex.
 
-    def add_block(di, si, M, sign):
-        r0 = dst_off[di]
-        c0 = src_off[si]
-        for r in range(M.m):
-            row = mat.a[r0 + r]
-            for c in range(M.n):
-                row[c0 + c] += sign * M.a[r][c]
-
-    for di, t in enumerate(dst_tuples):
-        if n == 0:
-            x = t[0]
-            add_block(di, 0, D.left_map(x, S.identity), 1)
-            add_block(di, 0, D.right_map(x, S.identity), -1)
-            continue
-        rest = t[1:]
-        add_block(di, pos[rest], D.left_map(t[0], S.mul_word(rest)), 1)
-        sign = -1
-        for i in range(n):
-            merged = t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]
-            Mid = IntMatrix.identity(D.groups[S.mul_word(merged)].rank)
-            add_block(di, pos[merged], Mid, sign)
-            sign = -sign
-        head = t[:-1]
-        add_block(di, pos[head], D.right_map(t[-1], S.mul_word(head)), sign)
-    return GroupHom(src, dst, mat)
+    The first slot acts by alpha_* = D(t[0], 1) and the last by
+    beta^* = D(1, t[-1]); in degree 0 these are D(x, 1) and D(1, x) on
+    the group of the identity.
+    """
+    return assemble_coboundary(
+        S,
+        n,
+        "zero",
+        lambda t: D.groups[_object(S, t)],
+        lambda t: D.left_map(t[0], _object(S, t[1:])),
+        lambda t: D.right_map(t[-1], _object(S, t[:-1])),
+    )
 
 
 def natsys_cohomology(S, D, n):

@@ -404,9 +404,6 @@ class GownClasses:
     def singleton_class(self, x):
         return self.class_of[(x,)]
 
-    def lengths(self, cls):
-        return sorted({len(s) for s in self.classes[cls]})
-
     def multiply(self, c1, c2):
         """Class of the product, or None when it leaves the length bound.
 

@@ -15,16 +15,8 @@ the quotient by I with trivial coefficients.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .abgroups import (
-    FinAbGroup,
-    GroupHom,
-    IntMatrix,
-    finite_invariants_from_orders,
-    image_invariants,
-    kernel_invariants,
-    solve_mod,
-)
-from .cohomology import cochain_from_vector, cochain_vector, coboundary_hom, cohomology_group
+from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
+from .cohomology import cochain_from_vector, coboundary_preimage, cohomology_group
 from .errors import CapExceeded, NotAnIdeal
 from .modules import trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
@@ -165,12 +157,9 @@ def equivalent(rho, sigma):
         Q, MQ, 2, "zero",
         _vec_from_values(Q, MQ, ratio_vals),
     )
-    d1 = coboundary_hom(Q, MQ, 1, "zero")
-    target = cochain_vector(Q, MQ, ratio, "zero")
-    x = solve_mod(d1.matrix, target, d1.target.factors)
-    if x is None:
+    found, phi = coboundary_preimage(Q, MQ, ratio, "zero")
+    if not found:
         return (False, None)
-    phi = cochain_from_vector(Q, MQ, 1, "zero", x)
     alpha = {}
     for s in range(S.order):
         if s in I_r:
@@ -427,8 +416,8 @@ def multipliers_agree(sl, brute):
             if not I <= J:
                 continue
             hom = sl.links[(I, J)]
-            img_sl = image_invariants(hom)
-            ker_sl = kernel_invariants(hom)
+            img_sl = subgroup(hom.target, hom.matrix.columns()).group.invariants()
+            ker_sl = subgroup(hom.source, kernel_mod(hom.matrix, hom.target.factors)).group.invariants()
             bi = brute.components[I]
             image_classes = set()
             kernel = 0

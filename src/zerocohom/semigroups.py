@@ -63,9 +63,6 @@ class Semigroup:
     def name(self, i):
         return self.elements[i]
 
-    def idempotents(self):
-        return [i for i in range(self.order) if self.table[i][i] == i]
-
     def __repr__(self):
         z = f", zero={self.elements[self.zero]!r}" if self.zero is not None else ""
         return f"Semigroup({len(self.elements)} elements{z})"

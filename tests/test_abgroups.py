@@ -7,21 +7,18 @@ from zerocohom.abgroups import (
     GroupHom,
     IntMatrix,
     QuotientPresentation,
-    SubgroupPresentation,
     complex_homology,
     finite_invariants_from_orders,
-    image_invariants,
     kernel_columns,
-    kernel_invariants,
     kernel_mod,
     lattice_basis,
     smith_normal_form,
     smith_triple,
     solve_exact,
     solve_mod,
-    subgroup_invariants,
+    subgroup,
 )
-from zerocohom.errors import NotAComplex
+from zerocohom.errors import NotAComplex, NotInSubgroup
 
 
 def snf_ok(rows, m=None, n=None):
@@ -125,6 +122,15 @@ def test_finabgroup_normal_form():
     assert not FinAbGroup([4, 2]).is_invariant_form()
     assert str(FinAbGroup([2, 0])) == "C2 x Z"
     assert str(FinAbGroup([])) == "0"
+    # the gcd/lcm pass against the enumeration twin, zero and unit factors included
+    rng = random.Random(5)
+    for _ in range(80):
+        factors = [rng.choice((0, 1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(0, 4))]
+        finite = FinAbGroup([d for d in factors if d])
+        if finite.order() > 400:
+            continue
+        enumerated = finite_invariants_from_orders(finite.elements(), finite.add, finite.zero())
+        assert FinAbGroup(factors).invariants() == enumerated + (0,) * factors.count(0), factors
 
 
 def test_finabgroup_arithmetic():
@@ -150,6 +156,7 @@ def test_complex_homology_hand_lattice():
     d_in = GroupHom(FinAbGroup([0]), FinAbGroup([0, 0]), [[2], [0]])
     d_out = GroupHom(FinAbGroup([0, 0]), FinAbGroup([0]), [[0, 1]])
     H = complex_homology(d_in, d_out)
+    assert isinstance(H, QuotientPresentation)
     assert H.group.invariants() == (2,)
     # witness: the class of (1, 0) generates
     assert H.coords([1, 0]) in {(1,), (-1,)} or H.coords([1, 0]) == (1,)
@@ -236,11 +243,19 @@ def test_complex_homology_against_brute_force():
         assert H.group.invariants() == brute_homology(d_in, d_out)
 
 
+def image_invariants(hom):
+    return subgroup(hom.target, hom.matrix.columns()).group.invariants()
+
+
+def kernel_invariants(hom):
+    return subgroup(hom.source, kernel_mod(hom.matrix, hom.target.factors)).group.invariants()
+
+
 def test_subgroup_and_image_invariants():
     A = FinAbGroup([2, 2])
-    assert subgroup_invariants(A, [[1, 0]]) == (2,)
-    assert subgroup_invariants(A, [[1, 0], [0, 1]]) == (2, 2)
-    assert subgroup_invariants(A, []) == ()
+    assert subgroup(A, [[1, 0]]).group.invariants() == (2,)
+    assert subgroup(A, [[1, 0], [0, 1]]).group.invariants() == (2, 2)
+    assert subgroup(A, []).group.invariants() == ()
     h = GroupHom(FinAbGroup([4]), FinAbGroup([8]), [[2]])
     assert image_invariants(h) == (4,)
     assert kernel_invariants(h) == ()
@@ -251,12 +266,13 @@ def test_subgroup_and_image_invariants():
 def test_subgroup_presentation_roundtrip():
     A = FinAbGroup([2, 4])
     # subgroup generated by (1, 2): order 2 elements (0,0),(1,2)
-    sub = SubgroupPresentation(A, [[1, 2]])
+    sub = subgroup(A, [[1, 2]])
     assert sub.group.invariants() == (2,)
-    c = sub.express([1, 2])
+    c = sub.coords([1, 2])
     assert c is not None
-    assert sub.embed(c) == (1, 2)
-    assert sub.express([0, 1]) is None
+    embedded = [sum(ci * w[r] for ci, w in zip(c, sub.witnesses)) for r in range(A.rank)]
+    assert A.reduce(embedded) == (1, 2)
+    assert sub.coords([0, 1]) is None
 
 
 def test_quotient_presentation_coords():
@@ -264,6 +280,13 @@ def test_quotient_presentation_coords():
     pres = QuotientPresentation(2, [[1, 0], [0, 1]], [[2, 0], [0, 3]])
     assert pres.group.invariants() == (6,)
     assert pres.coords([0, 0]) == (0,)
+
+
+def test_quotient_presentation_rejects_relation_outside_subgroup():
+    # (1, 0) is not in span((2, 0)); the error names relation column 1
+    with pytest.raises(NotInSubgroup) as exc:
+        QuotientPresentation(2, [[2, 0]], [[4, 0], [1, 0]])
+    assert exc.value.witness == 1
 
 
 def test_finite_invariants_from_orders():

@@ -107,6 +107,15 @@ def test_brauer_oracle(capsys):
     assert report["result"]["oracle_match"] is True
 
 
+@pytest.mark.parametrize("q", [6, 1])
+def test_brauer_rejects_non_prime_power(capsys, q):
+    # GF(6) does not exist; q = 1 gives a zero unit-group order
+    code, report, err = run(capsys, ["brauer", "--q", str(q), "--n", "2"])
+    assert code == 2
+    assert report is None
+    assert f"q = {q} " in err and "prime power" in err
+
+
 def test_modifications(capsys):
     code, report, _ = run(capsys, ["modifications", "--group", "Z2"])
     assert code == 0

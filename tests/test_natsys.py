@@ -4,7 +4,7 @@ import pytest
 
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
-from zerocohom.cohomology import cohomology_group, nerve
+from zerocohom.cohomology import brute_cohomology, cohomology_group, nerve
 from zerocohom.errors import CapExceeded, FunctorialityError, NotMonoidWithZero
 from zerocohom.modules import scalar_module, trivial_module, validate_module
 from zerocohom.natsys import (
@@ -97,14 +97,15 @@ def test_natsys_cohomology_point():
 
 
 def test_natsys_matches_zero_cohomology():
-    # the bridge: H^n(S, from_zero_module(A)) = H_0^n(S, A)
+    # the bridge: H^n(S, from_zero_module(A)) = H_0^n(S, A), the right side
+    # by the cochain-enumerating oracle, which shares no matrix code
     for S in small_monoids_with_zero():
         for factors in ((2,), (4,), (2, 2)):
             M = trivial_module(S, FinAbGroup(factors))
             D = from_zero_module(M)
             for n in (0, 1, 2):
                 left = natsys_cohomology(S, D, n).invariants()
-                right = cohomology_group(S, M, n, "zero").group.invariants()
+                right = brute_cohomology(S, M, n, "zero").invariants()
                 assert left == right, (S.elements, factors, n)
     # and with a nontrivial action
     S = adjoin(catalog.cyclic_group(2), "zero")
@@ -112,10 +113,7 @@ def test_natsys_matches_zero_cohomology():
     assert validate_module(M) is None
     D = from_zero_module(M)
     for n in (0, 1, 2):
-        assert (
-            natsys_cohomology(S, D, n).invariants()
-            == cohomology_group(S, M, n, "zero").group.invariants()
-        )
+        assert natsys_cohomology(S, D, n).invariants() == brute_cohomology(S, M, n, "zero").invariants()
 
 
 def test_delta_delta_zero_randomized():
