@@ -365,29 +365,112 @@ def _relation_columns(factors):
     return cols
 
 
-def _pad_relations(M, target_factors):
-    """M with a column d*e_i appended for every finite target factor d."""
-    rel = _relation_columns(target_factors)
-    aug = IntMatrix(M.m, M.n + len(rel))
+def _add_multiple(dst, c, src):
+    """dst += c * src on sparse {index: value} dicts, dropping zeros."""
+    for r, v in src.items():
+        w = dst.get(r, 0) + c * v
+        if w:
+            dst[r] = w
+        else:
+            del dst[r]
+
+
+def _echelon(M, target_factors):
+    """Sparse column echelon form of [M | diag(d)] over Z.
+
+    The columns of M, plus one column d*e_i for every finite target
+    factor d, are {row: value} dicts.  Rows are eliminated in order: of
+    the columns hitting the row, the one with the smallest |entry|
+    (fewest nonzeros on ties) is the pivot, and the others are reduced
+    against it by Euclid steps until a single column hits the row; that
+    column is retired as the row's pivot.  Each column carries the first
+    M.n coordinates of its column transform, also sparse; a relation
+    column starts with an empty one.
+
+    Returns (pivots, kernel): ``pivots`` lists (row, column, transform)
+    in row order, each column zero above its row; ``kernel`` lists the
+    transforms of the columns that ended zero.
+    """
+    cols = [{} for _ in range(M.n)]
+    for i, row in enumerate(M.a):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    trans = [{j: 1} for j in range(M.n)]
+    for i, d in enumerate(target_factors):
+        if d:
+            cols.append({i: d})
+            trans.append({})
+    hits = [set() for _ in range(M.m)]  # hits[r]: unretired columns nonzero in row r
+    for j, c in enumerate(cols):
+        for r in c:
+            hits[r].add(j)
+    pivots = []
     for i in range(M.m):
-        aug.a[i][: M.n] = M.a[i]
-        for j, c in enumerate(rel):
-            aug.a[i][M.n + j] = c[i]
-    return aug
+        h = hits[i]
+        while h:
+            p = min(h, key=lambda j: (abs(cols[j][i]), len(cols[j]), j))
+            cp, tp = cols[p], trans[p]
+            a = cp[i]
+            for j in [j for j in h if j != p]:
+                cj = cols[j]
+                q = cj[i] // a
+                for r, v in cp.items():
+                    w = cj.get(r, 0) - q * v
+                    if w:
+                        if r not in cj:
+                            hits[r].add(j)
+                        cj[r] = w
+                    else:
+                        del cj[r]
+                        hits[r].discard(j)
+                _add_multiple(trans[j], -q, tp)
+            if len(h) == 1:
+                for r in cp:
+                    hits[r].discard(p)
+                pivots.append((i, cp, tp))
+    kernel = [trans[j] for j, c in enumerate(cols) if not c]
+    return pivots, kernel
+
+
+def _dense(v, n):
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
 
 
 def solve_mod(M, b, target_factors):
-    """Solve M x = b componentwise mod target_factors (0 = exact)."""
-    x = solve_exact(_pad_relations(M, target_factors), b)
-    if x is None:
+    """Solve M x = b componentwise mod target_factors (0 = exact).
+
+    b is forward-substituted through the echelon pivots; the answer is
+    None when a pivot does not divide the residual in its row, or when
+    a residual is left over at the end.
+    """
+    pivots, _ = _echelon(M, target_factors)
+    res = {i: x for i, x in enumerate(b) if x}
+    x = {}
+    for i, col, t in pivots:
+        if i in res:
+            q, r = divmod(res[i], col[i])
+            if r:
+                return None
+            _add_multiple(res, -q, col)
+            _add_multiple(x, q, t)
+    if res:
         return None
-    return x[: M.n]
+    return _dense(x, M.n)
 
 
 def kernel_mod(M, target_factors):
-    """Basis of {x : M x = 0 mod target_factors} as a lattice in Z^n."""
-    ker = kernel_columns(_pad_relations(M, target_factors))
-    return lattice_basis([c[: M.n] for c in ker], M.n)
+    """Basis of {x : M x = 0 mod target_factors} as a lattice in Z^n.
+
+    The transforms of the zero columns are already independent:
+    projection onto the first n coordinates is injective on the kernel
+    of [M | diag(d)], since every relation column has d > 0.
+    """
+    _, kernel = _echelon(M, target_factors)
+    return [_dense(t, M.n) for t in kernel]
 
 
 def lattice_basis(cols, dim):

@@ -15,7 +15,7 @@ from . import __version__
 from .abgroups import FinAbGroup, IntMatrix
 from .catalog import named_group
 from .cohomology import brute_cohomology, cohomology_group
-from .errors import CapExceeded, ZerocohomError
+from .errors import CapExceeded, InvalidModule, ZerocohomError
 from .modules import Bimodule, ZeroModule, trivial_module
 from .presentations import (
     Truncated,
@@ -51,11 +51,20 @@ def load_module(path, S):
     A = FinAbGroup(doc["invariant_factors"])
     if "action" not in doc:
         return trivial_module(S, A)
+    k = A.rank
+
     def read_action(field):
-        return {
-            S.index(name): IntMatrix.from_rows(rows, A.rank)
-            for name, rows in doc[field].items()
-        }
+        action = {}
+        for name, rows in doc[field].items():
+            widths = {len(r) for r in rows} or {0}
+            if len(rows) != k or widths != {k}:
+                if len(widths) == 1:
+                    shape = f"{len(rows)}x{min(widths)}"
+                else:
+                    shape = f"{len(rows)} rows of widths {sorted(widths)}"
+                raise InvalidModule(name, f"{field} matrix is {shape}, expected {k}x{k}")
+            action[S.index(name)] = IntMatrix(k, k, rows)
+        return action
     left = read_action("action")
     if "right_action" in doc:
         return Bimodule(S, A, left, read_action("right_action"))

@@ -14,13 +14,12 @@ them, so uncertified raw maps are rejected.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
 from .errors import CapExceeded, DivisionUndefined, UncertifiedInput
 from .presentations import enumerate_presentation, parse_presentation
-from .schur import FactorSet, validate_factor_set
+from .schur import validate_factor_set
 from .semigroups import (
     c0s_decompose,
     group_inverses,

@@ -13,7 +13,6 @@ from zerocohom.abgroups import (
     kernel_mod,
     lattice_basis,
     smith_normal_form,
-    smith_triple,
     solve_exact,
     solve_mod,
     subgroup,
@@ -103,6 +102,55 @@ def test_solve_mod():
     K = kernel_mod(IntMatrix.from_rows([[1]]), (4,))
     # kernel of Z -> Z/4 is 4Z
     assert lattice_basis(K, 1) == [[4]]
+
+
+def _padded(M, factors):
+    """[M | diag(d)] with one column per finite factor, for the SNF twins."""
+    fin = [(i, d) for i, d in enumerate(factors) if d]
+    rows = [list(r) + [d if i == k else 0 for k, d in fin] for i, r in enumerate(M.a)]
+    return IntMatrix(M.m, M.n + len(fin), rows)
+
+
+def _congruent(u, v, factors):
+    return all((x - y) % d == 0 if d else x == y for x, y, d in zip(u, v, factors))
+
+
+def test_sparse_elimination_against_snf_twin():
+    # kernel_mod and solve_mod share the sparse echelon engine; the dense
+    # SNF of the padded matrix is the independent reference
+    rng = random.Random(17)
+
+    def entry():
+        return rng.randint(-3, 3) if rng.random() < 0.9 else rng.choice((-1, 1)) * rng.randint(10, 10**6)
+
+    solvable = unsolvable = 0
+    for _ in range(200):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        M = IntMatrix(m, n, [[entry() for _ in range(n)] for _ in range(m)])
+        factors = [rng.choice((0, 1, 2, 3, 4, 6, 9, 12)) for _ in range(m)]
+        P = _padded(M, factors)
+
+        K = kernel_mod(M, factors)
+        for x in K:
+            assert len(x) == n and _congruent(M.vec(x), [0] * m, factors)
+        kmat = IntMatrix.from_columns(K, n)
+        assert sum(1 for d in smith_normal_form(kmat)[0].diagonal() if d) == len(K)
+        twin = IntMatrix.from_columns([c[:n] for c in kernel_columns(P)], n)
+        assert all(solve_exact(kmat, c) is not None for c in twin.columns())
+        assert all(solve_exact(twin, c) is not None for c in K)
+
+        x0 = [rng.randint(-3, 3) for _ in range(n)]
+        b = [v + rng.randint(-3, 3) * d for v, d in zip(M.vec(x0), factors)]
+        if rng.random() < 0.4:
+            b = [rng.randint(-5, 5) for _ in range(m)]
+        x = solve_mod(M, b, factors)
+        assert (x is None) == (solve_exact(P, b) is None), (M, factors, b)
+        if x is None:
+            unsolvable += 1
+        else:
+            solvable += 1
+            assert len(x) == n and _congruent(M.vec(x), b, factors)
+    assert solvable > 100 and unsolvable > 10
 
 
 def test_lattice_basis():

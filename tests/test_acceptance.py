@@ -9,12 +9,9 @@ import random
 import time
 from itertools import product
 
-import pytest
-
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cohomology import (
-    Cochain,
     brute_cohomology,
     cohomology_group,
     coboundary,

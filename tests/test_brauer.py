@@ -1,5 +1,3 @@
-import pytest
-
 from zerocohom import catalog
 from zerocohom.brauer import (
     WeakCocycle,

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -22,10 +21,9 @@ from zerocohom.partial import (
     sigma_from_rho,
     t_action_relation_report,
     t_closure,
-    t_maps,
 )
-from zerocohom.schur import FactorSet, enumerate_factor_sets, validate_factor_set
-from zerocohom.semigroups import ReesDecomposition, group_inverses, sandwich_equivalent
+from zerocohom.schur import FactorSet, enumerate_factor_sets
+from zerocohom.semigroups import ReesDecomposition, sandwich_equivalent
 
 
 def test_build_t_semigroup_constants():
