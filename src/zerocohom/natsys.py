@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology
-from .errors import CapExceeded, FunctorialityError, NotMonoidWithZero
+from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import assemble_coboundary, cochain_group, nerve
 
 
@@ -53,9 +53,10 @@ def _verify_category(cat):
     S = cat.semigroup
     z = S.zero
     e = S.identity
-    for a in cat.objects:
-        assert (e, a, e) in set(cat.morphisms)
     morph_set = set(cat.morphisms)
+    for a in cat.objects:
+        if (e, a, e) not in morph_set:
+            raise FunctorialityError(("missing-identity", a))
     for alpha, a, beta in cat.morphisms:
         b = S.mul(S.mul(alpha, a), beta)
         # composable follow-ups: (alpha', b, beta')
@@ -63,11 +64,13 @@ def _verify_category(cat):
             for betap in range(S.order):
                 if S.mul(S.mul(alphap, b), betap) != z:
                     comp = (S.mul(alphap, alpha), a, S.mul(beta, betap))
-                    assert comp in morph_set
+                    if comp not in morph_set:
+                        witness = (alphap, alpha, a, beta, betap)
+                        raise FunctorialityError(("missing-composite", witness))
     # (alpha, beta) = (alpha, 1)(1, beta) = (1, beta)(alpha, 1) on a sample
     for alpha, a, beta in cat.morphisms[: min(len(cat.morphisms), 200)]:
-        left = (S.mul(alpha, e), a, S.mul(beta, e))
-        assert left == (alpha, a, beta)
+        if (S.mul(alpha, e), a, S.mul(beta, e)) != (alpha, a, beta):
+            raise FunctorialityError(("identity-unit", (alpha, a, beta)))
 
 
 class NaturalSystem:
@@ -338,31 +341,31 @@ def bar_boundary_matrix(S, B_n, B_prev, a):
 def bar_resolution(S, n_max):
     """Bar systems B_0..B_{n_max} with differentials and augmentation.
 
-    Verifies dd = 0 objectwise, naturality of the differential with
-    respect to the generating morphisms, and objectwise exactness of the
-    augmented complex in degrees 0..n_max-1.
+    Verifies dd = 0 objectwise (``NotAComplex`` with witness (n, a)) and
+    naturality of the differential with respect to the generating
+    morphisms (alpha, 1) (``FunctorialityError`` with witness
+    (n, a, alpha)); ``bar_exactness_report`` checks exactness.
     """
     _require_monoid_with_zero(S)
     levels = [bar_system(S, n) for n in range(n_max + 1)]
     z = S.zero
     e = S.identity
-    # dd = 0 and naturality
+    bd = {}
     for n in range(1, n_max + 1):
         for a in S.nonzero():
-            M1 = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
-            if n >= 2:
-                M2 = bar_boundary_matrix(S, levels[n - 1], levels[n - 2], a)
-                assert M2.mul(M1).is_zero(), ("dd != 0", n, a)
+            bd[n, a] = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
+            if n >= 2 and not bd[n - 1, a].mul(bd[n, a]).is_zero():
+                raise NotAComplex((n, a))
     for n in range(1, n_max + 1):
         for a in S.nonzero():
+            Ma = bd[n, a]
             for alpha in range(S.order):
                 b = S.mul(alpha, a)
                 if b == z:
                     continue
                 act_n = bar_action(S, levels[n], alpha, e, a)
                 act_prev = bar_action(S, levels[n - 1], alpha, e, a)
-                Ma = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
-                Mb = bar_boundary_matrix(S, levels[n], levels[n - 1], b)
+                Mb = bd[n, b]
                 # boundary then act == act then boundary
                 for j in range(levels[n].rank(a)):
                     via_b = [0] * levels[n - 1].rank(b)
@@ -370,7 +373,8 @@ def bar_resolution(S, n_max):
                         if Ma.a[i][j]:
                             via_b[act_prev[i]] += Ma.a[i][j]
                     direct = [Mb.a[i][act_n[j]] for i in range(levels[n - 1].rank(b))]
-                    assert via_b == direct, ("naturality", n, a, alpha)
+                    if via_b != direct:
+                        raise FunctorialityError((n, a, alpha))
     return levels
 
 
@@ -434,12 +438,17 @@ def hom_complex_compare(S, D, n_max=2):
       formula is natural for all generating morphisms;
     * differentials: the map eta |-> eta o (bar boundary), computed in
       normalized coordinates, equals the cochain coboundary matrix;
-    * cohomology: both complexes have equal homology in degrees <= n_max.
+    * cohomology: both complexes have equal homology in degrees <= n_max;
+      compared only when the three checks above hold, so a D that is not
+      natural leaves ``groups`` empty instead of failing in the homology.
 
-    Returns a report dict; ``ok`` is the overall verdict.
+    Returns a report dict; ``ok`` is the overall verdict.  A negative
+    n_max raises ``DegreeMismatch``, one above the cap ``CapExceeded``.
     """
+    if n_max < 0:
+        raise DegreeMismatch("negative degree")
     if n_max > NATSYS_DEGREE_CAP - 1:
-        raise CapExceeded("comparison degree too large")
+        raise CapExceeded(f"comparison degree {n_max} exceeds cap {NATSYS_DEGREE_CAP - 1}")
     _require_monoid_with_zero(S)
     levels = bar_resolution(S, n_max + 1)
     e = S.identity
@@ -460,105 +469,74 @@ def hom_complex_compare(S, D, n_max=2):
                 if image != s:
                     report["forcing"] = False
 
-    def eta_value(f, n, symbol):
-        """Value of the natural transformation of f on a symbol."""
-        interior = symbol[1:-1]
-        obj_int = S.mul_word(interior) if interior else e
-        val = f[interior]
-        alpha, beta = symbol[0], symbol[-1]
-        return D.apply(alpha, obj_int, beta, val)
+    # The unit cochain (t, j) vanishes off t, and the bar action keeps a
+    # symbol's interior, so every check on a symbol whose interior is not
+    # t reads 0 = 0.  eta[s][j] is the value on s of the unit cochain at
+    # (interior of s, j); only those values enter the checks below.
+    def unit_values(s):
+        obj = _object(S, s[1:-1])
+        rank = D.groups[obj].rank
+        return [D.apply(s[0], obj, s[-1], [int(i == j) for i in range(rank)]) for j in range(rank)]
 
-    # basis cochains per degree
-    def basis(n):
-        tuples = nerve(S, n, "zero")
-        out = []
-        for t in tuples:
-            obj = S.mul_word(t) if t else e
-            for j in range(D.groups[obj].rank):
-                f = {
-                    u: D.groups[S.mul_word(u) if u else e].zero()
-                    for u in tuples
-                }
-                vec = [0] * D.groups[obj].rank
-                vec[j] = 1
-                f[t] = tuple(vec)
-                out.append((f, (t, j)))
-        return out, tuples
-
-    for n in range(n_max + 1):
-        B = levels[n]
-        fs, tuples = basis(n)
-        for f, _tag in fs:
-            # naturality over generating morphisms
-            for a in S.nonzero():
-                for alpha in range(S.order):
-                    b = S.mul(alpha, a)
-                    if b == z:
-                        continue
-                    act = bar_action(S, B, alpha, e, a)
-                    for si, s in enumerate(B.symbols[a]):
-                        lhs = eta_value(f, n, B.symbols[b][act[si]])
-                        rhs = D.apply(alpha, a, e, eta_value(f, n, s))
-                        if lhs != rhs:
-                            report["naturality"] = False
-                for beta in range(S.order):
-                    b = S.mul(a, beta)
-                    if b == z:
-                        continue
-                    act = bar_action(S, B, e, beta, a)
-                    for si, s in enumerate(B.symbols[a]):
-                        lhs = eta_value(f, n, B.symbols[b][act[si]])
-                        rhs = D.apply(e, a, beta, eta_value(f, n, s))
-                        if lhs != rhs:
-                            report["naturality"] = False
-
-    # differentials in normalized coordinates equal the Delta matrices
+    generators = [(x, e) for x in range(S.order)] + [(e, x) for x in range(S.order)]
+    nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
+    deltas = [natsys_coboundary_hom(S, D, n) for n in range(n_max + 1)]
     hom_mats = []
     for n in range(n_max + 1):
-        fs, src_tuples = basis(n)
-        dst_tuples = nerve(S, n + 1, "zero")
-        src, src_off = _tuple_group(D, src_tuples)
-        dst, dst_off = _tuple_group(D, dst_tuples)
+        B = levels[n]
+        eta = {s: unit_values(s) for a in S.nonzero() for s in B.symbols[a]}
+        # naturality over the generating morphisms (alpha, 1) and (1, beta)
+        for a in S.nonzero():
+            for alpha, beta in generators:
+                b = S.mul(S.mul(alpha, a), beta)
+                if b == z:
+                    continue
+                act = bar_action(S, B, alpha, beta, a)
+                for si, s in enumerate(B.symbols[a]):
+                    image = B.symbols[b][act[si]]
+                    for lhs, val in zip(eta[image], eta[s]):
+                        if lhs != D.apply(alpha, a, beta, val):
+                            report["naturality"] = False
+
+        # eta |-> eta o (bar boundary) in normalized coordinates
+        src, src_off = _tuple_group(D, nerves[n])
+        dst, dst_off = _tuple_group(D, nerves[n + 1])
+        pos = dict(zip(nerves[n], src_off))
         mat = IntMatrix(dst.rank, src.rank)
-        for col, (f, tag) in enumerate(fs):
-            for di, t in enumerate(dst_tuples):
-                # eta_f o bar boundary at the normalized (n+3)-symbol of t
-                sym = _normalized_symbol(S, t)
-                acc = [0] * D.groups[S.mul_word(t)].rank
-                sign = 1
-                for i in range(n + 2):
-                    merged = sym[:i] + (S.mul(sym[i], sym[i + 1]),) + sym[i + 2 :]
-                    v = eta_value(f, n, merged)
-                    for r in range(len(acc)):
-                        acc[r] += sign * v[r]
-                    sign = -sign
-                vec = D.groups[S.mul_word(t)].reduce(acc)
-                for r, x in enumerate(vec):
-                    mat.a[dst_off[di] + r][col] += x
-        delta = natsys_coboundary_hom(S, D, n)
-        same = True
+        for t, r0 in zip(nerves[n + 1], dst_off):
+            group = D.groups[S.mul_word(t)]
+            sym = _normalized_symbol(S, t)
+            acc = {}
+            sign = 1
+            for i in range(n + 2):
+                face = sym[:i] + (S.mul(sym[i], sym[i + 1]),) + sym[i + 2 :]
+                c0 = pos[face[1:-1]]
+                for j, v in enumerate(eta[face]):
+                    col = acc.setdefault(c0 + j, [0] * group.rank)
+                    for r, x in enumerate(v):
+                        col[r] += sign * x
+                sign = -sign
+            for c, col in acc.items():
+                for r, x in enumerate(group.reduce(col)):
+                    mat.a[r0 + r][c] = x
+        delta = deltas[n]
         for j in range(mat.n):
-            c1 = delta.target.reduce(mat.col(j))
-            c2 = delta.target.reduce(delta.matrix.col(j))
-            if c1 != c2:
-                same = False
-        if not same:
-            report["differentials"] = False
+            if delta.target.reduce(mat.col(j)) != delta.target.reduce(delta.matrix.col(j)):
+                report["differentials"] = False
         hom_mats.append(GroupHom(src, dst, mat))
 
-    # equal cohomology from the two matrix families
+    # equal cohomology from the two matrix families, only once the hom
+    # side is known to be the cochain complex (else it may not be one)
+    if not (report["forcing"] and report["naturality"] and report["differentials"]):
+        report["ok"] = False
+        return report
+    d_zero = GroupHom(FinAbGroup(()), hom_mats[0].source, IntMatrix(hom_mats[0].source.rank, 0))
     for n in range(n_max + 1):
-        if n == 0:
-            d_in_h = GroupHom(FinAbGroup(()), hom_mats[0].source, IntMatrix(hom_mats[0].source.rank, 0))
-            d_in_c = d_in_h
-        else:
-            d_in_h = hom_mats[n - 1]
-            d_in_c = natsys_coboundary_hom(S, D, n - 1)
+        d_in_h = hom_mats[n - 1] if n else d_zero
+        d_in_c = deltas[n - 1] if n else d_zero
         h_hom = complex_homology(d_in_h, hom_mats[n]).group.invariants()
-        h_coch = complex_homology(d_in_c, natsys_coboundary_hom(S, D, n)).group.invariants()
+        h_coch = complex_homology(d_in_c, deltas[n]).group.invariants()
         report["groups"].append((h_hom, h_coch))
         if h_hom != h_coch:
             report["ok"] = False
-    if not (report["forcing"] and report["naturality"] and report["differentials"]):
-        report["ok"] = False
     return report

@@ -19,6 +19,19 @@ NIL4 = {
     ],
 }
 
+# NIL4 with an identity adjoined: natsys needs a monoid with zero
+NIL4M = {
+    "elements": ["u", "v", "w", "0", "1"],
+    "zero": "0",
+    "table": [
+        ["w", "w", "0", "0", "u"],
+        ["w", "w", "0", "0", "v"],
+        ["0", "0", "0", "0", "w"],
+        ["0", "0", "0", "0", "0"],
+        ["u", "v", "w", "0", "1"],
+    ],
+}
+
 TRIV_Z2 = {"invariant_factors": [2]}
 
 
@@ -26,6 +39,13 @@ TRIV_Z2 = {"invariant_factors": [2]}
 def nil4_path(tmp_path):
     p = tmp_path / "nil4.json"
     p.write_text(json.dumps(NIL4))
+    return str(p)
+
+
+@pytest.fixture
+def nil4m_path(tmp_path):
+    p = tmp_path / "nil4m.json"
+    p.write_text(json.dumps(NIL4M))
     return str(p)
 
 
@@ -186,31 +206,32 @@ def test_tsubsets(capsys):
     assert report["result"]["count"] == 3
 
 
-def test_natsys_and_compare(tmp_path, nil4_path, z2_path, capsys):
-    # adjoin an identity to ex3 first: natsys needs a monoid with zero
-    doc = {
-        "elements": ["u", "v", "w", "0", "1"],
-        "zero": "0",
-        "table": [
-            ["w", "w", "0", "0", "u"],
-            ["w", "w", "0", "0", "v"],
-            ["0", "0", "0", "0", "w"],
-            ["0", "0", "0", "0", "0"],
-            ["u", "v", "w", "0", "1"],
-        ],
-    }
-    sg = tmp_path / "nil4m.json"
-    sg.write_text(json.dumps(doc))
+def test_natsys_and_compare(nil4m_path, z2_path, capsys):
     code, report, _ = run(
-        capsys, ["natsys", "--semigroup", str(sg), "--module", z2_path, "--degree", "2"]
+        capsys, ["natsys", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "2"]
     )
     assert code == 0
     assert report["result"]["group"]["invariant_factors"] == [2, 2]
     code, report, _ = run(
-        capsys, ["compare-thm14", "--semigroup", str(sg), "--module", z2_path, "--degree", "2"]
+        capsys, ["compare-thm14", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "2"]
     )
     assert code == 0
     assert report["result"]["match"] is True
+
+
+def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):
+    argv = ["compare-thm14", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "-1"]
+    code, report, err = run(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "input error: negative degree" in err
+
+
+def test_compare_cap_names_degree_and_cap(nil4m_path, capsys):
+    code, report, err = run(capsys, ["compare-thm14", "--semigroup", nil4m_path, "--degree", "3"])
+    assert code == 3
+    assert report is None
+    assert "cap exceeded: comparison degree 3 exceeds cap 2" in err
 
 
 def test_input_error_exit_code(tmp_path, capsys):

@@ -1,13 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from zerocohom import catalog
+from zerocohom import catalog, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cohomology import brute_cohomology, cohomology_group, nerve
-from zerocohom.errors import CapExceeded, FunctorialityError, NotMonoidWithZero
+from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
 from zerocohom.modules import scalar_module, trivial_module, validate_module
 from zerocohom.natsys import (
+    FacCategory,
+    NaturalSystem,
+    _verify_category,
     bar_exactness_report,
     bar_resolution,
     bar_system,
@@ -51,6 +57,17 @@ def test_fac_category_object_and_morphisms():
         assert S.mul(S.mul(alpha, a), beta) != z
     with pytest.raises(NotMonoidWithZero):
         fac_category(catalog.cyclic_group(2))
+
+
+def test_fac_category_missing_identity_raises():
+    S = adjoin(catalog.nil_square_semigroup(), "identity")
+    cat = fac_category(S)
+    u = S.index("u")
+    e = S.identity
+    broken = FacCategory(S, cat.objects, tuple(m for m in cat.morphisms if m != (e, u, e)))
+    with pytest.raises(FunctorialityError) as info:
+        _verify_category(broken)
+    assert info.value.witness == ("missing-identity", u)
 
 
 def test_trivial_Z_and_from_zero_module():
@@ -160,6 +177,39 @@ def test_bar_dd_zero_nil_square_with_identity():
     bar_resolution(S, 2)  # raises on any dd != 0 or naturality failure
 
 
+def test_bar_resolution_dd_check_survives_optimize():
+    # under python -O: one corrupted entry of a bar differential must still
+    # raise NotAComplex, so the check cannot rest on an assert
+    script = """
+import zerocohom.natsys as ns
+from zerocohom import catalog
+from zerocohom.errors import NotAComplex
+from zerocohom.semigroups import adjoin
+
+real = ns.bar_boundary_matrix
+
+def corrupt(S, B_n, B_prev, a):
+    M = real(S, B_n, B_prev, a)
+    if B_n.degree == 1 and a == S.identity:
+        M.a[0][0] += 1
+    return M
+
+ns.bar_boundary_matrix = corrupt
+S = adjoin(catalog.nil_square_semigroup(), "identity")
+try:
+    ns.bar_resolution(S, 2)
+except NotAComplex as exc:
+    print("NotAComplex", exc.witness == (2, S.identity))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "NotAComplex True"
+
+
 def test_bar_exactness():
     five = adjoin(catalog.nil_square_semigroup(), "identity")
     for S in [one_zero_monoid(), five] + small_monoids_with_zero():
@@ -196,6 +246,59 @@ def test_hom_complex_compare_nontrivial_action():
     assert report["ok"], report
     for n in (0, 1, 2):
         assert report["groups"][n][0] == cohomology_group(S, M, n, "zero").group.invariants()
+
+
+def _c2_minus_one():
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    D = from_zero_module(scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1}))
+    return S, D
+
+
+def _perturbed(D, side, key):
+    """D with entry (0, 0) of one stored map off by one, not validated."""
+    maps = {"left": dict(D.left), "right": dict(D.right)}
+    M = maps[side][key]
+    rows = [list(r) for r in M.a]
+    rows[0][0] += 1
+    maps[side][key] = IntMatrix(M.m, M.n, rows)
+    return NaturalSystem(D.semigroup, D.groups, maps["left"], maps["right"])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_hom_complex_compare_reports_non_natural_map(side):
+    # the generator acts by -1 on C3; the perturbed map acts by 0, which is
+    # still a homomorphism and keeps the coboundaries equal, so only the
+    # naturality check sees it (it used to end in NotAComplex instead)
+    S, D = _c2_minus_one()
+    report = hom_complex_compare(S, _perturbed(D, side, (1, 0)), 2)
+    assert report["forcing"] is True
+    assert report["naturality"] is False
+    assert report["differentials"] is True
+    assert report["groups"] == []
+    assert report["ok"] is False
+
+
+def test_hom_complex_compare_reports_wrong_differential(monkeypatch):
+    real = natsys.natsys_coboundary_hom
+
+    def corrupted(S, D, n):
+        delta = real(S, D, n)
+        delta.matrix.a[0][0] += 1
+        return delta
+
+    monkeypatch.setattr(natsys, "natsys_coboundary_hom", corrupted)
+    S, D = _c2_minus_one()
+    report = hom_complex_compare(S, D, 2)
+    assert report["naturality"] is True
+    assert report["differentials"] is False
+    assert report["groups"] == []
+    assert report["ok"] is False
+
+
+def test_hom_complex_compare_negative_degree():
+    S = one_zero_monoid()
+    with pytest.raises(DegreeMismatch):
+        hom_complex_compare(S, trivial_Z(S), -1)
 
 
 def test_hom_group_rank_bookkeeping():
