@@ -327,13 +327,9 @@ def smith_triple(rows):
 
 
 def solve_exact(M, b):
-    """One integer solution of M x = b, or None."""
+    """One integer solution of M x = b, or None, from U*M*V = D."""
     D, U, V, _, _ = smith_normal_form(M)
-    return _solve_factored(D.diagonal(), U, V, b)
-
-
-def _solve_factored(diag, U, V, b):
-    """Solve M x = b from U*M*V = D, given D's diagonal, U and V."""
+    diag = D.diagonal()
     ub = U.vec(b)
     y = [0] * V.m
     for i in range(U.m):
@@ -440,14 +436,13 @@ def _dense(v, n):
     return out
 
 
-def solve_mod(M, b, target_factors):
-    """Solve M x = b componentwise mod target_factors (0 = exact).
+def _substitute(pivots, b):
+    """Sparse x with M x = b (mod the factors), from ``_echelon``'s pivots.
 
-    b is forward-substituted through the echelon pivots; the answer is
-    None when a pivot does not divide the residual in its row, or when
-    a residual is left over at the end.
+    b is forward-substituted through the pivots; the answer is None when
+    a pivot does not divide the residual in its row, or when a residual
+    is left over at the end.
     """
-    pivots, _ = _echelon(M, target_factors)
     res = {i: x for i, x in enumerate(b) if x}
     x = {}
     for i, col, t in pivots:
@@ -459,7 +454,14 @@ def solve_mod(M, b, target_factors):
             _add_multiple(x, q, t)
     if res:
         return None
-    return _dense(x, M.n)
+    return x
+
+
+def solve_mod(M, b, target_factors):
+    """Solve M x = b componentwise mod target_factors (0 = exact)."""
+    pivots, _ = _echelon(M, target_factors)
+    x = _substitute(pivots, b)
+    return None if x is None else _dense(x, M.n)
 
 
 def kernel_mod(M, target_factors):
@@ -624,22 +626,16 @@ class GroupHom:
         return GroupHom(inner.source, self.target, self.matrix.mul(inner.matrix))
 
     def is_zero(self):
-        for j in range(self.source.rank):
-            if any(self.apply([1 if i == j else 0 for i in range(self.source.rank)])):
-                return False
-        return True
+        return not any(any(self.target.reduce(c)) for c in self.matrix.columns())
 
     def equals(self, other):
-        """Equality as maps (entries compared mod target factors)."""
+        """Equality as maps (columns compared mod target factors)."""
         if self.source.factors != other.source.factors:
             return False
         if self.target.factors != other.target.factors:
             return False
-        for j in range(self.source.rank):
-            e = [1 if i == j else 0 for i in range(self.source.rank)]
-            if self.apply(e) != other.apply(e):
-                return False
-        return True
+        reduce = self.target.reduce
+        return all(reduce(a) == reduce(b) for a, b in zip(self.matrix.columns(), other.matrix.columns()))
 
     @classmethod
     def identity(cls, group):
@@ -658,44 +654,50 @@ class QuotientPresentation:
     (one per non-unit invariant factor, infinite factors last);
     ``coords(v)`` expresses an ambient vector v in span(K) as
     coefficients on the witnesses, or returns None when v is not in
-    span(K).  K is factored once, here; ``coords`` reuses that
-    factorization.
+    span(K).  K is factored once, here, on the sparse echelon engine;
+    the m-columns and every ``coords`` call forward-substitute through
+    its pivots, and since K's columns are independent the K-coordinates
+    found are the only ones.  A dense Smith form is taken only of the
+    small matrix X of those coordinates.
     """
 
-    __slots__ = ("dim", "group", "witnesses", "_ksnf", "_U", "_dvec", "_keep")
+    __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows")
 
     def __init__(self, dim, k_basis, m_cols):
         self.dim = dim
-        K = IntMatrix.from_columns(k_basis, dim)
-        D, U, V, _, _ = smith_normal_form(K)
-        self._ksnf = (D.diagonal(), U, V)
+        r = len(k_basis)
+        self._pivots, _ = _echelon(IntMatrix.from_columns(k_basis, dim), ())
         # coordinates of the m-generators in the K-basis
         xcols = []
         for j, c in enumerate(m_cols):
-            y = _solve_factored(*self._ksnf, c)
+            y = _substitute(self._pivots, c)
             if y is None:
                 raise NotInSubgroup(j)
-            xcols.append(y)
-        r = K.n
+            xcols.append(_dense(y, r))
         X = IntMatrix.from_columns(xcols, r)
         D, U, _, Uinv, _ = smith_normal_form(X)
         dvec = [D.a[i][i] if i < X.n else 0 for i in range(r)]
-        self._U = U
-        self._dvec = dvec
-        self._keep = [i for i, d in enumerate(dvec) if d != 1]
-        self.group = FinAbGroup([dvec[i] for i in self._keep])
-        kui = K.mul(Uinv)
-        self.witnesses = [kui.col(i) for i in self._keep]
+        keep = [i for i, d in enumerate(dvec) if d != 1]
+        self._urows = [U.a[i] for i in keep]
+        self.group = FinAbGroup([dvec[i] for i in keep])
+        self.witnesses = []
+        for i in keep:
+            w = [0] * dim
+            for j, kcol in enumerate(k_basis):
+                u = Uinv.a[j][i]
+                if u:
+                    for row, x in enumerate(kcol):
+                        w[row] += u * x
+            self.witnesses.append(w)
 
     def coords(self, v):
-        y = _solve_factored(*self._ksnf, list(v))
+        y = _substitute(self._pivots, v)
         if y is None:
             return None
-        c = self._U.vec(y)
         out = []
-        for i in self._keep:
-            d = self._dvec[i]
-            out.append(c[i] % d if d else c[i])
+        for row, d in zip(self._urows, self.group.factors):
+            c = sum(row[j] * x for j, x in y.items())
+            out.append(c % d if d else c)
         return tuple(out)
 
 
@@ -708,9 +710,8 @@ def complex_homology(d_in, d_out):
     mid = d_in.target
     assert mid.factors == d_out.source.factors
     comp = d_out.compose(d_in)
-    for j in range(comp.source.rank):
-        e = [1 if i == j else 0 for i in range(comp.source.rank)]
-        if any(comp.apply(e)):
+    for j, c in enumerate(comp.matrix.columns()):
+        if any(comp.target.reduce(c)):
             raise NotAComplex(j)
     K = kernel_mod(d_out.matrix, d_out.target.factors)
     m_cols = d_in.matrix.columns() + _relation_columns(mid.factors)

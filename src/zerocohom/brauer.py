@@ -23,7 +23,7 @@ from math import isqrt
 from .abgroups import GroupHom, IntMatrix
 from .catalog import cyclic_group
 from .cohomology import coboundary, cohomology_group, nerve
-from .errors import CapExceeded, InvalidFieldOrder
+from .errors import CapExceeded, CertificateError, InvalidFieldOrder
 from .modules import galois_units_module
 from .semigroups import Semigroup, validate_table
 
@@ -373,7 +373,9 @@ def weak_cocycle_to_zero_cocycle(f):
 
     c = Cochain(2, values)
     dc = coboundary(M, c, "zero")
-    assert all(not any(v) for v in dc.values.values()), "restriction is not a 0-cocycle"
+    bad = next((t for t, v in dc.values.items() if any(v)), None)
+    if bad is not None:
+        raise CertificateError(bad, "restriction is not a 0-cocycle")
     return mod, c
 
 
@@ -390,7 +392,9 @@ def zero_cocycle_to_weak_cocycle(mod, q, cochain):
             else:
                 values[(x, y)] = cochain.values[(x, y)][0]
     f = WeakCocycle(G, q, n, values)
-    assert validate_weak_cocycle(f) is None
+    bad = validate_weak_cocycle(f)
+    if bad is not None:
+        raise CertificateError(bad, "extension by zeros is not a weak cocycle")
     return f
 
 

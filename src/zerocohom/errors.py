@@ -124,6 +124,14 @@ class NotInSubgroup(ZerocohomError):
         super().__init__(f"relation column {witness} lies outside the subgroup lattice")
 
 
+class CertificateError(ZerocohomError):
+    """A computed object failed the check that certifies it."""
+
+    def __init__(self, witness, message):
+        self.witness = witness
+        super().__init__(f"{message} (witness {witness})")
+
+
 class InvalidFieldOrder(ZerocohomError):
     def __init__(self, q):
         self.q = q

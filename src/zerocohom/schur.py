@@ -17,7 +17,7 @@ from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
 from .cohomology import cochain_from_vector, coboundary_preimage, cohomology_group
-from .errors import CapExceeded, NotAnIdeal
+from .errors import CapExceeded, CertificateError, NotAnIdeal
 from .modules import trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
 
@@ -356,7 +356,10 @@ def brute_multiplier(S, A, cap=6_000_000):
         I = support_ideal(rho)
         by_ideal.setdefault(I, []).append(rho)
     # sanity: supports are exactly the ideals
-    assert set(by_ideal) == set(ideals(S))
+    mismatch = set(by_ideal) ^ set(ideals(S))
+    if mismatch:
+        witness = sorted(min(mismatch, key=sorted))
+        raise CertificateError(witness, "factor-set supports are not exactly the ideals")
     elements = A.elements()
     components = {}
     for I, sets in by_ideal.items():

@@ -199,6 +199,20 @@ def test_grouphom_well_defined():
     assert GroupHom(src, FinAbGroup([2]), [[1]]).well_defined()
 
 
+def test_grouphom_equals_and_is_zero_compare_reduced_columns():
+    src, tgt = FinAbGroup([0, 2]), FinAbGroup([4, 0])
+    f = GroupHom(src, tgt, [[1, 2], [3, 0]])
+    # entries differing by multiples of the target factor 4 give the same map
+    assert f.equals(GroupHom(src, tgt, [[5, -2], [3, 0]]))
+    # a difference of 2 in the C4 row, or any difference in the Z row, does not
+    assert not f.equals(GroupHom(src, tgt, [[3, 2], [3, 0]]))
+    assert not f.equals(GroupHom(src, tgt, [[1, 2], [3, 4]]))
+    assert GroupHom(src, tgt, [[4, -8], [0, 0]]).is_zero()
+    assert not GroupHom(src, tgt, [[2, 0], [0, 0]]).is_zero()
+    assert not GroupHom(src, tgt, [[4, 0], [0, 4]]).is_zero()
+    assert not f.is_zero()
+
+
 def test_complex_homology_hand_lattice():
     # d_in: Z -> Z^2, 1 |-> (2, 0);  d_out: Z^2 -> Z, (a,b) |-> b
     d_in = GroupHom(FinAbGroup([0]), FinAbGroup([0, 0]), [[2], [0]])
@@ -230,6 +244,23 @@ def test_complex_homology_not_a_complex():
     d_out = GroupHom(FinAbGroup([0]), FinAbGroup([0]), [[1]])
     with pytest.raises(NotAComplex):
         complex_homology(d_in, d_out)
+
+
+def test_complex_homology_not_a_complex_names_the_column():
+    # d_out o d_in = [0, 1, 0]: nonzero on generator 1 only
+    d_in = GroupHom(FinAbGroup([0, 0, 0]), FinAbGroup([0, 0]), [[1, 0, 2], [0, 1, 0]])
+    d_out = GroupHom(FinAbGroup([0, 0]), FinAbGroup([0]), [[0, 1]])
+    with pytest.raises(NotAComplex) as exc:
+        complex_homology(d_in, d_out)
+    assert exc.value.witness == 1
+
+
+def test_complex_homology_composite_vanishing_mod_target():
+    # d_out o d_in = [[4]] is a nonzero integer matrix but the zero map to C4
+    d_in = GroupHom(FinAbGroup([0]), FinAbGroup([0, 0]), [[2], [0]])
+    d_out = GroupHom(FinAbGroup([0, 0]), FinAbGroup([4]), [[2, 0]])
+    # ker = span((2, 0), (0, 1)), im = span((2, 0))
+    assert complex_homology(d_in, d_out).group.invariants() == (0,)
 
 
 def brute_homology(d_in, d_out):
@@ -335,6 +366,55 @@ def test_quotient_presentation_rejects_relation_outside_subgroup():
     with pytest.raises(NotInSubgroup) as exc:
         QuotientPresentation(2, [[2, 0]], [[4, 0], [1, 0]])
     assert exc.value.witness == 1
+
+
+def test_quotient_presentation_against_snf_twin():
+    # K is factored on the sparse echelon engine; the dense SNF of K and of
+    # the coordinate matrix, taken here, is the independent reference
+    rng = random.Random(23)
+    outside = inside = rejected = 0
+    for _ in range(150):
+        dim = rng.randint(1, 6)
+        # d * e_i relations, which lie in span(K) by construction
+        rels = []
+        for i in range(dim):
+            if rng.random() < 0.4:
+                rels.append([rng.choice((1, 2, 3, 4, 6)) if r == i else 0 for r in range(dim)])
+        gens = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(0, 3))] + rels
+        K = lattice_basis(gens, dim)
+        kmat = IntMatrix.from_columns(K, dim)
+        m_cols = list(rels)
+        for _ in range(rng.randint(0, 3)):
+            coeffs = [rng.randint(-2, 2) for _ in gens]
+            m_cols.append([sum(c * g[r] for c, g in zip(coeffs, gens)) for r in range(dim)])
+        rng.shuffle(m_cols)
+        pres = QuotientPresentation(dim, K, m_cols)
+
+        X = IntMatrix.from_columns([solve_exact(kmat, c) for c in m_cols], len(K))
+        diag = smith_normal_form(X)[0].diagonal()
+        expected = [d for d in diag if d != 1] + [0] * (len(K) - len(diag))
+        assert list(pres.group.factors) == expected, (K, m_cols)
+        for i, w in enumerate(pres.witnesses):
+            assert pres.coords(w) == tuple(int(i == j) for j in range(len(pres.witnesses)))
+
+        mmat = IntMatrix.from_columns(m_cols, dim) if m_cols else IntMatrix(dim, 0)
+        for _ in range(4):
+            v = [rng.randint(-5, 5) for _ in range(dim)]
+            c = pres.coords(v)
+            assert (c is None) == (solve_exact(kmat, v) is None), (K, v)
+            if c is None:
+                outside += 1
+                # a column outside span(K) is named by its index
+                bad = rng.randint(0, len(m_cols))
+                with pytest.raises(NotInSubgroup) as exc:
+                    QuotientPresentation(dim, K, m_cols[:bad] + [v] + m_cols[bad:])
+                assert exc.value.witness == bad
+                rejected += 1
+            else:
+                inside += 1
+                back = [v[r] - sum(ci * w[r] for ci, w in zip(c, pres.witnesses)) for r in range(dim)]
+                assert solve_exact(mmat, back) is not None
+    assert outside > 50 and inside > 50 and rejected == outside
 
 
 def test_finite_invariants_from_orders():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from zerocohom import catalog
 from zerocohom.brauer import (
     WeakCocycle,
@@ -159,6 +163,31 @@ def test_cocycle_bridge_round_trip():
         mod, coch = weak_cocycle_to_zero_cocycle(f)
         g = zero_cocycle_to_weak_cocycle(mod, 2, coch)
         assert g == f
+
+
+def test_bridge_certificate_survives_optimize():
+    # under python -O: a 0-cochain whose extension by zeros is not normalized
+    # must still raise CertificateError, so the check cannot rest on an assert
+    script = """
+from zerocohom.brauer import enumerate_weak_cocycles, weak_cocycle_to_zero_cocycle, zero_cocycle_to_weak_cocycle
+from zerocohom.errors import CertificateError
+
+f = enumerate_weak_cocycles(2, 2)[0]
+mod, coch = weak_cocycle_to_zero_cocycle(f)
+e = f.group.identity
+coch.values[(e, e)] = (1,)
+try:
+    zero_cocycle_to_weak_cocycle(mod, 2, coch)
+except CertificateError as exc:
+    print("CertificateError", exc.witness)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "CertificateError ('normalization', 0)"
 
 
 def test_equivalence_exhaustive_pairs_gf4():

@@ -210,6 +210,22 @@ except NotAComplex as exc:
     assert proc.stdout.strip() == "NotAComplex True"
 
 
+def test_bar_resolution_checks_right_naturality(monkeypatch):
+    # B(1, beta) permuted wrongly, B(alpha, 1) left intact: only the
+    # right-hand naturality check can see it
+    S = adjoin(catalog.nil_square_semigroup(), "identity")
+    real = natsys.bar_action
+
+    def wrong_on_right(S_, B, alpha, beta, a):
+        out = real(S_, B, alpha, beta, a)
+        return out[::-1] if alpha == S_.identity and beta != S_.identity else out
+
+    monkeypatch.setattr(natsys, "bar_action", wrong_on_right)
+    with pytest.raises(FunctorialityError) as exc:
+        bar_resolution(S, 2)
+    assert exc.value.witness[2] == "right"
+
+
 def test_bar_exactness():
     five = adjoin(catalog.nil_square_semigroup(), "identity")
     for S in [one_zero_monoid(), five] + small_monoids_with_zero():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from zerocohom import catalog
+from zerocohom import catalog, schur
 from zerocohom.abgroups import FinAbGroup
 from zerocohom.cohomology import brute_cohomology, cohomology_group
-from zerocohom.errors import NotAnIdeal
+from zerocohom.errors import CertificateError, NotAnIdeal
 from zerocohom.modules import trivial_module
 from zerocohom.schur import (
     FactorSet,
@@ -230,6 +230,16 @@ def test_brute_multiplier_group_z2_component_order():
     # empty-support component: M_0(S^0) cross-check via cohomology
     S0 = adjoin(G, "zero")
     assert brute_cohomology(S0, trivial_module(S0, A), 2, "zero").invariants() == (2,)
+
+
+def test_brute_multiplier_rejects_supports_that_are_not_the_ideals(monkeypatch):
+    # an extra "ideal" that no factor set is supported on is named as the witness
+    G = catalog.cyclic_group(2)
+    real = schur.ideals
+    monkeypatch.setattr(schur, "ideals", lambda S: real(S) + [frozenset({0})])
+    with pytest.raises(CertificateError) as exc:
+        brute_multiplier(G, FinAbGroup([2]))
+    assert exc.value.witness == [0]
 
 
 def test_full_dumb_enumeration_cross_check():
