@@ -321,7 +321,7 @@ def brauer_monoid(q, n, cap=26):
     # the meet of two modifications (union of zero patterns) is again one
     for (k1, k2), u in join.items():
         if u is None:
-            raise AssertionError("zero patterns not closed under union")
+            raise CertificateError((k1, k2), "zero patterns not closed under union")
     links = {}
     for k1 in keys:
         for k2 in keys:
@@ -331,7 +331,7 @@ def brauer_monoid(q, n, cap=26):
     sl.link_data = {"results": results, "modules": modules, "modifications": by_key}
     bad = sl.check_links_compose()
     if bad is not None:
-        raise AssertionError(f"brauer links fail to compose at {bad}")
+        raise CertificateError(bad, "brauer links fail to compose")
     return sl
 
 
@@ -340,19 +340,19 @@ def _mod_restriction(m1, m2, results, modules):
     H1, H2 = results[m1.pattern], results[m2.pattern]
     M2 = modules[m2.pattern]
     cols = []
-    for w in H1.witnesses:
+    for k, w in enumerate(H1.witnesses):
         restricted = {t: w.values[t] for t in nerve(S2, 2, "zero")}
         vec = []
         for t in nerve(S2, 2, "zero"):
             vec.extend(restricted[t])
         c = H2.homology.coords(vec)
         if c is None:
-            raise AssertionError("restricted cocycle is not a cocycle")
+            raise CertificateError(k, "restricted cocycle is not a cocycle")
         cols.append(list(c))
     mat = IntMatrix.from_columns(cols, H2.group.rank) if cols else IntMatrix(H2.group.rank, 0)
     hom = GroupHom(H1.group, H2.group, mat)
     if not hom.well_defined():
-        raise AssertionError("brauer link not well defined")
+        raise CertificateError((m1.pattern, m2.pattern), "brauer link not well defined")
     return hom
 
 

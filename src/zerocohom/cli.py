@@ -295,10 +295,7 @@ def cmd_compare_thm14(args, inputs):
         "forcing": report["forcing"],
         "naturality": report["naturality"],
         "differentials_equal": report["differentials"],
-        "groups": [
-            {"degree": i, "hom_side": list(h), "cochain_side": list(c)}
-            for i, (h, c) in enumerate(report["groups"])
-        ],
+        "groups": [{"degree": i, "group": list(h)} for i, h in enumerate(report["groups"])],
         "match": report["ok"],
     }
     if not report["ok"]:

@@ -28,7 +28,7 @@ from .abgroups import (
     finite_invariants_from_orders,
     solve_mod,
 )
-from .errors import CapExceeded, DegreeMismatch, InvalidModule, NoZero
+from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero
 from .modules import Bimodule, validate_module
 
 DEGREE_CAP = 4
@@ -115,29 +115,33 @@ def coboundary(M, f, variant="zero"):
     """The coboundary cochain of f (degree goes up by one)."""
     S = M.semigroup
     n = f.degree
-    A = M.group
     expected = set(nerve(S, n, variant))
     if set(f.values) != expected:
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
     bimod = variant == "bimodule"
     nerve_variant = "em" if variant == "em" else "zero"
-    out = {}
-    for t in nerve(S, n + 1, nerve_variant):
-        acc = list(M.act(t[0], f.values[t[1:]]))
-        sign = -1
-        for i in range(n):
-            merged = t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]
-            v = f.values[merged]
-            for r in range(A.rank):
-                acc[r] += sign * v[r]
-            sign = -sign
-        last = f.values[t[:-1]]
-        if bimod:
-            last = M.act_right(last, t[-1])
-        for r in range(A.rank):
-            acc[r] += sign * last[r]
-        out[t] = A.reduce(acc)
+    out = {t: _coboundary_at(M, f.values, t, bimod) for t in nerve(S, n + 1, nerve_variant)}
     return Cochain(n + 1, out)
+
+
+def _coboundary_at(M, values, t, bimod):
+    """The coboundary of the cochain ``values`` at the (n+1)-tuple t."""
+    S = M.semigroup
+    A = M.group
+    n = len(t) - 1
+    acc = list(M.act(t[0], values[t[1:]]))
+    sign = -1
+    for i in range(n):
+        v = values[t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]]
+        for r in range(A.rank):
+            acc[r] += sign * v[r]
+        sign = -sign
+    last = values[t[:-1]]
+    if bimod:
+        last = M.act_right(last, t[-1])
+    for r in range(A.rank):
+        acc[r] += sign * last[r]
+    return A.reduce(acc)
 
 
 def cochain_group(tuples, group_of):
@@ -290,7 +294,7 @@ def coboundary_preimage(S, M, f, variant="zero"):
 
 
 def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):
-    """Oracle twin: enumerate all cochains, filter cocycles, count cosets.
+    """Oracle twin: search the cocycles, enumerate the boundaries, count cosets.
 
     Only for finite coefficient groups and small nerves; raises
     CapExceeded when |A|^(nerve size) blows past ``cap``.
@@ -311,11 +315,7 @@ def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):
         for combo in product(elements, repeat=len(ts)):
             yield Cochain(deg, dict(zip(ts, combo)))
 
-    cocycles = []
-    for f in all_cochains(n):
-        df = coboundary(M, f, variant)
-        if all(not any(v) for v in df.values.values()):
-            cocycles.append(tuple(sorted(f.values.items())))
+    cocycles = [tuple(sorted(f.values.items())) for f in _brute_cocycles(S, M, n, variant)]
     if n == 0:
         boundaries = {tuple(sorted(zero_cochain(S, M, n, nerve_variant).values.items()))}
     else:
@@ -349,3 +349,40 @@ def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):
     zero_key = keys[tuple(sorted(zero_cochain(S, M, n, nerve_variant).values.items()))]
     inv = finite_invariants_from_orders(list(range(len(reps))), add, zero_key)
     return FinAbGroup(inv)
+
+
+def _brute_cocycles(S, M, n, variant):
+    """Every degree-n cocycle, in the order of a product scan over the nerve.
+
+    Each coordinate of the coboundary is attached to the last nerve
+    tuple it reads.  The values are filled depth-first in the order of
+    A.elements(), and a coordinate is tested as soon as its last tuple
+    is fixed.  Every hit is re-checked with the full ``coboundary``.
+    """
+    elements = M.group.elements()
+    nerve_variant = "em" if variant == "em" else "zero"
+    bimod = variant == "bimodule"
+    tuples = nerve(S, n, nerve_variant)
+    pos = {t: i for i, t in enumerate(tuples)}
+    checks = [[] for _ in tuples]
+    for t in nerve(S, n + 1, nerve_variant):
+        faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]
+        checks[max(pos[face] for face in faces)].append(t)
+    values = {}
+    out = []
+
+    def fill(i):
+        if i == len(tuples):
+            f = Cochain(n, dict(values))
+            bad = [t for t, v in coboundary(M, f, variant).values.items() if any(v)]
+            if bad:
+                raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
+            out.append(f)
+            return
+        for v in elements:
+            values[tuples[i]] = v
+            if not any(any(_coboundary_at(M, values, t, bimod)) for t in checks[i]):
+                fill(i + 1)
+
+    fill(0)
+    return out

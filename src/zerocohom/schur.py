@@ -17,7 +17,7 @@ from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
 from .cohomology import cochain_from_vector, coboundary_preimage, cohomology_group
-from .errors import CapExceeded, CertificateError, NotAnIdeal
+from .errors import CapExceeded, CertificateError, InvalidModule, NotAnIdeal
 from .modules import trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
 
@@ -99,8 +99,11 @@ def validate_factor_set(rho):
 
 def fs_product(rho, sigma):
     """Pointwise product, zero absorbing."""
-    assert rho.semigroup is sigma.semigroup or rho.semigroup.table == sigma.semigroup.table
-    assert rho.group.factors == sigma.group.factors
+    S, T = rho.semigroup, sigma.semigroup
+    if S is not T and S.table != T.table:
+        raise InvalidModule((S.order, T.order), "factor sets over different semigroups")
+    if rho.group.factors != sigma.group.factors:
+        raise InvalidModule((rho.group.factors, sigma.group.factors), "factor sets with different coefficients")
     A = rho.group
     values = {}
     for p, v in rho.values.items():
@@ -261,7 +264,7 @@ def schur_multiplier(S, A, cap=12):
     sl.link_data = {"results": results, "quotients": quotients, "modules": modules}
     bad = sl.check_links_compose()
     if bad is not None:
-        raise AssertionError(f"semilattice links fail to compose at {bad}")
+        raise CertificateError(bad, "semilattice links fail to compose")
     return sl
 
 
@@ -274,7 +277,7 @@ def _restriction_hom(S, A, I, J, quotients, modules, results):
 
     # names identify elements across the two quotients
     cols = []
-    for w in HI.witnesses:
+    for k, w in enumerate(HI.witnesses):
         restricted = {}
         for t in nerve(QJ, 2, "zero"):
             s_elems = tuple(QJ.elements[x] for x in t)
@@ -285,14 +288,14 @@ def _restriction_hom(S, A, I, J, quotients, modules, results):
             vec.extend(restricted[t])
         c = HJ.homology.coords(vec)
         if c is None:
-            raise AssertionError("restriction of a cocycle is not a cocycle")
+            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
         cols.append(list(c))
     src = HI.group
     dst = HJ.group
     mat = IntMatrix.from_columns(cols, dst.rank) if cols else IntMatrix(dst.rank, 0)
     hom = GroupHom(src, dst, mat)
     if not hom.well_defined():
-        raise AssertionError("restriction link not well defined on classes")
+        raise CertificateError((I, J), "restriction link not well defined on classes")
     return hom
 
 
@@ -321,29 +324,80 @@ def enumerate_factor_sets(S, A, cap=6_000_000):
     """All factor sets over the monoid S with coefficients in A.
 
     The normalization forces the zero set to be {(x,y) : xy in Z'} for
-    Z' = the zero set of rho(1, .); we scan all subsets Z' (non-ideals
-    die on the cocycle law) and enumerate values on the support.
+    Z' = the zero set of rho(1, .).  For each subset Z' the zero pattern
+    alone decides whether both sides of the cocycle law vanish together
+    (non-ideals die here).  The values on the support are then filled
+    depth-first in the order of A.elements(), each cocycle equation
+    tested once its last pair is fixed, so the list comes out in the
+    order of a product scan.  Every hit is re-checked by
+    validate_factor_set.
     """
     n = S.order
     if A.order() is None:
         raise CapExceeded("need finite coefficients")
     out = []
     elements = A.elements()
+    index = {v: i for i, v in enumerate(elements)}
+    add = [[index[A.add(u, v)] for v in elements] for u in elements]
+    base = {(x, y): None for x in range(n) for y in range(n)}
     for bits in range(2**n):
         Z = frozenset(i for i in range(n) if bits >> i & 1)
         support = [(x, y) for x in range(n) for y in range(n) if S.mul(x, y) not in Z]
         total = A.order() ** len(support)
         if total > cap:
             raise CapExceeded(f"{total} value assignments exceed cap")
-        base = {(x, y): None for x in range(n) for y in range(n)}
-        for combo in product(elements, repeat=len(support)):
-            values = dict(base)
-            for p, v in zip(support, combo):
-                values[p] = v
-            rho = FactorSet(S, A, values)
-            if validate_factor_set(rho) is None:
+        equations = _cocycle_equations(S, support)
+        if equations is None:
+            continue
+        vals = [0] * len(support)
+
+        def fill(i):
+            if i == len(support):
+                values = dict(base)
+                for p, v in zip(support, vals):
+                    values[p] = elements[v]
+                rho = FactorSet(S, A, values)
+                bad = validate_factor_set(rho)
+                if bad is not None:
+                    raise CertificateError(bad.witness, f"search emitted a map that breaks the {bad.kind} law")
                 out.append(rho)
+                return
+            for v in range(len(elements)):
+                vals[i] = v
+                for a, b, c, d in equations[i]:
+                    if add[vals[a]][vals[b]] != add[vals[c]][vals[d]]:
+                        break
+                else:
+                    fill(i + 1)
+
+        fill(0)
     return out
+
+
+def _cocycle_equations(S, support):
+    """The cocycle law on the support, or None if its zero pattern breaks it.
+
+    Entry k lists the equations rho[a] + rho[b] = rho[c] + rho[d]
+    (positions in ``support``) whose largest position is k.  None when
+    one side of the law vanishes without the other for some triple.
+    """
+    n = S.order
+    pos = {p: i for i, p in enumerate(support)}
+    equations = [set() for _ in support]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                xy, yz = S.mul(x, y), S.mul(y, z)
+                lhs_zero = (x, y) not in pos or (xy, z) not in pos
+                if lhs_zero != ((y, z) not in pos or (x, yz) not in pos):
+                    return None
+                if lhs_zero:
+                    continue
+                lhs = tuple(sorted((pos[x, y], pos[xy, z])))
+                rhs = tuple(sorted((pos[x, yz], pos[y, z])))
+                if lhs != rhs:
+                    equations[max(lhs + rhs)].add(lhs + rhs)
+    return [sorted(e) for e in equations]
 
 
 def brute_multiplier(S, A, cap=6_000_000):
@@ -372,20 +426,14 @@ def brute_multiplier(S, A, cap=6_000_000):
                 continue
             cid = len(reps)
             reps.append(rho)
-            # orbit under all twists alpha: S \ I -> A
-            stack = [rho]
-            seen = {k}
-            while stack:
-                cur = stack.pop()
-                for combo in product(elements, repeat=len(nonideal)):
-                    alpha = {s: A.zero() for s in range(S.order)}
-                    for s, v in zip(nonideal, combo):
-                        alpha[s] = v
-                    t = twist(cur, alpha)
-                    tk = t.key()
-                    if tk not in seen:
-                        seen.add(tk)
-                        stack.append(t)
+            # orbit under all twists alpha: S \ I -> A (twists form a
+            # group action, so one sweep from the representative suffices)
+            seen = set()
+            for combo in product(elements, repeat=len(nonideal)):
+                alpha = {s: A.zero() for s in range(S.order)}
+                for s, v in zip(nonideal, combo):
+                    alpha[s] = v
+                seen.add(twist(rho, alpha).key())
             for tk in seen:
                 class_of[tk] = cid
         # group structure on classes by pointwise product

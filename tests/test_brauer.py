@@ -2,7 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from zerocohom import catalog
+from zerocohom.abgroups import GroupHom
 from zerocohom.brauer import (
     WeakCocycle,
     brauer_class_count_bridge,
@@ -21,6 +24,7 @@ from zerocohom.brauer import (
     zero_cocycle_to_weak_cocycle,
 )
 from zerocohom.cohomology import brute_cohomology, cohomology_group
+from zerocohom.errors import CertificateError
 from zerocohom.modules import galois_units_module
 from zerocohom.semigroups import is_group, subsemigroup
 
@@ -223,3 +227,12 @@ def test_idempotent_skeleton_is_meet_semilattice():
             assert sl.join[(k1, k2)] in sl.indices
     # ordered by support inclusion: pattern union = meet of supports
     assert sl.join[(frozenset(), frozenset({(1, 1)}))] == frozenset({(1, 1)})
+
+
+def test_brauer_link_not_well_defined_raises_a_certificate_error(monkeypatch):
+    # the first link built is the identity of the first modification
+    monkeypatch.setattr(GroupHom, "well_defined", lambda self: False)
+    with pytest.raises(CertificateError) as exc:
+        brauer_monoid(2, 2)
+    first = enumerate_modifications(galois_group(2))[0].pattern
+    assert exc.value.witness == (first, first)

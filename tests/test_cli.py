@@ -217,6 +217,7 @@ def test_natsys_and_compare(nil4m_path, z2_path, capsys):
     )
     assert code == 0
     assert report["result"]["match"] is True
+    assert report["result"]["groups"][2] == {"degree": 2, "group": [2, 2]}
 
 
 def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):

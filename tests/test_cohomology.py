@@ -6,6 +6,7 @@ from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cohomology import (
     Cochain,
+    _brute_cocycles,
     brute_cohomology,
     coboundary,
     cohomology_group,
@@ -394,6 +395,33 @@ def test_brute_oracle_matches_snf_path():
         fast = cohomology_group(S, M, n, variant).group.invariants()
         slow = brute_cohomology(S, M, n, variant).invariants()
         assert fast == slow, (S.elements, factors, n, variant)
+
+
+def test_cocycle_search_matches_the_scan():
+    # the reference: every cochain in product order, kept when its full
+    # coboundary vanishes
+    from itertools import product as iproduct
+
+    minus = IntMatrix(1, 1, [[-1]])
+    one = IntMatrix.identity(1)
+    Z2_0 = adjoin(catalog.cyclic_group(2), "zero")
+    cases = [
+        (nil4(), trivial_module(nil4(), FinAbGroup([2])), "zero"),
+        (Z2_0, scalar_module(Z2_0, FinAbGroup([3]), {0: 1, 1: -1}), "zero"),
+        (catalog.cyclic_group(2), scalar_module(catalog.cyclic_group(2), FinAbGroup([3]), {0: 1, 1: -1}), "em"),
+        (catalog.two_chain_monoid(), trivial_module(catalog.two_chain_monoid(), FinAbGroup([2])), "em"),
+        (nil4(), trivial_bimodule(nil4(), FinAbGroup([2])), "bimodule"),
+        (nil4(), Bimodule(nil4(), FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}), "bimodule"),
+    ]
+    for S, M, variant in cases:
+        for n in (0, 1, 2):
+            tuples = nerve(S, n, "em" if variant == "em" else "zero")
+            scan = []
+            for combo in iproduct(M.group.elements(), repeat=len(tuples)):
+                f = Cochain(n, dict(zip(tuples, combo)))
+                if not any(any(v) for v in coboundary(M, f, variant).values.values()):
+                    scan.append(f)
+            assert _brute_cocycles(S, M, n, variant) == scan, (S.elements, variant, n)
 
 
 def test_witnesses_generate_cohomology():

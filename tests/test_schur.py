@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +259,82 @@ def test_full_dumb_enumeration_cross_check():
             dumb.append(rho.key())
     smart = {rho.key() for rho in enumerate_factor_sets(S, A)}
     assert set(dumb) == smart and len(dumb) == len(smart)
+
+
+def _scan_factor_sets(S, A):
+    # the reference: every assignment on every candidate support, in
+    # product order, kept when the cocycle law holds on every triple
+    # (zero absorbing), and then confirmed by the validator
+    from itertools import product as iproduct
+
+    n = S.order
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    flat = {p: i for i, p in enumerate(pairs)}
+    triples = [
+        (flat[x, y], flat[S.mul(x, y), z], flat[x, S.mul(y, z)], flat[y, z])
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    ]
+
+    def side(u, v):
+        return None if u is None or v is None else A.add(u, v)
+
+    out = []
+    for bits in range(2**n):
+        Z = {i for i in range(n) if bits >> i & 1}
+        support = [flat[x, y] for x, y in pairs if S.mul(x, y) not in Z]
+        for combo in iproduct(A.elements(), repeat=len(support)):
+            v = [None] * len(pairs)
+            for i, c in zip(support, combo):
+                v[i] = c
+            if all(side(v[a], v[b]) == side(v[c], v[d]) for a, b, c, d in triples):
+                rho = FactorSet(S, A, dict(zip(pairs, v)))
+                assert validate_factor_set(rho) is None
+                out.append(rho)
+    return out
+
+
+def test_factor_set_search_matches_the_scan():
+    chain = next(S for S in catalog.monoid_catalogue(4) if S.elements == ("1", "e", "f", "g"))
+    cases = [(S, FinAbGroup([p])) for S in catalog.monoid_catalogue(3) for p in (2, 3)]
+    cases.append((chain, FinAbGroup([2])))
+    for S, A in cases:
+        found = [rho.key() for rho in enumerate_factor_sets(S, A)]
+        assert found == [rho.key() for rho in _scan_factor_sets(S, A)], (S.elements, A.factors)
+
+
+def test_schur_links_that_fail_to_compose_raise_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(schur.SemilatticeOfGroups, "check_links_compose", lambda self: ("i", "j", "k"))
+    with pytest.raises(CertificateError) as exc:
+        schur_multiplier(catalog.cyclic_group(2), FinAbGroup([2]))
+    assert exc.value.witness == ("i", "j", "k")
+
+
+def test_fs_product_mismatch_checks_survive_optimize():
+    # under python -O: factor sets over different semigroups or with
+    # different coefficients must still be refused with a typed error
+    script = """
+from zerocohom import catalog
+from zerocohom.abgroups import FinAbGroup
+from zerocohom.errors import InvalidModule
+from zerocohom.schur import epsilon_factor_set, fs_product
+
+S = catalog.two_chain_monoid()
+rho = epsilon_factor_set(S, FinAbGroup([2]), frozenset())
+for sigma in (
+    epsilon_factor_set(S, FinAbGroup([3]), frozenset()),
+    epsilon_factor_set(catalog.cyclic_group(2), FinAbGroup([2]), frozenset()),
+):
+    try:
+        fs_product(rho, sigma)
+    except InvalidModule as exc:
+        print("InvalidModule", exc.witness)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["InvalidModule ((2,), (3,))", "InvalidModule (2, 2)"]
