@@ -125,17 +125,16 @@ class IntMatrix:
 
 
 def smith_normal_form(M):
-    """Return (D, U, V, Uinv, Vinv) with U*M*V = D in Smith normal form.
+    """Return (D, U, V, Uinv) with U*M*V = D in Smith normal form.
 
     D is diagonal with d_1 | d_2 | ..., all d_i >= 0; U, V are unimodular
-    and their tracked inverses satisfy U*Uinv = I, V*Vinv = I exactly.
+    and the tracked inverse of U satisfies U*Uinv = I exactly.
     """
     m, n = M.m, M.n
     D = M.copy()
     U = IntMatrix.identity(m)
     Uinv = IntMatrix.identity(m)
     V = IntMatrix.identity(n)
-    Vinv = IntMatrix.identity(n)
     a = D.a
 
     def swap_rows(i, j):
@@ -153,7 +152,6 @@ def smith_normal_form(M):
             r[i], r[j] = r[j], r[i]
         for r in V.a:
             r[i], r[j] = r[j], r[i]
-        Vinv.a[i], Vinv.a[j] = Vinv.a[j], Vinv.a[i]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
@@ -175,9 +173,6 @@ def smith_normal_form(M):
             r[dst] += c * r[src]
         for r in V.a:
             r[dst] += c * r[src]
-        vd, vsr = Vinv.a[dst], Vinv.a[src]
-        for j in range(n):
-            vsr[j] -= c * vd[j]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -267,19 +262,12 @@ def smith_normal_form(M):
     def col_transform2(i, j, p, q, r, s):
         # [col_i, col_j] <- [col_i, col_j] @ [[p, r], [q, s]]... using same
         # convention as rows: new_col_i = p*col_i + q*col_j, etc.
-        det = p * s - q * r
-        assert det in (1, -1)
+        assert p * s - q * r in (1, -1)
         for Mx in (a, V.a):
             for row in Mx:
                 x, y = row[i], row[j]
                 row[i] = p * x + q * y
                 row[j] = r * x + s * y
-        ip, iq, ir, is_ = det * s, det * -q, det * -r, det * p
-        ri, rj = Vinv.a[i], Vinv.a[j]
-        for c in range(len(ri)):
-            x, y = ri[c], rj[c]
-            ri[c] = x * ip + y * ir
-            rj[c] = x * iq + y * is_
 
     # divisibility fix-up on the diagonal: replace (d_i, d_j) by (gcd, lcm)
     r = t
@@ -295,7 +283,7 @@ def smith_normal_form(M):
                 row_transform2(i, i + 1, x, y, -dj // g, di // g)
                 col_transform2(i, i + 1, 1, 1, -y * dj // g, x * di // g)
                 assert a[i][i] == g and a[i][i + 1] == 0 and a[i + 1][i] == 0
-    return D, U, V, Uinv, Vinv
+    return D, U, V, Uinv
 
 
 def _xgcd(m, b):
@@ -322,13 +310,13 @@ def smith_triple(rows):
     [0, 0]
     """
     M = IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0)
-    D, U, V, _, _ = smith_normal_form(M)
+    D, U, V, _ = smith_normal_form(M)
     return D, U, V
 
 
 def solve_exact(M, b):
     """One integer solution of M x = b, or None, from U*M*V = D."""
-    D, U, V, _, _ = smith_normal_form(M)
+    D, U, V, _ = smith_normal_form(M)
     diag = D.diagonal()
     ub = U.vec(b)
     y = [0] * V.m
@@ -345,7 +333,7 @@ def solve_exact(M, b):
 
 def kernel_columns(M):
     """Basis (list of columns) of the integer kernel lattice of M."""
-    D, U, V, _, _ = smith_normal_form(M)
+    D, U, V, _ = smith_normal_form(M)
     rank = sum(1 for i in range(min(M.m, M.n)) if D.a[i][i])
     return [V.col(j) for j in range(rank, M.n)]
 
@@ -480,7 +468,7 @@ def lattice_basis(cols, dim):
     if not cols:
         return []
     A = IntMatrix.from_columns(cols, dim)
-    D, U, V, Uinv, Vinv = smith_normal_form(A)
+    D, _, _, Uinv = smith_normal_form(A)
     basis = []
     for i in range(min(dim, A.n)):
         d = D.a[i][i]
@@ -675,7 +663,7 @@ class QuotientPresentation:
                 raise NotInSubgroup(j)
             xcols.append(_dense(y, r))
         X = IntMatrix.from_columns(xcols, r)
-        D, U, _, Uinv, _ = smith_normal_form(X)
+        D, U, _, Uinv = smith_normal_form(X)
         dvec = [D.a[i][i] if i < X.n else 0 for i in range(r)]
         keep = [i for i, d in enumerate(dvec) if d != 1]
         self._urows = [U.a[i] for i in keep]

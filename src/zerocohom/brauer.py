@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import isqrt
 
-from .abgroups import GroupHom, IntMatrix
 from .catalog import cyclic_group
 from .cohomology import coboundary, cohomology_group, nerve
 from .errors import CapExceeded, CertificateError, InvalidFieldOrder
@@ -297,63 +296,25 @@ def brauer_monoid(q, n, cap=26):
     Components are indexed by the modifications of the Galois group
     Z/n; the component of a modification is the degree-2 0-cohomology
     with coefficients in the Galois-twisted unit group.  Links restrict
-    cocycles to smaller supports, as for Schur multipliers.
+    cocycles to smaller supports, as for Schur multipliers; a
+    modification's nerve is a subset of that of any modification with
+    fewer zeros, so tuples carry over unchanged.
     """
     from .schur import SemilatticeOfGroups
 
     _require_field_order(q)
-    G = galois_group(n)
-    mods = enumerate_modifications(G, cap)
+    mods = enumerate_modifications(galois_group(n), cap)
     keys = [m.pattern for m in mods]
-    by_key = {m.pattern: m for m in mods}
-    results = {}
-    modules = {}
-    for m in mods:
-        M = galois_module_for_modification(m, q)
-        modules[m.pattern] = M
-        results[m.pattern] = cohomology_group(m.semigroup, M, 2, "zero")
-    components = {k: results[k].group for k in keys}
-    join = {}
-    for k1 in keys:
-        for k2 in keys:
-            u = k1 | k2
-            join[(k1, k2)] = u if u in by_key else None
     # the meet of two modifications (union of zero patterns) is again one
-    for (k1, k2), u in join.items():
-        if u is None:
-            raise CertificateError((k1, k2), "zero patterns not closed under union")
-    links = {}
-    for k1 in keys:
-        for k2 in keys:
-            if k1 <= k2:  # k2 has more zeros: smaller support
-                links[(k1, k2)] = _mod_restriction(by_key[k1], by_key[k2], results, modules)
-    sl = SemilatticeOfGroups(keys, join, components, links)
-    sl.link_data = {"results": results, "modules": modules, "modifications": by_key}
-    bad = sl.check_links_compose()
-    if bad is not None:
-        raise CertificateError(bad, "brauer links fail to compose")
-    return sl
-
-
-def _mod_restriction(m1, m2, results, modules):
-    S1, S2 = m1.semigroup, m2.semigroup
-    H1, H2 = results[m1.pattern], results[m2.pattern]
-    M2 = modules[m2.pattern]
-    cols = []
-    for k, w in enumerate(H1.witnesses):
-        restricted = {t: w.values[t] for t in nerve(S2, 2, "zero")}
-        vec = []
-        for t in nerve(S2, 2, "zero"):
-            vec.extend(restricted[t])
-        c = H2.homology.coords(vec)
-        if c is None:
-            raise CertificateError(k, "restricted cocycle is not a cocycle")
-        cols.append(list(c))
-    mat = IntMatrix.from_columns(cols, H2.group.rank) if cols else IntMatrix(H2.group.rank, 0)
-    hom = GroupHom(H1.group, H2.group, mat)
-    if not hom.well_defined():
-        raise CertificateError((m1.pattern, m2.pattern), "brauer link not well defined")
-    return hom
+    present = set(keys)
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i + 1:]:
+            if k1 | k2 not in present:
+                raise CertificateError((k1, k2), "zero patterns not closed under union")
+    results = {
+        m.pattern: cohomology_group(m.semigroup, galois_module_for_modification(m, q), 2, "zero") for m in mods
+    }
+    return SemilatticeOfGroups.from_restrictions(results, lambda I, J, t: t)
 
 
 def weak_cocycle_to_zero_cocycle(f):

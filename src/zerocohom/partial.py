@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
-from .errors import CapExceeded, DivisionUndefined, UncertifiedInput
+from .errors import CapExceeded, CertificateError, DivisionUndefined, UncertifiedInput
 from .presentations import enumerate_presentation, parse_presentation
 from .schur import validate_factor_set
 from .semigroups import (
@@ -49,33 +49,41 @@ class TSemigroupData:
 def build_t_semigroup():
     """Enumerate the classifying monoid and certify its structure.
 
-    Hard-fails (AssertionError) unless: 25 elements, unit group
-    nonabelian of order 6, complement a completely 0-simple ideal whose
-    Rees data is a group of order 2 with a 3x3 sandwich matrix.
+    Raises CertificateError, with the observed value as witness, unless:
+    25 elements, unit group nonabelian of order 6, complement a
+    completely 0-simple ideal whose Rees data is a group of order 2 with
+    a 3x3 sandwich matrix.
     """
     E = enumerate_presentation(parse_presentation(T_PRESENTATION), bound=40, mode="monoid")
     from .presentations import EnumeratedSemigroup
 
-    assert isinstance(E, EnumeratedSemigroup), "presentation did not close"
+    if not isinstance(E, EnumeratedSemigroup):
+        raise CertificateError(type(E).__name__, "presentation did not close")
     S = E.semigroup
-    assert S.order == 25, f"expected 25 elements, got {S.order}"
+    if S.order != 25:
+        raise CertificateError(S.order, "expected 25 elements")
     e = S.identity
     units = tuple(
         x
         for x in range(S.order)
         if any(S.mul(x, y) == e and S.mul(y, x) == e for y in range(S.order))
     )
-    assert len(units) == 6
+    if len(units) != 6:
+        raise CertificateError(len(units), "expected 6 units")
     H, _ = subsemigroup(S, units)
-    assert is_group(H) and isomorphic_semigroups(H, symmetric_group_3())
+    if not (is_group(H) and isomorphic_semigroups(H, symmetric_group_3())):
+        raise CertificateError(units, "unit group is not S3")
     ideal = tuple(x for x in range(S.order) if x not in units)
-    assert len(ideal) == 19
-    assert is_ideal(S, ideal)
+    if len(ideal) != 19 or not is_ideal(S, ideal):
+        raise CertificateError(ideal, "non-units do not form a 19-element ideal")
     U, _ = subsemigroup(S, ideal)
     dec = c0s_decompose(U)
-    assert dec is not None, "ideal is not completely 0-simple"
-    assert dec.group.order == 2
-    assert (dec.rows, dec.cols) == (3, 3)
+    if dec is None:
+        raise CertificateError(ideal, "ideal is not completely 0-simple")
+    if dec.group.order != 2:
+        raise CertificateError(dec.group.order, "expected a Rees group of order 2")
+    if (dec.rows, dec.cols) != (3, 3):
+        raise CertificateError((dec.rows, dec.cols), "expected a 3x3 sandwich matrix")
     return TSemigroupData(S, E, units, ideal, dec)
 
 

@@ -197,34 +197,84 @@ def twist(rho, alpha):
 
 @dataclass
 class SemilatticeOfGroups:
-    indices: list  # hashable keys, e.g. frozenset ideals
-    join: dict  # (k1, k2) -> key
+    """Groups indexed by sets closed under union, ordered by inclusion.
+
+    The join of two keys is their union; ``links`` holds a map for
+    every pair k1 <= k2.
+    """
+
+    indices: list  # hashable set keys, e.g. frozenset ideals
     components: dict  # key -> FinAbGroup (invariant form)
-    links: dict  # (k1, k2) with k1 <= k2 in the order induced by join
-    link_data: dict = field(default_factory=dict)
+    links: dict  # (k1, k2) with k1 <= k2 -> GroupHom
 
-    def component(self, key):
-        return self.components[key]
+    @classmethod
+    def from_restrictions(cls, results, pull):
+        """Links that restrict cocycles to the smaller support.
 
-    def leq(self, k1, k2):
-        return self.join[(k1, k2)] == k2
+        ``results`` maps each key, in index order, to its degree-2
+        CohomologyResult; ``pull(I, J, t)`` takes a tuple of J's nerve
+        to the same tuple in I's nerve.  The link I -> J sends each
+        witness of I to the class of its values on J's nerve.
+        """
+        keys = list(results)
+        links = {}
+        for I in keys:
+            HI = results[I]
+            for J in keys:
+                if not I <= J:
+                    continue
+                HJ = results[J]
+                tuples = [pull(I, J, t) for t in HJ.tuples] if HI.witnesses else []
+                hom = _restriction(HI, HJ, tuples)
+                if not hom.well_defined():
+                    raise CertificateError((I, J), "restriction link not well defined on classes")
+                links[(I, J)] = hom
+        sl = cls(keys, {k: results[k].group for k in keys}, links)
+        bad = sl.check_links_compose()
+        if bad is not None:
+            raise CertificateError(bad, "semilattice links fail to compose")
+        return sl
 
     def check_links_compose(self):
-        for i in self.indices:
+        """The first i <= j <= k with link(i,k) != link(j,k) link(i,j), then
+        the first i with link(i,i) != identity, or None.
+
+        A map out of or into a rank-0 group is the empty matrix, so a
+        triple whose i or k is trivial, and the identity at a trivial i,
+        hold without looking; every other triple is compared.
+        """
+        nontrivial = [k for k in self.indices if self.components[k].rank]
+        for i in nontrivial:
             for j in self.indices:
-                if not self.leq(i, j):
+                if not i <= j:
                     continue
-                for k in self.indices:
-                    if not self.leq(j, k):
+                for k in nontrivial:
+                    if not j <= k:
                         continue
                     left = self.links[(i, k)]
                     right = self.links[(j, k)].compose(self.links[(i, j)])
                     if not left.equals(right):
                         return (i, j, k)
-        for i in self.indices:
+        for i in nontrivial:
             if not self.links[(i, i)].equals(GroupHom.identity(self.components[i])):
                 return (i, i, i)
         return None
+
+
+def _restriction(HI, HJ, tuples):
+    """Class map H_I -> H_J of restricting each witness of HI to ``tuples``.
+
+    ``tuples`` lists, in the order of HJ.tuples, the same tuples in the
+    nerve of I's semigroup.
+    """
+    cols = []
+    for k, w in enumerate(HI.witnesses):
+        c = HJ.homology.coords([x for t in tuples for x in w.values[t]])
+        if c is None:
+            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
+        cols.append(list(c))
+    rank = HJ.group.rank
+    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, rank) if cols else IntMatrix(rank, 0))
 
 
 def schur_multiplier(S, A, cap=12):
@@ -239,64 +289,15 @@ def schur_multiplier(S, A, cap=12):
         raise ValueError("Schur multipliers are defined over monoids")
     if S.order > cap:
         raise CapExceeded(f"|S| = {S.order} exceeds cap {cap}")
-    idx = ideals(S)
-    results = {}
-    quotients = {}
-    modules = {}
-    for I in idx:
-        Q = rees_quotient(S, I)
-        M = trivial_module(Q, A)
-        quotients[I] = Q
-        modules[I] = M
-        results[I] = cohomology_group(Q, M, 2, "zero")
-    components = {I: results[I].group for I in idx}
-    links = {}
-    for I in idx:
-        for J in idx:
-            if not I <= J:
-                continue
-            links[(I, J)] = _restriction_hom(S, A, I, J, quotients, modules, results)
-    join = {}
-    for I in idx:
-        for J in idx:
-            join[(I, J)] = I | J
-    sl = SemilatticeOfGroups(idx, join, components, links)
-    sl.link_data = {"results": results, "quotients": quotients, "modules": modules}
-    bad = sl.check_links_compose()
-    if bad is not None:
-        raise CertificateError(bad, "semilattice links fail to compose")
-    return sl
+    quotients = {I: rees_quotient(S, I) for I in ideals(S)}
+    results = {I: cohomology_group(Q, trivial_module(Q, A), 2, "zero") for I, Q in quotients.items()}
 
+    def pull(I, J, t):
+        # names identify elements across the two quotients
+        QI, QJ = quotients[I], quotients[J]
+        return tuple(QI.index(QJ.elements[x]) for x in t)
 
-def _restriction_hom(S, A, I, J, quotients, modules, results):
-    """Induced map H_0^2(S/I) -> H_0^2(S/J) by restricting cochains."""
-    QI, QJ = quotients[I], quotients[J]
-    MI, MJ = modules[I], modules[J]
-    HI, HJ = results[I], results[J]
-    from .cohomology import nerve
-
-    # names identify elements across the two quotients
-    cols = []
-    for k, w in enumerate(HI.witnesses):
-        restricted = {}
-        for t in nerve(QJ, 2, "zero"):
-            s_elems = tuple(QJ.elements[x] for x in t)
-            t_in_I = tuple(QI.index(nm) for nm in s_elems)
-            restricted[t] = w.values[t_in_I]
-        vec = []
-        for t in nerve(QJ, 2, "zero"):
-            vec.extend(restricted[t])
-        c = HJ.homology.coords(vec)
-        if c is None:
-            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
-        cols.append(list(c))
-    src = HI.group
-    dst = HJ.group
-    mat = IntMatrix.from_columns(cols, dst.rank) if cols else IntMatrix(dst.rank, 0)
-    hom = GroupHom(src, dst, mat)
-    if not hom.well_defined():
-        raise CertificateError((I, J), "restriction link not well defined on classes")
-    return hom
+    return SemilatticeOfGroups.from_restrictions(results, pull)
 
 
 @dataclass
@@ -305,6 +306,10 @@ class BruteComponent:
     class_reps: list  # FactorSet representatives
     class_of: dict  # factor-set key -> class id
     invariants: tuple
+
+    def add(self, c1, c2):
+        """Class of the pointwise product of the representatives of c1, c2."""
+        return self.class_of[fs_product(self.class_reps[c1], self.class_reps[c2]).key()]
 
 
 @dataclass
@@ -437,12 +442,10 @@ def brute_multiplier(S, A, cap=6_000_000):
             for tk in seen:
                 class_of[tk] = cid
         # group structure on classes by pointwise product
-        def add(c1, c2, _class_of=class_of, _reps=reps):
-            return _class_of[fs_product(_reps[c1], _reps[c2]).key()]
-
+        comp = BruteComponent(I, reps, class_of, None)
         eps_key = epsilon_factor_set(S, A, I).key()
-        inv = finite_invariants_from_orders(list(range(len(reps))), add, class_of[eps_key])
-        components[I] = BruteComponent(I, reps, class_of, inv)
+        comp.invariants = finite_invariants_from_orders(list(range(len(reps))), comp.add, class_of[eps_key])
+        components[I] = comp
     return BruteMultiplier(S, A, components)
 
 
@@ -469,43 +472,22 @@ def multipliers_agree(sl, brute):
             hom = sl.links[(I, J)]
             img_sl = subgroup(hom.target, hom.matrix.columns()).group.invariants()
             ker_sl = subgroup(hom.source, kernel_mod(hom.matrix, hom.target.factors)).group.invariants()
-            bi = brute.components[I]
-            image_classes = set()
-            kernel = 0
-            eps_key_J = epsilon_factor_set(brute.semigroup, brute.group, J).key()
-            id_class_J = brute.components[J].class_of[eps_key_J]
-            mapped = {}
-            for cid in range(len(bi.class_reps)):
-                target = brute.link_class(I, J, cid)
-                mapped[cid] = target
-                image_classes.add(target)
-                if target == id_class_J:
-                    kernel += 1
-            bj = brute.components[J]
-
-            def addJ(c1, c2, _bj=bj):
-                return _bj.class_of[fs_product(_bj.class_reps[c1], _bj.class_reps[c2]).key()]
-
-            img_list = sorted(image_classes)
-            pos = {c: i for i, c in enumerate(img_list)}
-            img_br = finite_invariants_from_orders(
-                list(range(len(img_list))),
-                lambda a, b: pos[addJ(img_list[a], img_list[b])],
-                pos[id_class_J],
-            )
-            ker_list = sorted(c for c, t in mapped.items() if t == id_class_J)
-            kpos = {c: i for i, c in enumerate(ker_list)}
-
-            def addI(c1, c2, _bi=bi):
-                return _bi.class_of[fs_product(_bi.class_reps[c1], _bi.class_reps[c2]).key()]
-
-            ker_br = finite_invariants_from_orders(
-                list(range(len(ker_list))),
-                lambda a, b: kpos[addI(ker_list[a], ker_list[b])],
-                kpos[bi.class_of[epsilon_factor_set(brute.semigroup, brute.group, I).key()]],
-            )
+            bi, bj = brute.components[I], brute.components[J]
+            mapped = [brute.link_class(I, J, cid) for cid in range(len(bi.class_reps))]
+            id_I = bi.class_of[epsilon_factor_set(brute.semigroup, brute.group, I).key()]
+            id_J = bj.class_of[epsilon_factor_set(brute.semigroup, brute.group, J).key()]
+            img_br = _class_group_invariants(bj, sorted(set(mapped)), id_J)
+            ker_br = _class_group_invariants(bi, [c for c, t in enumerate(mapped) if t == id_J], id_I)
             ok = img_sl == img_br and ker_sl == ker_br
             report["links"][(tuple(sorted(I)), tuple(sorted(J)))] = ok
             if not ok:
                 report["ok"] = False
     return report
+
+
+def _class_group_invariants(comp, classes, identity):
+    """Invariants of the subgroup formed by ``classes`` of a brute component."""
+    pos = {c: i for i, c in enumerate(classes)}
+    return finite_invariants_from_orders(
+        list(range(len(classes))), lambda a, b: pos[comp.add(classes[a], classes[b])], pos[identity]
+    )

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from zerocohom import catalog
-from zerocohom.abgroups import GroupHom
+from zerocohom import brauer, catalog
+from zerocohom.abgroups import GroupHom, QuotientPresentation
 from zerocohom.brauer import (
     WeakCocycle,
     brauer_class_count_bridge,
@@ -224,9 +224,35 @@ def test_idempotent_skeleton_is_meet_semilattice():
     sl = brauer_monoid(2, 2)
     for k1 in sl.indices:
         for k2 in sl.indices:
-            assert sl.join[(k1, k2)] in sl.indices
+            assert k1 | k2 in sl.indices
     # ordered by support inclusion: pattern union = meet of supports
-    assert sl.join[(frozenset(), frozenset({(1, 1)}))] == frozenset({(1, 1)})
+    low, high = frozenset(), frozenset({(1, 1)})
+    assert low | high == high and high in sl.indices
+    assert (low, high) in sl.links and (high, low) not in sl.links
+
+
+def test_zero_patterns_not_closed_under_union_raise_a_certificate_error(monkeypatch):
+    mods = enumerate_modifications(galois_group(3))
+    keys = [m.pattern for m in mods]
+    dropped = next(
+        p for p in keys if any(a | b == p for a in keys for b in keys if p not in (a, b))
+    )
+    kept = [m for m in mods if m.pattern != dropped]
+    monkeypatch.setattr(brauer, "enumerate_modifications", lambda G, cap=26: kept)
+    with pytest.raises(CertificateError) as exc:
+        brauer_monoid(2, 3)
+    k1, k2 = exc.value.witness
+    assert k1 | k2 == dropped
+    assert "zero patterns not closed under union" in str(exc.value)
+
+
+def test_brauer_restriction_that_is_not_a_cocycle_raises_a_certificate_error(monkeypatch):
+    # (2, 4) has a C3 component, so some link restricts a witness
+    monkeypatch.setattr(QuotientPresentation, "coords", lambda self, v: None)
+    with pytest.raises(CertificateError) as exc:
+        brauer_monoid(2, 4)
+    assert exc.value.witness == 0
+    assert "restriction of a cocycle is not a cocycle" in str(exc.value)
 
 
 def test_brauer_link_not_well_defined_raises_a_certificate_error(monkeypatch):

@@ -80,9 +80,8 @@ def test_snf_larger_entries():
     for _ in range(20):
         m, n = rng.randint(2, 6), rng.randint(2, 7)
         M = IntMatrix(m, n, [[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)])
-        D, U, V, Uinv, Vinv = smith_normal_form(M)
+        D, U, V, Uinv = smith_normal_form(M)
         assert U.mul(Uinv) == IntMatrix.identity(m)
-        assert V.mul(Vinv) == IntMatrix.identity(n)
         assert U.mul(M).mul(V) == D
         diag = D.diagonal()
         for i in range(len(diag) - 1):

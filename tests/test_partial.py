@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +49,28 @@ def test_build_t_semigroup_constants():
     displayed = ReesDecomposition(Z2, 3, 3, ((0, 0, None), (0, None, 0), (None, 0, 0)))
     assert sandwich_equivalent(dec, corrected)
     assert not sandwich_equivalent(dec, displayed)
+
+
+def test_t_structure_certificate_survives_optimize():
+    # under python -O: a complement that is not completely 0-simple must
+    # still be refused with a typed error, so the check cannot rest on an assert
+    script = """
+from zerocohom import partial
+from zerocohom.errors import CertificateError
+
+partial.c0s_decompose = lambda U: None
+try:
+    partial.build_t_semigroup()
+except CertificateError as exc:
+    print("CertificateError", len(exc.witness), exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateError 19 ideal is not completely 0-simple"), proc.stdout
 
 
 def test_t_action_satisfies_relations():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from zerocohom import catalog, schur
-from zerocohom.abgroups import FinAbGroup
+from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
 from zerocohom.cohomology import brute_cohomology, cohomology_group
 from zerocohom.errors import CertificateError, NotAnIdeal
 from zerocohom.modules import trivial_module
@@ -311,12 +311,43 @@ def test_schur_links_that_fail_to_compose_raise_a_certificate_error(monkeypatch)
     assert exc.value.witness == ("i", "j", "k")
 
 
+def test_check_links_compose_compares_every_nonvacuous_triple():
+    # i < j < k with C2 at i and k and j trivial: link(i, k) must factor
+    # through 0, so only the triple with the trivial middle catches a
+    # nonzero link(i, k)
+    C2, C1 = FinAbGroup([2]), FinAbGroup([])
+    i, j, k = frozenset(), frozenset({1}), frozenset({1, 2})
+    components = {i: C2, j: C1, k: C2}
+    identity, zero = GroupHom.identity(C2), GroupHom(C2, C2, IntMatrix(1, 1, [[0]]))
+
+    def semilattice(link_ik, link_ii):
+        links = {
+            (a, b): GroupHom(components[a], components[b], IntMatrix(components[b].rank, components[a].rank))
+            for a, b in ((i, j), (j, k), (j, j))
+        }
+        links.update({(i, i): link_ii, (i, k): link_ik, (k, k): identity})
+        return schur.SemilatticeOfGroups([i, j, k], components, links)
+
+    assert semilattice(identity, identity).check_links_compose() == (i, j, k)
+    # every triple holds, but the self-link at i is not the identity
+    assert semilattice(zero, zero).check_links_compose() == (i, i, i)
+    assert semilattice(zero, identity).check_links_compose() is None
+
+
+def test_restriction_that_is_not_a_cocycle_raises_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(QuotientPresentation, "coords", lambda self, v: None)
+    with pytest.raises(CertificateError) as exc:
+        schur_multiplier(catalog.cyclic_group(2), FinAbGroup([2]))
+    assert exc.value.witness == 0
+    assert "restriction of a cocycle is not a cocycle" in str(exc.value)
+
+
 def test_fs_product_mismatch_checks_survive_optimize():
     # under python -O: factor sets over different semigroups or with
     # different coefficients must still be refused with a typed error
     script = """
 from zerocohom import catalog
-from zerocohom.abgroups import FinAbGroup
+from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
 from zerocohom.errors import InvalidModule
 from zerocohom.schur import epsilon_factor_set, fs_product
 
