@@ -597,13 +597,8 @@ class GroupHom:
         self.matrix = M
 
     def well_defined(self):
-        """d_j * (column j) must vanish in the target for finite d_j."""
-        for j, d in enumerate(self.source.factors):
-            if d:
-                img = self.target.reduce([d * self.matrix.a[i][j] for i in range(self.target.rank)])
-                if any(img):
-                    return False
-        return True
+        """Whether the matrix respects the source's relations (see is_hom)."""
+        return is_hom(self.source, self.target, self.matrix)
 
     def apply(self, v):
         return self.target.reduce(self.matrix.vec(list(v)))
@@ -622,8 +617,7 @@ class GroupHom:
             return False
         if self.target.factors != other.target.factors:
             return False
-        reduce = self.target.reduce
-        return all(reduce(a) == reduce(b) for a, b in zip(self.matrix.columns(), other.matrix.columns()))
+        return same_map(self.target, self.matrix, other.matrix)
 
     @classmethod
     def identity(cls, group):
@@ -631,6 +625,33 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r})"
+
+
+def same_map(target, M1, M2):
+    """True when M1 and M2 agree as maps into ``target``.
+
+    Columns are compared modulo the cyclic orders of the target; two
+    matrices of different shapes, or with a row count other than the
+    target's rank, are never the same map.
+    """
+    if M1.m != M2.m or M1.n != M2.n or M1.m != target.rank:
+        return False
+    reduce = target.reduce
+    return all(reduce(M1.col(j)) == reduce(M2.col(j)) for j in range(M1.n))
+
+
+def is_hom(source, target, M):
+    """True when M has the shape of a map source -> target and is well defined.
+
+    Well defined: d_j * (column j) vanishes in the target for every
+    finite order d_j of the source.
+    """
+    if M.m != target.rank or M.n != source.rank:
+        return False
+    for j, d in enumerate(source.factors):
+        if d and any(target.reduce([d * x for x in M.col(j)])):
+            return False
+    return True
 
 
 class QuotientPresentation:

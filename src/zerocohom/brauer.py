@@ -26,6 +26,9 @@ from .errors import CapExceeded, CertificateError, InvalidFieldOrder
 from .modules import galois_units_module
 from .semigroups import Semigroup, validate_table
 
+MODIFICATION_CELL_CAP = 26  # free cells of the Galois group in enumerate_modifications
+WEAK_COCYCLE_CAP = 2_000_000  # candidates enumerate_weak_cocycles may scan
+
 
 @dataclass(frozen=True)
 class WeakCocycle:
@@ -184,7 +187,7 @@ def idempotent_from_modification(mod, q=2):
     return idempotent_weak_cocycle(mod.base, q, mod.base.order, mod.pattern)
 
 
-def enumerate_modifications(G, cap=26):
+def enumerate_modifications(G):
     """All modifications of G: zero patterns with associative product.
 
     Depth-first over the (|G|-1)^2 free cells with incremental
@@ -194,41 +197,26 @@ def enumerate_modifications(G, cap=26):
     n = G.order
     e = G.identity
     free = [(x, y) for x in range(n) for y in range(n) if x != e and y != e]
-    if len(free) > cap:
-        raise CapExceeded(f"{len(free)} free cells exceed cap {cap}")
+    if len(free) > MODIFICATION_CELL_CAP:
+        raise CapExceeded("free cell count", len(free), MODIFICATION_CELL_CAP)
     cell_pos = {c: i for i, c in enumerate(free)}
-    # triples to re-check once their last relevant cell is assigned
-    relevant = {c: [] for c in free}
-    triples = []
+    # each triple (x, y, w) as the positions of its cells (x, y), (xy, w),
+    # (y, w), (x, yw), None for a cell in the identity row or column, filed
+    # under its last free cell and checked once that cell is assigned; a
+    # triple without free cells reads nonzero on both sides
+    relevant = [[] for _ in free]
     for x in range(n):
         for y in range(n):
             for w in range(n):
-                cells = set()
-                for c in ((x, y), (G.mul(x, y), w), (y, w), (x, G.mul(y, w))):
-                    if c in cell_pos:
-                        cells.add(c)
-                t = (x, y, w, frozenset(cells))
-                triples.append(t)
-                if cells:
-                    last = max(cells, key=lambda c: cell_pos[c])
-                    relevant[last].append(t)
-    base_triples = [t for t in triples if not t[3]]
+                cells = tuple(cell_pos.get(c) for c in ((x, y), (G.mul(x, y), w), (y, w), (x, G.mul(y, w))))
+                known = [p for p in cells if p is not None]
+                if known:
+                    relevant[max(known)].append(cells)
 
-    def ok(assign, triple):
-        x, y, w, _ = triple
+    def ok(assign, cells):
+        xy, xy_w, yw, x_yw = (p is None or assign[p] for p in cells)
+        return (xy and xy_w) == (yw and x_yw)
 
-        def nz(c):
-            if c in cell_pos:
-                return assign[cell_pos[c]]
-            return True  # identity row/column
-
-        lhs = nz((x, y)) and nz((G.mul(x, y), w))
-        rhs = nz((y, w)) and nz((x, G.mul(y, w)))
-        return lhs == rhs
-
-    for t in base_triples:
-        if not ok([], t):  # cannot happen for a group, but keep the guard
-            return []
     patterns = []
 
     def rec(assign, k):
@@ -237,12 +225,7 @@ def enumerate_modifications(G, cap=26):
             return
         for v in (True, False):
             assign.append(v)
-            good = all(
-                ok(assign, t)
-                for t in relevant[free[k]]
-                if all(cell_pos[c] <= k for c in t[3])
-            )
-            if good:
+            if all(ok(assign, t) for t in relevant[k]):
                 rec(assign, k + 1)
             assign.pop()
 
@@ -290,7 +273,7 @@ def galois_module_for_modification(mod, q):
     return galois_units_module(q, n, mod.semigroup, labeling)
 
 
-def brauer_monoid(q, n, cap=26):
+def brauer_monoid(q, n):
     """The Brauer monoid of GF(q^n)/GF(q) as a semilattice of groups.
 
     Components are indexed by the modifications of the Galois group
@@ -303,7 +286,7 @@ def brauer_monoid(q, n, cap=26):
     from .schur import SemilatticeOfGroups
 
     _require_field_order(q)
-    mods = enumerate_modifications(galois_group(n), cap)
+    mods = enumerate_modifications(galois_group(n))
     keys = [m.pattern for m in mods]
     # the meet of two modifications (union of zero patterns) is again one
     present = set(keys)
@@ -359,7 +342,7 @@ def zero_cocycle_to_weak_cocycle(mod, q, cochain):
     return f
 
 
-def enumerate_weak_cocycles(q, n, cap=2_000_000):
+def enumerate_weak_cocycles(q, n):
     """All weak cocycles for GF(q^n)/GF(q), by brute force."""
     _require_field_order(q)
     G = galois_group(n)
@@ -368,8 +351,8 @@ def enumerate_weak_cocycles(q, n, cap=2_000_000):
     order = q**n - 1
     choices = [None] + list(range(order))
     total = len(choices) ** len(free)
-    if total > cap:
-        raise CapExceeded(f"{total} candidates exceed cap")
+    if total > WEAK_COCYCLE_CAP:
+        raise CapExceeded("weak-cocycle candidate count", total, WEAK_COCYCLE_CAP)
     out = []
     for combo in product(choices, repeat=len(free)):
         values = {}

@@ -215,10 +215,8 @@ def cmd_enumerate(args, inputs):
     inputs[args.presentation] = _digest(args.presentation)
     E = enumerate_presentation(P, args.bound, args.mode)
     if isinstance(E, Truncated):
-        raise CapExceeded(
-            f"presentation has more than {args.bound} elements; "
-            f"discovered so far: {', '.join(E.discovered[:20])}"
-        )
+        found = ", ".join(E.discovered[:20])
+        raise CapExceeded(f"normal forms found (first: {found})", len(E.discovered), args.bound)
     return {
         "order": E.semigroup.order,
         "semigroup": dump_semigroup(E.semigroup),
@@ -313,45 +311,33 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="zerocohom", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **arguments):
-        p = sub.add_parser(name)
+    def add(subparsers, name, fn, **arguments):
+        p = subparsers.add_parser(name)
         p.set_defaults(fn=fn)
         for flag, kw in arguments.items():
             p.add_argument(flag, **kw)
         return p
 
-    add("validate", cmd_validate, **{"--semigroup": dict(required=True)})
+    add(sub, "validate", cmd_validate, **{"--semigroup": dict(required=True)})
+    # commands with a brute-force cross-check, which `oracle <name>` forces
+    checked = {
+        "cohom": (
+            cmd_cohom,
+            {
+                "--semigroup": dict(required=True),
+                "--module": dict(required=True),
+                "--degree": dict(type=int, required=True),
+                "--variant": dict(choices=["zero", "em", "bimodule"], default="zero"),
+            },
+        ),
+        "schur": (cmd_schur, {"--semigroup": dict(required=True), "--module": dict(required=True)}),
+        "brauer": (cmd_brauer, {"--q": dict(type=int, required=True), "--n": dict(type=int, required=True)}),
+    }
+    for name, (fn, arguments) in checked.items():
+        add(sub, name, fn, **arguments, **{"--oracle": dict(action="store_true")})
+    add(sub, "modifications", cmd_modifications, **{"--group": dict(required=True)})
     add(
-        "cohom",
-        cmd_cohom,
-        **{
-            "--semigroup": dict(required=True),
-            "--module": dict(required=True),
-            "--degree": dict(type=int, required=True),
-            "--variant": dict(choices=["zero", "em", "bimodule"], default="zero"),
-            "--oracle": dict(action="store_true"),
-        },
-    )
-    add(
-        "schur",
-        cmd_schur,
-        **{
-            "--semigroup": dict(required=True),
-            "--module": dict(required=True),
-            "--oracle": dict(action="store_true"),
-        },
-    )
-    add(
-        "brauer",
-        cmd_brauer,
-        **{
-            "--q": dict(type=int, required=True),
-            "--n": dict(type=int, required=True),
-            "--oracle": dict(action="store_true"),
-        },
-    )
-    add("modifications", cmd_modifications, **{"--group": dict(required=True)})
-    add(
+        sub,
         "gown",
         cmd_gown,
         **{
@@ -361,6 +347,7 @@ def build_parser():
         },
     )
     add(
+        sub,
         "enumerate",
         cmd_enumerate,
         **{
@@ -369,9 +356,10 @@ def build_parser():
             "--mode": dict(choices=["semigroup", "monoid"], default="semigroup"),
         },
     )
-    add("tsubsets", cmd_tsubsets, **{"--group": dict(required=True)})
-    add("tsemigroup", cmd_tsemigroup)
+    add(sub, "tsubsets", cmd_tsubsets, **{"--group": dict(required=True)})
+    add(sub, "tsemigroup", cmd_tsemigroup)
     add(
+        sub,
         "natsys",
         cmd_natsys,
         **{
@@ -381,6 +369,7 @@ def build_parser():
         },
     )
     add(
+        sub,
         "compare-thm14",
         cmd_compare_thm14,
         **{
@@ -391,20 +380,8 @@ def build_parser():
     )
     oracle = sub.add_parser("oracle")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    for name, fn in (("cohom", cmd_cohom), ("schur", cmd_schur), ("brauer", cmd_brauer)):
-        p = osub.add_parser(name)
-        p.set_defaults(fn=fn, force_oracle=True)
-        if name == "cohom":
-            p.add_argument("--semigroup", required=True)
-            p.add_argument("--module", required=True)
-            p.add_argument("--degree", type=int, required=True)
-            p.add_argument("--variant", choices=["zero", "em", "bimodule"], default="zero")
-        elif name == "schur":
-            p.add_argument("--semigroup", required=True)
-            p.add_argument("--module", required=True)
-        else:
-            p.add_argument("--q", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
+    for name, (fn, arguments) in checked.items():
+        add(osub, name, fn, **arguments).set_defaults(force_oracle=True)
     return ap
 
 

@@ -32,6 +32,8 @@ from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule
 from .modules import Bimodule, validate_module
 
 DEGREE_CAP = 4
+COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
+BRUTE_COCHAIN_CAP = 2_000_000  # cochains one brute_cohomology call may enumerate
 
 VARIANTS = ("zero", "em", "bimodule")
 
@@ -167,8 +169,9 @@ def assemble_coboundary(S, n, nerve_variant, group_of, first_block, last_block):
     dst_tuples = nerve(S, n + 1, nerve_variant)
     src, src_off = cochain_group(src_tuples, group_of)
     dst, dst_off = cochain_group(dst_tuples, group_of)
-    if src.rank * max(dst.rank, 1) > 4_000_000:
-        raise CapExceeded(f"coboundary matrix {dst.rank}x{src.rank} too large")
+    cells = src.rank * max(dst.rank, 1)
+    if cells > COBOUNDARY_CELL_CAP:
+        raise CapExceeded(f"coboundary matrix ({dst.rank}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
     pos = dict(zip(src_tuples, src_off))
     mat = IntMatrix(dst.rank, src.rank)
     a = mat.a
@@ -245,7 +248,7 @@ def cohomology_group(S, M, n, variant="zero"):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if n > DEGREE_CAP:
-        raise CapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
+        raise CapExceeded("degree", n, DEGREE_CAP)
     if n < 0:
         raise DegreeMismatch("negative degree")
     _check_module_for_variant(S, M, variant)
@@ -293,21 +296,21 @@ def coboundary_preimage(S, M, f, variant="zero"):
     return (True, cochain_from_vector(S, M, n - 1, nerve_variant, x))
 
 
-def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):
+def brute_cohomology(S, M, n, variant="zero"):
     """Oracle twin: search the cocycles, enumerate the boundaries, count cosets.
 
     Only for finite coefficient groups and small nerves; raises
-    CapExceeded when |A|^(nerve size) blows past ``cap``.
+    CapExceeded when |A|^(nerve size) blows past ``BRUTE_COCHAIN_CAP``.
     """
     _check_module_for_variant(S, M, variant)
     A = M.group
     if A.order() is None:
-        raise CapExceeded("brute force needs finite coefficients")
+        raise CapExceeded(f"degree-{n} cochain count (infinite coefficients)", None, BRUTE_COCHAIN_CAP)
     nerve_variant = "em" if variant == "em" else "zero"
     tuples = nerve(S, n, nerve_variant)
     total = A.order() ** len(tuples)
-    if total > cap:
-        raise CapExceeded(f"{total} cochains exceed cap {cap}")
+    if total > BRUTE_COCHAIN_CAP:
+        raise CapExceeded(f"degree-{n} cochain count", total, BRUTE_COCHAIN_CAP)
     elements = A.elements()
 
     def all_cochains(deg):
@@ -320,8 +323,8 @@ def brute_cohomology(S, M, n, variant="zero", cap=2_000_000):
         boundaries = {tuple(sorted(zero_cochain(S, M, n, nerve_variant).values.items()))}
     else:
         prev_total = A.order() ** len(nerve(S, n - 1, nerve_variant))
-        if prev_total > cap:
-            raise CapExceeded("too many lower cochains for the oracle")
+        if prev_total > BRUTE_COCHAIN_CAP:
+            raise CapExceeded(f"degree-{n - 1} cochain count", prev_total, BRUTE_COCHAIN_CAP)
         boundaries = set()
         for g in all_cochains(n - 1):
             dg = coboundary(M, g, variant)

@@ -99,7 +99,18 @@ class DegreeMismatch(ZerocohomError):
 
 
 class CapExceeded(ZerocohomError):
-    pass
+    """A request for more than a fixed cap allows.
+
+    ``requested`` is the size asked for, or None when it is unbounded
+    (for example a brute-force search over infinite coefficients).
+    """
+
+    def __init__(self, quantity, requested, cap):
+        self.quantity = quantity
+        self.requested = requested
+        self.cap = cap
+        shown = "unbounded" if requested is None else requested
+        super().__init__(f"{quantity} {shown} exceeds cap {cap}")
 
 
 class FunctorialityError(ZerocohomError):

@@ -9,7 +9,7 @@ coefficient module for totally-defined cochains.
 
 from dataclasses import dataclass, field
 
-from .abgroups import FinAbGroup, IntMatrix, subgroup
+from .abgroups import FinAbGroup, IntMatrix, is_hom, same_map, subgroup
 from .errors import InvalidLabeling, InvalidModule, NotIdempotent
 from .semigroups import subsemigroup
 
@@ -53,23 +53,11 @@ class ModuleViolation:
         return True
 
 
-def _endo_defined(group, M):
-    k = group.rank
-    if M.m != k or M.n != k:
-        return False
-    for j, d in enumerate(group.factors):
-        if d:
-            img = group.reduce([d * M.a[i][j] for i in range(k)])
-            if any(img):
-                return False
-    return True
-
-
 def _check_action(S, group, action, domain, opposite=False):
     for s in domain:
         if s not in action:
             return ModuleViolation("missing", s)
-        if not _endo_defined(group, action[s]):
+        if not is_hom(group, group, action[s]):
             return ModuleViolation("endomorphism", s)
     z = S.zero
     for s in domain:
@@ -79,14 +67,8 @@ def _check_action(S, group, action, domain, opposite=False):
                 continue
             if st not in domain:
                 continue
-            left = action[s].mul(action[t])
-            want = action[st]
-            k = group.rank
-            for j in range(k):
-                col = group.reduce([left.a[i][j] for i in range(k)])
-                wcol = group.reduce([want.a[i][j] for i in range(k)])
-                if col != wcol:
-                    return ModuleViolation("composition", (s, t))
+            if not same_map(group, action[s].mul(action[t]), action[st]):
+                return ModuleViolation("composition", (s, t))
     return None
 
 
@@ -108,14 +90,8 @@ def validate_module(M):
             return ModuleViolation("right-" + v.kind, v.witness)
         for s in domain:
             for t in domain:
-                lr = M.left[s].mul(M.right[t])
-                rl = M.right[t].mul(M.left[s])
-                k = M.group.rank
-                for j in range(k):
-                    if M.group.reduce([lr.a[i][j] for i in range(k)]) != M.group.reduce(
-                        [rl.a[i][j] for i in range(k)]
-                    ):
-                        return ModuleViolation("compatibility", (s, t))
+                if not same_map(M.group, M.left[s].mul(M.right[t]), M.right[t].mul(M.left[s])):
+                    return ModuleViolation("compatibility", (s, t))
         return None
     return _check_action(S, M.group, M.action, sorted(M.action))
 

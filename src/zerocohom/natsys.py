@@ -16,7 +16,7 @@ derived-functor description at desk scale.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology
+from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import assemble_coboundary, cochain_group, nerve
 
@@ -115,12 +115,6 @@ class NaturalSystem:
         return self.groups[target].reduce(self.morphism_matrix(alpha, a, beta).vec(list(vec)))
 
 
-def _hom_ok(src_group, dst_group, M):
-    if M.m != dst_group.rank or M.n != src_group.rank:
-        return False
-    return GroupHom(src_group, dst_group, M).well_defined()
-
-
 def natural_system(S, groups, left, right):
     """Build and exhaustively validate a natural system."""
     D = NaturalSystem(S, groups, left, right)
@@ -139,23 +133,22 @@ def validate_natural_system(D):
             return ("missing-group", a)
     # the identity morphism must act as the identity
     e = S.identity
-    ident_ok = IntMatrix.identity
     for a in objects:
         for stored, key in ((D.left, (e, a)), (D.right, (e, a))):
             M = stored.get(key)
-            if M is not None and not _mats_equal_mod(D.groups[a], M, ident_ok(D.groups[a].rank)):
+            if M is not None and not same_map(D.groups[a], M, IntMatrix.identity(D.groups[a].rank)):
                 return ("identity-map", key)
     # map shapes and well-definedness
     for a in objects:
         for alpha in range(S.order):
             if S.mul(alpha, a) != z:
                 M = D.left_map(alpha, a)
-                if not _hom_ok(D.groups[a], D.groups[S.mul(alpha, a)], M):
+                if not is_hom(D.groups[a], D.groups[S.mul(alpha, a)], M):
                     return ("left-hom", (alpha, a))
         for beta in range(S.order):
             if S.mul(a, beta) != z:
                 M = D.right_map(beta, a)
-                if not _hom_ok(D.groups[a], D.groups[S.mul(a, beta)], M):
+                if not is_hom(D.groups[a], D.groups[S.mul(a, beta)], M):
                     return ("right-hom", (beta, a))
     # functoriality of each side
     for a in objects:
@@ -168,7 +161,7 @@ def validate_natural_system(D):
                     continue
                 lhs = D.left_map(alphap, aa).mul(D.left_map(alpha, a))
                 rhs = D.left_map(S.mul(alphap, alpha), a)
-                if not _mats_equal_mod(D.groups[S.mul(alphap, aa)], lhs, rhs):
+                if not same_map(D.groups[S.mul(alphap, aa)], lhs, rhs):
                     return ("left-compose", (alphap, alpha, a))
         for beta in range(S.order):
             ab = S.mul(a, beta)
@@ -179,7 +172,7 @@ def validate_natural_system(D):
                     continue
                 lhs = D.right_map(betap, ab).mul(D.right_map(beta, a))
                 rhs = D.right_map(S.mul(beta, betap), a)
-                if not _mats_equal_mod(D.groups[S.mul(ab, betap)], lhs, rhs):
+                if not same_map(D.groups[S.mul(ab, betap)], lhs, rhs):
                     return ("right-compose", (beta, betap, a))
     # the two decompositions of (alpha, beta) agree
     for a in objects:
@@ -191,20 +184,9 @@ def validate_natural_system(D):
                 aa = S.mul(alpha, a)
                 via_right_first = D.left_map(alpha, ab).mul(D.right_map(beta, a))
                 via_left_first = D.right_map(beta, aa).mul(D.left_map(alpha, a))
-                if not _mats_equal_mod(
-                    D.groups[S.mul(aa, beta)], via_right_first, via_left_first
-                ):
+                if not same_map(D.groups[S.mul(aa, beta)], via_right_first, via_left_first):
                     return ("square", (alpha, a, beta))
     return None
-
-
-def _mats_equal_mod(group, M1, M2):
-    for j in range(M1.n):
-        c1 = group.reduce([M1.a[i][j] for i in range(M1.m)])
-        c2 = group.reduce([M2.a[i][j] for i in range(M2.m)])
-        if c1 != c2:
-            return False
-    return True
 
 
 def from_zero_module(M):
@@ -275,7 +257,7 @@ def natsys_coboundary_hom(S, D, n):
 def natsys_cohomology(S, D, n):
     """H^n of the cochain complex of a natural system (n <= 3)."""
     if n > NATSYS_DEGREE_CAP:
-        raise CapExceeded(f"degree {n} exceeds cap {NATSYS_DEGREE_CAP}")
+        raise CapExceeded("degree", n, NATSYS_DEGREE_CAP)
     d_out = natsys_coboundary_hom(S, D, n)
     if n == 0:
         d_in = GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
@@ -452,7 +434,7 @@ def hom_complex_compare(S, D, n_max=2):
     if n_max < 0:
         raise DegreeMismatch("negative degree")
     if n_max > NATSYS_DEGREE_CAP - 1:
-        raise CapExceeded(f"comparison degree {n_max} exceeds cap {NATSYS_DEGREE_CAP - 1}")
+        raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
     levels = bar_resolution(S, n_max + 1)
     e = S.identity
@@ -523,10 +505,8 @@ def hom_complex_compare(S, D, n_max=2):
             for c, col in acc.items():
                 for r, x in enumerate(group.reduce(col)):
                     mat.a[r0 + r][c] = x
-        delta = deltas[n]
-        for j in range(mat.n):
-            if delta.target.reduce(mat.col(j)) != delta.target.reduce(delta.matrix.col(j)):
-                report["differentials"] = False
+        if not same_map(deltas[n].target, mat, deltas[n].matrix):
+            report["differentials"] = False
         hom_mats.append(GroupHom(src, dst, mat))
 
     # cohomology only once the hom side is known to be the cochain

@@ -30,6 +30,9 @@ from .semigroups import (
     validate_table,
 )
 
+T_ORBIT_CAP = 22  # <alpha, beta>-orbits of G x G in enumerate_t_subsets
+EXEL_ORDER_CAP = 6  # |G| for exel_monoid
+
 T_PRESENTATION = (
     "gens: A B C; "
     "rels: AA=1, BB=1, ABABAB=1, CC=C, AC=C, CABC=CBAB; "
@@ -122,7 +125,7 @@ def t_closure(G, pairs):
     return frozenset(seen)
 
 
-def enumerate_t_subsets(G, cap=22):
+def enumerate_t_subsets(G):
     """All closed subsets of G x G, via the invertible-pair orbit digraph.
 
     alpha and beta act invertibly (both are involutions), so closed
@@ -150,8 +153,8 @@ def enumerate_t_subsets(G, cap=22):
         for q in members:
             orbit_of[q] = oid
         orbits.append(frozenset(members))
-    if len(orbits) > cap:
-        raise CapExceeded(f"{len(orbits)} orbits exceed cap {cap}")
+    if len(orbits) > T_ORBIT_CAP:
+        raise CapExceeded("pair orbit count", len(orbits), T_ORBIT_CAP)
     # gamma sends orbits to orbits' members; record orbit dependencies
     deps = [set() for _ in orbits]
     for oid, members in enumerate(orbits):
@@ -269,7 +272,7 @@ class ExelModel:
     factorizations: tuple  # element index -> word in group elements
 
 
-def exel_monoid(G, cap=6):
+def exel_monoid(G):
     """The pair model of the universal partial-homomorphism recipient.
 
     Carrier: pairs (A, g) with {1, g} <= A <= G and product
@@ -277,8 +280,8 @@ def exel_monoid(G, cap=6):
     ({1, x}, x).  Verifies the partial-homomorphism laws, generation by
     the canonical image, and agreement with the abstract presentation.
     """
-    if G.order > cap:
-        raise CapExceeded(f"|G| = {G.order} exceeds cap {cap}")
+    if G.order > EXEL_ORDER_CAP:
+        raise CapExceeded("group order", G.order, EXEL_ORDER_CAP)
     e = G.identity
     subsets = []
     base = [s for s in range(G.order)]
@@ -345,9 +348,9 @@ def _verify_exel(model):
     assert S.identity == f[e]
 
 
-def exel_matches_presentation(G, cap=6):
+def exel_matches_presentation(G):
     """Cross-check the pair model against the abstract presentation."""
-    model = exel_monoid(G, cap)
+    model = exel_monoid(G)
     gens = " ".join(f"x{i}" for i in range(G.order))
     inv = group_inverses(G)
     rels = []

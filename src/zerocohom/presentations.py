@@ -140,7 +140,6 @@ def format_presentation(P):
 class Truncated:
     discovered: tuple
     bound: int
-    complete: bool = False
 
 
 @dataclass(frozen=True)
@@ -215,14 +214,15 @@ class _Graph:
         return [x for x in range(len(self.parent)) if self.find(x) == x]
 
 
-def enumerate_presentation(P, bound, mode="semigroup", node_budget=None):
+def enumerate_presentation(P, bound, mode="semigroup"):
     """Exact multiplication table of the presented (semi)group, if small.
 
     Returns an EnumeratedSemigroup when the presented object (monoid or
     semigroup, with zero if the presentation has zero words) has at most
     ``bound`` elements; otherwise a Truncated report with the partial
-    set of normal forms discovered.  Element order and normal forms are
-    deterministic: length-lexicographic least representatives.
+    set of normal forms discovered, also when the word graph outgrows
+    max(2000, 60 * (bound + 2)) nodes.  Element order and normal forms
+    are deterministic: length-lexicographic least representatives.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -245,9 +245,7 @@ def enumerate_presentation(P, bound, mode="semigroup", node_budget=None):
         for g in range(ngens):
             rels.append(((g, zero_gen), (zero_gen,)))
             rels.append(((zero_gen, g), (zero_gen,)))
-    if node_budget is None:
-        node_budget = max(2000, 60 * (bound + 2))
-    graph = _Graph(ngens, node_budget)
+    graph = _Graph(ngens, max(2000, 60 * (bound + 2)))
     try:
         # sweep over nodes in creation order, processing nodes created
         # mid-sweep too; a full sweep without merges means the graph is

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import cochain_from_vector, coboundary_preimage, cohomology_group
+from .cohomology import Cochain, coboundary_preimage, cohomology_group, nerve
 from .errors import CapExceeded, CertificateError, InvalidModule, NotAnIdeal
 from .modules import trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
+
+SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
+FACTOR_SET_CAP = 6_000_000  # value assignments per zero set in enumerate_factor_sets
 
 
 @dataclass(frozen=True)
@@ -156,29 +159,13 @@ def equivalent(rho, sigma):
             continue
         w = sigma.values[(x, y)]
         ratio_vals[(qindex[x], qindex[y])] = A.add(v, A.neg(w))
-    ratio = cochain_from_vector(
-        Q, MQ, 2, "zero",
-        _vec_from_values(Q, MQ, ratio_vals),
-    )
+    zero = A.zero()
+    ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2, "zero")})
     found, phi = coboundary_preimage(Q, MQ, ratio, "zero")
     if not found:
         return (False, None)
-    alpha = {}
-    for s in range(S.order):
-        if s in I_r:
-            alpha[s] = A.zero()
-        else:
-            alpha[s] = phi.values[(qindex[s],)]
+    alpha = {s: zero if s in I_r else phi.values[(qindex[s],)] for s in range(S.order)}
     return (True, alpha)
-
-
-def _vec_from_values(Q, MQ, vals):
-    from .cohomology import nerve
-
-    vec = []
-    for t in nerve(Q, 2, "zero"):
-        vec.extend(vals.get(t, MQ.group.zero()))
-    return vec
 
 
 def twist(rho, alpha):
@@ -277,7 +264,7 @@ def _restriction(HI, HJ, tuples):
     return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, rank) if cols else IntMatrix(rank, 0))
 
 
-def schur_multiplier(S, A, cap=12):
+def schur_multiplier(S, A):
     """The multiplier as a strong semilattice of cohomology groups.
 
     Index set: all ideals of the monoid S under union (empty ideal
@@ -287,8 +274,8 @@ def schur_multiplier(S, A, cap=12):
     """
     if S.identity is None:
         raise ValueError("Schur multipliers are defined over monoids")
-    if S.order > cap:
-        raise CapExceeded(f"|S| = {S.order} exceeds cap {cap}")
+    if S.order > SCHUR_ORDER_CAP:
+        raise CapExceeded("monoid order", S.order, SCHUR_ORDER_CAP)
     quotients = {I: rees_quotient(S, I) for I in ideals(S)}
     results = {I: cohomology_group(Q, trivial_module(Q, A), 2, "zero") for I, Q in quotients.items()}
 
@@ -325,7 +312,7 @@ class BruteMultiplier:
         return self.components[J].class_of[fs_product(rho, eps).key()]
 
 
-def enumerate_factor_sets(S, A, cap=6_000_000):
+def enumerate_factor_sets(S, A):
     """All factor sets over the monoid S with coefficients in A.
 
     The normalization forces the zero set to be {(x,y) : xy in Z'} for
@@ -339,7 +326,7 @@ def enumerate_factor_sets(S, A, cap=6_000_000):
     """
     n = S.order
     if A.order() is None:
-        raise CapExceeded("need finite coefficients")
+        raise CapExceeded("factor-set value assignment count (infinite coefficients)", None, FACTOR_SET_CAP)
     out = []
     elements = A.elements()
     index = {v: i for i, v in enumerate(elements)}
@@ -349,8 +336,8 @@ def enumerate_factor_sets(S, A, cap=6_000_000):
         Z = frozenset(i for i in range(n) if bits >> i & 1)
         support = [(x, y) for x in range(n) for y in range(n) if S.mul(x, y) not in Z]
         total = A.order() ** len(support)
-        if total > cap:
-            raise CapExceeded(f"{total} value assignments exceed cap")
+        if total > FACTOR_SET_CAP:
+            raise CapExceeded("factor-set value assignment count", total, FACTOR_SET_CAP)
         equations = _cocycle_equations(S, support)
         if equations is None:
             continue
@@ -405,11 +392,11 @@ def _cocycle_equations(S, support):
     return [sorted(e) for e in equations]
 
 
-def brute_multiplier(S, A, cap=6_000_000):
+def brute_multiplier(S, A):
     """Oracle: enumerate factor sets, group by support, quotient by twists."""
     if S.identity is None:
         raise ValueError("monoids only")
-    all_sets = enumerate_factor_sets(S, A, cap)
+    all_sets = enumerate_factor_sets(S, A)
     by_ideal = {}
     for rho in all_sets:
         I = support_ideal(rho)

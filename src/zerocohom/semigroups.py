@@ -479,41 +479,31 @@ def c0s_decompose(S):
         col_reps.append(e if cls is l_classes[0] else min(cand))
     inv = group_inverses(D)
 
-    def normalize():
-        P = [[None] * len(row_reps) for _ in range(len(col_reps))]
-        for lam, q in enumerate(col_reps):
-            for i, r in enumerate(row_reps):
+    def sandwich(cols, rows):
+        # entry (lam, i) is q_lam r_i as an element of H11, None for zero;
+        # None overall when some product leaves H11
+        P = []
+        for q in cols:
+            row = []
+            for r in rows:
                 p = S.table[q][r]
-                if p != z:
-                    if p not in sub:
-                        return None
-                    P[lam][i] = sub[p]
-        # rescale reps: r_i -> r_i * g_i with g_i = P[0][i]^-1, then
-        # q_lam -> h_lam * q_lam with h_lam = (P[lam][0])^-1
-        g = []
-        for i in range(len(row_reps)):
-            g.append(inv[P[0][i]] if P[0][i] is not None else D.identity)
-        new_rows = [S.table[row_reps[i]][H11[g[i]]] for i in range(len(row_reps))]
-        P2 = [[None] * len(row_reps) for _ in range(len(col_reps))]
-        for lam, q in enumerate(col_reps):
-            for i, r in enumerate(new_rows):
-                p = S.table[q][r]
-                P2[lam][i] = sub[p] if p != z else None
-        h = []
-        for lam in range(len(col_reps)):
-            h.append(inv[P2[lam][0]] if P2[lam][0] is not None else D.identity)
-        new_cols = [S.table[H11[h[lam]]][col_reps[lam]] for lam in range(len(col_reps))]
-        P3 = [[None] * len(row_reps) for _ in range(len(col_reps))]
-        for lam, q in enumerate(new_cols):
-            for i, r in enumerate(new_rows):
-                p = S.table[q][r]
-                P3[lam][i] = sub[p] if p != z else None
-        return P3, new_rows, new_cols
+                if p != z and p not in sub:
+                    return None
+                row.append(sub[p] if p != z else None)
+            P.append(row)
+        return P
 
-    res = normalize()
-    if res is None:
+    P = sandwich(col_reps, row_reps)
+    if P is None:
         return None
-    P, row_reps, col_reps = res
+    # rescale reps: r_i -> r_i * g_i with g_i = P[0][i]^-1, then
+    # q_lam -> h_lam * q_lam with h_lam = (P[lam][0])^-1; products of
+    # H11 with H11 u {0} stay there, so the later sandwiches exist
+    g = [inv[x] if x is not None else D.identity for x in P[0]]
+    row_reps = [S.table[r][H11[gi]] for r, gi in zip(row_reps, g)]
+    h = [inv[row[0]] if row[0] is not None else D.identity for row in sandwich(col_reps, row_reps)]
+    col_reps = [S.table[H11[hl]][q] for hl, q in zip(h, col_reps)]
+    P = sandwich(col_reps, row_reps)
     # verify the coordinate map is an isomorphism
     seen = {}
     for i, r in enumerate(row_reps):
@@ -549,46 +539,42 @@ def c0s_decompose(S):
     )
 
 
-def group_isomorphism(G, H):
-    """A table isomorphism dict for groups of order <= 8, or None."""
-    if G.order != H.order:
-        return None
-    if not is_group(G) or not is_group(H):
-        return None
-    n = G.order
-    g_ord = _element_orders(G)
-    h_ord = _element_orders(H)
-    if sorted(g_ord) != sorted(h_ord):
-        return None
+def _isomorphisms(S, T, s_label, t_label):
+    """Every table isomorphism S -> T that keeps the element labels.
 
-    def backtrack(mapping, k):
+    x may only map to an h with t_label[h] == s_label[x].  Yields dicts
+    x -> image; the images of 0, 1, ... are tried in index order, so the
+    dicts come out lexicographically.  A prefix is extended only while
+    it respects every product it determines.  Nothing is yielded when
+    the label multisets differ.
+    """
+    n = S.order
+    mapping = [None] * n
+    used = [False] * n
+
+    def consistent(k):
+        for a in range(k + 1):
+            for b in range(k + 1):
+                c = S.table[a][b]
+                if c <= k and T.table[mapping[a]][mapping[b]] != mapping[c]:
+                    return False
+        return True
+
+    def extend(k):
         if k == n:
-            return dict(enumerate(mapping))
+            yield dict(enumerate(mapping))
+            return
         for h in range(n):
-            if h in mapping[:k]:
-                continue
-            if h_ord[h] != g_ord[k]:
+            if used[h] or t_label[h] != s_label[k]:
                 continue
             mapping[k] = h
-            ok = True
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    c = G.table[a][b]
-                    if c <= k:
-                        if H.table[mapping[a]][mapping[b]] != mapping[c]:
-                            ok = False
-                            break
-                else:
-                    continue
-                break
-            if ok:
-                res = backtrack(mapping, k + 1)
-                if res:
-                    return res
-            mapping[k] = None
-        return None
+            if consistent(k):
+                used[h] = True
+                yield from extend(k + 1)
+                used[h] = False
 
-    return backtrack([None] * n, 0)
+    if sorted(s_label) == sorted(t_label):
+        yield from extend(0)
 
 
 def _element_orders(G):
@@ -604,35 +590,17 @@ def _element_orders(G):
     return out
 
 
+def group_isomorphism(G, H):
+    """A table isomorphism dict for groups of order <= 8, or None."""
+    if not is_group(G) or not is_group(H):
+        return None
+    return next(_isomorphisms(G, H, _element_orders(G), _element_orders(H)), None)
+
+
 def group_automorphisms(G):
     """All automorphisms of a small group, as index dicts."""
-    n = G.order
-    ords = _element_orders(G)
-    autos = []
-
-    def backtrack(mapping, k):
-        if k == n:
-            autos.append(dict(enumerate(mapping)))
-            return
-        for h in range(n):
-            if h in mapping[:k] or ords[h] != ords[k]:
-                continue
-            mapping[k] = h
-            ok = True
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    c = G.table[a][b]
-                    if c <= k and G.table[mapping[a]][mapping[b]] != mapping[c]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                backtrack(mapping, k + 1)
-            mapping[k] = None
-
-    backtrack([None] * n, 0)
-    return autos
+    orders = _element_orders(G)
+    return list(_isomorphisms(G, G, orders, orders))
 
 
 def sandwich_equivalent(dec1, dec2):
@@ -716,45 +684,17 @@ def subsemigroup(S, indices):
 
 def isomorphic_semigroups(S, T):
     """Brute-force isomorphism test for small semigroups (order <= 8)."""
-    n = S.order
-    if n != T.order:
-        return False
-    # cheap invariants
+
+    # a cheap invariant of each element
     def profile(X):
-        return sorted(
+        n = X.order
+        return [
             (
                 sum(1 for j in range(n) if X.table[i][j] == i),
                 sum(1 for j in range(n) if X.table[j][i] == i),
                 X.table[i][i] == i,
             )
             for i in range(n)
-        )
+        ]
 
-    if profile(S) != profile(T):
-        return False
-
-    def backtrack(mapping, used, k):
-        if k == n:
-            return True
-        for h in range(n):
-            if used[h]:
-                continue
-            mapping[k] = h
-            ok = True
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    c = S.table[a][b]
-                    if c <= k and T.table[mapping[a]][mapping[b]] != mapping[c]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                used[h] = True
-                if backtrack(mapping, used, k + 1):
-                    return True
-                used[h] = False
-            mapping[k] = None
-        return False
-
-    return backtrack([None] * n, [False] * n, 0)
+    return next(_isomorphisms(S, T, profile(S), profile(T)), None) is not None

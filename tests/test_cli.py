@@ -145,21 +145,35 @@ def test_modifications(capsys):
     assert report["result"]["count"] == 2
 
 
-def test_schur(tmp_path, capsys):
-    sgdoc = {
-        "elements": ["1", "e"],
-        "table": [["1", "e"], ["e", "e"]],
-    }
-    sg = tmp_path / "chain.json"
-    sg.write_text(json.dumps(sgdoc))
-    mod = tmp_path / "z2.json"
-    mod.write_text(json.dumps(TRIV_Z2))
-    code, report, _ = run(
-        capsys, ["schur", "--semigroup", str(sg), "--module", str(mod), "--oracle"]
-    )
+@pytest.fixture
+def chain_path(tmp_path):
+    # the two-element chain monoid {1, e}
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"elements": ["1", "e"], "table": [["1", "e"], ["e", "e"]]}))
+    return str(p)
+
+
+def test_schur(chain_path, z2_path, capsys):
+    code, report, _ = run(capsys, ["schur", "--semigroup", chain_path, "--module", z2_path, "--oracle"])
     assert code == 0
     assert report["result"]["component_count"] == 3
     assert report["result"]["oracle_match"] is True
+
+
+def test_schur_oracle(chain_path, z2_path, capsys):
+    code, report, _ = run(capsys, ["oracle", "schur", "--semigroup", chain_path, "--module", z2_path])
+    assert code == 0
+    assert report["command"] == "oracle schur"
+    assert report["result"]["component_count"] == 3
+    assert report["result"]["oracle_match"] is True
+
+
+def test_brauer_cap_names_request_and_cap(capsys):
+    # GF(2^7)/GF(2): the Galois group Z7 has 36 free cells, over the cap of 26
+    code, report, err = run(capsys, ["brauer", "--q", "2", "--n", "7"])
+    assert code == 3
+    assert report is None
+    assert "cap exceeded: free cell count 36 exceeds cap 26" in err
 
 
 def test_enumerate(tmp_path, capsys):
@@ -183,7 +197,8 @@ def test_enumerate_truncated_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert report is None
-    assert "cap exceeded" in err
+    assert "cap exceeded: normal forms found (first: 1, a, aa, " in err
+    assert "exceeds cap 5" in err
 
 
 def test_gown_presentation(tmp_path, capsys):

@@ -105,6 +105,40 @@ def test_broken_natural_system_raises():
         natural_system(S, groups, {(e, e): two}, {(e, e): one})
 
 
+_WRONG_SHAPE_IDENTITY = """
+from zerocohom import catalog
+from zerocohom.abgroups import IntMatrix
+from zerocohom.errors import FunctorialityError
+from zerocohom.natsys import natural_system, trivial_Z
+from zerocohom.semigroups import adjoin
+
+S = adjoin(catalog.cyclic_group(2), "zero")
+D = trivial_Z(S)
+e = S.identity
+a = S.nonzero()[0]
+left = dict(D.left)
+left[(e, a)] = IntMatrix.identity(2)  # a 2x2 identity on a rank-1 object
+try:
+    natural_system(S, D.groups, left, D.right)
+except FunctorialityError as exc:
+    print(exc.witness == ("identity-map", (e, a)))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_wrong_shape_identity_map_is_reported(flags):
+    # the identity-map check compares shapes before entries, so a stored
+    # identity of the wrong size is a witness, not an AssertionError (or
+    # an IndexError under python -O)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _WRONG_SHAPE_IDENTITY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_natsys_cohomology_point():
     S = one_zero_monoid()
     D = trivial_Z(S)
