@@ -96,13 +96,6 @@ class IntMatrix:
         assert len(v) == self.n
         return [sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.m)]
 
-    def transpose(self):
-        T = IntMatrix(self.n, self.m)
-        for i in range(self.m):
-            for j in range(self.n):
-                T.a[j][i] = self.a[i][j]
-        return T
-
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.a)
 
@@ -122,6 +115,42 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.m}x{self.n}, {self.a})"
+
+
+class SparseMatrix:
+    """Integer matrix kept as sparse {row: value} columns, zeros not stored.
+
+    The coboundary builders emit this form; ``_echelon``, the dd check of
+    ``complex_homology`` and ``same_map`` read the columns directly.
+    """
+
+    __slots__ = ("m", "n", "cols")
+
+    def __init__(self, m, cols):
+        self.m = m
+        self.n = len(cols)
+        self.cols = cols
+
+    @property
+    def a(self):
+        """The dense rows, built on demand; a read-only copy."""
+        rows = [[0] * self.n for _ in range(self.m)]
+        for j, c in enumerate(self.cols):
+            for i, x in c.items():
+                rows[i][j] = x
+        return [tuple(r) for r in rows]
+
+    def col(self, j):
+        return _dense(self.cols[j], self.m)
+
+    def mul(self, other):
+        """self * other for a sparse ``other``."""
+        assert self.n == other.m
+        return SparseMatrix(self.m, [_combine(self.cols, c) for c in other.cols])
+
+    def vec(self, v):
+        assert len(v) == self.n
+        return _dense(_combine(self.cols, _sparse(v)), self.m)
 
 
 def smith_normal_form(M):
@@ -359,62 +388,19 @@ def _add_multiple(dst, c, src):
             del dst[r]
 
 
-def _echelon(M, target_factors):
-    """Sparse column echelon form of [M | diag(d)] over Z.
+def _combine(cols, coeffs):
+    """The sparse sum of coeffs[k] * cols[k]."""
+    acc = {}
+    for k, x in coeffs.items():
+        _add_multiple(acc, x, cols[k])
+    return acc
 
-    The columns of M, plus one column d*e_i for every finite target
-    factor d, are {row: value} dicts.  Rows are eliminated in order: of
-    the columns hitting the row, the one with the smallest |entry|
-    (fewest nonzeros on ties) is the pivot, and the others are reduced
-    against it by Euclid steps until a single column hits the row; that
-    column is retired as the row's pivot.  Each column carries the first
-    M.n coordinates of its column transform, also sparse; a relation
-    column starts with an empty one.
 
-    Returns (pivots, kernel): ``pivots`` lists (row, column, transform)
-    in row order, each column zero above its row; ``kernel`` lists the
-    transforms of the columns that ended zero.
-    """
-    cols = [{} for _ in range(M.n)]
-    for i, row in enumerate(M.a):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    trans = [{j: 1} for j in range(M.n)]
-    for i, d in enumerate(target_factors):
-        if d:
-            cols.append({i: d})
-            trans.append({})
-    hits = [set() for _ in range(M.m)]  # hits[r]: unretired columns nonzero in row r
-    for j, c in enumerate(cols):
-        for r in c:
-            hits[r].add(j)
-    pivots = []
-    for i in range(M.m):
-        h = hits[i]
-        while h:
-            p = min(h, key=lambda j: (abs(cols[j][i]), len(cols[j]), j))
-            cp, tp = cols[p], trans[p]
-            a = cp[i]
-            for j in [j for j in h if j != p]:
-                cj = cols[j]
-                q = cj[i] // a
-                for r, v in cp.items():
-                    w = cj.get(r, 0) - q * v
-                    if w:
-                        if r not in cj:
-                            hits[r].add(j)
-                        cj[r] = w
-                    else:
-                        del cj[r]
-                        hits[r].discard(j)
-                _add_multiple(trans[j], -q, tp)
-            if len(h) == 1:
-                for r in cp:
-                    hits[r].discard(p)
-                pivots.append((i, cp, tp))
-    kernel = [trans[j] for j, c in enumerate(cols) if not c]
-    return pivots, kernel
+def _sparse(v):
+    """A fresh {index: value} dict of a dense vector or of a sparse one."""
+    if isinstance(v, dict):
+        return dict(v)
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def _dense(v, n):
@@ -424,14 +410,100 @@ def _dense(v, n):
     return out
 
 
+def _reduced(v, factors):
+    """The sparse vector v with coordinate i taken mod factors[i] (0 = exact)."""
+    out = {}
+    for i, x in v.items():
+        d = factors[i]
+        if d:
+            x %= d
+        if x:
+            out[i] = x
+    return out
+
+
+def _columns(M):
+    """The columns of M as {row: value} dicts, shared when M is sparse."""
+    if isinstance(M, SparseMatrix):
+        return M.cols
+    cols = [{} for _ in range(M.n)]
+    for i, row in enumerate(M.a):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _subtract(cols, hits, j, q, src):
+    """cols[j] -= q * src, keeping hits[r] (the columns nonzero in row r) current."""
+    cj = cols[j]
+    for r, v in src.items():
+        w = cj.get(r, 0) - q * v
+        if w:
+            if r not in cj:
+                hits[r].add(j)
+            cj[r] = w
+        else:
+            del cj[r]
+            hits[r].discard(j)
+
+
+def _echelon(columns, m, target_factors):
+    """Sparse column echelon form of [M | diag(d)] over Z.
+
+    M is given by its {row: value} ``columns`` (copied, not changed) and
+    its row count m; one column d*e_i joins them for every finite target
+    factor d.  Rows are eliminated in order: of the columns hitting the
+    row, the one with the smallest |entry| (fewest nonzeros on ties) is
+    the pivot, and the others are reduced against it by Euclid steps
+    until a single column hits the row; that column is retired as the
+    row's pivot.  Each column carries the first len(columns) coordinates
+    of its column transform, also sparse; a relation column starts with
+    an empty one.
+
+    Returns (pivots, kernel): ``pivots`` lists (row, column, transform)
+    in row order, each column zero above its row; ``kernel`` lists the
+    transforms of the columns that ended zero.
+    """
+    cols = [dict(c) for c in columns]
+    trans = [{j: 1} for j in range(len(cols))]
+    for i, d in enumerate(target_factors):
+        if d:
+            cols.append({i: d})
+            trans.append({})
+    hits = [set() for _ in range(m)]  # hits[r]: unretired columns nonzero in row r
+    for j, c in enumerate(cols):
+        for r in c:
+            hits[r].add(j)
+    pivots = []
+    for i in range(m):
+        h = hits[i]
+        while len(h) > 1:
+            p = min(h, key=lambda j: (abs(cols[j][i]), len(cols[j]), j))
+            cp, tp = cols[p], trans[p]
+            a = cp[i]
+            for j in [j for j in h if j != p]:
+                q = cols[j][i] // a
+                _subtract(cols, hits, j, q, cp)
+                _add_multiple(trans[j], -q, tp)
+        if h:
+            (p,) = h
+            cp = cols[p]
+            for r in cp:
+                hits[r].discard(p)
+            pivots.append((i, cp, trans[p]))
+    kernel = [trans[j] for j, c in enumerate(cols) if not c]
+    return pivots, kernel
+
+
 def _substitute(pivots, b):
     """Sparse x with M x = b (mod the factors), from ``_echelon``'s pivots.
 
-    b is forward-substituted through the pivots; the answer is None when
-    a pivot does not divide the residual in its row, or when a residual
-    is left over at the end.
+    b (dense or sparse) is forward-substituted through the pivots; the
+    answer is None when a pivot does not divide the residual in its row,
+    or when a residual is left over at the end.
     """
-    res = {i: x for i, x in enumerate(b) if x}
+    res = _sparse(b)
     x = {}
     for i, col, t in pivots:
         if i in res:
@@ -446,8 +518,11 @@ def _substitute(pivots, b):
 
 
 def solve_mod(M, b, target_factors):
-    """Solve M x = b componentwise mod target_factors (0 = exact)."""
-    pivots, _ = _echelon(M, target_factors)
+    """Solve M x = b componentwise mod target_factors (0 = exact).
+
+    M is an IntMatrix or a SparseMatrix; b is dense or sparse.
+    """
+    pivots, _ = _echelon(_columns(M), M.m, target_factors)
     x = _substitute(pivots, b)
     return None if x is None else _dense(x, M.n)
 
@@ -455,11 +530,12 @@ def solve_mod(M, b, target_factors):
 def kernel_mod(M, target_factors):
     """Basis of {x : M x = 0 mod target_factors} as a lattice in Z^n.
 
-    The transforms of the zero columns are already independent:
-    projection onto the first n coordinates is injective on the kernel
-    of [M | diag(d)], since every relation column has d > 0.
+    M is an IntMatrix or a SparseMatrix.  The transforms of the zero
+    columns are already independent: projection onto the first n
+    coordinates is injective on the kernel of [M | diag(d)], since every
+    relation column has d > 0.
     """
-    _, kernel = _echelon(M, target_factors)
+    _, kernel = _echelon(_columns(M), M.m, target_factors)
     return [_dense(t, M.n) for t in kernel]
 
 
@@ -582,14 +658,18 @@ class FinAbGroup:
 
 
 class GroupHom:
-    """Homomorphism between FinAbGroups; column j = image of source e_j."""
+    """Homomorphism between FinAbGroups; column j = image of source e_j.
+
+    The matrix is an IntMatrix (rows may be given as lists) or a
+    SparseMatrix.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
-        if isinstance(matrix, IntMatrix):
+        if isinstance(matrix, (IntMatrix, SparseMatrix)):
             M = matrix
         else:
             M = IntMatrix(target.rank, source.rank, matrix if target.rank else None)
@@ -609,7 +689,8 @@ class GroupHom:
         return GroupHom(inner.source, self.target, self.matrix.mul(inner.matrix))
 
     def is_zero(self):
-        return not any(any(self.target.reduce(c)) for c in self.matrix.columns())
+        factors = self.target.factors
+        return not any(_reduced(c, factors) for c in _columns(self.matrix))
 
     def equals(self, other):
         """Equality as maps (columns compared mod target factors)."""
@@ -632,12 +713,13 @@ def same_map(target, M1, M2):
 
     Columns are compared modulo the cyclic orders of the target; two
     matrices of different shapes, or with a row count other than the
-    target's rank, are never the same map.
+    target's rank, are never the same map.  Either matrix may be dense
+    or sparse.
     """
     if M1.m != M2.m or M1.n != M2.n or M1.m != target.rank:
         return False
-    reduce = target.reduce
-    return all(reduce(M1.col(j)) == reduce(M2.col(j)) for j in range(M1.n))
+    factors = target.factors
+    return all(_reduced(c1, factors) == _reduced(c2, factors) for c1, c2 in zip(_columns(M1), _columns(M2)))
 
 
 def is_hom(source, target, M):
@@ -659,44 +741,76 @@ class QuotientPresentation:
 
     ``k_basis`` lists independent columns; every column of ``m_cols``
     must lie in their span, else NotInSubgroup names the first one that
-    does not.  ``witnesses`` are ambient vectors generating the quotient
-    (one per non-unit invariant factor, infinite factors last);
-    ``coords(v)`` expresses an ambient vector v in span(K) as
-    coefficients on the witnesses, or returns None when v is not in
-    span(K).  K is factored once, here, on the sparse echelon engine;
-    the m-columns and every ``coords`` call forward-substitute through
-    its pivots, and since K's columns are independent the K-coordinates
-    found are the only ones.  A dense Smith form is taken only of the
-    small matrix X of those coordinates.
+    does not.  Columns may be dense lists or sparse {row: value} dicts.
+    ``witnesses`` are ambient vectors generating the quotient (one per
+    non-unit invariant factor, infinite factors last); ``coords(v)``
+    expresses an ambient vector v in span(K) as coefficients on the
+    witnesses, or returns None when v is not in span(K).
+
+    K is factored once, here, on the sparse echelon engine; the
+    m-columns and every ``coords`` call forward-substitute through its
+    pivots, and since K's columns are independent the K-coordinates
+    found are the only ones.  The coordinates of the m-columns are the
+    relations X among the K-generators.  Their unit pivots go first
+    (``_unit_pivots``): each one substitutes a generator away.  A dense
+    Smith form is taken only of the non-unit core that is left, and not
+    at all when nothing is left.  Each row of ``_urows`` maps
+    K-coordinates to one witness coordinate: a kept row of the core's U,
+    with the substitutions folded in.
     """
 
     __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows")
 
     def __init__(self, dim, k_basis, m_cols):
         self.dim = dim
-        r = len(k_basis)
-        self._pivots, _ = _echelon(IntMatrix.from_columns(k_basis, dim), ())
+        kcols = [_sparse(c) for c in k_basis]
+        r = len(kcols)
+        self._pivots, _ = _echelon(kcols, dim, ())
         # coordinates of the m-generators in the K-basis
         xcols = []
         for j, c in enumerate(m_cols):
             y = _substitute(self._pivots, c)
             if y is None:
                 raise NotInSubgroup(j)
-            xcols.append(_dense(y, r))
-        X = IntMatrix.from_columns(xcols, r)
-        D, U, _, Uinv = smith_normal_form(X)
-        dvec = [D.a[i][i] if i < X.n else 0 for i in range(r)]
-        keep = [i for i, d in enumerate(dvec) if d != 1]
-        self._urows = [U.a[i] for i in keep]
-        self.group = FinAbGroup([dvec[i] for i in keep])
+            xcols.append(y)
+        subs, core = _unit_pivots(xcols, r)
+        gone = {i for i, _, _ in subs}
+        hit = sorted({i for c in core for i in c})
+        index = {i: p for p, i in enumerate(hit)}
+        # one (factor, row of U, column of Uinv) per generator of the
+        # quotient, rows and columns indexed by K-generators
+        gens = []
+        if core:
+            C = IntMatrix(len(hit), len(core))
+            for j, c in enumerate(core):
+                for i, x in c.items():
+                    C.a[index[i]][j] = x
+            D, U, _, Uinv = smith_normal_form(C)
+            for p in range(C.m):
+                d = D.a[p][p] if p < C.n else 0
+                if d != 1:
+                    urow = [0] * r
+                    for q, i in enumerate(hit):
+                        urow[i] = U.a[p][q]
+                    gens.append((d, urow, {i: Uinv.a[q][p] for q, i in enumerate(hit) if Uinv.a[q][p]}))
+        for i in range(r):
+            if i not in gone and i not in index:
+                gens.append((0, [int(k == i) for k in range(r)], {i: 1}))
+        # coords applies the substitutions before the row of U: fold them
+        # into the row, last substitution first
+        for i, e, c in reversed(subs):
+            for _, urow, _ in gens:
+                s = sum(urow[k] * x for k, x in c.items())
+                if s:
+                    urow[i] -= e * s
+        self.group = FinAbGroup([d for d, _, _ in gens])
+        self._urows = [urow for _, urow, _ in gens]
         self.witnesses = []
-        for i in keep:
+        for _, _, combo in gens:
             w = [0] * dim
-            for j, kcol in enumerate(k_basis):
-                u = Uinv.a[j][i]
-                if u:
-                    for row, x in enumerate(kcol):
-                        w[row] += u * x
+            for k, u in combo.items():
+                for row, x in kcols[k].items():
+                    w[row] += u * x
             self.witnesses.append(w)
 
     def coords(self, v):
@@ -710,20 +824,61 @@ class QuotientPresentation:
         return tuple(out)
 
 
+def _unit_pivots(cols, nrows):
+    """Substitute away the generators that a relation with a unit names.
+
+    ``cols`` are relation columns over nrows generators, as sparse dicts;
+    they are changed in place.  A column with an entry e = +-1 in row i
+    says that generator i is -e times the combination of the others in
+    the column.  So every other column is cleared in row i by a multiple
+    of this one, and the column is retired.  Of a column's unit entries
+    the row hit by the fewest columns goes first.
+
+    Returns (subs, core): ``subs`` lists (row, e, column) in the order
+    applied; the class of y is unchanged by y -= y[row] * e * column.
+    ``core`` lists the nonzero columns left, none with a unit entry and
+    none touching a substituted row.
+    """
+    hits = [set() for _ in range(nrows)]
+    for j, c in enumerate(cols):
+        for i in c:
+            hits[i].add(j)
+    subs = []
+    found = True
+    while found:
+        found = False
+        for j, c in enumerate(cols):
+            units = [i for i, x in c.items() if x == 1 or x == -1]
+            if not units:
+                continue
+            i = min(units, key=lambda i: (len(hits[i]), i))
+            e = c[i]
+            for k in [k for k in hits[i] if k != j]:
+                _subtract(cols, hits, k, cols[k][i] * e, c)
+            for r in c:
+                hits[r].discard(j)
+            subs.append((i, e, c))
+            cols[j] = {}
+            found = True
+    return subs, [c for c in cols if c]
+
+
 def complex_homology(d_in, d_out):
     """ker(d_out)/im(d_in) at the middle group, as a QuotientPresentation.
 
+    The maps may be dense or sparse; both are read as sparse columns.
     Raises NotAComplex (with a witness generator index) when
     d_out o d_in is nonzero.
     """
     mid = d_in.target
     assert mid.factors == d_out.source.factors
-    comp = d_out.compose(d_in)
-    for j, c in enumerate(comp.matrix.columns()):
-        if any(comp.target.reduce(c)):
+    out_cols, in_cols = _columns(d_out.matrix), _columns(d_in.matrix)
+    factors = d_out.target.factors
+    for j, c in enumerate(in_cols):
+        if _reduced(_combine(out_cols, c), factors):
             raise NotAComplex(j)
-    K = kernel_mod(d_out.matrix, d_out.target.factors)
-    m_cols = d_in.matrix.columns() + _relation_columns(mid.factors)
+    _, K = _echelon(out_cols, d_out.target.rank, factors)
+    m_cols = in_cols + [{i: d} for i, d in enumerate(mid.factors) if d]
     return QuotientPresentation(mid.rank, K, m_cols)
 
 

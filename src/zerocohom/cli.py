@@ -215,8 +215,14 @@ def cmd_enumerate(args, inputs):
     inputs[args.presentation] = _digest(args.presentation)
     E = enumerate_presentation(P, args.bound, args.mode)
     if isinstance(E, Truncated):
-        found = ", ".join(E.discovered[:20])
-        raise CapExceeded(f"normal forms found (first: {found})", len(E.discovered), args.bound)
+        first = ", ".join(E.discovered[:20])
+        if E.limit == "node budget":
+            raise CapExceeded(
+                f"word graph nodes (node budget reached with {E.found} normal forms found, first: {first})",
+                E.node_budget + 1,
+                E.node_budget,
+            )
+        raise CapExceeded(f"normal forms found (first: {first})", E.found, args.bound)
     return {
         "order": E.semigroup.order,
         "semigroup": dump_semigroup(E.semigroup),

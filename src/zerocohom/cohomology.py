@@ -24,6 +24,7 @@ from .abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
+    SparseMatrix,
     complex_homology,
     finite_invariants_from_orders,
     solve_mod,
@@ -90,7 +91,11 @@ def zero_cochain(S, M, n, variant="zero"):
 
 
 def cochain_from_vector(S, M, n, variant, vec):
-    tuples = nerve(S, n, variant)
+    return _cochain_on(M, n, nerve(S, n, variant), vec)
+
+
+def _cochain_on(M, n, tuples, vec):
+    """The degree-n cochain with value vec[k*i : k*(i+1)] on tuples[i]."""
     k = M.group.rank
     values = {}
     for idx, t in enumerate(tuples):
@@ -156,55 +161,65 @@ def cochain_group(tuples, group_of):
     return FinAbGroup(factors), offsets
 
 
-def assemble_coboundary(S, n, nerve_variant, group_of, first_block, last_block):
-    """The alternating-sum coboundary in degree n as a GroupHom.
+def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_block):
+    """The alternating-sum coboundary from one nerve to the next, as a GroupHom.
 
-    ``group_of(t)`` is the coefficient group at the nerve tuple t;
-    ``first_block(t)`` and ``last_block(t)`` are the matrices of the
+    ``src_tuples`` and ``dst_tuples`` are the degree-n and degree-(n+1)
+    nerves.  ``group_of(t)`` is the coefficient group at the nerve tuple
+    t; ``first_block(t)`` and ``last_block(t)`` are the matrices of the
     first-slot term (from t[1:] to t) and the last-slot term (from
     t[:-1] to t).  The middle terms merge two neighbours, keep the full
-    product and so the group, and enter as identity blocks.
+    product and so the group, and enter as identity blocks.  The matrix
+    is a SparseMatrix: one {row: value} column per source coordinate.
     """
-    src_tuples = nerve(S, n, nerve_variant)
-    dst_tuples = nerve(S, n + 1, nerve_variant)
     src, src_off = cochain_group(src_tuples, group_of)
-    dst, dst_off = cochain_group(dst_tuples, group_of)
-    cells = src.rank * max(dst.rank, 1)
+    # the cap is checked before the larger cochain group is laid out
+    rows = sum(group_of(t).rank for t in dst_tuples)
+    cells = src.rank * max(rows, 1)
     if cells > COBOUNDARY_CELL_CAP:
-        raise CapExceeded(f"coboundary matrix ({dst.rank}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
+        raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
+    dst, dst_off = cochain_group(dst_tuples, group_of)
     pos = dict(zip(src_tuples, src_off))
-    mat = IntMatrix(dst.rank, src.rank)
-    a = mat.a
+    cols = [{} for _ in range(src.rank)]
 
     def add_block(r0, c0, block, sign):
-        for r, brow in enumerate(block.a):
-            row = a[r0 + r]
-            for c, x in enumerate(brow):
+        for r, brow in enumerate(block.a, r0):
+            for c, x in enumerate(brow, c0):
                 if x:
-                    row[c0 + c] += sign * x
+                    col = cols[c]
+                    col[r] = col.get(r, 0) + sign * x
 
     for t, r0, r1 in zip(dst_tuples, dst_off, dst_off[1:] + [dst.rank]):
         add_block(r0, pos[t[1:]], first_block(t), 1)
         sign = -1
-        for i in range(n):
+        for i in range(len(t) - 1):
             c0 = pos[t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]] - r0
             for r in range(r0, r1):
-                a[r][c0 + r] += sign
+                col = cols[c0 + r]
+                col[r] = col.get(r, 0) + sign
             sign = -sign
         add_block(r0, pos[t[:-1]], last_block(t), sign)
-    return GroupHom(src, dst, mat)
+    # terms that cancelled are not stored
+    cols = [{r: x for r, x in c.items() if x} for c in cols]
+    return GroupHom(src, dst, SparseMatrix(dst.rank, cols))
 
 
-def coboundary_hom(S, M, n, variant="zero"):
-    """The coboundary in degree n as a GroupHom between cochain groups."""
+def coboundary_hom(S, M, n, variant="zero", nerves=None):
+    """The coboundary in degree n as a GroupHom between cochain groups.
+
+    ``nerves``, when given, is the pair (degree-n nerve, degree-(n+1)
+    nerve) already built for this semigroup and variant.
+    """
     A = M.group
     one = IntMatrix.identity(A.rank)
     if variant == "bimodule":
         last = lambda t: M.right[t[-1]]
     else:
         last = lambda t: one
-    nerve_variant = "em" if variant == "em" else "zero"
-    return assemble_coboundary(S, n, nerve_variant, lambda t: A, lambda t: M.matrix(t[0]), last)
+    if nerves is None:
+        nerve_variant = "em" if variant == "em" else "zero"
+        nerves = (nerve(S, n, nerve_variant), nerve(S, n + 1, nerve_variant))
+    return assemble_coboundary(S, *nerves, lambda t: A, lambda t: M.matrix(t[0]), last)
 
 
 @dataclass
@@ -252,17 +267,15 @@ def cohomology_group(S, M, n, variant="zero"):
     if n < 0:
         raise DegreeMismatch("negative degree")
     _check_module_for_variant(S, M, variant)
-    d_out = coboundary_hom(S, M, n, variant)
-    if n == 0:
-        d_in = GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
-    else:
-        d_in = coboundary_hom(S, M, n - 1, variant)
-    H = complex_homology(d_in, d_out)
     nerve_variant = "em" if variant == "em" else "zero"
     tuples = nerve(S, n, nerve_variant)
-    witnesses = [
-        cochain_from_vector(S, M, n, nerve_variant, w) for w in H.witnesses
-    ]
+    d_out = coboundary_hom(S, M, n, variant, (tuples, nerve(S, n + 1, nerve_variant)))
+    if n == 0:
+        d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
+    else:
+        d_in = coboundary_hom(S, M, n - 1, variant, (nerve(S, n - 1, nerve_variant), tuples))
+    H = complex_homology(d_in, d_out)
+    witnesses = [_cochain_on(M, n, tuples, w) for w in H.witnesses]
     return CohomologyResult(H.group, witnesses, H, tuples, variant)
 
 

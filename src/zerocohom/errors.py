@@ -129,6 +129,14 @@ class UncertifiedInput(ZerocohomError):
     pass
 
 
+class CoefficientMismatch(ZerocohomError):
+    """Two objects that must share a coefficient group do not."""
+
+    def __init__(self, left, right):
+        self.witness = (left, right)
+        super().__init__(f"coefficient groups differ: {left!r} vs {right!r}")
+
+
 class NotInSubgroup(ZerocohomError):
     def __init__(self, witness):
         self.witness = witness

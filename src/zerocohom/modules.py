@@ -76,8 +76,9 @@ def validate_module(M):
     """None when all module axioms hold, else a ModuleViolation witness.
 
     ZeroModule: action(s)action(t) = action(st) whenever st != 0, on the
-    stored action domain.  Bimodule: both one-sided laws (the right one
-    against the opposite semigroup) plus commuting of the two actions.
+    stored action domain.  Bimodule: the right action covers the left
+    one's domain, both one-sided laws hold (the right one against the
+    opposite semigroup), and the two actions commute.
     """
     S = M.semigroup
     if isinstance(M, Bimodule):
@@ -85,11 +86,15 @@ def validate_module(M):
         v = _check_action(S, M.group, M.left, domain)
         if v:
             return v
-        v = _check_action(S, M.group, M.right, sorted(M.right), opposite=True)
+        right_domain = sorted(M.right)
+        v = _check_action(S, M.group, M.right, right_domain, opposite=True)
         if v:
             return ModuleViolation("right-" + v.kind, v.witness)
+        missing = [s for s in domain if s not in M.right]
+        if missing:
+            return ModuleViolation("right-missing", missing[0])
         for s in domain:
-            for t in domain:
+            for t in right_domain:
                 if not same_map(M.group, M.left[s].mul(M.right[t]), M.right[t].mul(M.left[s])):
                     return ModuleViolation("compatibility", (s, t))
         return None

@@ -16,7 +16,7 @@ derived-functor description at desk scale.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
+from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import assemble_coboundary, cochain_group, nerve
 
@@ -237,17 +237,19 @@ def _tuple_group(D, tuples):
     return cochain_group(tuples, lambda t: D.groups[_object(S, t)])
 
 
-def natsys_coboundary_hom(S, D, n):
+def natsys_coboundary_hom(S, D, n, nerves=None):
     """Degree-n coboundary of the natural-system cochain complex.
 
     The first slot acts by alpha_* = D(t[0], 1) and the last by
     beta^* = D(1, t[-1]); in degree 0 these are D(x, 1) and D(1, x) on
-    the group of the identity.
+    the group of the identity.  ``nerves``, when given, is the pair of
+    degree-n and degree-(n+1) nerves.
     """
+    if nerves is None:
+        nerves = (nerve(S, n, "zero"), nerve(S, n + 1, "zero"))
     return assemble_coboundary(
         S,
-        n,
-        "zero",
+        *nerves,
         lambda t: D.groups[_object(S, t)],
         lambda t: D.left_map(t[0], _object(S, t[1:])),
         lambda t: D.right_map(t[-1], _object(S, t[:-1])),
@@ -258,11 +260,12 @@ def natsys_cohomology(S, D, n):
     """H^n of the cochain complex of a natural system (n <= 3)."""
     if n > NATSYS_DEGREE_CAP:
         raise CapExceeded("degree", n, NATSYS_DEGREE_CAP)
-    d_out = natsys_coboundary_hom(S, D, n)
+    tuples = nerve(S, n, "zero")
+    d_out = natsys_coboundary_hom(S, D, n, (tuples, nerve(S, n + 1, "zero")))
     if n == 0:
-        d_in = GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
+        d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
     else:
-        d_in = natsys_coboundary_hom(S, D, n - 1)
+        d_in = natsys_coboundary_hom(S, D, n - 1, (nerve(S, n - 1, "zero"), tuples))
     return complex_homology(d_in, d_out).group
 
 
@@ -466,7 +469,7 @@ def hom_complex_compare(S, D, n_max=2):
 
     generators = [(x, e) for x in range(S.order)] + [(e, x) for x in range(S.order)]
     nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
-    deltas = [natsys_coboundary_hom(S, D, n) for n in range(n_max + 1)]
+    deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
     hom_mats = []
     for n in range(n_max + 1):
         B = levels[n]
@@ -488,7 +491,7 @@ def hom_complex_compare(S, D, n_max=2):
         src, src_off = _tuple_group(D, nerves[n])
         dst, dst_off = _tuple_group(D, nerves[n + 1])
         pos = dict(zip(nerves[n], src_off))
-        mat = IntMatrix(dst.rank, src.rank)
+        cols = [{} for _ in range(src.rank)]
         for t, r0 in zip(nerves[n + 1], dst_off):
             group = D.groups[S.mul_word(t)]
             sym = _normalized_symbol(S, t)
@@ -504,7 +507,9 @@ def hom_complex_compare(S, D, n_max=2):
                 sign = -sign
             for c, col in acc.items():
                 for r, x in enumerate(group.reduce(col)):
-                    mat.a[r0 + r][c] = x
+                    if x:
+                        cols[c][r0 + r] = x
+        mat = SparseMatrix(dst.rank, cols)
         if not same_map(deltas[n].target, mat, deltas[n].matrix):
             report["differentials"] = False
         hom_mats.append(GroupHom(src, dst, mat))
@@ -514,7 +519,7 @@ def hom_complex_compare(S, D, n_max=2):
     if not (report["forcing"] and report["naturality"] and report["differentials"]):
         report["ok"] = False
         return report
-    d_zero = GroupHom(FinAbGroup(()), hom_mats[0].source, IntMatrix(hom_mats[0].source.rank, 0))
+    d_zero = GroupHom(FinAbGroup(()), hom_mats[0].source, SparseMatrix(hom_mats[0].source.rank, []))
     for n in range(n_max + 1):
         d_in = hom_mats[n - 1] if n else d_zero
         report["groups"].append(complex_homology(d_in, hom_mats[n]).group.invariants())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
-from .errors import CapExceeded, CertificateError, DivisionUndefined, UncertifiedInput
+from .errors import CapExceeded, CertificateError, CoefficientMismatch, DivisionUndefined, UncertifiedInput
 from .presentations import enumerate_presentation, parse_presentation
 from .schur import validate_factor_set
 from .semigroups import (
@@ -321,6 +321,11 @@ def exel_monoid(G):
 
 
 def _verify_exel(model):
+    """Check the Exel relations, the stored factorizations and the identity.
+
+    A failure raises CertificateError with the offending pair, element or
+    factorization as witness.
+    """
     G = model.group
     S = model.semigroup
     f = model.f_map
@@ -331,21 +336,27 @@ def _verify_exel(model):
             # [x^-1][x][y] = [x^-1][xy]
             lhs = S.mul(S.mul(f[inv[x]], f[x]), f[y])
             rhs = S.mul(f[inv[x]], f[G.mul(x, y)])
-            assert lhs == rhs
+            if lhs != rhs:
+                raise CertificateError((x, y), "[x^-1][x][y] != [x^-1][xy]")
             # [x][y][y^-1] = [xy][y^-1]
             lhs = S.mul(S.mul(f[x], f[y]), f[inv[y]])
             rhs = S.mul(f[G.mul(x, y)], f[inv[y]])
-            assert lhs == rhs
-        assert S.mul(f[x], f[e]) == f[x]
-        assert S.mul(f[e], f[x]) == f[x]
+            if lhs != rhs:
+                raise CertificateError((x, y), "[x][y][y^-1] != [xy][y^-1]")
+        if S.mul(f[x], f[e]) != f[x]:
+            raise CertificateError(x, "[x][e] != [x]")
+        if S.mul(f[e], f[x]) != f[x]:
+            raise CertificateError(x, "[e][x] != [x]")
     # generation and the stored factorizations
     for idx, word in enumerate(model.factorizations):
         acc = f[word[0]]
         for a in word[1:]:
             acc = S.mul(acc, f[a])
-        assert acc == idx
+        if acc != idx:
+            raise CertificateError((idx, word), "stored factorization evaluates elsewhere")
     # identity of the monoid is f(e)
-    assert S.identity == f[e]
+    if S.identity != f[e]:
+        raise CertificateError(S.identity, "the monoid identity is not [e]")
 
 
 def exel_matches_presentation(G):
@@ -443,7 +454,8 @@ def pfactor_product(s1, s2):
     """Pointwise product of certified factor sets (zero absorbing)."""
     if s1.provenance is None or s2.provenance is None:
         raise UncertifiedInput("refusing to multiply uncertified factor sets")
-    assert s1.coeff.factors == s2.coeff.factors
+    if s1.coeff.factors != s2.coeff.factors:
+        raise CoefficientMismatch(s1.coeff, s2.coeff)
     A = s1.coeff
     values = {}
     for p, v in s1.values.items():

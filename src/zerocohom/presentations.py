@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     GeneratorIsZero,
     MissingZero,
     PresentationSyntaxError,
@@ -138,8 +139,25 @@ def format_presentation(P):
 
 @dataclass(frozen=True)
 class Truncated:
+    """An enumeration that stopped at a limit before it finished.
+
+    ``limit`` names the limit that stopped it: "bound" when the presented
+    object has more than ``bound`` elements, "node budget" when the word
+    graph outgrew ``node_budget`` nodes before it closed; the element
+    count is then unknown.  ``discovered`` lists the normal forms found:
+    for a node-budget stop these are the words of the graph's classes at
+    the stop, which later merges could still identify.
+    """
+
     discovered: tuple
     bound: int
+    limit: str = "bound"
+    node_budget: int = None
+
+    @property
+    def found(self):
+        """How many normal forms the enumeration found before it stopped."""
+        return len(self.discovered)
 
 
 @dataclass(frozen=True)
@@ -245,7 +263,8 @@ def enumerate_presentation(P, bound, mode="semigroup"):
         for g in range(ngens):
             rels.append(((g, zero_gen), (zero_gen,)))
             rels.append(((zero_gen, g), (zero_gen,)))
-    graph = _Graph(ngens, max(2000, 60 * (bound + 2)))
+    budget = max(2000, 60 * (bound + 2))
+    graph = _Graph(ngens, budget)
     try:
         # sweep over nodes in creation order, processing nodes created
         # mid-sweep too; a full sweep without merges means the graph is
@@ -269,7 +288,7 @@ def enumerate_presentation(P, bound, mode="semigroup"):
             if not merged_any:
                 break
     except _Budget:
-        return Truncated(_partial_words(graph, P, mode, zero_gen), bound)
+        return Truncated(_partial_words(graph, P, mode, zero_gen), bound, "node budget", budget)
 
     # canonical BFS order and normal forms
     rep = {graph.find(graph.root): ()}
@@ -283,8 +302,9 @@ def enumerate_presentation(P, bound, mode="semigroup"):
                 rep[t] = rep[node] + (g,)
                 order.append(t)
                 queue.append(t)
-    live = graph.live()
-    assert set(order) == set(live)
+    unreached = set(graph.live()) - set(order)
+    if unreached:
+        raise CertificateError(min(unreached), "word graph class not reached from the root")
     root_cls = graph.find(graph.root)
     if mode == "semigroup":
         elements = [x for x in order if x != root_cls]
@@ -309,7 +329,7 @@ def enumerate_presentation(P, bound, mode="semigroup"):
         for b in elements:
             prod = graph.trace(a, rep[b])
             if mode == "semigroup" and prod == root_cls:
-                raise AssertionError("product fell into the empty-word class")
+                raise CertificateError((rep[a], rep[b]), "product fell into the empty-word class")
             row.append(pos[prod])
         table.append(row)
     zero_name = None
@@ -406,7 +426,7 @@ class GownClasses:
         """Class of the product, or None when it leaves the length bound.
 
         All representative pairs must agree; disagreement would mean the
-        merge relation is not respected and raises AssertionError.
+        merge relation is not respected and raises CertificateError.
         """
         results = set()
         S = self.semigroup
@@ -421,7 +441,8 @@ class GownClasses:
                     results.add(self.class_of[seq])
         if not results:
             return None
-        assert len(results) == 1, "product not constant on merge classes"
+        if len(results) > 1:
+            raise CertificateError((c1, c2, sorted(results)), "product not constant on merge classes")
         return next(iter(results))
 
 

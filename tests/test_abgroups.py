@@ -415,6 +415,58 @@ def test_quotient_presentation_against_snf_twin():
                 assert solve_exact(mmat, back) is not None
     assert outside > 50 and inside > 50 and rejected == outside
 
+    # relations X given directly in K-coordinates, m = K X: unit-pivot
+    # heavy X, non-unit cores, zero relation columns and empty K, as
+    # dense or as sparse columns
+    seen = {"all units": 0, "core": 0, "zero column": 0, "empty K": 0}
+    for case in range(200):
+        dim = rng.randint(0, 6)
+        gens = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, dim + 1))]
+        K = lattice_basis(gens, dim) if dim else []
+        r = len(K)
+        xcols = []
+        for _ in range(rng.randint(0, 2 * r + 2)):
+            kind = rng.random()
+            if kind < 0.15:
+                x = [0] * r
+            elif kind < 0.7 and r:
+                x = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(r)]
+                x[rng.randrange(r)] = rng.choice((-1, 1))
+            else:
+                p = rng.choice((2, 3, 4))
+                x = [p * rng.randint(-2, 2) for _ in range(r)]
+            xcols.append(x)
+        m_cols = [[sum(x[k] * K[k][row] for k in range(r)) for row in range(dim)] for x in xcols]
+        if case % 2:
+            m_cols = [{row: y for row, y in enumerate(c) if y} for c in m_cols]
+        pres = QuotientPresentation(dim, K, m_cols)
+
+        X = IntMatrix.from_columns(xcols, r) if xcols else IntMatrix(r, 0)
+        diag = smith_normal_form(X)[0].diagonal()
+        expected = [d for d in diag if d != 1] + [0] * (r - len(diag))
+        assert list(pres.group.factors) == expected, (K, xcols)
+        k = len(pres.witnesses)
+        assert k == len(expected)
+        for i, w in enumerate(pres.witnesses):
+            assert pres.coords(w) == tuple(int(i == j) for j in range(k))
+        # a vector K y has the class of y: its coordinates re-embed to it
+        y = [rng.randint(-4, 4) for _ in range(r)]
+        v = [sum(y[j] * K[j][row] for j in range(r)) for row in range(dim)]
+        c = pres.coords(v)
+        back = [v[row] - sum(ci * w[row] for ci, w in zip(c, pres.witnesses)) for row in range(dim)]
+        mdense = [_dense_col(col, dim) for col in m_cols]
+        mmat = IntMatrix.from_columns(mdense, dim) if mdense else IntMatrix(dim, 0)
+        assert solve_exact(mmat, back) is not None
+        seen["all units"] += bool(xcols) and not expected
+        seen["core"] += any(d > 1 for d in expected)
+        seen["zero column"] += any(not any(x) for x in xcols)
+        seen["empty K"] += r == 0
+    assert all(v >= 10 for v in seen.values()), seen
+
+
+def _dense_col(c, dim):
+    return [c.get(i, 0) for i in range(dim)] if isinstance(c, dict) else list(c)
+
 
 def test_finite_invariants_from_orders():
     # direct check on C2 x C4 built by hand

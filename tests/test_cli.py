@@ -197,8 +197,22 @@ def test_enumerate_truncated_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert report is None
-    assert "cap exceeded: normal forms found (first: 1, a, aa, " in err
-    assert "exceeds cap 5" in err
+    # the free monoid never closes: the word graph's node budget stops it,
+    # and the report names that budget, not the element bound
+    assert "cap exceeded: word graph nodes (node budget reached with 2000 normal forms found, first: 1, a, aa, " in err
+    assert "2001 exceeds cap 2000" in err
+    assert "exceeds cap 5" not in err
+
+
+def test_enumerate_bound_stop_exit_code(tmp_path, capsys):
+    # prop3 presents 4 elements: the element bound 3 stops the enumeration
+    pres = tmp_path / "prop3.txt"
+    pres.write_text("gens: x y; rels: xy=y, xx=xxx; zeros: yx, yy")
+    code, report, err = run(capsys, ["enumerate", "--presentation", str(pres), "--bound", "3"])
+    assert code == 3
+    assert report is None
+    assert "cap exceeded: normal forms found (first: " in err
+    assert "4 exceeds cap 3" in err
 
 
 def test_gown_presentation(tmp_path, capsys):

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from zerocohom import catalog
-from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, same_map
 from zerocohom.cohomology import (
     Cochain,
     _brute_cocycles,
     brute_cohomology,
     coboundary,
+    coboundary_hom,
+    cochain_from_vector,
+    cochain_vector,
     cohomology_group,
     nerve,
     random_cochain,
@@ -435,3 +438,54 @@ def test_witnesses_generate_cohomology():
     # coordinates of the witnesses are the unit vectors
     coords = [H.coords(w, S, M) for w in H.witnesses]
     assert sorted(coords) == [(0, 1), (1, 0)]
+
+
+def _pointwise_matrix(S, M, n, variant):
+    """The degree-n coboundary as a dense IntMatrix, one column per unit cochain.
+
+    Built from the pointwise ``coboundary`` only, independently of the
+    sparse builder behind ``coboundary_hom``.
+    """
+    nerve_variant = "em" if variant == "em" else "zero"
+    k = M.group.rank
+    width = k * len(nerve(S, n, nerve_variant))
+    height = k * len(nerve(S, n + 1, nerve_variant))
+    cols = []
+    for j in range(width):
+        f = cochain_from_vector(S, M, n, nerve_variant, [int(i == j) for i in range(width)])
+        cols.append(cochain_vector(S, M, coboundary(M, f, variant), nerve_variant))
+    return IntMatrix.from_columns(cols, height) if cols else IntMatrix(height, 0)
+
+
+def test_sparse_coboundaries_against_dense_complexes():
+    # the sparse columns of coboundary_hom against a dense matrix built
+    # from the pointwise coboundary; complex_homology on both agrees
+    rng = random.Random(41)
+    semigroups = [nil4(), catalog.null_semigroup(2), catalog.mitchell_quotient(),
+                  adjoin(catalog.cyclic_group(2), "zero"), catalog.cyclic_group(2)]
+    groups = [FinAbGroup(f) for f in ((2,), (4,), (0,), (2, 3), (2, 2))]
+    for _ in range(40):
+        S = rng.choice(semigroups)
+        A = rng.choice(groups)
+        variant = "em" if not S.has_zero else rng.choice(("zero", "em", "bimodule"))
+        M = trivial_bimodule(S, A) if variant == "bimodule" else trivial_module(S, A)
+        n = rng.randint(0, 2)
+        d_out = coboundary_hom(S, M, n, variant)
+        assert isinstance(d_out.matrix, SparseMatrix)
+        dense_out = GroupHom(d_out.source, d_out.target, _pointwise_matrix(S, M, n, variant))
+        assert same_map(d_out.target, d_out.matrix, dense_out.matrix)
+        if n:
+            d_in = coboundary_hom(S, M, n - 1, variant)
+            dense_in = GroupHom(d_in.source, d_in.target, _pointwise_matrix(S, M, n - 1, variant))
+            assert same_map(d_in.target, d_in.matrix, dense_in.matrix)
+        else:
+            d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
+            dense_in = GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
+        H = complex_homology(d_in, d_out)
+        H_dense = complex_homology(dense_in, dense_out)
+        assert H.group.factors == H_dense.group.factors
+        assert H.group.factors == cohomology_group(S, M, n, variant).group.factors
+        for P in (H, H_dense):
+            k = len(P.witnesses)
+            for i, w in enumerate(P.witnesses):
+                assert P.coords(w) == tuple(int(i == j) for j in range(k))

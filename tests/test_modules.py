@@ -2,9 +2,11 @@ import pytest
 
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.cohomology import cohomology_group
 from zerocohom.errors import InvalidLabeling, InvalidModule, NotIdempotent
 from zerocohom.modules import (
     Bimodule,
+    ModuleViolation,
     ZeroModule,
     corner_module,
     ensure_valid,
@@ -191,6 +193,19 @@ def test_bimodule_validation():
     bad = Bimodule(S, A, left, {0: IntMatrix(1, 1, [[2]]), 1: one, 2: one})
     v = validate_module(bad)
     assert v is not None
+
+
+def test_bimodule_with_smaller_right_domain_is_a_violation():
+    # left on u, v, w and right on u only: a typed violation, not a KeyError
+    S = catalog.nil_square_semigroup()
+    A = FinAbGroup([2])
+    one = IntMatrix.identity(1)
+    B = Bimodule(S, A, {0: one, 1: one, 2: one}, {0: one})
+    v = validate_module(B)
+    assert v == ModuleViolation("right-missing", 1)
+    with pytest.raises(InvalidModule) as exc:
+        cohomology_group(S, B, 1, "bimodule")
+    assert exc.value.witness == 1
 
 
 def test_scalar_module():

@@ -331,9 +331,10 @@ def test_hom_complex_compare_reports_non_natural_map(side):
 def test_hom_complex_compare_reports_wrong_differential(monkeypatch):
     real = natsys.natsys_coboundary_hom
 
-    def corrupted(S, D, n):
-        delta = real(S, D, n)
-        delta.matrix.a[0][0] += 1
+    def corrupted(S, D, n, nerves=None):
+        delta = real(S, D, n, nerves)
+        col = delta.matrix.cols[0]
+        col[0] = col.get(0, 0) + 1
         return delta
 
     monkeypatch.setattr(natsys, "natsys_coboundary_hom", corrupted)

@@ -73,6 +73,55 @@ except CertificateError as exc:
     assert proc.stdout.startswith("CertificateError 19 ideal is not completely 0-simple"), proc.stdout
 
 
+def test_remaining_certificates_survive_optimize():
+    # under python -O: the Exel-model check, the coefficient check of
+    # pfactor_product and the product of gown merge classes still refuse
+    # bad input with typed errors that carry a witness
+    script = """
+from dataclasses import replace
+
+from zerocohom import catalog, partial
+from zerocohom.abgroups import FinAbGroup
+from zerocohom.errors import CertificateError, CoefficientMismatch
+from zerocohom.presentations import GownClasses
+
+G = catalog.cyclic_group(2)
+model = partial.exel_monoid(G)
+words = model.factorizations
+try:
+    partial._verify_exel(replace(model, factorizations=words[1:] + words[:1]))
+except CertificateError as exc:
+    print("CertificateError", exc.witness[0])
+support = frozenset((x, y) for x in range(2) for y in range(2))
+try:
+    partial.pfactor_product(
+        partial.idempotent_pfactor(G, support, FinAbGroup([2])),
+        partial.idempotent_pfactor(G, support, FinAbGroup([3])),
+    )
+except CoefficientMismatch as exc:
+    print("CoefficientMismatch", [A.factors for A in exc.witness])
+S = catalog.null_semigroup(2)
+a, b = S.nonzero()
+classes = (frozenset({(a,), (b,)}), frozenset({(a, a), (a, b)}), frozenset({(b, a), (b, b)}))
+class_of = {seq: k for k, c in enumerate(classes) for seq in c}
+try:
+    GownClasses(S, 2, classes, class_of).multiply(0, 0)
+except CertificateError as exc:
+    print("CertificateError", exc.witness)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "CertificateError 0",
+        "CoefficientMismatch [(2,), (3,)]",
+        "CertificateError (0, 0, [1, 2])",
+    ], proc.stdout
+
+
 def test_t_action_satisfies_relations():
     for G in (catalog.cyclic_group(2), catalog.cyclic_group(3), catalog.symmetric_group_3()):
         rep = t_action_relation_report(G)

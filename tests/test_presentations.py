@@ -88,6 +88,14 @@ def test_enumerate_free_monoid_truncates():
     T = enumerate_presentation(P, bound=5, mode="monoid")
     assert isinstance(T, Truncated)
     assert "a" in T.discovered
+    assert (T.limit, T.node_budget, T.found) == ("node budget", 2000, len(T.discovered))
+
+
+def test_enumerate_bound_stop_records_the_bound():
+    P = parse_presentation("gens: x y; rels: xy=y, xx=xxx; zeros: yx, yy")
+    T = enumerate_presentation(P, bound=3)
+    assert isinstance(T, Truncated)
+    assert (T.limit, T.bound, T.found) == ("bound", 3, 4)
 
 
 def test_enumerate_mitchell_quotient():
