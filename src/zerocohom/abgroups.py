@@ -5,8 +5,7 @@ coefficient growth is harmless.  Groups are presented as lists of cyclic
 orders d_i >= 0 where 0 stands for an infinite cyclic factor; elements
 are integer vectors with coordinate i taken mod d_i.
 
->>> D, U, V = smith_triple([[2, 4], [6, 8]])
->>> D.diagonal()
+>>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))[0].diagonal()
 [2, 4]
 >>> FinAbGroup([2, 3]).invariants()
 (6,)
@@ -327,20 +326,6 @@ def _xgcd(m, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def smith_triple(rows):
-    """Convenience wrapper taking a list of rows, returning (D, U, V).
-
-    >>> D, U, V = smith_triple([[1, 0], [0, 1]])
-    >>> D.diagonal()
-    [1, 1]
-    >>> smith_triple([[0, 0], [0, 0]])[0].diagonal()
-    [0, 0]
-    """
-    M = IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0)
-    D, U, V, _ = smith_normal_form(M)
-    return D, U, V
 
 
 def solve_exact(M, b):

@@ -104,11 +104,12 @@ def _cochain_on(M, n, tuples, vec):
 
 
 def cochain_vector(S, M, f, variant):
-    tuples = nerve(S, f.degree, variant)
-    out = []
-    for t in tuples:
-        out.extend(M.group.reduce(f.values[t]))
-    return out
+    return _vector_on(M, f, nerve(S, f.degree, variant))
+
+
+def _vector_on(M, f, tuples):
+    """The coefficient vector of f, one block per tuple in order."""
+    return [x for t in tuples for x in M.group.reduce(f.values[t])]
 
 
 def random_cochain(rng, S, M, n, variant="zero"):
@@ -126,8 +127,7 @@ def coboundary(M, f, variant="zero"):
     if set(f.values) != expected:
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
     bimod = variant == "bimodule"
-    nerve_variant = "em" if variant == "em" else "zero"
-    out = {t: _coboundary_at(M, f.values, t, bimod) for t in nerve(S, n + 1, nerve_variant)}
+    out = {t: _coboundary_at(M, f.values, t, bimod) for t in nerve(S, n + 1, variant)}
     return Cochain(n + 1, out)
 
 
@@ -217,8 +217,7 @@ def coboundary_hom(S, M, n, variant="zero", nerves=None):
     else:
         last = lambda t: one
     if nerves is None:
-        nerve_variant = "em" if variant == "em" else "zero"
-        nerves = (nerve(S, n, nerve_variant), nerve(S, n + 1, nerve_variant))
+        nerves = (nerve(S, n, variant), nerve(S, n + 1, variant))
     return assemble_coboundary(S, *nerves, lambda t: A, lambda t: M.matrix(t[0]), last)
 
 
@@ -231,7 +230,7 @@ class CohomologyResult:
     variant: str
 
     def coords(self, f, S, M):
-        vec = cochain_vector(S, M, f, "em" if self.variant == "em" else "zero")
+        vec = cochain_vector(S, M, f, self.variant)
         return self.homology.coords(vec)
 
 
@@ -267,13 +266,12 @@ def cohomology_group(S, M, n, variant="zero"):
     if n < 0:
         raise DegreeMismatch("negative degree")
     _check_module_for_variant(S, M, variant)
-    nerve_variant = "em" if variant == "em" else "zero"
-    tuples = nerve(S, n, nerve_variant)
-    d_out = coboundary_hom(S, M, n, variant, (tuples, nerve(S, n + 1, nerve_variant)))
+    tuples = nerve(S, n, variant)
+    d_out = coboundary_hom(S, M, n, variant, (tuples, nerve(S, n + 1, variant)))
     if n == 0:
         d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
     else:
-        d_in = coboundary_hom(S, M, n - 1, variant, (nerve(S, n - 1, nerve_variant), tuples))
+        d_in = coboundary_hom(S, M, n - 1, variant, (nerve(S, n - 1, variant), tuples))
     H = complex_homology(d_in, d_out)
     witnesses = [_cochain_on(M, n, tuples, w) for w in H.witnesses]
     return CohomologyResult(H.group, witnesses, H, tuples, variant)
@@ -301,12 +299,12 @@ def coboundary_preimage(S, M, f, variant="zero"):
     n = f.degree
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
-    nerve_variant = "em" if variant == "em" else "zero"
-    d_prev = coboundary_hom(S, M, n - 1, variant)
-    x = solve_mod(d_prev.matrix, cochain_vector(S, M, f, nerve_variant), d_prev.target.factors)
+    prev, tuples = nerve(S, n - 1, variant), nerve(S, n, variant)
+    d_prev = coboundary_hom(S, M, n - 1, variant, (prev, tuples))
+    x = solve_mod(d_prev.matrix, _vector_on(M, f, tuples), d_prev.target.factors)
     if x is None:
         return (False, None)
-    return (True, cochain_from_vector(S, M, n - 1, nerve_variant, x))
+    return (True, _cochain_on(M, n - 1, prev, x))
 
 
 def brute_cohomology(S, M, n, variant="zero"):
@@ -319,23 +317,22 @@ def brute_cohomology(S, M, n, variant="zero"):
     A = M.group
     if A.order() is None:
         raise CapExceeded(f"degree-{n} cochain count (infinite coefficients)", None, BRUTE_COCHAIN_CAP)
-    nerve_variant = "em" if variant == "em" else "zero"
-    tuples = nerve(S, n, nerve_variant)
+    tuples = nerve(S, n, variant)
     total = A.order() ** len(tuples)
     if total > BRUTE_COCHAIN_CAP:
         raise CapExceeded(f"degree-{n} cochain count", total, BRUTE_COCHAIN_CAP)
     elements = A.elements()
 
     def all_cochains(deg):
-        ts = nerve(S, deg, nerve_variant)
+        ts = nerve(S, deg, variant)
         for combo in product(elements, repeat=len(ts)):
             yield Cochain(deg, dict(zip(ts, combo)))
 
     cocycles = [tuple(sorted(f.values.items())) for f in _brute_cocycles(S, M, n, variant)]
     if n == 0:
-        boundaries = {tuple(sorted(zero_cochain(S, M, n, nerve_variant).values.items()))}
+        boundaries = {tuple(sorted(zero_cochain(S, M, n, variant).values.items()))}
     else:
-        prev_total = A.order() ** len(nerve(S, n - 1, nerve_variant))
+        prev_total = A.order() ** len(nerve(S, n - 1, variant))
         if prev_total > BRUTE_COCHAIN_CAP:
             raise CapExceeded(f"degree-{n - 1} cochain count", prev_total, BRUTE_COCHAIN_CAP)
         boundaries = set()
@@ -362,7 +359,7 @@ def brute_cohomology(S, M, n, variant="zero"):
     def add(c1, c2):
         return keys[add_cochains(reps[c1], reps[c2])]
 
-    zero_key = keys[tuple(sorted(zero_cochain(S, M, n, nerve_variant).values.items()))]
+    zero_key = keys[tuple(sorted(zero_cochain(S, M, n, variant).values.items()))]
     inv = finite_invariants_from_orders(list(range(len(reps))), add, zero_key)
     return FinAbGroup(inv)
 
@@ -376,12 +373,11 @@ def _brute_cocycles(S, M, n, variant):
     is fixed.  Every hit is re-checked with the full ``coboundary``.
     """
     elements = M.group.elements()
-    nerve_variant = "em" if variant == "em" else "zero"
     bimod = variant == "bimodule"
-    tuples = nerve(S, n, nerve_variant)
+    tuples = nerve(S, n, variant)
     pos = {t: i for i, t in enumerate(tuples)}
     checks = [[] for _ in tuples]
-    for t in nerve(S, n + 1, nerve_variant):
+    for t in nerve(S, n + 1, variant):
         faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]
         checks[max(pos[face] for face in faces)].append(t)
     values = {}

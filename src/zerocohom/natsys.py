@@ -19,11 +19,16 @@ from itertools import product
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import assemble_coboundary, cochain_group, nerve
+from .modules import trivial_module
 
 
 def _require_monoid_with_zero(S):
     if S.identity is None or S.zero is None:
         raise NotMonoidWithZero("need a monoid with zero")
+    if S.identity == S.zero:
+        raise NotMonoidWithZero(
+            "the identity is the zero: degree-0 cochains sit on the identity, which is not an object"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,20 +213,7 @@ def from_zero_module(M):
 
 def trivial_Z(S):
     """Every object gets Z; every morphism the identity."""
-    _require_monoid_with_zero(S)
-    Zgroup = FinAbGroup([0])
-    one = IntMatrix.identity(1)
-    groups = {a: Zgroup for a in S.nonzero()}
-    left = {}
-    right = {}
-    z = S.zero
-    for a in S.nonzero():
-        for alpha in range(S.order):
-            if S.mul(alpha, a) != z:
-                left[(alpha, a)] = one
-            if S.mul(a, alpha) != z:
-                right[(alpha, a)] = one
-    return natural_system(S, groups, left, right)
+    return from_zero_module(trivial_module(S, FinAbGroup([0])))
 
 
 NATSYS_DEGREE_CAP = 3
@@ -305,22 +297,37 @@ def bar_action(S, B, alpha, beta, a):
 
 
 def bar_boundary_matrix(S, B_n, B_prev, a):
-    """Matrix of the alternating face sum on the object a."""
-    rows = B_prev.rank(a)
-    cols = B_n.rank(a)
+    """The alternating face sum on the object a, as sparse columns."""
     tgt_index = {s: i for i, s in enumerate(B_prev.symbols[a])}
-    M = IntMatrix(rows, cols)
-    for j, s in enumerate(B_n.symbols[a]):
+    cols = []
+    for s in B_n.symbols[a]:
+        col = {}
         sign = 1
         for i in range(B_n.degree + 1):
-            merged = s[:i] + (S.mul(s[i], s[i + 1]),) + s[i + 2 :]
-            M.a[tgt_index[merged]][j] += sign
+            r = tgt_index[s[:i] + (S.mul(s[i], s[i + 1]),) + s[i + 2 :]]
+            col[r] = col.get(r, 0) + sign
             sign = -sign
-    return M
+        cols.append({r: x for r, x in col.items() if x})
+    return SparseMatrix(B_prev.rank(a), cols)
+
+
+@dataclass(frozen=True)
+class BarResolution:
+    """The bar systems B_0..B_{n_max} and the maps built on them.
+
+    ``boundaries[n, a]`` is the differential B_n(a) -> B_{n-1}(a) for
+    n >= 1; ``actions[n, a, alpha, beta]`` is the index map of
+    B_n(alpha, beta) on the symbols of a, for every generating morphism
+    (alpha, 1) or (1, beta) with alpha a beta nonzero.
+    """
+
+    levels: list
+    boundaries: dict
+    actions: dict
 
 
 def bar_resolution(S, n_max):
-    """Bar systems B_0..B_{n_max} with differentials and augmentation.
+    """Bar systems B_0..B_{n_max} with differentials and index maps.
 
     Verifies dd = 0 objectwise (``NotAComplex`` with witness (n, a)) and
     naturality of the differential with respect to the generating
@@ -332,37 +339,33 @@ def bar_resolution(S, n_max):
     levels = [bar_system(S, n) for n in range(n_max + 1)]
     z = S.zero
     e = S.identity
-    # the nonzeros of each column of each differential
-    cols = {}
+    boundaries = {}
     for n in range(1, n_max + 1):
         for a in S.nonzero():
-            M = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
-            cols[n, a] = [{i: x for i, x in enumerate(c) if x} for c in M.columns()]
-            if n >= 2:
-                for col in cols[n, a]:
-                    dd = {}
-                    for i, x in col.items():
-                        for k, y in cols[n - 1, a][i].items():
-                            dd[k] = dd.get(k, 0) + x * y
-                    if any(dd.values()):
-                        raise NotAComplex((n, a))
-    for n in range(1, n_max + 1):
+            d = boundaries[n, a] = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
+            if n >= 2 and any(boundaries[n - 1, a].mul(d).cols):
+                raise NotAComplex((n, a))
+    # dict.fromkeys keeps (1, 1) once, as a left generator
+    generators = dict.fromkeys([(g, e) for g in range(S.order)] + [(e, g) for g in range(S.order)])
+    actions = {}
+    for n, B in enumerate(levels):
         for a in S.nonzero():
-            for side, g in product(("left", "right"), range(S.order)):
-                alpha, beta = (g, e) if side == "left" else (e, g)
-                b = S.mul(S.mul(alpha, a), beta)
-                if b == z:
-                    continue
-                act_n = bar_action(S, levels[n], alpha, beta, a)
-                act_prev = bar_action(S, levels[n - 1], alpha, beta, a)
-                # boundary then act == act then boundary, column by column
-                for j, col in enumerate(cols[n, a]):
-                    via_b = {}
-                    for i, x in col.items():
-                        via_b[act_prev[i]] = via_b.get(act_prev[i], 0) + x
-                    if {i: x for i, x in via_b.items() if x} != cols[n, b][act_n[j]]:
-                        raise FunctorialityError((n, a, side, g))
-    return levels
+            for alpha, beta in generators:
+                if S.mul(S.mul(alpha, a), beta) != z:
+                    actions[n, a, alpha, beta] = bar_action(S, B, alpha, beta, a)
+    for (n, a, alpha, beta), act_n in actions.items():
+        if n == 0:
+            continue
+        b = S.mul(S.mul(alpha, a), beta)
+        act_prev = actions[n - 1, a, alpha, beta]
+        # boundary then act == act then boundary, column by column
+        for j, col in enumerate(boundaries[n, a].cols):
+            via_b = {}
+            for i, x in col.items():
+                via_b[act_prev[i]] = via_b.get(act_prev[i], 0) + x
+            if {i: x for i, x in via_b.items() if x} != boundaries[n, b].cols[act_n[j]]:
+                raise FunctorialityError((n, a, "left", alpha) if beta == e else (n, a, "right", beta))
+    return BarResolution(levels, boundaries, actions)
 
 
 def bar_exactness_report(S, n_max):
@@ -371,35 +374,14 @@ def bar_exactness_report(S, n_max):
     Returns {object: [invariants in degree 0, 1, ...]}; exactness means
     every entry is the empty tuple.
     """
-    levels = bar_resolution(S, n_max)
+    res = bar_resolution(S, n_max)
     report = {}
     for a in S.nonzero():
-        homs = []
+        free = [FinAbGroup([0] * B.rank(a)) for B in res.levels]
         # augmentation B_0(a) -> Z, every symbol to the generator
-        aug = GroupHom(
-            FinAbGroup([0] * levels[0].rank(a)),
-            FinAbGroup([0]),
-            IntMatrix(1, levels[0].rank(a), [[1] * levels[0].rank(a)]),
-        )
-        d1 = GroupHom(
-            FinAbGroup([0] * levels[1].rank(a)),
-            aug.source,
-            bar_boundary_matrix(S, levels[1], levels[0], a),
-        )
-        homs.append(complex_homology(d1, aug).group.invariants())
-        for n in range(1, n_max):
-            d_hi = GroupHom(
-                FinAbGroup([0] * levels[n + 1].rank(a)),
-                FinAbGroup([0] * levels[n].rank(a)),
-                bar_boundary_matrix(S, levels[n + 1], levels[n], a),
-            )
-            d_lo = GroupHom(
-                d_hi.target,
-                FinAbGroup([0] * levels[n - 1].rank(a)),
-                bar_boundary_matrix(S, levels[n], levels[n - 1], a),
-            )
-            homs.append(complex_homology(d_hi, d_lo).group.invariants())
-        report[a] = homs
+        maps = [GroupHom(free[0], FinAbGroup([0]), SparseMatrix(1, [{0: 1} for _ in range(free[0].rank)]))]
+        maps += [GroupHom(free[n], free[n - 1], res.boundaries[n, a]) for n in range(1, n_max + 1)]
+        report[a] = [complex_homology(maps[n + 1], maps[n]).group.invariants() for n in range(n_max)]
     return report
 
 
@@ -439,14 +421,12 @@ def hom_complex_compare(S, D, n_max=2):
     if n_max > NATSYS_DEGREE_CAP - 1:
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
-    levels = bar_resolution(S, n_max + 1)
-    e = S.identity
+    res = bar_resolution(S, n_max + 1)
     z = S.zero
     report = {"forcing": True, "naturality": True, "differentials": True, "groups": [], "ok": True}
 
     # forcing: unique normalized preimage
-    for n in range(n_max + 2):
-        B = levels[n]
+    for B in res.levels:
         for a in S.nonzero():
             for s in B.symbols[a]:
                 interior = s[1:-1]
@@ -461,32 +441,35 @@ def hom_complex_compare(S, D, n_max=2):
     # The unit cochain (t, j) vanishes off t, and the bar action keeps a
     # symbol's interior, so every check on a symbol whose interior is not
     # t reads 0 = 0.  eta[s][j] is the value on s of the unit cochain at
-    # (interior of s, j); only those values enter the checks below.
-    def unit_values(s):
-        obj = _object(S, s[1:-1])
-        rank = D.groups[obj].rank
-        return [D.apply(s[0], obj, s[-1], [int(i == j) for i in range(rank)]) for j in range(rank)]
+    # (interior of s, j): column j of D(s[0], interior, s[-1]), reduced in
+    # the group of the object of s.  Only those values enter the checks
+    # below.
+    levels = res.levels[: n_max + 1]
+    eta = {}
+    for B in levels:
+        for a in S.nonzero():
+            group = D.groups[a]
+            for s in B.symbols[a]:
+                M = D.morphism_matrix(s[0], _object(S, s[1:-1]), s[-1])
+                eta[s] = [group.reduce(c) for c in M.columns()]
 
-    generators = [(x, e) for x in range(S.order)] + [(e, x) for x in range(S.order)]
+    # naturality over the generating morphisms (alpha, 1) and (1, beta)
+    for (n, a, alpha, beta), act in res.actions.items():
+        if n > n_max:
+            continue
+        B = levels[n]
+        b = S.mul(S.mul(alpha, a), beta)
+        M = D.morphism_matrix(alpha, a, beta)
+        for si, s in enumerate(B.symbols[a]):
+            image = B.symbols[b][act[si]]
+            for lhs, val in zip(eta[image], eta[s]):
+                if lhs != D.groups[b].reduce(M.vec(val)):
+                    report["naturality"] = False
+
     nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
     deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
     hom_mats = []
     for n in range(n_max + 1):
-        B = levels[n]
-        eta = {s: unit_values(s) for a in S.nonzero() for s in B.symbols[a]}
-        # naturality over the generating morphisms (alpha, 1) and (1, beta)
-        for a in S.nonzero():
-            for alpha, beta in generators:
-                b = S.mul(S.mul(alpha, a), beta)
-                if b == z:
-                    continue
-                act = bar_action(S, B, alpha, beta, a)
-                for si, s in enumerate(B.symbols[a]):
-                    image = B.symbols[b][act[si]]
-                    for lhs, val in zip(eta[image], eta[s]):
-                        if lhs != D.apply(alpha, a, beta, val):
-                            report["naturality"] = False
-
         # eta |-> eta o (bar boundary) in normalized coordinates
         src, src_off = _tuple_group(D, nerves[n])
         dst, dst_off = _tuple_group(D, nerves[n + 1])

@@ -257,6 +257,16 @@ def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):
     assert "input error: negative degree" in err
 
 
+@pytest.mark.parametrize("command", ["natsys", "compare-thm14"])
+def test_identity_that_is_the_zero_is_input_error(tmp_path, command, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"elements": ["0"], "zero": "0", "table": [["0"]]}))
+    code, report, err = run(capsys, [command, "--semigroup", str(one), "--degree", "1"])
+    assert code == 2
+    assert report is None
+    assert "input error: the identity is the zero" in err
+
+
 def test_compare_cap_names_degree_and_cap(nil4m_path, capsys):
     code, report, err = run(capsys, ["compare-thm14", "--semigroup", nil4m_path, "--degree", "3"])
     assert code == 3

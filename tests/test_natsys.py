@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from zerocohom import catalog, natsys
-from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.abgroups import FinAbGroup, IntMatrix, SparseMatrix
 from zerocohom.cohomology import brute_cohomology, cohomology_group, nerve
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
 from zerocohom.modules import scalar_module, trivial_module, validate_module
@@ -68,6 +68,19 @@ def test_fac_category_missing_identity_raises():
     with pytest.raises(FunctorialityError) as info:
         _verify_category(broken)
     assert info.value.witness == ("missing-identity", u)
+
+
+def test_identity_that_is_the_zero_is_rejected():
+    # in {0} the identity is the zero: degree-0 cochains would sit on an
+    # element that is not an object
+    S = catalog.cyclic_group(1)
+    assert S.identity == S.zero
+    for call in (
+        lambda: natsys_cohomology(S, trivial_Z(S), 0),
+        lambda: hom_complex_compare(S, from_zero_module(trivial_module(S, FinAbGroup([2]))), 1),
+    ):
+        with pytest.raises(NotMonoidWithZero, match="the identity is the zero"):
+            call()
 
 
 def test_trivial_Z_and_from_zero_module():
@@ -225,7 +238,7 @@ real = ns.bar_boundary_matrix
 def corrupt(S, B_n, B_prev, a):
     M = real(S, B_n, B_prev, a)
     if B_n.degree == 1 and a == S.identity:
-        M.a[0][0] += 1
+        M.cols[0][0] = M.cols[0].get(0, 0) + 1
     return M
 
 ns.bar_boundary_matrix = corrupt
@@ -258,6 +271,53 @@ def test_bar_resolution_checks_right_naturality(monkeypatch):
     with pytest.raises(FunctorialityError) as exc:
         bar_resolution(S, 2)
     assert exc.value.witness[2] == "right"
+
+
+def test_bar_resolution_stores_fresh_maps():
+    # every stored differential and index map equals a fresh one on the
+    # same level, so a consumer reading them reads the right level
+    for S in small_monoids_with_zero():
+        res = bar_resolution(S, 3)
+        levels = [bar_system(S, n) for n in range(4)]
+        assert [B.symbols for B in res.levels] == [B.symbols for B in levels]
+        e = S.identity
+        objects = list(S.nonzero())
+        for n in range(1, 4):
+            for a in objects:
+                stored = res.boundaries[n, a]
+                fresh = natsys.bar_boundary_matrix(S, levels[n], levels[n - 1], a)
+                assert isinstance(stored, SparseMatrix)
+                assert (stored.m, stored.cols) == (fresh.m, fresh.cols)
+        assert len(res.boundaries) == 3 * len(objects)
+        actions = {
+            (n, a, alpha, beta): natsys.bar_action(S, B, alpha, beta, a)
+            for n, B in enumerate(levels)
+            for a in objects
+            for g in range(S.order)
+            for alpha, beta in ((g, e), (e, g))
+            if S.mul(S.mul(alpha, a), beta) != S.zero
+        }
+        assert res.actions == actions
+
+
+def test_hom_complex_compare_builds_each_bar_map_once(monkeypatch):
+    S, D = _c2_minus_one()
+    seen = []
+    real_boundary, real_action = natsys.bar_boundary_matrix, natsys.bar_action
+
+    def boundary(S_, B_n, B_prev, a):
+        seen.append(("boundary", B_n.degree, a))
+        return real_boundary(S_, B_n, B_prev, a)
+
+    def action(S_, B, alpha, beta, a):
+        seen.append(("action", B.degree, a, alpha, beta))
+        return real_action(S_, B, alpha, beta, a)
+
+    monkeypatch.setattr(natsys, "bar_boundary_matrix", boundary)
+    monkeypatch.setattr(natsys, "bar_action", action)
+    assert hom_complex_compare(S, D, 2)["ok"]
+    assert len(seen) == len(set(seen))
+    assert {k for k in seen if k[0] == "boundary"} == {("boundary", n, a) for n in (1, 2, 3) for a in S.nonzero()}
 
 
 def test_bar_exactness():
