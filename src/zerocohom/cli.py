@@ -296,7 +296,6 @@ def cmd_compare_thm14(args, inputs):
         D = trivial_Z(S)
     report = hom_complex_compare(S, D, args.degree)
     result = {
-        "forcing": report["forcing"],
         "naturality": report["naturality"],
         "differentials_equal": report["differentials"],
         "groups": [{"degree": i, "group": list(h)} for i, h in enumerate(report["groups"])],

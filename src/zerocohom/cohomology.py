@@ -90,10 +90,6 @@ def zero_cochain(S, M, n, variant="zero"):
     return Cochain(n, {t: zero for t in nerve(S, n, variant)})
 
 
-def cochain_from_vector(S, M, n, variant, vec):
-    return _cochain_on(M, n, nerve(S, n, variant), vec)
-
-
 def _cochain_on(M, n, tuples, vec):
     """The degree-n cochain with value vec[k*i : k*(i+1)] on tuples[i]."""
     k = M.group.rank

@@ -114,11 +114,6 @@ class NaturalSystem:
         ab = S.mul(a, beta)
         return self.left_map(alpha, ab).mul(self.right_map(beta, a))
 
-    def apply(self, alpha, a, beta, vec):
-        S = self.semigroup
-        target = S.mul(S.mul(alpha, a), beta)
-        return self.groups[target].reduce(self.morphism_matrix(alpha, a, beta).vec(list(vec)))
-
 
 def natural_system(S, groups, left, right):
     """Build and exhaustively validate a natural system."""
@@ -269,6 +264,7 @@ def natsys_cohomology(S, D, n):
 class BarSystem:
     degree: int
     symbols: dict = field(compare=False)  # object -> list of (n+2)-tuples
+    index: dict = field(compare=False)  # object -> {symbol: position in symbols}
 
     def rank(self, a):
         return len(self.symbols[a])
@@ -282,23 +278,19 @@ def bar_system(S, n):
         obj = S.mul_word(t)
         if obj != S.zero:
             symbols[obj].append(t)
-    return BarSystem(n, symbols)
+    index = {a: {s: i for i, s in enumerate(syms)} for a, syms in symbols.items()}
+    return BarSystem(n, symbols, index)
 
 
 def bar_action(S, B, alpha, beta, a):
     """Index map of B(alpha, beta): symbols of a -> symbols of alpha a beta."""
-    target = S.mul(S.mul(alpha, a), beta)
-    tgt_index = {s: i for i, s in enumerate(B.symbols[target])}
-    out = []
-    for s in B.symbols[a]:
-        image = (S.mul(alpha, s[0]),) + s[1:-1] + (S.mul(s[-1], beta),)
-        out.append(tgt_index[image])
-    return out
+    tgt_index = B.index[S.mul(S.mul(alpha, a), beta)]
+    return [tgt_index[(S.mul(alpha, s[0]),) + s[1:-1] + (S.mul(s[-1], beta),)] for s in B.symbols[a]]
 
 
 def bar_boundary_matrix(S, B_n, B_prev, a):
     """The alternating face sum on the object a, as sparse columns."""
-    tgt_index = {s: i for i, s in enumerate(B_prev.symbols[a])}
+    tgt_index = B_prev.index[a]
     cols = []
     for s in B_n.symbols[a]:
         col = {}
@@ -389,30 +381,29 @@ def bar_exactness_report(S, n_max):
 # the hom-complex comparison
 
 
-def _normalized_symbol(S, t):
-    e = S.identity
-    return (e,) + t + (e,)
-
-
 def hom_complex_compare(S, D, n_max=2):
     """Degreewise comparison of cochains with Hom(B_n, D).
 
-    For each degree n <= n_max this verifies, exhaustively:
+    A degree-n symbol [a_0..a_{n+1}] is the image of the normalized
+    symbol [1, a_1..a_n, 1] under the morphism (a_0, a_{n+1}), and its
+    interior a_1..a_n, a factor of a nonzero product, is a nerve tuple;
+    both follow from the monoid axioms.  So a natural transformation is
+    determined by its normalized values, which biject with cochains, and
+    the comparison works in normalized coordinates.  For each degree
+    n <= n_max it verifies, exhaustively:
 
-    * forcing: every degree-n symbol [a_0..a_{n+1}] is the image of the
-      normalized symbol [1, a_1..a_n, 1] under the morphism
-      (a_0, a_{n+1}), so a natural transformation is determined by its
-      normalized values, which biject with cochains;
-    * naturality: the extension of an arbitrary cochain by the forcing
-      formula is natural for all generating morphisms;
+    * naturality: the extension of an arbitrary cochain to all symbols
+      is natural for all generating morphisms;
     * differentials: the map eta |-> eta o (bar boundary), computed in
       normalized coordinates, equals the cochain coboundary matrix;
     * cohomology: ``groups`` lists the homology in each degree <= n_max.
       Once the differentials agree modulo the target, the two complexes
       are one, so one group per degree is computed, and only when the
-      three checks above hold: a D that is not natural leaves ``groups``
+      two checks above hold: a D that is not natural leaves ``groups``
       empty instead of failing in the homology.
 
+    Only B_0..B_{n_max} are built, and only after the coboundaries, so a
+    coboundary over its cap raises ``CapExceeded`` before any bar work.
     Returns a report dict; ``ok`` is the overall verdict.  A negative
     n_max raises ``DegreeMismatch``, one above the cap ``CapExceeded``.
     """
@@ -421,22 +412,11 @@ def hom_complex_compare(S, D, n_max=2):
     if n_max > NATSYS_DEGREE_CAP - 1:
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
-    res = bar_resolution(S, n_max + 1)
-    z = S.zero
-    report = {"forcing": True, "naturality": True, "differentials": True, "groups": [], "ok": True}
-
-    # forcing: unique normalized preimage
-    for B in res.levels:
-        for a in S.nonzero():
-            for s in B.symbols[a]:
-                interior = s[1:-1]
-                if interior and S.mul_word(interior) == z:
-                    report["forcing"] = False
-                norm = _normalized_symbol(S, interior)
-                alpha, beta = s[0], s[-1]
-                image = (S.mul(alpha, norm[0]),) + norm[1:-1] + (S.mul(norm[-1], beta),)
-                if image != s:
-                    report["forcing"] = False
+    nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
+    deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
+    res = bar_resolution(S, n_max)
+    e = S.identity
+    report = {"naturality": True, "differentials": True, "groups": [], "ok": True}
 
     # The unit cochain (t, j) vanishes off t, and the bar action keeps a
     # symbol's interior, so every check on a symbol whose interior is not
@@ -444,9 +424,8 @@ def hom_complex_compare(S, D, n_max=2):
     # (interior of s, j): column j of D(s[0], interior, s[-1]), reduced in
     # the group of the object of s.  Only those values enter the checks
     # below.
-    levels = res.levels[: n_max + 1]
     eta = {}
-    for B in levels:
+    for B in res.levels:
         for a in S.nonzero():
             group = D.groups[a]
             for s in B.symbols[a]:
@@ -455,9 +434,7 @@ def hom_complex_compare(S, D, n_max=2):
 
     # naturality over the generating morphisms (alpha, 1) and (1, beta)
     for (n, a, alpha, beta), act in res.actions.items():
-        if n > n_max:
-            continue
-        B = levels[n]
+        B = res.levels[n]
         b = S.mul(S.mul(alpha, a), beta)
         M = D.morphism_matrix(alpha, a, beta)
         for si, s in enumerate(B.symbols[a]):
@@ -466,8 +443,6 @@ def hom_complex_compare(S, D, n_max=2):
                 if lhs != D.groups[b].reduce(M.vec(val)):
                     report["naturality"] = False
 
-    nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
-    deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
     hom_mats = []
     for n in range(n_max + 1):
         # eta |-> eta o (bar boundary) in normalized coordinates
@@ -477,7 +452,7 @@ def hom_complex_compare(S, D, n_max=2):
         cols = [{} for _ in range(src.rank)]
         for t, r0 in zip(nerves[n + 1], dst_off):
             group = D.groups[S.mul_word(t)]
-            sym = _normalized_symbol(S, t)
+            sym = (e,) + t + (e,)
             acc = {}
             sign = 1
             for i in range(n + 2):
@@ -499,7 +474,7 @@ def hom_complex_compare(S, D, n_max=2):
 
     # cohomology only once the hom side is known to be the cochain
     # complex (else it may not be a complex at all)
-    if not (report["forcing"] and report["naturality"] and report["differentials"]):
+    if not (report["naturality"] and report["differentials"]):
         report["ok"] = False
         return report
     d_zero = GroupHom(FinAbGroup(()), hom_mats[0].source, SparseMatrix(hom_mats[0].source.rank, []))

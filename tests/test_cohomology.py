@@ -10,7 +10,6 @@ from zerocohom.cohomology import (
     brute_cohomology,
     coboundary,
     coboundary_hom,
-    cochain_from_vector,
     cochain_vector,
     cohomology_group,
     nerve,
@@ -446,14 +445,14 @@ def _pointwise_matrix(S, M, n, variant):
     Built from the pointwise ``coboundary`` only, independently of the
     sparse builder behind ``coboundary_hom``.
     """
-    nerve_variant = "em" if variant == "em" else "zero"
     k = M.group.rank
-    width = k * len(nerve(S, n, nerve_variant))
-    height = k * len(nerve(S, n + 1, nerve_variant))
+    height = k * len(nerve(S, n + 1, variant))
     cols = []
-    for j in range(width):
-        f = cochain_from_vector(S, M, n, nerve_variant, [int(i == j) for i in range(width)])
-        cols.append(cochain_vector(S, M, coboundary(M, f, variant), nerve_variant))
+    for t in nerve(S, n, variant):
+        for i in range(k):
+            f = zero_cochain(S, M, n, variant)
+            f.values[t] = M.group.reduce([int(r == i) for r in range(k)])
+            cols.append(cochain_vector(S, M, coboundary(M, f, variant), variant))
     return IntMatrix.from_columns(cols, height) if cols else IntMatrix(height, 0)
 
 

@@ -26,6 +26,7 @@ from zerocohom.natsys import (
     trivial_Z,
     validate_natural_system,
 )
+from zerocohom.partial import build_t_semigroup
 from zerocohom.presentations import enumerate_presentation, parse_presentation
 from zerocohom.semigroups import adjoin
 
@@ -93,7 +94,8 @@ def test_trivial_Z_and_from_zero_module():
     assert validate_natural_system(D2) is None
     # alpha_* beta^* a = alpha a
     u = S.index("u")
-    assert D2.apply(u, u, S.identity, (1,)) == (1,)
+    target = D2.group(S.mul(u, u))
+    assert target.reduce(D2.morphism_matrix(u, u, S.identity).vec([1])) == (1,)
 
 
 def test_from_zero_module_with_action():
@@ -257,6 +259,39 @@ except NotAComplex as exc:
     assert proc.stdout.strip() == "NotAComplex True"
 
 
+def test_bar_resolution_naturality_check_survives_optimize():
+    # under python -O: B(1, beta) permuted wrongly on one right generator
+    # must still raise FunctorialityError, so the check cannot rest on an
+    # assert
+    script = """
+import zerocohom.natsys as ns
+from zerocohom import catalog
+from zerocohom.errors import FunctorialityError
+from zerocohom.semigroups import adjoin
+
+real = ns.bar_action
+S = adjoin(catalog.nil_square_semigroup(), "identity")
+beta = S.index("u")
+
+def reversed_on_right(S_, B, alpha, beta_, a):
+    out = real(S_, B, alpha, beta_, a)
+    return out[::-1] if alpha == S_.identity and beta_ == beta else out
+
+ns.bar_action = reversed_on_right
+try:
+    ns.bar_resolution(S, 2)
+except FunctorialityError as exc:
+    print("FunctorialityError", exc.witness[2:] == ("right", beta))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "FunctorialityError True"
+
+
 def test_bar_resolution_checks_right_naturality(monkeypatch):
     # B(1, beta) permuted wrongly, B(alpha, 1) left intact: only the
     # right-hand naturality check can see it
@@ -303,7 +338,12 @@ def test_bar_resolution_stores_fresh_maps():
 def test_hom_complex_compare_builds_each_bar_map_once(monkeypatch):
     S, D = _c2_minus_one()
     seen = []
+    real_system = natsys.bar_system
     real_boundary, real_action = natsys.bar_boundary_matrix, natsys.bar_action
+
+    def system(S_, n):
+        seen.append(("system", n))
+        return real_system(S_, n)
 
     def boundary(S_, B_n, B_prev, a):
         seen.append(("boundary", B_n.degree, a))
@@ -313,11 +353,30 @@ def test_hom_complex_compare_builds_each_bar_map_once(monkeypatch):
         seen.append(("action", B.degree, a, alpha, beta))
         return real_action(S_, B, alpha, beta, a)
 
+    monkeypatch.setattr(natsys, "bar_system", system)
     monkeypatch.setattr(natsys, "bar_boundary_matrix", boundary)
     monkeypatch.setattr(natsys, "bar_action", action)
     assert hom_complex_compare(S, D, 2)["ok"]
     assert len(seen) == len(set(seen))
-    assert {k for k in seen if k[0] == "boundary"} == {("boundary", n, a) for n in (1, 2, 3) for a in S.nonzero()}
+    # B_3 is never built: the comparison reads B_0..B_{n_max} only
+    assert {k for k in seen if k[0] == "system"} == {("system", n) for n in (0, 1, 2)}
+    assert {k for k in seen if k[0] == "boundary"} == {("boundary", n, a) for n in (1, 2) for a in S.nonzero()}
+
+
+def test_hom_complex_compare_raises_cap_before_bar_work(monkeypatch):
+    # on T at degree 2 the 8640x468 coboundary is over the cell cap; the
+    # comparison must say so before it builds any bar system
+    T = build_t_semigroup().semigroup
+    D = from_zero_module(trivial_module(T, FinAbGroup([2])))
+
+    def no_bar_work(S_, n):
+        raise AssertionError("bar system built before the cap check")
+
+    monkeypatch.setattr(natsys, "bar_system", no_bar_work)
+    with pytest.raises(CapExceeded) as exc:
+        hom_complex_compare(T, D, 2)
+    assert exc.value.requested == 4043520
+    assert "8640x468" in exc.value.quantity
 
 
 def test_bar_exactness():
@@ -381,7 +440,6 @@ def test_hom_complex_compare_reports_non_natural_map(side):
     # naturality check sees it (it used to end in NotAComplex instead)
     S, D = _c2_minus_one()
     report = hom_complex_compare(S, _perturbed(D, side, (1, 0)), 2)
-    assert report["forcing"] is True
     assert report["naturality"] is False
     assert report["differentials"] is True
     assert report["groups"] == []
