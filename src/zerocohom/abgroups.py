@@ -119,7 +119,7 @@ class IntMatrix:
 class SparseMatrix:
     """Integer matrix kept as sparse {row: value} columns, zeros not stored.
 
-    The coboundary builders emit this form; ``_echelon``, the dd check of
+    The coboundary builders emit this form; ``_retire``, the dd check of
     ``complex_homology`` and ``same_map`` read the columns directly.
     """
 
@@ -352,15 +352,9 @@ def kernel_columns(M):
     return [V.col(j) for j in range(rank, M.n)]
 
 
-def _relation_columns(factors):
-    cols = []
-    k = len(factors)
-    for i, d in enumerate(factors):
-        if d:
-            c = [0] * k
-            c[i] = d
-            cols.append(c)
-    return cols
+def _relations(factors):
+    """The relation columns d*e_i, one sparse {i: d} for each finite factor d."""
+    return [{i: d} for i, d in enumerate(factors) if d]
 
 
 def _add_multiple(dst, c, src):
@@ -433,12 +427,12 @@ def _subtract(cols, hits, j, q, src):
             hits[r].discard(j)
 
 
-def _echelon(columns, m, target_factors):
-    """Sparse column echelon form of [M | diag(d)] over Z.
+def _retire(columns, m, target_factors):
+    """Sparse column echelon form of [M | diag(d)] over Z, one pivot at a time.
 
     M is given by its {row: value} ``columns`` (copied, not changed) and
-    its row count m; one column d*e_i joins them for every finite target
-    factor d.  Rows are eliminated in order: of the columns hitting the
+    its row count m; the relation columns of the finite target factors
+    join them.  Rows are eliminated in order: of the columns hitting the
     row, the one with the smallest |entry| (fewest nonzeros on ties) is
     the pivot, and the others are reduced against it by Euclid steps
     until a single column hits the row; that column is retired as the
@@ -446,21 +440,17 @@ def _echelon(columns, m, target_factors):
     of its column transform, also sparse; a relation column starts with
     an empty one.
 
-    Returns (pivots, kernel): ``pivots`` lists (row, column, transform)
-    in row order, each column zero above its row; ``kernel`` lists the
-    transforms of the columns that ended zero.
+    Yields (row, column, transform) for each pivot as it retires, in row
+    order, each column zero above its row, and drops it: a caller that
+    does not keep a pivot frees it.  Then yields (None, {}, transform)
+    for each column that ended zero; these transforms span the kernel.
     """
-    cols = [dict(c) for c in columns]
-    trans = [{j: 1} for j in range(len(cols))]
-    for i, d in enumerate(target_factors):
-        if d:
-            cols.append({i: d})
-            trans.append({})
+    cols = [dict(c) for c in columns] + _relations(target_factors)
+    trans = [{j: 1} if j < len(columns) else {} for j in range(len(cols))]
     hits = [set() for _ in range(m)]  # hits[r]: unretired columns nonzero in row r
     for j, c in enumerate(cols):
         for r in c:
             hits[r].add(j)
-    pivots = []
     for i in range(m):
         h = hits[i]
         while len(h) > 1:
@@ -473,20 +463,25 @@ def _echelon(columns, m, target_factors):
                 _add_multiple(trans[j], -q, tp)
         if h:
             (p,) = h
-            cp = cols[p]
+            cp, tp = cols[p], trans[p]
             for r in cp:
                 hits[r].discard(p)
-            pivots.append((i, cp, trans[p]))
-    kernel = [trans[j] for j, c in enumerate(cols) if not c]
-    return pivots, kernel
+            cols[p] = trans[p] = None
+            yield i, cp, tp
+        hits[i] = None  # no unretired column reaches a finished row
+    for c, t in zip(cols, trans):
+        if c == {}:
+            yield None, c, t
 
 
 def _substitute(pivots, b):
-    """Sparse x with M x = b (mod the factors), from ``_echelon``'s pivots.
+    """Sparse x with M x = b (mod the factors), from the pivots of ``_retire``.
 
-    b (dense or sparse) is forward-substituted through the pivots; the
-    answer is None when a pivot does not divide the residual in its row,
-    or when a residual is left over at the end.
+    b (dense or sparse) is forward-substituted through the pivots, which
+    may be read straight from ``_retire``: a kernel entry's row, None,
+    never holds a residual.  The answer is None when a pivot does not
+    divide the residual in its row, or when a residual is left over at
+    the end.
     """
     res = _sparse(b)
     x = {}
@@ -507,8 +502,7 @@ def solve_mod(M, b, target_factors):
 
     M is an IntMatrix or a SparseMatrix; b is dense or sparse.
     """
-    pivots, _ = _echelon(_columns(M), M.m, target_factors)
-    x = _substitute(pivots, b)
+    x = _substitute(_retire(_columns(M), M.m, target_factors), b)
     return None if x is None else _dense(x, M.n)
 
 
@@ -520,8 +514,7 @@ def kernel_mod(M, target_factors):
     coordinates is injective on the kernel of [M | diag(d)], since every
     relation column has d > 0.
     """
-    _, kernel = _echelon(_columns(M), M.m, target_factors)
-    return [_dense(t, M.n) for t in kernel]
+    return [_dense(t, M.n) for i, _, t in _retire(_columns(M), M.m, target_factors) if i is None]
 
 
 def lattice_basis(cols, dim):
@@ -724,35 +717,36 @@ def is_hom(source, target, M):
 class QuotientPresentation:
     """The group span(K)/span(M) inside Z^dim, with witness generators.
 
-    ``k_basis`` lists independent columns; every column of ``m_cols``
-    must lie in their span, else NotInSubgroup names the first one that
-    does not.  Columns may be dense lists or sparse {row: value} dicts.
-    ``witnesses`` are ambient vectors generating the quotient (one per
-    non-unit invariant factor, infinite factors last); ``coords(v)``
-    expresses an ambient vector v in span(K) as coefficients on the
-    witnesses, or returns None when v is not in span(K).
+    ``k_gens`` lists any columns that generate span(K), dependent or
+    not; every column of ``m_cols`` must lie in their span, else
+    NotInSubgroup names the first one that does not.  Columns may be
+    dense lists or sparse {row: value} dicts.  ``witnesses`` are ambient
+    vectors generating the quotient (one per non-unit invariant factor,
+    infinite factors last); ``coords(v)`` expresses an ambient vector v
+    in span(K) as coefficients on the witnesses, or returns None when v
+    is not in span(K).
 
-    K is factored once, here, on the sparse echelon engine; the
-    m-columns and every ``coords`` call forward-substitute through its
-    pivots, and since K's columns are independent the K-coordinates
-    found are the only ones.  The coordinates of the m-columns are the
-    relations X among the K-generators.  Their unit pivots go first
-    (``_unit_pivots``): each one substitutes a generator away.  A dense
-    Smith form is taken only of the non-unit core that is left, and not
-    at all when nothing is left.  Each row of ``_urows`` maps
-    K-coordinates to one witness coordinate: a kept row of the core's U,
-    with the substitutions folded in.
+    The K-generators are eliminated once, here, on the sparse echelon
+    engine.  The relations X among them are the kernel of that
+    elimination, followed by K-coordinates of the m-columns, found by
+    forward substitution through its pivots (as in every ``coords``
+    call); any such coordinates do, as they differ by the kernel.  The
+    unit pivots of X go first (``_unit_pivots``): each one substitutes a
+    generator away.  A dense Smith form is taken only of the non-unit
+    core that is left, and not at all when nothing is left.  Each row of
+    ``_urows`` maps K-coordinates to one witness coordinate: a kept row
+    of the core's U, with the substitutions folded in.
     """
 
     __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows")
 
-    def __init__(self, dim, k_basis, m_cols):
+    def __init__(self, dim, k_gens, m_cols):
         self.dim = dim
-        kcols = [_sparse(c) for c in k_basis]
+        kcols = [_sparse(c) for c in k_gens]
         r = len(kcols)
-        self._pivots, _ = _echelon(kcols, dim, ())
-        # coordinates of the m-generators in the K-basis
-        xcols = []
+        steps = list(_retire(kcols, dim, ()))
+        self._pivots = [s for s in steps if s[0] is not None]
+        xcols = [t for i, _, t in steps if i is None]
         for j, c in enumerate(m_cols):
             y = _substitute(self._pivots, c)
             if y is None:
@@ -862,9 +856,8 @@ def complex_homology(d_in, d_out):
     for j, c in enumerate(in_cols):
         if _reduced(_combine(out_cols, c), factors):
             raise NotAComplex(j)
-    _, K = _echelon(out_cols, d_out.target.rank, factors)
-    m_cols = in_cols + [{i: d} for i, d in enumerate(mid.factors) if d]
-    return QuotientPresentation(mid.rank, K, m_cols)
+    K = [t for i, _, t in _retire(out_cols, d_out.target.rank, factors) if i is None]
+    return QuotientPresentation(mid.rank, K, in_cols + _relations(mid.factors))
 
 
 def subgroup(group, gen_cols):
@@ -874,8 +867,8 @@ def subgroup(group, gen_cols):
     in the ambient coordinates and ``coords`` expresses an ambient
     vector in it (None when the vector lies outside).
     """
-    rel = _relation_columns(group.factors)
-    return QuotientPresentation(group.rank, lattice_basis(list(gen_cols) + rel, group.rank), rel)
+    rel = _relations(group.factors)
+    return QuotientPresentation(group.rank, list(gen_cols) + rel, rel)
 
 
 def finite_invariants_from_orders(cosets, add, zero):

@@ -72,6 +72,8 @@ def _require_field_order(q):
 
 def galois_group(n):
     """Z/n as the Galois group of GF(q^n)/GF(q), generated by Frobenius."""
+    if n < 1:
+        raise ValueError(f"extension degree n must be >= 1, got n = {n}")
     return cyclic_group(n)
 
 

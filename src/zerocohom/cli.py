@@ -90,6 +90,7 @@ def cochain_payload(S, f):
 
 
 def _semilattice_payload(sl, key_name):
+    # from_restrictions has checked that the links compose, or raised
     payload = {"component_count": len(sl.indices), "components": [], "links_compose": True}
     for k in sl.indices:
         payload["components"].append(
@@ -98,7 +99,6 @@ def _semilattice_payload(sl, key_name):
                 "group": group_payload(sl.components[k]),
             }
         )
-    payload["links_compose"] = sl.check_links_compose() is None
     return payload
 
 
@@ -266,34 +266,32 @@ def cmd_tsemigroup(args, inputs):
     }
 
 
-def cmd_natsys(args, inputs):
-    from .natsys import from_zero_module, natsys_cohomology, trivial_Z
+def _natural_system(args, inputs):
+    """The semigroup and its natural system: from --module, else trivial Z."""
+    from .natsys import from_zero_module, trivial_Z
 
     S = load_semigroup(args.semigroup)
     inputs[args.semigroup] = _digest(args.semigroup)
-    if args.module:
-        M = load_module(args.module, S)
-        inputs[args.module] = _digest(args.module)
-        D = from_zero_module(M)
-        coefficients = "zero-module"
-    else:
-        D = trivial_Z(S)
-        coefficients = "trivial-Z"
+    if not args.module:
+        return S, trivial_Z(S)
+    M = load_module(args.module, S)
+    inputs[args.module] = _digest(args.module)
+    return S, from_zero_module(M)
+
+
+def cmd_natsys(args, inputs):
+    from .natsys import natsys_cohomology
+
+    S, D = _natural_system(args, inputs)
     H = natsys_cohomology(S, D, args.degree)
+    coefficients = "zero-module" if args.module else "trivial-Z"
     return {"degree": args.degree, "coefficients": coefficients, "group": group_payload(H)}
 
 
 def cmd_compare_thm14(args, inputs):
-    from .natsys import from_zero_module, hom_complex_compare, trivial_Z
+    from .natsys import hom_complex_compare
 
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
-    if args.module:
-        M = load_module(args.module, S)
-        inputs[args.module] = _digest(args.module)
-        D = from_zero_module(M)
-    else:
-        D = trivial_Z(S)
+    S, D = _natural_system(args, inputs)
     report = hom_complex_compare(S, D, args.degree)
     result = {
         "naturality": report["naturality"],

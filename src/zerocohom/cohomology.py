@@ -226,8 +226,8 @@ class CohomologyResult:
     variant: str
 
     def coords(self, f, S, M):
-        vec = cochain_vector(S, M, f, self.variant)
-        return self.homology.coords(vec)
+        """The class of the cocycle f on the witnesses, read on the stored nerve."""
+        return self.homology.coords(_vector_on(M, f, self.tuples))
 
 
 def _check_module_for_variant(S, M, variant):

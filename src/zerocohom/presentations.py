@@ -474,6 +474,8 @@ def gown_sequences(S, length_bound):
     2) length drop at an interior position p: x_p = u * v with
        y_{p-1} = x_{p-1} * u and y_p = v * x_{p+1}.
     """
+    if length_bound < 1:
+        raise ValueError("length bound must be >= 1")
     if not S.has_zero:
         raise MissingZero("gown sequences need a zero")
     z = S.zero

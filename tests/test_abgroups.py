@@ -367,6 +367,59 @@ def test_quotient_presentation_rejects_relation_outside_subgroup():
     assert exc.value.witness == 1
 
 
+def test_quotient_presentation_over_any_generating_set():
+    # (1, 1) = (1, 0) + (0, 1): the relation among the generators is kept,
+    # so the quotient is C2 x Z, not C2 x Z x Z
+    pres = QuotientPresentation(2, [[1, 0], [0, 1], [1, 1]], [[2, 0]])
+    assert pres.group.invariants() == (2, 0)
+    assert [pres.coords(w) for w in pres.witnesses] == [(1, 0), (0, 1)]
+
+    # dependent generating sets (duplicates, integer combinations) against
+    # an independent basis of the same span, taken by the dense SNF twin
+    rng = random.Random(41)
+    outside = inside = 0
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        base = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, dim + 1))]
+        gens = list(base)
+        for _ in range(rng.randint(0, 3)):
+            if base and rng.random() < 0.4:
+                gens.append(list(rng.choice(base)))
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in base]
+                gens.append([sum(c * g[r] for c, g in zip(coeffs, base)) for r in range(dim)])
+        rng.shuffle(gens)
+        m_cols = []
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice((1, 2, 3, 4))
+            coeffs = [p * rng.randint(-2, 2) for _ in gens]
+            m_cols.append([sum(c * g[r] for c, g in zip(coeffs, gens)) for r in range(dim)])
+        pres = QuotientPresentation(dim, gens, m_cols)
+        twin = QuotientPresentation(dim, lattice_basis(gens, dim), m_cols)
+        assert pres.group.factors == twin.group.factors, (gens, m_cols)
+        k = len(pres.witnesses)
+        for i, w in enumerate(pres.witnesses):
+            assert pres.coords(w) == tuple(int(i == j) for j in range(k))
+
+        kmat = IntMatrix.from_columns(gens, dim) if gens else IntMatrix(dim, 0)
+        mmat = IntMatrix.from_columns(m_cols, dim) if m_cols else IntMatrix(dim, 0)
+        for _ in range(4):
+            if gens and rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in gens]
+                v = [sum(c * g[r] for c, g in zip(coeffs, gens)) for r in range(dim)]
+            else:
+                v = [rng.randint(-5, 5) for _ in range(dim)]
+            c = pres.coords(v)
+            assert (c is None) == (solve_exact(kmat, v) is None), (gens, v)
+            if c is None:
+                outside += 1
+            else:
+                inside += 1
+                back = [v[r] - sum(ci * w[r] for ci, w in zip(c, pres.witnesses)) for r in range(dim)]
+                assert solve_exact(mmat, back) is not None
+    assert outside > 50 and inside > 50
+
+
 def test_quotient_presentation_against_snf_twin():
     # K is factored on the sparse echelon engine; the dense SNF of K and of
     # the coordinate matrix, taken here, is the independent reference

@@ -469,7 +469,7 @@ def check_12():
         # stated formula: H^1 = A / {m : a m = 2 m}, a = the generator x
         A = M.group
         act = M.matrix(x)
-        from zerocohom.abgroups import QuotientPresentation, lattice_basis, _relation_columns
+        from zerocohom.abgroups import QuotientPresentation, lattice_basis, _relations
 
         k = A.rank
         eye = IntMatrix.identity(k)
@@ -478,7 +478,7 @@ def check_12():
 
         sub = kernel_mod(diff, A.factors)  # {m : (a - 2) m = 0}
         full = lattice_basis([[1 if i == j else 0 for i in range(k)] for j in range(k)], k)
-        pres = QuotientPresentation(k, full, sub + _relation_columns(A.factors))
+        pres = QuotientPresentation(k, full, sub + _relations(A.factors))
         formula = pres.group.invariants()
         h0 = cohomology_group(S, M, 0, "zero").group.invariants()
         h1 = cohomology_group(S, M, 1, "zero").group.invariants()

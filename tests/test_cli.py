@@ -139,6 +139,14 @@ def test_brauer_rejects_non_prime_power(capsys, q):
     assert f"q = {q} " in err and "prime power" in err
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_brauer_rejects_extension_degree_below_one(capsys, n):
+    code, report, err = run(capsys, ["brauer", "--q", "2", "--n", str(n)])
+    assert code == 2
+    assert report is None
+    assert f"input error: extension degree n must be >= 1, got n = {n}" in err
+
+
 def test_modifications(capsys):
     code, report, _ = run(capsys, ["modifications", "--group", "Z2"])
     assert code == 0
@@ -227,6 +235,14 @@ def test_gown_sequences(nil4_path, capsys):
     code, report, _ = run(capsys, ["gown", "--semigroup", nil4_path, "--bound", "2"])
     assert code == 0
     assert report["result"]["class_count"] >= 3
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_gown_sequences_rejects_bound_below_one(nil4_path, capsys, bound):
+    code, report, err = run(capsys, ["gown", "--semigroup", nil4_path, "--bound", str(bound)])
+    assert code == 2
+    assert report is None
+    assert "input error: length bound must be >= 1" in err
 
 
 def test_tsubsets(capsys):

@@ -1,0 +1,68 @@
+"""Source hygiene of the package, read with ``ast`` (stdlib only).
+
+Every imported name is used, and every private module-level function or
+class is referenced somewhere in the package outside its own definition:
+a helper that nothing calls any more fails here instead of lingering.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "zerocohom"
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(node):
+    """The names a node reads: bare names, attributes and from-imports."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def _exported(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            return {ast.literal_eval(e) for e in stmt.value.elts}
+    return set()
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                for a in n.names:
+                    bound = a.asname or a.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_every_private_helper_is_referenced():
+    trees = _modules()
+    # (module, top-level name or None, names read by that statement)
+    reads = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            reads.append((mod, getattr(stmt, "name", None), _referenced(stmt)))
+    dead = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in names and (m, owner) != (mod, name) for m, owner, names in reads):
+                dead.append(f"{mod}: {name}")
+    assert not dead, dead
