@@ -21,10 +21,11 @@ from itertools import product
 from math import isqrt
 
 from .catalog import cyclic_group
-from .cohomology import coboundary, cohomology_group, nerve
+from .cohomology import Cochain, coboundary, cohomology_group, nerve
 from .errors import CapExceeded, CertificateError, InvalidFieldOrder
 from .modules import galois_units_module
-from .semigroups import Semigroup, validate_table
+from .schur import SemilatticeOfGroups
+from .semigroups import Semigroup, is_ideal, predicates, units_of, validate_table
 
 MODIFICATION_CELL_CAP = 26  # free cells of the Galois group in enumerate_modifications
 WEAK_COCYCLE_CAP = 2_000_000  # candidates enumerate_weak_cocycles may scan
@@ -242,20 +243,12 @@ def enumerate_modifications(G):
 def modification_structure(mod):
     """(units, non_units, nilpotency_class or None, zero_cancellative)."""
     S = mod.semigroup
-    e = S.identity
-    units = [
-        x
-        for x in range(S.order)
-        if any(S.mul(x, y) == e and S.mul(y, x) == e for y in range(S.order))
-    ]
+    units = units_of(S)
     non_units = [x for x in range(S.order) if x not in units and x != S.zero]
     # is the complement (with 0) a nilpotent ideal?
     ideal = set(non_units) | {S.zero}
-    is_ideal = all(
-        S.mul(s, x) in ideal and S.mul(x, s) in ideal for x in ideal for s in range(S.order)
-    )
     nil_class = None
-    if is_ideal:
+    if is_ideal(S, ideal):
         power = set(ideal)
         k = 1
         while power != {S.zero} and k <= S.order + 1:
@@ -263,8 +256,6 @@ def modification_structure(mod):
             k += 1
         if power == {S.zero}:
             nil_class = k
-    from .semigroups import predicates
-
     p = predicates(S)
     return units, non_units, nil_class, p.zero_cancellative
 
@@ -285,8 +276,6 @@ def brauer_monoid(q, n):
     modification's nerve is a subset of that of any modification with
     fewer zeros, so tuples carry over unchanged.
     """
-    from .schur import SemilatticeOfGroups
-
     _require_field_order(q)
     mods = enumerate_modifications(galois_group(n))
     keys = [m.pattern for m in mods]
@@ -315,8 +304,6 @@ def weak_cocycle_to_zero_cocycle(f):
     values = {}
     for t in nerve(S, 2, "zero"):
         values[t] = (f.value(t[0], t[1]),)
-    from .cohomology import Cochain
-
     c = Cochain(2, values)
     dc = coboundary(M, c, "zero")
     bad = next((t for t, v in dc.values.items() if any(v)), None)

@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from .semigroups import adjoin, validate_table
+from .semigroups import adjoin, rees_matrix_semigroup, validate_table
 
 
 def cyclic_group(n):
@@ -89,8 +89,6 @@ def mitchell_quotient():
 
 def brandt_b2():
     """2x2 matrix-unit semigroup with zero (Brandt semigroup of order 5)."""
-    from .semigroups import rees_matrix_semigroup
-
     triv = cyclic_group(1)
     P = [[0, None], [None, 0]]
     return rees_matrix_semigroup(triv, 2, 2, P)

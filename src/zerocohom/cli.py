@@ -15,7 +15,7 @@ from . import __version__
 from .abgroups import FinAbGroup, IntMatrix
 from .catalog import named_group
 from .cohomology import brute_cohomology, cohomology_group
-from .errors import CapExceeded, InvalidModule, ZerocohomError
+from .errors import CapExceeded, InvalidModule, TableError, ZerocohomError
 from .modules import Bimodule, ZeroModule, trivial_module
 from .presentations import (
     Truncated,
@@ -33,29 +33,52 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def load_semigroup(path):
+def _read_object(path):
     with open(path) as fh:
         doc = json.load(fh)
-    return from_named_table(doc["elements"], doc["table"], doc.get("zero"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, not a {type(doc).__name__}")
+    return doc
+
+
+def _integers(values):
+    """True for a list of ints; JSON's true/false and floats are not ints here."""
+    return isinstance(values, list) and all(type(x) is int for x in values)
+
+
+def load_semigroup(path):
+    doc = _read_object(path)
+    elements, table = doc["elements"], doc["table"]
+    if not (isinstance(elements, list) and isinstance(table, list) and all(isinstance(r, list) for r in table)):
+        raise TableError("a semigroup needs a list of elements and a table given as a list of rows")
+    return from_named_table(elements, table, doc.get("zero"))
+
+
+def _coefficients(doc):
+    factors = doc["invariant_factors"]
+    if not _integers(factors):
+        raise InvalidModule(factors, "invariant_factors must be a list of integers")
+    return FinAbGroup(factors)
 
 
 def load_coefficients(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return FinAbGroup(doc["invariant_factors"])
+    return _coefficients(_read_object(path))
 
 
 def load_module(path, S):
-    with open(path) as fh:
-        doc = json.load(fh)
-    A = FinAbGroup(doc["invariant_factors"])
+    doc = _read_object(path)
+    A = _coefficients(doc)
     if "action" not in doc:
         return trivial_module(S, A)
     k = A.rank
 
     def read_action(field):
+        if not isinstance(doc[field], dict):
+            raise InvalidModule(doc[field], f"{field} must map element names to matrices")
         action = {}
         for name, rows in doc[field].items():
+            if not (isinstance(rows, list) and all(_integers(r) for r in rows)):
+                raise InvalidModule(name, f"{field} matrix must be a list of rows of integers")
             widths = {len(r) for r in rows} or {0}
             if len(rows) != k or widths != {k}:
                 if len(widths) == 1:

@@ -99,10 +99,6 @@ def _cochain_on(M, n, tuples, vec):
     return Cochain(n, values)
 
 
-def cochain_vector(S, M, f, variant):
-    return _vector_on(M, f, nerve(S, f.degree, variant))
-
-
 def _vector_on(M, f, tuples):
     """The coefficient vector of f, one block per tuple in order."""
     return [x for t in tuples for x in M.group.reduce(f.values[t])]

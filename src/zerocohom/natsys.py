@@ -14,7 +14,6 @@ derived-functor description at desk scale.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
@@ -274,10 +273,8 @@ def bar_system(S, n):
     """Objectwise free groups on the (n+2)-letter factorizations."""
     _require_monoid_with_zero(S)
     symbols = {a: [] for a in S.nonzero()}
-    for t in product(range(S.order), repeat=n + 2):
-        obj = S.mul_word(t)
-        if obj != S.zero:
-            symbols[obj].append(t)
+    for t in nerve(S, n + 2):
+        symbols[S.mul_word(t)].append(t)
     index = {a: {s: i for i, s in enumerate(syms)} for a, syms in symbols.items()}
     return BarSystem(n, symbols, index)
 

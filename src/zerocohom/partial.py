@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
 from .errors import CapExceeded, CertificateError, CoefficientMismatch, DivisionUndefined, UncertifiedInput
-from .presentations import enumerate_presentation, parse_presentation
-from .schur import validate_factor_set
+from .presentations import EnumeratedSemigroup, enumerate_presentation, parse_presentation
+from .schur import cocycle_failures, validate_factor_set
 from .semigroups import (
     c0s_decompose,
     group_inverses,
@@ -27,10 +27,12 @@ from .semigroups import (
     is_group,
     isomorphic_semigroups,
     subsemigroup,
+    union_closure,
+    units_of,
     validate_table,
 )
 
-T_ORBIT_CAP = 22  # <alpha, beta>-orbits of G x G in enumerate_t_subsets
+T_SUBSET_CAP = 65_536  # closed subsets of G x G found by enumerate_t_subsets
 EXEL_ORDER_CAP = 6  # |G| for exel_monoid
 
 T_PRESENTATION = (
@@ -58,19 +60,12 @@ def build_t_semigroup():
     a 3x3 sandwich matrix.
     """
     E = enumerate_presentation(parse_presentation(T_PRESENTATION), bound=40, mode="monoid")
-    from .presentations import EnumeratedSemigroup
-
     if not isinstance(E, EnumeratedSemigroup):
         raise CertificateError(type(E).__name__, "presentation did not close")
     S = E.semigroup
     if S.order != 25:
         raise CertificateError(S.order, "expected 25 elements")
-    e = S.identity
-    units = tuple(
-        x
-        for x in range(S.order)
-        if any(S.mul(x, y) == e and S.mul(y, x) == e for y in range(S.order))
-    )
+    units = units_of(S)
     if len(units) != 6:
         raise CertificateError(len(units), "expected 6 units")
     H, _ = subsemigroup(S, units)
@@ -126,51 +121,18 @@ def t_closure(G, pairs):
 
 
 def enumerate_t_subsets(G):
-    """All closed subsets of G x G, via the invertible-pair orbit digraph.
+    """All closed subsets of G x G, sorted by size then lexicographically.
 
-    alpha and beta act invertibly (both are involutions), so closed
-    subsets are unions of <alpha, beta>-orbits that are downward closed
-    under gamma-reachability; those order ideals are enumerated over the
-    orbit digraph.  Sorted by size then lexicographically.
+    A closed subset is the union of the closures of its pairs, so the
+    closed subsets are the unions of the single-pair closures.
     """
-    alpha, beta, gamma = t_maps(G)
     pairs = [(x, y) for x in range(G.order) for y in range(G.order)]
-    orbit_of = {}
-    orbits = []
-    for p in pairs:
-        if p in orbit_of:
-            continue
-        oid = len(orbits)
-        members = {p}
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            for m in (alpha, beta):
-                r = m(q)
-                if r not in members:
-                    members.add(r)
-                    stack.append(r)
-        for q in members:
-            orbit_of[q] = oid
-        orbits.append(frozenset(members))
-    if len(orbits) > T_ORBIT_CAP:
-        raise CapExceeded("pair orbit count", len(orbits), T_ORBIT_CAP)
-    # gamma sends orbits to orbits' members; record orbit dependencies
-    deps = [set() for _ in orbits]
-    for oid, members in enumerate(orbits):
-        for q in members:
-            deps[oid].add(orbit_of[gamma(q)])
-        deps[oid].discard(oid)
-    # subset scan over orbits with closure filter; the orbit count is
-    # small (capped), so 2^orbits is fine
-    n = len(orbits)
     out = []
-    for bits in range(2**n):
-        chosen = {o for o in range(n) if bits >> o & 1}
-        if all(deps[o] <= chosen for o in chosen):
-            out.append(frozenset().union(*(orbits[o] for o in chosen)) if chosen else frozenset())
-    out = sorted(set(out), key=lambda s: (len(s), sorted(s)))
-    return out
+    for X in union_closure({t_closure(G, {p}) for p in pairs}):
+        out.append(X)
+        if len(out) > T_SUBSET_CAP:
+            raise CapExceeded("closed subsets found", len(out), T_SUBSET_CAP)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -243,24 +205,7 @@ def cohomological_eq_check(sigma):
     the list is empty, but partial factor sets may fail at triples whose
     support pattern is mixed.
     """
-    G = sigma.group
-    A = sigma.coeff
-    failures = []
-    for x in range(G.order):
-        for y in range(G.order):
-            v_xy = sigma.value(x, y)
-            xy = G.mul(x, y)
-            for z in range(G.order):
-                lhs = None
-                if v_xy is not None and sigma.value(xy, z) is not None:
-                    lhs = A.add(v_xy, sigma.value(xy, z))
-                yz = G.mul(y, z)
-                rhs = None
-                if sigma.value(y, z) is not None and sigma.value(x, yz) is not None:
-                    rhs = A.add(sigma.value(x, yz), sigma.value(y, z))
-                if lhs != rhs:
-                    failures.append(((x, y, z), lhs, rhs))
-    return failures
+    return list(cocycle_failures(sigma.group, sigma.coeff, sigma.values))
 
 
 @dataclass(frozen=True)
@@ -323,39 +268,21 @@ def exel_monoid(G):
 def _verify_exel(model):
     """Check the Exel relations, the stored factorizations and the identity.
 
-    A failure raises CertificateError with the offending pair, element or
-    factorization as witness.
+    A failure raises CertificateError with the offending (law, x, y),
+    factorization or identity as witness.
     """
     G = model.group
     S = model.semigroup
     f = model.f_map
-    inv = group_inverses(G)
-    e = G.identity
-    for x in range(G.order):
-        for y in range(G.order):
-            # [x^-1][x][y] = [x^-1][xy]
-            lhs = S.mul(S.mul(f[inv[x]], f[x]), f[y])
-            rhs = S.mul(f[inv[x]], f[G.mul(x, y)])
-            if lhs != rhs:
-                raise CertificateError((x, y), "[x^-1][x][y] != [x^-1][xy]")
-            # [x][y][y^-1] = [xy][y^-1]
-            lhs = S.mul(S.mul(f[x], f[y]), f[inv[y]])
-            rhs = S.mul(f[G.mul(x, y)], f[inv[y]])
-            if lhs != rhs:
-                raise CertificateError((x, y), "[x][y][y^-1] != [xy][y^-1]")
-        if S.mul(f[x], f[e]) != f[x]:
-            raise CertificateError(x, "[x][e] != [x]")
-        if S.mul(f[e], f[x]) != f[x]:
-            raise CertificateError(x, "[e][x] != [x]")
+    bad = partial_hom_violations(G, S, f)
+    if bad is not None:
+        raise CertificateError(bad, "canonical map breaks a partial-homomorphism law")
     # generation and the stored factorizations
     for idx, word in enumerate(model.factorizations):
-        acc = f[word[0]]
-        for a in word[1:]:
-            acc = S.mul(acc, f[a])
-        if acc != idx:
+        if S.mul_word(f[a] for a in word) != idx:
             raise CertificateError((idx, word), "stored factorization evaluates elsewhere")
-    # identity of the monoid is f(e)
-    if S.identity != f[e]:
+    # identity of the monoid is f(e), so also [e][x] = [x]
+    if S.identity != f[G.identity]:
         raise CertificateError(S.identity, "the monoid identity is not [e]")
 
 
@@ -372,8 +299,6 @@ def exel_matches_presentation(G):
         rels.append(f"x{x} x{G.identity} = x{x}")
     text = f"gens: {gens}; rels: " + ", ".join(rels)
     E = enumerate_presentation(parse_presentation(text), bound=len(model.elements) + 4)
-    from .presentations import EnumeratedSemigroup
-
     if not isinstance(E, EnumeratedSemigroup):
         return False
     if E.semigroup.order != len(model.elements):
@@ -406,12 +331,7 @@ def induced_hom(model, S, phi):
     if partial_hom_violations(model.group, S, phi) is not None:
         return None
     T = model.semigroup
-    out = []
-    for word in model.factorizations:
-        acc = phi[word[0]]
-        for a in word[1:]:
-            acc = S.mul(acc, phi[a])
-        out.append(acc)
+    out = [S.mul_word(phi[a] for a in word) for word in model.factorizations]
     for i in range(T.order):
         for j in range(T.order):
             if S.mul(out[i], out[j]) != out[T.mul(i, j)]:

@@ -78,26 +78,35 @@ def validate_factor_set(rho):
     if S.identity is None:
         raise ValueError("factor sets are defined over monoids")
     one = S.identity
-    A = rho.group
     for x in range(S.order):
         for y in range(S.order):
             if (rho.value(x, y) is None) != (rho.value(one, S.mul(x, y)) is None):
                 return FactorSetViolation("normalization", (x, y))
+    bad = next(cocycle_failures(S, rho.group, rho.values), None)
+    return None if bad is None else FactorSetViolation("cocycle", bad[0])
+
+
+def cocycle_failures(S, A, values):
+    """Yield (triple, lhs, rhs) wherever the zero-absorbing cocycle law fails.
+
+    ``values`` maps the pairs of S to coefficient tuples or None (zero);
+    a side is None when one of its factors is zero.  Triples come in
+    lexicographic order.
+    """
     for x in range(S.order):
         for y in range(S.order):
-            v_xy = rho.value(x, y)
+            v_xy = values[x, y]
             xy = S.mul(x, y)
             for z in range(S.order):
                 lhs = None
-                if v_xy is not None and rho.value(xy, z) is not None:
-                    lhs = A.add(v_xy, rho.value(xy, z))
+                if v_xy is not None and values[xy, z] is not None:
+                    lhs = A.add(v_xy, values[xy, z])
                 yz = S.mul(y, z)
                 rhs = None
-                if rho.value(y, z) is not None and rho.value(x, yz) is not None:
-                    rhs = A.add(rho.value(x, yz), rho.value(y, z))
+                if values[y, z] is not None and values[x, yz] is not None:
+                    rhs = A.add(values[x, yz], values[y, z])
                 if lhs != rhs:
-                    return FactorSetViolation("cocycle", (x, y, z))
-    return None
+                    yield (x, y, z), lhs, rhs
 
 
 def fs_product(rho, sigma):

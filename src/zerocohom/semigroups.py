@@ -58,7 +58,10 @@ class Semigroup:
         return [i for i in range(self.order) if i != self.zero]
 
     def index(self, name):
-        return self.elements.index(name)
+        try:
+            return self.elements.index(name)
+        except ValueError:
+            raise TableError(f"unknown element {name!r}") from None
 
     def name(self, i):
         return self.elements[i]
@@ -98,6 +101,8 @@ def validate_table(elements, table, zero=None):
     table = tuple(tuple(row) for row in table)
     _check_associativity(table, n)
     if isinstance(zero, str):
+        if zero not in elements:
+            raise TableError(f"unknown zero element {zero!r}")
         zero = elements.index(zero)
     if zero is not None:
         for i in range(n):
@@ -117,8 +122,9 @@ def validate_table(elements, table, zero=None):
 
 
 def from_named_table(elements, name_table, zero_name=None):
-    """Build from a table whose entries are element names."""
+    """Build from a table whose entries (and the zero) are element names."""
     elements = [str(e) for e in elements]
+    zero_name = None if zero_name is None else str(zero_name)
     idx = {e: i for i, e in enumerate(elements)}
     try:
         table = [[idx[str(x)] for x in row] for row in name_table]
@@ -187,24 +193,33 @@ def principal_ideal(S, x):
     return frozenset(seen)
 
 
-def ideals(S):
-    """All two-sided ideals including the empty one, as frozensets.
+def union_closure(generators):
+    """Yield every union of the frozensets in ``generators``, each once.
 
-    Every ideal is a union of principal ideals, so we close the set of
-    principal ideals under union instead of scanning all subsets.
-    Sorted by size, then lexicographically on sorted indices.
+    The empty union comes first; the rest follow in discovery order.
     """
-    principals = {principal_ideal(S, x) for x in range(S.order)}
     found = {frozenset()}
     frontier = [frozenset()]
+    yield frozenset()
     while frontier:
         I = frontier.pop()
-        for P in principals:
+        for P in generators:
             J = I | P
             if J not in found:
                 found.add(J)
                 frontier.append(J)
-    return sorted(found, key=lambda I: (len(I), sorted(I)))
+                yield J
+
+
+def ideals(S):
+    """All two-sided ideals including the empty one, as frozensets.
+
+    Every ideal is a union of principal ideals, so the principal ideals
+    are closed under union instead of scanning all subsets.  Sorted by
+    size, then lexicographically on sorted indices.
+    """
+    principals = {principal_ideal(S, x) for x in range(S.order)}
+    return sorted(union_closure(principals), key=lambda I: (len(I), sorted(I)))
 
 
 def rees_quotient(S, ideal):
@@ -331,6 +346,14 @@ def is_group(S):
         if not any(S.table[x][y] == e and S.table[y][x] == e for y in range(S.order)):
             return False
     return True
+
+
+def units_of(S):
+    """The invertible elements of a monoid, in index order."""
+    e = S.identity
+    return tuple(
+        x for x in range(S.order) if any(S.mul(x, y) == e and S.mul(y, x) == e for y in range(S.order))
+    )
 
 
 def group_inverses(S):

@@ -322,6 +322,36 @@ def test_wrong_shape_action_is_input_error(tmp_path, nil4_path, flags):
     assert "input error: action matrix is 2x2, expected 1x1 (witness u)" in proc.stderr
 
 
+MALFORMED = {
+    "factors-not-a-list": ("module", {"invariant_factors": 5}, "invariant_factors must be a list of integers"),
+    "factor-float": ("module", {"invariant_factors": [2.7]}, "invariant_factors must be a list of integers"),
+    "factor-bool": ("module", {"invariant_factors": [True]}, "invariant_factors must be a list of integers"),
+    "action-entry": (
+        "module",
+        {"invariant_factors": [2], "action": {"u": [["x"]]}},
+        "action matrix must be a list of rows of integers (witness u)",
+    ),
+    "action-name": ("module", {"invariant_factors": [2], "action": {"q": [[1]]}}, "unknown element 'q'"),
+    "top-level-list": ("semigroup", [NIL4], "must hold a JSON object, not a list"),
+    "zero-name": ("semigroup", dict(NIL4, zero="z"), "unknown zero element 'z'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, nil4_path, case, capsys):
+    kind, doc, reason = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if kind == "module":
+        argv = ["cohom", "--semigroup", nil4_path, "--module", str(bad), "--degree", "2"]
+    else:
+        argv = ["validate", "--semigroup", str(bad)]
+    code, report, err = run(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.count("\n") == 1 and err.startswith("input error: ") and reason in err, err
+
+
 def test_module_roundtrip(tmp_path, nil4_path):
     moddoc = {
         "invariant_factors": [4],

@@ -10,7 +10,6 @@ from zerocohom.cohomology import (
     brute_cohomology,
     coboundary,
     coboundary_hom,
-    cochain_vector,
     cohomology_group,
     nerve,
     random_cochain,
@@ -446,13 +445,15 @@ def _pointwise_matrix(S, M, n, variant):
     sparse builder behind ``coboundary_hom``.
     """
     k = M.group.rank
-    height = k * len(nerve(S, n + 1, variant))
+    upper = nerve(S, n + 1, variant)
+    height = k * len(upper)
     cols = []
     for t in nerve(S, n, variant):
         for i in range(k):
             f = zero_cochain(S, M, n, variant)
             f.values[t] = M.group.reduce([int(r == i) for r in range(k)])
-            cols.append(cochain_vector(S, M, coboundary(M, f, variant), variant))
+            df = coboundary(M, f, variant)
+            cols.append([x for u in upper for x in M.group.reduce(df.values[u])])
     return IntMatrix.from_columns(cols, height) if cols else IntMatrix(height, 0)
 
 

@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast`` (stdlib only).
 
-Every imported name is used, and every private module-level function or
+Every imported name is used, every import of the package itself sits at
+module level (outside cli.py), and every private module-level function or
 class is referenced somewhere in the package outside its own definition:
 a helper that nothing calls any more fails here instead of lingering.
 """
@@ -66,3 +67,21 @@ def test_every_private_helper_is_referenced():
             if not any(name in names and (m, owner) != (mod, name) for m, owner, names in reads):
                 dead.append(f"{mod}: {name}")
     assert not dead, dead
+
+
+def _imports_package(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "zerocohom"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "zerocohom" for a in node.names)
+
+
+def test_package_imports_are_at_module_level():
+    # cli.py defers its imports to keep start-up fast
+    nested = set()
+    for name, tree in _modules().items():
+        if name == "cli.py":
+            continue
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(f"{name}:{n.lineno}" for n in ast.walk(fn) if _imports_package(n))
+    assert not nested, sorted(nested)

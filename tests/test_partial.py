@@ -2,12 +2,14 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from zerocohom import catalog
+from zerocohom import catalog, partial
 from zerocohom.abgroups import FinAbGroup
-from zerocohom.errors import UncertifiedInput
+from zerocohom.errors import CertificateError, UncertifiedInput
 from zerocohom.partial import (
     PFactorSet,
     build_t_semigroup,
@@ -122,6 +124,16 @@ except CertificateError as exc:
     ], proc.stdout
 
 
+def test_verify_exel_refuses_a_broken_relation_or_identity():
+    model = exel_monoid(catalog.cyclic_group(2))
+    with pytest.raises(CertificateError) as exc:
+        partial._verify_exel(replace(model, f_map=model.f_map[::-1]))
+    assert exc.value.witness == ("left", 0, 0)
+    with pytest.raises(CertificateError) as exc:
+        partial._verify_exel(replace(model, semigroup=replace(model.semigroup, identity=None)))
+    assert "the monoid identity is not [e]" in str(exc.value)
+
+
 def test_t_action_satisfies_relations():
     for G in (catalog.cyclic_group(2), catalog.cyclic_group(3), catalog.symmetric_group_3()):
         rep = t_action_relation_report(G)
@@ -138,20 +150,23 @@ def test_t_closure_z2():
     assert t_closure(G, {(e, e)}) == frozenset({(e, e)})
 
 
-def test_enumerate_t_subsets_z2():
-    G = catalog.cyclic_group(2)
+@pytest.mark.parametrize("name, count", [("Z2", 3), ("Z3", 4), ("V4", 10)], ids=["Z2", "Z3", "V4"])
+def test_enumerate_t_subsets_against_all_subsets(name, count):
+    # exhaustive oracle over all 2^(|G|^2) subsets, independent of the
+    # t_closure that the enumeration unions: a subset is closed when it is
+    # empty or its indicator passes the closure law of is_idempotent_pfactor
+    G = catalog.named_group(name)
     subsets = enumerate_t_subsets(G)
-    assert len(subsets) == 3
+    assert len(subsets) == count
     assert frozenset() in subsets
-    assert frozenset({(0, 0)}) in subsets
-    assert frozenset((x, y) for x in range(2) for y in range(2)) in subsets
-    # exhaustive oracle over all 16 subsets
+    assert frozenset({(G.identity, G.identity)}) in subsets
+    pairs = [(x, y) for x in range(G.order) for y in range(G.order)]
+    assert frozenset(pairs) in subsets
     brute = []
-    pairs = [(x, y) for x in range(2) for y in range(2)]
-    for bits in range(16):
-        sub = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-        if t_closure(G, sub) == sub:
-            brute.append(sub)
+    for bits in range(2 ** len(pairs)):
+        values = {p: () if bits >> i & 1 else None for i, p in enumerate(pairs)}
+        if not bits or is_idempotent_pfactor(G, values)[0]:
+            brute.append(frozenset(p for p, v in values.items() if v is not None))
     assert sorted(map(sorted, subsets)) == sorted(map(sorted, brute))
 
 
@@ -208,6 +223,17 @@ def test_order8_sigma_fails_cocycle_equation():
     assert len(hits) == 1
     triple, lhs, rhs = hits[0]
     assert lhs == () and rhs is None  # sides 1 versus 0
+
+    # every failing triple, in order, against the sides computed pointwise
+    def side(p, q):
+        return None if values[p] is None or values[q] is None else ()
+
+    expected = []
+    for x, y, z in product(range(8), repeat=3):
+        lhs, rhs = side((x, y), (G.mul(x, y), z)), side((x, G.mul(y, z)), (y, z))
+        if lhs != rhs:
+            expected.append(((x, y, z), lhs, rhs))
+    assert failures == expected
 
 
 def test_total_cocycle_has_no_failures():

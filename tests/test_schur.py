@@ -60,6 +60,16 @@ def test_normalization_violation():
     assert v is not None and v.kind == "normalization"
 
 
+def test_cocycle_violation_reports_first_triple():
+    # on Z2 with rho(1, g) = g and rho = 1 elsewhere the law first fails at (1, 1, g)
+    S = catalog.cyclic_group(2)
+    A = FinAbGroup([2])
+    values = {(x, y): (0,) for x in range(2) for y in range(2)}
+    values[(0, 1)] = (1,)
+    v = validate_factor_set(FactorSet(S, A, values))
+    assert (v.kind, v.witness) == ("cocycle", (0, 0, 1))
+
+
 def test_epsilon_product_is_union():
     S = adjoin(catalog.nil_square_semigroup(), "identity")
     A = FinAbGroup([3])
