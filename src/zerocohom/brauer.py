@@ -27,7 +27,7 @@ from .modules import galois_units_module
 from .schur import SemilatticeOfGroups
 from .semigroups import Semigroup, is_ideal, predicates, units_of, validate_table
 
-MODIFICATION_CELL_CAP = 26  # free cells of the Galois group in enumerate_modifications
+MODIFICATION_CAP = 4096  # modifications found by enumerate_modifications
 WEAK_COCYCLE_CAP = 2_000_000  # candidates enumerate_weak_cocycles may scan
 
 
@@ -78,11 +78,6 @@ def galois_group(n):
     return cyclic_group(n)
 
 
-def frobenius_power(G):
-    """Element index -> Frobenius exponent; G must be cyclic_group(n)."""
-    return {i: i for i in range(G.order)}
-
-
 @dataclass(frozen=True)
 class Modification:
     base: object  # the group
@@ -104,7 +99,6 @@ def validate_weak_cocycle(f):
     """
     G = f.group
     e = G.identity
-    powers = frobenius_power(G)
     for s in range(G.order):
         if f.value(e, s) != 0 or f.value(s, e) != 0:
             return ("normalization", s)
@@ -124,7 +118,7 @@ def validate_weak_cocycle(f):
                 if v3 is not None:
                     v4 = f.value(s, G.mul(t, w))
                     if v4 is not None:
-                        rhs = (_galois_act(f.q, f.n, powers[s], v3) + v4) % f.unit_order
+                        rhs = (_galois_act(f.q, f.n, s, v3) + v4) % f.unit_order
                 if lhs != rhs:
                     return ("associativity", (s, t, w))
     return None
@@ -133,7 +127,6 @@ def validate_weak_cocycle(f):
 def crossed_product_associative(f):
     """Direct oracle: multiply symbolic scalars through both bracketings."""
     G = f.group
-    powers = frobenius_power(G)
     order = f.unit_order
 
     def mul(pair1, pair2):
@@ -145,7 +138,7 @@ def crossed_product_associative(f):
         c = f.value(s, t)
         if c is None:
             return (None, G.mul(s, t))
-        return ((a + _galois_act(f.q, f.n, powers[s], b) + c) % order, G.mul(s, t))
+        return ((a + _galois_act(f.q, f.n, s, b) + c) % order, G.mul(s, t))
 
     for s in range(G.order):
         for t in range(G.order):
@@ -199,9 +192,13 @@ def enumerate_modifications(G):
     """
     n = G.order
     e = G.identity
+    # two nonzero free cells, the rest zero, form a modification when neither
+    # product is e or a coordinate of either cell: each of the m cells with
+    # xy != e pairs so with all but at most 4(n - 2) of the others
+    m = (n - 1) * (n - 2)
+    if (pairs := m * (m - 1 - 4 * (n - 2)) // 2) > MODIFICATION_CAP:
+        raise CapExceeded("modifications (lower bound)", pairs, MODIFICATION_CAP)
     free = [(x, y) for x in range(n) for y in range(n) if x != e and y != e]
-    if len(free) > MODIFICATION_CELL_CAP:
-        raise CapExceeded("free cell count", len(free), MODIFICATION_CELL_CAP)
     cell_pos = {c: i for i, c in enumerate(free)}
     # each triple (x, y, w) as the positions of its cells (x, y), (xy, w),
     # (y, w), (x, yw), None for a cell in the identity row or column, filed
@@ -225,6 +222,8 @@ def enumerate_modifications(G):
     def rec(assign, k):
         if k == len(free):
             patterns.append(frozenset(c for c, v in zip(free, assign) if not v))
+            if len(patterns) > MODIFICATION_CAP:
+                raise CapExceeded("modifications found", len(patterns), MODIFICATION_CAP)
             return
         for v in (True, False):
             assign.append(v)
@@ -262,8 +261,7 @@ def modification_structure(mod):
 
 def galois_module_for_modification(mod, q):
     n = mod.base.order
-    labeling = {i: i for i in range(n)}
-    return galois_units_module(q, n, mod.semigroup, labeling)
+    return galois_units_module(q, n, mod.semigroup, {i: i for i in range(n)})
 
 
 def brauer_monoid(q, n):
@@ -280,11 +278,12 @@ def brauer_monoid(q, n):
     mods = enumerate_modifications(galois_group(n))
     keys = [m.pattern for m in mods]
     # the meet of two modifications (union of zero patterns) is again one
-    present = set(keys)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1:]:
-            if k1 | k2 not in present:
-                raise CertificateError((k1, k2), "zero patterns not closed under union")
+    masks = [sum(1 << (x * n + y) for x, y in k) for k in keys]
+    present = set(masks)
+    for i, m1 in enumerate(masks):
+        for k2, m2 in zip(keys[i + 1:], masks[i + 1:]):
+            if m1 | m2 not in present:
+                raise CertificateError((keys[i], k2), "zero patterns not closed under union")
     results = {
         m.pattern: cohomology_group(m.semigroup, galois_module_for_modification(m, q), 2, "zero") for m in mods
     }
@@ -316,14 +315,9 @@ def zero_cocycle_to_weak_cocycle(mod, q, cochain):
     """Inverse direction: extend a 0-cocycle of a modification by zeros."""
     G = mod.base
     n = G.order
-    values = {}
-    S = mod.semigroup
-    for x in range(n):
-        for y in range(n):
-            if (x, y) in mod.pattern:
-                values[(x, y)] = None
-            else:
-                values[(x, y)] = cochain.values[(x, y)][0]
+    values = {
+        (x, y): None if (x, y) in mod.pattern else cochain.values[(x, y)][0] for x in range(n) for y in range(n)
+    }
     f = WeakCocycle(G, q, n, values)
     bad = validate_weak_cocycle(f)
     if bad is not None:
@@ -366,7 +360,6 @@ def weak_cocycles_equivalent(f, g):
         return False
     G = f.group
     order = f.unit_order
-    powers = frobenius_power(G)
     e = G.identity
     # search p with p(e) = 0 and g = f * dp, dp(s,t) = s(p(t)) - p(st) + p(s)
     others = [s for s in range(G.order) if s != e]
@@ -377,7 +370,7 @@ def weak_cocycles_equivalent(f, g):
         for (s, t), v in f.values.items():
             if v is None:
                 continue
-            tw = (v + _galois_act(f.q, f.n, powers[s], p[t]) - p[G.mul(s, t)] + p[s]) % order
+            tw = (v + _galois_act(f.q, f.n, s, p[t]) - p[G.mul(s, t)] + p[s]) % order
             if tw != g.values[(s, t)] % order:
                 good = False
                 break

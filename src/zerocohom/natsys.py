@@ -434,10 +434,13 @@ def hom_complex_compare(S, D, n_max=2):
         B = res.levels[n]
         b = S.mul(S.mul(alpha, a), beta)
         M = D.morphism_matrix(alpha, a, beta)
+        mapped = {}  # eta takes few distinct values: map each once
         for si, s in enumerate(B.symbols[a]):
             image = B.symbols[b][act[si]]
             for lhs, val in zip(eta[image], eta[s]):
-                if lhs != D.groups[b].reduce(M.vec(val)):
+                if val not in mapped:
+                    mapped[val] = D.groups[b].reduce(M.vec(val))
+                if lhs != mapped[val]:
                     report["naturality"] = False
 
     hom_mats = []

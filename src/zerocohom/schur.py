@@ -195,13 +195,14 @@ def twist(rho, alpha):
 class SemilatticeOfGroups:
     """Groups indexed by sets closed under union, ordered by inclusion.
 
-    The join of two keys is their union; ``links`` holds a map for
-    every pair k1 <= k2.
+    The join of two keys is their union.  A map into or out of a
+    trivial group is zero, so ``links`` holds a map only for the pairs
+    k1 <= k2 of nontrivial groups; ``link`` gives every pair's map.
     """
 
     indices: list  # hashable set keys, e.g. frozenset ideals
     components: dict  # key -> FinAbGroup (invariant form)
-    links: dict  # (k1, k2) with k1 <= k2 -> GroupHom
+    links: dict  # (k1, k2) with k1 <= k2, both groups nontrivial -> GroupHom
 
     @classmethod
     def from_restrictions(cls, results, pull):
@@ -213,15 +214,14 @@ class SemilatticeOfGroups:
         witness of I to the class of its values on J's nerve.
         """
         keys = list(results)
+        nontrivial = [k for k in keys if results[k].group.rank]
         links = {}
-        for I in keys:
-            HI = results[I]
-            for J in keys:
+        for I in nontrivial:
+            for J in nontrivial:
                 if not I <= J:
                     continue
                 HJ = results[J]
-                tuples = [pull(I, J, t) for t in HJ.tuples] if HI.witnesses else []
-                hom = _restriction(HI, HJ, tuples)
+                hom = _restriction(results[I], HJ, [pull(I, J, t) for t in HJ.tuples])
                 if not hom.well_defined():
                     raise CertificateError((I, J), "restriction link not well defined on classes")
                 links[(I, J)] = hom
@@ -231,13 +231,22 @@ class SemilatticeOfGroups:
             raise CertificateError(bad, "semilattice links fail to compose")
         return sl
 
+    def link(self, I, J):
+        """The link I -> J: the stored map, else the zero map."""
+        hom = self.links.get((I, J))
+        if hom is None:
+            source, target = self.components[I], self.components[J]
+            hom = GroupHom(source, target, IntMatrix(target.rank, source.rank))
+        return hom
+
     def check_links_compose(self):
         """The first i <= j <= k with link(i,k) != link(j,k) link(i,j), then
         the first i with link(i,i) != identity, or None.
 
         A map out of or into a rank-0 group is the empty matrix, so a
         triple whose i or k is trivial, and the identity at a trivial i,
-        hold without looking; every other triple is compared.
+        hold without looking; every other triple is compared, a trivial
+        j through its zero links.
         """
         nontrivial = [k for k in self.indices if self.components[k].rank]
         for i in nontrivial:
@@ -247,12 +256,12 @@ class SemilatticeOfGroups:
                 for k in nontrivial:
                     if not j <= k:
                         continue
-                    left = self.links[(i, k)]
-                    right = self.links[(j, k)].compose(self.links[(i, j)])
+                    left = self.link(i, k)
+                    right = self.link(j, k).compose(self.link(i, j))
                     if not left.equals(right):
                         return (i, j, k)
         for i in nontrivial:
-            if not self.links[(i, i)].equals(GroupHom.identity(self.components[i])):
+            if not self.link(i, i).equals(GroupHom.identity(self.components[i])):
                 return (i, i, i)
         return None
 
@@ -269,8 +278,7 @@ def _restriction(HI, HJ, tuples):
         if c is None:
             raise CertificateError(k, "restriction of a cocycle is not a cocycle")
         cols.append(list(c))
-    rank = HJ.group.rank
-    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, rank) if cols else IntMatrix(rank, 0))
+    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))
 
 
 def schur_multiplier(S, A):
@@ -465,7 +473,7 @@ def multipliers_agree(sl, brute):
         for J in sl.indices:
             if not I <= J:
                 continue
-            hom = sl.links[(I, J)]
+            hom = sl.link(I, J)
             img_sl = subgroup(hom.target, hom.matrix.columns()).group.invariants()
             ker_sl = subgroup(hom.source, kernel_mod(hom.matrix, hom.target.factors)).group.invariants()
             bi, bj = brute.components[I], brute.components[J]

@@ -101,6 +101,17 @@ def test_enumerate_modifications_z2():
     assert S.mul(1, 1) == S.zero
 
 
+def test_two_cell_modifications_meet_the_refusal_bound():
+    # enumerate_modifications refuses G up front when m(m - 1 - 4(n - 2))/2,
+    # m = (n - 1)(n - 2), exceeds the cap: a lower bound on the modifications
+    # with exactly two nonzero free cells, which Z6 and S3 must meet
+    for G in (galois_group(6), catalog.named_group("S3")):
+        n = G.order
+        m = (n - 1) * (n - 2)
+        two = [mod for mod in enumerate_modifications(G) if len(mod.pattern) == (n - 1) ** 2 - 2]
+        assert len(two) >= m * (m - 1 - 4 * (n - 2)) // 2 > 0
+
+
 def test_modification_structure_theorems():
     # units form a subgroup, complement is a nilpotent ideal,
     # and every modification is 0-cancellative
@@ -228,7 +239,13 @@ def test_idempotent_skeleton_is_meet_semilattice():
     # ordered by support inclusion: pattern union = meet of supports
     low, high = frozenset(), frozenset({(1, 1)})
     assert low | high == high and high in sl.indices
-    assert (low, high) in sl.links and (high, low) not in sl.links
+    # (2, 4) has one nontrivial component, C3, so its one stored link is
+    # that component's identity
+    sl = brauer_monoid(2, 4)
+    (c3,) = [k for k in sl.indices if sl.components[k].rank]
+    assert sl.components[c3].invariants() == (3,)
+    assert list(sl.links) == [(c3, c3)]
+    assert sl.links[(c3, c3)].equals(GroupHom.identity(sl.components[c3]))
 
 
 def test_zero_patterns_not_closed_under_union_raise_a_certificate_error(monkeypatch):
@@ -256,9 +273,9 @@ def test_brauer_restriction_that_is_not_a_cocycle_raises_a_certificate_error(mon
 
 
 def test_brauer_link_not_well_defined_raises_a_certificate_error(monkeypatch):
-    # the first link built is the identity of the first modification
+    # the one link built for (2, 4) is the identity of its C3 component
+    c3 = next(k for k, H in brauer_monoid(2, 4).components.items() if H.rank)
     monkeypatch.setattr(GroupHom, "well_defined", lambda self: False)
     with pytest.raises(CertificateError) as exc:
-        brauer_monoid(2, 2)
-    first = enumerate_modifications(galois_group(2))[0].pattern
-    assert exc.value.witness == (first, first)
+        brauer_monoid(2, 4)
+    assert exc.value.witness == (c3, c3)

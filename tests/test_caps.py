@@ -65,9 +65,14 @@ def cohomology_degree():
     return lambda: cohomology_group(S, M, 5), "degree", 5
 
 
-def modification_cells():
-    # Z7 has 6 x 6 free cells
-    return lambda: brauer.enumerate_modifications(catalog.cyclic_group(7)), "free cell count", 36
+def modifications_found():
+    # Z3 has four modifications; the second one found passes a cap of 1
+    return lambda: brauer.enumerate_modifications(catalog.cyclic_group(3)), "modifications found", 2
+
+
+def modifications_lower_bound():
+    # Z13: m = 132 cells with xy != e, 132 * 87 / 2 two-cell modifications
+    return lambda: brauer.enumerate_modifications(catalog.cyclic_group(13)), "modifications (lower bound)", 5742
 
 
 def weak_cocycle_candidates():
@@ -108,7 +113,8 @@ CASES = [
     (brute_lower_cochains, cohomology, "BRUTE_COCHAIN_CAP", 1, 1),
     (natsys_degree, natsys, "NATSYS_DEGREE_CAP", None, 3),
     (compare_degree, None, None, None, 2),
-    (modification_cells, brauer, "MODIFICATION_CELL_CAP", None, 26),
+    (modifications_found, brauer, "MODIFICATION_CAP", 1, 1),
+    (modifications_lower_bound, brauer, "MODIFICATION_CAP", None, 4096),
     (weak_cocycle_candidates, brauer, "WEAK_COCYCLE_CAP", None, 2_000_000),
     (t_subsets, partial, "T_SUBSET_CAP", 1, 1),
     (exel_order, partial, "EXEL_ORDER_CAP", None, 6),

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from zerocohom import brauer
 from zerocohom.cli import execute, load_module, load_semigroup
 
 
@@ -176,12 +177,22 @@ def test_schur_oracle(chain_path, z2_path, capsys):
     assert report["result"]["oracle_match"] is True
 
 
-def test_brauer_cap_names_request_and_cap(capsys):
-    # GF(2^7)/GF(2): the Galois group Z7 has 36 free cells, over the cap of 26
-    code, report, err = run(capsys, ["brauer", "--q", "2", "--n", "7"])
+def test_brauer_cap_names_request_and_cap(capsys, monkeypatch):
+    # GF(2^3)/GF(2): the Galois group Z3 has four modifications, the third
+    # one found passes a cap of 2
+    monkeypatch.setattr(brauer, "MODIFICATION_CAP", 2)
+    code, report, err = run(capsys, ["brauer", "--q", "2", "--n", "3"])
     assert code == 3
     assert report is None
-    assert "cap exceeded: free cell count 36 exceeds cap 26" in err
+    assert "cap exceeded: modifications found 3 exceeds cap 2" in err
+
+
+def test_brauer_refuses_a_large_extension_before_the_search(capsys):
+    # GF(2^40)/GF(2): the two-cell modifications of Z40 alone pass the cap
+    code, report, err = run(capsys, ["brauer", "--q", "2", "--n", "40"])
+    assert code == 3
+    assert report is None
+    assert "cap exceeded: modifications (lower bound) 984789 exceeds cap 4096" in err
 
 
 def test_enumerate(tmp_path, capsys):

@@ -4,12 +4,14 @@ Every imported name is used, every import of the package itself sits at
 module level (outside cli.py), and every private module-level function or
 class is referenced somewhere in the package outside its own definition:
 a helper that nothing calls any more fails here instead of lingering.
+The README's caps table lists exactly the package's ``*_CAP`` constants.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zerocohom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zerocohom"
 
 
 def _modules():
@@ -85,3 +87,21 @@ def test_package_imports_are_at_module_level():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested.update(f"{name}:{n.lineno}" for n in ast.walk(fn) if _imports_package(n))
     assert not nested, sorted(nested)
+
+
+def test_readme_caps_table_lists_every_cap():
+    caps = {}
+    for name, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                for t in stmt.targets:
+                    if isinstance(t, ast.Name) and t.id.endswith("_CAP"):
+                        caps[t.id] = (name.removesuffix(".py"), ast.literal_eval(stmt.value))
+    section = (ROOT / "README.md").read_text().split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        # | `CONSTANT` | `module` | quantity | value such as 4,000,000 |
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 4 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = (cells[1].strip("`"), int(cells[-1].replace(",", "")))
+    assert table == caps

@@ -7,6 +7,7 @@ import pytest
 
 from zerocohom import catalog, schur
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
+from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import brute_cohomology, cohomology_group
 from zerocohom.errors import CertificateError, NotAnIdeal
 from zerocohom.modules import trivial_module
@@ -338,10 +339,34 @@ def test_check_links_compose_compares_every_nonvacuous_triple():
         links.update({(i, i): link_ii, (i, k): link_ik, (k, k): identity})
         return schur.SemilatticeOfGroups([i, j, k], components, links)
 
-    assert semilattice(identity, identity).check_links_compose() == (i, j, k)
+    sl = semilattice(identity, identity)
+    assert sl.check_links_compose() == (i, j, k)
+    # a link that is not stored is read as the zero map
+    sl.links = {pair: hom for pair, hom in sl.links.items() if j not in pair}
+    assert sl.check_links_compose() == (i, j, k)
     # every triple holds, but the self-link at i is not the identity
     assert semilattice(zero, zero).check_links_compose() == (i, i, i)
     assert semilattice(zero, identity).check_links_compose() is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: brauer_monoid(2, 6),
+        lambda: schur_multiplier(adjoin(adjoin(catalog.klein_four(), "zero"), "zero"), FinAbGroup([2])),
+    ],
+    ids=["brauer(2,6)", "schur (V4^0)^0 C2"],
+)
+def test_links_are_stored_only_between_nontrivial_groups(build):
+    sl = build()
+    pairs = [(I, J) for I in sl.indices for J in sl.indices if I <= J]
+    nontrivial = {(I, J) for I, J in pairs if sl.components[I].rank and sl.components[J].rank}
+    assert nontrivial and set(sl.links) == nontrivial
+    for I, J in pairs:
+        if (I, J) not in nontrivial:
+            hom = sl.link(I, J)
+            assert (hom.source, hom.target) == (sl.components[I], sl.components[J])
+            assert hom.is_zero()
 
 
 def test_restriction_that_is_not_a_cocycle_raises_a_certificate_error(monkeypatch):
