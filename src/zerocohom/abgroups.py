@@ -235,7 +235,9 @@ def smith_normal_form(M):
         # shrink the pivot: any remainder in its row or column becomes the
         # new (strictly smaller) pivot; clear exactly only once everything
         # is divisible.  Re-selecting after every promotion keeps the
-        # coefficient growth tame.
+        # coefficient growth tame.  A cleared pivot that does not divide
+        # the trailing block takes in the row that it misses, so the next
+        # promotion shrinks it further and d_t | d_{t+1} holds at the end.
         while True:
             p = a[t][t]
             promoted = False
@@ -267,65 +269,12 @@ def smith_normal_form(M):
             for j in range(t + 1, n):
                 if a[t][j]:
                     add_col(j, t, -(a[t][j] // p))
-            break
+            i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
+            if i is None:
+                break
+            add_row(t, i, 1)
         t += 1
-
-    def row_transform2(i, j, p, q, r, s):
-        # [row_i; row_j] <- [[p, q], [r, s]] @ [row_i; row_j], det must be +-1
-        det = p * s - q * r
-        assert det in (1, -1)
-        for Mx in (a, U.a):
-            ri, rj = Mx[i], Mx[j]
-            for c in range(len(ri)):
-                x, y = ri[c], rj[c]
-                ri[c] = p * x + q * y
-                rj[c] = r * x + s * y
-        # Uinv <- Uinv @ T^(-1); T^(-1) = det * [[s, -q], [-r, p]]
-        ip, iq, ir, is_ = det * s, det * -q, det * -r, det * p
-        for row in Uinv.a:
-            x, y = row[i], row[j]
-            row[i] = x * ip + y * ir
-            row[j] = x * iq + y * is_
-
-    def col_transform2(i, j, p, q, r, s):
-        # [col_i, col_j] <- [col_i, col_j] @ [[p, r], [q, s]]... using same
-        # convention as rows: new_col_i = p*col_i + q*col_j, etc.
-        assert p * s - q * r in (1, -1)
-        for Mx in (a, V.a):
-            for row in Mx:
-                x, y = row[i], row[j]
-                row[i] = p * x + q * y
-                row[j] = r * x + s * y
-
-    # divisibility fix-up on the diagonal: replace (d_i, d_j) by (gcd, lcm)
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di != 0:
-                changed = True
-                g, x, y = _xgcd(di, dj)
-                # [[x, y], [-dj//g, di//g]] @ diag @ [[1, -y*dj//g], [1, x*di//g]] = diag(g, lcm)
-                row_transform2(i, i + 1, x, y, -dj // g, di // g)
-                col_transform2(i, i + 1, 1, 1, -y * dj // g, x * di // g)
-                assert a[i][i] == g and a[i][i + 1] == 0 and a[i + 1][i] == 0
     return D, U, V, Uinv
-
-
-def _xgcd(m, b):
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = m, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def solve_exact(M, b):
@@ -730,10 +679,11 @@ class QuotientPresentation:
     engine.  The relations X among them are the kernel of that
     elimination, followed by K-coordinates of the m-columns, found by
     forward substitution through its pivots (as in every ``coords``
-    call); any such coordinates do, as they differ by the kernel.  The
-    unit pivots of X go first (``_unit_pivots``): each one substitutes a
-    generator away.  A dense Smith form is taken only of the non-unit
-    core that is left, and not at all when nothing is left.  Each row of
+    call); any such coordinates do, as they differ by the kernel.  X
+    runs through the same elimination.  Its unit pivots (entry +-1) each
+    substitute a generator away; the other pivots, cleared of the
+    substituted rows, form the core.  A dense Smith form is taken only
+    of that core, and not at all when it is empty.  Each row of
     ``_urows`` maps K-coordinates to one witness coordinate: a kept row
     of the core's U, with the substitutions folded in.
     """
@@ -752,7 +702,21 @@ class QuotientPresentation:
             if y is None:
                 raise NotInSubgroup(j)
             xcols.append(y)
-        subs, core = _unit_pivots(xcols, r)
+        # pivots come in row order, each column zero above its row, so
+        # y -= y[i] * e * c for the unit ones in turn keeps the class of y
+        # and clears their rows; the kernel columns are dropped
+        subs, core = [], []
+        for i, c, _ in _retire(xcols, r, ()):
+            if i is None:
+                continue
+            if c[i] in (1, -1):
+                subs.append((i, c[i], c))
+            else:
+                core.append(c)
+        for i, e, c in subs:
+            for k in core:
+                if i in k:
+                    _add_multiple(k, -k[i] * e, c)
         gone = {i for i, _, _ in subs}
         hit = sorted({i for c in core for i in c})
         index = {i: p for p, i in enumerate(hit)}
@@ -801,45 +765,6 @@ class QuotientPresentation:
             c = sum(row[j] * x for j, x in y.items())
             out.append(c % d if d else c)
         return tuple(out)
-
-
-def _unit_pivots(cols, nrows):
-    """Substitute away the generators that a relation with a unit names.
-
-    ``cols`` are relation columns over nrows generators, as sparse dicts;
-    they are changed in place.  A column with an entry e = +-1 in row i
-    says that generator i is -e times the combination of the others in
-    the column.  So every other column is cleared in row i by a multiple
-    of this one, and the column is retired.  Of a column's unit entries
-    the row hit by the fewest columns goes first.
-
-    Returns (subs, core): ``subs`` lists (row, e, column) in the order
-    applied; the class of y is unchanged by y -= y[row] * e * column.
-    ``core`` lists the nonzero columns left, none with a unit entry and
-    none touching a substituted row.
-    """
-    hits = [set() for _ in range(nrows)]
-    for j, c in enumerate(cols):
-        for i in c:
-            hits[i].add(j)
-    subs = []
-    found = True
-    while found:
-        found = False
-        for j, c in enumerate(cols):
-            units = [i for i, x in c.items() if x == 1 or x == -1]
-            if not units:
-                continue
-            i = min(units, key=lambda i: (len(hits[i]), i))
-            e = c[i]
-            for k in [k for k in hits[i] if k != j]:
-                _subtract(cols, hits, k, cols[k][i] * e, c)
-            for r in c:
-                hits[r].discard(j)
-            subs.append((i, e, c))
-            cols[j] = {}
-            found = True
-    return subs, [c for c in cols if c]
 
 
 def complex_homology(d_in, d_out):

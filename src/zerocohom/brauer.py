@@ -159,23 +159,24 @@ def idempotent_weak_cocycle(G, q, n, pattern):
     return WeakCocycle(G, q, n, values)
 
 
+def _modification(G, pattern):
+    """The monoid G u {0} whose products on ``pattern`` are zero, validated."""
+    n = G.order
+    table = [[n] * (n + 1) for _ in range(n + 1)]
+    for x in range(n):
+        for y in range(n):
+            if (x, y) not in pattern:
+                table[x][y] = G.mul(x, y)
+    return Modification(G, validate_table(list(G.elements) + ["0"], table, n), pattern)
+
+
 def modification_from_idempotent(f):
     """The monoid G u {0} defined by an idempotent weak cocycle."""
     v = validate_weak_cocycle(f)
     if v is not None:
         raise ValueError(f"invalid weak cocycle: {v}")
-    G = f.group
-    n = G.order
-    names = list(G.elements) + ["0"]
-    z = n
-    table = [[z] * (n + 1) for _ in range(n + 1)]
-    for x in range(n):
-        for y in range(n):
-            if f.value(x, y) is not None:
-                table[x][y] = G.mul(x, y)
-    S = validate_table(names, table, z)
-    pattern = frozenset((x, y) for x in range(n) for y in range(n) if f.value(x, y) is None)
-    return Modification(G, S, pattern)
+    n = f.group.order
+    return _modification(f.group, frozenset((x, y) for x in range(n) for y in range(n) if f.value(x, y) is None))
 
 
 def idempotent_from_modification(mod, q=2):
@@ -183,21 +184,31 @@ def idempotent_from_modification(mod, q=2):
     return idempotent_weak_cocycle(mod.base, q, mod.base.order, mod.pattern)
 
 
+def _require_few_modifications(n):
+    """Refuse a group of order n >= 1 that surely has too many modifications.
+
+    Two nonzero free cells, the rest zero, form a modification when
+    neither product is e or a coordinate of either cell: each of the m
+    cells with xy != e pairs so with all but at most 4(n - 2) of the
+    others.  Only n is read, so no group need be built first.
+    """
+    m = (n - 1) * (n - 2)
+    if n > 0 and (pairs := m * (m - 1 - 4 * (n - 2)) // 2) > MODIFICATION_CAP:
+        raise CapExceeded("modifications (lower bound)", pairs, MODIFICATION_CAP)
+
+
 def enumerate_modifications(G):
     """All modifications of G: zero patterns with associative product.
 
     Depth-first over the (|G|-1)^2 free cells with incremental
     associativity pruning; the identity row and column are forced
-    nonzero.  Results sorted by pattern size then lexicographically.
+    nonzero.  Results sorted by pattern size then lexicographically;
+    each table is built once from its pattern, and ``validate_table``'s
+    associativity check re-checks the search.
     """
     n = G.order
     e = G.identity
-    # two nonzero free cells, the rest zero, form a modification when neither
-    # product is e or a coordinate of either cell: each of the m cells with
-    # xy != e pairs so with all but at most 4(n - 2) of the others
-    m = (n - 1) * (n - 2)
-    if (pairs := m * (m - 1 - 4 * (n - 2)) // 2) > MODIFICATION_CAP:
-        raise CapExceeded("modifications (lower bound)", pairs, MODIFICATION_CAP)
+    _require_few_modifications(n)
     free = [(x, y) for x in range(n) for y in range(n) if x != e and y != e]
     cell_pos = {c: i for i, c in enumerate(free)}
     # each triple (x, y, w) as the positions of its cells (x, y), (xy, w),
@@ -232,11 +243,7 @@ def enumerate_modifications(G):
             assign.pop()
 
     rec([], 0)
-    out = []
-    for p in sorted(patterns, key=lambda p: (len(p), sorted(p))):
-        f = idempotent_weak_cocycle(G, 2, G.order if G.order else 1, p)
-        out.append(modification_from_idempotent(f))
-    return out
+    return [_modification(G, p) for p in sorted(patterns, key=lambda p: (len(p), sorted(p)))]
 
 
 def modification_structure(mod):
@@ -275,6 +282,7 @@ def brauer_monoid(q, n):
     fewer zeros, so tuples carry over unchanged.
     """
     _require_field_order(q)
+    _require_few_modifications(n)
     mods = enumerate_modifications(galois_group(n))
     keys = [m.pattern for m in mods]
     # the meet of two modifications (union of zero patterns) is again one

@@ -291,17 +291,8 @@ def enumerate_presentation(P, bound, mode="semigroup"):
         return Truncated(_partial_words(graph, P, mode, zero_gen), bound, "node budget", budget)
 
     # canonical BFS order and normal forms
-    rep = {graph.find(graph.root): ()}
-    order = [graph.find(graph.root)]
-    queue = deque(order)
-    while queue:
-        node = queue.popleft()
-        for g in range(ngens):
-            t = graph.find(graph.edges[node][g])
-            if t not in rep:
-                rep[t] = rep[node] + (g,)
-                order.append(t)
-                queue.append(t)
+    rep = _walk(graph)
+    order = list(rep)
     unreached = set(graph.live()) - set(order)
     if unreached:
         raise CertificateError(min(unreached), "word graph class not reached from the root")
@@ -347,22 +338,27 @@ def _word_names(P, word, zero_gen):
     return _join_word(names) if names else "1"
 
 
-def _partial_words(graph, P, mode, zero_gen):
+def _walk(graph):
+    """{class: shortest word reaching it}, breadth-first from the root.
+
+    Undefined edges are skipped; the dict is in the order reached.
+    """
     rep = {graph.find(graph.root): ()}
-    out = []
-    queue = deque([graph.find(graph.root)])
+    queue = deque(rep)
     while queue:
         node = queue.popleft()
-        for g in range(graph.ngens):
-            t = graph.edges[node][g]
+        for g, t in enumerate(graph.edges[node]):
             if t is None:
                 continue
             t = graph.find(t)
             if t not in rep:
                 rep[t] = rep[node] + (g,)
                 queue.append(t)
-                out.append(rep[t])
-    words = [w for w in rep.values() if w or mode == "monoid"]
+    return rep
+
+
+def _partial_words(graph, P, mode, zero_gen):
+    words = [w for w in _walk(graph).values() if w or mode == "monoid"]
     words.sort(key=lambda w: (len(w), w))
     return tuple(_word_names(P, w, zero_gen) for w in words)
 

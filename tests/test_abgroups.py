@@ -56,6 +56,9 @@ def test_snf_identity_and_zero():
 def test_snf_divisibility_fix():
     assert snf_ok([[2, 0], [0, 3]]) == [1, 6]
     assert snf_ok([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
+    assert snf_ok([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    # 6 | 10 fails, then 2 | 15 fails: more than one divisibility step
+    assert snf_ok([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
 
 
 def test_snf_empty_shapes():

@@ -24,7 +24,7 @@ from zerocohom.brauer import (
     zero_cocycle_to_weak_cocycle,
 )
 from zerocohom.cohomology import brute_cohomology, cohomology_group
-from zerocohom.errors import CertificateError
+from zerocohom.errors import CapExceeded, CertificateError
 from zerocohom.modules import galois_units_module
 from zerocohom.semigroups import is_group, subsemigroup
 
@@ -279,3 +279,13 @@ def test_brauer_link_not_well_defined_raises_a_certificate_error(monkeypatch):
     with pytest.raises(CertificateError) as exc:
         brauer_monoid(2, 4)
     assert exc.value.witness == (c3, c3)
+
+
+def test_brauer_monoid_refuses_by_the_bound_before_building_the_group(monkeypatch):
+    def no_table(n):
+        raise AssertionError("galois_group built before the modification bound")
+
+    monkeypatch.setattr(brauer, "galois_group", no_table)
+    with pytest.raises(CapExceeded) as exc:
+        brauer_monoid(2, 40)
+    assert (exc.value.quantity, exc.value.requested) == ("modifications (lower bound)", 984789)

@@ -4,6 +4,9 @@ Every imported name is used, every import of the package itself sits at
 module level (outside cli.py), and every private module-level function or
 class is referenced somewhere in the package outside its own definition:
 a helper that nothing calls any more fails here instead of lingering.
+No local is only ever filled: one bound by a plain assignment must be
+read other than as the receiver of a statement-level ``.append``,
+``.extend``, ``.add`` or ``.update``.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
 """
 
@@ -87,6 +90,45 @@ def test_package_imports_are_at_module_level():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested.update(f"{name}:{n.lineno}" for n in ast.walk(fn) if _imports_package(n))
     assert not nested, sorted(nested)
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, not descending into nested scopes."""
+    todo = list(fn.body)
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def test_no_write_only_locals():
+    filled_only = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                t.id for n in _own_nodes(fn) if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)
+            }
+            # the Name nodes that are only the receiver of a collecting call
+            receivers = {
+                id(n.value.func.value)
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Expr)
+                and isinstance(n.value, ast.Call)
+                and isinstance(n.value.func, ast.Attribute)
+                and n.value.func.attr in ("append", "extend", "add", "update")
+                and isinstance(n.value.func.value, ast.Name)
+            }
+            reads = {}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.setdefault(n.id, []).append(id(n))
+            for local in sorted(bound):
+                if local in reads and receivers.issuperset(reads[local]):
+                    filled_only.append(f"{name.removesuffix('.py')}.{fn.name}: {local}")
+    assert not filled_only, filled_only
 
 
 def test_readme_caps_table_lists_every_cap():
