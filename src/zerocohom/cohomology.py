@@ -153,6 +153,21 @@ def cochain_group(tuples, group_of):
     return FinAbGroup(factors), offsets
 
 
+def face_maps(S, upper, lower):
+    """The face maps between two consecutive nerve levels, as index lists.
+
+    ``upper`` and ``lower`` are the nerves of levels m >= 1 and m - 1.
+    Row i gives, for each tuple t of ``upper`` in order, the position in
+    ``lower`` of its face d_i t: d_0 drops the first letter, d_m the
+    last, and d_i for 0 < i < m multiplies t[i - 1] and t[i] together.
+    An empty ``upper`` gives empty rows.
+    """
+    pos = {t: p for p, t in enumerate(lower)}
+    m = len(upper[0]) if upper else 1
+    inner = [[pos[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :]] for t in upper] for i in range(1, m)]
+    return [[pos[t[1:]] for t in upper]] + inner + [[pos[t[:-1]] for t in upper]]
+
+
 def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_block):
     """The alternating-sum coboundary from one nerve to the next, as a GroupHom.
 
@@ -171,7 +186,7 @@ def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_b
     if cells > COBOUNDARY_CELL_CAP:
         raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
     dst, dst_off = cochain_group(dst_tuples, group_of)
-    pos = dict(zip(src_tuples, src_off))
+    faces = face_maps(S, dst_tuples, src_tuples)
     cols = [{} for _ in range(src.rank)]
 
     def add_block(r0, c0, block, sign):
@@ -181,16 +196,17 @@ def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_b
                     col = cols[c]
                     col[r] = col.get(r, 0) + sign * x
 
-    for t, r0, r1 in zip(dst_tuples, dst_off, dst_off[1:] + [dst.rank]):
-        add_block(r0, pos[t[1:]], first_block(t), 1)
+    inner = faces[1:-1]
+    for p, (t, r0, r1) in enumerate(zip(dst_tuples, dst_off, dst_off[1:] + [dst.rank])):
+        add_block(r0, src_off[faces[0][p]], first_block(t), 1)
         sign = -1
-        for i in range(len(t) - 1):
-            c0 = pos[t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]] - r0
+        for d in inner:
+            c0 = src_off[d[p]] - r0
             for r in range(r0, r1):
                 col = cols[c0 + r]
                 col[r] = col.get(r, 0) + sign
             sign = -sign
-        add_block(r0, pos[t[:-1]], last_block(t), sign)
+        add_block(r0, src_off[faces[-1][p]], last_block(t), sign)
     # terms that cancelled are not stored
     cols = [{r: x for r, x in c.items() if x} for c in cols]
     return GroupHom(src, dst, SparseMatrix(dst.rank, cols))

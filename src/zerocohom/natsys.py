@@ -13,11 +13,13 @@ object; comparing Hom(B_n, D) with the cochain complex realizes the
 derived-functor description at desk scale.
 """
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
-from .cohomology import assemble_coboundary, cochain_group, nerve
+from .cohomology import assemble_coboundary, cochain_group, face_maps, nerve
 from .modules import trivial_module
 
 
@@ -218,11 +220,6 @@ def _object(S, t):
     return S.mul_word(t) if t else S.identity
 
 
-def _tuple_group(D, tuples):
-    S = D.semigroup
-    return cochain_group(tuples, lambda t: D.groups[_object(S, t)])
-
-
 def natsys_coboundary_hom(S, D, n, nerves=None):
     """Degree-n coboundary of the natural-system cochain complex.
 
@@ -256,105 +253,78 @@ def natsys_cohomology(S, D, n):
 
 
 # ---------------------------------------------------------------------------
-# bar systems
-
-
-@dataclass(frozen=True)
-class BarSystem:
-    degree: int
-    symbols: dict = field(compare=False)  # object -> list of (n+2)-tuples
-    index: dict = field(compare=False)  # object -> {symbol: position in symbols}
-
-    def rank(self, a):
-        return len(self.symbols[a])
-
-
-def bar_system(S, n):
-    """Objectwise free groups on the (n+2)-letter factorizations."""
-    _require_monoid_with_zero(S)
-    symbols = {a: [] for a in S.nonzero()}
-    for t in nerve(S, n + 2):
-        symbols[S.mul_word(t)].append(t)
-    index = {a: {s: i for i, s in enumerate(syms)} for a, syms in symbols.items()}
-    return BarSystem(n, symbols, index)
-
-
-def bar_action(S, B, alpha, beta, a):
-    """Index map of B(alpha, beta): symbols of a -> symbols of alpha a beta."""
-    tgt_index = B.index[S.mul(S.mul(alpha, a), beta)]
-    return [tgt_index[(S.mul(alpha, s[0]),) + s[1:-1] + (S.mul(s[-1], beta),)] for s in B.symbols[a]]
-
-
-def bar_boundary_matrix(S, B_n, B_prev, a):
-    """The alternating face sum on the object a, as sparse columns."""
-    tgt_index = B_prev.index[a]
-    cols = []
-    for s in B_n.symbols[a]:
-        col = {}
-        sign = 1
-        for i in range(B_n.degree + 1):
-            r = tgt_index[s[:i] + (S.mul(s[i], s[i + 1]),) + s[i + 2 :]]
-            col[r] = col.get(r, 0) + sign
-            sign = -sign
-        cols.append({r: x for r, x in col.items() if x})
-    return SparseMatrix(B_prev.rank(a), cols)
+# the bar resolution on the nerve
 
 
 @dataclass(frozen=True)
 class BarResolution:
-    """The bar systems B_0..B_{n_max} and the maps built on them.
+    """B_0..B_{n_max} on the nerve.
 
-    ``boundaries[n, a]`` is the differential B_n(a) -> B_{n-1}(a) for
-    n >= 1; ``actions[n, a, alpha, beta]`` is the index map of
-    B_n(alpha, beta) on the symbols of a, for every generating morphism
-    (alpha, 1) or (1, beta) with alpha a beta nonzero.
+    B_n is objectwise free on the symbols [a_0 | t | a_{n+1}] of
+    ``symbols[n]`` = nerve(S, n + 2), symbol p over its full product
+    ``objects[n][p]``.  ``faces[n][i][p]`` (n >= 1, i <= n) is the
+    position in ``symbols[n - 1]`` of the face d_i of symbol p, which
+    multiplies its letters i and i + 1, keeping the object; the
+    differential is their alternating sum.
     """
 
-    levels: list
-    boundaries: dict
-    actions: dict
+    symbols: list
+    objects: list
+    faces: list
+
+
+def _generators(S):
+    """The generating morphisms (alpha, 1) and (1, beta); (1, 1) once, as a left one."""
+    e = S.identity
+    return list(dict.fromkeys([(g, e) for g in range(S.order)] + [(e, g) for g in range(S.order)]))
+
+
+def bar_action(S, symbols, objects, index, alpha, beta):
+    """B(alpha, beta) on one level, as an index list over its symbols.
+
+    Entry p is the position (in ``index``) of [alpha a_0 | t | a_{n+1} beta]
+    for the symbol p = [a_0 | t | a_{n+1}] over a, or None if alpha a beta = 0.
+    """
+    z = S.zero
+    live = {a for a in S.nonzero() if S.mul(S.mul(alpha, a), beta) != z}
+    left, right = S.table[alpha], [row[beta] for row in S.table]
+    return [index[(left[s[0]],) + s[1:-1] + (right[s[-1]],)] if a in live else None for s, a in zip(symbols, objects)]
 
 
 def bar_resolution(S, n_max):
-    """Bar systems B_0..B_{n_max} with differentials and index maps.
+    """The bar resolution B_0..B_{n_max} on the nerve, with its checks.
 
-    Verifies dd = 0 objectwise (``NotAComplex`` with witness (n, a)) and
-    naturality of the differential with respect to the generating
-    morphisms (alpha, 1) and (1, beta) (``FunctorialityError`` with
-    witness (n, a, "left", alpha) or (n, a, "right", beta));
-    ``bar_exactness_report`` checks exactness.
+    dd = 0 follows from the simplicial identities d_i d_j = d_{j-1} d_i
+    (i < j), checked on the index lists (``NotAComplex`` with witness
+    (n, a)).  Naturality is checked face by face for each generating
+    morphism, act_{n-1}[d_i[p]] == d_i[act_n[p]] (``FunctorialityError``
+    with witness (n, a, "left", alpha) or (n, a, "right", beta)).  A
+    negative n_max raises ``DegreeMismatch``.
     """
+    if n_max < 0:
+        raise DegreeMismatch("negative degree")
     _require_monoid_with_zero(S)
-    levels = [bar_system(S, n) for n in range(n_max + 1)]
-    z = S.zero
-    e = S.identity
-    boundaries = {}
-    for n in range(1, n_max + 1):
-        for a in S.nonzero():
-            d = boundaries[n, a] = bar_boundary_matrix(S, levels[n], levels[n - 1], a)
-            if n >= 2 and any(boundaries[n - 1, a].mul(d).cols):
-                raise NotAComplex((n, a))
-    # dict.fromkeys keeps (1, 1) once, as a left generator
-    generators = dict.fromkeys([(g, e) for g in range(S.order)] + [(e, g) for g in range(S.order)])
-    actions = {}
-    for n, B in enumerate(levels):
-        for a in S.nonzero():
-            for alpha, beta in generators:
-                if S.mul(S.mul(alpha, a), beta) != z:
-                    actions[n, a, alpha, beta] = bar_action(S, B, alpha, beta, a)
-    for (n, a, alpha, beta), act_n in actions.items():
-        if n == 0:
-            continue
-        b = S.mul(S.mul(alpha, a), beta)
-        act_prev = actions[n - 1, a, alpha, beta]
-        # boundary then act == act then boundary, column by column
-        for j, col in enumerate(boundaries[n, a].cols):
-            via_b = {}
-            for i, x in col.items():
-                via_b[act_prev[i]] = via_b.get(act_prev[i], 0) + x
-            if {i: x for i, x in via_b.items() if x} != boundaries[n, b].cols[act_n[j]]:
-                raise FunctorialityError((n, a, "left", alpha) if beta == e else (n, a, "right", beta))
-    return BarResolution(levels, boundaries, actions)
+    symbols = [nerve(S, n + 2) for n in range(n_max + 1)]
+    objects = [[S.mul_word(s) for s in level] for level in symbols]
+    # rows 1..n+1 of the nerve faces of an (n+2)-tuple are its bar faces
+    faces = [[]] + [face_maps(S, symbols[n], symbols[n - 1])[1:-1] for n in range(1, n_max + 1)]
+    for n in range(2, n_max + 1):
+        for (i, d_i), (j, d_j) in combinations(enumerate(faces[n]), 2):
+            for p, (x, y) in enumerate(zip(d_j, d_i)):
+                if faces[n - 1][i][x] != faces[n - 1][j - 1][y]:
+                    raise NotAComplex((n, objects[n][p]))
+    index = [{s: p for p, s in enumerate(level)} for level in symbols]
+    for alpha, beta in _generators(S):
+        side = ("left", alpha) if beta == S.identity else ("right", beta)
+        prev = None  # B_0 has no faces, so prev is read from B_1 on
+        for n in range(n_max + 1):
+            act = bar_action(S, symbols[n], objects[n], index[n], alpha, beta)
+            for d in faces[n]:
+                for p, q in enumerate(act):
+                    if q is not None and prev[d[p]] != d[q]:
+                        raise FunctorialityError((n, objects[n][p]) + side)
+            prev = act
+    return BarResolution(symbols, objects, faces)
 
 
 def bar_exactness_report(S, n_max):
@@ -366,10 +336,18 @@ def bar_exactness_report(S, n_max):
     res = bar_resolution(S, n_max)
     report = {}
     for a in S.nonzero():
-        free = [FinAbGroup([0] * B.rank(a)) for B in res.levels]
+        own = [[p for p, b in enumerate(objects) if b == a] for objects in res.objects]
+        free = [FinAbGroup([0] * len(ps)) for ps in own]
         # augmentation B_0(a) -> Z, every symbol to the generator
-        maps = [GroupHom(free[0], FinAbGroup([0]), SparseMatrix(1, [{0: 1} for _ in range(free[0].rank)]))]
-        maps += [GroupHom(free[n], free[n - 1], res.boundaries[n, a]) for n in range(1, n_max + 1)]
+        maps = [GroupHom(free[0], FinAbGroup([0]), SparseMatrix(1, [{0: 1} for _ in own[0]]))]
+        for n in range(1, n_max + 1):
+            row = {p: r for r, p in enumerate(own[n - 1])}
+            cols = [Counter() for _ in own[n]]
+            for i, d in enumerate(res.faces[n]):
+                for col, p in zip(cols, own[n]):
+                    col[row[d[p]]] += (-1) ** i
+            cols = [{r: x for r, x in col.items() if x} for col in cols]
+            maps.append(GroupHom(free[n], free[n - 1], SparseMatrix(len(row), cols)))
         report[a] = [complex_homology(maps[n + 1], maps[n]).group.invariants() for n in range(n_max)]
     return report
 
@@ -412,73 +390,70 @@ def hom_complex_compare(S, D, n_max=2):
     nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
     deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
     res = bar_resolution(S, n_max)
-    e = S.identity
+    e, z = S.identity, S.zero
     report = {"naturality": True, "differentials": True, "groups": [], "ok": True}
 
     # The unit cochain (t, j) vanishes off t, and the bar action keeps a
     # symbol's interior, so every check on a symbol whose interior is not
-    # t reads 0 = 0.  eta[s][j] is the value on s of the unit cochain at
-    # (interior of s, j): column j of D(s[0], interior, s[-1]), reduced in
-    # the group of the object of s.  Only those values enter the checks
-    # below.
-    eta = {}
-    for B in res.levels:
-        for a in S.nonzero():
-            group = D.groups[a]
-            for s in B.symbols[a]:
-                M = D.morphism_matrix(s[0], _object(S, s[1:-1]), s[-1])
-                eta[s] = [group.reduce(c) for c in M.columns()]
+    # t reads 0 = 0.  On [a_0 | t | a_{n+1}] it takes the value column j
+    # of D(a_0, object of t, a_{n+1}), reduced in the group of the
+    # symbol's object: eta holds it once per key (a_0, object of t, a_{n+1}).
+    eta, keys_over = {}, {a: [] for a in S.nonzero()}
+    for level, objects in zip(res.symbols, res.objects):
+        for s, a in zip(level, objects):
+            key = (s[0], _object(S, s[1:-1]), s[-1])
+            if key not in eta:
+                eta[key] = [D.groups[a].reduce(c) for c in D.morphism_matrix(*key).columns()]
+                keys_over[a].append(key)
 
-    # naturality over the generating morphisms (alpha, 1) and (1, beta)
-    for (n, a, alpha, beta), act in res.actions.items():
-        B = res.levels[n]
-        b = S.mul(S.mul(alpha, a), beta)
-        M = D.morphism_matrix(alpha, a, beta)
-        mapped = {}  # eta takes few distinct values: map each once
-        for si, s in enumerate(B.symbols[a]):
-            image = B.symbols[b][act[si]]
-            for lhs, val in zip(eta[image], eta[s]):
-                if val not in mapped:
-                    mapped[val] = D.groups[b].reduce(M.vec(val))
-                if lhs != mapped[val]:
-                    report["naturality"] = False
+    # naturality over the generating morphisms (alpha, 1) and (1, beta):
+    # (alpha, beta) sends a symbol of key (a_0, b, a_1) to one of key
+    # (alpha a_0, b, a_1 beta)
+    for a, keys in keys_over.items():
+        for alpha, beta in _generators(S):
+            b = S.mul(S.mul(alpha, a), beta)
+            if b == z:
+                continue
+            M = D.morphism_matrix(alpha, a, beta)
+            mapped = {}  # eta takes few distinct values: map each once
+            for a0, t, a1 in keys:
+                for lhs, val in zip(eta[S.mul(alpha, a0), t, S.mul(a1, beta)], eta[a0, t, a1]):
+                    if val not in mapped:
+                        mapped[val] = D.groups[b].reduce(M.vec(val))
+                    if lhs != mapped[val]:
+                        report["naturality"] = False
 
-    hom_mats = []
+    offsets = [cochain_group(ts, lambda t: D.groups[_object(S, t)])[1] for ts in nerves]
+    # hom_mats[n + 1] leaves degree n; hom_mats[0] is the zero map into degree 0
+    hom_mats = [GroupHom(FinAbGroup(()), deltas[0].source, SparseMatrix(deltas[0].source.rank, []))]
     for n in range(n_max + 1):
-        # eta |-> eta o (bar boundary) in normalized coordinates
-        src, src_off = _tuple_group(D, nerves[n])
-        dst, dst_off = _tuple_group(D, nerves[n + 1])
-        pos = dict(zip(nerves[n], src_off))
-        cols = [{} for _ in range(src.rank)]
-        for t, r0 in zip(nerves[n + 1], dst_off):
+        # eta |-> eta o (bar boundary) in normalized coordinates: the face
+        # d_i of [1 | t | 1] is [x | d_i t | y] with the nerve face d_i t,
+        # x = t[0] if i = 0 and y = t[-1] if i = n + 1, and 1 otherwise
+        src_off, dst_off = offsets[n], offsets[n + 1]
+        faces = face_maps(S, nerves[n + 1], nerves[n])
+        cols = [{} for _ in range(deltas[n].source.rank)]
+        for p, (t, r0) in enumerate(zip(nerves[n + 1], dst_off)):
             group = D.groups[S.mul_word(t)]
-            sym = (e,) + t + (e,)
             acc = {}
-            sign = 1
-            for i in range(n + 2):
-                face = sym[:i] + (S.mul(sym[i], sym[i + 1]),) + sym[i + 2 :]
-                c0 = pos[face[1:-1]]
-                for j, v in enumerate(eta[face]):
-                    col = acc.setdefault(c0 + j, [0] * group.rank)
-                    for r, x in enumerate(v):
-                        col[r] += sign * x
-                sign = -sign
+            for i, d in enumerate(faces):
+                key = (t[0] if i == 0 else e, _object(S, nerves[n][d[p]]), t[-1] if i == n + 1 else e)
+                for c, v in enumerate(eta[key], src_off[d[p]]):
+                    acc[c] = [x + (-1) ** i * y for x, y in zip(acc.get(c, [0] * group.rank), v)]
             for c, col in acc.items():
-                for r, x in enumerate(group.reduce(col)):
+                for r, x in enumerate(group.reduce(col), r0):
                     if x:
-                        cols[c][r0 + r] = x
-        mat = SparseMatrix(dst.rank, cols)
+                        cols[c][r] = x
+        mat = SparseMatrix(deltas[n].target.rank, cols)
         if not same_map(deltas[n].target, mat, deltas[n].matrix):
             report["differentials"] = False
-        hom_mats.append(GroupHom(src, dst, mat))
+        hom_mats.append(GroupHom(deltas[n].source, deltas[n].target, mat))
 
     # cohomology only once the hom side is known to be the cochain
     # complex (else it may not be a complex at all)
     if not (report["naturality"] and report["differentials"]):
         report["ok"] = False
         return report
-    d_zero = GroupHom(FinAbGroup(()), hom_mats[0].source, SparseMatrix(hom_mats[0].source.rank, []))
     for n in range(n_max + 1):
-        d_in = hom_mats[n - 1] if n else d_zero
-        report["groups"].append(complex_homology(d_in, hom_mats[n]).group.invariants())
+        report["groups"].append(complex_homology(hom_mats[n], hom_mats[n + 1]).group.invariants())
     return report

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -180,7 +177,7 @@ def test_cocycle_bridge_round_trip():
         assert g == f
 
 
-def test_bridge_certificate_survives_optimize():
+def test_bridge_certificate_survives_optimize(run_python):
     # under python -O: a 0-cochain whose extension by zeros is not normalized
     # must still raise CertificateError, so the check cannot rest on an assert
     script = """
@@ -196,11 +193,7 @@ try:
 except CertificateError as exc:
     print("CertificateError", exc.witness)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "CertificateError ('normalization', 0)"
 

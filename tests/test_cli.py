@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -317,17 +314,12 @@ def test_gown_requires_an_input(capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_wrong_shape_action_is_input_error(tmp_path, nil4_path, flags):
+def test_wrong_shape_action_is_input_error(tmp_path, nil4_path, flags, run_python):
     # a 2x2 action on a rank-1 module; the check must not rest on an assert
     mod = tmp_path / "bad-shape.json"
     mod.write_text(json.dumps({"invariant_factors": [2], "action": {"u": [[1, 0], [0, 1]]}}))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = ["cohom", "--semigroup", nil4_path, "--module", str(mod), "--degree", "2"]
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "zerocohom.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(*flags, "-m", "zerocohom.cli", *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "input error: action matrix is 2x2, expected 1x1 (witness u)" in proc.stderr

@@ -11,6 +11,7 @@ from zerocohom.cohomology import (
     coboundary,
     coboundary_hom,
     cohomology_group,
+    face_maps,
     nerve,
     random_cochain,
     witness_report,
@@ -58,6 +59,24 @@ def test_nerve_subproducts_nonzero():
                 for i in range(n):
                     for j in range(i, n):
                         assert S.mul_word(t[i : j + 1]) != S.zero
+
+
+def test_face_maps_match_the_tuple_formula():
+    # row i of face_maps is the face d_i written out on tuples: drop the
+    # first letter, merge letters i - 1 and i, or drop the last letter
+    semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.null_semigroup(2), catalog.brandt_b2()]
+    for S in semigroups:
+        for variant in ("zero", "em") if S.has_zero else ("em",):
+            for m in (1, 2, 3):
+                upper, lower = nerve(S, m, variant), nerve(S, m - 1, variant)
+                if not upper:  # no tuple, no face to check
+                    continue
+                rows = face_maps(S, upper, lower)
+                assert [[lower[q] for q in row] for row in rows] == [
+                    [t[1:] for t in upper],
+                    *[[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :] for t in upper] for i in range(1, m)],
+                    [t[:-1] for t in upper],
+                ], (S.elements, variant, m)
 
 
 def test_coboundary_formula_trivial_action():

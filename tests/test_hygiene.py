@@ -8,6 +8,8 @@ No local is only ever filled: one bound by a plain assignment must be
 read other than as the receiver of a statement-level ``.append``,
 ``.extend``, ``.add`` or ``.update``.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
+A nerve face is built from tuple slices only in ``face_maps`` and in the
+brute-force twins that check it.
 """
 
 import ast
@@ -147,3 +149,32 @@ def test_readme_caps_table_lists_every_cap():
         if len(cells) >= 4 and cells[0].startswith("`"):
             table[cells[0].strip("`")] = (cells[1].strip("`"), int(cells[-1].replace(",", "")))
     assert table == caps
+
+
+def _merges_neighbours(node):
+    """A call x.mul(t[i], t[j]): two letters of one tuple multiplied together."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "mul"
+        and len(node.args) == 2
+        and all(isinstance(a, ast.Subscript) and not isinstance(a.slice, ast.Slice) for a in node.args)
+        and len({ast.dump(a.value) for a in node.args}) == 1
+    )
+
+
+def test_faces_are_built_only_in_face_maps_and_the_brute_twins():
+    # a face such as t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2:] is a
+    # concatenation of a slice and a tuple that merges two neighbours
+    builders = set()
+    for name, tree in _modules().items():
+        for stmt in tree.body:
+            for n in ast.walk(stmt):
+                if not (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)):
+                    continue
+                sides = (n.left, n.right)
+                merge = any(isinstance(x, ast.Tuple) and any(map(_merges_neighbours, x.elts)) for x in sides)
+                sliced = any(isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Slice) for x in sides)
+                if merge and sliced:
+                    builders.add(f"{name}:{getattr(stmt, 'name', stmt.lineno)}")
+    assert builders == {"cohomology.py:face_maps", "cohomology.py:_coboundary_at", "cohomology.py:_brute_cocycles"}

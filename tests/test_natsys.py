@@ -1,12 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from zerocohom import catalog, natsys
-from zerocohom.abgroups import FinAbGroup, IntMatrix, SparseMatrix
+from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cohomology import brute_cohomology, cohomology_group, nerve
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
 from zerocohom.modules import scalar_module, trivial_module, validate_module
@@ -16,7 +13,6 @@ from zerocohom.natsys import (
     _verify_category,
     bar_exactness_report,
     bar_resolution,
-    bar_system,
     fac_category,
     from_zero_module,
     hom_complex_compare,
@@ -141,15 +137,11 @@ except FunctorialityError as exc:
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_wrong_shape_identity_map_is_reported(flags):
+def test_wrong_shape_identity_map_is_reported(flags, run_python):
     # the identity-map check compares shapes before entries, so a stored
     # identity of the wrong size is a witness, not an AssertionError (or
     # an IndexError under python -O)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _WRONG_SHAPE_IDENTITY], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(*flags, "-c", _WRONG_SHAPE_IDENTITY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
 
@@ -217,8 +209,15 @@ def test_baues_compatibility_via_groups():
 
 def test_bar_rank_one_zero_monoid():
     S = one_zero_monoid()
-    B0 = bar_system(S, 0)
-    assert B0.rank(S.identity) == 1  # only (1, 1)
+    e = S.identity
+    assert bar_resolution(S, 0).symbols[0] == [(e, e)]  # only (1, 1)
+
+
+@pytest.mark.parametrize("entry", [bar_resolution, bar_exactness_report])
+def test_bar_negative_degree(entry):
+    S = one_zero_monoid()
+    with pytest.raises(DegreeMismatch, match="negative degree"):
+        entry(S, -1)
 
 
 def test_bar_dd_zero_nil_square_with_identity():
@@ -226,40 +225,37 @@ def test_bar_dd_zero_nil_square_with_identity():
     bar_resolution(S, 2)  # raises on any dd != 0 or naturality failure
 
 
-def test_bar_resolution_dd_check_survives_optimize():
-    # under python -O: one corrupted entry of a bar differential must still
-    # raise NotAComplex, so the check cannot rest on an assert
+def test_bar_resolution_dd_check_survives_optimize(run_python):
+    # under python -O: one corrupted entry of a face map must still raise
+    # NotAComplex, so the check cannot rest on an assert
     script = """
 import zerocohom.natsys as ns
 from zerocohom import catalog
 from zerocohom.errors import NotAComplex
 from zerocohom.semigroups import adjoin
 
-real = ns.bar_boundary_matrix
+real = ns.face_maps
 
-def corrupt(S, B_n, B_prev, a):
-    M = real(S, B_n, B_prev, a)
-    if B_n.degree == 1 and a == S.identity:
-        M.cols[0][0] = M.cols[0].get(0, 0) + 1
-    return M
+def corrupt(S, upper, lower):
+    rows = real(S, upper, lower)
+    if len(upper[0]) == 3:  # the faces of B_1: send d_0 [1 | 1 | 1] elsewhere
+        p = upper.index((S.identity,) * 3)
+        rows[1][p] = (rows[1][p] + 1) % len(lower)
+    return rows
 
-ns.bar_boundary_matrix = corrupt
+ns.face_maps = corrupt
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 try:
     ns.bar_resolution(S, 2)
 except NotAComplex as exc:
     print("NotAComplex", exc.witness == (2, S.identity))
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "NotAComplex True"
 
 
-def test_bar_resolution_naturality_check_survives_optimize():
+def test_bar_resolution_naturality_check_survives_optimize(run_python):
     # under python -O: B(1, beta) permuted wrongly on one right generator
     # must still raise FunctorialityError, so the check cannot rest on an
     # assert
@@ -273,8 +269,8 @@ real = ns.bar_action
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 beta = S.index("u")
 
-def reversed_on_right(S_, B, alpha, beta_, a):
-    out = real(S_, B, alpha, beta_, a)
+def reversed_on_right(S_, symbols, objects, index, alpha, beta_):
+    out = real(S_, symbols, objects, index, alpha, beta_)
     return out[::-1] if alpha == S_.identity and beta_ == beta else out
 
 ns.bar_action = reversed_on_right
@@ -283,11 +279,7 @@ try:
 except FunctorialityError as exc:
     print("FunctorialityError", exc.witness[2:] == ("right", beta))
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "FunctorialityError True"
 
@@ -298,8 +290,8 @@ def test_bar_resolution_checks_right_naturality(monkeypatch):
     S = adjoin(catalog.nil_square_semigroup(), "identity")
     real = natsys.bar_action
 
-    def wrong_on_right(S_, B, alpha, beta, a):
-        out = real(S_, B, alpha, beta, a)
+    def wrong_on_right(S_, symbols, objects, index, alpha, beta):
+        out = real(S_, symbols, objects, index, alpha, beta)
         return out[::-1] if alpha == S_.identity and beta != S_.identity else out
 
     monkeypatch.setattr(natsys, "bar_action", wrong_on_right)
@@ -308,59 +300,56 @@ def test_bar_resolution_checks_right_naturality(monkeypatch):
     assert exc.value.witness[2] == "right"
 
 
-def test_bar_resolution_stores_fresh_maps():
-    # every stored differential and index map equals a fresh one on the
-    # same level, so a consumer reading them reads the right level
+def test_bar_resolution_matches_tuples():
+    # every symbol lies over its product, and every bar face and action
+    # entry is the position of the (n+2)-tuple it stands for
     for S in small_monoids_with_zero():
         res = bar_resolution(S, 3)
-        levels = [bar_system(S, n) for n in range(4)]
-        assert [B.symbols for B in res.levels] == [B.symbols for B in levels]
-        e = S.identity
-        objects = list(S.nonzero())
-        for n in range(1, 4):
-            for a in objects:
-                stored = res.boundaries[n, a]
-                fresh = natsys.bar_boundary_matrix(S, levels[n], levels[n - 1], a)
-                assert isinstance(stored, SparseMatrix)
-                assert (stored.m, stored.cols) == (fresh.m, fresh.cols)
-        assert len(res.boundaries) == 3 * len(objects)
-        actions = {
-            (n, a, alpha, beta): natsys.bar_action(S, B, alpha, beta, a)
-            for n, B in enumerate(levels)
-            for a in objects
-            for g in range(S.order)
-            for alpha, beta in ((g, e), (e, g))
-            if S.mul(S.mul(alpha, a), beta) != S.zero
-        }
-        assert res.actions == actions
+        e, z = S.identity, S.zero
+        for n, level in enumerate(res.symbols):
+            assert level == nerve(S, n + 2)
+            assert res.objects[n] == [S.mul_word(s) for s in level]
+            assert len(res.faces[n]) == (n + 1 if n else 0)
+            for i, d in enumerate(res.faces[n]):
+                faces = [s[:i] + (S.mul(s[i], s[i + 1]),) + s[i + 2 :] for s in level]
+                assert [res.symbols[n - 1][q] for q in d] == faces
+            index = {s: p for p, s in enumerate(level)}
+            for g in range(S.order):
+                for alpha, beta in ((g, e), (e, g)):
+                    act = natsys.bar_action(S, level, res.objects[n], index, alpha, beta)
+                    images = [
+                        (S.mul(alpha, s[0]),) + s[1:-1] + (S.mul(s[-1], beta),)
+                        if S.mul(S.mul(alpha, a), beta) != z
+                        else None
+                        for s, a in zip(level, res.objects[n])
+                    ]
+                    assert [None if q is None else level[q] for q in act] == images
 
 
 def test_hom_complex_compare_builds_each_bar_map_once(monkeypatch):
     S, D = _c2_minus_one()
     seen = []
-    real_system = natsys.bar_system
-    real_boundary, real_action = natsys.bar_boundary_matrix, natsys.bar_action
+    real_faces, real_action = natsys.face_maps, natsys.bar_action
 
-    def system(S_, n):
-        seen.append(("system", n))
-        return real_system(S_, n)
+    def faces(S_, upper, lower):
+        seen.append(("faces", len(upper[0])))
+        return real_faces(S_, upper, lower)
 
-    def boundary(S_, B_n, B_prev, a):
-        seen.append(("boundary", B_n.degree, a))
-        return real_boundary(S_, B_n, B_prev, a)
+    def action(S_, symbols, objects, index, alpha, beta):
+        seen.append(("action", len(symbols[0]), alpha, beta))
+        return real_action(S_, symbols, objects, index, alpha, beta)
 
-    def action(S_, B, alpha, beta, a):
-        seen.append(("action", B.degree, a, alpha, beta))
-        return real_action(S_, B, alpha, beta, a)
-
-    monkeypatch.setattr(natsys, "bar_system", system)
-    monkeypatch.setattr(natsys, "bar_boundary_matrix", boundary)
+    monkeypatch.setattr(natsys, "face_maps", faces)
     monkeypatch.setattr(natsys, "bar_action", action)
     assert hom_complex_compare(S, D, 2)["ok"]
-    assert len(seen) == len(set(seen))
-    # B_3 is never built: the comparison reads B_0..B_{n_max} only
-    assert {k for k in seen if k[0] == "system"} == {("system", n) for n in (0, 1, 2)}
-    assert {k for k in seen if k[0] == "boundary"} == {("boundary", n, a) for n in (1, 2) for a in S.nonzero()}
+    actions = [k for k in seen if k[0] == "action"]
+    assert len(actions) == len(set(actions))
+    # B_n has (n+2)-letter symbols, and B_3 is never built: the comparison
+    # reads B_0..B_{n_max} only
+    assert {k[1] for k in actions} == {2, 3, 4}
+    # the faces of B_1 and B_2 once each, and those of the normalized
+    # symbols [1 | t | 1] in degrees 0, 1 and 2
+    assert sorted(k[1] for k in seen if k[0] == "faces") == [1, 2, 3, 3, 4]
 
 
 def test_hom_complex_compare_raises_cap_before_bar_work(monkeypatch):
@@ -369,10 +358,10 @@ def test_hom_complex_compare_raises_cap_before_bar_work(monkeypatch):
     T = build_t_semigroup().semigroup
     D = from_zero_module(trivial_module(T, FinAbGroup([2])))
 
-    def no_bar_work(S_, n):
-        raise AssertionError("bar system built before the cap check")
+    def no_bar_work(S_, n_max):
+        raise AssertionError("bar resolution built before the cap check")
 
-    monkeypatch.setattr(natsys, "bar_system", no_bar_work)
+    monkeypatch.setattr(natsys, "bar_resolution", no_bar_work)
     with pytest.raises(CapExceeded) as exc:
         hom_complex_compare(T, D, 2)
     assert exc.value.requested == 4043520
@@ -462,6 +451,39 @@ def test_hom_complex_compare_reports_wrong_differential(monkeypatch):
     assert report["differentials"] is False
     assert report["groups"] == []
     assert report["ok"] is False
+
+
+def test_hom_complex_compare_checks_survive_optimize(run_python):
+    # under python -O: a non-natural D and a corrupted coboundary must
+    # still show in the report, so neither check can rest on an assert
+    script = """
+import zerocohom.natsys as ns
+from zerocohom import catalog
+from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.modules import scalar_module
+from zerocohom.semigroups import adjoin
+
+S = adjoin(catalog.cyclic_group(2), "zero")
+D = ns.from_zero_module(scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1}))
+left = dict(D.left)
+left[1, 0] = IntMatrix(1, 1, [[0]])
+print(ns.hom_complex_compare(S, ns.NaturalSystem(S, D.groups, left, D.right), 2))
+real = ns.natsys_coboundary_hom
+
+def corrupted(S, D, n, nerves=None):
+    delta = real(S, D, n, nerves)
+    delta.matrix.cols[0][0] = delta.matrix.cols[0].get(0, 0) + 1
+    return delta
+
+ns.natsys_coboundary_hom = corrupted
+print(ns.hom_complex_compare(S, D, 2))
+"""
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "{'naturality': False, 'differentials': True, 'groups': [], 'ok': False}",
+        "{'naturality': True, 'differentials': False, 'groups': [], 'ok': False}",
+    ]
 
 
 def test_hom_complex_compare_negative_degree():

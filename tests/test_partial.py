@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from itertools import product
 
@@ -53,7 +50,7 @@ def test_build_t_semigroup_constants():
     assert not sandwich_equivalent(dec, displayed)
 
 
-def test_t_structure_certificate_survives_optimize():
+def test_t_structure_certificate_survives_optimize(run_python):
     # under python -O: a complement that is not completely 0-simple must
     # still be refused with a typed error, so the check cannot rest on an assert
     script = """
@@ -66,16 +63,12 @@ try:
 except CertificateError as exc:
     print("CertificateError", len(exc.witness), exc)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("CertificateError 19 ideal is not completely 0-simple"), proc.stdout
 
 
-def test_remaining_certificates_survive_optimize():
+def test_remaining_certificates_survive_optimize(run_python):
     # under python -O: the Exel-model check, the coefficient check of
     # pfactor_product and the product of gown merge classes still refuse
     # bad input with typed errors that carry a witness
@@ -111,11 +104,7 @@ try:
 except CertificateError as exc:
     print("CertificateError", exc.witness)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "CertificateError 0",

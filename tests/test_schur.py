@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -377,7 +374,7 @@ def test_restriction_that_is_not_a_cocycle_raises_a_certificate_error(monkeypatc
     assert "restriction of a cocycle is not a cocycle" in str(exc.value)
 
 
-def test_fs_product_mismatch_checks_survive_optimize():
+def test_fs_product_mismatch_checks_survive_optimize(run_python):
     # under python -O: factor sets over different semigroups or with
     # different coefficients must still be refused with a typed error
     script = """
@@ -397,10 +394,6 @@ for sigma in (
     except InvalidModule as exc:
         print("InvalidModule", exc.witness)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["InvalidModule ((2,), (3,))", "InvalidModule (2, 2)"]
