@@ -18,9 +18,21 @@ are integer vectors with coordinate i taken mod d_i.
 (2,)
 """
 
-from math import gcd
+from math import gcd, lcm
 
-from .errors import NotAComplex, NotInSubgroup
+from .elimination import (
+    _add_multiple,
+    _combine,
+    _dense,
+    _p_part,
+    _primes,
+    _reduced,
+    _relations,
+    _retire,
+    _sparse,
+    _substitute,
+)
+from .errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 
 
 class IntMatrix:
@@ -34,7 +46,8 @@ class IntMatrix:
         if rows is None:
             self.a = [[0] * n for _ in range(m)]
         else:
-            assert len(rows) == m and all(len(r) == n for r in rows)
+            if len(rows) != m or any(len(r) != n for r in rows):
+                raise ShapeMismatch(f"row lengths of a {m}x{n} matrix", [n] * m, [len(r) for r in rows])
             self.a = [list(r) for r in rows]
 
     @classmethod
@@ -62,7 +75,8 @@ class IntMatrix:
             m = len(cols[0])
         M = cls(m, k)
         for j, c in enumerate(cols):
-            assert len(c) == m
+            if len(c) != m:
+                raise ShapeMismatch(f"column {j} length", m, len(c))
             for i in range(m):
                 M.a[i][j] = c[i]
         return M
@@ -77,7 +91,8 @@ class IntMatrix:
         return [self.col(j) for j in range(self.n)]
 
     def mul(self, other):
-        assert self.n == other.m
+        if self.n != other.m:
+            raise ShapeMismatch("inner dimension of a product", self.n, other.m)
         out = IntMatrix(self.m, other.n)
         oa = other.a
         for i in range(self.m):
@@ -92,7 +107,8 @@ class IntMatrix:
         return out
 
     def vec(self, v):
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise ShapeMismatch("vector length", self.n, len(v))
         return [sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.m)]
 
     def is_zero(self):
@@ -144,11 +160,13 @@ class SparseMatrix:
 
     def mul(self, other):
         """self * other for a sparse ``other``."""
-        assert self.n == other.m
+        if self.n != other.m:
+            raise ShapeMismatch("inner dimension of a product", self.n, other.m)
         return SparseMatrix(self.m, [_combine(self.cols, c) for c in other.cols])
 
     def vec(self, v):
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise ShapeMismatch("vector length", self.n, len(v))
         return _dense(_combine(self.cols, _sparse(v)), self.m)
 
 
@@ -301,55 +319,6 @@ def kernel_columns(M):
     return [V.col(j) for j in range(rank, M.n)]
 
 
-def _relations(factors):
-    """The relation columns d*e_i, one sparse {i: d} for each finite factor d."""
-    return [{i: d} for i, d in enumerate(factors) if d]
-
-
-def _add_multiple(dst, c, src):
-    """dst += c * src on sparse {index: value} dicts, dropping zeros."""
-    for r, v in src.items():
-        w = dst.get(r, 0) + c * v
-        if w:
-            dst[r] = w
-        else:
-            del dst[r]
-
-
-def _combine(cols, coeffs):
-    """The sparse sum of coeffs[k] * cols[k]."""
-    acc = {}
-    for k, x in coeffs.items():
-        _add_multiple(acc, x, cols[k])
-    return acc
-
-
-def _sparse(v):
-    """A fresh {index: value} dict of a dense vector or of a sparse one."""
-    if isinstance(v, dict):
-        return dict(v)
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def _dense(v, n):
-    out = [0] * n
-    for i, x in v.items():
-        out[i] = x
-    return out
-
-
-def _reduced(v, factors):
-    """The sparse vector v with coordinate i taken mod factors[i] (0 = exact)."""
-    out = {}
-    for i, x in v.items():
-        d = factors[i]
-        if d:
-            x %= d
-        if x:
-            out[i] = x
-    return out
-
-
 def _columns(M):
     """The columns of M as {row: value} dicts, shared when M is sparse."""
     if isinstance(M, SparseMatrix):
@@ -360,90 +329,6 @@ def _columns(M):
             if x:
                 cols[j][i] = x
     return cols
-
-
-def _subtract(cols, hits, j, q, src):
-    """cols[j] -= q * src, keeping hits[r] (the columns nonzero in row r) current."""
-    cj = cols[j]
-    for r, v in src.items():
-        w = cj.get(r, 0) - q * v
-        if w:
-            if r not in cj:
-                hits[r].add(j)
-            cj[r] = w
-        else:
-            del cj[r]
-            hits[r].discard(j)
-
-
-def _retire(columns, m, target_factors):
-    """Sparse column echelon form of [M | diag(d)] over Z, one pivot at a time.
-
-    M is given by its {row: value} ``columns`` (copied, not changed) and
-    its row count m; the relation columns of the finite target factors
-    join them.  Rows are eliminated in order: of the columns hitting the
-    row, the one with the smallest |entry| (fewest nonzeros on ties) is
-    the pivot, and the others are reduced against it by Euclid steps
-    until a single column hits the row; that column is retired as the
-    row's pivot.  Each column carries the first len(columns) coordinates
-    of its column transform, also sparse; a relation column starts with
-    an empty one.
-
-    Yields (row, column, transform) for each pivot as it retires, in row
-    order, each column zero above its row, and drops it: a caller that
-    does not keep a pivot frees it.  Then yields (None, {}, transform)
-    for each column that ended zero; these transforms span the kernel.
-    """
-    cols = [dict(c) for c in columns] + _relations(target_factors)
-    trans = [{j: 1} if j < len(columns) else {} for j in range(len(cols))]
-    hits = [set() for _ in range(m)]  # hits[r]: unretired columns nonzero in row r
-    for j, c in enumerate(cols):
-        for r in c:
-            hits[r].add(j)
-    for i in range(m):
-        h = hits[i]
-        while len(h) > 1:
-            p = min(h, key=lambda j: (abs(cols[j][i]), len(cols[j]), j))
-            cp, tp = cols[p], trans[p]
-            a = cp[i]
-            for j in [j for j in h if j != p]:
-                q = cols[j][i] // a
-                _subtract(cols, hits, j, q, cp)
-                _add_multiple(trans[j], -q, tp)
-        if h:
-            (p,) = h
-            cp, tp = cols[p], trans[p]
-            for r in cp:
-                hits[r].discard(p)
-            cols[p] = trans[p] = None
-            yield i, cp, tp
-        hits[i] = None  # no unretired column reaches a finished row
-    for c, t in zip(cols, trans):
-        if c == {}:
-            yield None, c, t
-
-
-def _substitute(pivots, b):
-    """Sparse x with M x = b (mod the factors), from the pivots of ``_retire``.
-
-    b (dense or sparse) is forward-substituted through the pivots, which
-    may be read straight from ``_retire``: a kernel entry's row, None,
-    never holds a residual.  The answer is None when a pivot does not
-    divide the residual in its row, or when a residual is left over at
-    the end.
-    """
-    res = _sparse(b)
-    x = {}
-    for i, col, t in pivots:
-        if i in res:
-            q, r = divmod(res[i], col[i])
-            if r:
-                return None
-            _add_multiple(res, -q, col)
-            _add_multiple(x, q, t)
-    if res:
-        return None
-    return x
 
 
 def solve_mod(M, b, target_factors):
@@ -529,7 +414,8 @@ class FinAbGroup:
         return (0,) * self.rank
 
     def reduce(self, v):
-        assert len(v) == self.rank
+        if len(v) != self.rank:
+            raise ShapeMismatch("vector length", self.rank, len(v))
         return tuple(x % d if d else x for x, d in zip(v, self.factors))
 
     def add(self, u, v):
@@ -600,7 +486,8 @@ class GroupHom:
             M = matrix
         else:
             M = IntMatrix(target.rank, source.rank, matrix if target.rank else None)
-        assert M.m == target.rank and M.n == source.rank
+        if (M.m, M.n) != (target.rank, source.rank):
+            raise ShapeMismatch("matrix of a map", (target.rank, source.rank), (M.m, M.n))
         self.matrix = M
 
     def well_defined(self):
@@ -612,7 +499,8 @@ class GroupHom:
 
     def compose(self, inner):
         """self o inner."""
-        assert inner.target.factors == self.source.factors
+        if inner.target.factors != self.source.factors:
+            raise GroupMismatch(inner.target, self.source)
         return GroupHom(inner.source, self.target, self.matrix.mul(inner.matrix))
 
     def is_zero(self):
@@ -680,25 +568,32 @@ class QuotientPresentation:
     elimination, followed by K-coordinates of the m-columns, found by
     forward substitution through its pivots (as in every ``coords``
     call); any such coordinates do, as they differ by the kernel.  X
-    runs through the same elimination.  Its unit pivots (entry +-1) each
-    substitute a generator away; the other pivots, cleared of the
-    substituted rows, form the core.  A dense Smith form is taken only
-    of that core, and not at all when it is empty.  Each row of
-    ``_urows`` maps K-coordinates to one witness coordinate: a kept row
-    of the core's U, with the substitutions folded in.
+    runs through the same elimination.  Its unit pivots each substitute
+    a generator away; the other pivots, cleared of the substituted rows,
+    form the core.  A dense Smith form is taken only of that core, and
+    not at all when it is empty.  Each row of ``_urows`` maps
+    K-coordinates to one witness coordinate: a kept row of the core's U,
+    with the substitutions folded in.
+
+    With a ``modulus`` p^k (a prime power; 0, the default, is Z) the
+    ambient group is (Z/p^k)^dim and the columns come reduced mod p^k:
+    both eliminations run over Z/p^k, the core's Smith form is taken
+    with the relation columns p^k e_i beside it, and a generator that no
+    relation reaches has order p^k instead of 0.
     """
 
-    __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows")
+    __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows", "_modulus")
 
-    def __init__(self, dim, k_gens, m_cols):
+    def __init__(self, dim, k_gens, m_cols, modulus=0):
         self.dim = dim
+        self._modulus = modulus
         kcols = [_sparse(c) for c in k_gens]
         r = len(kcols)
-        steps = list(_retire(kcols, dim, ()))
+        steps = list(_retire(kcols, dim, (), modulus))
         self._pivots = [s for s in steps if s[0] is not None]
         xcols = [t for i, _, t in steps if i is None]
         for j, c in enumerate(m_cols):
-            y = _substitute(self._pivots, c)
+            y = _substitute(self._pivots, c, modulus)
             if y is None:
                 raise NotInSubgroup(j)
             xcols.append(y)
@@ -706,7 +601,7 @@ class QuotientPresentation:
         # y -= y[i] * e * c for the unit ones in turn keeps the class of y
         # and clears their rows; the kernel columns are dropped
         subs, core = [], []
-        for i, c, _ in _retire(xcols, r, ()):
+        for i, c, _ in _retire(xcols, r, (), modulus, transforms=False):
             if i is None:
                 continue
             if c[i] in (1, -1):
@@ -716,7 +611,7 @@ class QuotientPresentation:
         for i, e, c in subs:
             for k in core:
                 if i in k:
-                    _add_multiple(k, -k[i] * e, c)
+                    _add_multiple(k, -k[i] * e, c, modulus)
         gone = {i for i, _, _ in subs}
         hit = sorted({i for c in core for i in c})
         index = {i: p for p, i in enumerate(hit)}
@@ -724,10 +619,13 @@ class QuotientPresentation:
         # quotient, rows and columns indexed by K-generators
         gens = []
         if core:
-            C = IntMatrix(len(hit), len(core))
+            C = IntMatrix(len(hit), len(core) + (len(hit) if modulus else 0))
             for j, c in enumerate(core):
                 for i, x in c.items():
                     C.a[index[i]][j] = x
+            if modulus:
+                for p in range(len(hit)):
+                    C.a[p][len(core) + p] = modulus
             D, U, _, Uinv = smith_normal_form(C)
             for p in range(C.m):
                 d = D.a[p][p] if p < C.n else 0
@@ -738,14 +636,17 @@ class QuotientPresentation:
                     gens.append((d, urow, {i: Uinv.a[q][p] for q, i in enumerate(hit) if Uinv.a[q][p]}))
         for i in range(r):
             if i not in gone and i not in index:
-                gens.append((0, [int(k == i) for k in range(r)], {i: 1}))
+                gens.append((modulus, [int(k == i) for k in range(r)], {i: 1}))
         # coords applies the substitutions before the row of U: fold them
-        # into the row, last substitution first
+        # into the row, last substitution first (mod p^k is enough, as
+        # every factor divides p^k)
         for i, e, c in reversed(subs):
             for _, urow, _ in gens:
                 s = sum(urow[k] * x for k, x in c.items())
                 if s:
                     urow[i] -= e * s
+                    if modulus:
+                        urow[i] %= modulus
         self.group = FinAbGroup([d for d, _, _ in gens])
         self._urows = [urow for _, urow, _ in gens]
         self.witnesses = []
@@ -754,10 +655,10 @@ class QuotientPresentation:
             for k, u in combo.items():
                 for row, x in kcols[k].items():
                     w[row] += u * x
-            self.witnesses.append(w)
+            self.witnesses.append([x % modulus for x in w] if modulus else w)
 
     def coords(self, v):
-        y = _substitute(self._pivots, v)
+        y = _substitute(self._pivots, v, self._modulus)
         if y is None:
             return None
         out = []
@@ -767,20 +668,115 @@ class QuotientPresentation:
         return tuple(out)
 
 
+class PrimarySum:
+    """A finite group given by its p-primary parts, in invariant-factor form.
+
+    ``factors`` are the ambient cyclic orders, all finite, and ``parts``
+    lists (QuotientPresentation mod p^k, the ambient coordinates it
+    reads, p^k) for distinct primes p.  Factor j of the sum multiplies
+    the parts' factors at j counted from the top, so the divisibility
+    chain holds.  Its witness adds theirs, each lifted to the ambient
+    coordinates by the idempotent of its prime (1 mod p^a and 0 mod the
+    rest of the exponent of the ambient group), and ``coords`` joins the
+    parts' coordinates by the Chinese remainder theorem.  It reads like
+    a QuotientPresentation: ``dim``, ``group``, ``witnesses``,
+    ``coords``.
+    """
+
+    __slots__ = ("dim", "group", "witnesses", "_parts")
+
+    def __init__(self, factors, parts):
+        self.dim = len(factors)
+        top = max((Q.group.rank for Q, _, _ in parts), default=0)
+        orders = [1] * top
+        for Q, _, _ in parts:
+            for j, d in enumerate(Q.group.factors, top - Q.group.rank):
+                orders[j] *= d
+        self.group = FinAbGroup(orders)
+        exponent = lcm(*factors)
+        self.witnesses = [[0] * self.dim for _ in orders]
+        self._parts = []
+        for Q, keep, q in parts:
+            pa = gcd(exponent, q)
+            idem = exponent // pa * pow(exponent // pa, -1, pa)
+            first = top - Q.group.rank
+            for w, v in zip(self.witnesses[first:], Q.witnesses):
+                for r, i in enumerate(keep):
+                    w[i] += idem * v[r]
+            # c * (d / f) * ((d / f)^-1 mod f) is c mod f and 0 mod d / f
+            mults = [d // f * pow(d // f, -1, f) for d, f in zip(orders[first:], Q.group.factors)]
+            self._parts.append((Q, {i: r for r, i in enumerate(keep)}, first, mults))
+        self.witnesses = [[x % d for x, d in zip(w, factors)] for w in self.witnesses]
+
+    def coords(self, v):
+        v = _sparse(v)
+        out = [0] * self.group.rank
+        for Q, at, first, mults in self._parts:
+            c = Q.coords({at[i]: x for i, x in v.items() if i in at})
+            if c is None:
+                return None
+            for j, x, m in zip(range(first, len(out)), c, mults):
+                out[j] += x * m
+        return tuple(x % d for x, d in zip(out, self.group.factors))
+
+
+def _renumbered(cols, rows, n):
+    """The sparse columns on the listed rows (of n), renumbered in that order; shared when those are all n."""
+    if len(rows) == n:
+        return cols
+    index = {r: k for k, r in enumerate(rows)}
+    return [{index[r]: x for r, x in c.items() if r in index} for c in cols]
+
+
+def _primary_homology(mid, out, in_cols, out_cols, primes):
+    """ker/im for finite middle and target groups, one p-primary part at a time.
+
+    For each prime p of the middle group, a coordinate with cyclic order
+    d keeps p^(v_p(d)) and drops out at p^0.  The part's matrices are
+    the same integer ones taken mod p^k, the largest of these powers,
+    which is valid because the maps are well defined, and the part is
+    solved over Z/p^k: a QuotientPresentation mod p^k of the kernel of
+    d_out by the image of d_in.  A single part on every coordinate is
+    the answer; otherwise PrimarySum joins the parts.
+    """
+    parts = []
+    for p in primes:
+        part = {d: _p_part(d, p) for d in set(mid) | set(out)}
+        q = max(part.values())
+        keep = [i for i, d in enumerate(mid) if part[d] > 1]
+        rows = [j for j, d in enumerate(out) if part[d] > 1]
+        cols = _renumbered([out_cols[i] for i in keep], rows, len(out))
+        K = [t for i, _, t in _retire(cols, len(rows), [part[out[j]] for j in rows], q) if i is None and t]
+        m = _renumbered(in_cols, keep, len(mid)) + _relations([part[mid[i]] for i in keep], q)
+        parts.append((QuotientPresentation(len(keep), K, m, q), keep, q))
+    if len(parts) == 1 and len(parts[0][1]) == len(mid):
+        return parts[0][0]
+    return PrimarySum(mid, parts)
+
+
 def complex_homology(d_in, d_out):
-    """ker(d_out)/im(d_in) at the middle group, as a QuotientPresentation.
+    """ker(d_out)/im(d_in) at the middle group, with witnesses and coords.
 
     The maps may be dense or sparse; both are read as sparse columns.
-    Raises NotAComplex (with a witness generator index) when
-    d_out o d_in is nonzero.
+    Raises GroupMismatch when d_in does not end at the source of d_out,
+    and NotAComplex (with a witness generator index) when d_out o d_in
+    is nonzero.  When the middle and target groups are finite the
+    complex is solved by primary parts over Z/p^k (``_primary_homology``:
+    a QuotientPresentation mod p^k, or a PrimarySum of several); with a
+    free factor it is solved over Z, as a QuotientPresentation.
     """
     mid = d_in.target
-    assert mid.factors == d_out.source.factors
+    if mid.factors != d_out.source.factors:
+        raise GroupMismatch(mid, d_out.source)
     out_cols, in_cols = _columns(d_out.matrix), _columns(d_in.matrix)
     factors = d_out.target.factors
     for j, c in enumerate(in_cols):
         if _reduced(_combine(out_cols, c), factors):
             raise NotAComplex(j)
+    if 0 not in mid.factors and 0 not in factors:
+        primes = _primes(lcm(*mid.factors))
+        if primes is not None:
+            return _primary_homology(mid.factors, factors, in_cols, out_cols, primes)
     K = [t for i, _, t in _retire(out_cols, d_out.target.rank, factors) if i is None]
     return QuotientPresentation(mid.rank, K, in_cols + _relations(mid.factors))
 

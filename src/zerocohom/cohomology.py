@@ -168,7 +168,7 @@ def face_maps(S, upper, lower):
     return [[pos[t[1:]] for t in upper]] + inner + [[pos[t[:-1]] for t in upper]]
 
 
-def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_block):
+def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_block, faces=None):
     """The alternating-sum coboundary from one nerve to the next, as a GroupHom.
 
     ``src_tuples`` and ``dst_tuples`` are the degree-n and degree-(n+1)
@@ -178,6 +178,8 @@ def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_b
     t[:-1] to t).  The middle terms merge two neighbours, keep the full
     product and so the group, and enter as identity blocks.  The matrix
     is a SparseMatrix: one {row: value} column per source coordinate.
+    ``faces``, when given, is ``face_maps(S, dst_tuples, src_tuples)``
+    already built; otherwise it is built after the cap check.
     """
     src, src_off = cochain_group(src_tuples, group_of)
     # the cap is checked before the larger cochain group is laid out
@@ -186,7 +188,8 @@ def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_b
     if cells > COBOUNDARY_CELL_CAP:
         raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
     dst, dst_off = cochain_group(dst_tuples, group_of)
-    faces = face_maps(S, dst_tuples, src_tuples)
+    if faces is None:
+        faces = face_maps(S, dst_tuples, src_tuples)
     cols = [{} for _ in range(src.rank)]
 
     def add_block(r0, c0, block, sign):

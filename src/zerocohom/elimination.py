@@ -1,0 +1,222 @@
+"""The one sparse column elimination, over Z or over Z/p^k.
+
+Columns are sparse {row: value} dicts.  ``_retire`` brings a matrix,
+with the relation columns of its target factors, to column echelon
+form one pivot at a time, and ``_substitute`` forward-substitutes a
+vector through the pivots it hands out; every kernel, solve and
+subquotient in ``abgroups`` runs on these two.  The ring is Z for
+modulus 0 and Z/p^k for a prime power modulus p^k (``_primes`` and
+``_p_part`` split a finite group into such parts).
+"""
+
+from math import gcd
+
+
+def _relations(factors, modulus=0):
+    """The relation columns d*e_i, one sparse {i: d} per factor d other than 0 and the modulus."""
+    return [{i: d} for i, d in enumerate(factors) if d and d != modulus]
+
+
+def _add_multiple(dst, c, src, modulus=0):
+    """dst += c * src on sparse {index: value} dicts (mod the modulus unless 0), dropping zeros."""
+    for r, v in src.items():
+        w = dst.get(r, 0) + c * v
+        if modulus:
+            w %= modulus
+        if w:
+            dst[r] = w
+        elif r in dst:
+            del dst[r]
+
+
+def _combine(cols, coeffs):
+    """The sparse sum of coeffs[k] * cols[k]."""
+    acc = {}
+    for k, x in coeffs.items():
+        _add_multiple(acc, x, cols[k])
+    return acc
+
+
+def _sparse(v):
+    """A fresh {index: value} dict of a dense vector or of a sparse one."""
+    if isinstance(v, dict):
+        return dict(v)
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def _dense(v, n):
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
+
+
+def _reduced(v, factors):
+    """The sparse vector v with coordinate i taken mod factors[i] (0 = exact)."""
+    out = {}
+    for i, x in v.items():
+        d = factors[i]
+        if d:
+            x %= d
+        if x:
+            out[i] = x
+    return out
+
+
+def _subtract(cols, hits, j, q, src, modulus):
+    """cols[j] -= q * src, keeping hits[r] (the columns nonzero in row r) current."""
+    cj = cols[j]
+    for r, v in src.items():
+        w = cj.get(r, 0) - q * v
+        if modulus:
+            w %= modulus
+        if w:
+            if r not in cj:
+                hits[r].add(j)
+            cj[r] = w
+        elif r in cj:
+            del cj[r]
+            hits[r].discard(j)
+
+
+def _normalize(col, t, i, modulus):
+    """Scale a column and its transform, in place, by the unit that makes col[i] = gcd(col[i], modulus)."""
+    g = gcd(col[i], modulus)
+    if col[i] != g:
+        u = pow(col[i] // g, -1, modulus // g)  # prime to p, so a unit mod p^k
+        for d in (col, t):
+            for r, x in d.items():
+                d[r] = x * u % modulus
+
+
+def _retire(columns, m, target_factors, modulus=0, transforms=True):
+    """Sparse column echelon form of [M | diag(d)] over Z or Z/modulus, one pivot at a time.
+
+    M is given by its {row: value} ``columns`` (copied, not changed) and
+    its row count m; the relation columns of the target factors join
+    them.  The ring is Z for modulus 0, else Z/p^k for modulus p^k, a
+    prime power: then the columns are reduced mod p^k as they are
+    copied, every target factor divides p^k, and only those below it
+    add a relation column (p^k e_i is zero already).
+
+    Rows are eliminated in order.  Of the columns hitting the row, the
+    pivot is the one with the smallest gcd(entry, modulus), which is the
+    |entry| over Z and p^v for an entry of valuation v mod p^k (fewest
+    nonzeros on ties).  Mod p^k the pivot is first scaled by a unit so
+    that its entry is p^v itself.  The others are reduced against it by
+    floor quotients: over Z these are Euclid steps, repeated until a
+    single column hits the row; mod p^k every other entry is a multiple
+    of p^v, so one pass clears the row.  The column left is retired as
+    the row's pivot.  Mod p^k a pivot c of valuation v > 0 leaves
+    p^(k-v) c in the span, zero in its row; that column re-enters the
+    elimination, with p^(k-v) times c's transform.  Each column carries
+    the first len(columns) coordinates of its column transform, also
+    sparse; a relation column starts with an empty one, and every column
+    does when ``transforms`` is false.
+
+    Yields (row, column, transform) for each pivot as it retires, in row
+    order, each column zero above its row, and drops it: a caller that
+    does not keep a pivot frees it.  Then yields (None, {}, transform)
+    for each column that ended zero; these transforms span the kernel.
+    """
+    if modulus:
+        cols = [{r: x % modulus for r, x in c.items() if x % modulus} for c in columns]
+    else:
+        cols = [dict(c) for c in columns]
+    cols += _relations(target_factors, modulus)
+    trans = [{j: 1} if j < len(columns) and transforms else {} for j in range(len(cols))]
+    hits = [set() for _ in range(m)]  # hits[r]: unretired columns nonzero in row r
+    for j, c in enumerate(cols):
+        for r in c:
+            hits[r].add(j)
+    for i in range(m):
+        h = hits[i]
+        while len(h) > 1:
+            p = min(h, key=lambda j: (gcd(cols[j][i], modulus), len(cols[j]), j))
+            cp, tp = cols[p], trans[p]
+            if modulus:
+                _normalize(cp, tp, i, modulus)
+            a = cp[i]
+            for j in [j for j in h if j != p]:
+                q = cols[j][i] // a
+                _subtract(cols, hits, j, q, cp, modulus)
+                if tp:
+                    _add_multiple(trans[j], -q, tp, modulus)
+        if h:
+            (p,) = h
+            cp, tp = cols[p], trans[p]
+            for r in cp:
+                hits[r].discard(p)
+            cols[p] = trans[p] = None
+            if modulus:
+                _normalize(cp, tp, i, modulus)
+                s = modulus // cp[i]
+                if s < modulus:
+                    c = {r: x * s % modulus for r, x in cp.items() if x * s % modulus}
+                    t = {r: x * s % modulus for r, x in tp.items() if x * s % modulus}
+                    if c or t:  # a zero column with a transform is a kernel vector
+                        for r in c:
+                            hits[r].add(len(cols))
+                        cols.append(c)
+                        trans.append(t)
+            yield i, cp, tp
+        hits[i] = None  # no unretired column reaches a finished row
+    for c, t in zip(cols, trans):
+        if c == {}:
+            yield None, c, t
+
+
+def _substitute(pivots, b, modulus=0):
+    """Sparse x with M x = b (mod the factors), from the pivots of ``_retire``.
+
+    b (dense or sparse) is forward-substituted through the pivots, which
+    may be read straight from ``_retire`` over the same ring: a kernel
+    entry's row, None, never holds a residual.  The answer is None when
+    a pivot does not divide the residual in its row, or when a residual
+    is left over at the end.  Mod p^k this decides membership too: each
+    pivot's entry is a power p^v, and the span of the pivots below a
+    pivot c holds p^(k-v) c.
+    """
+    res = _sparse(b)
+    if modulus:
+        res = {i: v % modulus for i, v in res.items() if v % modulus}
+    x = {}
+    for i, col, t in pivots:
+        if i in res:
+            q, r = divmod(res[i], col[i])
+            if r:
+                return None
+            _add_multiple(res, -q, col, modulus)
+            _add_multiple(x, q, t, modulus)
+    if res:
+        return None
+    return x
+
+
+def _primes(n):
+    """The primes dividing n >= 1, by trial division below 2^10.
+
+    None when a cofactor of 2^20 or more is left, which may be composite.
+    """
+    primes = []
+    p = 2
+    while p * p <= n and p < 1 << 10:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if p * p <= n:
+        return None
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _p_part(d, p):
+    """The largest power of p dividing d > 0."""
+    x = 1
+    while d % p == 0:
+        d //= p
+        x *= p
+    return x

@@ -137,6 +137,22 @@ class CoefficientMismatch(ZerocohomError):
         super().__init__(f"coefficient groups differ: {left!r} vs {right!r}")
 
 
+class ShapeMismatch(ZerocohomError):
+    """A matrix or vector whose shape does not fit where it is used."""
+
+    def __init__(self, what, expected, got):
+        self.witness = (expected, got)
+        super().__init__(f"{what}: expected {expected}, got {got}")
+
+
+class GroupMismatch(ZerocohomError):
+    """Two maps that must meet at one group do not."""
+
+    def __init__(self, left, right):
+        self.witness = (left, right)
+        super().__init__(f"groups differ where the maps meet: {left!r} vs {right!r}")
+
+
 class NotInSubgroup(ZerocohomError):
     def __init__(self, witness):
         self.witness = witness

@@ -220,13 +220,14 @@ def _object(S, t):
     return S.mul_word(t) if t else S.identity
 
 
-def natsys_coboundary_hom(S, D, n, nerves=None):
+def natsys_coboundary_hom(S, D, n, nerves=None, faces=None):
     """Degree-n coboundary of the natural-system cochain complex.
 
     The first slot acts by alpha_* = D(t[0], 1) and the last by
     beta^* = D(1, t[-1]); in degree 0 these are D(x, 1) and D(1, x) on
     the group of the identity.  ``nerves``, when given, is the pair of
-    degree-n and degree-(n+1) nerves.
+    degree-n and degree-(n+1) nerves, and ``faces`` the face maps from
+    the second to the first.
     """
     if nerves is None:
         nerves = (nerve(S, n, "zero"), nerve(S, n + 1, "zero"))
@@ -236,6 +237,7 @@ def natsys_coboundary_hom(S, D, n, nerves=None):
         lambda t: D.groups[_object(S, t)],
         lambda t: D.left_map(t[0], _object(S, t[1:])),
         lambda t: D.right_map(t[-1], _object(S, t[:-1])),
+        faces,
     )
 
 
@@ -291,7 +293,7 @@ def bar_action(S, symbols, objects, index, alpha, beta):
     return [index[(left[s[0]],) + s[1:-1] + (right[s[-1]],)] if a in live else None for s, a in zip(symbols, objects)]
 
 
-def bar_resolution(S, n_max):
+def bar_resolution(S, n_max, nerves=(), nerve_faces=()):
     """The bar resolution B_0..B_{n_max} on the nerve, with its checks.
 
     dd = 0 follows from the simplicial identities d_i d_j = d_{j-1} d_i
@@ -299,15 +301,22 @@ def bar_resolution(S, n_max):
     (n, a)).  Naturality is checked face by face for each generating
     morphism, act_{n-1}[d_i[p]] == d_i[act_n[p]] (``FunctorialityError``
     with witness (n, a, "left", alpha) or (n, a, "right", beta)).  A
-    negative n_max raises ``DegreeMismatch``.
+    negative n_max raises ``DegreeMismatch``.  ``nerves`` and
+    ``nerve_faces``, when given, hold the zero nerves of levels 0, 1,
+    ... and the face maps from level l + 1 to level l that the caller
+    has built; the levels beyond them are built here.
     """
     if n_max < 0:
         raise DegreeMismatch("negative degree")
     _require_monoid_with_zero(S)
-    symbols = [nerve(S, n + 2) for n in range(n_max + 1)]
+    symbols = [nerves[n + 2] if n + 2 < len(nerves) else nerve(S, n + 2) for n in range(n_max + 1)]
     objects = [[S.mul_word(s) for s in level] for level in symbols]
     # rows 1..n+1 of the nerve faces of an (n+2)-tuple are its bar faces
-    faces = [[]] + [face_maps(S, symbols[n], symbols[n - 1])[1:-1] for n in range(1, n_max + 1)]
+    upper = [
+        nerve_faces[n + 1] if n + 1 < len(nerve_faces) else face_maps(S, symbols[n], symbols[n - 1])
+        for n in range(1, n_max + 1)
+    ]
+    faces = [[]] + [rows[1:-1] for rows in upper]
     for n in range(2, n_max + 1):
         for (i, d_i), (j, d_j) in combinations(enumerate(faces[n]), 2):
             for p, (x, y) in enumerate(zip(d_j, d_i)):
@@ -388,8 +397,13 @@ def hom_complex_compare(S, D, n_max=2):
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
     nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
-    deltas = [natsys_coboundary_hom(S, D, n, nerves[n : n + 2]) for n in range(n_max + 1)]
-    res = bar_resolution(S, n_max)
+    # faces[n] runs from level n + 1 to level n, for the coboundary, the
+    # hom side and the bar faces alike
+    faces, deltas = [], []
+    for n in range(n_max + 1):
+        faces.append(face_maps(S, nerves[n + 1], nerves[n]))
+        deltas.append(natsys_coboundary_hom(S, D, n, nerves[n : n + 2], faces[n]))
+    res = bar_resolution(S, n_max, nerves, faces)
     e, z = S.identity, S.zero
     report = {"naturality": True, "differentials": True, "groups": [], "ok": True}
 
@@ -431,12 +445,11 @@ def hom_complex_compare(S, D, n_max=2):
         # d_i of [1 | t | 1] is [x | d_i t | y] with the nerve face d_i t,
         # x = t[0] if i = 0 and y = t[-1] if i = n + 1, and 1 otherwise
         src_off, dst_off = offsets[n], offsets[n + 1]
-        faces = face_maps(S, nerves[n + 1], nerves[n])
         cols = [{} for _ in range(deltas[n].source.rank)]
         for p, (t, r0) in enumerate(zip(nerves[n + 1], dst_off)):
             group = D.groups[S.mul_word(t)]
             acc = {}
-            for i, d in enumerate(faces):
+            for i, d in enumerate(faces[n]):
                 key = (t[0] if i == 0 else e, _object(S, nerves[n][d[p]]), t[-1] if i == n + 1 else e)
                 for c, v in enumerate(eta[key], src_off[d[p]]):
                     acc[c] = [x + (-1) ** i * y for x, y in zip(acc.get(c, [0] * group.rank), v)]

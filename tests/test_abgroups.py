@@ -17,7 +17,7 @@ from zerocohom.abgroups import (
     solve_mod,
     subgroup,
 )
-from zerocohom.errors import NotAComplex, NotInSubgroup
+from zerocohom.errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 
 
 def snf_ok(rows, m=None, n=None):
@@ -537,3 +537,47 @@ def test_finite_invariants_from_orders():
     assert finite_invariants_from_orders([0], lambda a, b: 0, 0) == ()
     elems6 = list(range(6))
     assert finite_invariants_from_orders(elems6, lambda a, b: (a + b) % 6, 0) == (6,)
+
+
+SHAPE_CHECKS = {
+    # d_in ends at C2, d_out starts at C4
+    "complex_homology": (
+        "complex_homology(GroupHom(FinAbGroup([0]), FinAbGroup([2]), [[1]]),"
+        " GroupHom(FinAbGroup([4]), FinAbGroup([]), IntMatrix(0, 1)))",
+        "GroupMismatch",
+    ),
+    # a 1x1 matrix for a map C2^2 -> C2
+    "GroupHom": ("GroupHom(FinAbGroup([2, 2]), FinAbGroup([2]), IntMatrix(1, 1, [[1]]))", "ShapeMismatch"),
+    # a vector of length 2 in a group of rank 1
+    "reduce": ("FinAbGroup([2]).reduce([3, 5])", "ShapeMismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CHECKS))
+def test_shape_checks_survive_optimize(run_python, case):
+    call, error = SHAPE_CHECKS[case]
+    script = f"""
+from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology
+from zerocohom.errors import {error}
+try:
+    print("no error:", {call})
+except {error} as e:
+    print("raised", type(e).__name__)
+"""
+    proc = run_python("-O", "-c", script)
+    assert proc.stdout.strip() == f"raised {error}", proc.stdout + proc.stderr
+
+
+def test_shape_errors_are_typed():
+    with pytest.raises(ShapeMismatch) as exc:
+        IntMatrix(2, 2, [[1, 0], [0]])
+    assert exc.value.witness == ([2, 2], [2, 1])
+    with pytest.raises(ShapeMismatch):
+        IntMatrix(2, 3).mul(IntMatrix(2, 2))
+    with pytest.raises(ShapeMismatch):
+        IntMatrix(2, 3).vec([1, 2])
+    with pytest.raises(ShapeMismatch):
+        IntMatrix.from_columns([[1, 2], [3]], 2)
+    G = FinAbGroup([2])
+    with pytest.raises(GroupMismatch):
+        GroupHom.identity(G).compose(GroupHom.identity(FinAbGroup([4])))

@@ -1,4 +1,7 @@
-"""Property test: complex_homology against the dense Smith-form twin."""
+"""Property tests: complex_homology against the dense Smith-form twin,
+and its primary parts over Z/p^k against the integral path."""
+
+from math import gcd
 
 import pytest
 
@@ -11,11 +14,14 @@ from zerocohom.abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
+    QuotientPresentation,
     complex_homology,
     kernel_columns,
+    kernel_mod,
     lattice_basis,
     smith_normal_form,
     solve_exact,
+    subgroup,
 )
 
 SMALL = st.integers(-3, 3)
@@ -71,3 +77,43 @@ def test_complex_homology_against_dense_snf_twin(pair):
     k = len(H.witnesses)
     for i, w in enumerate(H.witnesses):
         assert H.coords(w) == tuple(int(i == j) for j in range(k))
+
+
+@st.composite
+def finite_complexes(draw):
+    """Z^k -> mid -> out with finite mid and out, orders up to 2^3 and 3^2."""
+    orders = (1, 2, 3, 4, 6, 8, 9, 12)
+    n, m, k = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    out_factors = draw(st.lists(st.sampled_from(orders), min_size=m, max_size=m))
+    mid_factors = draw(st.lists(st.sampled_from(orders), min_size=n, max_size=n))
+    # entry (i, j) a multiple of out_i / gcd(out_i, mid_j), so d_out is well defined
+    B = IntMatrix(m, n)
+    for i, f in enumerate(out_factors):
+        for j, d in enumerate(mid_factors):
+            B.a[i][j] = f // gcd(f, d) * draw(SMALL)
+    K = kernel_mod(B, out_factors)
+    cols = []
+    for _ in range(k):
+        coeffs = draw(st.lists(SMALL, min_size=len(K), max_size=len(K)))
+        cols.append([sum(c * kc[r] for c, kc in zip(coeffs, K)) for r in range(n)])
+    mid = FinAbGroup(mid_factors)
+    return GroupHom(FinAbGroup([0] * k), mid, _columns(cols, n)), GroupHom(mid, FinAbGroup(out_factors), B)
+
+
+@given(finite_complexes())
+def test_primary_parts_against_the_integral_twin(pair):
+    # the modular path against the integral one on the same complex: the
+    # same factors, and the modular witnesses a basis of the integral group
+    d_in, d_out = pair
+    H = complex_homology(d_in, d_out)
+    mid = d_in.target
+    relations = [[d * (r == i) for r in range(mid.rank)] for i, d in enumerate(mid.factors)]
+    T = QuotientPresentation(mid.rank, kernel_mod(d_out.matrix, d_out.target.factors), d_in.matrix.columns() + relations)
+    assert H.group.factors == T.group.factors
+    cols = [T.coords(w) for w in H.witnesses]
+    for i, (d, c) in enumerate(zip(H.group.factors, cols)):
+        assert H.coords(H.witnesses[i]) == tuple(int(i == j) for j in range(H.group.rank))
+        assert not any(T.group.reduce([d * x for x in c]))
+    assert subgroup(T.group, cols).group.factors == T.group.factors
+    for w in T.witnesses:
+        assert H.coords(w) is not None

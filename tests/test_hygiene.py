@@ -7,6 +7,7 @@ a helper that nothing calls any more fails here instead of lingering.
 No local is only ever filled: one bound by a plain assignment must be
 read other than as the receiver of a statement-level ``.append``,
 ``.extend``, ``.add`` or ``.update``.
+The package has no ``assert`` statement, since ``python -O`` drops them.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
 A nerve face is built from tuple slices only in ``face_maps`` and in the
 brute-force twins that check it.
@@ -131,6 +132,12 @@ def test_no_write_only_locals():
                 if local in reads and receivers.issuperset(reads[local]):
                     filled_only.append(f"{name.removesuffix('.py')}.{fn.name}: {local}")
     assert not filled_only, filled_only
+
+
+def test_no_assert_in_src():
+    # a certification or shape check written as an assert vanishes under -O
+    found = [f"{name}:{n.lineno}" for name, tree in _modules().items() for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not found, found
 
 
 def test_readme_caps_table_lists_every_cap():
