@@ -1,5 +1,8 @@
 """Nerves, cochains, the coboundary operator, and cohomology groups.
 
+A ``Nerve`` is the one owner of a nerve's levels and face maps: every
+coboundary builder reads one, and each entry point builds one per call.
+
 Three variants share one coboundary formula:
 
 * ``zero``      cochains live on tuples of nonzero elements whose full
@@ -18,6 +21,7 @@ with the degree-0 rule a |-> (x a - a), resp. (x a - a x).
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .abgroups import (
@@ -143,65 +147,93 @@ def _coboundary_at(M, values, t, bimod):
     return A.reduce(acc)
 
 
-def cochain_group(tuples, group_of):
-    """The direct sum of group_of(t) over the tuples, with block offsets."""
+def cochain_group(groups):
+    """The direct sum of the groups, in order, with block offsets."""
     factors = []
     offsets = []
-    for t in tuples:
+    for A in groups:
         offsets.append(len(factors))
-        factors.extend(group_of(t).factors)
+        factors.extend(A.factors)
     return FinAbGroup(factors), offsets
 
 
-def face_maps(S, upper, lower):
-    """The face maps between two consecutive nerve levels, as index lists.
+def face_maps(S, m, upper, index):
+    """The face maps from nerve level m >= 1 to level m - 1, as index lists.
 
-    ``upper`` and ``lower`` are the nerves of levels m >= 1 and m - 1.
-    Row i gives, for each tuple t of ``upper`` in order, the position in
-    ``lower`` of its face d_i t: d_0 drops the first letter, d_m the
+    ``upper`` is level m, and ``index`` maps each tuple of level m - 1 to
+    its position.  Row i gives, for each tuple t of ``upper`` in order,
+    the position of its face d_i t: d_0 drops the first letter, d_m the
     last, and d_i for 0 < i < m multiplies t[i - 1] and t[i] together.
-    An empty ``upper`` gives empty rows.
+    An empty level gives m + 1 empty rows.
     """
-    pos = {t: p for p, t in enumerate(lower)}
-    m = len(upper[0]) if upper else 1
-    inner = [[pos[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :]] for t in upper] for i in range(1, m)]
-    return [[pos[t[1:]] for t in upper]] + inner + [[pos[t[:-1]] for t in upper]]
+    inner = [[index[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :]] for t in upper] for i in range(1, m)]
+    return [[index[t[1:]] for t in upper]] + inner + [[index[t[:-1]] for t in upper]]
 
 
-def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_block, faces=None):
-    """The alternating-sum coboundary from one nerve to the next, as a GroupHom.
+class Nerve:
+    """The nerve of one semigroup in one variant, each piece built once, on first use.
 
-    ``src_tuples`` and ``dst_tuples`` are the degree-n and degree-(n+1)
-    nerves.  ``group_of(t)`` is the coefficient group at the nerve tuple
-    t; ``first_block(t)`` and ``last_block(t)`` are the matrices of the
-    first-slot term (from t[1:] to t) and the last-slot term (from
-    t[:-1] to t).  The middle terms merge two neighbours, keep the full
-    product and so the group, and enter as identity blocks.  The matrix
-    is a SparseMatrix: one {row: value} column per source coordinate.
-    ``faces``, when given, is ``face_maps(S, dst_tuples, src_tuples)``
-    already built; otherwise it is built after the cap check.
+    ``level(m)`` is ``nerve(S, m, variant)``, ``index(m)`` maps its tuples
+    to their positions, ``products(m)`` lists their full products (the
+    identity for the empty tuple), and ``faces(m)``, for m >= 1, is
+    ``face_maps`` from level m to level m - 1.  Every builder reads its
+    levels and faces here, so one call builds each of them at most once.
     """
-    src, src_off = cochain_group(src_tuples, group_of)
+
+    def __init__(self, S, variant):
+        self.semigroup, self.variant = S, variant
+        # the pieces read each other, not self: a Nerve is freed as soon as it is dropped
+        level = self.level = cache(lambda m: nerve(S, m, variant))
+        index = self.index = cache(lambda m: {t: p for p, t in enumerate(level(m))})
+        self.products = cache(lambda m: [S.mul_word(t) if t else S.identity for t in level(m)])
+        self.faces = cache(lambda m: face_maps(S, m, level(m), index(m - 1)))
+
+    def complex_at(self, n, d):
+        """The maps (d_in, d_out) into and out of degree n, whose homology is H^n.
+
+        ``d(k)`` is the map leaving degree k; into degree 0 comes the zero
+        map.  Every piece is dropped once both are built, so level n + 1,
+        the largest, and its face maps are not held through the elimination.
+        """
+        d_out = d(n)
+        d_in = d(n - 1) if n else GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
+        for piece in (self.level, self.index, self.products, self.faces):
+            piece.cache_clear()
+        return d_in, d_out
+
+
+def assemble_coboundary(N, n, groups, first_block, last_block):
+    """The alternating-sum coboundary from level n of the nerve N to level n + 1, as a GroupHom.
+
+    ``groups(m)`` lists the coefficient group at each tuple of level m.
+    ``first_block(t, q)`` and ``last_block(t, q)`` are the matrices of
+    the first-slot term (from d_0 t to t) and the last-slot term (from
+    d_{n+1} t to t) at the (n+1)-tuple t, where q is the position of
+    that face in level n.  The middle terms merge two neighbours, keep
+    the full product and so the group, and enter as identity blocks.
+    The matrix is a SparseMatrix: one {row: value} column per source
+    coordinate.  The face maps are built after the cap check.
+    """
+    src, src_off = cochain_group(groups(n))
     # the cap is checked before the larger cochain group is laid out
-    rows = sum(group_of(t).rank for t in dst_tuples)
+    rows = sum(A.rank for A in groups(n + 1))
     cells = src.rank * max(rows, 1)
     if cells > COBOUNDARY_CELL_CAP:
         raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
-    dst, dst_off = cochain_group(dst_tuples, group_of)
-    if faces is None:
-        faces = face_maps(S, dst_tuples, src_tuples)
+    dst, dst_off = cochain_group(groups(n + 1))
+    faces = N.faces(n + 1)
     cols = [{} for _ in range(src.rank)]
 
-    def add_block(r0, c0, block, sign):
+    def add_block(r0, q, block, sign):
         for r, brow in enumerate(block.a, r0):
-            for c, x in enumerate(brow, c0):
+            for c, x in enumerate(brow, src_off[q]):
                 if x:
                     col = cols[c]
                     col[r] = col.get(r, 0) + sign * x
 
-    inner = faces[1:-1]
-    for p, (t, r0, r1) in enumerate(zip(dst_tuples, dst_off, dst_off[1:] + [dst.rank])):
-        add_block(r0, src_off[faces[0][p]], first_block(t), 1)
+    first, inner, last = faces[0], faces[1:-1], faces[-1]
+    for p, (t, r0, r1) in enumerate(zip(N.level(n + 1), dst_off, dst_off[1:] + [dst.rank])):
+        add_block(r0, first[p], first_block(t, first[p]), 1)
         sign = -1
         for d in inner:
             c0 = src_off[d[p]] - r0
@@ -209,27 +241,21 @@ def assemble_coboundary(S, src_tuples, dst_tuples, group_of, first_block, last_b
                 col = cols[c0 + r]
                 col[r] = col.get(r, 0) + sign
             sign = -sign
-        add_block(r0, src_off[faces[-1][p]], last_block(t), sign)
+        add_block(r0, last[p], last_block(t, last[p]), sign)
     # terms that cancelled are not stored
     cols = [{r: x for r, x in c.items() if x} for c in cols]
     return GroupHom(src, dst, SparseMatrix(dst.rank, cols))
 
 
-def coboundary_hom(S, M, n, variant="zero", nerves=None):
-    """The coboundary in degree n as a GroupHom between cochain groups.
-
-    ``nerves``, when given, is the pair (degree-n nerve, degree-(n+1)
-    nerve) already built for this semigroup and variant.
-    """
+def coboundary_hom(N, M, n):
+    """The coboundary in degree n on the nerve N as a GroupHom between cochain groups."""
     A = M.group
     one = IntMatrix.identity(A.rank)
-    if variant == "bimodule":
-        last = lambda t: M.right[t[-1]]
+    if N.variant == "bimodule":
+        last = lambda t, q: M.right[t[-1]]
     else:
-        last = lambda t: one
-    if nerves is None:
-        nerves = (nerve(S, n, variant), nerve(S, n + 1, variant))
-    return assemble_coboundary(S, *nerves, lambda t: A, lambda t: M.matrix(t[0]), last)
+        last = lambda t, q: one
+    return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda t, q: M.matrix(t[0]), last)
 
 
 @dataclass
@@ -277,13 +303,9 @@ def cohomology_group(S, M, n, variant="zero"):
     if n < 0:
         raise DegreeMismatch("negative degree")
     _check_module_for_variant(S, M, variant)
-    tuples = nerve(S, n, variant)
-    d_out = coboundary_hom(S, M, n, variant, (tuples, nerve(S, n + 1, variant)))
-    if n == 0:
-        d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
-    else:
-        d_in = coboundary_hom(S, M, n - 1, variant, (nerve(S, n - 1, variant), tuples))
-    H = complex_homology(d_in, d_out)
+    N = Nerve(S, variant)
+    tuples = N.level(n)
+    H = complex_homology(*N.complex_at(n, lambda k: coboundary_hom(N, M, k)))
     witnesses = [_cochain_on(M, n, tuples, w) for w in H.witnesses]
     return CohomologyResult(H.group, witnesses, H, tuples, variant)
 
@@ -310,12 +332,12 @@ def coboundary_preimage(S, M, f, variant="zero"):
     n = f.degree
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
-    prev, tuples = nerve(S, n - 1, variant), nerve(S, n, variant)
-    d_prev = coboundary_hom(S, M, n - 1, variant, (prev, tuples))
-    x = solve_mod(d_prev.matrix, _vector_on(M, f, tuples), d_prev.target.factors)
+    N = Nerve(S, variant)
+    d_prev = coboundary_hom(N, M, n - 1)
+    x = solve_mod(d_prev.matrix, _vector_on(M, f, N.level(n)), d_prev.target.factors)
     if x is None:
         return (False, None)
-    return (True, _cochain_on(M, n - 1, prev, x))
+    return (True, _cochain_on(M, n - 1, N.level(n - 1), x))
 
 
 def brute_cohomology(S, M, n, variant="zero"):

@@ -9,7 +9,10 @@ alpha_* = D(alpha, 1), beta^* = D(1, beta) to the generating morphisms.
 The cochain complex uses the nerve of nonzero products; its coboundary
 acts by alpha_* on the first slot and beta^* on the last.  The bar
 system B_n is objectwise free on the (n+2)-letter factorizations of the
-object; comparing Hom(B_n, D) with the cochain complex realizes the
+object, the tuples [a_0 | t | a_{n+1}] of level n + 2 of the same
+``cohomology.Nerve``, each over its full product; its faces d_0..d_n,
+the inner rows of that level's face maps, multiply letters i and i + 1.
+Comparing Hom(B_n, D) with the cochain complex realizes the
 derived-functor description at desk scale.
 """
 
@@ -19,7 +22,7 @@ from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
-from .cohomology import assemble_coboundary, cochain_group, face_maps, nerve
+from .cohomology import Nerve, assemble_coboundary, cochain_group
 from .modules import trivial_module
 
 
@@ -215,64 +218,31 @@ def trivial_Z(S):
 NATSYS_DEGREE_CAP = 3
 
 
-def _object(S, t):
-    """The full product of a nerve tuple; the identity for the empty tuple."""
-    return S.mul_word(t) if t else S.identity
-
-
-def natsys_coboundary_hom(S, D, n, nerves=None, faces=None):
-    """Degree-n coboundary of the natural-system cochain complex.
+def natsys_coboundary_hom(N, D, n):
+    """Degree-n coboundary of the natural-system cochain complex on the zero nerve N.
 
     The first slot acts by alpha_* = D(t[0], 1) and the last by
     beta^* = D(1, t[-1]); in degree 0 these are D(x, 1) and D(1, x) on
-    the group of the identity.  ``nerves``, when given, is the pair of
-    degree-n and degree-(n+1) nerves, and ``faces`` the face maps from
-    the second to the first.
+    the group of the identity.  Each acts on the group of the face's
+    object, the product stored at the face's position.
     """
-    if nerves is None:
-        nerves = (nerve(S, n, "zero"), nerve(S, n + 1, "zero"))
-    return assemble_coboundary(
-        S,
-        *nerves,
-        lambda t: D.groups[_object(S, t)],
-        lambda t: D.left_map(t[0], _object(S, t[1:])),
-        lambda t: D.right_map(t[-1], _object(S, t[:-1])),
-        faces,
-    )
+    below = N.products(n)
+    groups = lambda m: [D.groups[a] for a in N.products(m)]
+    alpha = lambda t, q: D.left_map(t[0], below[q])
+    beta = lambda t, q: D.right_map(t[-1], below[q])
+    return assemble_coboundary(N, n, groups, alpha, beta)
 
 
 def natsys_cohomology(S, D, n):
     """H^n of the cochain complex of a natural system (n <= 3)."""
     if n > NATSYS_DEGREE_CAP:
         raise CapExceeded("degree", n, NATSYS_DEGREE_CAP)
-    tuples = nerve(S, n, "zero")
-    d_out = natsys_coboundary_hom(S, D, n, (tuples, nerve(S, n + 1, "zero")))
-    if n == 0:
-        d_in = GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
-    else:
-        d_in = natsys_coboundary_hom(S, D, n - 1, (nerve(S, n - 1, "zero"), tuples))
-    return complex_homology(d_in, d_out).group
+    N = Nerve(S, "zero")
+    return complex_homology(*N.complex_at(n, lambda k: natsys_coboundary_hom(N, D, k))).group
 
 
 # ---------------------------------------------------------------------------
 # the bar resolution on the nerve
-
-
-@dataclass(frozen=True)
-class BarResolution:
-    """B_0..B_{n_max} on the nerve.
-
-    B_n is objectwise free on the symbols [a_0 | t | a_{n+1}] of
-    ``symbols[n]`` = nerve(S, n + 2), symbol p over its full product
-    ``objects[n][p]``.  ``faces[n][i][p]`` (n >= 1, i <= n) is the
-    position in ``symbols[n - 1]`` of the face d_i of symbol p, which
-    multiplies its letters i and i + 1, keeping the object; the
-    differential is their alternating sum.
-    """
-
-    symbols: list
-    objects: list
-    faces: list
 
 
 def _generators(S):
@@ -281,59 +251,50 @@ def _generators(S):
     return list(dict.fromkeys([(g, e) for g in range(S.order)] + [(e, g) for g in range(S.order)]))
 
 
-def bar_action(S, symbols, objects, index, alpha, beta):
-    """B(alpha, beta) on one level, as an index list over its symbols.
+def bar_action(N, m, alpha, beta):
+    """B(alpha, beta) on the symbols of nerve level m, as an index list.
 
-    Entry p is the position (in ``index``) of [alpha a_0 | t | a_{n+1} beta]
-    for the symbol p = [a_0 | t | a_{n+1}] over a, or None if alpha a beta = 0.
+    Entry p is the position of [alpha a_0 | t | a_{n+1} beta] for the
+    symbol p = [a_0 | t | a_{n+1}] over a, or None if alpha a beta = 0.
     """
-    z = S.zero
-    live = {a for a in S.nonzero() if S.mul(S.mul(alpha, a), beta) != z}
+    S, index = N.semigroup, N.index(m)
+    live = {a for a in S.nonzero() if S.mul(S.mul(alpha, a), beta) != S.zero}
     left, right = S.table[alpha], [row[beta] for row in S.table]
-    return [index[(left[s[0]],) + s[1:-1] + (right[s[-1]],)] if a in live else None for s, a in zip(symbols, objects)]
+    symbols = zip(N.level(m), N.products(m))
+    return [index[(left[s[0]],) + s[1:-1] + (right[s[-1]],)] if a in live else None for s, a in symbols]
 
 
-def bar_resolution(S, n_max, nerves=(), nerve_faces=()):
-    """The bar resolution B_0..B_{n_max} on the nerve, with its checks.
+def bar_resolution(N, n_max):
+    """Build the bar resolution B_0..B_{n_max} on the zero nerve N, and check it.
 
-    dd = 0 follows from the simplicial identities d_i d_j = d_{j-1} d_i
-    (i < j), checked on the index lists (``NotAComplex`` with witness
-    (n, a)).  Naturality is checked face by face for each generating
-    morphism, act_{n-1}[d_i[p]] == d_i[act_n[p]] (``FunctorialityError``
-    with witness (n, a, "left", alpha) or (n, a, "right", beta)).  A
-    negative n_max raises ``DegreeMismatch``.  ``nerves`` and
-    ``nerve_faces``, when given, hold the zero nerves of levels 0, 1,
-    ... and the face maps from level l + 1 to level l that the caller
-    has built; the levels beyond them are built here.
+    The differential is the alternating sum of the faces, which keep the
+    object.  dd = 0 follows from the simplicial identities d_i d_j =
+    d_{j-1} d_i (i < j), checked on the index lists (``NotAComplex``
+    with witness (n, a)).  Naturality is checked face by face for each
+    generating morphism, act_{n-1}[d_i[p]] == d_i[act_n[p]]
+    (``FunctorialityError`` with witness (n, a, "left", alpha) or
+    (n, a, "right", beta)).  A negative n_max raises ``DegreeMismatch``.
     """
     if n_max < 0:
         raise DegreeMismatch("negative degree")
+    S = N.semigroup
     _require_monoid_with_zero(S)
-    symbols = [nerves[n + 2] if n + 2 < len(nerves) else nerve(S, n + 2) for n in range(n_max + 1)]
-    objects = [[S.mul_word(s) for s in level] for level in symbols]
-    # rows 1..n+1 of the nerve faces of an (n+2)-tuple are its bar faces
-    upper = [
-        nerve_faces[n + 1] if n + 1 < len(nerve_faces) else face_maps(S, symbols[n], symbols[n - 1])
-        for n in range(1, n_max + 1)
-    ]
-    faces = [[]] + [rows[1:-1] for rows in upper]
+    faces = [[]] + [N.faces(n + 2)[1:-1] for n in range(1, n_max + 1)]
     for n in range(2, n_max + 1):
         for (i, d_i), (j, d_j) in combinations(enumerate(faces[n]), 2):
             for p, (x, y) in enumerate(zip(d_j, d_i)):
                 if faces[n - 1][i][x] != faces[n - 1][j - 1][y]:
-                    raise NotAComplex((n, objects[n][p]))
-    index = [{s: p for p, s in enumerate(level)} for level in symbols]
+                    raise NotAComplex((n, N.products(n + 2)[p]))
     for alpha, beta in _generators(S):
         side = ("left", alpha) if beta == S.identity else ("right", beta)
         prev = None  # B_0 has no faces, so prev is read from B_1 on
         for n in range(n_max + 1):
-            act = bar_action(S, symbols[n], objects[n], index[n], alpha, beta)
+            act = bar_action(N, n + 2, alpha, beta)
             for d in faces[n]:
                 for p, q in enumerate(act):
                     if q is not None and prev[d[p]] != d[q]:
-                        raise FunctorialityError((n, objects[n][p]) + side)
+                        raise FunctorialityError((n, N.products(n + 2)[p]) + side)
             prev = act
-    return BarResolution(symbols, objects, faces)
 
 
 def bar_exactness_report(S, n_max):
@@ -342,17 +303,18 @@ def bar_exactness_report(S, n_max):
     Returns {object: [invariants in degree 0, 1, ...]}; exactness means
     every entry is the empty tuple.
     """
-    res = bar_resolution(S, n_max)
+    N = Nerve(S, "zero")
+    bar_resolution(N, n_max)
     report = {}
     for a in S.nonzero():
-        own = [[p for p, b in enumerate(objects) if b == a] for objects in res.objects]
+        own = [[p for p, b in enumerate(N.products(n + 2)) if b == a] for n in range(n_max + 1)]
         free = [FinAbGroup([0] * len(ps)) for ps in own]
         # augmentation B_0(a) -> Z, every symbol to the generator
         maps = [GroupHom(free[0], FinAbGroup([0]), SparseMatrix(1, [{0: 1} for _ in own[0]]))]
         for n in range(1, n_max + 1):
             row = {p: r for r, p in enumerate(own[n - 1])}
             cols = [Counter() for _ in own[n]]
-            for i, d in enumerate(res.faces[n]):
+            for i, d in enumerate(N.faces(n + 2)[1:-1]):
                 for col, p in zip(cols, own[n]):
                     col[row[d[p]]] += (-1) ** i
             cols = [{r: x for r, x in col.items() if x} for col in cols]
@@ -396,14 +358,10 @@ def hom_complex_compare(S, D, n_max=2):
     if n_max > NATSYS_DEGREE_CAP - 1:
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
-    nerves = [nerve(S, n, "zero") for n in range(n_max + 2)]
-    # faces[n] runs from level n + 1 to level n, for the coboundary, the
-    # hom side and the bar faces alike
-    faces, deltas = [], []
-    for n in range(n_max + 1):
-        faces.append(face_maps(S, nerves[n + 1], nerves[n]))
-        deltas.append(natsys_coboundary_hom(S, D, n, nerves[n : n + 2], faces[n]))
-    res = bar_resolution(S, n_max, nerves, faces)
+    # one Nerve serves the coboundaries, the bar resolution and the hom side
+    N = Nerve(S, "zero")
+    deltas = [natsys_coboundary_hom(N, D, n) for n in range(n_max + 1)]
+    bar_resolution(N, n_max)
     e, z = S.identity, S.zero
     report = {"naturality": True, "differentials": True, "groups": [], "ok": True}
 
@@ -413,9 +371,9 @@ def hom_complex_compare(S, D, n_max=2):
     # of D(a_0, object of t, a_{n+1}), reduced in the group of the
     # symbol's object: eta holds it once per key (a_0, object of t, a_{n+1}).
     eta, keys_over = {}, {a: [] for a in S.nonzero()}
-    for level, objects in zip(res.symbols, res.objects):
-        for s, a in zip(level, objects):
-            key = (s[0], _object(S, s[1:-1]), s[-1])
+    for m in range(2, n_max + 3):
+        for s, a in zip(N.level(m), N.products(m)):
+            key = (s[0], N.products(m - 2)[N.index(m - 2)[s[1:-1]]], s[-1])
             if key not in eta:
                 eta[key] = [D.groups[a].reduce(c) for c in D.morphism_matrix(*key).columns()]
                 keys_over[a].append(key)
@@ -437,20 +395,19 @@ def hom_complex_compare(S, D, n_max=2):
                     if lhs != mapped[val]:
                         report["naturality"] = False
 
-    offsets = [cochain_group(ts, lambda t: D.groups[_object(S, t)])[1] for ts in nerves]
-    # hom_mats[n + 1] leaves degree n; hom_mats[0] is the zero map into degree 0
-    hom_mats = [GroupHom(FinAbGroup(()), deltas[0].source, SparseMatrix(deltas[0].source.rank, []))]
+    offsets = [cochain_group([D.groups[a] for a in N.products(m)])[1] for m in range(n_max + 2)]
+    hom_mats = []  # hom_mats[n] leaves degree n
     for n in range(n_max + 1):
         # eta |-> eta o (bar boundary) in normalized coordinates: the face
         # d_i of [1 | t | 1] is [x | d_i t | y] with the nerve face d_i t,
         # x = t[0] if i = 0 and y = t[-1] if i = n + 1, and 1 otherwise
-        src_off, dst_off = offsets[n], offsets[n + 1]
+        src_off, dst_off, below = offsets[n], offsets[n + 1], N.products(n)
         cols = [{} for _ in range(deltas[n].source.rank)]
-        for p, (t, r0) in enumerate(zip(nerves[n + 1], dst_off)):
-            group = D.groups[S.mul_word(t)]
+        for p, (t, a, r0) in enumerate(zip(N.level(n + 1), N.products(n + 1), dst_off)):
+            group = D.groups[a]
             acc = {}
-            for i, d in enumerate(faces[n]):
-                key = (t[0] if i == 0 else e, _object(S, nerves[n][d[p]]), t[-1] if i == n + 1 else e)
+            for i, d in enumerate(N.faces(n + 1)):
+                key = (t[0] if i == 0 else e, below[d[p]], t[-1] if i == n + 1 else e)
                 for c, v in enumerate(eta[key], src_off[d[p]]):
                     acc[c] = [x + (-1) ** i * y for x, y in zip(acc.get(c, [0] * group.rank), v)]
             for c, col in acc.items():
@@ -468,5 +425,5 @@ def hom_complex_compare(S, D, n_max=2):
         report["ok"] = False
         return report
     for n in range(n_max + 1):
-        report["groups"].append(complex_homology(hom_mats[n], hom_mats[n + 1]).group.invariants())
+        report["groups"].append(complex_homology(*N.complex_at(n, lambda k: hom_mats[k])).group.invariants())
     return report

@@ -330,6 +330,7 @@ def check_11():
         assert all(not any(v) for v in ddf.values.values())
         trials += 1
     notes.append(f"dd=0 x{trials}")
+    from zerocohom.cohomology import Nerve
     from zerocohom.natsys import natsys_coboundary_hom
 
     count = 0
@@ -338,7 +339,8 @@ def check_11():
         M = trivial_module(S, FinAbGroup(rng.choice([(2,), (4,)])))
         D = from_zero_module(M)
         n = rng.choice([0, 1])
-        comp = natsys_coboundary_hom(S, D, n + 1).compose(natsys_coboundary_hom(S, D, n))
+        N = Nerve(S, "zero")
+        comp = natsys_coboundary_hom(N, D, n + 1).compose(natsys_coboundary_hom(N, D, n))
         for j in range(comp.source.rank):
             e = [1 if i == j else 0 for i in range(comp.source.rank)]
             assert not any(comp.apply(e))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -6,12 +8,12 @@ from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, same_map
 from zerocohom.cohomology import (
     Cochain,
+    Nerve,
     _brute_cocycles,
     brute_cohomology,
     coboundary,
     coboundary_hom,
     cohomology_group,
-    face_maps,
     nerve,
     random_cochain,
     witness_report,
@@ -63,15 +65,16 @@ def test_nerve_subproducts_nonzero():
 
 def test_face_maps_match_the_tuple_formula():
     # row i of face_maps is the face d_i written out on tuples: drop the
-    # first letter, merge letters i - 1 and i, or drop the last letter
+    # first letter, merge letters i - 1 and i, or drop the last letter;
+    # an empty level (level 2 of the null semigroup) has m + 1 empty rows
     semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.null_semigroup(2), catalog.brandt_b2()]
     for S in semigroups:
         for variant in ("zero", "em") if S.has_zero else ("em",):
             for m in (1, 2, 3):
-                upper, lower = nerve(S, m, variant), nerve(S, m - 1, variant)
-                if not upper:  # no tuple, no face to check
-                    continue
-                rows = face_maps(S, upper, lower)
+                N = Nerve(S, variant)
+                upper, lower = N.level(m), N.level(m - 1)
+                rows = N.faces(m)
+                assert len(rows) == m + 1
                 assert [[lower[q] for q in row] for row in rows] == [
                     [t[1:] for t in upper],
                     *[[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :] for t in upper] for i in range(1, m)],
@@ -489,12 +492,12 @@ def test_sparse_coboundaries_against_dense_complexes():
         variant = "em" if not S.has_zero else rng.choice(("zero", "em", "bimodule"))
         M = trivial_bimodule(S, A) if variant == "bimodule" else trivial_module(S, A)
         n = rng.randint(0, 2)
-        d_out = coboundary_hom(S, M, n, variant)
+        d_out = coboundary_hom(Nerve(S, variant), M, n)
         assert isinstance(d_out.matrix, SparseMatrix)
         dense_out = GroupHom(d_out.source, d_out.target, _pointwise_matrix(S, M, n, variant))
         assert same_map(d_out.target, d_out.matrix, dense_out.matrix)
         if n:
-            d_in = coboundary_hom(S, M, n - 1, variant)
+            d_in = coboundary_hom(Nerve(S, variant), M, n - 1)
             dense_in = GroupHom(d_in.source, d_in.target, _pointwise_matrix(S, M, n - 1, variant))
             assert same_map(d_in.target, d_in.matrix, dense_in.matrix)
         else:
@@ -508,3 +511,23 @@ def test_sparse_coboundaries_against_dense_complexes():
             k = len(P.witnesses)
             for i, w in enumerate(P.witnesses):
                 assert P.coords(w) == tuple(int(i == j) for j in range(k))
+
+
+def test_complex_at_holds_no_nerve_piece_through_the_elimination():
+    # once both maps are built every piece is dropped, level n + 1 and its
+    # face maps included, and a dropped Nerve is freed by reference
+    # counting alone: its pieces do not refer back to it
+    S = nil4()
+    M = trivial_module(S, FinAbGroup([2]))
+    N = Nerve(S, "zero")
+    d_in, d_out = N.complex_at(1, lambda k: coboundary_hom(N, M, k))
+    assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
+    assert [piece.cache_info().currsize for piece in (N.level, N.index, N.products, N.faces)] == [0, 0, 0, 0]
+    N.faces(2)
+    ref = weakref.ref(N)
+    gc.disable()
+    try:
+        del N
+        assert ref() is None
+    finally:
+        gc.enable()

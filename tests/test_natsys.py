@@ -4,9 +4,9 @@ import pytest
 
 from zerocohom import catalog, cohomology, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
-from zerocohom.cohomology import brute_cohomology, cohomology_group, nerve
+from zerocohom.cohomology import Nerve, brute_cohomology, coboundary_preimage, cohomology_group, nerve, zero_cochain
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
-from zerocohom.modules import scalar_module, trivial_module, validate_module
+from zerocohom.modules import scalar_module, trivial_bimodule, trivial_module, validate_module
 from zerocohom.natsys import (
     FacCategory,
     NaturalSystem,
@@ -183,8 +183,9 @@ def test_delta_delta_zero_randomized():
         M = trivial_module(S, FinAbGroup(rng.choice([(2,), (4,), (3,)])))
         D = from_zero_module(M)
         n = rng.choice([0, 1])
-        d_n = natsys_coboundary_hom(S, D, n)
-        d_next = natsys_coboundary_hom(S, D, n + 1)
+        N = Nerve(S, "zero")
+        d_n = natsys_coboundary_hom(N, D, n)
+        d_next = natsys_coboundary_hom(N, D, n + 1)
         comp = d_next.compose(d_n)
         for j in range(comp.source.rank):
             e = [1 if i == j else 0 for i in range(comp.source.rank)]
@@ -210,10 +211,16 @@ def test_baues_compatibility_via_groups():
 def test_bar_rank_one_zero_monoid():
     S = one_zero_monoid()
     e = S.identity
-    assert bar_resolution(S, 0).symbols[0] == [(e, e)]  # only (1, 1)
+    N = Nerve(S, "zero")
+    bar_resolution(N, 0)
+    assert N.level(2) == [(e, e)]  # only (1, 1)
 
 
-@pytest.mark.parametrize("entry", [bar_resolution, bar_exactness_report])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda S, n: bar_resolution(Nerve(S, "zero"), n), bar_exactness_report],
+    ids=["bar_resolution", "bar_exactness_report"],
+)
 def test_bar_negative_degree(entry):
     S = one_zero_monoid()
     with pytest.raises(DegreeMismatch, match="negative degree"):
@@ -222,31 +229,32 @@ def test_bar_negative_degree(entry):
 
 def test_bar_dd_zero_nil_square_with_identity():
     S = adjoin(catalog.nil_square_semigroup(), "identity")
-    bar_resolution(S, 2)  # raises on any dd != 0 or naturality failure
+    bar_resolution(Nerve(S, "zero"), 2)  # raises on any dd != 0 or naturality failure
 
 
 def test_bar_resolution_dd_check_survives_optimize(run_python):
     # under python -O: one corrupted entry of a face map must still raise
     # NotAComplex, so the check cannot rest on an assert
     script = """
+import zerocohom.cohomology as co
 import zerocohom.natsys as ns
 from zerocohom import catalog
 from zerocohom.errors import NotAComplex
 from zerocohom.semigroups import adjoin
 
-real = ns.face_maps
+real = co.face_maps
 
-def corrupt(S, upper, lower):
-    rows = real(S, upper, lower)
-    if len(upper[0]) == 3:  # the faces of B_1: send d_0 [1 | 1 | 1] elsewhere
+def corrupt(S, m, upper, index):
+    rows = real(S, m, upper, index)
+    if m == 3:  # the faces of B_1: send d_0 [1 | 1 | 1] elsewhere
         p = upper.index((S.identity,) * 3)
-        rows[1][p] = (rows[1][p] + 1) % len(lower)
+        rows[1][p] = (rows[1][p] + 1) % len(index)
     return rows
 
-ns.face_maps = corrupt
+co.face_maps = corrupt
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 try:
-    ns.bar_resolution(S, 2)
+    ns.bar_resolution(co.Nerve(S, "zero"), 2)
 except NotAComplex as exc:
     print("NotAComplex", exc.witness == (2, S.identity))
 """
@@ -269,13 +277,13 @@ real = ns.bar_action
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 beta = S.index("u")
 
-def reversed_on_right(S_, symbols, objects, index, alpha, beta_):
-    out = real(S_, symbols, objects, index, alpha, beta_)
-    return out[::-1] if alpha == S_.identity and beta_ == beta else out
+def reversed_on_right(N, m, alpha, beta_):
+    out = real(N, m, alpha, beta_)
+    return out[::-1] if alpha == S.identity and beta_ == beta else out
 
 ns.bar_action = reversed_on_right
 try:
-    ns.bar_resolution(S, 2)
+    ns.bar_resolution(ns.Nerve(S, "zero"), 2)
 except FunctorialityError as exc:
     print("FunctorialityError", exc.witness[2:] == ("right", beta))
 """
@@ -290,13 +298,13 @@ def test_bar_resolution_checks_right_naturality(monkeypatch):
     S = adjoin(catalog.nil_square_semigroup(), "identity")
     real = natsys.bar_action
 
-    def wrong_on_right(S_, symbols, objects, index, alpha, beta):
-        out = real(S_, symbols, objects, index, alpha, beta)
-        return out[::-1] if alpha == S_.identity and beta != S_.identity else out
+    def wrong_on_right(N, m, alpha, beta):
+        out = real(N, m, alpha, beta)
+        return out[::-1] if alpha == S.identity and beta != S.identity else out
 
     monkeypatch.setattr(natsys, "bar_action", wrong_on_right)
     with pytest.raises(FunctorialityError) as exc:
-        bar_resolution(S, 2)
+        bar_resolution(Nerve(S, "zero"), 2)
     assert exc.value.witness[2] == "right"
 
 
@@ -304,55 +312,91 @@ def test_bar_resolution_matches_tuples():
     # every symbol lies over its product, and every bar face and action
     # entry is the position of the (n+2)-tuple it stands for
     for S in small_monoids_with_zero():
-        res = bar_resolution(S, 3)
+        N = Nerve(S, "zero")
+        bar_resolution(N, 3)
         e, z = S.identity, S.zero
-        for n, level in enumerate(res.symbols):
+        for n in range(4):
+            level, objects = N.level(n + 2), N.products(n + 2)
             assert level == nerve(S, n + 2)
-            assert res.objects[n] == [S.mul_word(s) for s in level]
-            assert len(res.faces[n]) == (n + 1 if n else 0)
-            for i, d in enumerate(res.faces[n]):
+            assert objects == [S.mul_word(s) for s in level]
+            inner = N.faces(n + 2)[1:-1]  # the faces of B_n, for n >= 1
+            assert len(inner) == n + 1
+            for i, d in enumerate(inner):
                 faces = [s[:i] + (S.mul(s[i], s[i + 1]),) + s[i + 2 :] for s in level]
-                assert [res.symbols[n - 1][q] for q in d] == faces
-            index = {s: p for p, s in enumerate(level)}
+                assert [N.level(n + 1)[q] for q in d] == faces
             for g in range(S.order):
                 for alpha, beta in ((g, e), (e, g)):
-                    act = natsys.bar_action(S, level, res.objects[n], index, alpha, beta)
+                    act = natsys.bar_action(N, n + 2, alpha, beta)
                     images = [
                         (S.mul(alpha, s[0]),) + s[1:-1] + (S.mul(s[-1], beta),)
                         if S.mul(S.mul(alpha, a), beta) != z
                         else None
-                        for s, a in zip(level, res.objects[n])
+                        for s, a in zip(level, objects)
                     ]
                     assert [None if q is None else level[q] for q in act] == images
 
 
-def test_hom_complex_compare_builds_each_bar_map_once(monkeypatch):
-    S, D = _c2_minus_one()
+def _c2_calls():
+    """Each entry point on C2^0 with C3 coefficients, by name (the generator acts by -1 where it can)."""
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    M = scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1})
+    T, B = trivial_module(S, FinAbGroup([3])), trivial_bimodule(S, FinAbGroup([3]))
+    f = zero_cochain(S, M, 2)  # built before the counting starts
+    return {
+        "cohomology_group-zero": lambda: cohomology_group(S, M, 2, "zero"),
+        "cohomology_group-em": lambda: cohomology_group(S, T, 2, "em"),
+        "cohomology_group-bimodule": lambda: cohomology_group(S, B, 2, "bimodule"),
+        "natsys_cohomology": lambda: natsys_cohomology(S, from_zero_module(M), 2),
+        "coboundary_preimage": lambda: coboundary_preimage(S, M, f),
+        "hom_complex_compare": lambda: hom_complex_compare(S, from_zero_module(M), 2),
+    }
+
+
+# the nerve levels and face maps each entry point reads; the comparison
+# reads B_0..B_2 (levels 2..4) only, never B_3
+BUILDS = {
+    "cohomology_group-zero": ({1, 2, 3}, {2, 3}),
+    "cohomology_group-em": ({1, 2, 3}, {2, 3}),
+    "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}),
+    "natsys_cohomology": ({1, 2, 3}, {2, 3}),
+    "coboundary_preimage": ({1, 2}, {2}),
+    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
+    call = _c2_calls()[name]
     seen = []
-    real_faces, real_action = cohomology.face_maps, natsys.bar_action
+    real_nerve, real_faces, real_action = cohomology.nerve, cohomology.face_maps, natsys.bar_action
 
-    def faces(S_, upper, lower):
-        seen.append(("faces", len(upper[0])))
-        return real_faces(S_, upper, lower)
+    def counted_nerve(S_, n, variant="zero"):
+        seen.append(("level", n))
+        return real_nerve(S_, n, variant)
 
-    def action(S_, symbols, objects, index, alpha, beta):
-        seen.append(("action", len(symbols[0]), alpha, beta))
-        return real_action(S_, symbols, objects, index, alpha, beta)
+    def counted_faces(S_, m, upper, index):
+        seen.append(("faces", m))
+        return real_faces(S_, m, upper, index)
 
-    # the coboundaries build their faces in cohomology, the bar side in natsys
-    monkeypatch.setattr(cohomology, "face_maps", faces)
-    monkeypatch.setattr(natsys, "face_maps", faces)
-    monkeypatch.setattr(natsys, "bar_action", action)
-    assert hom_complex_compare(S, D, 2)["ok"]
-    actions = [k for k in seen if k[0] == "action"]
-    assert len(actions) == len(set(actions))
-    # B_n has (n+2)-letter symbols, and B_3 is never built: the comparison
-    # reads B_0..B_{n_max} only
-    assert {k[1] for k in actions} == {2, 3, 4}
-    # each face map once: levels 1, 2 and 3 serve the coboundaries, the
-    # normalized symbols [1 | t | 1] and (level 3) the faces of B_1;
-    # level 4 is B_2's alone
-    assert sorted(k[1] for k in seen if k[0] == "faces") == [1, 2, 3, 4]
+    def counted_action(N, m, alpha, beta):
+        seen.append(("action", m, alpha, beta))
+        return real_action(N, m, alpha, beta)
+
+    monkeypatch.setattr(cohomology, "nerve", counted_nerve)
+    monkeypatch.setattr(cohomology, "face_maps", counted_faces)
+    monkeypatch.setattr(natsys, "bar_action", counted_action)
+    result = call()
+    assert len(seen) == len(set(seen)), seen
+    levels, faces = BUILDS[name]
+    assert {k[1] for k in seen if k[0] == "level"} == levels
+    assert {k[1] for k in seen if k[0] == "faces"} == faces
+    # B_n has (n+2)-letter symbols: one action per generator and level
+    actions = {k[1] for k in seen if k[0] == "action"}
+    if name == "hom_complex_compare":
+        assert result["ok"]
+        assert actions == {2, 3, 4}
+    else:
+        assert not actions
 
 
 def test_hom_complex_compare_raises_cap_before_bar_work(monkeypatch):
@@ -441,8 +485,8 @@ def test_hom_complex_compare_reports_non_natural_map(side):
 def test_hom_complex_compare_reports_wrong_differential(monkeypatch):
     real = natsys.natsys_coboundary_hom
 
-    def corrupted(S, D, n, nerves=None, faces=None):
-        delta = real(S, D, n, nerves, faces)
+    def corrupted(N, D, n):
+        delta = real(N, D, n)
         col = delta.matrix.cols[0]
         col[0] = col.get(0, 0) + 1
         return delta
@@ -473,8 +517,8 @@ left[1, 0] = IntMatrix(1, 1, [[0]])
 print(ns.hom_complex_compare(S, ns.NaturalSystem(S, D.groups, left, D.right), 2))
 real = ns.natsys_coboundary_hom
 
-def corrupted(S, D, n, nerves=None, faces=None):
-    delta = real(S, D, n, nerves, faces)
+def corrupted(N, D, n):
+    delta = real(N, D, n)
     delta.matrix.cols[0][0] = delta.matrix.cols[0].get(0, 0) + 1
     return delta
 
@@ -504,7 +548,7 @@ def test_hom_group_rank_bookkeeping():
     for n in (0, 1, 2):
         tuples = nerve(S, n, "zero")
         expected = sum(2 for _ in tuples)
-        assert natsys_coboundary_hom(S, D, n).source.rank == expected
+        assert natsys_coboundary_hom(Nerve(S, "zero"), D, n).source.rank == expected
 
 
 def test_natsys_degree_cap():
