@@ -3,7 +3,10 @@
 All arithmetic uses plain Python integers, so Smith normal form
 coefficient growth is harmless.  Groups are presented as lists of cyclic
 orders d_i >= 0 where 0 stands for an infinite cyclic factor; elements
-are integer vectors with coordinate i taken mod d_i.
+are integer vectors with coordinate i taken mod d_i.  There is one
+matrix type, ``IntMatrix``, kept as sparse {row: value} columns: the
+elimination, the solvers and the map comparisons read those columns,
+and only ``smith_normal_form`` works on dense rows, its own.
 
 >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))[0].diagonal()
 [2, 4]
@@ -36,26 +39,37 @@ from .errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 
 
 class IntMatrix:
-    """Dense integer matrix with explicit shape (rows may be empty)."""
+    """Integer matrix kept as sparse {row: value} columns, zeros not stored.
 
-    __slots__ = ("m", "n", "a")
+    Every column reader (``_retire``, ``same_map``, the dd check of
+    ``complex_homology``, the coboundary builder) reads ``cols``
+    directly; ``a`` is a read-only dense copy of the rows.
+    """
+
+    __slots__ = ("m", "n", "cols")
 
     def __init__(self, m, n, rows=None):
         self.m = m
         self.n = n
-        if rows is None:
-            self.a = [[0] * n for _ in range(m)]
-        else:
+        self.cols = [{} for _ in range(n)]
+        if rows is not None:
             if len(rows) != m or any(len(r) != n for r in rows):
                 raise ShapeMismatch(f"row lengths of a {m}x{n} matrix", [n] * m, [len(r) for r in rows])
-            self.a = [list(r) for r in rows]
+            for i, r in enumerate(rows):
+                for c, x in zip(self.cols, r):
+                    if x:
+                        c[i] = x
+
+    @classmethod
+    def from_sparse(cls, m, cols):
+        """The m-row matrix on the given {row: value} columns, kept, not copied."""
+        M = cls.__new__(cls)
+        M.m, M.n, M.cols = m, len(cols), cols
+        return M
 
     @classmethod
     def identity(cls, n):
-        M = cls(n, n)
-        for i in range(n):
-            M.a[i][i] = 1
-        return M
+        return cls.from_sparse(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows, n=None):
@@ -73,78 +87,10 @@ class IntMatrix:
             if k == 0:
                 raise ValueError("need explicit row count for empty matrix")
             m = len(cols[0])
-        M = cls(m, k)
         for j, c in enumerate(cols):
             if len(c) != m:
                 raise ShapeMismatch(f"column {j} length", m, len(c))
-            for i in range(m):
-                M.a[i][j] = c[i]
-        return M
-
-    def copy(self):
-        return IntMatrix(self.m, self.n, self.a)
-
-    def col(self, j):
-        return [self.a[i][j] for i in range(self.m)]
-
-    def columns(self):
-        return [self.col(j) for j in range(self.n)]
-
-    def mul(self, other):
-        if self.n != other.m:
-            raise ShapeMismatch("inner dimension of a product", self.n, other.m)
-        out = IntMatrix(self.m, other.n)
-        oa = other.a
-        for i in range(self.m):
-            row = self.a[i]
-            orow = out.a[i]
-            for k in range(self.n):
-                c = row[k]
-                if c:
-                    brow = oa[k]
-                    for j in range(other.n):
-                        orow[j] += c * brow[j]
-        return out
-
-    def vec(self, v):
-        if len(v) != self.n:
-            raise ShapeMismatch("vector length", self.n, len(v))
-        return [sum(self.a[i][j] * v[j] for j in range(self.n)) for i in range(self.m)]
-
-    def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.a)
-
-    def diagonal(self):
-        return [self.a[i][i] for i in range(min(self.m, self.n))]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.m == other.m
-            and self.n == other.n
-            and self.a == other.a
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n, tuple(tuple(r) for r in self.a)))
-
-    def __repr__(self):
-        return f"IntMatrix({self.m}x{self.n}, {self.a})"
-
-
-class SparseMatrix:
-    """Integer matrix kept as sparse {row: value} columns, zeros not stored.
-
-    The coboundary builders emit this form; ``_retire``, the dd check of
-    ``complex_homology`` and ``same_map`` read the columns directly.
-    """
-
-    __slots__ = ("m", "n", "cols")
-
-    def __init__(self, m, cols):
-        self.m = m
-        self.n = len(cols)
-        self.cols = cols
+        return cls.from_sparse(m, [_sparse(c) for c in cols])
 
     @property
     def a(self):
@@ -153,42 +99,59 @@ class SparseMatrix:
         for j, c in enumerate(self.cols):
             for i, x in c.items():
                 rows[i][j] = x
-        return [tuple(r) for r in rows]
+        return rows
 
     def col(self, j):
         return _dense(self.cols[j], self.m)
 
+    def columns(self):
+        return [self.col(j) for j in range(self.n)]
+
     def mul(self, other):
-        """self * other for a sparse ``other``."""
         if self.n != other.m:
             raise ShapeMismatch("inner dimension of a product", self.n, other.m)
-        return SparseMatrix(self.m, [_combine(self.cols, c) for c in other.cols])
+        return IntMatrix.from_sparse(self.m, [_combine(self.cols, c) for c in other.cols])
 
     def vec(self, v):
         if len(v) != self.n:
             raise ShapeMismatch("vector length", self.n, len(v))
-        return _dense(_combine(self.cols, _sparse(v)), self.m)
+        out = [0] * self.m
+        for c, x in zip(self.cols, v):
+            if x:
+                for i, y in c.items():
+                    out[i] += x * y
+        return out
+
+    def diagonal(self):
+        return [self.cols[i].get(i, 0) for i in range(min(self.m, self.n))]
+
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and (self.m, self.n, self.cols) == (other.m, other.n, other.cols)
+
+    def __repr__(self):
+        return f"IntMatrix({self.m}x{self.n}, {self.a})"
 
 
 def smith_normal_form(M):
     """Return (D, U, V, Uinv) with U*M*V = D in Smith normal form.
 
     D is diagonal with d_1 | d_2 | ..., all d_i >= 0; U, V are unimodular
-    and the tracked inverse of U satisfies U*Uinv = I exactly.
+    and the tracked inverse of U satisfies U*Uinv = I exactly.  The
+    elimination works on dense rows of its own.
     """
     m, n = M.m, M.n
-    D = M.copy()
-    U = IntMatrix.identity(m)
-    Uinv = IntMatrix.identity(m)
-    V = IntMatrix.identity(n)
-    a = D.a
+
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    a, u, uinv, v = M.a, eye(m), eye(m), eye(n)
 
     def swap_rows(i, j):
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
-        U.a[i], U.a[j] = U.a[j], U.a[i]
-        for r in Uinv.a:  # column swap on the inverse
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:  # column swap on the inverse
             r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
@@ -196,7 +159,7 @@ def smith_normal_form(M):
             return
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in V.a:
+        for r in v:
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c):
@@ -206,10 +169,10 @@ def smith_normal_form(M):
         ad, asr = a[dst], a[src]
         for j in range(n):
             ad[j] += c * asr[j]
-        ud, usr = U.a[dst], U.a[src]
+        ud, usr = u[dst], u[src]
         for j in range(m):
             ud[j] += c * usr[j]
-        for r in Uinv.a:  # inverse gets the opposite column op
+        for r in uinv:  # inverse gets the opposite column op
             r[src] -= c * r[dst]
 
     def add_col(dst, src, c):
@@ -217,13 +180,13 @@ def smith_normal_form(M):
             return
         for r in a:
             r[dst] += c * r[src]
-        for r in V.a:
+        for r in v:
             r[dst] += c * r[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        U.a[i] = [-x for x in U.a[i]]
-        for r in Uinv.a:
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
             r[i] = -r[i]
 
     def find_pivot(t):
@@ -292,7 +255,7 @@ def smith_normal_form(M):
                 break
             add_row(t, i, 1)
         t += 1
-    return D, U, V, Uinv
+    return IntMatrix(m, n, a), IntMatrix(m, m, u), IntMatrix(n, n, v), IntMatrix(m, m, uinv)
 
 
 def solve_exact(M, b):
@@ -315,40 +278,24 @@ def solve_exact(M, b):
 def kernel_columns(M):
     """Basis (list of columns) of the integer kernel lattice of M."""
     D, U, V, _ = smith_normal_form(M)
-    rank = sum(1 for i in range(min(M.m, M.n)) if D.a[i][i])
+    rank = sum(1 for d in D.diagonal() if d)
     return [V.col(j) for j in range(rank, M.n)]
 
 
-def _columns(M):
-    """The columns of M as {row: value} dicts, shared when M is sparse."""
-    if isinstance(M, SparseMatrix):
-        return M.cols
-    cols = [{} for _ in range(M.n)]
-    for i, row in enumerate(M.a):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
-
 def solve_mod(M, b, target_factors):
-    """Solve M x = b componentwise mod target_factors (0 = exact).
-
-    M is an IntMatrix or a SparseMatrix; b is dense or sparse.
-    """
-    x = _substitute(_retire(_columns(M), M.m, target_factors), b)
+    """Solve M x = b componentwise mod target_factors (0 = exact); b is dense or sparse."""
+    x = _substitute(_retire(M.cols, M.m, target_factors), b)
     return None if x is None else _dense(x, M.n)
 
 
 def kernel_mod(M, target_factors):
     """Basis of {x : M x = 0 mod target_factors} as a lattice in Z^n.
 
-    M is an IntMatrix or a SparseMatrix.  The transforms of the zero
-    columns are already independent: projection onto the first n
-    coordinates is injective on the kernel of [M | diag(d)], since every
-    relation column has d > 0.
+    The transforms of the zero columns are already independent:
+    projection onto the first n coordinates is injective on the kernel
+    of [M | diag(d)], since every relation column has d > 0.
     """
-    return [_dense(t, M.n) for i, _, t in _retire(_columns(M), M.m, target_factors) if i is None]
+    return [_dense(t, M.n) for i, _, t in _retire(M.cols, M.m, target_factors) if i is None]
 
 
 def lattice_basis(cols, dim):
@@ -358,10 +305,9 @@ def lattice_basis(cols, dim):
     A = IntMatrix.from_columns(cols, dim)
     D, _, _, Uinv = smith_normal_form(A)
     basis = []
-    for i in range(min(dim, A.n)):
-        d = D.a[i][i]
+    for i, d in enumerate(D.diagonal()):
         if d:
-            col = [d * Uinv.a[r][i] for r in range(dim)]
+            col = [d * x for x in Uinv.col(i)]
             lead = next((x for x in col if x), 0)
             if lead < 0:
                 col = [-x for x in col]
@@ -473,8 +419,7 @@ class FinAbGroup:
 class GroupHom:
     """Homomorphism between FinAbGroups; column j = image of source e_j.
 
-    The matrix is an IntMatrix (rows may be given as lists) or a
-    SparseMatrix.
+    The matrix is an IntMatrix, or its rows given as lists.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -482,7 +427,7 @@ class GroupHom:
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
-        if isinstance(matrix, (IntMatrix, SparseMatrix)):
+        if isinstance(matrix, IntMatrix):
             M = matrix
         else:
             M = IntMatrix(target.rank, source.rank, matrix if target.rank else None)
@@ -505,7 +450,7 @@ class GroupHom:
 
     def is_zero(self):
         factors = self.target.factors
-        return not any(_reduced(c, factors) for c in _columns(self.matrix))
+        return not any(_reduced(c, factors) for c in self.matrix.cols)
 
     def equals(self, other):
         """Equality as maps (columns compared mod target factors)."""
@@ -528,13 +473,12 @@ def same_map(target, M1, M2):
 
     Columns are compared modulo the cyclic orders of the target; two
     matrices of different shapes, or with a row count other than the
-    target's rank, are never the same map.  Either matrix may be dense
-    or sparse.
+    target's rank, are never the same map.
     """
     if M1.m != M2.m or M1.n != M2.n or M1.m != target.rank:
         return False
     factors = target.factors
-    return all(_reduced(c1, factors) == _reduced(c2, factors) for c1, c2 in zip(_columns(M1), _columns(M2)))
+    return all(_reduced(c1, factors) == _reduced(c2, factors) for c1, c2 in zip(M1.cols, M2.cols))
 
 
 def is_hom(source, target, M):
@@ -545,10 +489,8 @@ def is_hom(source, target, M):
     """
     if M.m != target.rank or M.n != source.rank:
         return False
-    for j, d in enumerate(source.factors):
-        if d and any(target.reduce([d * x for x in M.col(j)])):
-            return False
-    return True
+    factors = target.factors
+    return not any(d and _reduced({i: d * x for i, x in c.items()}, factors) for c, d in zip(M.cols, source.factors))
 
 
 class QuotientPresentation:
@@ -619,21 +561,18 @@ class QuotientPresentation:
         # quotient, rows and columns indexed by K-generators
         gens = []
         if core:
-            C = IntMatrix(len(hit), len(core) + (len(hit) if modulus else 0))
-            for j, c in enumerate(core):
-                for i, x in c.items():
-                    C.a[index[i]][j] = x
+            cols = [{index[i]: x for i, x in c.items()} for c in core]
             if modulus:
-                for p in range(len(hit)):
-                    C.a[p][len(core) + p] = modulus
-            D, U, _, Uinv = smith_normal_form(C)
-            for p in range(C.m):
-                d = D.a[p][p] if p < C.n else 0
+                cols += [{p: modulus} for p in range(len(hit))]
+            D, U, _, Uinv = smith_normal_form(IntMatrix.from_sparse(len(hit), cols))
+            diag, urows = D.diagonal(), U.a
+            for p, row in enumerate(urows):
+                d = diag[p] if p < len(diag) else 0
                 if d != 1:
                     urow = [0] * r
                     for q, i in enumerate(hit):
-                        urow[i] = U.a[p][q]
-                    gens.append((d, urow, {i: Uinv.a[q][p] for q, i in enumerate(hit) if Uinv.a[q][p]}))
+                        urow[i] = row[q]
+                    gens.append((d, urow, {hit[q]: x for q, x in Uinv.cols[p].items()}))
         for i in range(r):
             if i not in gone and i not in index:
                 gens.append((modulus, [int(k == i) for k in range(r)], {i: 1}))
@@ -757,7 +696,6 @@ def _primary_homology(mid, out, in_cols, out_cols, primes):
 def complex_homology(d_in, d_out):
     """ker(d_out)/im(d_in) at the middle group, with witnesses and coords.
 
-    The maps may be dense or sparse; both are read as sparse columns.
     Raises GroupMismatch when d_in does not end at the source of d_out,
     and NotAComplex (with a witness generator index) when d_out o d_in
     is nonzero.  When the middle and target groups are finite the
@@ -768,7 +706,7 @@ def complex_homology(d_in, d_out):
     mid = d_in.target
     if mid.factors != d_out.source.factors:
         raise GroupMismatch(mid, d_out.source)
-    out_cols, in_cols = _columns(d_out.matrix), _columns(d_in.matrix)
+    out_cols, in_cols = d_out.matrix.cols, d_in.matrix.cols
     factors = d_out.target.factors
     for j, c in enumerate(in_cols):
         if _reduced(_combine(out_cols, c), factors):

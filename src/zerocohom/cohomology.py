@@ -2,6 +2,8 @@
 
 A ``Nerve`` is the one owner of a nerve's levels and face maps: every
 coboundary builder reads one, and each entry point builds one per call.
+The builder emits an ``IntMatrix``, whose sparse columns the elimination
+reads as they are.
 
 Three variants share one coboundary formula:
 
@@ -28,7 +30,6 @@ from .abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
-    SparseMatrix,
     complex_homology,
     finite_invariants_from_orders,
     solve_mod,
@@ -196,7 +197,7 @@ class Nerve:
         the largest, and its face maps are not held through the elimination.
         """
         d_out = d(n)
-        d_in = d(n - 1) if n else GroupHom(FinAbGroup(()), d_out.source, SparseMatrix(d_out.source.rank, []))
+        d_in = d(n - 1) if n else GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
         for piece in (self.level, self.index, self.products, self.faces):
             piece.cache_clear()
         return d_in, d_out
@@ -211,7 +212,7 @@ def assemble_coboundary(N, n, groups, first_block, last_block):
     d_{n+1} t to t) at the (n+1)-tuple t, where q is the position of
     that face in level n.  The middle terms merge two neighbours, keep
     the full product and so the group, and enter as identity blocks.
-    The matrix is a SparseMatrix: one {row: value} column per source
+    The matrix is built as one sparse {row: value} column per source
     coordinate.  The face maps are built after the cap check.
     """
     src, src_off = cochain_group(groups(n))
@@ -225,11 +226,10 @@ def assemble_coboundary(N, n, groups, first_block, last_block):
     cols = [{} for _ in range(src.rank)]
 
     def add_block(r0, q, block, sign):
-        for r, brow in enumerate(block.a, r0):
-            for c, x in enumerate(brow, src_off[q]):
-                if x:
-                    col = cols[c]
-                    col[r] = col.get(r, 0) + sign * x
+        for c, bcol in enumerate(block.cols, src_off[q]):
+            col = cols[c]
+            for r, x in bcol.items():
+                col[r0 + r] = col.get(r0 + r, 0) + sign * x
 
     first, inner, last = faces[0], faces[1:-1], faces[-1]
     for p, (t, r0, r1) in enumerate(zip(N.level(n + 1), dst_off, dst_off[1:] + [dst.rank])):
@@ -244,7 +244,7 @@ def assemble_coboundary(N, n, groups, first_block, last_block):
         add_block(r0, last[p], last_block(t, last[p]), sign)
     # terms that cancelled are not stored
     cols = [{r: x for r, x in c.items() if x} for c in cols]
-    return GroupHom(src, dst, SparseMatrix(dst.rank, cols))
+    return GroupHom(src, dst, IntMatrix.from_sparse(dst.rank, cols))
 
 
 def coboundary_hom(N, M, n):

@@ -122,13 +122,8 @@ def trivial_bimodule(S, group):
 
 def scalar_module(S, group, scalars):
     """Element s acts by the integer scalar scalars[s]."""
-    action = {}
     k = group.rank
-    for s, c in scalars.items():
-        M = IntMatrix(k, k)
-        for i in range(k):
-            M.a[i][i] = c
-        action[s] = M
+    action = {s: IntMatrix.from_sparse(k, [{i: c} if c else {} for i in range(k)]) for s, c in scalars.items()}
     return ZeroModule(S, group, action)
 
 

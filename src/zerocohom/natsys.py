@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, SparseMatrix, complex_homology, is_hom, same_map
+from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import Nerve, assemble_coboundary, cochain_group
 from .modules import trivial_module
@@ -310,7 +310,7 @@ def bar_exactness_report(S, n_max):
         own = [[p for p, b in enumerate(N.products(n + 2)) if b == a] for n in range(n_max + 1)]
         free = [FinAbGroup([0] * len(ps)) for ps in own]
         # augmentation B_0(a) -> Z, every symbol to the generator
-        maps = [GroupHom(free[0], FinAbGroup([0]), SparseMatrix(1, [{0: 1} for _ in own[0]]))]
+        maps = [GroupHom(free[0], FinAbGroup([0]), IntMatrix.from_sparse(1, [{0: 1} for _ in own[0]]))]
         for n in range(1, n_max + 1):
             row = {p: r for r, p in enumerate(own[n - 1])}
             cols = [Counter() for _ in own[n]]
@@ -318,7 +318,7 @@ def bar_exactness_report(S, n_max):
                 for col, p in zip(cols, own[n]):
                     col[row[d[p]]] += (-1) ** i
             cols = [{r: x for r, x in col.items() if x} for col in cols]
-            maps.append(GroupHom(free[n], free[n - 1], SparseMatrix(len(row), cols)))
+            maps.append(GroupHom(free[n], free[n - 1], IntMatrix.from_sparse(len(row), cols)))
         report[a] = [complex_homology(maps[n + 1], maps[n]).group.invariants() for n in range(n_max)]
     return report
 
@@ -414,7 +414,7 @@ def hom_complex_compare(S, D, n_max=2):
                 for r, x in enumerate(group.reduce(col), r0):
                     if x:
                         cols[c][r] = x
-        mat = SparseMatrix(deltas[n].target.rank, cols)
+        mat = IntMatrix.from_sparse(deltas[n].target.rank, cols)
         if not same_map(deltas[n].target, mat, deltas[n].matrix):
             report["differentials"] = False
         hom_mats.append(GroupHom(deltas[n].source, deltas[n].target, mat))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zerocohom import catalog
 from zerocohom.abgroups import (
     FinAbGroup,
     GroupHom,
@@ -17,7 +18,9 @@ from zerocohom.abgroups import (
     solve_mod,
     subgroup,
 )
+from zerocohom.cohomology import Nerve, coboundary_hom
 from zerocohom.errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
+from zerocohom.modules import trivial_module
 
 
 def snf_ok(rows, m=None, n=None):
@@ -28,11 +31,11 @@ def snf_ok(rows, m=None, n=None):
     D, U, V, Uinv = smith_normal_form(M)
     assert U.mul(Uinv) == IntMatrix.identity(M.m)
     assert U.mul(M).mul(V) == D
-    diag = D.diagonal()
+    diag, rows = D.diagonal(), D.a
     for i in range(M.m):
         for j in range(M.n):
             if i != j:
-                assert D.a[i][j] == 0
+                assert rows[i][j] == 0
     for i in range(len(diag) - 1):
         if diag[i] and diag[i + 1]:
             assert diag[i + 1] % diag[i] == 0
@@ -213,6 +216,20 @@ def test_grouphom_equals_and_is_zero_compare_reduced_columns():
     assert not GroupHom(src, tgt, [[2, 0], [0, 0]]).is_zero()
     assert not GroupHom(src, tgt, [[4, 0], [0, 4]]).is_zero()
     assert not f.is_zero()
+
+
+def test_intmatrix_equality_compares_values():
+    M = IntMatrix.from_rows([[1, 0], [0, 2]])
+    assert M == IntMatrix.from_sparse(2, [{0: 1}, {1: 2}])
+    assert M == IntMatrix.from_columns([[1, 0], [0, 2]])
+    assert M != IntMatrix.from_rows([[1, 0], [0, 3]])
+    assert M != IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
+    assert M.a == [[1, 0], [0, 2]]
+    # the builder's sparse columns equal the same matrix built from its dense rows
+    S = catalog.mitchell_quotient()
+    d = coboundary_hom(Nerve(S, "zero"), trivial_module(S, FinAbGroup([2, 3])), 1).matrix
+    assert any(d.cols)
+    assert d == IntMatrix.from_rows(d.a, d.n)
 
 
 def test_complex_homology_hand_lattice():

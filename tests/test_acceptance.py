@@ -474,8 +474,8 @@ def check_12():
         from zerocohom.abgroups import QuotientPresentation, lattice_basis, _relations
 
         k = A.rank
-        eye = IntMatrix.identity(k)
-        diff = IntMatrix(k, k, [[act.a[i][j] - 2 * eye.a[i][j] for j in range(k)] for i in range(k)])
+        rows, eye = act.a, IntMatrix.identity(k).a
+        diff = IntMatrix(k, k, [[rows[i][j] - 2 * eye[i][j] for j in range(k)] for i in range(k)])
         from zerocohom.abgroups import kernel_mod
 
         sub = kernel_mod(diff, A.factors)  # {m : (a - 2) m = 0}

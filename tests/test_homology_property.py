@@ -34,7 +34,7 @@ def _columns(cols, m):
 def _kernel_twin(B, factors):
     """Basis of {x : B x = 0 mod factors} from the dense SNF of [B | diag(d)]."""
     fin = [(i, d) for i, d in enumerate(factors) if d]
-    rows = [list(B.a[i]) + [d if i == r else 0 for r, d in fin] for i in range(B.m)]
+    rows = [row + [d if i == r else 0 for r, d in fin] for i, row in enumerate(B.a)]
     padded = IntMatrix(B.m, B.n + len(fin), rows)
     return lattice_basis([c[: B.n] for c in kernel_columns(padded)], B.n)
 
@@ -45,11 +45,11 @@ def two_step_complexes(draw):
     n, m, k = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
     out_factors = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6)), min_size=m, max_size=m))
     B = IntMatrix(m, n, [draw(st.lists(SMALL, min_size=n, max_size=n)) for _ in range(m)])
-    mid_factors = []
+    mid_factors, rows = [], B.a
     for j in range(n):
         d = draw(st.sampled_from((0, 2, 3, 4, 6)))
         # d e_j must map to 0 in out, else d_out is not a homomorphism
-        ok = all((d * B.a[i][j]) % f == 0 if f else d * B.a[i][j] == 0 for i, f in enumerate(out_factors))
+        ok = all((d * rows[i][j]) % f == 0 if f else d * rows[i][j] == 0 for i, f in enumerate(out_factors))
         mid_factors.append(d if ok else 0)
     K = _kernel_twin(B, out_factors)
     cols = []
@@ -87,10 +87,7 @@ def finite_complexes(draw):
     out_factors = draw(st.lists(st.sampled_from(orders), min_size=m, max_size=m))
     mid_factors = draw(st.lists(st.sampled_from(orders), min_size=n, max_size=n))
     # entry (i, j) a multiple of out_i / gcd(out_i, mid_j), so d_out is well defined
-    B = IntMatrix(m, n)
-    for i, f in enumerate(out_factors):
-        for j, d in enumerate(mid_factors):
-            B.a[i][j] = f // gcd(f, d) * draw(SMALL)
+    B = IntMatrix(m, n, [[f // gcd(f, d) * draw(SMALL) for d in mid_factors] for f in out_factors])
     K = kernel_mod(B, out_factors)
     cols = []
     for _ in range(k):

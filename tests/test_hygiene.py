@@ -11,6 +11,8 @@ The package has no ``assert`` statement, since ``python -O`` drops them.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
 A nerve face is built from tuple slices only in ``face_maps`` and in the
 brute-force twins that check it.
+No code in the package or the tests stores into ``X.a[...]``: a matrix's
+dense rows are a copy built on demand, so such a write is lost.
 """
 
 import ast
@@ -185,3 +187,34 @@ def test_faces_are_built_only_in_face_maps_and_the_brute_twins():
                 if merge and sliced:
                     builders.add(f"{name}:{getattr(stmt, 'name', stmt.lineno)}")
     assert builders == {"cohomology.py:face_maps", "cohomology.py:_coboundary_at", "cohomology.py:_brute_cocycles"}
+
+
+def _into_dense_rows(target):
+    """A store target X.a[...] (at any depth of subscripts), inside tuples too."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_into_dense_rows(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _into_dense_rows(target.value)
+    if not isinstance(target, ast.Subscript):
+        return False
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "a"
+
+
+def test_no_store_into_dense_rows():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    stores = []
+    for path in files:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Assign):
+                targets = n.targets
+            elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+                targets = [n.target]
+            elif isinstance(n, ast.Delete):
+                targets = n.targets
+            else:
+                continue
+            if any(map(_into_dense_rows, targets)):
+                stores.append(f"{path.name}:{n.lineno}")
+    assert not stores, stores
