@@ -21,7 +21,7 @@ from itertools import product
 from math import isqrt
 
 from .catalog import cyclic_group
-from .cohomology import Cochain, coboundary, cohomology_group, nerve
+from .cohomology import Cochain, coboundary, cohomology_group, nerve, support_cohomology
 from .errors import CapExceeded, CertificateError, InvalidFieldOrder
 from .modules import galois_units_module
 from .schur import SemilatticeOfGroups
@@ -271,15 +271,19 @@ def galois_module_for_modification(mod, q):
     return galois_units_module(q, n, mod.semigroup, {i: i for i in range(n)})
 
 
-def brauer_monoid(q, n):
-    """The Brauer monoid of GF(q^n)/GF(q) as a semilattice of groups.
+def brauer_components(q, n):
+    """{zero pattern: H_0^2 of its modification} for GF(q^n)/GF(q), every component cut from one complex.
 
-    Components are indexed by the modifications of the Galois group
-    Z/n; the component of a modification is the degree-2 0-cohomology
-    with coefficients in the Galois-twisted unit group.  Links restrict
-    cocycles to smaller supports, as for Schur multipliers; a
-    modification's nerve is a subset of that of any modification with
-    fewer zeros, so tuples carry over unchanged.
+    The coefficients are the Galois-twisted unit group.  The empty
+    pattern's modification is G^0, whose nerve is all of G^m.  A tuple
+    lies in the nerve of the modification with pattern P exactly when
+    the cells (x_1...x_k, x_{k+1}) that its left-to-right product visits
+    miss P: each tuple's bitmask of visited cells is its last face's
+    mask plus one cell, read in the bits of the pattern masks.  Every
+    modification numbers G u {0} alike and labels x by x, so its nerve
+    is the kept tuples in the same order, with the same faces and
+    actions, and its coboundaries are the submatrices of those of G^0
+    on them (``support_cohomology``).
     """
     _require_field_order(q)
     _require_few_modifications(n)
@@ -292,10 +296,30 @@ def brauer_monoid(q, n):
         for k2, m2 in zip(keys[i + 1:], masks[i + 1:]):
             if m1 | m2 not in present:
                 raise CertificateError((keys[i], k2), "zero patterns not closed under union")
-    results = {
-        m.pattern: cohomology_group(m.semigroup, galois_module_for_modification(m, q), 2, "zero") for m in mods
-    }
-    return SemilatticeOfGroups.from_restrictions(results, lambda I, J, t: t)
+    top = mods[0]  # the empty pattern sorts first
+
+    def supports(N):
+        visited = [[0] * len(N.level(1))]
+        for m in (2, 3):
+            last, below = N.faces(m)[-1], N.products(m - 1)
+            visited.append([visited[-1][p] | 1 << (below[p] * n + t[-1]) for t, p in zip(N.level(m), last)])
+        kept = lambda mask: [[p for p, v in enumerate(level) if not v & mask] for level in visited]
+        return ((k, kept(mask)) for k, mask in zip(keys, masks))
+
+    return support_cohomology(top.semigroup, galois_module_for_modification(top, q), 2, supports)
+
+
+def brauer_monoid(q, n):
+    """The Brauer monoid of GF(q^n)/GF(q) as a semilattice of groups.
+
+    Components are indexed by the modifications of the Galois group
+    Z/n; the component of a modification is the degree-2 0-cohomology
+    with coefficients in the Galois-twisted unit group, from
+    ``brauer_components``.  Links restrict cocycles to smaller supports,
+    as for Schur multipliers; a modification's nerve is a subset of that
+    of any modification with fewer zeros, so tuples carry over unchanged.
+    """
+    return SemilatticeOfGroups.from_restrictions(brauer_components(q, n))
 
 
 def weak_cocycle_to_zero_cocycle(f):

@@ -20,16 +20,25 @@ The coboundary of f in degree n sends (x_1, ..., x_{n+1}) to
                         + (-1)^{n+1} f(x_1..x_n)           [* x_{n+1}]
 
 with the degree-0 rule a |-> (x a - a), resp. (x a - a x).
+
+Restriction: when the nerve of a semigroup is a face-closed subset of
+the nerve of a larger one, in the same order, with the same faces and
+the same first-letter actions, each of its coboundaries is the
+submatrix of the larger one's on the tuples it keeps.  The Rees
+quotients S/I of a monoid sit so inside S^0, and the modifications of
+a group inside G^0.  ``support_cohomology`` therefore builds one nerve
+and one pair of coboundaries for a whole family of such supports, and
+``cohomology_group`` is its case of one support that keeps everything.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 from .abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
+    _renumbered,
     complex_homology,
     finite_invariants_from_orders,
     solve_mod,
@@ -179,15 +188,32 @@ class Nerve:
     identity for the empty tuple), and ``faces(m)``, for m >= 1, is
     ``face_maps`` from level m to level m - 1.  Every builder reads its
     levels and faces here, so one call builds each of them at most once.
+    The pieces are kept in one dict, ``pieces``, keyed by (name, m); they
+    do not refer back to the Nerve, so a dropped Nerve is freed at once.
     """
 
     def __init__(self, S, variant):
         self.semigroup, self.variant = S, variant
-        # the pieces read each other, not self: a Nerve is freed as soon as it is dropped
-        level = self.level = cache(lambda m: nerve(S, m, variant))
-        index = self.index = cache(lambda m: {t: p for p, t in enumerate(level(m))})
-        self.products = cache(lambda m: [S.mul_word(t) if t else S.identity for t in level(m)])
-        self.faces = cache(lambda m: face_maps(S, m, level(m), index(m - 1)))
+        self.pieces = {}
+
+    def _piece(self, name, m, build):
+        piece = self.pieces.get((name, m))
+        if piece is None:
+            piece = self.pieces[name, m] = build()
+        return piece
+
+    def level(self, m):
+        return self._piece("level", m, lambda: nerve(self.semigroup, m, self.variant))
+
+    def index(self, m):
+        return self._piece("index", m, lambda: {t: p for p, t in enumerate(self.level(m))})
+
+    def products(self, m):
+        S = self.semigroup
+        return self._piece("products", m, lambda: [S.mul_word(t) if t else S.identity for t in self.level(m)])
+
+    def faces(self, m):
+        return self._piece("faces", m, lambda: face_maps(self.semigroup, m, self.level(m), self.index(m - 1)))
 
     def complex_at(self, n, d):
         """The maps (d_in, d_out) into and out of degree n, whose homology is H^n.
@@ -198,8 +224,7 @@ class Nerve:
         """
         d_out = d(n)
         d_in = d(n - 1) if n else GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
-        for piece in (self.level, self.index, self.products, self.faces):
-            piece.cache_clear()
+        self.pieces.clear()
         return d_in, d_out
 
 
@@ -294,7 +319,28 @@ def cohomology_group(S, M, n, variant="zero"):
 
     ``zero``: H_0^n of a semigroup with zero; ``em``: classical
     cohomology on totally defined cochains; ``bimodule``: two-sided
-    version of the zero variant.
+    version of the zero variant.  This is ``support_cohomology`` with
+    one support that keeps the whole nerve.
+    """
+    return support_cohomology(S, M, n, lambda N: [(None, None)], variant)[None]
+
+
+def support_cohomology(S, M, n, supports, variant="zero"):
+    """H^n of each subcomplex that ``supports`` cuts out of one nerve, by key.
+
+    ``supports(N)`` reads the Nerve N of S before the coboundaries are
+    built, and returns (key, kept) pairs.  ``kept`` lists the positions
+    of the kept tuples in levels n - 1, n and n + 1 (the first list is
+    empty for n = 0), or is None to keep the whole nerve.  M is
+    validated once, and the nerve and the pair of coboundaries into and
+    out of degree n are built once, for every key.  Returns
+    {key: CohomologyResult}, in the order of the pairs.
+
+    The kept tuples must be closed under faces, and their faces and
+    first-letter actions must be those of the support's own semigroup
+    and module.  Then each support's coboundary is the submatrix on the
+    rows and columns it keeps, in their order, and its H^n is read off
+    that submatrix.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -305,9 +351,28 @@ def cohomology_group(S, M, n, variant="zero"):
     _check_module_for_variant(S, M, variant)
     N = Nerve(S, variant)
     tuples = N.level(n)
-    H = complex_homology(*N.complex_at(n, lambda k: coboundary_hom(N, M, k)))
-    witnesses = [_cochain_on(M, n, tuples, w) for w in H.witnesses]
-    return CohomologyResult(H.group, witnesses, H, tuples, variant)
+    pairs = supports(N)
+    d_in, d_out = N.complex_at(n, lambda k: coboundary_hom(N, M, k))
+    out = {}
+    for key, kept in pairs:
+        if kept is None:
+            H, on = complex_homology(d_in, d_out), tuples
+        else:
+            below, mid, above = kept
+            H = complex_homology(_restricted(d_in, M.group, below, mid), _restricted(d_out, M.group, mid, above))
+            on = [tuples[p] for p in mid]
+        witnesses = [_cochain_on(M, n, on, w) for w in H.witnesses]
+        out[key] = CohomologyResult(H.group, witnesses, H, on, variant)
+    return out
+
+
+def _restricted(d, A, src, dst):
+    """The coboundary d on the kept tuples: its columns at ``src``, its rows at ``dst`` (positions, A at each)."""
+    r = A.rank
+    rows = [p * r + i for p in dst for i in range(r)]
+    cols = _renumbered([d.matrix.cols[p * r + i] for p in src for i in range(r)], rows, d.target.rank)
+    source, target = FinAbGroup(A.factors * len(src)), FinAbGroup(A.factors * len(dst))
+    return GroupHom(source, target, IntMatrix.from_sparse(len(rows), cols))
 
 
 def witness_report(S, M, f, variant="zero"):

@@ -372,8 +372,9 @@ def hom_complex_compare(S, D, n_max=2):
     # symbol's object: eta holds it once per key (a_0, object of t, a_{n+1}).
     eta, keys_over = {}, {a: [] for a in S.nonzero()}
     for m in range(2, n_max + 3):
+        inner, index = N.products(m - 2), N.index(m - 2)
         for s, a in zip(N.level(m), N.products(m)):
-            key = (s[0], N.products(m - 2)[N.index(m - 2)[s[1:-1]]], s[-1])
+            key = (s[0], inner[index[s[1:-1]]], s[-1])
             if key not in eta:
                 eta[key] = [D.groups[a].reduce(c) for c in D.morphism_matrix(*key).columns()]
                 keys_over[a].append(key)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import Cochain, coboundary_preimage, cohomology_group, nerve
+from .cohomology import Cochain, coboundary_preimage, nerve, support_cohomology
 from .errors import CapExceeded, CertificateError, InvalidModule, NotAnIdeal
 from .modules import trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
@@ -205,13 +205,13 @@ class SemilatticeOfGroups:
     links: dict  # (k1, k2) with k1 <= k2, both groups nontrivial -> GroupHom
 
     @classmethod
-    def from_restrictions(cls, results, pull):
+    def from_restrictions(cls, results):
         """Links that restrict cocycles to the smaller support.
 
         ``results`` maps each key, in index order, to its degree-2
-        CohomologyResult; ``pull(I, J, t)`` takes a tuple of J's nerve
-        to the same tuple in I's nerve.  The link I -> J sends each
-        witness of I to the class of its values on J's nerve.
+        CohomologyResult, all read on one nerve, so that the tuples of a
+        larger key are among those of a smaller one.  The link I -> J
+        sends each witness of I to the class of its values on J's tuples.
         """
         keys = list(results)
         nontrivial = [k for k in keys if results[k].group.rank]
@@ -220,8 +220,7 @@ class SemilatticeOfGroups:
             for J in nontrivial:
                 if not I <= J:
                     continue
-                HJ = results[J]
-                hom = _restriction(results[I], HJ, [pull(I, J, t) for t in HJ.tuples])
+                hom = _restriction(results[I], results[J])
                 if not hom.well_defined():
                     raise CertificateError((I, J), "restriction link not well defined on classes")
                 links[(I, J)] = hom
@@ -266,42 +265,51 @@ class SemilatticeOfGroups:
         return None
 
 
-def _restriction(HI, HJ, tuples):
-    """Class map H_I -> H_J of restricting each witness of HI to ``tuples``.
-
-    ``tuples`` lists, in the order of HJ.tuples, the same tuples in the
-    nerve of I's semigroup.
-    """
+def _restriction(HI, HJ):
+    """Class map H_I -> H_J of restricting each witness of HI to the tuples of HJ."""
     cols = []
     for k, w in enumerate(HI.witnesses):
-        c = HJ.homology.coords([x for t in tuples for x in w.values[t]])
+        c = HJ.homology.coords([x for t in HJ.tuples for x in w.values[t]])
         if c is None:
             raise CertificateError(k, "restriction of a cocycle is not a cocycle")
         cols.append(list(c))
     return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))
 
 
-def schur_multiplier(S, A):
-    """The multiplier as a strong semilattice of cohomology groups.
+def multiplier_components(S, A):
+    """{ideal I: H_0^2(S/I, A trivial)} for the monoid S, every component cut from one complex.
 
-    Index set: all ideals of the monoid S under union (empty ideal
-    included).  Component at I: H_0^2(S/I, A trivial).  Link I -> J for
-    I <= J: restriction of cocycles to the smaller support (multiply by
-    the idempotent of J), realized on cohomology.
+    The nerve of S/{} = S^0 is all of S^n.  A tuple lies in the nerve of
+    S/I exactly when its full product is not in I, and then no letter or
+    partial product is, as I is an ideal.  S/I numbers the elements off
+    I in order, so its nerve is the kept tuples in the same order, with
+    the same faces, and its coboundaries are the submatrices of those of
+    S^0 on them (``support_cohomology``).  The witnesses are read on
+    S^0, whose nonzero elements are those of S, with the same indices.
     """
     if S.identity is None:
         raise ValueError("Schur multipliers are defined over monoids")
     if S.order > SCHUR_ORDER_CAP:
         raise CapExceeded("monoid order", S.order, SCHUR_ORDER_CAP)
-    quotients = {I: rees_quotient(S, I) for I in ideals(S)}
-    results = {I: cohomology_group(Q, trivial_module(Q, A), 2, "zero") for I, Q in quotients.items()}
+    top = rees_quotient(S, ())
 
-    def pull(I, J, t):
-        # names identify elements across the two quotients
-        QI, QJ = quotients[I], quotients[J]
-        return tuple(QI.index(QJ.elements[x]) for x in t)
+    def supports(N):
+        products = [N.products(m) for m in (1, 2, 3)]
+        return ((I, [[p for p, x in enumerate(level) if x not in I] for level in products]) for I in ideals(S))
 
-    return SemilatticeOfGroups.from_restrictions(results, pull)
+    return support_cohomology(top, trivial_module(top, A), 2, supports)
+
+
+def schur_multiplier(S, A):
+    """The multiplier as a strong semilattice of cohomology groups.
+
+    Index set: all ideals of the monoid S under union (empty ideal
+    included).  Component at I: H_0^2(S/I, A trivial), from
+    ``multiplier_components``.  Link I -> J for I <= J: restriction of
+    cocycles to the smaller support (multiply by the idempotent of J),
+    realized on cohomology.
+    """
+    return SemilatticeOfGroups.from_restrictions(multiplier_components(S, A))
 
 
 @dataclass

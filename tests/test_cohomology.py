@@ -522,8 +522,9 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     N = Nerve(S, "zero")
     d_in, d_out = N.complex_at(1, lambda k: coboundary_hom(N, M, k))
     assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
-    assert [piece.cache_info().currsize for piece in (N.level, N.index, N.products, N.faces)] == [0, 0, 0, 0]
-    N.faces(2)
+    assert N.pieces == {}
+    assert N.faces(2) is N.faces(2)
+    assert sorted(N.pieces) == [("faces", 2), ("index", 1), ("level", 1), ("level", 2)]
     ref = weakref.ref(N)
     gc.disable()
     try:

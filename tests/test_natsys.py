@@ -4,6 +4,7 @@ import pytest
 
 from zerocohom import catalog, cohomology, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import Nerve, brute_cohomology, coboundary_preimage, cohomology_group, nerve, zero_cochain
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
 from zerocohom.modules import scalar_module, trivial_bimodule, trivial_module, validate_module
@@ -24,6 +25,7 @@ from zerocohom.natsys import (
 )
 from zerocohom.partial import build_t_semigroup
 from zerocohom.presentations import enumerate_presentation, parse_presentation
+from zerocohom.schur import schur_multiplier
 from zerocohom.semigroups import adjoin
 
 
@@ -349,18 +351,24 @@ def _c2_calls():
         "natsys_cohomology": lambda: natsys_cohomology(S, from_zero_module(M), 2),
         "coboundary_preimage": lambda: coboundary_preimage(S, M, f),
         "hom_complex_compare": lambda: hom_complex_compare(S, from_zero_module(M), 2),
+        # two ideals, and the five modifications of Z/3, each cut from one complex
+        "schur_multiplier": lambda: schur_multiplier(S, FinAbGroup([3])),
+        "brauer_monoid": lambda: brauer_monoid(2, 3),
     }
 
 
-# the nerve levels and face maps each entry point reads; the comparison
-# reads B_0..B_2 (levels 2..4) only, never B_3
+# the nerve levels and face maps each entry point reads, and its
+# validate_module calls; the comparison reads B_0..B_2 (levels 2..4)
+# only, never B_3
 BUILDS = {
-    "cohomology_group-zero": ({1, 2, 3}, {2, 3}),
-    "cohomology_group-em": ({1, 2, 3}, {2, 3}),
-    "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}),
-    "natsys_cohomology": ({1, 2, 3}, {2, 3}),
-    "coboundary_preimage": ({1, 2}, {2}),
-    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}),
+    "cohomology_group-zero": ({1, 2, 3}, {2, 3}, 1),
+    "cohomology_group-em": ({1, 2, 3}, {2, 3}, 1),
+    "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}, 1),
+    "natsys_cohomology": ({1, 2, 3}, {2, 3}, 0),
+    "coboundary_preimage": ({1, 2}, {2}, 0),
+    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 0),
+    "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
+    "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
 }
 
 
@@ -382,14 +390,23 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
         seen.append(("action", m, alpha, beta))
         return real_action(N, m, alpha, beta)
 
+    validated = []
+    real_validate = cohomology.validate_module
+
+    def counted_validate(M_):
+        validated.append(M_)
+        return real_validate(M_)
+
     monkeypatch.setattr(cohomology, "nerve", counted_nerve)
     monkeypatch.setattr(cohomology, "face_maps", counted_faces)
     monkeypatch.setattr(natsys, "bar_action", counted_action)
+    monkeypatch.setattr(cohomology, "validate_module", counted_validate)
     result = call()
     assert len(seen) == len(set(seen)), seen
-    levels, faces = BUILDS[name]
+    levels, faces, validations = BUILDS[name]
     assert {k[1] for k in seen if k[0] == "level"} == levels
     assert {k[1] for k in seen if k[0] == "faces"} == faces
+    assert len(validated) == validations
     # B_n has (n+2)-letter symbols: one action per generator and level
     actions = {k[1] for k in seen if k[0] == "action"}
     if name == "hom_complex_compare":
@@ -507,6 +524,7 @@ def test_hom_complex_compare_checks_survive_optimize(run_python):
 import zerocohom.natsys as ns
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
+from zerocohom.brauer import brauer_monoid
 from zerocohom.modules import scalar_module
 from zerocohom.semigroups import adjoin
 
