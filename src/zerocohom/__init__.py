@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, smith_normal_form
 from .cohomology import brute_cohomology, coboundary, cohomology_group, nerve, witness_report
 from .modules import (
-    Bimodule,
     ZeroModule,
     corner_module,
     galois_units_module,
@@ -45,7 +44,6 @@ __all__ = [
     "Semigroup",
     "Presentation",
     "ZeroModule",
-    "Bimodule",
     "adjoin",
     "brute_cohomology",
     "c0s_decompose",

@@ -14,9 +14,9 @@ import time
 from . import __version__
 from .abgroups import FinAbGroup, IntMatrix
 from .catalog import named_group
-from .cohomology import brute_cohomology, cohomology_group
+from .cohomology import VARIANTS, brute_cohomology, cohomology_group
 from .errors import CapExceeded, InvalidModule, TableError, ZerocohomError
-from .modules import Bimodule, ZeroModule, trivial_module
+from .modules import ZeroModule
 from .presentations import (
     Truncated,
     enumerate_presentation,
@@ -68,8 +68,6 @@ def load_coefficients(path):
 def load_module(path, S):
     doc = _read_object(path)
     A = _coefficients(doc)
-    if "action" not in doc:
-        return trivial_module(S, A)
     k = A.rank
 
     def read_action(field):
@@ -88,10 +86,12 @@ def load_module(path, S):
                 raise InvalidModule(name, f"{field} matrix is {shape}, expected {k}x{k}")
             action[S.index(name)] = IntMatrix(k, k, rows)
         return action
-    left = read_action("action")
-    if "right_action" in doc:
-        return Bimodule(S, A, left, read_action("right_action"))
-    return ZeroModule(S, A, left)
+    left = read_action("action") if "action" in doc else None
+    right = read_action("right_action") if "right_action" in doc else None
+    if left is None:
+        # no action means the trivial one, on the right action's domain when there is one
+        left = {s: IntMatrix.identity(k) for s in (range(S.order) if right is None else right)}
+    return ZeroModule(S, A, left, right)
 
 
 def dump_semigroup(S):
@@ -353,7 +353,7 @@ def build_parser():
                 "--semigroup": dict(required=True),
                 "--module": dict(required=True),
                 "--degree": dict(type=int, required=True),
-                "--variant": dict(choices=["zero", "em", "bimodule"], default="zero"),
+                "--variant": dict(choices=VARIANTS, default="zero"),
             },
         ),
         "schur": (cmd_schur, {"--semigroup": dict(required=True), "--module": dict(required=True)}),

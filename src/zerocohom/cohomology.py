@@ -5,21 +5,21 @@ coboundary builder reads one, and each entry point builds one per call.
 The builder emits an ``IntMatrix``, whose sparse columns the elimination
 reads as they are.
 
-Three variants share one coboundary formula:
+Two variants, which name only the nerve, share one coboundary formula:
 
-* ``zero``      cochains live on tuples of nonzero elements whose full
-                product is nonzero (partially defined cochains);
-* ``em``        cochains are totally defined on S^n (classical
-                Eilenberg-MacLane semigroup cohomology);
-* ``bimodule``  like ``zero`` but the last term of the coboundary acts
-                on the right.
+* ``zero``  cochains live on tuples of nonzero elements whose full
+            product is nonzero (partially defined cochains);
+* ``em``    cochains are totally defined on S^n (classical
+            Eilenberg-MacLane semigroup cohomology).
 
 The coboundary of f in degree n sends (x_1, ..., x_{n+1}) to
 
     x_1 f(x_2..x_{n+1}) + sum_i (-1)^i f(.., x_i x_{i+1}, ..)
                         + (-1)^{n+1} f(x_1..x_n)           [* x_{n+1}]
 
-with the degree-0 rule a |-> (x a - a), resp. (x a - a x).
+with the degree-0 rule a |-> (x a - a), resp. (x a - a x).  The
+bracketed right action is applied exactly when the module has one
+(``ZeroModule.right``); nothing else decides it.
 
 Restriction: when the nerve of a semigroup is a face-closed subset of
 the nerve of a larger one, in the same order, with the same faces and
@@ -44,22 +44,25 @@ from .abgroups import (
     solve_mod,
 )
 from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero
-from .modules import Bimodule, validate_module
+from .modules import ensure_valid
 
 DEGREE_CAP = 4
 COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
 BRUTE_COCHAIN_CAP = 2_000_000  # cochains one brute_cohomology call may enumerate
 
-VARIANTS = ("zero", "em", "bimodule")
+VARIANTS = ("zero", "em")
 
 
 def nerve(S, n, variant="zero"):
     """Tuples indexing degree-n cochains, lexicographically ordered.
 
-    Degree 0 is the single empty tuple.  The zero/bimodule nerve keeps
+    Degree 0 is the single empty tuple.  The zero nerve keeps
     only tuples of nonzero elements with nonzero full product; the em
-    nerve is all of S^n.
+    nerve is all of S^n.  Every entry point reads its nerve here, so an
+    unknown variant is refused here for all of them.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
         raise DegreeMismatch("negative degree")
     if n == 0:
@@ -90,13 +93,6 @@ def _extend(S, prefix, prod_so_far, n, out):
 class Cochain:
     degree: int
     values: dict  # nerve tuple -> coefficient vector (tuple)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.values == other.values
-        )
 
 
 def zero_cochain(S, M, n, variant="zero"):
@@ -132,12 +128,11 @@ def coboundary(M, f, variant="zero"):
     expected = set(nerve(S, n, variant))
     if set(f.values) != expected:
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
-    bimod = variant == "bimodule"
-    out = {t: _coboundary_at(M, f.values, t, bimod) for t in nerve(S, n + 1, variant)}
+    out = {t: _coboundary_at(M, f.values, t) for t in nerve(S, n + 1, variant)}
     return Cochain(n + 1, out)
 
 
-def _coboundary_at(M, values, t, bimod):
+def _coboundary_at(M, values, t):
     """The coboundary of the cochain ``values`` at the (n+1)-tuple t."""
     S = M.semigroup
     A = M.group
@@ -150,7 +145,7 @@ def _coboundary_at(M, values, t, bimod):
             acc[r] += sign * v[r]
         sign = -sign
     last = values[t[:-1]]
-    if bimod:
+    if M.right is not None:
         last = M.act_right(last, t[-1])
     for r in range(A.rank):
         acc[r] += sign * last[r]
@@ -276,10 +271,7 @@ def coboundary_hom(N, M, n):
     """The coboundary in degree n on the nerve N as a GroupHom between cochain groups."""
     A = M.group
     one = IntMatrix.identity(A.rank)
-    if N.variant == "bimodule":
-        last = lambda t, q: M.right[t[-1]]
-    else:
-        last = lambda t, q: one
+    last = (lambda t, q: one) if M.right is None else (lambda t, q: M.right[t[-1]])
     return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda t, q: M.matrix(t[0]), last)
 
 
@@ -289,7 +281,6 @@ class CohomologyResult:
     witnesses: list  # cocycle representatives of the generators
     homology: object
     tuples: list
-    variant: str
 
     def coords(self, f, S, M):
         """The class of the cocycle f on the witnesses, read on the stored nerve."""
@@ -297,30 +288,19 @@ class CohomologyResult:
 
 
 def _check_module_for_variant(S, M, variant):
-    if variant == "bimodule":
-        if not isinstance(M, Bimodule):
-            raise InvalidModule(None, "bimodule variant needs a Bimodule")
-    elif isinstance(M, Bimodule):
-        raise InvalidModule(None, "one-sided variant got a Bimodule")
-    v = validate_module(M)
-    if v:
-        raise InvalidModule(v.witness, f"module axioms violated ({v.kind})")
-    domain = M.left.keys() if isinstance(M, Bimodule) else M.action.keys()
-    if variant == "em":
-        need = set(range(S.order))
-    else:
-        need = set(S.nonzero())
-    if not need <= set(domain):
-        raise InvalidModule(sorted(need - set(domain)), "action domain too small")
+    ensure_valid(M)
+    need = set(range(S.order)) if variant == "em" else set(S.nonzero())
+    if not need <= set(M.action):
+        raise InvalidModule(sorted(need - set(M.action)), "action domain too small")
 
 
 def cohomology_group(S, M, n, variant="zero"):
     """H^n as an invariant-factor group plus witness cocycles.
 
     ``zero``: H_0^n of a semigroup with zero; ``em``: classical
-    cohomology on totally defined cochains; ``bimodule``: two-sided
-    version of the zero variant.  This is ``support_cohomology`` with
-    one support that keeps the whole nerve.
+    cohomology on totally defined cochains.  A module with a right
+    action gives the two-sided complex on either nerve.  This is
+    ``support_cohomology`` with one support that keeps the whole nerve.
     """
     return support_cohomology(S, M, n, lambda N: [(None, None)], variant)[None]
 
@@ -342,8 +322,6 @@ def support_cohomology(S, M, n, supports, variant="zero"):
     rows and columns it keeps, in their order, and its H^n is read off
     that submatrix.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if n > DEGREE_CAP:
         raise CapExceeded("degree", n, DEGREE_CAP)
     if n < 0:
@@ -362,7 +340,7 @@ def support_cohomology(S, M, n, supports, variant="zero"):
             H = complex_homology(_restricted(d_in, M.group, below, mid), _restricted(d_out, M.group, mid, above))
             on = [tuples[p] for p in mid]
         witnesses = [_cochain_on(M, n, on, w) for w in H.witnesses]
-        out[key] = CohomologyResult(H.group, witnesses, H, on, variant)
+        out[key] = CohomologyResult(H.group, witnesses, H, on)
     return out
 
 
@@ -380,7 +358,7 @@ def witness_report(S, M, f, variant="zero"):
     _check_module_for_variant(S, M, variant)
     df = coboundary(M, f, variant)
     is_cocycle = all(not any(v) for v in df.values.values())
-    is_coboundary, preimage = coboundary_preimage(S, M, f, variant)
+    is_coboundary, preimage = _preimage(S, M, f, variant)
     return {
         "is_cocycle": is_cocycle,
         "is_coboundary": is_coboundary,
@@ -392,8 +370,15 @@ def coboundary_preimage(S, M, f, variant="zero"):
     """(True, g) with coboundary(g) = f, or (False, None).
 
     In degree 0 only the zero cochain is a coboundary, and it has no
-    preimage cochain: the answer is then (True, None).
+    preimage cochain: the answer is then (True, None).  An invalid
+    module raises ``InvalidModule``.
     """
+    _check_module_for_variant(S, M, variant)
+    return _preimage(S, M, f, variant)
+
+
+def _preimage(S, M, f, variant):
+    """``coboundary_preimage`` on a module already checked."""
     n = f.degree
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
@@ -471,7 +456,6 @@ def _brute_cocycles(S, M, n, variant):
     is fixed.  Every hit is re-checked with the full ``coboundary``.
     """
     elements = M.group.elements()
-    bimod = variant == "bimodule"
     tuples = nerve(S, n, variant)
     pos = {t: i for i, t in enumerate(tuples)}
     checks = [[] for _ in tuples]
@@ -491,7 +475,7 @@ def _brute_cocycles(S, M, n, variant):
             return
         for v in elements:
             values[tuples[i]] = v
-            if not any(any(_coboundary_at(M, values, t, bimod)) for t in checks[i]):
+            if not any(any(_coboundary_at(M, values, t)) for t in checks[i]):
                 fill(i + 1)
 
     fill(0)

@@ -1,10 +1,16 @@
-"""Coefficient structures: 0-modules, bimodules, and stock constructors.
+"""Coefficient structures: 0-modules, two-sided ones among them, and stock constructors.
 
 A module stores one endomorphism matrix per semigroup element in its
 action domain.  For a semigroup with zero the domain of a 0-module is
 the nonzero part; a module whose domain covers the whole semigroup
 (including an absorbing zero, when present) can also serve as a
 coefficient module for totally-defined cochains.
+
+A module may also carry a right action, ``right``, one matrix per
+element of a domain that covers the left one.  It is then two-sided,
+the natural system D(alpha, a, beta) = alpha m beta of Baues and
+Wirsching, and every coboundary reads it in its last term.  ``right``
+is None for a one-sided module.
 """
 
 from dataclasses import dataclass, field
@@ -19,29 +25,16 @@ class ZeroModule:
     semigroup: object
     group: FinAbGroup
     action: dict = field(compare=False)
+    right: dict = field(default=None, compare=False)
 
     def act(self, s, vec):
         return self.group.reduce(self.action[s].vec(list(vec)))
-
-    def matrix(self, s):
-        return self.action[s]
-
-
-@dataclass(frozen=True)
-class Bimodule:
-    semigroup: object
-    group: FinAbGroup
-    left: dict = field(compare=False)
-    right: dict = field(compare=False)
-
-    def act(self, s, vec):
-        return self.group.reduce(self.left[s].vec(list(vec)))
 
     def act_right(self, vec, s):
         return self.group.reduce(self.right[s].vec(list(vec)))
 
     def matrix(self, s):
-        return self.left[s]
+        return self.action[s]
 
 
 @dataclass(frozen=True)
@@ -75,30 +68,28 @@ def _check_action(S, group, action, domain, opposite=False):
 def validate_module(M):
     """None when all module axioms hold, else a ModuleViolation witness.
 
-    ZeroModule: action(s)action(t) = action(st) whenever st != 0, on the
-    stored action domain.  Bimodule: the right action covers the left
-    one's domain, both one-sided laws hold (the right one against the
-    opposite semigroup), and the two actions commute.
+    action(s)action(t) = action(st) whenever st != 0, on the stored
+    action domain.  With a right action, also: it covers the left one's
+    domain, its law holds against the opposite semigroup, and the two
+    actions commute.
     """
     S = M.semigroup
-    if isinstance(M, Bimodule):
-        domain = sorted(M.left)
-        v = _check_action(S, M.group, M.left, domain)
-        if v:
-            return v
-        right_domain = sorted(M.right)
-        v = _check_action(S, M.group, M.right, right_domain, opposite=True)
-        if v:
-            return ModuleViolation("right-" + v.kind, v.witness)
-        missing = [s for s in domain if s not in M.right]
-        if missing:
-            return ModuleViolation("right-missing", missing[0])
-        for s in domain:
-            for t in right_domain:
-                if not same_map(M.group, M.left[s].mul(M.right[t]), M.right[t].mul(M.left[s])):
-                    return ModuleViolation("compatibility", (s, t))
-        return None
-    return _check_action(S, M.group, M.action, sorted(M.action))
+    domain = sorted(M.action)
+    v = _check_action(S, M.group, M.action, domain)
+    if v or M.right is None:
+        return v
+    right_domain = sorted(M.right)
+    v = _check_action(S, M.group, M.right, right_domain, opposite=True)
+    if v:
+        return ModuleViolation("right-" + v.kind, v.witness)
+    missing = [s for s in domain if s not in M.right]
+    if missing:
+        return ModuleViolation("right-missing", missing[0])
+    for s in domain:
+        for t in right_domain:
+            if not same_map(M.group, M.action[s].mul(M.right[t]), M.right[t].mul(M.action[s])):
+                return ModuleViolation("compatibility", (s, t))
+    return None
 
 
 def ensure_valid(M):
@@ -115,9 +106,9 @@ def trivial_module(S, group):
 
 
 def trivial_bimodule(S, group):
-    I = IntMatrix.identity(group.rank)
-    domain = S.nonzero() if S.has_zero else range(S.order)
-    return Bimodule(S, group, {s: I for s in domain}, {s: I for s in domain})
+    """The trivial module, with the identity acting on the right as well."""
+    action = trivial_module(S, group).action
+    return ZeroModule(S, group, action, action)
 
 
 def scalar_module(S, group, scalars):
@@ -157,9 +148,12 @@ def corner_module(M, e, restrict_to=None):
     ``e`` must be idempotent; ``restrict_to`` (default: the whole action
     domain) must be closed under multiplication and satisfy
     x * eA <= eA for all its elements.  Returns the module and eA as a
-    subgroup presentation of M.group (see abgroups.subgroup).
+    subgroup presentation of M.group (see abgroups.subgroup).  A
+    two-sided M raises ``InvalidModule``.
     """
     S = M.semigroup
+    if M.right is not None:
+        raise InvalidModule(e, "the corner of a two-sided module is not taken")
     if S.table[e][e] != e:
         raise NotIdempotent(f"element {e} is not idempotent")
     domain = sorted(M.action) if restrict_to is None else sorted(restrict_to)
@@ -188,4 +182,5 @@ def restrict_module(M, indices):
     """Module over the subsemigroup on ``indices``, same coefficient group."""
     newS, mapping = subsemigroup(M.semigroup, indices)
     action = {mapping[s]: M.matrix(s) for s in indices}
-    return ZeroModule(newS, M.group, action)
+    right = None if M.right is None else {mapping[s]: M.right[s] for s in indices}
+    return ZeroModule(newS, M.group, action, right)

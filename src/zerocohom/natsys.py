@@ -5,6 +5,8 @@ exists when alpha * a * beta = b is nonzero, with composition
 (alpha', beta')(alpha, beta) = (alpha' alpha, beta beta').  A natural
 system assigns an abelian group to each object and compatible maps
 alpha_* = D(alpha, 1), beta^* = D(1, beta) to the generating morphisms.
+A 0-module gives one (``from_zero_module``), with beta^* its right
+action when it has one.
 
 The cochain complex uses the nerve of nonzero products; its coboundary
 acts by alpha_* on the first slot and beta^* on the last.  The bar
@@ -194,10 +196,16 @@ def validate_natural_system(D):
 
 
 def from_zero_module(M):
-    """The natural system of a (unital) 0-module: D_a = A, alpha_* = action."""
+    """The natural system of a (unital) 0-module: D_a = A, alpha_* = action.
+
+    D(1, beta) is the module's right action, or the identity when it has
+    none: D(alpha, a, beta) = alpha m beta, whose cohomology is the
+    module's own on the zero nerve.
+    """
     S = M.semigroup
     _require_monoid_with_zero(S)
     groups = {a: M.group for a in S.nonzero()}
+    one = IntMatrix.identity(M.group.rank)
     left = {}
     right = {}
     z = S.zero
@@ -206,7 +214,7 @@ def from_zero_module(M):
             if S.mul(alpha, a) != z:
                 left[(alpha, a)] = M.matrix(alpha)
             if S.mul(a, alpha) != z:
-                right[(alpha, a)] = IntMatrix.identity(M.group.rank)
+                right[(alpha, a)] = one if M.right is None else M.right[alpha]
     return natural_system(S, groups, left, right)
 
 

@@ -273,6 +273,31 @@ def test_natsys_and_compare(nil4m_path, z2_path, capsys):
     assert report["result"]["groups"][2] == {"degree": 2, "group": [2, 2]}
 
 
+# C2^0 over Z, the generator acting by -1 on the right only
+C2_0 = {"elements": ["1", "g", "0"], "zero": "0", "table": [["1", "g", "0"], ["g", "1", "0"], ["0", "0", "0"]]}
+RIGHT_SIGN = {"invariant_factors": [0], "right_action": {"1": [[1]], "g": [[-1]]}}
+
+
+@pytest.mark.parametrize("left", [None, {"1": [[1]], "g": [[1]]}], ids=["trivial", "given"])
+def test_natsys_and_compare_read_the_right_action(tmp_path, left, capsys):
+    sg, mod = tmp_path / "c2z.json", tmp_path / "sign.json"
+    sg.write_text(json.dumps(C2_0))
+    mod.write_text(json.dumps(RIGHT_SIGN if left is None else {**RIGHT_SIGN, "action": left}))
+    files = ["--semigroup", str(sg), "--module", str(mod)]
+    groups = []
+    for n in (0, 1, 2):
+        code, cohom, _ = run(capsys, ["cohom", *files, "--degree", str(n)])
+        assert code == 0
+        code, natsys, _ = run(capsys, ["natsys", *files, "--degree", str(n)])
+        assert code == 0
+        assert natsys["result"]["group"] == cohom["result"]["group"]
+        groups.append({"degree": n, "group": cohom["result"]["group"]["invariant_factors"]})
+    assert groups == [{"degree": 0, "group": []}, {"degree": 1, "group": [2]}, {"degree": 2, "group": []}]
+    code, report, _ = run(capsys, ["compare-thm14", *files, "--degree", "2"])
+    assert code == 0 and report["result"]["match"] is True
+    assert report["result"]["groups"] == groups
+
+
 def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):
     argv = ["compare-thm14", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "-1"]
     code, report, err = run(capsys, argv)

@@ -21,7 +21,6 @@ from zerocohom.cohomology import (
 )
 from zerocohom.errors import CapExceeded, NoZero
 from zerocohom.modules import (
-    Bimodule,
     ZeroModule,
     corner_module,
     restrict_module,
@@ -44,6 +43,22 @@ def test_nerve_nil_square():
     assert nerve(S, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert nerve(S, 3) == []
     assert nerve(S, 0) == [()]
+
+
+def test_unknown_variant_is_refused_everywhere():
+    # the right action belongs to the module: "bimodule" is no nerve
+    S = nil4()
+    B = trivial_bimodule(S, FinAbGroup([2]))
+    f = zero_cochain(S, B, 1)
+    for call in (
+        lambda: nerve(S, 0, "bimodule"),
+        lambda: coboundary(B, f, "bimodule"),
+        lambda: cohomology_group(S, B, 1, "bimodule"),
+        lambda: brute_cohomology(S, B, 1, "bimodule"),
+        lambda: witness_report(S, B, f, "bimodule"),
+    ):
+        with pytest.raises(ValueError, match="unknown variant 'bimodule'"):
+            call()
 
 
 def test_nerve_em_counts():
@@ -123,7 +138,7 @@ def test_dd_zero_em_and_bimodule():
     for n in (0, 1, 2):
         for _ in range(20):
             f = random_cochain(rng, S, B, n, "zero")
-            ddf = coboundary(B, coboundary(B, f, "bimodule"), "bimodule")
+            ddf = coboundary(B, coboundary(B, f, "zero"), "zero")
             assert all(not any(v) for v in ddf.values.values())
 
 
@@ -249,16 +264,28 @@ def _scalar_homs(T, m):
             yield dict(enumerate(vals))
 
 
+def two_sided_choices(T):
+    """Each nontrivial choice for T acting on the right alone, and on both sides."""
+    out = [trivial_bimodule(T, FinAbGroup([2]))]
+    for M in module_choices(T):
+        trivial = trivial_module(T, M.group)
+        if M.action != trivial.action:
+            out += [ZeroModule(T, M.group, trivial.action, M.action), ZeroModule(T, M.group, M.action, M.action)]
+    return out
+
+
 def transport_module(M, T0):
     """A module over T as a 0-module over T0 = T with a zero adjoined."""
-    return ZeroModule(T0, M.group, dict(M.action))
+    return ZeroModule(T0, M.group, dict(M.action), None if M.right is None else dict(M.right))
 
 
 def test_adjoined_zero_bridge_catalogue():
-    # H_0^n(T^0, A) == H^n(T, A) for every catalogued monoid, n in {1, 2}
+    # H_0^n(T^0, A) == H^n(T, A) for every catalogued monoid, n in {1, 2},
+    # for one-sided and two-sided modules
     for T in catalog.monoid_catalogue(4):
         T0 = adjoin(T, "zero")
-        for M in module_choices(T):
+        for M in module_choices(T) + two_sided_choices(T):
+            assert validate_module(M) is None
             M0 = transport_module(M, T0)
             for n in (1, 2):
                 left = cohomology_group(T0, M0, n, "zero").group.invariants()
@@ -364,15 +391,35 @@ def test_bimodule_h2_nonzero_for_nil4():
     mods = [trivial_bimodule(S, FinAbGroup([2])), trivial_bimodule(S, FinAbGroup([4]))]
     minus = IntMatrix(1, 1, [[-1]])
     one = IntMatrix.identity(1)
-    mods.append(Bimodule(S, FinAbGroup([4]), {0: minus, 1: minus, 2: one}, {0: one, 1: one, 2: one}))
-    mods.append(Bimodule(S, FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}))
+    mods.append(ZeroModule(S, FinAbGroup([4]), {0: minus, 1: minus, 2: one}, {0: one, 1: one, 2: one}))
+    mods.append(ZeroModule(S, FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}))
     for B in mods:
         assert validate_module(B) is None
-        H = cohomology_group(S, B, 2, "bimodule")
+        H = cohomology_group(S, B, 2, "zero")
         assert not H.group.is_trivial()
     # and HH^2(S, 0) = 0 for the zero bimodule, as a sanity bound
     Bz = trivial_bimodule(S, FinAbGroup([]))
-    assert cohomology_group(S, Bz, 2, "bimodule").group.is_trivial()
+    assert cohomology_group(S, Bz, 2, "zero").group.is_trivial()
+
+
+def test_two_sided_brute_oracle_on_both_nerves():
+    # the right action is read on the zero and the em nerve alike
+    one, minus, zero = IntMatrix.identity(1), IntMatrix(1, 1, [[-1]]), IntMatrix(1, 1, [[0]])
+    C2, C2_0, chain = catalog.cyclic_group(2), adjoin(catalog.cyclic_group(2), "zero"), catalog.two_chain_monoid()
+    A = FinAbGroup([4])
+    cases = [
+        (nil4(), ZeroModule(nil4(), A, {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}), "zero", [(2,), (2,), (4, 4)]),
+        (C2_0, ZeroModule(C2_0, A, {0: one, 1: one}, {0: one, 1: minus}), "zero", [(2,), (2,), (2,)]),
+        (C2_0, ZeroModule(C2_0, A, {0: one, 1: one, 2: zero}, {0: one, 1: minus, 2: zero}), "em", [(2,), (2,), (2,)]),
+        (C2, ZeroModule(C2, A, {0: one, 1: one}, {0: one, 1: minus}), "em", [(2,), (2,), (2,)]),
+        (C2, ZeroModule(C2, A, {0: one, 1: minus}, {0: one, 1: minus}), "em", [(4,), (2,), (2,)]),
+        (chain, ZeroModule(chain, A, {0: one, 1: one}, {0: one, 1: zero}), "em", [(), (), ()]),
+    ]
+    for S, M, variant, want in cases:
+        assert validate_module(M) is None
+        for n in (0, 1, 2):
+            fast = cohomology_group(S, M, n, variant).group.invariants()
+            assert fast == brute_cohomology(S, M, n, variant).invariants() == want[n], (S.elements, variant, n)
 
 
 def test_zero_free_monoids_have_trivial_h2():
@@ -433,12 +480,12 @@ def test_cocycle_search_matches_the_scan():
         (Z2_0, scalar_module(Z2_0, FinAbGroup([3]), {0: 1, 1: -1}), "zero"),
         (catalog.cyclic_group(2), scalar_module(catalog.cyclic_group(2), FinAbGroup([3]), {0: 1, 1: -1}), "em"),
         (catalog.two_chain_monoid(), trivial_module(catalog.two_chain_monoid(), FinAbGroup([2])), "em"),
-        (nil4(), trivial_bimodule(nil4(), FinAbGroup([2])), "bimodule"),
-        (nil4(), Bimodule(nil4(), FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}), "bimodule"),
+        (nil4(), trivial_bimodule(nil4(), FinAbGroup([2])), "zero"),
+        (nil4(), ZeroModule(nil4(), FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}), "zero"),
     ]
     for S, M, variant in cases:
         for n in (0, 1, 2):
-            tuples = nerve(S, n, "em" if variant == "em" else "zero")
+            tuples = nerve(S, n, variant)
             scan = []
             for combo in iproduct(M.group.elements(), repeat=len(tuples)):
                 f = Cochain(n, dict(zip(tuples, combo)))
@@ -489,8 +536,10 @@ def test_sparse_coboundaries_against_dense_complexes():
     for _ in range(40):
         S = rng.choice(semigroups)
         A = rng.choice(groups)
-        variant = "em" if not S.has_zero else rng.choice(("zero", "em", "bimodule"))
-        M = trivial_bimodule(S, A) if variant == "bimodule" else trivial_module(S, A)
+        # the third choice is a two-sided module on the zero nerve
+        kind = "em" if not S.has_zero else rng.choice(("zero", "em", "two-sided"))
+        variant = "zero" if kind == "two-sided" else kind
+        M = trivial_bimodule(S, A) if kind == "two-sided" else trivial_module(S, A)
         n = rng.randint(0, 2)
         d_out = coboundary_hom(Nerve(S, variant), M, n)
         assert isinstance(d_out.matrix, IntMatrix)

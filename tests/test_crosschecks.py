@@ -1,4 +1,4 @@
-"""Extra cross-checks: infinite coefficients, bimodule oracle, order 4."""
+"""Extra cross-checks: infinite coefficients, two-sided module oracle, order 4."""
 
 import json
 import random
@@ -22,8 +22,8 @@ def test_schur_with_infinite_coefficients():
 def test_bimodule_brute_oracle():
     S = catalog.nil_square_semigroup()
     B = trivial_bimodule(S, FinAbGroup([2]))
-    fast = cohomology_group(S, B, 2, "bimodule").group.invariants()
-    slow = brute_cohomology(S, B, 2, "bimodule").invariants()
+    fast = cohomology_group(S, B, 2, "zero").group.invariants()
+    slow = brute_cohomology(S, B, 2, "zero").invariants()
     assert fast == slow != ()
 
 
@@ -54,7 +54,7 @@ def test_cli_bimodule_variant(tmp_path, capsys):
         )
     )
     code = execute(
-        ["cohom", "--semigroup", str(sg), "--module", str(mod), "--degree", "2", "--variant", "bimodule"]
+        ["cohom", "--semigroup", str(sg), "--module", str(mod), "--degree", "2"]
     )
     out = capsys.readouterr().out
     assert code == 0

@@ -13,10 +13,15 @@ A nerve face is built from tuple slices only in ``face_maps`` and in the
 brute-force twins that check it.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
 dense rows are a copy built on demand, so such a write is lost.
+The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from zerocohom.cli import build_parser
+from zerocohom.cohomology import VARIANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zerocohom"
@@ -218,3 +223,15 @@ def test_no_store_into_dense_rows():
             if any(map(_into_dense_rows, targets)):
                 stores.append(f"{path.name}:{n.lineno}")
     assert not stores, stores
+
+
+def _subcommand(parser, name):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+def test_cli_variant_choices_are_the_cohomology_variants():
+    ap = build_parser()
+    for cohom in (_subcommand(ap, "cohom"), _subcommand(_subcommand(ap, "oracle"), "cohom")):
+        (variant,) = [a for a in cohom._actions if a.dest == "variant"]
+        assert tuple(variant.choices) == VARIANTS

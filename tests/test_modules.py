@@ -2,10 +2,9 @@ import pytest
 
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, IntMatrix
-from zerocohom.cohomology import cohomology_group
+from zerocohom.cohomology import coboundary_preimage, cohomology_group, zero_cochain
 from zerocohom.errors import InvalidLabeling, InvalidModule, NotIdempotent
 from zerocohom.modules import (
-    Bimodule,
     ModuleViolation,
     ZeroModule,
     corner_module,
@@ -48,6 +47,12 @@ def test_validate_module_violation_witness():
     assert S.mul(s, t) != S.zero
     with pytest.raises(InvalidModule):
         ensure_valid(ZeroModule(S, A, action))
+    # C2^0 with the action of g missing: refused before any coboundary is built
+    C2_0 = adjoin(catalog.cyclic_group(2), "zero")
+    partial = ZeroModule(C2_0, A, {C2_0.identity: IntMatrix.identity(1)})
+    for n in (0, 1):
+        with pytest.raises(InvalidModule, match="action domain too small"):
+            coboundary_preimage(C2_0, partial, zero_cochain(C2_0, partial, n))
 
 
 def test_endomorphism_well_defined_check():
@@ -176,6 +181,19 @@ def test_restrict_module():
     assert validate_module(R) is None
 
 
+def test_two_sided_corner_is_refused_and_restriction_keeps_the_right_action():
+    S = catalog.two_chain_monoid()
+    A = FinAbGroup([3])
+    one, zero = IntMatrix.identity(1), IntMatrix(1, 1, [[0]])
+    M = ZeroModule(S, A, {0: one, 1: one}, {0: one, 1: zero})
+    assert validate_module(M) is None
+    with pytest.raises(InvalidModule, match="two-sided"):
+        corner_module(M, S.identity)
+    R = restrict_module(M, [1])
+    assert R.right == {0: zero} and validate_module(R) is None
+    assert restrict_module(trivial_module(S, A), [1]).right is None
+
+
 def test_bimodule_validation():
     S = catalog.nil_square_semigroup()
     B = trivial_bimodule(S, FinAbGroup([4]))
@@ -186,11 +204,11 @@ def test_bimodule_validation():
     one = IntMatrix.identity(1)
     left = {0: minus, 1: minus, 2: one}
     right = {0: one, 1: one, 2: one}
-    B2 = Bimodule(S, A, left, right)
+    B2 = ZeroModule(S, A, left, right)
     assert validate_module(B2) is None
     bad_right = {0: one, 1: one, 2: IntMatrix(1, 1, [[2]])}
     # incompatible right action law: act_r(u)act_r(v) != act_r(vu)
-    bad = Bimodule(S, A, left, {0: IntMatrix(1, 1, [[2]]), 1: one, 2: one})
+    bad = ZeroModule(S, A, left, {0: IntMatrix(1, 1, [[2]]), 1: one, 2: one})
     v = validate_module(bad)
     assert v is not None
 
@@ -200,11 +218,11 @@ def test_bimodule_with_smaller_right_domain_is_a_violation():
     S = catalog.nil_square_semigroup()
     A = FinAbGroup([2])
     one = IntMatrix.identity(1)
-    B = Bimodule(S, A, {0: one, 1: one, 2: one}, {0: one})
+    B = ZeroModule(S, A, {0: one, 1: one, 2: one}, {0: one})
     v = validate_module(B)
     assert v == ModuleViolation("right-missing", 1)
     with pytest.raises(InvalidModule) as exc:
-        cohomology_group(S, B, 1, "bimodule")
+        cohomology_group(S, B, 1, "zero")
     assert exc.value.witness == 1
 
 

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from zerocohom import catalog, cohomology, natsys
+from zerocohom import catalog, cohomology, modules, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import Nerve, brute_cohomology, coboundary_preimage, cohomology_group, nerve, zero_cochain
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
-from zerocohom.modules import scalar_module, trivial_bimodule, trivial_module, validate_module
+from zerocohom.modules import ZeroModule, scalar_module, trivial_bimodule, trivial_module, validate_module
 from zerocohom.natsys import (
     FacCategory,
     NaturalSystem,
@@ -174,6 +174,22 @@ def test_natsys_matches_zero_cohomology():
     D = from_zero_module(M)
     for n in (0, 1, 2):
         assert natsys_cohomology(S, D, n).invariants() == brute_cohomology(S, M, n, "zero").invariants()
+
+
+def test_natsys_reads_the_right_action():
+    # C2^0 over Z, the generator acting by -1 on the right: D(1, g) is
+    # that action, so the natural system has the module's cohomology
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    one, g = S.identity, S.index("g")
+    M = ZeroModule(S, FinAbGroup([0]), {one: IntMatrix.identity(1), g: IntMatrix.identity(1)},
+                   {one: IntMatrix.identity(1), g: IntMatrix(1, 1, [[-1]])})
+    D = from_zero_module(M)
+    assert D.right_map(g, one) == IntMatrix(1, 1, [[-1]])
+    groups = [cohomology_group(S, M, n).group.invariants() for n in (0, 1, 2)]
+    assert groups == [(), (2,), ()]
+    assert [natsys_cohomology(S, D, n).invariants() for n in (0, 1, 2)] == groups
+    report = hom_complex_compare(S, D, 2)
+    assert report["ok"] and report["groups"] == groups
 
 
 def test_delta_delta_zero_randomized():
@@ -347,7 +363,7 @@ def _c2_calls():
     return {
         "cohomology_group-zero": lambda: cohomology_group(S, M, 2, "zero"),
         "cohomology_group-em": lambda: cohomology_group(S, T, 2, "em"),
-        "cohomology_group-bimodule": lambda: cohomology_group(S, B, 2, "bimodule"),
+        "cohomology_group-bimodule": lambda: cohomology_group(S, B, 2, "zero"),
         "natsys_cohomology": lambda: natsys_cohomology(S, from_zero_module(M), 2),
         "coboundary_preimage": lambda: coboundary_preimage(S, M, f),
         "hom_complex_compare": lambda: hom_complex_compare(S, from_zero_module(M), 2),
@@ -365,7 +381,7 @@ BUILDS = {
     "cohomology_group-em": ({1, 2, 3}, {2, 3}, 1),
     "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}, 1),
     "natsys_cohomology": ({1, 2, 3}, {2, 3}, 0),
-    "coboundary_preimage": ({1, 2}, {2}, 0),
+    "coboundary_preimage": ({1, 2}, {2}, 1),
     "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 0),
     "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
     "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
@@ -391,7 +407,7 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
         return real_action(N, m, alpha, beta)
 
     validated = []
-    real_validate = cohomology.validate_module
+    real_validate = modules.validate_module
 
     def counted_validate(M_):
         validated.append(M_)
@@ -400,7 +416,7 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     monkeypatch.setattr(cohomology, "nerve", counted_nerve)
     monkeypatch.setattr(cohomology, "face_maps", counted_faces)
     monkeypatch.setattr(natsys, "bar_action", counted_action)
-    monkeypatch.setattr(cohomology, "validate_module", counted_validate)
+    monkeypatch.setattr(modules, "validate_module", counted_validate)
     result = call()
     assert len(seen) == len(set(seen)), seen
     levels, faces, validations = BUILDS[name]

@@ -10,6 +10,7 @@ factor d has order dividing d, and together they generate the group.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -78,8 +79,8 @@ def test_catalogue_cohomology_matches_the_integral_twin(factors):
     A = FinAbGroup(factors)
     nontrivial = 0
     for S in _semigroups_with_zero():
-        for variant in ("zero", "em", "bimodule"):
-            M = trivial_bimodule(S, A) if variant == "bimodule" else trivial_module(S, A)
+        for variant, module in product(("zero", "em"), (trivial_module, trivial_bimodule)):
+            M = module(S, A)
             for n in (1, 2, 3):
                 # the em nerve is all of S^n: degree 3 only on small S
                 if variant == "em" and n == 3 and S.order > 4:
