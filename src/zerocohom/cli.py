@@ -3,32 +3,25 @@
 One structured JSON report per invocation on stdout (byte-stable for
 identical inputs: no timestamps in the payload; timing goes to stderr).
 Exit codes: 0 success, 1 oracle mismatch, 2 input error, 3 cap exceeded.
+
+Each subcommand imports the package modules it runs inside its own
+function, so a process loads only those (``enumerate`` and ``gown`` load
+neither the abelian-group nor the cohomology layer), and the timing on
+stderr includes them.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
-from . import __version__
-from .abgroups import FinAbGroup, IntMatrix
-from .catalog import named_group
-from .cohomology import VARIANTS, brute_cohomology, cohomology_group
+from . import VARIANTS, __version__
 from .errors import CapExceeded, InvalidModule, TableError, ZerocohomError
-from .modules import ZeroModule
-from .presentations import (
-    Truncated,
-    enumerate_presentation,
-    format_presentation,
-    gown_presentation,
-    gown_sequences,
-    parse_presentation,
-)
-from .semigroups import from_named_table, ideals, predicates
 
 
 def _digest(path):
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
@@ -47,6 +40,8 @@ def _integers(values):
 
 
 def load_semigroup(path):
+    from .semigroups import from_named_table
+
     doc = _read_object(path)
     elements, table = doc["elements"], doc["table"]
     if not (isinstance(elements, list) and isinstance(table, list) and all(isinstance(r, list) for r in table)):
@@ -55,6 +50,8 @@ def load_semigroup(path):
 
 
 def _coefficients(doc):
+    from .abgroups import FinAbGroup
+
     factors = doc["invariant_factors"]
     if not _integers(factors):
         raise InvalidModule(factors, "invariant_factors must be a list of integers")
@@ -66,6 +63,9 @@ def load_coefficients(path):
 
 
 def load_module(path, S):
+    from .abgroups import IntMatrix
+    from .modules import ZeroModule
+
     doc = _read_object(path)
     A = _coefficients(doc)
     k = A.rank
@@ -126,6 +126,8 @@ def _semilattice_payload(sl, key_name):
 
 
 def cmd_validate(args, inputs):
+    from .semigroups import ideals, predicates
+
     S = load_semigroup(args.semigroup)
     inputs[args.semigroup] = _digest(args.semigroup)
     p = predicates(S)
@@ -140,6 +142,8 @@ def cmd_validate(args, inputs):
 
 
 def cmd_cohom(args, inputs):
+    from .cohomology import brute_cohomology, cohomology_group
+
     S = load_semigroup(args.semigroup)
     inputs[args.semigroup] = _digest(args.semigroup)
     M = load_module(args.module, S)
@@ -193,6 +197,7 @@ def cmd_brauer(args, inputs):
 
 def cmd_modifications(args, inputs):
     from .brauer import enumerate_modifications, modification_structure
+    from .catalog import named_group
 
     G = named_group(args.group)
     mods = enumerate_modifications(G)
@@ -211,14 +216,16 @@ def cmd_modifications(args, inputs):
 
 
 def cmd_gown(args, inputs):
+    from .presentations import format_presentation, gown_presentation, gown_sequences, parse_presentation
+
+    if bool(args.presentation) == bool(args.semigroup):
+        raise ValueError("gown takes exactly one of --presentation and --semigroup")
     if args.presentation:
         with open(args.presentation) as fh:
             P = parse_presentation(fh.read())
         inputs[args.presentation] = _digest(args.presentation)
         G = gown_presentation(P, bound=args.bound)
         return {"gown_presentation": format_presentation(G)}
-    if not args.semigroup:
-        raise ValueError("gown needs --presentation or --semigroup")
     S = load_semigroup(args.semigroup)
     inputs[args.semigroup] = _digest(args.semigroup)
     classes = gown_sequences(S, args.bound)
@@ -233,6 +240,8 @@ def cmd_gown(args, inputs):
 
 
 def cmd_enumerate(args, inputs):
+    from .presentations import Truncated, enumerate_presentation, parse_presentation
+
     with open(args.presentation) as fh:
         P = parse_presentation(fh.read())
     inputs[args.presentation] = _digest(args.presentation)
@@ -254,6 +263,7 @@ def cmd_enumerate(args, inputs):
 
 
 def cmd_tsubsets(args, inputs):
+    from .catalog import named_group
     from .partial import enumerate_t_subsets
 
     G = named_group(args.group)

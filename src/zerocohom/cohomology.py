@@ -34,6 +34,7 @@ and one pair of coboundaries for a whole family of such supports, and
 from dataclasses import dataclass
 from itertools import product
 
+from . import VARIANTS
 from .abgroups import (
     FinAbGroup,
     GroupHom,
@@ -49,8 +50,6 @@ from .modules import ensure_valid
 DEGREE_CAP = 4
 COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
 BRUTE_COCHAIN_CAP = 2_000_000  # cochains one brute_cohomology call may enumerate
-
-VARIANTS = ("zero", "em")
 
 
 def nerve(S, n, variant="zero"):
@@ -288,7 +287,8 @@ class CohomologyResult:
 
 
 def _check_module_for_variant(S, M, variant):
-    ensure_valid(M)
+    # the em nerve multiplies through the zero, so the law must hold there too
+    ensure_valid(M, total=variant == "em")
     need = set(range(S.order)) if variant == "em" else set(S.nonzero())
     if not need <= set(M.action):
         raise InvalidModule(sorted(need - set(M.action)), "action domain too small")

@@ -46,7 +46,8 @@ class ModuleViolation:
         return True
 
 
-def _check_action(S, group, action, domain, opposite=False):
+def _check_action(S, group, action, domain, opposite=False, at_zero=False):
+    """The action law on the products st != 0, or with ``at_zero`` on those st = 0."""
     for s in domain:
         if s not in action:
             return ModuleViolation("missing", s)
@@ -56,9 +57,7 @@ def _check_action(S, group, action, domain, opposite=False):
     for s in domain:
         for t in domain:
             st = S.table[t][s] if opposite else S.table[s][t]
-            if st == z and z is not None:
-                continue
-            if st not in domain:
+            if (st == z and z is not None) != at_zero or st not in domain:
                 continue
             if not same_map(group, action[s].mul(action[t]), action[st]):
                 return ModuleViolation("composition", (s, t))
@@ -92,8 +91,24 @@ def validate_module(M):
     return None
 
 
-def ensure_valid(M):
-    v = validate_module(M)
+def zero_product_violation(M):
+    """None when the law holds on the products equal to the zero as well.
+
+    ``validate_module`` skips those products, which the zero nerve never
+    reads; the em nerve multiplies through the zero, so its coboundaries
+    read them.  Else a ModuleViolation witness, for either action.
+    """
+    S = M.semigroup
+    v = _check_action(S, M.group, M.action, sorted(M.action), at_zero=True)
+    if v or M.right is None:
+        return v
+    v = _check_action(S, M.group, M.right, sorted(M.right), opposite=True, at_zero=True)
+    return v and ModuleViolation("right-" + v.kind, v.witness)
+
+
+def ensure_valid(M, total=False):
+    """M, or ``InvalidModule``; ``total`` checks the law on zero products too."""
+    v = validate_module(M) or (total and zero_product_violation(M))
     if v:
         raise InvalidModule(v.witness, f"module axioms violated ({v.kind})")
     return M

@@ -391,3 +391,84 @@ def test_module_roundtrip(tmp_path, nil4_path):
     M = load_module(str(p), S)
     assert M.group.factors == (4,)
     assert set(M.action) == set(range(4))
+
+
+def test_gown_refuses_two_inputs(tmp_path, nil4_path, capsys):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: x y; rels: xy=y, xx=xxx; zeros: yx, yy")
+    code, report, err = run(capsys, ["gown", "--presentation", str(pres), "--semigroup", nil4_path])
+    assert code == 2
+    assert report is None
+    assert "input error: gown takes exactly one of --presentation and --semigroup" in err
+
+
+def test_em_module_broken_at_a_zero_product_is_input_error(tmp_path, capsys):
+    # on C2^0, g acts by -1 and the zero by 1: g.0 = 0 but (-1)(1) != 1 on C3
+    c20 = tmp_path / "c2-zero.json"
+    table = [["1", "g", "0"], ["g", "1", "0"], ["0", "0", "0"]]
+    c20.write_text(json.dumps({"elements": ["1", "g", "0"], "zero": "0", "table": table}))
+    mod = tmp_path / "scalar-c3.json"
+    mod.write_text(json.dumps({"invariant_factors": [3], "action": {"1": [[1]], "g": [[-1]], "0": [[1]]}}))
+    argv = ["cohom", "--semigroup", str(c20), "--module", str(mod), "--degree", "1", "--variant", "em"]
+    code, report, err = run(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "input error: module axioms violated" in err
+    # the zero nerve never multiplies through the zero, so the same module serves it
+    code, report, _ = run(capsys, argv[:-2])
+    assert code == 0
+
+
+# The ten subcommands of perfbench's cli workload, with small inputs, each
+# with the package modules it must not load.
+STARTUP = {
+    "tsemigroup": (["tsemigroup"], set()),
+    "enumerate": (["enumerate", "--presentation", "{pres}", "--bound", "10"], {"abgroups", "cohomology"}),
+    "gown": (["gown", "--presentation", "{pres}"], {"abgroups", "cohomology"}),
+    "tsubsets": (["tsubsets", "--group", "Z2^3"], set()),
+    "modifications": (["modifications", "--group", "Z5"], set()),
+    "cohom": (
+        ["cohom", "--semigroup", "{nil4}", "--module", "{z2}", "--degree", "2"],
+        {"presentations", "catalog", "schur", "partial", "natsys", "brauer"},
+    ),
+    "oracle-cohom": (
+        ["oracle", "cohom", "--semigroup", "{nil4}", "--module", "{z2}", "--degree", "2"],
+        {"presentations", "catalog", "schur", "partial", "natsys", "brauer"},
+    ),
+    "schur": (["schur", "--semigroup", "{nil4m}", "--module", "{z2}"], set()),
+    "natsys": (["natsys", "--semigroup", "{nil4m}", "--module", "{z2}", "--degree", "2"], set()),
+    "brauer": (["brauer", "--q", "2", "--n", "5"], set()),
+}
+
+# runs the CLI with its report swallowed, then prints what the process loaded
+_LOADED = """
+import contextlib, io, json, sys
+from zerocohom.cli import execute
+with contextlib.redirect_stdout(io.StringIO()):
+    code = execute(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("zerocohom."))
+print(json.dumps({"code": code, "modules": loaded, "hashlib": "hashlib" in sys.modules}))
+"""
+
+
+def test_importing_the_package_loads_no_module(run_python):
+    script = "import sys, zerocohom; print(sorted(m for m in sys.modules if m.startswith('zerocohom.')))"
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(STARTUP))
+def test_subcommand_loads_only_what_it_runs(name, tmp_path, nil4_path, nil4m_path, z2_path, run_python):
+    pres = tmp_path / "prop3.txt"
+    pres.write_text("gens: x y; rels: xy=y, xx=xxx; zeros: yx, yy")
+    argv, forbidden = STARTUP[name]
+    paths = {"pres": str(pres), "nil4": nil4_path, "nil4m": nil4m_path, "z2": z2_path}
+    argv = [a.format(**paths) for a in argv]
+    proc = run_python("-c", _LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0, proc.stderr
+    assert not forbidden & set(seen["modules"]), seen["modules"]
+    # only a subcommand that reads input files digests them
+    assert seen["hashlib"] == any(a.startswith("{") for a in STARTUP[name][0])

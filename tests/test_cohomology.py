@@ -19,7 +19,7 @@ from zerocohom.cohomology import (
     witness_report,
     zero_cochain,
 )
-from zerocohom.errors import CapExceeded, NoZero
+from zerocohom.errors import CapExceeded, InvalidModule, NoZero
 from zerocohom.modules import (
     ZeroModule,
     corner_module,
@@ -28,6 +28,7 @@ from zerocohom.modules import (
     trivial_bimodule,
     trivial_module,
     validate_module,
+    zero_product_violation,
 )
 from zerocohom.presentations import enumerate_presentation, parse_presentation
 from zerocohom.semigroups import adjoin, zero_direct_union
@@ -230,6 +231,24 @@ def test_em_group_cohomology_z2():
     M4 = trivial_module(G, FinAbGroup([4]))
     assert cohomology_group(G, M4, 2, "em").group.invariants() == (2,)
     assert cohomology_group(G, M4, 1, "em").group.invariants() == (2,)
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["left", "right"])
+def test_em_checks_the_module_law_at_zero_products(two_sided):
+    # on C2^0 the scalar g -> -1, 0 -> 1 breaks g.0 = 0 on C3; the zero nerve never reads that product
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    g, z = S.index("g"), S.zero
+    M = scalar_module(S, FinAbGroup([3]), {S.index("1"): 1, g: -1, z: 1})
+    if two_sided:
+        M = ZeroModule(S, M.group, trivial_module(S, M.group).action, M.action)
+    assert validate_module(M) is None
+    v = zero_product_violation(M)
+    assert (v.kind, v.witness) == (("right-" if two_sided else "") + "composition", (g, z))
+    for n in (1, 2):
+        for compute in (cohomology_group, brute_cohomology):
+            with pytest.raises(InvalidModule, match="module axioms violated"):
+                compute(S, M, n, "em")
+        assert cohomology_group(S, M, n, "zero").group.invariants() == brute_cohomology(S, M, n, "zero").invariants()
 
 
 def module_choices(T):
