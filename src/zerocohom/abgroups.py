@@ -370,9 +370,6 @@ class FinAbGroup:
     def neg(self, u):
         return self.reduce([-a for a in u])
 
-    def scale(self, c, u):
-        return self.reduce([c * a for a in u])
-
     def elements(self):
         """All elements (finite groups only)."""
         if self.order() is None:
@@ -393,9 +390,6 @@ class FinAbGroup:
 
     def is_invariant_form(self):
         return self.factors == self.invariants()
-
-    def normalized(self):
-        return FinAbGroup(self.invariants())
 
     def direct_sum(self, other):
         return FinAbGroup(self.factors + other.factors)

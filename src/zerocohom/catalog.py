@@ -11,10 +11,10 @@ def cyclic_group(n):
     return validate_table(names, table)
 
 
-def direct_product(G, H, sep="|"):
+def direct_product(G, H):
     pairs = list(product(range(G.order), range(H.order)))
     pos = {p: k for k, p in enumerate(pairs)}
-    names = [f"{G.elements[a]}{sep}{H.elements[b]}" for a, b in pairs]
+    names = [f"{G.elements[a]}|{H.elements[b]}" for a, b in pairs]
     table = [
         [pos[(G.table[a][c], H.table[b][d])] for c, d in pairs]
         for a, b in pairs

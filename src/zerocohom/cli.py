@@ -118,7 +118,7 @@ def _semilattice_payload(sl, key_name):
     for k in sl.indices:
         payload["components"].append(
             {
-                key_name: sorted(k) if isinstance(k, frozenset) else k,
+                key_name: sorted(k),
                 "group": group_payload(sl.components[k]),
             }
         )

@@ -11,6 +11,10 @@ element of a domain that covers the left one.  It is then two-sided,
 the natural system D(alpha, a, beta) = alpha m beta of Baues and
 Wirsching, and every coboundary reads it in its last term.  ``right``
 is None for a one-sided module.
+
+``Violation`` is the one record of a broken law, its kind and witness:
+``validate_module`` returns one for a module, and
+``schur.validate_factor_set`` for a factor set.
 """
 
 from dataclasses import dataclass, field
@@ -38,21 +42,18 @@ class ZeroModule:
 
 
 @dataclass(frozen=True)
-class ModuleViolation:
-    kind: str
+class Violation:
+    kind: str  # the law that fails, e.g. "composition" or "cocycle"
     witness: object
-
-    def __bool__(self):  # truthy = there IS a violation
-        return True
 
 
 def _check_action(S, group, action, domain, opposite=False, at_zero=False):
     """The action law on the products st != 0, or with ``at_zero`` on those st = 0."""
     for s in domain:
         if s not in action:
-            return ModuleViolation("missing", s)
+            return Violation("missing", s)
         if not is_hom(group, group, action[s]):
-            return ModuleViolation("endomorphism", s)
+            return Violation("endomorphism", s)
     z = S.zero
     for s in domain:
         for t in domain:
@@ -60,12 +61,12 @@ def _check_action(S, group, action, domain, opposite=False, at_zero=False):
             if (st == z and z is not None) != at_zero or st not in domain:
                 continue
             if not same_map(group, action[s].mul(action[t]), action[st]):
-                return ModuleViolation("composition", (s, t))
+                return Violation("composition", (s, t))
     return None
 
 
 def validate_module(M):
-    """None when all module axioms hold, else a ModuleViolation witness.
+    """None when all module axioms hold, else a Violation witness.
 
     action(s)action(t) = action(st) whenever st != 0, on the stored
     action domain.  With a right action, also: it covers the left one's
@@ -80,14 +81,14 @@ def validate_module(M):
     right_domain = sorted(M.right)
     v = _check_action(S, M.group, M.right, right_domain, opposite=True)
     if v:
-        return ModuleViolation("right-" + v.kind, v.witness)
+        return Violation("right-" + v.kind, v.witness)
     missing = [s for s in domain if s not in M.right]
     if missing:
-        return ModuleViolation("right-missing", missing[0])
+        return Violation("right-missing", missing[0])
     for s in domain:
         for t in right_domain:
             if not same_map(M.group, M.action[s].mul(M.right[t]), M.right[t].mul(M.action[s])):
-                return ModuleViolation("compatibility", (s, t))
+                return Violation("compatibility", (s, t))
     return None
 
 
@@ -96,14 +97,14 @@ def zero_product_violation(M):
 
     ``validate_module`` skips those products, which the zero nerve never
     reads; the em nerve multiplies through the zero, so its coboundaries
-    read them.  Else a ModuleViolation witness, for either action.
+    read them.  Else a Violation witness, for either action.
     """
     S = M.semigroup
     v = _check_action(S, M.group, M.action, sorted(M.action), at_zero=True)
     if v or M.right is None:
         return v
     v = _check_action(S, M.group, M.right, sorted(M.right), opposite=True, at_zero=True)
-    return v and ModuleViolation("right-" + v.kind, v.witness)
+    return v and Violation("right-" + v.kind, v.witness)
 
 
 def ensure_valid(M, total=False):

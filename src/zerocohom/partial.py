@@ -7,19 +7,22 @@ The classifying 25-element monoid-with-zero acts on G x G through
     gamma: (x, y) -> (x, 1)
 
 and a {0,1}-valued map sigma with sigma(1,1) = 1 is a partial factor set
-exactly when its support is closed under the three maps.  General factor
-sets are only produced through the Exel-monoid bridge (sigma_from_rho)
-or as products of certified ones: no intrinsic axiom set is known for
-them, so uncertified raw maps are rejected.
+exactly when its support is closed under the three maps.  A partial
+factor set is a ``schur.FactorSet`` on G x G whose ``provenance`` says
+how it was certified.  General ones are only produced through the
+Exel-monoid bridge (sigma_from_rho) or as products and inverses of
+certified ones, through ``fs_product`` and ``fs_inverse_on_support``: no
+intrinsic axiom set is known for them, so uncertified raw maps are
+rejected.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
-from .errors import CapExceeded, CertificateError, CoefficientMismatch, DivisionUndefined, UncertifiedInput
+from .errors import CapExceeded, CertificateError, DivisionUndefined, UncertifiedInput
 from .presentations import EnumeratedSemigroup, enumerate_presentation, parse_presentation
-from .schur import cocycle_failures, validate_factor_set
+from .schur import FactorSet, cocycle_failures, fs_inverse_on_support, fs_product, validate_factor_set
 from .semigroups import (
     c0s_decompose,
     group_inverses,
@@ -135,33 +138,6 @@ def enumerate_t_subsets(G):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class PFactorSet:
-    group: object  # the group G
-    coeff: FinAbGroup
-    values: dict = field(compare=False)  # (x, y) -> tuple or None
-    provenance: str = None  # "idempotent" | "derived" | "product" | "inverse"
-
-    def value(self, x, y):
-        return self.values[(x, y)]
-
-    def support(self):
-        return frozenset(p for p, v in self.values.items() if v is not None)
-
-    def key(self):
-        return tuple(sorted(self.values.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PFactorSet)
-            and self.coeff.factors == other.coeff.factors
-            and self.key() == other.key()
-        )
-
-    def __hash__(self):
-        return hash((self.coeff.factors, self.key()))
-
-
 def is_idempotent_pfactor(G, values):
     """Check the closure law for a {0,1}-valued map with witness.
 
@@ -194,7 +170,7 @@ def idempotent_pfactor(G, support, coeff=None):
     ok, witness = is_idempotent_pfactor(G, values)
     if not ok:
         raise ValueError(f"support is not closed, witness {witness}")
-    return PFactorSet(G, A, values, provenance="idempotent")
+    return FactorSet(G, A, values, provenance="idempotent")
 
 
 def cohomological_eq_check(sigma):
@@ -205,7 +181,7 @@ def cohomological_eq_check(sigma):
     the list is empty, but partial factor sets may fail at triples whose
     support pattern is mixed.
     """
-    return list(cocycle_failures(sigma.group, sigma.coeff, sigma.values))
+    return list(cocycle_failures(sigma.semigroup, sigma.group, sigma.values))
 
 
 @dataclass(frozen=True)
@@ -367,30 +343,21 @@ def sigma_from_rho(model, rho):
                 # forces both factors nonzero whenever the head is
                 raise DivisionUndefined((x, y))
             values[(x, y)] = A.add(head, A.add(num, A.neg(den)))
-    return PFactorSet(G, A, values, provenance="derived")
+    return FactorSet(G, A, values, provenance="derived")
 
 
 def pfactor_product(s1, s2):
-    """Pointwise product of certified factor sets (zero absorbing)."""
+    """``fs_product`` of certified factor sets, itself certified."""
     if s1.provenance is None or s2.provenance is None:
         raise UncertifiedInput("refusing to multiply uncertified factor sets")
-    if s1.coeff.factors != s2.coeff.factors:
-        raise CoefficientMismatch(s1.coeff, s2.coeff)
-    A = s1.coeff
-    values = {}
-    for p, v in s1.values.items():
-        w = s2.values[p]
-        values[p] = None if v is None or w is None else A.add(v, w)
-    return PFactorSet(s1.group, A, values, provenance="product")
+    return replace(fs_product(s1, s2), provenance="product")
 
 
 def pfactor_inverse(sigma):
-    """Pointwise inverse on the support (the inverse-semigroup inverse)."""
+    """``fs_inverse_on_support`` of a certified factor set, itself certified."""
     if sigma.provenance is None:
         raise UncertifiedInput("refusing to invert an uncertified factor set")
-    A = sigma.coeff
-    values = {p: (None if v is None else A.neg(v)) for p, v in sigma.values.items()}
-    return PFactorSet(sigma.group, A, values, provenance="inverse")
+    return replace(fs_inverse_on_support(sigma), provenance="inverse")
 
 
 def t_action_relation_report(G):

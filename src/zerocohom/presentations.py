@@ -376,7 +376,7 @@ def word_value(E, word):
     return acc
 
 
-def gown_presentation(P, bound=64, mode="semigroup"):
+def gown_presentation(P, bound=64):
     """Delete the defining relations that hold the zero in place.
 
     Drops the explicit zero words, and, when the presented semigroup is
@@ -389,7 +389,7 @@ def gown_presentation(P, bound=64, mode="semigroup"):
     if not P.has_zero:
         raise MissingZero("presentation has no zero words")
     relations = P.relations
-    E = enumerate_presentation(P, bound, mode=mode)
+    E = enumerate_presentation(P, bound)
     if isinstance(E, EnumeratedSemigroup):
         S = E.semigroup
         for g, idx in enumerate(E.generator_index):

@@ -10,15 +10,19 @@ exactly on the pairs whose product falls into a two-sided ideal, and the
 multiplier splits into a strong semilattice of abelian groups indexed by
 the ideal semilattice: the component at I is the degree-2 0-cohomology of
 the quotient by I with trivial coefficients.
+
+Partial factor sets of a group G are factor sets on G x G of the same
+type (see ``partial``); their ``provenance`` records how one was
+certified, and is None for a factor set of a monoid.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import Cochain, coboundary_preimage, nerve, support_cohomology
-from .errors import CapExceeded, CertificateError, InvalidModule, NotAnIdeal
-from .modules import trivial_module
+from .cohomology import Cochain, _preimage, nerve, support_cohomology
+from .errors import CapExceeded, CertificateError, CoefficientMismatch, InvalidModule, NotAnIdeal
+from .modules import Violation, trivial_module
 from .semigroups import ideals, is_ideal, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
@@ -27,12 +31,16 @@ FACTOR_SET_CAP = 6_000_000  # value assignments per zero set in enumerate_factor
 
 @dataclass(frozen=True)
 class FactorSet:
-    semigroup: object
+    semigroup: object  # the monoid S, or the group G of a partial factor set
     group: FinAbGroup
     values: dict = field(compare=False)  # (i, j) -> coefficient tuple or None
+    provenance: str = field(default=None, compare=False)  # "idempotent" | "derived" | "product" | "inverse"
 
     def value(self, x, y):
         return self.values[(x, y)]
+
+    def support(self):
+        return frozenset(p for p, v in self.values.items() if v is not None)
 
     def key(self):
         return tuple(sorted((p, v) for p, v in self.values.items()))
@@ -46,12 +54,6 @@ class FactorSet:
 
     def __hash__(self):
         return hash((self.group.factors, self.key()))
-
-
-@dataclass(frozen=True)
-class FactorSetViolation:
-    kind: str  # "normalization" or "cocycle"
-    witness: tuple
 
 
 def epsilon_factor_set(S, A, ideal):
@@ -81,9 +83,9 @@ def validate_factor_set(rho):
     for x in range(S.order):
         for y in range(S.order):
             if (rho.value(x, y) is None) != (rho.value(one, S.mul(x, y)) is None):
-                return FactorSetViolation("normalization", (x, y))
+                return Violation("normalization", (x, y))
     bad = next(cocycle_failures(S, rho.group, rho.values), None)
-    return None if bad is None else FactorSetViolation("cocycle", bad[0])
+    return None if bad is None else Violation("cocycle", bad[0])
 
 
 def cocycle_failures(S, A, values):
@@ -115,7 +117,7 @@ def fs_product(rho, sigma):
     if S is not T and S.table != T.table:
         raise InvalidModule((S.order, T.order), "factor sets over different semigroups")
     if rho.group.factors != sigma.group.factors:
-        raise InvalidModule((rho.group.factors, sigma.group.factors), "factor sets with different coefficients")
+        raise CoefficientMismatch(rho.group, sigma.group)
     A = rho.group
     values = {}
     for p, v in rho.values.items():
@@ -125,6 +127,7 @@ def fs_product(rho, sigma):
 
 
 def fs_inverse_on_support(rho):
+    """Pointwise inverse on the support (the inverse-semigroup inverse)."""
     A = rho.group
     values = {p: (None if v is None else A.neg(v)) for p, v in rho.values.items()}
     return FactorSet(rho.semigroup, A, values)
@@ -157,7 +160,7 @@ def equivalent(rho, sigma):
     if I_r != I_s:
         return (False, None)
     Q = rees_quotient(S, I_r)
-    MQ = trivial_module(Q, A)
+    MQ = trivial_module(Q, A)  # valid by construction, so _preimage skips the module check
     ratio_vals = {}
     qindex = {}
     for x in range(S.order):
@@ -170,7 +173,7 @@ def equivalent(rho, sigma):
         ratio_vals[(qindex[x], qindex[y])] = A.add(v, A.neg(w))
     zero = A.zero()
     ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2, "zero")})
-    found, phi = coboundary_preimage(Q, MQ, ratio, "zero")
+    found, phi = _preimage(Q, MQ, ratio, "zero")
     if not found:
         return (False, None)
     alpha = {s: zero if s in I_r else phi.values[(qindex[s],)] for s in range(S.order)}

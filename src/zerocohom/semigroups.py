@@ -306,15 +306,15 @@ def predicates(S):
     return Predicates(has_zero, is_monoid, cat, canc, cat_wit, canc_wit)
 
 
-def zero_direct_union(S, T, tags=("s", "t")):
-    """Union with zeros identified and cross products zero."""
+def zero_direct_union(S, T):
+    """Union with zeros identified and cross products zero; names s.x and t.y."""
     if not S.has_zero or not T.has_zero:
         raise MissingZero("both factors must have a zero")
     s_non = S.nonzero()
     t_non = T.nonzero()
     names = (
-        [f"{tags[0]}.{S.elements[i]}" for i in s_non]
-        + [f"{tags[1]}.{T.elements[i]}" for i in t_non]
+        [f"s.{S.elements[i]}" for i in s_non]
+        + [f"t.{T.elements[i]}" for i in t_non]
         + ["0"]
     )
     ns, nt = len(s_non), len(t_non)

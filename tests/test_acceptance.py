@@ -206,7 +206,8 @@ def test_criterion_5():
 @criterion(6, 1.0, "order-8 elementary group: idempotent sigma passes, cocycle equation fails at (b, a, ac)")
 def check_6():
     from zerocohom.abgroups import FinAbGroup as FA
-    from zerocohom.partial import PFactorSet, cohomological_eq_check, is_idempotent_pfactor
+    from zerocohom.partial import cohomological_eq_check, is_idempotent_pfactor
+    from zerocohom.schur import FactorSet
 
     G = catalog.elementary_abelian_8()
     H = {G.index(n) for n in ("1", "b", "c", "bc")}
@@ -218,7 +219,7 @@ def check_6():
             values[(x, y)] = None if (x, y) in F else ()
     ok, _ = is_idempotent_pfactor(G, values)
     assert ok
-    sigma = PFactorSet(G, FA([]), values, provenance="idempotent")
+    sigma = FactorSet(G, FA([]), values, provenance="idempotent")
     failures = cohomological_eq_check(sigma)
     a, b, c = G.index("a"), G.index("b"), G.index("c")
     target = (b, a, G.mul(a, c))

@@ -4,6 +4,8 @@ Every imported name is used, every import of the package itself sits at
 module level (outside cli.py), and every private module-level function or
 class is referenced somewhere in the package outside its own definition:
 a helper that nothing calls any more fails here instead of lingering.
+Likewise every public function, class or method is read somewhere in
+the package, the tests or perfbench outside its own definition.
 No local is only ever filled: one bound by a plain assignment must be
 read other than as the receiver of a statement-level ``.append``,
 ``.extend``, ``.add`` or ``.update``.
@@ -81,6 +83,37 @@ def test_every_private_helper_is_referenced():
                 continue
             if not any(name in names and (m, owner) != (mod, name) for m, owner, names in reads):
                 dead.append(f"{mod}: {name}")
+    assert not dead, dead
+
+
+def _units(path):
+    """(path, class or None, name or None, statement) for each top-level
+    statement of a file, a class split into the statements of its body."""
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((path, stmt.name, getattr(s, "name", None), s) for s in stmt.body)
+        else:
+            yield (path, None, getattr(stmt, "name", None), stmt)
+
+
+def test_every_public_name_is_read():
+    # a public function, class or method that nothing in the package, the
+    # tests or the benchmark reads outside its own definition is dead; the
+    # definition of a class covers its body
+    files = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    reads = [(p, c, n, _referenced(stmt)) for path in files for p, c, n, stmt in _units(path)]
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for _, cls, name, stmt in _units(path):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or name.startswith("_"):
+                continue
+            outside = [
+                names
+                for p, c, n, names in reads
+                if p != path or ((c, n) != (cls, name) and not (cls is None and c == name))
+            ]
+            if not any(name in names for names in outside):
+                dead.append(f"{path.name}: {name}" if cls is None else f"{path.name}: {cls}.{name}")
     assert not dead, dead
 
 

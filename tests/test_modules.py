@@ -5,7 +5,7 @@ from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cohomology import coboundary_preimage, cohomology_group, zero_cochain
 from zerocohom.errors import InvalidLabeling, InvalidModule, NotIdempotent
 from zerocohom.modules import (
-    ModuleViolation,
+    Violation,
     ZeroModule,
     corner_module,
     ensure_valid,
@@ -220,7 +220,7 @@ def test_bimodule_with_smaller_right_domain_is_a_violation():
     one = IntMatrix.identity(1)
     B = ZeroModule(S, A, {0: one, 1: one, 2: one}, {0: one})
     v = validate_module(B)
-    assert v == ModuleViolation("right-missing", 1)
+    assert v == Violation("right-missing", 1)
     with pytest.raises(InvalidModule) as exc:
         cohomology_group(S, B, 1, "zero")
     assert exc.value.witness == 1

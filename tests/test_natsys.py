@@ -25,7 +25,7 @@ from zerocohom.natsys import (
 )
 from zerocohom.partial import build_t_semigroup
 from zerocohom.presentations import enumerate_presentation, parse_presentation
-from zerocohom.schur import schur_multiplier
+from zerocohom.schur import epsilon_factor_set, equivalent, schur_multiplier, twist
 from zerocohom.semigroups import adjoin
 
 
@@ -360,12 +360,16 @@ def _c2_calls():
     M = scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1})
     T, B = trivial_module(S, FinAbGroup([3])), trivial_bimodule(S, FinAbGroup([3]))
     f = zero_cochain(S, M, 2)  # built before the counting starts
+    rho = epsilon_factor_set(S, FinAbGroup([3]), {S.zero})
+    sigma = twist(rho, {s: (0 if s == S.zero else 1,) for s in range(S.order)})
     return {
         "cohomology_group-zero": lambda: cohomology_group(S, M, 2, "zero"),
         "cohomology_group-em": lambda: cohomology_group(S, T, 2, "em"),
         "cohomology_group-bimodule": lambda: cohomology_group(S, B, 2, "zero"),
         "natsys_cohomology": lambda: natsys_cohomology(S, from_zero_module(M), 2),
         "coboundary_preimage": lambda: coboundary_preimage(S, M, f),
+        # the trivial module of the quotient is valid by construction
+        "equivalent": lambda: equivalent(rho, sigma),
         "hom_complex_compare": lambda: hom_complex_compare(S, from_zero_module(M), 2),
         # two ideals, and the five modifications of Z/3, each cut from one complex
         "schur_multiplier": lambda: schur_multiplier(S, FinAbGroup([3])),
@@ -382,6 +386,7 @@ BUILDS = {
     "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}, 1),
     "natsys_cohomology": ({1, 2, 3}, {2, 3}, 0),
     "coboundary_preimage": ({1, 2}, {2}, 1),
+    "equivalent": ({1, 2}, {2}, 0),
     "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 0),
     "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
     "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
@@ -425,6 +430,8 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     assert len(validated) == validations
     # B_n has (n+2)-letter symbols: one action per generator and level
     actions = {k[1] for k in seen if k[0] == "action"}
+    if name == "equivalent":
+        assert result[0]
     if name == "hom_complex_compare":
         assert result["ok"]
         assert actions == {2, 3, 4}

@@ -6,9 +6,8 @@ import pytest
 
 from zerocohom import catalog, partial
 from zerocohom.abgroups import FinAbGroup
-from zerocohom.errors import CertificateError, UncertifiedInput
+from zerocohom.errors import CertificateError, UncertifiedInput, ZerocohomError
 from zerocohom.partial import (
-    PFactorSet,
     build_t_semigroup,
     cohomological_eq_check,
     enumerate_t_subsets,
@@ -203,7 +202,7 @@ def test_order8_sigma_is_idempotent_factor_set():
 
 def test_order8_sigma_fails_cocycle_equation():
     G, values, F = order8_blocked_sigma()
-    sigma = PFactorSet(G, FinAbGroup([]), values, provenance="idempotent")
+    sigma = FactorSet(G, FinAbGroup([]), values, provenance="idempotent")
     failures = cohomological_eq_check(sigma)
     a, b, c = G.index("a"), G.index("b"), G.index("c")
     ac = G.mul(a, c)
@@ -229,7 +228,7 @@ def test_total_cocycle_has_no_failures():
     G = catalog.cyclic_group(2)
     values = {(x, y): (0,) for x in range(2) for y in range(2)}
     values[(1, 1)] = (1,)
-    sigma = PFactorSet(G, FinAbGroup([2]), values, provenance="derived")
+    sigma = FactorSet(G, FinAbGroup([2]), values, provenance="derived")
     assert cohomological_eq_check(sigma) == []
 
 
@@ -407,7 +406,7 @@ def test_pfactor_inverse_semigroup_law():
 def test_pfactor_product_certification():
     G = catalog.cyclic_group(2)
     A = FinAbGroup([2])
-    raw = PFactorSet(G, A, {(x, y): (0,) for x in range(2) for y in range(2)})
+    raw = FactorSet(G, A, {(x, y): (0,) for x in range(2) for y in range(2)})
     ok = idempotent_pfactor(G, t_closure(G, {(0, 0)}), A)
     with pytest.raises(UncertifiedInput):
         pfactor_product(raw, ok)
@@ -418,3 +417,22 @@ def test_pfactor_product_certification():
     # product with the all-ones idempotent is the identity
     sigma = idempotent_pfactor(G, frozenset({(0, 0)}), A)
     assert pfactor_product(sigma, full).values == sigma.values
+
+
+def test_pfactor_product_refuses_factor_sets_of_different_groups():
+    A = FinAbGroup([2])
+    s2, s3 = (
+        idempotent_pfactor(G, frozenset(product(range(G.order), repeat=2)), A)
+        for G in (catalog.cyclic_group(2), catalog.cyclic_group(3))
+    )
+    for left, right in ((s2, s3), (s3, s2)):
+        with pytest.raises(ZerocohomError):
+            pfactor_product(left, right)
+
+
+def test_provenance_is_not_compared():
+    G = catalog.cyclic_group(2)
+    sigma = idempotent_pfactor(G, frozenset({(0, 0)}), FinAbGroup([2]))
+    raw = FactorSet(G, sigma.group, dict(sigma.values))
+    assert raw == sigma and hash(raw) == hash(sigma)
+    assert raw.provenance is None and sigma.provenance == "idempotent"

@@ -6,7 +6,7 @@ from zerocohom import catalog, schur
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
 from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import brute_cohomology, cohomology_group
-from zerocohom.errors import CertificateError, NotAnIdeal
+from zerocohom.errors import CertificateError, CoefficientMismatch, NotAnIdeal
 from zerocohom.modules import trivial_module
 from zerocohom.schur import (
     FactorSet,
@@ -380,7 +380,7 @@ def test_fs_product_mismatch_checks_survive_optimize(run_python):
     script = """
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
-from zerocohom.errors import InvalidModule
+from zerocohom.errors import CoefficientMismatch, InvalidModule
 from zerocohom.schur import epsilon_factor_set, fs_product
 
 S = catalog.two_chain_monoid()
@@ -391,9 +391,19 @@ for sigma in (
 ):
     try:
         fs_product(rho, sigma)
+    except CoefficientMismatch as exc:
+        print("CoefficientMismatch", [A.factors for A in exc.witness])
     except InvalidModule as exc:
         print("InvalidModule", exc.witness)
 """
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["InvalidModule ((2,), (3,))", "InvalidModule (2, 2)"]
+    assert proc.stdout.split("\n")[:2] == ["CoefficientMismatch [(2,), (3,)]", "InvalidModule (2, 2)"]
+
+
+def test_fs_product_coefficient_mismatch_carries_both_groups():
+    S = catalog.two_chain_monoid()
+    C2, C3 = FinAbGroup([2]), FinAbGroup([3])
+    with pytest.raises(CoefficientMismatch) as exc:
+        fs_product(epsilon_factor_set(S, C2, frozenset()), epsilon_factor_set(S, C3, frozenset()))
+    assert exc.value.witness == (C2, C3)
