@@ -22,10 +22,10 @@ from math import isqrt
 
 from .catalog import cyclic_group
 from .cohomology import Cochain, coboundary, cohomology_group, nerve, support_cohomology
-from .errors import CapExceeded, CertificateError, InvalidFieldOrder
+from .errors import CapExceeded, CertificateError, InvalidFactorSet, InvalidFieldOrder
 from .modules import galois_units_module
 from .schur import SemilatticeOfGroups
-from .semigroups import Semigroup, is_ideal, predicates, units_of, validate_table
+from .semigroups import Semigroup, backtrack, is_ideal, predicates, units_of, validate_table
 
 MODIFICATION_CAP = 4096  # modifications found by enumerate_modifications
 WEAK_COCYCLE_CAP = 2_000_000  # candidates enumerate_weak_cocycles may scan
@@ -171,10 +171,15 @@ def _modification(G, pattern):
 
 
 def modification_from_idempotent(f):
-    """The monoid G u {0} defined by an idempotent weak cocycle."""
+    """The monoid G u {0} defined by an idempotent weak cocycle.
+
+    An invalid weak cocycle raises ``InvalidFactorSet`` with the witness
+    of ``validate_weak_cocycle``.
+    """
     v = validate_weak_cocycle(f)
     if v is not None:
-        raise ValueError(f"invalid weak cocycle: {v}")
+        kind, witness = v
+        raise InvalidFactorSet(witness, f"weak cocycle breaks {kind}")
     n = f.group.order
     return _modification(f.group, frozenset((x, y) for x in range(n) for y in range(n) if f.value(x, y) is None))
 
@@ -200,7 +205,7 @@ def _require_few_modifications(n):
 def enumerate_modifications(G):
     """All modifications of G: zero patterns with associative product.
 
-    Depth-first over the (|G|-1)^2 free cells with incremental
+    A ``backtrack`` over the (|G|-1)^2 free cells with incremental
     associativity pruning; the identity row and column are forced
     nonzero.  Results sorted by pattern size then lexicographically;
     each table is built once from its pattern, and ``validate_table``'s
@@ -224,25 +229,18 @@ def enumerate_modifications(G):
                 if known:
                     relevant[max(known)].append(cells)
 
-    def ok(assign, cells):
-        xy, xy_w, yw, x_yw = (p is None or assign[p] for p in cells)
-        return (xy and xy_w) == (yw and x_yw)
+    def ok(assign):
+        for cells in relevant[len(assign) - 1]:
+            xy, xy_w, yw, x_yw = (p is None or assign[p] for p in cells)
+            if (xy and xy_w) != (yw and x_yw):
+                return False
+        return True
 
     patterns = []
-
-    def rec(assign, k):
-        if k == len(free):
-            patterns.append(frozenset(c for c, v in zip(free, assign) if not v))
-            if len(patterns) > MODIFICATION_CAP:
-                raise CapExceeded("modifications found", len(patterns), MODIFICATION_CAP)
-            return
-        for v in (True, False):
-            assign.append(v)
-            if all(ok(assign, t) for t in relevant[k]):
-                rec(assign, k + 1)
-            assign.pop()
-
-    rec([], 0)
+    for assign in backtrack([(True, False)] * len(free), ok):
+        patterns.append(frozenset(c for c, v in zip(free, assign) if not v))
+        if len(patterns) > MODIFICATION_CAP:
+            raise CapExceeded("modifications found", len(patterns), MODIFICATION_CAP)
     return [_modification(G, p) for p in sorted(patterns, key=lambda p: (len(p), sorted(p)))]
 
 

@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from .semigroups import adjoin, rees_matrix_semigroup, validate_table
+from .semigroups import adjoin, backtrack, rees_matrix_semigroup, validate_table
 
 
 def cyclic_group(n):
@@ -126,16 +126,24 @@ def right_zero_with_identity(k=2):
 def monoids_of_order(n):
     """All monoids of order n up to isomorphism, identity listed first.
 
-    Generated by exhaustive table fill with incremental associativity
-    pruning, then deduplicated by permutations of the non-identity part.
+    Generated by a ``backtrack`` over the table cells with incremental
+    associativity pruning, then deduplicated by permutations of the
+    non-identity part.
     """
     if n == 1:
         return [validate_table(["1"], [[0]])]
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    found = []
 
-    def assoc_ok(table, k):
+    def table_of(values):
+        # the identity row and column, then the cells filled so far
+        table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+        for (i, j), v in zip(cells, values):
+            table[i][j] = v
+        return table
+
+    def assoc_ok(values):
         # check all triples whose products are already defined
+        table = table_of(values)
         for a in range(n):
             for b in range(n):
                 ab = table[a][b]
@@ -151,22 +159,7 @@ def monoids_of_order(n):
                         return False
         return True
 
-    def fill(table, k):
-        if k == len(cells):
-            found.append([row[:] for row in table])
-            return
-        i, j = cells[k]
-        for v in range(n):
-            table[i][j] = v
-            if assoc_ok(table, k):
-                fill(table, k + 1)
-            table[i][j] = None
-
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = j
-        table[j][0] = j
-    fill(table, 0)
+    found = [table_of(values) for values in backtrack([range(n)] * len(cells), assoc_ok)]
 
     canon = set()
     out = []

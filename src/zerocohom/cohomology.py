@@ -46,6 +46,7 @@ from .abgroups import (
 )
 from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero
 from .modules import ensure_valid
+from .semigroups import backtrack
 
 DEGREE_CAP = 4
 COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
@@ -451,9 +452,9 @@ def _brute_cocycles(S, M, n, variant):
     """Every degree-n cocycle, in the order of a product scan over the nerve.
 
     Each coordinate of the coboundary is attached to the last nerve
-    tuple it reads.  The values are filled depth-first in the order of
-    A.elements(), and a coordinate is tested as soon as its last tuple
-    is fixed.  Every hit is re-checked with the full ``coboundary``.
+    tuple it reads.  A ``backtrack`` fills the values in the order of
+    A.elements() and tests a coordinate as soon as its last tuple is
+    fixed.  Every hit is re-checked with the full ``coboundary``.
     """
     elements = M.group.elements()
     tuples = nerve(S, n, variant)
@@ -463,20 +464,17 @@ def _brute_cocycles(S, M, n, variant):
         faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]
         checks[max(pos[face] for face in faces)].append(t)
     values = {}
+
+    def ok(vals):
+        i = len(vals) - 1
+        values[tuples[i]] = vals[i]
+        return not any(any(_coboundary_at(M, values, t)) for t in checks[i])
+
     out = []
-
-    def fill(i):
-        if i == len(tuples):
-            f = Cochain(n, dict(values))
-            bad = [t for t, v in coboundary(M, f, variant).values.items() if any(v)]
-            if bad:
-                raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
-            out.append(f)
-            return
-        for v in elements:
-            values[tuples[i]] = v
-            if not any(any(_coboundary_at(M, values, t)) for t in checks[i]):
-                fill(i + 1)
-
-    fill(0)
+    for vals in backtrack([elements] * len(tuples), ok):
+        f = Cochain(n, dict(zip(tuples, vals)))
+        bad = [t for t, v in coboundary(M, f, variant).values.items() if any(v)]
+        if bad:
+            raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
+        out.append(f)
     return out

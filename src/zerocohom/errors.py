@@ -86,6 +86,14 @@ class InvalidModule(ZerocohomError):
         super().__init__(f"{message} (witness {witness})")
 
 
+class InvalidFactorSet(ZerocohomError):
+    """A factor set, or the support or weak cocycle of one, that breaks its law."""
+
+    def __init__(self, witness, message):
+        self.witness = witness
+        super().__init__(f"{message} (witness {witness})")
+
+
 class InvalidLabeling(ZerocohomError):
     pass
 

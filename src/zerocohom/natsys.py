@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
-from .cohomology import Nerve, assemble_coboundary, cochain_group
+from .cohomology import Nerve, _check_module_for_variant, assemble_coboundary, cochain_group
 from .modules import trivial_module
 
 
@@ -201,11 +201,21 @@ def from_zero_module(M):
     D(1, beta) is the module's right action, or the identity when it has
     none: D(alpha, a, beta) = alpha m beta, whose cohomology is the
     module's own on the zero nerve.
+
+    The laws of D are the module's (alpha'(alpha a) != 0 forces
+    alpha' alpha != 0, so each action's law gives functoriality on its
+    side, and their compatibility the square), so the module and its
+    unitality are checked, not the natural system.
     """
     S = M.semigroup
     _require_monoid_with_zero(S)
-    groups = {a: M.group for a in S.nonzero()}
+    _check_module_for_variant(S, M, "zero")
+    e = S.identity
     one = IntMatrix.identity(M.group.rank)
+    for action in (M.action, M.right):
+        if action is not None and not same_map(M.group, action[e], one):
+            raise FunctorialityError(("identity-map", (e, S.nonzero()[0])))
+    groups = {a: M.group for a in S.nonzero()}
     left = {}
     right = {}
     z = S.zero
@@ -215,7 +225,7 @@ def from_zero_module(M):
                 left[(alpha, a)] = M.matrix(alpha)
             if S.mul(a, alpha) != z:
                 right[(alpha, a)] = one if M.right is None else M.right[alpha]
-    return natural_system(S, groups, left, right)
+    return NaturalSystem(S, groups, left, right)
 
 
 def trivial_Z(S):

@@ -20,17 +20,17 @@ from dataclasses import dataclass, replace
 
 from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
-from .errors import CapExceeded, CertificateError, DivisionUndefined, UncertifiedInput
+from .errors import CapExceeded, CertificateError, DivisionUndefined, InvalidFactorSet, UncertifiedInput
 from .presentations import EnumeratedSemigroup, enumerate_presentation, parse_presentation
 from .schur import FactorSet, cocycle_failures, fs_inverse_on_support, fs_product, validate_factor_set
 from .semigroups import (
     c0s_decompose,
+    closure,
     group_inverses,
     is_ideal,
     is_group,
     isomorphic_semigroups,
     subsemigroup,
-    union_closure,
     units_of,
     validate_table,
 )
@@ -109,29 +109,22 @@ def t_maps(G):
 
 
 def t_closure(G, pairs):
-    """Least subset of G x G containing ``pairs`` closed under the maps."""
+    """Least subset of G x G containing ``pairs`` closed under the maps, a ``closure``."""
     maps = t_maps(G)
-    seen = set(pairs)
-    frontier = list(seen)
-    while frontier:
-        p = frontier.pop()
-        for m in maps:
-            q = m(p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return frozenset(seen)
+    return frozenset(closure(pairs, lambda p: [m(p) for m in maps]))
 
 
 def enumerate_t_subsets(G):
     """All closed subsets of G x G, sorted by size then lexicographically.
 
     A closed subset is the union of the closures of its pairs, so the
-    closed subsets are the unions of the single-pair closures.
+    closed subsets are the ``closure`` of the empty set under union
+    with a single-pair closure.
     """
     pairs = [(x, y) for x in range(G.order) for y in range(G.order)]
+    singles = {t_closure(G, {p}) for p in pairs}
     out = []
-    for X in union_closure({t_closure(G, {p}) for p in pairs}):
+    for X in closure([frozenset()], lambda X: [X | P for P in singles]):
         out.append(X)
         if len(out) > T_SUBSET_CAP:
             raise CapExceeded("closed subsets found", len(out), T_SUBSET_CAP)
@@ -161,7 +154,11 @@ def is_idempotent_pfactor(G, values):
 
 
 def idempotent_pfactor(G, support, coeff=None):
-    """Certified idempotent factor set with the given support."""
+    """Certified idempotent factor set with the given support.
+
+    A support without (1, 1), or not closed under the maps, raises
+    ``InvalidFactorSet`` with the offending pair.
+    """
     A = coeff if coeff is not None else FinAbGroup([])
     values = {}
     for x in range(G.order):
@@ -169,7 +166,9 @@ def idempotent_pfactor(G, support, coeff=None):
             values[(x, y)] = A.zero() if (x, y) in support else None
     ok, witness = is_idempotent_pfactor(G, values)
     if not ok:
-        raise ValueError(f"support is not closed, witness {witness}")
+        # (1, 1) is its own witness only when it is missing
+        missing = witness == (G.identity, G.identity)
+        raise InvalidFactorSet(witness, "support lacks the identity pair" if missing else "support is not closed")
     return FactorSet(G, A, values, provenance="idempotent")
 
 
@@ -320,10 +319,11 @@ def sigma_from_rho(model, rho):
 
     sigma(x, y) = rho([x], [y]) * rho([x^-1], [x][y]) / rho([x^-1], [xy]),
     zero exactly where rho([x], [y]) vanishes.  The output is certified.
+    A rho that is no factor set raises ``InvalidFactorSet``.
     """
     v = validate_factor_set(rho)
     if v is not None:
-        raise ValueError(f"rho is not a factor set: {v}")
+        raise InvalidFactorSet(v.witness, f"rho breaks the {v.kind} law")
     G = model.group
     S = model.semigroup
     f = model.f_map

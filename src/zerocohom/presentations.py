@@ -24,7 +24,7 @@ from .errors import (
     PresentationSyntaxError,
     UnknownGenerator,
 )
-from .semigroups import Semigroup, validate_table
+from .semigroups import Semigroup, backtrack, validate_table
 
 
 @dataclass(frozen=True)
@@ -443,19 +443,14 @@ class GownClasses:
 
 
 def _sequences_up_to(S, bound):
+    """Zero-chained sequences of length <= bound, shortest first, each length lexicographic.
+
+    Each length is one ``backtrack`` over the nonzero elements that
+    keeps a prefix while its last two entries multiply to zero.
+    """
     z = S.zero
-    seqs = [(x,) for x in S.nonzero()]
-    out = list(seqs)
-    frontier = seqs
-    for _ in range(bound - 1):
-        nxt = []
-        for s in frontier:
-            for y in S.nonzero():
-                if S.mul(s[-1], y) == z:
-                    nxt.append(s + (y,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    chained = lambda s: len(s) == 1 or S.mul(s[-2], s[-1]) == z
+    return [tuple(s) for m in range(1, bound + 1) for s in backtrack([S.nonzero()] * m, chained)]
 
 
 def gown_sequences(S, length_bound):
@@ -490,11 +485,6 @@ def gown_sequences(S, length_bound):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    def in_sbar(seq):
-        return all(x != z for x in seq) and all(
-            S.mul(seq[i], seq[i + 1]) == z for i in range(len(seq) - 1)
-        )
-
     nonzero = S.nonzero()
     for s in seqs:
         m = len(s)
@@ -508,7 +498,7 @@ def gown_sequences(S, length_bound):
                     if ynext == z:
                         continue
                     t = s[:i] + (yi, ynext) + s[i + 2 :]
-                    if in_sbar(t) and t in index:
+                    if t in index:
                         union(index[s], index[t])
         # move 2: contract an interior factorization
         for p in range(1, m - 1):
@@ -521,7 +511,7 @@ def gown_sequences(S, length_bound):
                     if yprev == z or ynext == z:
                         continue
                     t = s[: p - 1] + (yprev, ynext) + s[p + 2 :]
-                    if in_sbar(t) and t in index:
+                    if t in index:
                         union(index[s], index[t])
 
     groups = {}

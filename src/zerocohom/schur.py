@@ -23,7 +23,7 @@ from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_or
 from .cohomology import Cochain, _preimage, nerve, support_cohomology
 from .errors import CapExceeded, CertificateError, CoefficientMismatch, InvalidModule, NotAnIdeal
 from .modules import Violation, trivial_module
-from .semigroups import ideals, is_ideal, rees_quotient
+from .semigroups import backtrack, ideals, is_ideal, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
 FACTOR_SET_CAP = 6_000_000  # value assignments per zero set in enumerate_factor_sets
@@ -346,11 +346,10 @@ def enumerate_factor_sets(S, A):
     The normalization forces the zero set to be {(x,y) : xy in Z'} for
     Z' = the zero set of rho(1, .).  For each subset Z' the zero pattern
     alone decides whether both sides of the cocycle law vanish together
-    (non-ideals die here).  The values on the support are then filled
-    depth-first in the order of A.elements(), each cocycle equation
-    tested once its last pair is fixed, so the list comes out in the
-    order of a product scan.  Every hit is re-checked by
-    validate_factor_set.
+    (non-ideals die here).  A ``backtrack`` then fills the values on the
+    support in the order of A.elements(), each cocycle equation tested
+    once its last pair is fixed, so the list comes out in the order of a
+    product scan.  Every hit is re-checked by validate_factor_set.
     """
     n = S.order
     if A.order() is None:
@@ -369,28 +368,22 @@ def enumerate_factor_sets(S, A):
         equations = _cocycle_equations(S, support)
         if equations is None:
             continue
-        vals = [0] * len(support)
 
-        def fill(i):
-            if i == len(support):
-                values = dict(base)
-                for p, v in zip(support, vals):
-                    values[p] = elements[v]
-                rho = FactorSet(S, A, values)
-                bad = validate_factor_set(rho)
-                if bad is not None:
-                    raise CertificateError(bad.witness, f"search emitted a map that breaks the {bad.kind} law")
-                out.append(rho)
-                return
-            for v in range(len(elements)):
-                vals[i] = v
-                for a, b, c, d in equations[i]:
-                    if add[vals[a]][vals[b]] != add[vals[c]][vals[d]]:
-                        break
-                else:
-                    fill(i + 1)
+        def ok(vals):
+            for a, b, c, d in equations[len(vals) - 1]:
+                if add[vals[a]][vals[b]] != add[vals[c]][vals[d]]:
+                    return False
+            return True
 
-        fill(0)
+        for vals in backtrack([range(len(elements))] * len(support), ok):
+            values = dict(base)
+            for p, v in zip(support, vals):
+                values[p] = elements[v]
+            rho = FactorSet(S, A, values)
+            bad = validate_factor_set(rho)
+            if bad is not None:
+                raise CertificateError(bad.witness, f"search emitted a map that breaks the {bad.kind} law")
+            out.append(rho)
     return out
 
 

@@ -8,10 +8,14 @@ table when present.
 Convention: the Rees quotient by the empty ideal is the semigroup with a
 fresh zero adjoined (so the "empty collapse" still produces a semigroup
 with zero).
+
+The package's depth-first searches and worklist closures run on
+``backtrack`` and ``closure``, defined here; only the nerve keeps a
+recursion of its own, which is faster on the cohomology hot path.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import (
     AssociativityError,
@@ -179,47 +183,68 @@ def is_ideal(S, subset):
     return True
 
 
-def principal_ideal(S, x):
-    """Least two-sided ideal containing x."""
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        for s in range(S.order):
-            for p in (S.table[s][y], S.table[y][s]):
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-    return frozenset(seen)
+def backtrack(domains, ok):
+    """Yield every choice of one value per domain that ``ok`` accepts, in product-scan order.
 
-
-def union_closure(generators):
-    """Yield every union of the frozensets in ``generators``, each once.
-
-    The empty union comes first; the rest follow in discovery order.
+    The values are set depth-first, each domain in its own order, and
+    ``ok(values)`` is called as soon as ``values[-1]`` is set; a False
+    prunes every extension of that prefix.  The one list being filled
+    is yielded, so a caller that keeps a result copies it.  This is the
+    basic backtrack (Knuth, TAOCP 4B, 7.2.2, Algorithm B).
     """
-    found = {frozenset()}
-    frontier = [frozenset()]
-    yield frozenset()
-    while frontier:
-        I = frontier.pop()
-        for P in generators:
-            J = I | P
-            if J not in found:
-                found.add(J)
-                frontier.append(J)
-                yield J
+    values = []
+
+    def extend(k):
+        if k == len(domains):
+            yield values
+            return
+        for v in domains[k]:
+            values.append(v)
+            if ok(values):
+                yield from extend(k + 1)
+            values.pop()
+
+    return extend(0)
+
+
+def closure(seeds, step):
+    """Yield each element of the least set holding ``seeds`` and closed under ``step``, once.
+
+    ``step(x)`` lists the elements x leads to.  The seeds come first,
+    then the rest in the order a LIFO worklist discovers them.
+    """
+    seen = set()
+    frontier = []
+    todo = iter(seeds)
+    while True:
+        for y in todo:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+                yield y
+        if not frontier:
+            return
+        todo = step(frontier.pop())
+
+
+def principal_ideal(S, x):
+    """Least two-sided ideal containing x, a ``closure`` under both multiplications."""
+    n = S.order
+    step = lambda y: [p for s in range(n) for p in (S.table[s][y], S.table[y][s])]
+    return frozenset(closure([x], step))
 
 
 def ideals(S):
     """All two-sided ideals including the empty one, as frozensets.
 
-    Every ideal is a union of principal ideals, so the principal ideals
-    are closed under union instead of scanning all subsets.  Sorted by
-    size, then lexicographically on sorted indices.
+    Every ideal is a union of principal ideals, so this is the
+    ``closure`` of the empty ideal under union with a principal ideal,
+    not a scan of all subsets.  Sorted by size, then lexicographically
+    on sorted indices.
     """
     principals = {principal_ideal(S, x) for x in range(S.order)}
-    return sorted(union_closure(principals), key=lambda I: (len(I), sorted(I)))
+    unions = closure([frozenset()], lambda I: [I | P for P in principals])
+    return sorted(unions, key=lambda I: (len(I), sorted(I)))
 
 
 def rees_quotient(S, ideal):
@@ -566,16 +591,17 @@ def _isomorphisms(S, T, s_label, t_label):
     """Every table isomorphism S -> T that keeps the element labels.
 
     x may only map to an h with t_label[h] == s_label[x].  Yields dicts
-    x -> image; the images of 0, 1, ... are tried in index order, so the
-    dicts come out lexicographically.  A prefix is extended only while
-    it respects every product it determines.  Nothing is yielded when
-    the label multisets differ.
+    x -> image from a ``backtrack`` that tries the images of 0, 1, ...
+    in index order, so the dicts come out lexicographically.  A prefix
+    is extended only while it is injective and respects every product
+    it determines.  Nothing is yielded when the label multisets differ.
     """
     n = S.order
-    mapping = [None] * n
-    used = [False] * n
 
-    def consistent(k):
+    def consistent(mapping):
+        k = len(mapping) - 1
+        if mapping[k] in mapping[:k]:
+            return False
         for a in range(k + 1):
             for b in range(k + 1):
                 c = S.table[a][b]
@@ -583,21 +609,10 @@ def _isomorphisms(S, T, s_label, t_label):
                     return False
         return True
 
-    def extend(k):
-        if k == n:
-            yield dict(enumerate(mapping))
-            return
-        for h in range(n):
-            if used[h] or t_label[h] != s_label[k]:
-                continue
-            mapping[k] = h
-            if consistent(k):
-                used[h] = True
-                yield from extend(k + 1)
-                used[h] = False
-
     if sorted(s_label) == sorted(t_label):
-        yield from extend(0)
+        domains = [[h for h in range(n) if t_label[h] == s_label[x]] for x in range(n)]
+        for mapping in backtrack(domains, consistent):
+            yield dict(enumerate(mapping))
 
 
 def _element_orders(G):
@@ -676,16 +691,7 @@ def _scalable_to(P, Q, D, elements):
             # rows with all zeros impose nothing
         return True
 
-    def rec(g, i):
-        if i == rows:
-            return try_g(g)
-        for x in elements:
-            g[i] = x
-            if rec(g, i + 1):
-                return True
-        return False
-
-    return rec([0] * rows, 0)
+    return any(try_g(g) for g in product(elements, repeat=rows))
 
 
 def subsemigroup(S, indices):

@@ -1,3 +1,4 @@
+from itertools import product
 
 import pytest
 
@@ -21,9 +22,9 @@ from zerocohom.brauer import (
     zero_cocycle_to_weak_cocycle,
 )
 from zerocohom.cohomology import brute_cohomology, cohomology_group
-from zerocohom.errors import CapExceeded, CertificateError
+from zerocohom.errors import AssociativityError, CapExceeded, CertificateError, InvalidFactorSet, ZerocohomError
 from zerocohom.modules import galois_units_module
-from zerocohom.semigroups import is_group, subsemigroup
+from zerocohom.semigroups import is_group, subsemigroup, validate_table
 
 
 def all_one_cocycle(q, n):
@@ -73,6 +74,17 @@ def test_modification_round_trip():
         assert modification_from_idempotent(f).pattern == mod.pattern
 
 
+def test_modification_from_idempotent_refuses_an_invalid_weak_cocycle():
+    G = galois_group(2)
+    values = {(s, t): 0 for s in range(2) for t in range(2)}
+    values[(0, 1)] = None
+    f = WeakCocycle(G, 2, 2, values)
+    with pytest.raises(ZerocohomError, match="normalization") as exc:
+        modification_from_idempotent(f)
+    assert isinstance(exc.value, InvalidFactorSet)
+    assert exc.value.witness == validate_weak_cocycle(f)[1] == 1
+
+
 def test_modification_from_trivial_idempotent():
     G = galois_group(3)
     f = idempotent_weak_cocycle(G, 2, 3, frozenset())
@@ -96,6 +108,27 @@ def test_enumerate_modifications_z2():
     m = [x for x in mods if x.pattern][0]
     S = m.semigroup
     assert S.mul(1, 1) == S.zero
+
+
+@pytest.mark.parametrize("name, count", [("Z2", 2), ("Z3", 4), ("Z4", 14), ("V4", 14)])
+def test_enumerate_modifications_matches_a_scan_of_every_zero_pattern(name, count):
+    # independent of the search: every subset of the free cells, kept when
+    # its table passes validate_table
+    G = catalog.named_group(name)
+    n, e = G.order, G.identity
+    free = [(x, y) for x in range(n) for y in range(n) if x != e and y != e]
+    scanned = []
+    for bits in product((False, True), repeat=len(free)):
+        pattern = frozenset(c for c, zero in zip(free, bits) if zero)
+        table = [[n if (x, y) in pattern else G.mul(x, y) for y in range(n)] + [n] for x in range(n)]
+        try:
+            validate_table([str(i) for i in range(n + 1)], table + [[n] * (n + 1)], n)
+        except AssociativityError:
+            continue
+        scanned.append(pattern)
+    assert len(scanned) == count
+    found = [m.pattern for m in enumerate_modifications(G)]
+    assert found == sorted(scanned, key=lambda p: (len(p), sorted(p)))
 
 
 def test_two_cell_modifications_meet_the_refusal_bound():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from zerocohom import brauer
+from zerocohom import brauer, cohomology, natsys
+from zerocohom.abgroups import FinAbGroup
 from zerocohom.cli import execute, load_module, load_semigroup
 
 
@@ -296,6 +297,33 @@ def test_natsys_and_compare_read_the_right_action(tmp_path, left, capsys):
     code, report, _ = run(capsys, ["compare-thm14", *files, "--degree", "2"])
     assert code == 0 and report["result"]["match"] is True
     assert report["result"]["groups"] == groups
+
+
+def test_compare_thm14_mismatch_exits_1_with_the_report(nil4m_path, z2_path, monkeypatch, capsys):
+    # a comparison that disagrees: the report still goes to stdout
+    real = natsys.hom_complex_compare
+
+    def disagreeing(S, D, n):
+        return {**real(S, D, n), "ok": False}
+
+    monkeypatch.setattr(natsys, "hom_complex_compare", disagreeing)
+    argv = ["compare-thm14", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "2"]
+    code, report, err = run(capsys, argv)
+    assert code == 1
+    assert report["result"]["match"] is False
+    assert report["result"]["groups"][2] == {"degree": 2, "group": [2, 2]}
+    assert "oracle mismatch" in err
+
+
+def test_oracle_that_disagrees_exits_1_with_the_report(nil4_path, z2_path, monkeypatch, capsys):
+    monkeypatch.setattr(cohomology, "brute_cohomology", lambda S, M, n, variant: FinAbGroup([2]))
+    argv = ["oracle", "cohom", "--semigroup", nil4_path, "--module", z2_path, "--degree", "2"]
+    code, report, err = run(capsys, argv)
+    assert code == 1
+    assert report["result"]["oracle_match"] is False
+    assert report["result"]["group"]["invariant_factors"] == [2, 2]
+    assert report["result"]["oracle"]["invariant_factors"] == [2]
+    assert "oracle mismatch" in err
 
 
 def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):

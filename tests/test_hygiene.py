@@ -16,6 +16,9 @@ brute-force twins that check it.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
 dense rows are a copy built on demand, so such a write is lost.
 The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``.
+Searches and closures run through ``semigroups.backtrack`` and
+``semigroups.closure``: no other function calls itself, and no other
+function binds a ``frontier``.
 """
 
 import argparse
@@ -268,3 +271,32 @@ def test_cli_variant_choices_are_the_cohomology_variants():
     for cohom in (_subcommand(ap, "cohom"), _subcommand(_subcommand(ap, "oracle"), "cohom")):
         (variant,) = [a for a in cohom._actions if a.dest == "variant"]
         assert tuple(variant.choices) == VARIANTS
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) for every function, nested ones as outer.inner."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+def test_searches_and_closures_run_through_the_shared_loops():
+    # a hand-rolled depth-first search recurses and a hand-rolled worklist
+    # closure keeps a frontier; nerve's _extend stays on the hot path
+    recursive, frontiers = set(), set()
+    for name, tree in _modules().items():
+        mod = name.removesuffix(".py")
+        for qual, fn in _functions(tree):
+            short = qual.rsplit(".", 1)[-1]
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == short for n in ast.walk(fn)):
+                recursive.add(f"{mod}.{qual}")
+            stores = {n.id for n in _own_nodes(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            if "frontier" in stores:
+                frontiers.add(f"{mod}.{qual}")
+    assert recursive == {"semigroups.backtrack.extend", "cohomology._extend"}
+    assert frontiers == {"semigroups.closure"}

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,7 @@ from zerocohom import catalog, cohomology, modules, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import Nerve, brute_cohomology, coboundary_preimage, cohomology_group, nerve, zero_cochain
-from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, NotMonoidWithZero
+from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, InvalidModule, NotMonoidWithZero
 from zerocohom.modules import ZeroModule, scalar_module, trivial_bimodule, trivial_module, validate_module
 from zerocohom.natsys import (
     FacCategory,
@@ -116,6 +117,94 @@ def test_broken_natural_system_raises():
     # D(1,1) must be identity-like; breaking left functoriality:
     with pytest.raises(FunctorialityError):
         natural_system(S, groups, {(e, e): two}, {(e, e): one})
+
+
+def _c2_zero_system(left_g, right_g, rank=1):
+    """The natural system on C2^0 over (Z/3)^rank with g acting by left_g and right_g, unchecked."""
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    A = FinAbGroup([3] * rank)
+    on_left = from_zero_module(ZeroModule(S, A, {0: IntMatrix.identity(rank), 1: left_g}))
+    on_right = from_zero_module(ZeroModule(S, A, {0: IntMatrix.identity(rank), 1: right_g}))
+    # in a group with zero alpha * a != 0 iff a * alpha != 0, so the left keys are the right ones
+    return NaturalSystem(S, on_left.groups, on_left.left, on_right.left)
+
+
+ONE, MINUS, WIDE = IntMatrix(1, 1, [[1]]), IntMatrix(1, 1, [[-1]]), IntMatrix.identity(2)
+SWAP, SIGN = IntMatrix(2, 2, [[0, 1], [1, 0]]), IntMatrix(2, 2, [[1, 0], [0, -1]])
+
+
+@pytest.mark.parametrize(
+    "kind, store, key, value, witness",
+    [
+        ("missing-group", "groups", 1, None, 1),
+        ("left-hom", "left", (1, 0), WIDE, (1, 0)),
+        ("right-hom", "right", (1, 0), WIDE, (1, 0)),
+        ("left-compose", "left", (1, 0), MINUS, (1, 1, 0)),
+        ("right-compose", "right", (1, 0), MINUS, (1, 1, 0)),
+    ],
+)
+def test_validate_natural_system_names_each_broken_law(kind, store, key, value, witness):
+    # C2^0 = {1, g, 0} has indices 0, 1, 2; the trivial system is valid until
+    # one entry is dropped (value None) or replaced
+    D = _c2_zero_system(ONE, ONE)
+    assert validate_natural_system(D) is None
+    table = getattr(D, store)
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    assert validate_natural_system(D) == (kind, witness)
+
+
+def test_validate_natural_system_names_a_square_that_fails():
+    # g swaps the coordinates on the left and negates the second on the
+    # right: each side is functorial, but the two do not commute
+    D = _c2_zero_system(SWAP, SIGN, rank=2)
+    assert validate_natural_system(D) == ("square", (1, 0, 1))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_from_zero_module_refuses_a_non_unital_module(side):
+    # everything acting by 0 is a valid 0-module, but the identity does not act as the identity
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    A = FinAbGroup([3])
+    ones, zeros = scalar_module(S, A, {0: 1, 1: 1}).action, scalar_module(S, A, {0: 0, 1: 0}).action
+    M = ZeroModule(S, A, zeros) if side == "left" else ZeroModule(S, A, ones, zeros)
+    assert validate_module(M) is None
+    with pytest.raises(FunctorialityError) as exc:
+        from_zero_module(M)
+    assert exc.value.witness == ("identity-map", (S.identity, S.nonzero()[0]))
+
+
+def test_from_zero_module_refuses_a_module_without_a_nonzero_element():
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    with pytest.raises(InvalidModule) as exc:
+        from_zero_module(ZeroModule(S, FinAbGroup([3]), {S.identity: IntMatrix.identity(1)}))
+    assert exc.value.witness == [1]
+
+
+def _unital_scalar_actions(S, A):
+    """Every valid scalar action of S (on its nonzero part) over A in which the identity acts by 1."""
+    others = [s for s in S.nonzero() if s != S.identity]
+    for scalars in product(range(A.factors[0]), repeat=len(others)):
+        M = scalar_module(S, A, {S.identity: 1, **dict(zip(others, scalars))})
+        if validate_module(M) is None:
+            yield M.action
+
+
+def test_from_zero_module_builds_valid_systems_on_small_monoids():
+    # the module check stands in for validate_natural_system, which stays the reference
+    A = FinAbGroup([3])
+    for n in (1, 2, 3):
+        for T in catalog.monoids_of_order(n):
+            S = adjoin(T, "zero")
+            actions = list(_unital_scalar_actions(S, A))
+            modules_ = [trivial_module(S, A), trivial_bimodule(S, A)]
+            modules_ += [ZeroModule(S, A, a) for a in actions]
+            modules_ += [ZeroModule(S, A, a, b) for a in actions for b in actions]
+            for M in modules_:
+                if validate_module(M) is None:
+                    assert validate_natural_system(from_zero_module(M)) is None, (T.elements, M)
 
 
 _WRONG_SHAPE_IDENTITY = """
@@ -384,10 +473,10 @@ BUILDS = {
     "cohomology_group-zero": ({1, 2, 3}, {2, 3}, 1),
     "cohomology_group-em": ({1, 2, 3}, {2, 3}, 1),
     "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}, 1),
-    "natsys_cohomology": ({1, 2, 3}, {2, 3}, 0),
+    "natsys_cohomology": ({1, 2, 3}, {2, 3}, 1),
     "coboundary_preimage": ({1, 2}, {2}, 1),
     "equivalent": ({1, 2}, {2}, 0),
-    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 0),
+    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 1),
     "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
     "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
 }

@@ -6,7 +6,7 @@ import pytest
 
 from zerocohom import catalog, partial
 from zerocohom.abgroups import FinAbGroup
-from zerocohom.errors import CertificateError, UncertifiedInput, ZerocohomError
+from zerocohom.errors import CertificateError, InvalidFactorSet, UncertifiedInput, ZerocohomError
 from zerocohom.partial import (
     build_t_semigroup,
     cohomological_eq_check,
@@ -23,7 +23,7 @@ from zerocohom.partial import (
     t_action_relation_report,
     t_closure,
 )
-from zerocohom.schur import FactorSet, enumerate_factor_sets
+from zerocohom.schur import FactorSet, enumerate_factor_sets, validate_factor_set
 from zerocohom.semigroups import ReesDecomposition, sandwich_equivalent
 
 
@@ -330,6 +330,32 @@ def test_universal_property_battery():
     bad = {0: 1, 1: 1}
     assert partial_hom_violations(G, G, bad) is not None
     assert induced_hom(model, G, bad) is None
+
+
+@pytest.mark.parametrize(
+    "support, message, witness",
+    [
+        ({(1, 1)}, "support lacks the identity pair", (0, 0)),
+        ({(0, 0), (1, 1)}, "support is not closed", (1, 1)),
+    ],
+)
+def test_idempotent_pfactor_refuses_a_bad_support_with_a_typed_error(support, message, witness):
+    with pytest.raises(ZerocohomError, match=message) as exc:
+        idempotent_pfactor(catalog.cyclic_group(3), support)
+    assert isinstance(exc.value, InvalidFactorSet)
+    assert exc.value.witness == witness
+
+
+def test_sigma_from_rho_refuses_a_rho_that_is_no_factor_set():
+    G = catalog.cyclic_group(2)
+    model = exel_monoid(G)
+    values = {(i, j): (0,) for i in range(3) for j in range(3)}
+    values[(1, 2)] = (1,)
+    rho = FactorSet(model.semigroup, FinAbGroup([2]), values)
+    with pytest.raises(ZerocohomError, match="cocycle law") as exc:
+        sigma_from_rho(model, rho)
+    assert isinstance(exc.value, InvalidFactorSet)
+    assert exc.value.witness == validate_factor_set(rho).witness == (1, 1, 2)
 
 
 def test_sigma_from_rho_trivial():

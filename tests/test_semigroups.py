@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,10 @@ from zerocohom.errors import (
 from zerocohom.semigroups import (
     ReesDecomposition,
     adjoin,
+    backtrack,
     c0s_decompose,
+    closure,
+    group_automorphisms,
     group_isomorphism,
     ideals,
     is_group,
@@ -284,10 +287,48 @@ def test_brandt_decomposition():
 
 def test_group_isomorphism():
     assert group_isomorphism(catalog.cyclic_group(4), catalog.klein_four()) is None
+    assert group_isomorphism(catalog.cyclic_group(2), catalog.cyclic_group(3)) is None
     iso = group_isomorphism(catalog.cyclic_group(3), catalog.cyclic_group(3))
     assert iso is not None
     assert is_group(catalog.symmetric_group_3())
     assert not is_group(catalog.two_chain_monoid())
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("Z1", 1), ("Z2", 1), ("Z3", 2), ("Z4", 2), ("Z5", 4), ("Z6", 2), ("V4", 6), ("S3", 6), ("Z2^3", 168)],
+)
+def test_group_automorphism_counts(name, count):
+    G = catalog.named_group(name)
+    autos = group_automorphisms(G)
+    assert len(autos) == count
+    assert len({tuple(a.values()) for a in autos}) == count
+    assert autos == sorted(autos, key=lambda a: list(a.values()))
+
+
+def test_backtrack_yields_the_accepted_assignments_in_product_order():
+    domains = [range(3), "ab", (True, False)]
+    calls = []
+
+    def ok(values):
+        calls.append(tuple(values))
+        return values[0] != 1
+
+    got = [tuple(v) for v in backtrack(domains, ok)]
+    assert got == [t for t in product(*domains) if t[0] != 1]
+    # the prefix (1,) is refused at once, so none of its extensions is tried
+    assert (1,) in calls and not any(c[0] == 1 and len(c) > 1 for c in calls)
+    assert [list(v) for v in backtrack([], ok)] == [[]]
+    assert list(backtrack([range(2), []], ok)) == []
+
+
+def test_closure_yields_seeds_first_then_lifo_discovery_order():
+    # on Z/10 under x -> 2x and x -> x + 5, from the seeds 1, 3 and 1 again:
+    # 3 is popped first and gives 6, 8; then 8 gives nothing new, 6 gives 2,
+    # 2 gives 4, 7, then 7 nothing, 4 gives 9; 0 and 5 are out of reach
+    got = list(closure([1, 3, 1], lambda x: [2 * x % 10, (x + 5) % 10]))
+    assert got == [1, 3, 6, 8, 2, 4, 7, 9]
+    assert list(closure([], lambda x: [x])) == []
 
 
 def test_subsemigroup():
