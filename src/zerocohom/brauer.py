@@ -16,27 +16,28 @@ and the Brauer monoid is the semilattice of the groups H_0^2 of the
 modifications with coefficients in the Galois-twisted unit group.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import isqrt
 
 from .catalog import cyclic_group
-from .cohomology import Cochain, coboundary, cohomology_group, nerve, support_cohomology
+from .cohomology import Cochain, SemilatticeOfGroups, coboundary, cohomology_group, nerve, support_cohomology
 from .errors import CapExceeded, CertificateError, InvalidFactorSet, InvalidFieldOrder
 from .modules import galois_units_module
-from .schur import SemilatticeOfGroups
-from .semigroups import Semigroup, backtrack, is_ideal, predicates, units_of, validate_table
+from .semigroups import Frozen, backtrack, is_ideal, predicates, units_of, validate_table
 
 MODIFICATION_CAP = 4096  # modifications found by enumerate_modifications
 WEAK_COCYCLE_CAP = 2_000_000  # candidates enumerate_weak_cocycles may scan
 
 
-@dataclass(frozen=True)
-class WeakCocycle:
-    group: object  # the Galois group as a Semigroup (cyclic, generated by Frobenius)
-    q: int
-    n: int
-    values: dict = field(compare=False)  # (s, t) -> exponent int or None
+class WeakCocycle(Frozen):
+    """A weak 2-cocycle of GF(q^n)/GF(q) on ``group``, the Galois group as a
+    Semigroup (cyclic, generated by Frobenius).
+
+    ``values`` maps each pair (s, t) to an exponent or None (zero).
+    Equality reads q, n and the values only.
+    """
+
+    __slots__ = ("group", "q", "n", "values")
 
     @property
     def unit_order(self):
@@ -78,11 +79,11 @@ def galois_group(n):
     return cyclic_group(n)
 
 
-@dataclass(frozen=True)
-class Modification:
-    base: object  # the group
-    semigroup: Semigroup  # monoid on G u {0}
-    pattern: frozenset  # set of pairs (x, y) with x o y = 0
+class Modification(Frozen):
+    """The monoid ``semigroup`` on G u {0} for the group ``base``, whose
+    products x o y are zero exactly on the pairs in ``pattern``."""
+
+    __slots__ = ("base", "semigroup", "pattern")
 
 
 def _galois_act(q, n, k, e):

@@ -5,9 +5,9 @@ identical inputs: no timestamps in the payload; timing goes to stderr).
 Exit codes: 0 success, 1 oracle mismatch, 2 input error, 3 cap exceeded.
 
 Each subcommand imports the package modules it runs inside its own
-function, so a process loads only those (``enumerate`` and ``gown`` load
-neither the abelian-group nor the cohomology layer), and the timing on
-stderr includes them.
+function, so a process loads only those (``enumerate``, ``gown``,
+``tsemigroup`` and ``tsubsets`` load neither the abelian-group nor the
+cohomology layer), and the timing on stderr includes them.
 """
 
 import argparse

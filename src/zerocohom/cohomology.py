@@ -29,9 +29,11 @@ quotients S/I of a monoid sit so inside S^0, and the modifications of
 a group inside G^0.  ``support_cohomology`` therefore builds one nerve
 and one pair of coboundaries for a whole family of such supports, and
 ``cohomology_group`` is its case of one support that keeps everything.
+``SemilatticeOfGroups.from_restrictions`` links the groups of such a
+family by restricting witnesses to the smaller support: the Schur
+multiplier and the Brauer monoid are built so.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import VARIANTS
@@ -89,10 +91,17 @@ def _extend(S, prefix, prod_so_far, n, out):
             _extend(S, prefix + (y,), p, n, out)
 
 
-@dataclass
 class Cochain:
-    degree: int
-    values: dict  # nerve tuple -> coefficient vector (tuple)
+    """A degree-``degree`` cochain: ``values`` maps each nerve tuple to a coefficient vector (tuple)."""
+
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree, values):
+        self.degree = degree
+        self.values = values
+
+    def __eq__(self, other):
+        return isinstance(other, Cochain) and (self.degree, self.values) == (other.degree, other.values)
 
 
 def zero_cochain(S, M, n, variant="zero"):
@@ -275,12 +284,17 @@ def coboundary_hom(N, M, n):
     return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda t, q: M.matrix(t[0]), last)
 
 
-@dataclass
 class CohomologyResult:
-    group: FinAbGroup
-    witnesses: list  # cocycle representatives of the generators
-    homology: object
-    tuples: list
+    """A cohomology group, cocycle representatives of its generators, and the
+    homology presentation and nerve tuples they are read on."""
+
+    __slots__ = ("group", "witnesses", "homology", "tuples")
+
+    def __init__(self, group, witnesses, homology, tuples):
+        self.group = group
+        self.witnesses = witnesses
+        self.homology = homology
+        self.tuples = tuples
 
     def coords(self, f, S, M):
         """The class of the cocycle f on the witnesses, read on the stored nerve."""
@@ -478,3 +492,92 @@ def _brute_cocycles(S, M, n, variant):
             raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
         out.append(f)
     return out
+
+
+class SemilatticeOfGroups:
+    """Groups indexed by sets closed under union, ordered by inclusion.
+
+    The join of two keys is their union.  ``indices`` lists the keys
+    (hashable sets, e.g. frozenset ideals), ``components`` maps each to
+    its FinAbGroup in invariant form.  A map into or out of a trivial
+    group is zero, so ``links`` holds a GroupHom only for the pairs
+    k1 <= k2 of nontrivial groups; ``link`` gives every pair's map.
+    """
+
+    __slots__ = ("indices", "components", "links")
+
+    def __init__(self, indices, components, links):
+        self.indices = indices
+        self.components = components
+        self.links = links
+
+    @classmethod
+    def from_restrictions(cls, results):
+        """Links that restrict cocycles to the smaller support.
+
+        ``results`` maps each key, in index order, to its degree-2
+        CohomologyResult, all read on one nerve, so that the tuples of a
+        larger key are among those of a smaller one.  The link I -> J
+        sends each witness of I to the class of its values on J's tuples.
+        """
+        keys = list(results)
+        nontrivial = [k for k in keys if results[k].group.rank]
+        links = {}
+        for I in nontrivial:
+            for J in nontrivial:
+                if not I <= J:
+                    continue
+                hom = _restriction(results[I], results[J])
+                if not hom.well_defined():
+                    raise CertificateError((I, J), "restriction link not well defined on classes")
+                links[(I, J)] = hom
+        sl = cls(keys, {k: results[k].group for k in keys}, links)
+        bad = sl.check_links_compose()
+        if bad is not None:
+            raise CertificateError(bad, "semilattice links fail to compose")
+        return sl
+
+    def link(self, I, J):
+        """The link I -> J: the stored map, else the zero map."""
+        hom = self.links.get((I, J))
+        if hom is None:
+            source, target = self.components[I], self.components[J]
+            hom = GroupHom(source, target, IntMatrix(target.rank, source.rank))
+        return hom
+
+    def check_links_compose(self):
+        """The first i <= j <= k with link(i,k) != link(j,k) link(i,j), then
+        the first i with link(i,i) != identity, or None.
+
+        A map out of or into a rank-0 group is the empty matrix, so a
+        triple whose i or k is trivial, and the identity at a trivial i,
+        hold without looking; every other triple is compared, a trivial
+        j through its zero links.
+        """
+        nontrivial = [k for k in self.indices if self.components[k].rank]
+        for i in nontrivial:
+            for j in self.indices:
+                if not i <= j:
+                    continue
+                for k in nontrivial:
+                    if not j <= k:
+                        continue
+                    left = self.link(i, k)
+                    right = self.link(j, k).compose(self.link(i, j))
+                    if not left.equals(right):
+                        return (i, j, k)
+        for i in nontrivial:
+            if not self.link(i, i).equals(GroupHom.identity(self.components[i])):
+                return (i, i, i)
+        return None
+
+
+def _restriction(HI, HJ):
+    """Class map H_I -> H_J of restricting each witness of HI to the tuples of HJ."""
+    cols = []
+    for k, w in enumerate(HI.witnesses):
+        c = HJ.homology.coords([x for t in HJ.tuples for x in w.values[t]])
+        if c is None:
+            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
+        cols.append(list(c))
+    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))

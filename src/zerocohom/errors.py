@@ -145,6 +145,14 @@ class CoefficientMismatch(ZerocohomError):
         super().__init__(f"coefficient groups differ: {left!r} vs {right!r}")
 
 
+class SemigroupMismatch(ZerocohomError):
+    """Two objects that must share a semigroup do not."""
+
+    def __init__(self, left, right):
+        self.witness = (left, right)
+        super().__init__(f"semigroups differ: {left!r} vs {right!r}")
+
+
 class ShapeMismatch(ZerocohomError):
     """A matrix or vector whose shape does not fit where it is used."""
 

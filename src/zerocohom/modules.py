@@ -17,19 +17,24 @@ is None for a one-sided module.
 ``schur.validate_factor_set`` for a factor set.
 """
 
-from dataclasses import dataclass, field
-
 from .abgroups import FinAbGroup, IntMatrix, is_hom, same_map, subgroup
 from .errors import InvalidLabeling, InvalidModule, NotIdempotent
-from .semigroups import subsemigroup
+from .semigroups import Frozen, subsemigroup
 
 
-@dataclass(frozen=True)
-class ZeroModule:
-    semigroup: object
-    group: FinAbGroup
-    action: dict = field(compare=False)
-    right: dict = field(default=None, compare=False)
+class ZeroModule(Frozen):
+    """A module over ``semigroup`` on ``group``; equality reads these two, not the actions."""
+
+    __slots__ = ("semigroup", "group", "action", "right")
+
+    def __init__(self, semigroup, group, action, right=None):
+        super().__init__(semigroup, group, action, right)
+
+    def __eq__(self, other):
+        return isinstance(other, ZeroModule) and (self.semigroup, self.group) == (other.semigroup, other.group)
+
+    def __hash__(self):
+        return hash((self.semigroup, self.group))
 
     def act(self, s, vec):
         return self.group.reduce(self.action[s].vec(list(vec)))
@@ -41,10 +46,13 @@ class ZeroModule:
         return self.action[s]
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # the law that fails, e.g. "composition" or "cocycle"
-    witness: object
+class Violation(Frozen):
+    """The law that fails, e.g. "composition" or "cocycle", and its witness."""
+
+    __slots__ = ("kind", "witness")
+
+    def __eq__(self, other):
+        return isinstance(other, Violation) and self._values() == other._values()
 
 
 def _check_action(S, group, action, domain, opposite=False, at_zero=False):

@@ -19,13 +19,13 @@ derived-functor description at desk scale.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import Nerve, _check_module_for_variant, assemble_coboundary, cochain_group
 from .modules import trivial_module
+from .semigroups import Frozen
 
 
 def _require_monoid_with_zero(S):
@@ -37,11 +37,11 @@ def _require_monoid_with_zero(S):
         )
 
 
-@dataclass(frozen=True)
-class FacCategory:
-    semigroup: object
-    objects: tuple
-    morphisms: tuple  # triples (alpha, a, beta) with alpha*a*beta != 0
+class FacCategory(Frozen):
+    """The nonzero elements of ``semigroup`` as objects and the triples
+    (alpha, a, beta) with alpha*a*beta != 0 as morphisms."""
+
+    __slots__ = ("semigroup", "objects", "morphisms")
 
 
 def fac_category(S):

@@ -1,4 +1,4 @@
-"""Partial projective factor sets of groups, at the factor-set level.
+"""Partial projective factor sets of groups: the classifying monoid and its models.
 
 The classifying 25-element monoid-with-zero acts on G x G through
 
@@ -7,23 +7,20 @@ The classifying 25-element monoid-with-zero acts on G x G through
     gamma: (x, y) -> (x, 1)
 
 and a {0,1}-valued map sigma with sigma(1,1) = 1 is a partial factor set
-exactly when its support is closed under the three maps.  A partial
-factor set is a ``schur.FactorSet`` on G x G whose ``provenance`` says
-how it was certified.  General ones are only produced through the
-Exel-monoid bridge (sigma_from_rho) or as products and inverses of
-certified ones, through ``fs_product`` and ``fs_inverse_on_support``: no
-intrinsic axiom set is known for them, so uncertified raw maps are
-rejected.
+exactly when its support is closed under the three maps.  This module
+builds that monoid, the closed subsets of G x G, and the Exel monoid of
+G with its partial-homomorphism laws.  The factor sets themselves are
+``schur.FactorSet``s on G x G and are certified there
+(``idempotent_pfactor``, ``sigma_from_rho`` and the products and
+inverses of certified ones), so this module loads neither the
+abelian-group nor the cohomology layer.
 """
 
-from dataclasses import dataclass, replace
-
-from .abgroups import FinAbGroup
 from .catalog import symmetric_group_3
-from .errors import CapExceeded, CertificateError, DivisionUndefined, InvalidFactorSet, UncertifiedInput
+from .errors import CapExceeded, CertificateError
 from .presentations import EnumeratedSemigroup, enumerate_presentation, parse_presentation
-from .schur import FactorSet, cocycle_failures, fs_inverse_on_support, fs_product, validate_factor_set
 from .semigroups import (
+    Frozen,
     c0s_decompose,
     closure,
     group_inverses,
@@ -45,13 +42,11 @@ T_PRESENTATION = (
 )
 
 
-@dataclass(frozen=True)
-class TSemigroupData:
-    semigroup: object
-    enumerated: object
-    unit_indices: tuple
-    ideal_indices: tuple
-    decomposition: object
+class TSemigroupData(Frozen):
+    """The classifying monoid, its enumeration, its units, the ideal of its
+    non-units, and that ideal's Rees decomposition."""
+
+    __slots__ = ("semigroup", "enumerated", "unit_indices", "ideal_indices", "decomposition")
 
 
 def build_t_semigroup():
@@ -131,65 +126,15 @@ def enumerate_t_subsets(G):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def is_idempotent_pfactor(G, values):
-    """Check the closure law for a {0,1}-valued map with witness.
+class ExelModel(Frozen):
+    """The pair model of the Exel monoid of ``group``.
 
-    ``values`` maps pairs to None (zero) or anything non-None (one).
-    Requires sigma(1,1) = 1; then sigma is a factor set iff, whenever
-    sigma(x,y) = 1, also sigma(xy, y^-1) = sigma(y^-1, x^-1)
-    = sigma(x, 1) = 1.  Returns (True, None) or (False, witness_pair).
+    ``elements`` are the pairs (frozenset subset, group element),
+    ``f_map`` sends each group element to its semigroup element, and
+    ``factorizations`` gives each element as a word in group elements.
     """
-    e = G.identity
-    if values.get((e, e)) is None:
-        return (False, (e, e))
-    inv = group_inverses(G)
-    for (x, y), v in values.items():
-        if v is None:
-            continue
-        xy = G.mul(x, y)
-        for target in ((xy, inv[y]), (inv[y], inv[x]), (x, e)):
-            if values.get(target) is None:
-                return (False, (x, y))
-    return (True, None)
 
-
-def idempotent_pfactor(G, support, coeff=None):
-    """Certified idempotent factor set with the given support.
-
-    A support without (1, 1), or not closed under the maps, raises
-    ``InvalidFactorSet`` with the offending pair.
-    """
-    A = coeff if coeff is not None else FinAbGroup([])
-    values = {}
-    for x in range(G.order):
-        for y in range(G.order):
-            values[(x, y)] = A.zero() if (x, y) in support else None
-    ok, witness = is_idempotent_pfactor(G, values)
-    if not ok:
-        # (1, 1) is its own witness only when it is missing
-        missing = witness == (G.identity, G.identity)
-        raise InvalidFactorSet(witness, "support lacks the identity pair" if missing else "support is not closed")
-    return FactorSet(G, A, values, provenance="idempotent")
-
-
-def cohomological_eq_check(sigma):
-    """All triples where the two sides of the cocycle equation differ.
-
-    Returns a list of (triple, lhs, rhs) where each side is a
-    coefficient tuple or None; for honest-to-goodness group 2-cocycles
-    the list is empty, but partial factor sets may fail at triples whose
-    support pattern is mixed.
-    """
-    return list(cocycle_failures(sigma.semigroup, sigma.group, sigma.values))
-
-
-@dataclass(frozen=True)
-class ExelModel:
-    group: object
-    elements: tuple  # pairs (frozenset subset, group element)
-    semigroup: object
-    f_map: tuple  # group element -> semigroup element index
-    factorizations: tuple  # element index -> word in group elements
+    __slots__ = ("group", "elements", "semigroup", "f_map", "factorizations")
 
 
 def exel_monoid(G):
@@ -312,52 +257,6 @@ def induced_hom(model, S, phi):
             if S.mul(out[i], out[j]) != out[T.mul(i, j)]:
                 return None
     return tuple(out)
-
-
-def sigma_from_rho(model, rho):
-    """Group factor set derived from a monoid factor set on the model.
-
-    sigma(x, y) = rho([x], [y]) * rho([x^-1], [x][y]) / rho([x^-1], [xy]),
-    zero exactly where rho([x], [y]) vanishes.  The output is certified.
-    A rho that is no factor set raises ``InvalidFactorSet``.
-    """
-    v = validate_factor_set(rho)
-    if v is not None:
-        raise InvalidFactorSet(v.witness, f"rho breaks the {v.kind} law")
-    G = model.group
-    S = model.semigroup
-    f = model.f_map
-    inv = group_inverses(G)
-    A = rho.group
-    values = {}
-    for x in range(G.order):
-        for y in range(G.order):
-            head = rho.value(f[x], f[y])
-            if head is None:
-                values[(x, y)] = None
-                continue
-            num = rho.value(f[inv[x]], S.mul(f[x], f[y]))
-            den = rho.value(f[inv[x]], f[G.mul(x, y)])
-            if den is None or num is None:
-                # unreachable for a valid rho: [x][y] = [x]([x^-1][xy])
-                # forces both factors nonzero whenever the head is
-                raise DivisionUndefined((x, y))
-            values[(x, y)] = A.add(head, A.add(num, A.neg(den)))
-    return FactorSet(G, A, values, provenance="derived")
-
-
-def pfactor_product(s1, s2):
-    """``fs_product`` of certified factor sets, itself certified."""
-    if s1.provenance is None or s2.provenance is None:
-        raise UncertifiedInput("refusing to multiply uncertified factor sets")
-    return replace(fs_product(s1, s2), provenance="product")
-
-
-def pfactor_inverse(sigma):
-    """``fs_inverse_on_support`` of a certified factor set, itself certified."""
-    if sigma.provenance is None:
-        raise UncertifiedInput("refusing to invert an uncertified factor set")
-    return replace(fs_inverse_on_support(sigma), provenance="inverse")
 
 
 def t_action_relation_report(G):

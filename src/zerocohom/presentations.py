@@ -15,7 +15,6 @@ can never merge anything into that class.
 
 import re
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     CertificateError,
@@ -24,15 +23,20 @@ from .errors import (
     PresentationSyntaxError,
     UnknownGenerator,
 )
-from .semigroups import Semigroup, backtrack, validate_table
+from .semigroups import Frozen, backtrack, validate_table
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple
-    relations: tuple  # pairs of words; a word is a tuple of generator indices
-    zero_relations: tuple = ()
-    has_zero: bool = False
+class Presentation(Frozen):
+    """Generator names, relations as pairs of words, and zero words; a
+    word is a tuple of generator indices."""
+
+    __slots__ = ("generators", "relations", "zero_relations", "has_zero")
+
+    def __init__(self, generators, relations, zero_relations=(), has_zero=False):
+        super().__init__(generators, relations, zero_relations, has_zero)
+
+    def __eq__(self, other):
+        return isinstance(other, Presentation) and self._values() == other._values()
 
     def word_names(self, word):
         if not word:
@@ -137,8 +141,7 @@ def format_presentation(P):
     return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class Truncated:
+class Truncated(Frozen):
     """An enumeration that stopped at a limit before it finished.
 
     ``limit`` names the limit that stopped it: "bound" when the presented
@@ -149,10 +152,10 @@ class Truncated:
     the stop, which later merges could still identify.
     """
 
-    discovered: tuple
-    bound: int
-    limit: str = "bound"
-    node_budget: int = None
+    __slots__ = ("discovered", "bound", "limit", "node_budget")
+
+    def __init__(self, discovered, bound, limit="bound", node_budget=None):
+        super().__init__(discovered, bound, limit, node_budget)
 
     @property
     def found(self):
@@ -160,12 +163,11 @@ class Truncated:
         return len(self.discovered)
 
 
-@dataclass(frozen=True)
-class EnumeratedSemigroup:
-    semigroup: Semigroup
-    words: tuple  # normal-form word (tuple of generator indices) per element
-    generator_index: tuple  # element index of each presentation generator
-    monoid: bool
+class EnumeratedSemigroup(Frozen):
+    """The enumerated semigroup, the normal-form word of each element, the
+    element of each generator, and whether it was enumerated as a monoid."""
+
+    __slots__ = ("semigroup", "words", "generator_index", "monoid")
 
 
 class _Budget(Exception):
@@ -408,12 +410,11 @@ def gown_presentation(P, bound=64):
 # zero-chained sequences and their merge classes (the gown, seen from S)
 
 
-@dataclass(frozen=True)
-class GownClasses:
-    semigroup: Semigroup
-    length_bound: int
-    classes: tuple  # tuple of frozensets of sequences (tuples of indices)
-    class_of: dict
+class GownClasses(Frozen):
+    """The merge classes (frozensets of index sequences) of the zero-chained
+    sequences of ``semigroup`` up to ``length_bound``, and each sequence's class."""
+
+    __slots__ = ("semigroup", "length_bound", "classes", "class_of")
 
     def singleton_class(self, x):
         return self.class_of[(x,)]

@@ -12,29 +12,47 @@ the ideal semilattice: the component at I is the degree-2 0-cohomology of
 the quotient by I with trivial coefficients.
 
 Partial factor sets of a group G are factor sets on G x G of the same
-type (see ``partial``); their ``provenance`` records how one was
-certified, and is None for a factor set of a monoid.
+type, certified here: idempotent ones from a support closed under the
+maps of ``partial``, derived ones from a factor set on the Exel monoid
+(``sigma_from_rho``), and products and inverses of certified ones.  No
+intrinsic axiom set is known for them, so uncertified raw maps are
+rejected.  Their ``provenance`` records how one was certified, and is
+None for a factor set of a monoid.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 
-from .abgroups import FinAbGroup, GroupHom, IntMatrix, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import Cochain, _preimage, nerve, support_cohomology
-from .errors import CapExceeded, CertificateError, CoefficientMismatch, InvalidModule, NotAnIdeal
+from .abgroups import FinAbGroup, finite_invariants_from_orders, kernel_mod, subgroup
+from .cohomology import Cochain, SemilatticeOfGroups, _preimage, nerve, support_cohomology
+from .errors import (
+    CapExceeded,
+    CertificateError,
+    CoefficientMismatch,
+    DivisionUndefined,
+    InvalidFactorSet,
+    NotAnIdeal,
+    SemigroupMismatch,
+    UncertifiedInput,
+)
 from .modules import Violation, trivial_module
-from .semigroups import backtrack, ideals, is_ideal, rees_quotient
+from .semigroups import Frozen, backtrack, group_inverses, ideals, is_ideal, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
-FACTOR_SET_CAP = 6_000_000  # value assignments per zero set in enumerate_factor_sets
+FACTOR_SET_CAP = 6_000_000  # search nodes enumerate_factor_sets visits, over all zero sets
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    semigroup: object  # the monoid S, or the group G of a partial factor set
-    group: FinAbGroup
-    values: dict = field(compare=False)  # (i, j) -> coefficient tuple or None
-    provenance: str = field(default=None, compare=False)  # "idempotent" | "derived" | "product" | "inverse"
+class FactorSet(Frozen):
+    """``values`` maps each pair of ``semigroup`` (the monoid S, or the group
+    G of a partial factor set) to a tuple of ``group`` or None (zero).
+
+    ``provenance`` is "idempotent", "derived", "product" or "inverse".
+    Equality reads the coefficients and the values only.
+    """
+
+    __slots__ = ("semigroup", "group", "values", "provenance")
+
+    def __init__(self, semigroup, group, values, provenance=None):
+        super().__init__(semigroup, group, values, provenance)
 
     def value(self, x, y):
         return self.values[(x, y)]
@@ -115,7 +133,7 @@ def fs_product(rho, sigma):
     """Pointwise product, zero absorbing."""
     S, T = rho.semigroup, sigma.semigroup
     if S is not T and S.table != T.table:
-        raise InvalidModule((S.order, T.order), "factor sets over different semigroups")
+        raise SemigroupMismatch(S, T)
     if rho.group.factors != sigma.group.factors:
         raise CoefficientMismatch(rho.group, sigma.group)
     A = rho.group
@@ -131,6 +149,106 @@ def fs_inverse_on_support(rho):
     A = rho.group
     values = {p: (None if v is None else A.neg(v)) for p, v in rho.values.items()}
     return FactorSet(rho.semigroup, A, values)
+
+
+def is_idempotent_pfactor(G, values):
+    """Check the closure law for a {0,1}-valued map with witness.
+
+    ``values`` maps pairs to None (zero) or anything non-None (one).
+    Requires sigma(1,1) = 1; then sigma is a factor set iff, whenever
+    sigma(x,y) = 1, also sigma(xy, y^-1) = sigma(y^-1, x^-1)
+    = sigma(x, 1) = 1.  Returns (True, None) or (False, witness_pair).
+    """
+    e = G.identity
+    if values.get((e, e)) is None:
+        return (False, (e, e))
+    inv = group_inverses(G)
+    for (x, y), v in values.items():
+        if v is None:
+            continue
+        xy = G.mul(x, y)
+        for target in ((xy, inv[y]), (inv[y], inv[x]), (x, e)):
+            if values.get(target) is None:
+                return (False, (x, y))
+    return (True, None)
+
+
+def idempotent_pfactor(G, support, coeff=None):
+    """Certified idempotent factor set with the given support.
+
+    A support without (1, 1), or not closed under ``partial.t_maps``,
+    raises ``InvalidFactorSet`` with the offending pair.
+    """
+    A = coeff if coeff is not None else FinAbGroup([])
+    values = {}
+    for x in range(G.order):
+        for y in range(G.order):
+            values[(x, y)] = A.zero() if (x, y) in support else None
+    ok, witness = is_idempotent_pfactor(G, values)
+    if not ok:
+        # (1, 1) is its own witness only when it is missing
+        missing = witness == (G.identity, G.identity)
+        raise InvalidFactorSet(witness, "support lacks the identity pair" if missing else "support is not closed")
+    return FactorSet(G, A, values, provenance="idempotent")
+
+
+def cohomological_eq_check(sigma):
+    """All triples where the two sides of the cocycle equation differ.
+
+    Returns a list of (triple, lhs, rhs) where each side is a
+    coefficient tuple or None; for honest-to-goodness group 2-cocycles
+    the list is empty, but partial factor sets may fail at triples whose
+    support pattern is mixed.
+    """
+    return list(cocycle_failures(sigma.semigroup, sigma.group, sigma.values))
+
+
+def sigma_from_rho(model, rho):
+    """Group factor set derived from a monoid factor set on the Exel model.
+
+    sigma(x, y) = rho([x], [y]) * rho([x^-1], [x][y]) / rho([x^-1], [xy]),
+    zero exactly where rho([x], [y]) vanishes.  The output is certified.
+    A rho that is no factor set raises ``InvalidFactorSet``.
+    """
+    v = validate_factor_set(rho)
+    if v is not None:
+        raise InvalidFactorSet(v.witness, f"rho breaks the {v.kind} law")
+    G = model.group
+    S = model.semigroup
+    f = model.f_map
+    inv = group_inverses(G)
+    A = rho.group
+    values = {}
+    for x in range(G.order):
+        for y in range(G.order):
+            head = rho.value(f[x], f[y])
+            if head is None:
+                values[(x, y)] = None
+                continue
+            num = rho.value(f[inv[x]], S.mul(f[x], f[y]))
+            den = rho.value(f[inv[x]], f[G.mul(x, y)])
+            if den is None or num is None:
+                # unreachable for a valid rho: [x][y] = [x]([x^-1][xy])
+                # forces both factors nonzero whenever the head is
+                raise DivisionUndefined((x, y))
+            values[(x, y)] = A.add(head, A.add(num, A.neg(den)))
+    return FactorSet(G, A, values, provenance="derived")
+
+
+def pfactor_product(s1, s2):
+    """``fs_product`` of certified factor sets, itself certified."""
+    if s1.provenance is None or s2.provenance is None:
+        raise UncertifiedInput("refusing to multiply uncertified factor sets")
+    rho = fs_product(s1, s2)
+    return FactorSet(rho.semigroup, rho.group, rho.values, "product")
+
+
+def pfactor_inverse(sigma):
+    """``fs_inverse_on_support`` of a certified factor set, itself certified."""
+    if sigma.provenance is None:
+        raise UncertifiedInput("refusing to invert an uncertified factor set")
+    rho = fs_inverse_on_support(sigma)
+    return FactorSet(rho.semigroup, rho.group, rho.values, "inverse")
 
 
 def support_ideal(rho):
@@ -194,91 +312,6 @@ def twist(rho, alpha):
     return FactorSet(S, A, values)
 
 
-@dataclass
-class SemilatticeOfGroups:
-    """Groups indexed by sets closed under union, ordered by inclusion.
-
-    The join of two keys is their union.  A map into or out of a
-    trivial group is zero, so ``links`` holds a map only for the pairs
-    k1 <= k2 of nontrivial groups; ``link`` gives every pair's map.
-    """
-
-    indices: list  # hashable set keys, e.g. frozenset ideals
-    components: dict  # key -> FinAbGroup (invariant form)
-    links: dict  # (k1, k2) with k1 <= k2, both groups nontrivial -> GroupHom
-
-    @classmethod
-    def from_restrictions(cls, results):
-        """Links that restrict cocycles to the smaller support.
-
-        ``results`` maps each key, in index order, to its degree-2
-        CohomologyResult, all read on one nerve, so that the tuples of a
-        larger key are among those of a smaller one.  The link I -> J
-        sends each witness of I to the class of its values on J's tuples.
-        """
-        keys = list(results)
-        nontrivial = [k for k in keys if results[k].group.rank]
-        links = {}
-        for I in nontrivial:
-            for J in nontrivial:
-                if not I <= J:
-                    continue
-                hom = _restriction(results[I], results[J])
-                if not hom.well_defined():
-                    raise CertificateError((I, J), "restriction link not well defined on classes")
-                links[(I, J)] = hom
-        sl = cls(keys, {k: results[k].group for k in keys}, links)
-        bad = sl.check_links_compose()
-        if bad is not None:
-            raise CertificateError(bad, "semilattice links fail to compose")
-        return sl
-
-    def link(self, I, J):
-        """The link I -> J: the stored map, else the zero map."""
-        hom = self.links.get((I, J))
-        if hom is None:
-            source, target = self.components[I], self.components[J]
-            hom = GroupHom(source, target, IntMatrix(target.rank, source.rank))
-        return hom
-
-    def check_links_compose(self):
-        """The first i <= j <= k with link(i,k) != link(j,k) link(i,j), then
-        the first i with link(i,i) != identity, or None.
-
-        A map out of or into a rank-0 group is the empty matrix, so a
-        triple whose i or k is trivial, and the identity at a trivial i,
-        hold without looking; every other triple is compared, a trivial
-        j through its zero links.
-        """
-        nontrivial = [k for k in self.indices if self.components[k].rank]
-        for i in nontrivial:
-            for j in self.indices:
-                if not i <= j:
-                    continue
-                for k in nontrivial:
-                    if not j <= k:
-                        continue
-                    left = self.link(i, k)
-                    right = self.link(j, k).compose(self.link(i, j))
-                    if not left.equals(right):
-                        return (i, j, k)
-        for i in nontrivial:
-            if not self.link(i, i).equals(GroupHom.identity(self.components[i])):
-                return (i, i, i)
-        return None
-
-
-def _restriction(HI, HJ):
-    """Class map H_I -> H_J of restricting each witness of HI to the tuples of HJ."""
-    cols = []
-    for k, w in enumerate(HI.witnesses):
-        c = HJ.homology.coords([x for t in HJ.tuples for x in w.values[t]])
-        if c is None:
-            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
-        cols.append(list(c))
-    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))
-
-
 def multiplier_components(S, A):
     """{ideal I: H_0^2(S/I, A trivial)} for the monoid S, every component cut from one complex.
 
@@ -315,23 +348,32 @@ def schur_multiplier(S, A):
     return SemilatticeOfGroups.from_restrictions(multiplier_components(S, A))
 
 
-@dataclass
 class BruteComponent:
-    ideal: frozenset
-    class_reps: list  # FactorSet representatives
-    class_of: dict  # factor-set key -> class id
-    invariants: tuple
+    """The factor-set classes of one support ideal: a representative per
+    class, the class of each factor-set key, and the group's invariants."""
+
+    __slots__ = ("ideal", "class_reps", "class_of", "invariants")
+
+    def __init__(self, ideal, class_reps, class_of, invariants):
+        self.ideal = ideal
+        self.class_reps = class_reps
+        self.class_of = class_of
+        self.invariants = invariants
 
     def add(self, c1, c2):
         """Class of the pointwise product of the representatives of c1, c2."""
         return self.class_of[fs_product(self.class_reps[c1], self.class_reps[c2]).key()]
 
 
-@dataclass
 class BruteMultiplier:
-    semigroup: object
-    group: FinAbGroup
-    components: dict  # ideal -> BruteComponent
+    """The brute-force multiplier of ``semigroup`` over ``group``: a BruteComponent per ideal."""
+
+    __slots__ = ("semigroup", "group", "components")
+
+    def __init__(self, semigroup, group, components):
+        self.semigroup = semigroup
+        self.group = group
+        self.components = components
 
     def link_class(self, I, J, cid):
         """Image class of class cid of component I under multiply-by-eps_J."""
@@ -349,27 +391,31 @@ def enumerate_factor_sets(S, A):
     (non-ideals die here).  A ``backtrack`` then fills the values on the
     support in the order of A.elements(), each cocycle equation tested
     once its last pair is fixed, so the list comes out in the order of a
-    product scan.  Every hit is re-checked by validate_factor_set.
+    product scan.  Every hit is re-checked by validate_factor_set.  The
+    cap counts the search nodes, the partial assignments that the
+    equations test, over all zero sets.
     """
     n = S.order
     if A.order() is None:
-        raise CapExceeded("factor-set value assignment count (infinite coefficients)", None, FACTOR_SET_CAP)
+        raise CapExceeded("factor-set search nodes (infinite coefficients)", None, FACTOR_SET_CAP)
     out = []
     elements = A.elements()
     index = {v: i for i, v in enumerate(elements)}
     add = [[index[A.add(u, v)] for v in elements] for u in elements]
     base = {(x, y): None for x in range(n) for y in range(n)}
+    nodes = 0
     for bits in range(2**n):
         Z = frozenset(i for i in range(n) if bits >> i & 1)
         support = [(x, y) for x in range(n) for y in range(n) if S.mul(x, y) not in Z]
-        total = A.order() ** len(support)
-        if total > FACTOR_SET_CAP:
-            raise CapExceeded("factor-set value assignment count", total, FACTOR_SET_CAP)
         equations = _cocycle_equations(S, support)
         if equations is None:
             continue
 
         def ok(vals):
+            nonlocal nodes
+            nodes += 1
+            if nodes > FACTOR_SET_CAP:
+                raise CapExceeded("factor-set search nodes", nodes, FACTOR_SET_CAP)
             for a, b, c, d in equations[len(vals) - 1]:
                 if add[vals[a]][vals[b]] != add[vals[c]][vals[d]]:
                     return False

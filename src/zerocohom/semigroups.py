@@ -12,9 +12,9 @@ with zero).
 The package's depth-first searches and worklist closures run on
 ``backtrack`` and ``closure``, defined here; only the nerve keeps a
 recursion of its own, which is faster on the cohomology hot path.
+Its immutable records derive from ``Frozen``, also defined here.
 """
 
-from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .errors import (
@@ -29,12 +29,42 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Semigroup:
-    elements: tuple
-    table: tuple
-    zero: object = None
-    identity: object = None
+class Frozen:
+    """An immutable record: its fields are its ``__slots__``, set once by ``__init__``.
+
+    ``Frozen.__init__`` takes one value per field, in the order of the
+    slots; assigning or deleting a field afterwards raises AttributeError.
+    A record compares by identity unless its class defines ``__eq__``,
+    which ``_values`` serves.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Semigroup(Frozen):
+    __slots__ = ("elements", "table", "zero", "identity")
+
+    def __init__(self, elements, table, zero=None, identity=None):
+        super().__init__(elements, table, zero, identity)
+
+    def __eq__(self, other):
+        return isinstance(other, Semigroup) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def order(self):
@@ -276,14 +306,17 @@ def rees_quotient(S, ideal):
     return Semigroup(names, tuple(table), z, identity)
 
 
-@dataclass(frozen=True)
-class Predicates:
-    has_zero: bool
-    is_monoid: bool
-    categorical_at_zero: object = None  # None = not applicable
-    zero_cancellative: object = None
-    categorical_witness: object = None
-    cancellation_witness: object = None
+class Predicates(Frozen):
+    """Structural flags; the last four are None when S has no zero (not applicable)."""
+
+    __slots__ = (
+        "has_zero",
+        "is_monoid",
+        "categorical_at_zero",
+        "zero_cancellative",
+        "categorical_witness",
+        "cancellation_witness",
+    )
 
 
 def predicates(S):
@@ -296,7 +329,7 @@ def predicates(S):
     has_zero = S.has_zero
     is_monoid = S.is_monoid
     if not has_zero:
-        return Predicates(has_zero, is_monoid)
+        return Predicates(has_zero, is_monoid, None, None, None, None)
     z = S.zero
     cat = True
     cat_wit = None
@@ -446,14 +479,14 @@ def _left_ideal(S, x):
     return frozenset([x] + [S.table[s][x] for s in range(S.order)])
 
 
-@dataclass(frozen=True)
-class ReesDecomposition:
-    group: Semigroup
-    rows: int
-    cols: int
-    sandwich: tuple  # cols x rows, entries = group element index or None
-    row_reps: tuple = field(default=(), compare=False)
-    col_reps: tuple = field(default=(), compare=False)
+class ReesDecomposition(Frozen):
+    """Rees coordinates: the group, the sandwich matrix (cols x rows, entries
+    a group element index or None) and the representatives that realize it."""
+
+    __slots__ = ("group", "rows", "cols", "sandwich", "row_reps", "col_reps")
+
+    def __init__(self, group, rows, cols, sandwich, row_reps=(), col_reps=()):
+        super().__init__(group, rows, cols, sandwich, row_reps, col_reps)
 
 
 def c0s_decompose(S):

@@ -206,8 +206,7 @@ def test_criterion_5():
 @criterion(6, 1.0, "order-8 elementary group: idempotent sigma passes, cocycle equation fails at (b, a, ac)")
 def check_6():
     from zerocohom.abgroups import FinAbGroup as FA
-    from zerocohom.partial import cohomological_eq_check, is_idempotent_pfactor
-    from zerocohom.schur import FactorSet
+    from zerocohom.schur import FactorSet, cohomological_eq_check, is_idempotent_pfactor
 
     G = catalog.elementary_abelian_8()
     H = {G.index(n) for n in ("1", "b", "c", "bc")}
@@ -405,7 +404,8 @@ def check_11():
     notes.append("Lemma1")
 
     # closure-condition equivalence, exhaustive for |G| <= 3, sampled above
-    from zerocohom.partial import enumerate_t_subsets, is_idempotent_pfactor, t_closure
+    from zerocohom.partial import enumerate_t_subsets, t_closure
+    from zerocohom.schur import is_idempotent_pfactor
 
     for G in (catalog.cyclic_group(2), catalog.cyclic_group(3)):
         pairs = [(x, y) for x in range(G.order) for y in range(G.order)]

@@ -10,6 +10,8 @@ No local is only ever filled: one bound by a plain assignment must be
 read other than as the receiver of a statement-level ``.append``,
 ``.extend``, ``.add`` or ``.update``.
 The package has no ``assert`` statement, since ``python -O`` drops them.
+No module imports ``dataclasses``: records are plain classes with
+``__slots__``, and one record style keeps start-up free of ``inspect``.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
 A nerve face is built from tuple slices only in ``face_maps`` and in the
 brute-force twins that check it.
@@ -136,6 +138,17 @@ def test_package_imports_are_at_module_level():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested.update(f"{name}:{n.lineno}" for n in ast.walk(fn) if _imports_package(n))
     assert not nested, sorted(nested)
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for name, tree in _modules().items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                found += [f"{name}:{n.lineno}" for a in n.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "dataclasses":
+                found.append(f"{name}:{n.lineno}")
+    assert not found, found
 
 
 def _own_nodes(fn):

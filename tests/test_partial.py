@@ -1,30 +1,34 @@
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from zerocohom import catalog, partial
 from zerocohom.abgroups import FinAbGroup
-from zerocohom.errors import CertificateError, InvalidFactorSet, UncertifiedInput, ZerocohomError
+from zerocohom.errors import CertificateError, InvalidFactorSet, SemigroupMismatch, UncertifiedInput, ZerocohomError
 from zerocohom.partial import (
+    ExelModel,
     build_t_semigroup,
-    cohomological_eq_check,
     enumerate_t_subsets,
     exel_matches_presentation,
     exel_monoid,
-    idempotent_pfactor,
     induced_hom,
-    is_idempotent_pfactor,
     partial_hom_violations,
-    pfactor_inverse,
-    pfactor_product,
-    sigma_from_rho,
     t_action_relation_report,
     t_closure,
 )
-from zerocohom.schur import FactorSet, enumerate_factor_sets, validate_factor_set
-from zerocohom.semigroups import ReesDecomposition, sandwich_equivalent
+from zerocohom.schur import (
+    FactorSet,
+    cohomological_eq_check,
+    enumerate_factor_sets,
+    idempotent_pfactor,
+    is_idempotent_pfactor,
+    pfactor_inverse,
+    pfactor_product,
+    sigma_from_rho,
+    validate_factor_set,
+)
+from zerocohom.semigroups import ReesDecomposition, Semigroup, sandwich_equivalent
 
 
 def test_build_t_semigroup_constants():
@@ -72,9 +76,7 @@ def test_remaining_certificates_survive_optimize(run_python):
     # pfactor_product and the product of gown merge classes still refuse
     # bad input with typed errors that carry a witness
     script = """
-from dataclasses import replace
-
-from zerocohom import catalog, partial
+from zerocohom import catalog, partial, schur
 from zerocohom.abgroups import FinAbGroup
 from zerocohom.errors import CertificateError, CoefficientMismatch
 from zerocohom.presentations import GownClasses
@@ -83,14 +85,14 @@ G = catalog.cyclic_group(2)
 model = partial.exel_monoid(G)
 words = model.factorizations
 try:
-    partial._verify_exel(replace(model, factorizations=words[1:] + words[:1]))
+    partial._verify_exel(partial.ExelModel(G, model.elements, model.semigroup, model.f_map, words[1:] + words[:1]))
 except CertificateError as exc:
     print("CertificateError", exc.witness[0])
 support = frozenset((x, y) for x in range(2) for y in range(2))
 try:
-    partial.pfactor_product(
-        partial.idempotent_pfactor(G, support, FinAbGroup([2])),
-        partial.idempotent_pfactor(G, support, FinAbGroup([3])),
+    schur.pfactor_product(
+        schur.idempotent_pfactor(G, support, FinAbGroup([2])),
+        schur.idempotent_pfactor(G, support, FinAbGroup([3])),
     )
 except CoefficientMismatch as exc:
     print("CoefficientMismatch", [A.factors for A in exc.witness])
@@ -114,12 +116,27 @@ except CertificateError as exc:
 
 def test_verify_exel_refuses_a_broken_relation_or_identity():
     model = exel_monoid(catalog.cyclic_group(2))
+    G, elements, S, f_map, words = model.group, model.elements, model.semigroup, model.f_map, model.factorizations
+    # the model rebuilt from its own fields passes, so each failure below is its mutation's
+    partial._verify_exel(ExelModel(G, elements, S, f_map, words))
     with pytest.raises(CertificateError) as exc:
-        partial._verify_exel(replace(model, f_map=model.f_map[::-1]))
+        partial._verify_exel(ExelModel(G, elements, S, f_map[::-1], words))
     assert exc.value.witness == ("left", 0, 0)
+    without_identity = Semigroup(S.elements, S.table, S.zero, None)
     with pytest.raises(CertificateError) as exc:
-        partial._verify_exel(replace(model, semigroup=replace(model.semigroup, identity=None)))
+        partial._verify_exel(ExelModel(G, elements, without_identity, f_map, words))
     assert "the monoid identity is not [e]" in str(exc.value)
+
+
+def test_records_refuse_assignment():
+    # a record is immutable after construction, like the tuple fields it holds
+    model = exel_monoid(catalog.cyclic_group(2))
+    with pytest.raises(AttributeError):
+        model.f_map = ()
+    with pytest.raises(AttributeError):
+        model.semigroup.identity = None
+    with pytest.raises(AttributeError):
+        del model.group
 
 
 def test_t_action_satisfies_relations():
@@ -452,8 +469,9 @@ def test_pfactor_product_refuses_factor_sets_of_different_groups():
         for G in (catalog.cyclic_group(2), catalog.cyclic_group(3))
     )
     for left, right in ((s2, s3), (s3, s2)):
-        with pytest.raises(ZerocohomError):
+        with pytest.raises(SemigroupMismatch) as exc:
             pfactor_product(left, right)
+        assert exc.value.witness == (left.semigroup, right.semigroup)
 
 
 def test_provenance_is_not_compared():

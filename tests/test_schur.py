@@ -380,7 +380,7 @@ def test_fs_product_mismatch_checks_survive_optimize(run_python):
     script = """
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
-from zerocohom.errors import CoefficientMismatch, InvalidModule
+from zerocohom.errors import CoefficientMismatch, SemigroupMismatch
 from zerocohom.schur import epsilon_factor_set, fs_product
 
 S = catalog.two_chain_monoid()
@@ -393,12 +393,15 @@ for sigma in (
         fs_product(rho, sigma)
     except CoefficientMismatch as exc:
         print("CoefficientMismatch", [A.factors for A in exc.witness])
-    except InvalidModule as exc:
-        print("InvalidModule", exc.witness)
+    except SemigroupMismatch as exc:
+        print("SemigroupMismatch", [S.elements for S in exc.witness])
 """
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["CoefficientMismatch [(2,), (3,)]", "InvalidModule (2, 2)"]
+    assert proc.stdout.split("\n")[:2] == [
+        "CoefficientMismatch [(2,), (3,)]",
+        "SemigroupMismatch [('1', 'e'), ('1', 'g')]",
+    ]
 
 
 def test_fs_product_coefficient_mismatch_carries_both_groups():
