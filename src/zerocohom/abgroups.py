@@ -360,15 +360,22 @@ class FinAbGroup:
         return (0,) * self.rank
 
     def reduce(self, v):
-        if len(v) != self.rank:
-            raise ShapeMismatch("vector length", self.rank, len(v))
-        return tuple(x % d if d else x for x, d in zip(v, self.factors))
+        fs = self.factors
+        if len(v) != len(fs):
+            raise ShapeMismatch("vector length", len(fs), len(v))
+        return tuple([x % d if d else x for x, d in zip(v, fs)])
 
     def add(self, u, v):
-        return self.reduce([a + b for a, b in zip(u, v)])
+        fs = self.factors
+        if len(u) != len(fs) or len(v) != len(fs):
+            raise ShapeMismatch("vector length", len(fs), len(v) if len(u) == len(fs) else len(u))
+        return tuple([(a + b) % d if d else a + b for a, b, d in zip(u, v, fs)])
 
     def neg(self, u):
-        return self.reduce([-a for a in u])
+        fs = self.factors
+        if len(u) != len(fs):
+            raise ShapeMismatch("vector length", len(fs), len(u))
+        return tuple([-a % d if d else -a for a, d in zip(u, fs)])
 
     def elements(self):
         """All elements (finite groups only)."""

@@ -46,7 +46,7 @@ from .abgroups import (
     finite_invariants_from_orders,
     solve_mod,
 )
-from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero
+from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero, ShapeMismatch
 from .modules import ensure_valid
 from .semigroups import backtrack
 
@@ -137,28 +137,30 @@ def coboundary(M, f, variant="zero"):
     expected = set(nerve(S, n, variant))
     if set(f.values) != expected:
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
+    k = M.group.rank
+    for t, v in f.values.items():
+        if len(v) != k:
+            raise ShapeMismatch(f"cochain value at {t}", k, len(v))
     out = {t: _coboundary_at(M, f.values, t) for t in nerve(S, n + 1, variant)}
     return Cochain(n + 1, out)
 
 
 def _coboundary_at(M, values, t):
-    """The coboundary of the cochain ``values`` at the (n+1)-tuple t."""
+    """The coboundary of the cochain ``values`` at the (n+1)-tuple t, reduced once, at the end."""
     S = M.semigroup
-    A = M.group
-    n = len(t) - 1
-    acc = list(M.act(t[0], values[t[1:]]))
+    acc = M.action[t[0]].vec(values[t[1:]])
     sign = -1
-    for i in range(n):
+    for i in range(len(t) - 1):
         v = values[t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :]]
-        for r in range(A.rank):
-            acc[r] += sign * v[r]
+        for r, x in enumerate(v):
+            acc[r] += sign * x
         sign = -sign
     last = values[t[:-1]]
     if M.right is not None:
-        last = M.act_right(last, t[-1])
-    for r in range(A.rank):
-        acc[r] += sign * last[r]
-    return A.reduce(acc)
+        last = M.right[t[-1]].vec(last)
+    for r, x in enumerate(last):
+        acc[r] += sign * x
+    return M.group.reduce(acc)
 
 
 def cochain_group(groups):

@@ -39,9 +39,6 @@ class ZeroModule(Frozen):
     def act(self, s, vec):
         return self.group.reduce(self.action[s].vec(list(vec)))
 
-    def act_right(self, vec, s):
-        return self.group.reduce(self.right[s].vec(list(vec)))
-
     def matrix(self, s):
         return self.action[s]
 

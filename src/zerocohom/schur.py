@@ -32,6 +32,7 @@ from .errors import (
     InvalidFactorSet,
     NotAnIdeal,
     SemigroupMismatch,
+    ShapeMismatch,
     UncertifiedInput,
 )
 from .modules import Violation, trivial_module
@@ -231,7 +232,7 @@ def sigma_from_rho(model, rho):
                 # unreachable for a valid rho: [x][y] = [x]([x^-1][xy])
                 # forces both factors nonzero whenever the head is
                 raise DivisionUndefined((x, y))
-            values[(x, y)] = A.add(head, A.add(num, A.neg(den)))
+            values[(x, y)] = A.reduce([a + b - c for a, b, c in zip(head, num, den)])
     return FactorSet(G, A, values, provenance="derived")
 
 
@@ -288,7 +289,10 @@ def equivalent(rho, sigma):
         if v is None:
             continue
         w = sigma.values[(x, y)]
-        ratio_vals[(qindex[x], qindex[y])] = A.add(v, A.neg(w))
+        # A.reduce checks the length of v against the rank
+        if len(w) != len(v):
+            raise ShapeMismatch(f"sigma's value at {(x, y)}", len(v), len(w))
+        ratio_vals[(qindex[x], qindex[y])] = A.reduce([a - b for a, b in zip(v, w)])
     zero = A.zero()
     ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2, "zero")})
     found, phi = _preimage(Q, MQ, ratio, "zero")
@@ -302,13 +306,16 @@ def twist(rho, alpha):
     """rho * d(alpha): the equivalent factor set defined by alpha."""
     S = rho.semigroup
     A = rho.group
+    for s, a in alpha.items():
+        if len(a) != A.rank:
+            raise ShapeMismatch(f"twist value at {s}", A.rank, len(a))
     values = {}
     for (x, y), v in rho.values.items():
         if v is None:
             values[(x, y)] = None
         else:
             xy = S.mul(x, y)
-            values[(x, y)] = A.add(v, A.add(alpha[x], A.add(A.neg(alpha[xy]), alpha[y])))
+            values[(x, y)] = A.reduce([a + b - c + d for a, b, c, d in zip(v, alpha[x], alpha[xy], alpha[y])])
     return FactorSet(S, A, values)
 
 

@@ -567,6 +567,15 @@ SHAPE_CHECKS = {
     "GroupHom": ("GroupHom(FinAbGroup([2, 2]), FinAbGroup([2]), IntMatrix(1, 1, [[1]]))", "ShapeMismatch"),
     # a vector of length 2 in a group of rank 1
     "reduce": ("FinAbGroup([2]).reduce([3, 5])", "ShapeMismatch"),
+    # a sum of a vector of length 3 and one of length 2 in a group of rank 2
+    "add": ("FinAbGroup([2, 3]).add((1, 2, 5), (1, 2))", "ShapeMismatch"),
+    # a cochain value of length 2 in a group of rank 1, at (0,), which is
+    # never a d_0 face, so that only its first coordinate would be read
+    "coboundary": (
+        "coboundary(trivial_module(catalog.mitchell_quotient(), FinAbGroup([2])),"
+        " Cochain(1, {(x,): (1, 1) if x == 0 else (0,) for x in range(5)}))",
+        "ShapeMismatch",
+    ),
 }
 
 
@@ -574,8 +583,11 @@ SHAPE_CHECKS = {
 def test_shape_checks_survive_optimize(run_python, case):
     call, error = SHAPE_CHECKS[case]
     script = f"""
+from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology
+from zerocohom.cohomology import Cochain, coboundary
 from zerocohom.errors import {error}
+from zerocohom.modules import trivial_module
 try:
     print("no error:", {call})
 except {error} as e:

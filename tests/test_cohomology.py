@@ -552,6 +552,7 @@ def test_sparse_coboundaries_against_dense_complexes():
     semigroups = [nil4(), catalog.null_semigroup(2), catalog.mitchell_quotient(),
                   adjoin(catalog.cyclic_group(2), "zero"), catalog.cyclic_group(2)]
     groups = [FinAbGroup(f) for f in ((2,), (4,), (0,), (2, 3), (2, 2))]
+    cases = []
     for _ in range(40):
         S = rng.choice(semigroups)
         A = rng.choice(groups)
@@ -559,7 +560,17 @@ def test_sparse_coboundaries_against_dense_complexes():
         kind = "em" if not S.has_zero else rng.choice(("zero", "em", "two-sided"))
         variant = "zero" if kind == "two-sided" else kind
         M = trivial_bimodule(S, A) if kind == "two-sided" else trivial_module(S, A)
-        n = rng.randint(0, 2)
+        cases.append((S, M, rng.randint(0, 2), variant))
+    # the generator of Z2^0 acts on C3 x C3 by an involution that is not
+    # its own transpose, so an action applied transposed on either side
+    # shows; one-sided and two-sided
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    action = {0: IntMatrix.identity(2), 1: IntMatrix.from_rows([[1, 1], [0, -1]])}
+    for right in (None, action):
+        M = ZeroModule(S, FinAbGroup([3, 3]), action, right)
+        assert validate_module(M) is None
+        cases += [(S, M, n, "zero") for n in range(3)]
+    for S, M, n, variant in cases:
         d_out = coboundary_hom(Nerve(S, variant), M, n)
         assert isinstance(d_out.matrix, IntMatrix)
         dense_out = GroupHom(d_out.source, d_out.target, _pointwise_matrix(S, M, n, variant))

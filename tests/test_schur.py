@@ -6,7 +6,7 @@ from zerocohom import catalog, schur
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
 from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import brute_cohomology, cohomology_group
-from zerocohom.errors import CertificateError, CoefficientMismatch, NotAnIdeal
+from zerocohom.errors import CertificateError, CoefficientMismatch, NotAnIdeal, ShapeMismatch
 from zerocohom.modules import trivial_module
 from zerocohom.schur import (
     FactorSet,
@@ -141,6 +141,13 @@ def test_equivalence_alpha_reconstructs():
     assert ok
     # rho == twist(sigma, a)
     assert twist(sigma, a) == rho
+    # a value longer than the rank is refused, not cut to the rank
+    with pytest.raises(ShapeMismatch):
+        twist(rho, {0: (1,), 1: (1, 0)})
+    longer = FactorSet(sigma.semigroup, sigma.group, {**sigma.values, (1, 1): sigma.values[1, 1] + (0,)})
+    for pair in ((rho, longer), (longer, rho)):
+        with pytest.raises(ShapeMismatch):
+            equivalent(*pair)
 
 
 def test_equivalence_is_congruence_randomized():
