@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from .semigroups import adjoin, backtrack, rees_matrix_semigroup, validate_table
+from .semigroups import adjoin, backtrack, rees_matrix_semigroup, subsemigroup, validate_table
 
 
 def cyclic_group(n):
@@ -95,20 +95,12 @@ def brandt_b2():
 
 
 def completely_simple(D, rows, cols, sandwich=None):
-    """Rees matrix semigroup over a group without zero (all entries nonzero)."""
+    """Rees matrix semigroup over a group without zero: the nonzero part of
+    ``rees_matrix_semigroup``, so every sandwich entry must be nonzero."""
     if sandwich is None:
         sandwich = [[D.identity] * rows for _ in range(cols)]
-    triples = [(i, d, lam) for i in range(rows) for d in range(D.order) for lam in range(cols)]
-    pos = {t: k for k, t in enumerate(triples)}
-    names = [f"({i},{D.elements[d]},{lam})" for i, d, lam in triples]
-    table = []
-    for i, d, lam in triples:
-        row = []
-        for j, e, mu in triples:
-            p = sandwich[lam][j]
-            row.append(pos[(i, D.table[D.table[d][p]][e], mu)])
-        table.append(row)
-    return validate_table(names, table)
+    M = rees_matrix_semigroup(D, rows, cols, sandwich)
+    return subsemigroup(M, M.nonzero())[0]
 
 
 def two_chain_monoid():

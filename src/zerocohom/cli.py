@@ -224,13 +224,14 @@ def cmd_gown(args, inputs):
         with open(args.presentation) as fh:
             P = parse_presentation(fh.read())
         inputs[args.presentation] = _digest(args.presentation)
-        G = gown_presentation(P, bound=args.bound)
+        G = gown_presentation(P) if args.bound is None else gown_presentation(P, args.bound)
         return {"gown_presentation": format_presentation(G)}
     S = load_semigroup(args.semigroup)
     inputs[args.semigroup] = _digest(args.semigroup)
-    classes = gown_sequences(S, args.bound)
+    bound = 4 if args.bound is None else args.bound
+    classes = gown_sequences(S, bound)
     return {
-        "length_bound": args.bound,
+        "length_bound": bound,
         "class_count": len(classes.classes),
         "classes": [
             sorted("/".join(S.elements[i] for i in seq) for seq in c)
@@ -379,7 +380,7 @@ def build_parser():
         **{
             "--presentation": dict(),
             "--semigroup": dict(),
-            "--bound": dict(type=int, default=4),
+            "--bound": dict(type=int),
         },
     )
     add(

@@ -15,8 +15,6 @@ recursion of its own, which is faster on the cohomology hot path.
 Its immutable records derive from ``Frozen``, also defined here.
 """
 
-from itertools import permutations, product
-
 from .errors import (
     AssociativityError,
     DegenerateSandwich,
@@ -201,7 +199,10 @@ def opposite(S):
 
 
 def is_ideal(S, subset):
+    """Whether ``subset`` is a two-sided ideal; an index outside S makes it not one."""
     sub = frozenset(subset)
+    if not sub <= frozenset(range(S.order)):
+        return False
     if not sub:
         return True
     if S.has_zero and S.zero not in sub:
@@ -259,9 +260,8 @@ def closure(seeds, step):
 
 def principal_ideal(S, x):
     """Least two-sided ideal containing x, a ``closure`` under both multiplications."""
-    n = S.order
-    step = lambda y: [p for s in range(n) for p in (S.table[s][y], S.table[y][s])]
-    return frozenset(closure([x], step))
+    columns = tuple(zip(*S.table))
+    return frozenset(closure([x], lambda y: S.table[y] + columns[y]))
 
 
 def ideals(S):
@@ -433,42 +433,47 @@ def rees_matrix_semigroup(D, rows, cols, sandwich):
     Elements are triples (i, d, lam) plus 0, with
     (i, d, lam)(j, e, mu) = (i, d * P[lam][j] * e, mu) when the sandwich
     entry P[lam][j] is nonzero, else 0.  ``sandwich`` is a cols x rows
-    matrix over D plus None (or "0") for zero entries.
+    matrix whose entries are indices or names of elements of D, or None
+    (or "0") for zero; any other entry is a TableError.
     """
     if not is_group(D):
         raise NotAGroup("coordinate semigroup must be a group")
     if len(sandwich) != cols or any(len(r) != rows for r in sandwich):
         raise TableError("sandwich matrix must be cols x rows")
-    P = []
+    P = [[_sandwich_entry(D, x) for x in row] for row in sandwich]
     for lam in range(cols):
-        row = []
-        for j in range(rows):
-            x = sandwich[lam][j]
-            if x is None:
-                row.append(None)
-            elif isinstance(x, str):
-                row.append(None if x == "0" else D.index(x))
-            else:
-                row.append(int(x))
-        P.append(row)
-    for lam in range(cols):
-        if all(P[lam][j] is None for j in range(rows)):
+        if all(x is None for x in P[lam]):
             raise DegenerateSandwich(f"sandwich row {lam} is zero")
     for j in range(rows):
         if all(P[lam][j] is None for lam in range(cols)):
             raise DegenerateSandwich(f"sandwich column {j} is zero")
-    triples = [(i, d, lam) for i in range(rows) for d in range(D.order) for lam in range(cols)]
-    names = [f"({i},{D.elements[d]},{lam})" for i, d, lam in triples]
-    names.append("0")
+    names = [f"({i},{d},{lam})" for i in range(rows) for d in D.elements for lam in range(cols)]
+    return validate_table(names + ["0"], _rees_table(D, rows, cols, P), len(names))
+
+
+def _sandwich_entry(D, x):
+    # a group element index, or None for zero; bools are not indices
+    if x is None or x == "0":
+        return None
+    if isinstance(x, str):
+        return D.index(x)
+    if type(x) is int and 0 <= x < D.order:
+        return x
+    raise TableError(f"sandwich entry {x!r} is not an element of the group")
+
+
+def _rees_table(D, rows, cols, P):
+    """The Rees matrix table: (i, d, lam) has index (i * |D| + d) * cols + lam, and 0 comes last."""
+    n = D.order
+    triples = [(i, d, lam) for i in range(rows) for d in range(n) for lam in range(cols)]
     z = len(triples)
-    pos = {t: k for k, t in enumerate(triples)}
     table = [[z] * (z + 1) for _ in range(z + 1)]
     for a, (i, d, lam) in enumerate(triples):
         for b, (j, e, mu) in enumerate(triples):
             p = P[lam][j]
             if p is not None:
-                table[a][b] = pos[(i, D.table[D.table[d][p]][e], mu)]
-    return validate_table(names, table, z)
+                table[a][b] = (i * n + D.table[D.table[d][p]][e]) * cols + mu
+    return table
 
 
 def _right_ideal(S, x):
@@ -480,22 +485,26 @@ def _left_ideal(S, x):
 
 
 class ReesDecomposition(Frozen):
-    """Rees coordinates: the group, the sandwich matrix (cols x rows, entries
-    a group element index or None) and the representatives that realize it."""
+    """Rees coordinates: the group and the sandwich matrix, cols x rows,
+    whose entries are group element indices or None for zero."""
 
-    __slots__ = ("group", "rows", "cols", "sandwich", "row_reps", "col_reps")
-
-    def __init__(self, group, rows, cols, sandwich, row_reps=(), col_reps=()):
-        super().__init__(group, rows, cols, sandwich, row_reps, col_reps)
+    __slots__ = ("group", "rows", "cols", "sandwich")
 
 
 def c0s_decompose(S):
     """Rees coordinates of a completely 0-simple semigroup, else None.
 
-    The sandwich matrix is normalized so every nonzero entry of its
-    first row and first column is the group identity.  The isomorphism
-    (i, d, lam) -> r_i * d * q_lam is verified exhaustively before
-    returning; any failure yields None.
+    The rows and columns are the R- and L-classes of the nonzero
+    elements: the class of the least nonzero idempotent e first, the
+    others by least element.  The group is the H-class of e.  Row i is
+    represented by r_i in R_i and L_e, column lam by q_lam in R_e and
+    L_lam, each e or the least element there, scaled by (e r_i)^-1 and
+    (q_lam e)^-1; the sandwich entry (lam, i) is q_lam r_i, so every
+    nonzero entry of the first row and column is the identity.  The
+    result is returned only once (i, d, lam) -> r_i d q_lam, 0 -> 0 is
+    checked to be a bijection onto S that multiplies as the Rees table.
+    Past the first refusals S is finite and 0-simple, hence completely
+    0-simple (Howie 1995, ch. 3): every R-class meets every L-class.
     """
     if not S.has_zero or S.order < 2:
         return None
@@ -505,119 +514,49 @@ def c0s_decompose(S):
     if all(S.table[x][y] == z for x in nonzero for y in nonzero):
         return None
     full = frozenset(range(S.order))
-    for x in nonzero:
-        if principal_ideal(S, x) != full:
-            return None
-    # Green classes on the nonzero part
-    rc = {}
-    lc = {}
-    for x in nonzero:
-        rc.setdefault(_right_ideal(S, x), []).append(x)
-        lc.setdefault(_left_ideal(S, x), []).append(x)
-    r_classes = sorted(rc.values(), key=min)
-    l_classes = sorted(lc.values(), key=min)
+    if any(principal_ideal(S, x) != full for x in nonzero):
+        return None
     idems = [x for x in nonzero if S.table[x][x] == x]
     if not idems:
         return None
     e = min(idems)
-    r_of = {x: k for k, cls in enumerate(r_classes) for x in cls}
-    l_of = {x: k for k, cls in enumerate(l_classes) for x in cls}
-    # reorder so e's classes come first
-    r_order = [r_of[e]] + [k for k in range(len(r_classes)) if k != r_of[e]]
-    l_order = [l_of[e]] + [k for k in range(len(l_classes)) if k != l_of[e]]
-    r_classes = [r_classes[k] for k in r_order]
-    l_classes = [l_classes[k] for k in l_order]
-    r_of = {x: k for k, cls in enumerate(r_classes) for x in cls}
-    l_of = {x: k for k, cls in enumerate(l_classes) for x in cls}
-    H11 = sorted(set(r_classes[0]) & set(l_classes[0]))
-    sub = {x: k for k, x in enumerate(H11)}
-    dtable = []
-    for x in H11:
-        row = []
-        for y in H11:
-            p = S.table[x][y]
-            if p not in sub:
-                return None
-            row.append(sub[p])
-        dtable.append(row)
+    rc, lc = {}, {}
+    for x in nonzero:
+        rc.setdefault(_right_ideal(S, x), set()).add(x)
+        lc.setdefault(_left_ideal(S, x), set()).add(x)
+    e_first = lambda cls: (e not in cls, min(cls))
+    r_classes = sorted(rc.values(), key=e_first)
+    l_classes = sorted(lc.values(), key=e_first)
+    H = sorted(r_classes[0] & l_classes[0])
+    sub = {x: k for k, x in enumerate(H)}
     try:
-        D = validate_table([S.elements[x] for x in H11], dtable)
-    except AssociativityError:
+        D = validate_table([S.elements[x] for x in H], [[sub[S.table[x][y]] for y in H] for x in H])
+    except (KeyError, AssociativityError):
         return None
     if not is_group(D):
         return None
-    row_reps = []
-    for cls in r_classes:
-        cand = [x for x in cls if l_of.get(x) == 0]
-        if not cand:
-            return None
-        row_reps.append(e if cls is r_classes[0] else min(cand))
-    col_reps = []
-    for cls in l_classes:
-        cand = [x for x in cls if r_of.get(x) == 0]
-        if not cand:
-            return None
-        col_reps.append(e if cls is l_classes[0] else min(cand))
     inv = group_inverses(D)
 
-    def sandwich(cols, rows):
-        # entry (lam, i) is q_lam r_i as an element of H11, None for zero;
-        # None overall when some product leaves H11
-        P = []
-        for q in cols:
-            row = []
-            for r in rows:
-                p = S.table[q][r]
-                if p != z and p not in sub:
-                    return None
-                row.append(sub[p] if p != z else None)
-            P.append(row)
-        return P
+    def inverse(p):
+        # the inverse in H of p, or e when p is not in H
+        k = sub.get(p)
+        return e if k is None else H[inv[k]]
 
-    P = sandwich(col_reps, row_reps)
-    if P is None:
+    row_reps = [e if e in R else min(R & l_classes[0]) for R in r_classes]
+    col_reps = [e if e in L else min(r_classes[0] & L) for L in l_classes]
+    row_reps = [S.table[r][inverse(S.table[e][r])] for r in row_reps]
+    col_reps = [S.table[inverse(S.table[q][e])][q] for q in col_reps]
+    P = tuple(tuple(sub.get(S.table[q][r]) for r in row_reps) for q in col_reps)
+    # Rees's theorem, certified: the coordinate map is a bijective homomorphism
+    phi = [S.table[S.table[r][h]][q] for r in row_reps for h in H for q in col_reps] + [z]
+    if sorted(phi) != list(range(S.order)):
         return None
-    # rescale reps: r_i -> r_i * g_i with g_i = P[0][i]^-1, then
-    # q_lam -> h_lam * q_lam with h_lam = (P[lam][0])^-1; products of
-    # H11 with H11 u {0} stay there, so the later sandwiches exist
-    g = [inv[x] if x is not None else D.identity for x in P[0]]
-    row_reps = [S.table[r][H11[gi]] for r, gi in zip(row_reps, g)]
-    h = [inv[row[0]] if row[0] is not None else D.identity for row in sandwich(col_reps, row_reps)]
-    col_reps = [S.table[H11[hl]][q] for hl, q in zip(h, col_reps)]
-    P = sandwich(col_reps, row_reps)
-    # verify the coordinate map is an isomorphism
-    seen = {}
-    for i, r in enumerate(row_reps):
-        for d, hx in enumerate(H11):
-            for lam, q in enumerate(col_reps):
-                val = S.table[S.table[r][hx]][q]
-                if val == z or val in seen:
-                    return None
-                seen[val] = (i, d, lam)
-    if len(seen) != len(nonzero):
-        return None
-    coord = seen
-    for a in nonzero:
-        for b in nonzero:
-            i, d, lam = coord[a]
-            j, ee, mu = coord[b]
-            ab = S.table[a][b]
-            p = P[lam][j]
-            if p is None:
-                if ab != z:
-                    return None
-            else:
-                expect = (i, D.table[D.table[d][p]][ee], mu)
-                if ab == z or coord[ab] != expect:
-                    return None
-    return ReesDecomposition(
-        D,
-        len(row_reps),
-        len(col_reps),
-        tuple(tuple(r) for r in P),
-        tuple(row_reps),
-        tuple(col_reps),
-    )
+    T = _rees_table(D, len(row_reps), len(col_reps), P)
+    for a, row in enumerate(T):
+        image = S.table[phi[a]]
+        if any(image[phi[b]] != phi[ab] for b, ab in enumerate(row)):
+            return None
+    return ReesDecomposition(D, len(row_reps), len(col_reps), P)
 
 
 def _isomorphisms(S, T, s_label, t_label):
@@ -648,87 +587,23 @@ def _isomorphisms(S, T, s_label, t_label):
             yield dict(enumerate(mapping))
 
 
-def _element_orders(G):
-    e = G.identity
-    out = []
-    for x in range(G.order):
-        k = 1
-        y = x
-        while y != e:
-            y = G.table[y][x]
-            k += 1
-        out.append(k)
-    return out
-
-
-def group_isomorphism(G, H):
-    """A table isomorphism dict for groups of order <= 8, or None."""
-    if not is_group(G) or not is_group(H):
-        return None
-    return next(_isomorphisms(G, H, _element_orders(G), _element_orders(H)), None)
-
-
-def group_automorphisms(G):
-    """All automorphisms of a small group, as index dicts."""
-    orders = _element_orders(G)
-    return list(_isomorphisms(G, G, orders, orders))
-
-
 def sandwich_equivalent(dec1, dec2):
-    """Equality of Rees data up to permutations, scalings, automorphisms."""
-    if dec1.rows != dec2.rows or dec1.cols != dec2.cols:
-        return False
-    D1, D2 = dec1.group, dec2.group
-    iso = group_isomorphism(D1, D2)
-    if iso is None:
-        return False
-    P1 = dec1.sandwich
-    P2 = dec2.sandwich
-    rows, cols = dec1.rows, dec1.cols
-    autos = group_automorphisms(D2)
-    p1_mapped = [[None if x is None else iso[x] for x in row] for row in P1]
-    elements = range(D2.order)
-    for theta in autos:
-        base = [[None if x is None else theta[x] for x in row] for row in p1_mapped]
-        for rperm in permutations(range(rows)):
-            for cperm in permutations(range(cols)):
-                perm = [[base[cperm[lam]][rperm[i]] for i in range(rows)] for lam in range(cols)]
-                if _scalable_to(perm, P2, D2, elements):
-                    return True
-    return False
+    """Whether two Rees data give isomorphic Rees matrix semigroups.
 
-
-def _scalable_to(P, Q, D, elements):
-    # exists h_lam, g_i with h_lam * P[lam][i] * g_i == Q[lam][i]?
-    rows = len(P[0])
-    cols = len(P)
-    for lam in range(cols):
-        for i in range(rows):
-            if (P[lam][i] is None) != (Q[lam][i] is None):
-                return False
-    inv = group_inverses(D)
-
-    def try_g(g):
-        # determine h_lam from the first nonzero entry of each row
-        for lam in range(cols):
-            h = None
-            for i in range(rows):
-                if P[lam][i] is not None:
-                    want = Q[lam][i]
-                    pg = D.table[P[lam][i]][g[i]]
-                    h2 = D.table[want][inv[pg]]
-                    if h is None:
-                        h = h2
-                    elif h != h2:
-                        return False
-            # rows with all zeros impose nothing
-        return True
-
-    return any(try_g(g) for g in product(elements, repeat=rows))
+    By Rees's theorem (Howie 1995, ch. 3) that is equality up to a
+    group isomorphism, permutations of the rows and of the columns, and
+    scalings of rows and columns by group elements.  Degenerate data
+    raise DegenerateSandwich.
+    """
+    S, T = (rees_matrix_semigroup(d.group, d.rows, d.cols, d.sandwich) for d in (dec1, dec2))
+    return isomorphic_semigroups(S, T)
 
 
 def subsemigroup(S, indices):
-    """Subsemigroup on the given indices (must be closed)."""
+    """Subsemigroup on the given indices (must be closed and in range)."""
+    outside = set(indices) - set(range(S.order))
+    if outside:
+        raise TableError(f"indices {sorted(outside, key=repr)} are not elements")
     idx = sorted(set(indices))
     pos = {x: k for k, x in enumerate(idx)}
     table = []
@@ -745,7 +620,11 @@ def subsemigroup(S, indices):
 
 
 def isomorphic_semigroups(S, T):
-    """Brute-force isomorphism test for small semigroups (order <= 8)."""
+    """Isomorphism test, a ``backtrack`` over the images of the elements.
+
+    It decides group isomorphism too, and serves the 19-element Rees
+    matrix semigroups that ``sandwich_equivalent`` compares.
+    """
 
     # a cheap invariant of each element
     def profile(X):

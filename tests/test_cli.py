@@ -112,6 +112,7 @@ def test_tsemigroup(capsys):
     assert r["unit_group_order"] == 6
     assert r["rees"]["group_order"] == 2
     assert r["rees"]["rows"] == 3 and r["rees"]["cols"] == 3
+    assert r["rees"]["sandwich"] == [["C", "0", "C"], ["C", "CABA", "0"], ["0", "C", "C"]]
 
 
 def test_brauer(capsys):
@@ -248,6 +249,24 @@ def test_gown_presentation(tmp_path, capsys):
     code, report, _ = run(capsys, ["gown", "--presentation", str(pres)])
     assert code == 0
     assert report["result"]["gown_presentation"] == "gens: x y; rels: xy=y, xx=xxx"
+
+
+def test_gown_presentation_enumerates_past_the_length_bound(tmp_path, capsys):
+    # 8 elements, more than the sequence-length default of 4: only a full
+    # enumeration shows that both sides of aaa=bbb are zero
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: a b c; rels: ab=ba, ac=ca, bc=cb, aaa=bbb; zeros: aa, bb, cc")
+    code, report, _ = run(capsys, ["gown", "--presentation", str(pres)])
+    assert code == 0
+    assert report["result"]["gown_presentation"] == "gens: a b c; rels: ab=ba, ac=ca, bc=cb"
+    code, report, _ = run(capsys, ["gown", "--presentation", str(pres), "--bound", "4"])
+    assert report["result"]["gown_presentation"] == "gens: a b c; rels: ab=ba, ac=ca, bc=cb, aaa=bbb"
+
+
+def test_gown_sequences_default_length_bound(nil4_path, capsys):
+    code, report, _ = run(capsys, ["gown", "--semigroup", nil4_path])
+    assert code == 0
+    assert report["result"]["length_bound"] == 4
 
 
 def test_gown_sequences(nil4_path, capsys):

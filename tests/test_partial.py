@@ -39,6 +39,10 @@ def test_build_t_semigroup_constants():
     assert len(data.ideal_indices) == 19
     dec = data.decomposition
     assert dec.group.order == 2 and (dec.rows, dec.cols) == (3, 3)
+    # the normalized sandwich, as `zerocohom tsemigroup` prints it: every
+    # nonzero entry of the first row and the first column is the identity
+    assert dec.group.identity == 0
+    assert dec.sandwich == ((0, None, 0), (0, 1, None), (None, 0, 0))
     Z2 = catalog.cyclic_group(2)
     # zero pattern: one zero per row and per column (permutation pattern)
     for row in dec.sandwich:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,16 +11,16 @@ from zerocohom.errors import (
     MissingZero,
     NotAGroup,
     NotAnIdeal,
+    TableError,
     ZeroError,
 )
 from zerocohom.semigroups import (
     ReesDecomposition,
+    _isomorphisms,
     adjoin,
     backtrack,
     c0s_decompose,
     closure,
-    group_automorphisms,
-    group_isomorphism,
     ideals,
     is_group,
     is_ideal,
@@ -162,6 +163,17 @@ def test_rees_quotient_empty_is_adjoined_zero():
     assert Q.elements[:2] == S.elements
 
 
+def test_ideal_indices_must_be_elements():
+    S = nil4()
+    for subset in ([3, -1], [3, 9]):
+        assert not is_ideal(S, subset)
+        with pytest.raises(NotAnIdeal):
+            rees_quotient(S, subset)
+    for indices in ([3, 7], [3, -1]):
+        with pytest.raises(TableError):
+            subsemigroup(S, indices)
+
+
 def test_rees_quotient_full_and_errors():
     S = nil4()
     Q = rees_quotient(S, frozenset(range(4)))
@@ -256,7 +268,7 @@ def test_c0s_decompose_group_with_zero():
     dec = c0s_decompose(S)
     assert dec is not None
     assert (dec.rows, dec.cols) == (1, 1)
-    assert group_isomorphism(dec.group, G) is not None
+    assert isomorphic_semigroups(dec.group, G)
 
 
 def test_c0s_decompose_null_is_none():
@@ -276,6 +288,7 @@ def test_c0s_recovers_random_sandwiches():
         dec = c0s_decompose(S)
         assert dec is not None
         assert (dec.rows, dec.cols, dec.group.order) == (2, 2, 2)
+        assert normalized(dec)
         assert sandwich_equivalent(dec, ReesDecomposition(Z2, 2, 2, tuple(tuple(r) for r in P)))
 
 
@@ -283,13 +296,97 @@ def test_brandt_decomposition():
     dec = c0s_decompose(catalog.brandt_b2())
     assert dec is not None
     assert dec.group.order == 1 and dec.rows == 2 and dec.cols == 2
+    assert normalized(dec)
+
+
+def normalized(dec):
+    # every nonzero entry of the first row and the first column is the identity
+    e = dec.group.identity
+    return all(x in (None, e) for x in dec.sandwich[0]) and all(row[0] in (None, e) for row in dec.sandwich)
+
+
+def regular_sandwich(D, rows, cols, rng):
+    # a random cols x rows sandwich with a nonzero entry in every row and column
+    while True:
+        P = [[rng.choice([None, *range(D.order)]) for _ in range(rows)] for _ in range(cols)]
+        if all(any(x is not None for x in row) for row in P) and all(
+            any(row[j] is not None for row in P) for j in range(rows)
+        ):
+            return P
+
+
+def test_c0s_decompose_normalizes_seeded_random_sandwiches():
+    rng = random.Random(3)
+    for _ in range(40):
+        D = rng.choice([catalog.cyclic_group(1), catalog.cyclic_group(2), catalog.cyclic_group(3), catalog.klein_four()])
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        P = regular_sandwich(D, rows, cols, rng)
+        S = rees_matrix_semigroup(D, rows, cols, P)
+        # list the elements in a random order, so no class is found in product order
+        perm = rng.sample(range(S.order), S.order)
+        at = {old: new for new, old in enumerate(perm)}
+        shuffled = validate_table([S.elements[a] for a in perm], [[at[S.table[a][b]] for b in perm] for a in perm])
+        dec = c0s_decompose(shuffled)
+        assert (dec.rows, dec.cols, dec.group.order) == (rows, cols, D.order)
+        assert normalized(dec)
+        assert sandwich_equivalent(dec, ReesDecomposition(D, rows, cols, P))
+
+
+def test_sandwich_equivalent_up_to_permutation_scaling_and_automorphism():
+    rng = random.Random(5)
+    for D in (catalog.cyclic_group(3), catalog.klein_four()):
+        inverse = [next(y for y in range(D.order) if D.mul(x, y) == D.identity) for x in range(D.order)]
+        for _ in range(8):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            P = regular_sandwich(D, rows, cols, rng)
+            rperm, cperm = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+            g = [rng.randrange(D.order) for _ in range(rows)]
+            h = [rng.randrange(D.order) for _ in range(cols)]
+            # Q[lam][i] = h_lam * theta(P[cperm lam][rperm i]) * g_i, theta the inversion automorphism
+            Q = [
+                [
+                    None if P[cperm[lam]][rperm[i]] is None else D.mul(D.mul(h[lam], inverse[P[cperm[lam]][rperm[i]]]), g[i])
+                    for i in range(rows)
+                ]
+                for lam in range(cols)
+            ]
+            assert sandwich_equivalent(ReesDecomposition(D, rows, cols, P), ReesDecomposition(D, rows, cols, Q))
+
+
+def test_sandwich_equivalent_refuses_degenerate_data():
+    Z2 = catalog.cyclic_group(2)
+    dec = ReesDecomposition(Z2, 1, 1, ((0,),))
+    with pytest.raises(DegenerateSandwich):
+        sandwich_equivalent(dec, ReesDecomposition(Z2, 1, 1, ((None,),)))
+
+
+def test_rees_matrix_refuses_entries_outside_the_group():
+    Z2 = catalog.cyclic_group(2)
+    for entry in (-1, 2, 5, True, 1.0, "h", [0]):
+        with pytest.raises(TableError):
+            rees_matrix_semigroup(Z2, 1, 1, [[entry]])
+    with pytest.raises(TableError):
+        catalog.completely_simple(Z2, 2, 1, [[0]])
+    with pytest.raises(TableError):
+        catalog.completely_simple(Z2, 1, 1, [[-1]])
+    # element names, "0" and None are entries
+    named = rees_matrix_semigroup(Z2, 2, 2, [["g", "0"], [None, "1"]])
+    assert named == rees_matrix_semigroup(Z2, 2, 2, [[1, None], [None, 0]])
+
+
+def test_completely_simple_is_the_nonzero_part_of_the_rees_matrix_semigroup():
+    V4 = catalog.klein_four()
+    P = [[0, 1], [2, 3], [1, 1]]
+    S = catalog.completely_simple(V4, 2, 3, P)
+    M = rees_matrix_semigroup(V4, 2, 3, P)
+    assert S.elements == M.elements[:-1] and S.zero is None
+    assert S.table == tuple(row[:-1] for row in M.table[:-1])
 
 
 def test_group_isomorphism():
-    assert group_isomorphism(catalog.cyclic_group(4), catalog.klein_four()) is None
-    assert group_isomorphism(catalog.cyclic_group(2), catalog.cyclic_group(3)) is None
-    iso = group_isomorphism(catalog.cyclic_group(3), catalog.cyclic_group(3))
-    assert iso is not None
+    assert not isomorphic_semigroups(catalog.cyclic_group(4), catalog.klein_four())
+    assert not isomorphic_semigroups(catalog.cyclic_group(2), catalog.cyclic_group(3))
+    assert isomorphic_semigroups(catalog.cyclic_group(3), catalog.cyclic_group(3))
     assert is_group(catalog.symmetric_group_3())
     assert not is_group(catalog.two_chain_monoid())
 
@@ -299,8 +396,10 @@ def test_group_isomorphism():
     [("Z1", 1), ("Z2", 1), ("Z3", 2), ("Z4", 2), ("Z5", 4), ("Z6", 2), ("V4", 6), ("S3", 6), ("Z2^3", 168)],
 )
 def test_group_automorphism_counts(name, count):
+    # the search behind isomorphic_semigroups, with no labels to prune by,
+    # finds every automorphism, once and in lexicographic order
     G = catalog.named_group(name)
-    autos = group_automorphisms(G)
+    autos = list(_isomorphisms(G, G, [0] * G.order, [0] * G.order))
     assert len(autos) == count
     assert len({tuple(a.values()) for a in autos}) == count
     assert autos == sorted(autos, key=lambda a: list(a.values()))
@@ -337,7 +436,7 @@ def test_subsemigroup():
     names = {"012", "120", "201"}
     idx = [i for i in range(6) if G.elements[i] in names]
     A3, _ = subsemigroup(G, idx)
-    assert group_isomorphism(A3, catalog.cyclic_group(3)) is not None
+    assert isomorphic_semigroups(A3, catalog.cyclic_group(3))
 
 
 def test_principal_ideal():
