@@ -332,10 +332,10 @@ def weak_cocycle_to_zero_cocycle(f):
     M = galois_module_for_modification(mod, f.q)
     S = mod.semigroup
     values = {}
-    for t in nerve(S, 2, "zero"):
+    for t in nerve(S, 2):
         values[t] = (f.value(t[0], t[1]),)
     c = Cochain(2, values)
-    dc = coboundary(M, c, "zero")
+    dc = coboundary(M, c)
     bad = next((t for t, v in dc.values.items() if any(v)), None)
     if bad is not None:
         raise CertificateError(bad, "restriction is not a 0-cocycle")
@@ -431,7 +431,7 @@ def brauer_class_count_bridge(q, n):
             idempotent_weak_cocycle(fs[0].group, q, n, pattern)
         )
         M = galois_module_for_modification(mod, q)
-        H = cohomology_group(mod.semigroup, M, 2, "zero")
+        H = cohomology_group(mod.semigroup, M, 2)
         out[pattern] = (len(classes), H.group.order())
         # cocycle-level bridge: restrictions are 0-cocycles, and pullbacks
         # of 0-cocycles are weak cocycles

@@ -5,12 +5,10 @@ coboundary builder reads one, and each entry point builds one per call.
 The builder emits an ``IntMatrix``, whose sparse columns the elimination
 reads as they are.
 
-Two variants, which name only the nerve, share one coboundary formula:
-
-* ``zero``  cochains live on tuples of nonzero elements whose full
-            product is nonzero (partially defined cochains);
-* ``em``    cochains are totally defined on S^n (classical
-            Eilenberg-MacLane semigroup cohomology).
+Cochains live on the zero nerve: tuples of nonzero elements with
+nonzero full product.  Classical (Eilenberg-MacLane) cohomology of S is
+the 0-cohomology of S^0, whose zero nerve is all of S^n; the entry
+points that take a ``variant`` resolve ``em`` to S^0 once.
 
 The coboundary of f in degree n sends (x_1, ..., x_{n+1}) to
 
@@ -47,32 +45,26 @@ from .abgroups import (
     solve_mod,
 )
 from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero, ShapeMismatch
-from .modules import ensure_valid
-from .semigroups import backtrack
+from .modules import ZeroModule, ensure_valid
+from .semigroups import adjoin, backtrack
 
 DEGREE_CAP = 4
 COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
 BRUTE_COCHAIN_CAP = 2_000_000  # cochains one brute_cohomology call may enumerate
 
 
-def nerve(S, n, variant="zero"):
+def nerve(S, n):
     """Tuples indexing degree-n cochains, lexicographically ordered.
 
-    Degree 0 is the single empty tuple.  The zero nerve keeps
-    only tuples of nonzero elements with nonzero full product; the em
-    nerve is all of S^n.  Every entry point reads its nerve here, so an
-    unknown variant is refused here for all of them.
+    Degree 0 is the single empty tuple.  The zero nerve keeps only
+    tuples of nonzero elements with nonzero full product.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
         raise DegreeMismatch("negative degree")
     if n == 0:
         return [()]
-    if variant == "em":
-        return [tuple(t) for t in product(range(S.order), repeat=n)]
     if not S.has_zero:
-        raise NoZero("zero variant needs a semigroup with zero")
+        raise NoZero("the zero nerve needs a semigroup with zero")
     out = []
     # depth-first in index order builds the nerve lexicographically sorted
     for x in S.nonzero():
@@ -104,9 +96,9 @@ class Cochain:
         return isinstance(other, Cochain) and (self.degree, self.values) == (other.degree, other.values)
 
 
-def zero_cochain(S, M, n, variant="zero"):
+def zero_cochain(S, M, n):
     zero = M.group.zero()
-    return Cochain(n, {t: zero for t in nerve(S, n, variant)})
+    return Cochain(n, {t: zero for t in nerve(S, n)})
 
 
 def _cochain_on(M, n, tuples, vec):
@@ -123,25 +115,25 @@ def _vector_on(M, f, tuples):
     return [x for t in tuples for x in M.group.reduce(f.values[t])]
 
 
-def random_cochain(rng, S, M, n, variant="zero"):
+def random_cochain(rng, S, M, n):
     values = {}
-    for t in nerve(S, n, variant):
+    for t in nerve(S, n):
         values[t] = M.group.reduce([rng.randrange(-5, 6) for _ in range(M.group.rank)])
     return Cochain(n, values)
 
 
-def coboundary(M, f, variant="zero"):
+def coboundary(M, f):
     """The coboundary cochain of f (degree goes up by one)."""
     S = M.semigroup
     n = f.degree
-    expected = set(nerve(S, n, variant))
+    expected = set(nerve(S, n))
     if set(f.values) != expected:
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
     k = M.group.rank
     for t, v in f.values.items():
         if len(v) != k:
             raise ShapeMismatch(f"cochain value at {t}", k, len(v))
-    out = {t: _coboundary_at(M, f.values, t) for t in nerve(S, n + 1, variant)}
+    out = {t: _coboundary_at(M, f.values, t) for t in nerve(S, n + 1)}
     return Cochain(n + 1, out)
 
 
@@ -187,9 +179,9 @@ def face_maps(S, m, upper, index):
 
 
 class Nerve:
-    """The nerve of one semigroup in one variant, each piece built once, on first use.
+    """The zero nerve of one semigroup, each piece built once, on first use.
 
-    ``level(m)`` is ``nerve(S, m, variant)``, ``index(m)`` maps its tuples
+    ``level(m)`` is ``nerve(S, m)``, ``index(m)`` maps its tuples
     to their positions, ``products(m)`` lists their full products (the
     identity for the empty tuple), and ``faces(m)``, for m >= 1, is
     ``face_maps`` from level m to level m - 1.  Every builder reads its
@@ -198,8 +190,8 @@ class Nerve:
     do not refer back to the Nerve, so a dropped Nerve is freed at once.
     """
 
-    def __init__(self, S, variant):
-        self.semigroup, self.variant = S, variant
+    def __init__(self, S):
+        self.semigroup = S
         self.pieces = {}
 
     def _piece(self, name, m, build):
@@ -209,7 +201,7 @@ class Nerve:
         return piece
 
     def level(self, m):
-        return self._piece("level", m, lambda: nerve(self.semigroup, m, self.variant))
+        return self._piece("level", m, lambda: nerve(self.semigroup, m))
 
     def index(self, m):
         return self._piece("index", m, lambda: {t: p for p, t in enumerate(self.level(m))})
@@ -303,10 +295,20 @@ class CohomologyResult:
         return self.homology.coords(_vector_on(M, f, self.tuples))
 
 
-def _check_module_for_variant(S, M, variant):
-    # the em nerve multiplies through the zero, so the law must hold there too
-    ensure_valid(M, total=variant == "em")
-    need = set(range(S.order)) if variant == "em" else set(S.nonzero())
+def _resolve_variant(S, M, variant):
+    """S and M for ``zero``; for ``em``, S^0 and M over it, whose zero nerve
+    is S^n in the same order, with the same faces and actions."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "zero":
+        return S, M
+    S0 = adjoin(S, "zero")
+    return S0, ZeroModule(S0, M.group, M.action, M.right)
+
+
+def _check_module(S, M):
+    ensure_valid(M)
+    need = set(S.nonzero())
     if not need <= set(M.action):
         raise InvalidModule(sorted(need - set(M.action)), "action domain too small")
 
@@ -315,14 +317,15 @@ def cohomology_group(S, M, n, variant="zero"):
     """H^n as an invariant-factor group plus witness cocycles.
 
     ``zero``: H_0^n of a semigroup with zero; ``em``: classical
-    cohomology on totally defined cochains.  A module with a right
-    action gives the two-sided complex on either nerve.  This is
-    ``support_cohomology`` with one support that keeps the whole nerve.
+    cohomology, H_0^n of S^0.  A module with a right action gives the
+    two-sided complex.  This is ``support_cohomology`` with one support
+    that keeps the whole nerve.
     """
-    return support_cohomology(S, M, n, lambda N: [(None, None)], variant)[None]
+    S, M = _resolve_variant(S, M, variant)
+    return support_cohomology(S, M, n, lambda N: [(None, None)])[None]
 
 
-def support_cohomology(S, M, n, supports, variant="zero"):
+def support_cohomology(S, M, n, supports):
     """H^n of each subcomplex that ``supports`` cuts out of one nerve, by key.
 
     ``supports(N)`` reads the Nerve N of S before the coboundaries are
@@ -343,8 +346,8 @@ def support_cohomology(S, M, n, supports, variant="zero"):
         raise CapExceeded("degree", n, DEGREE_CAP)
     if n < 0:
         raise DegreeMismatch("negative degree")
-    _check_module_for_variant(S, M, variant)
-    N = Nerve(S, variant)
+    _check_module(S, M)
+    N = Nerve(S)
     tuples = N.level(n)
     pairs = supports(N)
     d_in, d_out = N.complex_at(n, lambda k: coboundary_hom(N, M, k))
@@ -372,10 +375,11 @@ def _restricted(d, A, src, dst):
 
 def witness_report(S, M, f, variant="zero"):
     """Certify a cochain: cocycle? coboundary? (with an integer preimage)."""
-    _check_module_for_variant(S, M, variant)
-    df = coboundary(M, f, variant)
+    S, M = _resolve_variant(S, M, variant)
+    _check_module(S, M)
+    df = coboundary(M, f)
     is_cocycle = all(not any(v) for v in df.values.values())
-    is_coboundary, preimage = _preimage(S, M, f, variant)
+    is_coboundary, preimage = _preimage(S, M, f)
     return {
         "is_cocycle": is_cocycle,
         "is_coboundary": is_coboundary,
@@ -383,23 +387,23 @@ def witness_report(S, M, f, variant="zero"):
     }
 
 
-def coboundary_preimage(S, M, f, variant="zero"):
+def coboundary_preimage(S, M, f):
     """(True, g) with coboundary(g) = f, or (False, None).
 
     In degree 0 only the zero cochain is a coboundary, and it has no
     preimage cochain: the answer is then (True, None).  An invalid
     module raises ``InvalidModule``.
     """
-    _check_module_for_variant(S, M, variant)
-    return _preimage(S, M, f, variant)
+    _check_module(S, M)
+    return _preimage(S, M, f)
 
 
-def _preimage(S, M, f, variant):
+def _preimage(S, M, f):
     """``coboundary_preimage`` on a module already checked."""
     n = f.degree
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
-    N = Nerve(S, variant)
+    N = Nerve(S)
     d_prev = coboundary_hom(N, M, n - 1)
     x = solve_mod(d_prev.matrix, _vector_on(M, f, N.level(n)), d_prev.target.factors)
     if x is None:
@@ -413,31 +417,32 @@ def brute_cohomology(S, M, n, variant="zero"):
     Only for finite coefficient groups and small nerves; raises
     CapExceeded when |A|^(nerve size) blows past ``BRUTE_COCHAIN_CAP``.
     """
-    _check_module_for_variant(S, M, variant)
+    S, M = _resolve_variant(S, M, variant)
+    _check_module(S, M)
     A = M.group
     if A.order() is None:
         raise CapExceeded(f"degree-{n} cochain count (infinite coefficients)", None, BRUTE_COCHAIN_CAP)
-    tuples = nerve(S, n, variant)
+    tuples = nerve(S, n)
     total = A.order() ** len(tuples)
     if total > BRUTE_COCHAIN_CAP:
         raise CapExceeded(f"degree-{n} cochain count", total, BRUTE_COCHAIN_CAP)
     elements = A.elements()
 
     def all_cochains(deg):
-        ts = nerve(S, deg, variant)
+        ts = nerve(S, deg)
         for combo in product(elements, repeat=len(ts)):
             yield Cochain(deg, dict(zip(ts, combo)))
 
-    cocycles = [tuple(sorted(f.values.items())) for f in _brute_cocycles(S, M, n, variant)]
+    cocycles = [tuple(sorted(f.values.items())) for f in _brute_cocycles(S, M, n)]
     if n == 0:
-        boundaries = {tuple(sorted(zero_cochain(S, M, n, variant).values.items()))}
+        boundaries = {tuple(sorted(zero_cochain(S, M, n).values.items()))}
     else:
-        prev_total = A.order() ** len(nerve(S, n - 1, variant))
+        prev_total = A.order() ** len(nerve(S, n - 1))
         if prev_total > BRUTE_COCHAIN_CAP:
             raise CapExceeded(f"degree-{n - 1} cochain count", prev_total, BRUTE_COCHAIN_CAP)
         boundaries = set()
         for g in all_cochains(n - 1):
-            dg = coboundary(M, g, variant)
+            dg = coboundary(M, g)
             boundaries.add(tuple(sorted(dg.values.items())))
     # quotient Z/B by brute coset bucketing
     keys = {}
@@ -459,12 +464,12 @@ def brute_cohomology(S, M, n, variant="zero"):
     def add(c1, c2):
         return keys[add_cochains(reps[c1], reps[c2])]
 
-    zero_key = keys[tuple(sorted(zero_cochain(S, M, n, variant).values.items()))]
+    zero_key = keys[tuple(sorted(zero_cochain(S, M, n).values.items()))]
     inv = finite_invariants_from_orders(list(range(len(reps))), add, zero_key)
     return FinAbGroup(inv)
 
 
-def _brute_cocycles(S, M, n, variant):
+def _brute_cocycles(S, M, n):
     """Every degree-n cocycle, in the order of a product scan over the nerve.
 
     Each coordinate of the coboundary is attached to the last nerve
@@ -473,10 +478,10 @@ def _brute_cocycles(S, M, n, variant):
     fixed.  Every hit is re-checked with the full ``coboundary``.
     """
     elements = M.group.elements()
-    tuples = nerve(S, n, variant)
+    tuples = nerve(S, n)
     pos = {t: i for i, t in enumerate(tuples)}
     checks = [[] for _ in tuples]
-    for t in nerve(S, n + 1, variant):
+    for t in nerve(S, n + 1):
         faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]
         checks[max(pos[face] for face in faces)].append(t)
     values = {}
@@ -489,7 +494,7 @@ def _brute_cocycles(S, M, n, variant):
     out = []
     for vals in backtrack([elements] * len(tuples), ok):
         f = Cochain(n, dict(zip(tuples, vals)))
-        bad = [t for t, v in coboundary(M, f, variant).values.items() if any(v)]
+        bad = [t for t, v in coboundary(M, f).values.items() if any(v)]
         if bad:
             raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
         out.append(f)

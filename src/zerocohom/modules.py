@@ -2,9 +2,9 @@
 
 A module stores one endomorphism matrix per semigroup element in its
 action domain.  For a semigroup with zero the domain of a 0-module is
-the nonzero part; a module whose domain covers the whole semigroup
-(including an absorbing zero, when present) can also serve as a
-coefficient module for totally-defined cochains.
+the nonzero part.  A module whose domain covers the whole semigroup is
+also a 0-module over S^0 = S with a fresh zero adjoined, which is how
+totally defined (Eilenberg-MacLane) cochains read it.
 
 A module may also carry a right action, ``right``, one matrix per
 element of a domain that covers the left one.  It is then two-sided,
@@ -52,8 +52,8 @@ class Violation(Frozen):
         return isinstance(other, Violation) and self._values() == other._values()
 
 
-def _check_action(S, group, action, domain, opposite=False, at_zero=False):
-    """The action law on the products st != 0, or with ``at_zero`` on those st = 0."""
+def _check_action(S, group, action, domain, opposite=False):
+    """The action law on the products st != 0."""
     for s in domain:
         if s not in action:
             return Violation("missing", s)
@@ -63,7 +63,7 @@ def _check_action(S, group, action, domain, opposite=False, at_zero=False):
     for s in domain:
         for t in domain:
             st = S.table[t][s] if opposite else S.table[s][t]
-            if (st == z and z is not None) != at_zero or st not in domain:
+            if st == z or st not in domain:
                 continue
             if not same_map(group, action[s].mul(action[t]), action[st]):
                 return Violation("composition", (s, t))
@@ -97,24 +97,9 @@ def validate_module(M):
     return None
 
 
-def zero_product_violation(M):
-    """None when the law holds on the products equal to the zero as well.
-
-    ``validate_module`` skips those products, which the zero nerve never
-    reads; the em nerve multiplies through the zero, so its coboundaries
-    read them.  Else a Violation witness, for either action.
-    """
-    S = M.semigroup
-    v = _check_action(S, M.group, M.action, sorted(M.action), at_zero=True)
-    if v or M.right is None:
-        return v
-    v = _check_action(S, M.group, M.right, sorted(M.right), opposite=True, at_zero=True)
-    return v and Violation("right-" + v.kind, v.witness)
-
-
-def ensure_valid(M, total=False):
-    """M, or ``InvalidModule``; ``total`` checks the law on zero products too."""
-    v = validate_module(M) or (total and zero_product_violation(M))
+def ensure_valid(M):
+    """M, or ``InvalidModule``."""
+    v = validate_module(M)
     if v:
         raise InvalidModule(v.witness, f"module axioms violated ({v.kind})")
     return M

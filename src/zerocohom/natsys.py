@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
-from .cohomology import Nerve, _check_module_for_variant, assemble_coboundary, cochain_group
+from .cohomology import Nerve, _check_module, assemble_coboundary, cochain_group
 from .modules import trivial_module
 from .semigroups import Frozen
 
@@ -209,7 +209,7 @@ def from_zero_module(M):
     """
     S = M.semigroup
     _require_monoid_with_zero(S)
-    _check_module_for_variant(S, M, "zero")
+    _check_module(S, M)
     e = S.identity
     one = IntMatrix.identity(M.group.rank)
     for action in (M.action, M.right):
@@ -255,7 +255,7 @@ def natsys_cohomology(S, D, n):
     """H^n of the cochain complex of a natural system (n <= 3)."""
     if n > NATSYS_DEGREE_CAP:
         raise CapExceeded("degree", n, NATSYS_DEGREE_CAP)
-    N = Nerve(S, "zero")
+    N = Nerve(S)
     return complex_homology(*N.complex_at(n, lambda k: natsys_coboundary_hom(N, D, k))).group
 
 
@@ -321,7 +321,7 @@ def bar_exactness_report(S, n_max):
     Returns {object: [invariants in degree 0, 1, ...]}; exactness means
     every entry is the empty tuple.
     """
-    N = Nerve(S, "zero")
+    N = Nerve(S)
     bar_resolution(N, n_max)
     report = {}
     for a in S.nonzero():
@@ -377,7 +377,7 @@ def hom_complex_compare(S, D, n_max=2):
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
     # one Nerve serves the coboundaries, the bar resolution and the hom side
-    N = Nerve(S, "zero")
+    N = Nerve(S)
     deltas = [natsys_coboundary_hom(N, D, n) for n in range(n_max + 1)]
     bar_resolution(N, n_max)
     e, z = S.identity, S.zero

@@ -261,38 +261,26 @@ def induced_hom(model, S, phi):
 
 def t_action_relation_report(G):
     """Which defining relations of the classifying monoid hold as
-    transformations of G x G (the zero relation has no transformation
-    meaning and is reported separately as 'constant').
+    transformations of G x G, keyed as ``T_PRESENTATION`` writes them;
+    each zero word, which has no transformation meaning, is reported
+    as "<word> constant" (it sends every pair to (e, e)).
 
-    Words act by function composition: the rightmost letter applies
-    first.
+    Generator g acts by ``t_maps(G)[g]``, and words act by function
+    composition: the rightmost letter applies first.
     """
-    alpha, beta, gamma = t_maps(G)
-    named = {"A": alpha, "B": beta, "C": gamma}
-
-    def word_fn(word):
-        def fn(p):
-            for ch in reversed(word):
-                p = named[ch](p)
-            return p
-
-        return fn
-
+    P = parse_presentation(T_PRESENTATION)
+    maps = t_maps(G)
     pairs = [(x, y) for x in range(G.order) for y in range(G.order)]
 
-    def equal(w1, w2):
-        f1, f2 = word_fn(w1), word_fn(w2)
-        return all(f1(p) == f2(p) for p in pairs)
+    def image(word, p):
+        for g in reversed(word):
+            p = maps[g](p)
+        return p
 
-    report = {
-        "AA=1": equal("AA", ""),
-        "BB=1": equal("BB", ""),
-        "ABABAB=1": equal("ABABAB", ""),
-        "CC=C": equal("CC", "C"),
-        "AC=C": equal("AC", "C"),
-        "CABC=CBAB": equal("CABC", "CBAB"),
-    }
-    e = G.identity
-    cbc = word_fn("CBC")
-    report["CBC constant"] = all(cbc(p) == (e, e) for p in pairs)
+    report = {}
+    for u, v in P.relations:
+        report[f"{P.word_names(u)}={P.word_names(v)}"] = all(image(u, p) == image(v, p) for p in pairs)
+    e = (G.identity, G.identity)
+    for w in P.zero_relations:
+        report[f"{P.word_names(w)} constant"] = all(image(w, p) == e for p in pairs)
     return report

@@ -372,10 +372,7 @@ def word_value(E, word):
         if not E.monoid:
             raise ValueError("empty word needs monoid mode")
         return S.identity
-    acc = E.generator_index[word[0]]
-    for g in word[1:]:
-        acc = S.mul(acc, E.generator_index[g])
-    return acc
+    return S.mul_word(E.generator_index[g] for g in word)
 
 
 def gown_presentation(P, bound=64):

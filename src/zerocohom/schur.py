@@ -36,7 +36,7 @@ from .errors import (
     UncertifiedInput,
 )
 from .modules import Violation, trivial_module
-from .semigroups import Frozen, backtrack, group_inverses, ideals, is_ideal, rees_quotient
+from .semigroups import Frozen, as_ideal, backtrack, group_inverses, ideals, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
 FACTOR_SET_CAP = 6_000_000  # search nodes enumerate_factor_sets visits, over all zero sets
@@ -77,9 +77,7 @@ class FactorSet(Frozen):
 
 def epsilon_factor_set(S, A, ideal):
     """The idempotent factor set of an ideal: 1 off it, 0 on it."""
-    I = frozenset(ideal)
-    if not is_ideal(S, I):
-        raise NotAnIdeal(sorted(I))
+    I = as_ideal(S, ideal)
     one = A.zero()
     values = {}
     for x in range(S.order):
@@ -256,9 +254,7 @@ def support_ideal(rho):
     """The ideal I with rho(x,y) = 0 iff xy in I; NotAnIdeal if invalid."""
     S = rho.semigroup
     one = S.identity
-    I = frozenset(z for z in range(S.order) if rho.value(one, z) is None)
-    if not is_ideal(S, I):
-        raise NotAnIdeal(sorted(I))
+    I = as_ideal(S, (z for z in range(S.order) if rho.value(one, z) is None))
     for x in range(S.order):
         for y in range(S.order):
             if (rho.value(x, y) is None) != (S.mul(x, y) in I):
@@ -294,8 +290,8 @@ def equivalent(rho, sigma):
             raise ShapeMismatch(f"sigma's value at {(x, y)}", len(v), len(w))
         ratio_vals[(qindex[x], qindex[y])] = A.reduce([a - b for a, b in zip(v, w)])
     zero = A.zero()
-    ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2, "zero")})
-    found, phi = _preimage(Q, MQ, ratio, "zero")
+    ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2)})
+    found, phi = _preimage(Q, MQ, ratio)
     if not found:
         return (False, None)
     alpha = {s: zero if s in I_r else phi.values[(qindex[s],)] for s in range(S.order)}

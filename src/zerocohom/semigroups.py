@@ -214,6 +214,15 @@ def is_ideal(S, subset):
     return True
 
 
+def as_ideal(S, subset):
+    """``subset`` as a frozenset if it is an ideal of S, else ``NotAnIdeal``
+    with the subset sorted (by repr when its members are not all ints)."""
+    I = frozenset(subset)
+    if not is_ideal(S, I):
+        raise NotAnIdeal(sorted(I) if all(isinstance(x, int) for x in I) else sorted(I, key=repr))
+    return I
+
+
 def backtrack(domains, ok):
     """Yield every choice of one value per domain that ``ok`` accepts, in product-scan order.
 
@@ -283,9 +292,7 @@ def rees_quotient(S, ideal):
     The empty ideal gives S with a fresh zero adjoined; the full ideal
     gives the one-element zero semigroup.
     """
-    I = frozenset(ideal)
-    if not is_ideal(S, I):
-        raise NotAnIdeal(sorted(I))
+    I = as_ideal(S, ideal)
     if not I:
         return adjoin(S, "zero")
     keep = [i for i in range(S.order) if i not in I]

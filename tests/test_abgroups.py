@@ -227,7 +227,7 @@ def test_intmatrix_equality_compares_values():
     assert M.a == [[1, 0], [0, 2]]
     # the builder's sparse columns equal the same matrix built from its dense rows
     S = catalog.mitchell_quotient()
-    d = coboundary_hom(Nerve(S, "zero"), trivial_module(S, FinAbGroup([2, 3])), 1).matrix
+    d = coboundary_hom(Nerve(S), trivial_module(S, FinAbGroup([2, 3])), 1).matrix
     assert any(d.cols)
     assert d == IntMatrix.from_rows(d.a, d.n)
 

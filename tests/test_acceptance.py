@@ -67,7 +67,7 @@ def check_1():
     H = cohomology_group(S, M, 2, "zero")
     assert H.group.invariants() == (2, 2)
     assert brute_cohomology(S, M, 2, "zero").invariants() == (2, 2)
-    f = zero_cochain(S, M, 2, "zero")
+    f = zero_cochain(S, M, 2)
     f.values[(S.index("u"), S.index("u"))] = (1,)
     rep = witness_report(S, M, f, "zero")
     assert rep["is_cocycle"] and not rep["is_coboundary"]
@@ -325,8 +325,8 @@ def check_11():
     for _ in range(110):
         S = rng.choice(semis)
         M = trivial_module(S, FinAbGroup(rng.choice([(4,), (2, 2), (3,)])))
-        f = random_cochain(rng, S, M, rng.choice([0, 1, 2]), "zero")
-        ddf = coboundary(M, coboundary(M, f, "zero"), "zero")
+        f = random_cochain(rng, S, M, rng.choice([0, 1, 2]))
+        ddf = coboundary(M, coboundary(M, f))
         assert all(not any(v) for v in ddf.values.values())
         trials += 1
     notes.append(f"dd=0 x{trials}")
@@ -339,7 +339,7 @@ def check_11():
         M = trivial_module(S, FinAbGroup(rng.choice([(2,), (4,)])))
         D = from_zero_module(M)
         n = rng.choice([0, 1])
-        N = Nerve(S, "zero")
+        N = Nerve(S)
         comp = natsys_coboundary_hom(N, D, n + 1).compose(natsys_coboundary_hom(N, D, n))
         for j in range(comp.source.rank):
             e = [1 if i == j else 0 for i in range(comp.source.rank)]

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
 
@@ -28,7 +29,6 @@ from zerocohom.modules import (
     trivial_bimodule,
     trivial_module,
     validate_module,
-    zero_product_violation,
 )
 from zerocohom.presentations import enumerate_presentation, parse_presentation
 from zerocohom.semigroups import adjoin, zero_direct_union
@@ -47,13 +47,12 @@ def test_nerve_nil_square():
 
 
 def test_unknown_variant_is_refused_everywhere():
-    # the right action belongs to the module: "bimodule" is no nerve
+    # the right action belongs to the module: "bimodule" is no nerve; only
+    # the entry points take a variant
     S = nil4()
     B = trivial_bimodule(S, FinAbGroup([2]))
     f = zero_cochain(S, B, 1)
     for call in (
-        lambda: nerve(S, 0, "bimodule"),
-        lambda: coboundary(B, f, "bimodule"),
         lambda: cohomology_group(S, B, 1, "bimodule"),
         lambda: brute_cohomology(S, B, 1, "bimodule"),
         lambda: witness_report(S, B, f, "bimodule"),
@@ -62,11 +61,43 @@ def test_unknown_variant_is_refused_everywhere():
             call()
 
 
-def test_nerve_em_counts():
+def on_s0(S, M):
+    """S^0 and M over it: the em nerve of S is the zero nerve of S^0."""
+    S0 = adjoin(S, "zero")
+    return S0, transport_module(M, S0)
+
+
+def _assert_faces_match_the_tuple_formula(S, N, m):
+    # row i of face_maps is the face d_i written out on tuples: drop the
+    # first letter, merge letters i - 1 and i (in S), or drop the last letter
+    upper, lower = N.level(m), N.level(m - 1)
+    rows = N.faces(m)
+    assert len(rows) == m + 1
+    assert [[lower[q] for q in row] for row in rows] == [
+        [t[1:] for t in upper],
+        *[[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :] for t in upper] for i in range(1, m)],
+        [t[:-1] for t in upper],
+    ], (S.elements, m)
+
+
+def test_the_em_nerve_is_the_zero_nerve_of_s0():
+    # the zero nerve of S^0 is all of S^n, in product order, with the
+    # faces of S itself
+    semigroups = catalog.monoid_catalogue(4) + [
+        nil4(),
+        catalog.mitchell_quotient(),
+        catalog.brandt_b2(),
+        catalog.null_semigroup(2),
+    ]
+    for S in semigroups:
+        S0 = adjoin(S, "zero")
+        for m in (1, 2, 3):
+            assert nerve(S0, m) == list(product(range(S.order), repeat=m)), (S.elements, m)
+            _assert_faces_match_the_tuple_formula(S, Nerve(S0), m)
     T = catalog.cyclic_group(2)
-    assert len(nerve(T, 3, "em")) == 8
+    assert len(nerve(adjoin(T, "zero"), 3)) == 8
     with pytest.raises(NoZero):
-        nerve(T, 2, "zero")
+        nerve(T, 2)
 
 
 def test_nerve_subproducts_nonzero():
@@ -80,22 +111,13 @@ def test_nerve_subproducts_nonzero():
 
 
 def test_face_maps_match_the_tuple_formula():
-    # row i of face_maps is the face d_i written out on tuples: drop the
-    # first letter, merge letters i - 1 and i, or drop the last letter;
-    # an empty level (level 2 of the null semigroup) has m + 1 empty rows
+    # an empty level (level 2 of the null semigroup) has m + 1 empty rows;
+    # the nerves of S^0 are checked in test_the_em_nerve_is_the_zero_nerve_of_s0
     semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.null_semigroup(2), catalog.brandt_b2()]
     for S in semigroups:
-        for variant in ("zero", "em") if S.has_zero else ("em",):
+        if S.has_zero:
             for m in (1, 2, 3):
-                N = Nerve(S, variant)
-                upper, lower = N.level(m), N.level(m - 1)
-                rows = N.faces(m)
-                assert len(rows) == m + 1
-                assert [[lower[q] for q in row] for row in rows] == [
-                    [t[1:] for t in upper],
-                    *[[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :] for t in upper] for i in range(1, m)],
-                    [t[:-1] for t in upper],
-                ], (S.elements, variant, m)
+                _assert_faces_match_the_tuple_formula(S, Nerve(S), m)
 
 
 def test_coboundary_formula_trivial_action():
@@ -103,7 +125,7 @@ def test_coboundary_formula_trivial_action():
     S = nil4()
     M = trivial_module(S, FinAbGroup([8]))
     f = Cochain(1, {(0,): (1,), (1,): (2,), (2,): (5,)})
-    df = coboundary(M, f, "zero")
+    df = coboundary(M, f)
     u, v, w = 0, 1, 2
     assert df.values[(u, v)] == ((2 - 5 + 1) % 8,)
     assert df.values[(u, u)] == ((1 - 5 + 1) % 8,)
@@ -118,8 +140,8 @@ def test_dd_zero_randomized():
         A = FinAbGroup(rng.choice([(4,), (2, 2), (3,), (0,)]))
         M = trivial_module(S, A)
         n = rng.choice([0, 1, 2])
-        f = random_cochain(rng, S, M, n, "zero")
-        ddf = coboundary(M, coboundary(M, f, "zero"), "zero")
+        f = random_cochain(rng, S, M, n)
+        ddf = coboundary(M, coboundary(M, f))
         assert all(not any(v) for v in ddf.values.values())
         trials += 1
     assert trials >= 100
@@ -129,17 +151,17 @@ def test_dd_zero_em_and_bimodule():
     rng = random.Random(7)
     S = nil4()
     A = FinAbGroup([4])
-    M = trivial_module(S, A)
+    S0, M0 = on_s0(S, trivial_module(S, A))
     for n in (0, 1, 2):
         for _ in range(20):
-            f = random_cochain(rng, S, M, n, "em")
-            ddf = coboundary(M, coboundary(M, f, "em"), "em")
+            f = random_cochain(rng, S0, M0, n)
+            ddf = coboundary(M0, coboundary(M0, f))
             assert all(not any(v) for v in ddf.values.values())
     B = trivial_bimodule(S, A)
     for n in (0, 1, 2):
         for _ in range(20):
-            f = random_cochain(rng, S, B, n, "zero")
-            ddf = coboundary(B, coboundary(B, f, "zero"), "zero")
+            f = random_cochain(rng, S, B, n)
+            ddf = coboundary(B, coboundary(B, f))
             assert all(not any(v) for v in ddf.values.values())
 
 
@@ -148,8 +170,8 @@ def test_dd_zero_degree_three():
     S = adjoin(catalog.cyclic_group(2), "zero")
     M = trivial_module(S, FinAbGroup([4]))
     for _ in range(100):
-        f = random_cochain(rng, S, M, 3, "zero")
-        ddf = coboundary(M, coboundary(M, f, "zero"), "zero")
+        f = random_cochain(rng, S, M, 3)
+        ddf = coboundary(M, coboundary(M, f))
         assert all(not any(v) for v in ddf.values.values())
 
 
@@ -165,14 +187,14 @@ def test_nil_square_witness_cochain():
     # the cochain with value a at (u, u) and 0 elsewhere: cocycle, not coboundary
     S = nil4()
     M = trivial_module(S, FinAbGroup([2]))
-    f = zero_cochain(S, M, 2, "zero")
+    f = zero_cochain(S, M, 2)
     f.values[(0, 0)] = (1,)
     rep = witness_report(S, M, f, "zero")
     assert rep["is_cocycle"] and not rep["is_coboundary"]
     # over Z/4 and Z as well (any A with a nonzero element)
     for A in (FinAbGroup([4]), FinAbGroup([0])):
         M2 = trivial_module(S, A)
-        f2 = zero_cochain(S, M2, 2, "zero")
+        f2 = zero_cochain(S, M2, 2)
         f2.values[(0, 0)] = (1,)
         rep2 = witness_report(S, M2, f2, "zero")
         assert rep2["is_cocycle"] and not rep2["is_coboundary"]
@@ -183,12 +205,12 @@ def test_any_coboundary_is_coboundary():
     S = nil4()
     M = trivial_module(S, FinAbGroup([4]))
     for _ in range(10):
-        g = random_cochain(rng, S, M, 1, "zero")
-        f = coboundary(M, g, "zero")
+        g = random_cochain(rng, S, M, 1)
+        f = coboundary(M, g)
         rep = witness_report(S, M, f, "zero")
         assert rep["is_cocycle"] and rep["is_coboundary"]
         pre = rep["preimage"]
-        assert coboundary(M, pre, "zero").values == f.values
+        assert coboundary(M, pre).values == f.values
 
 
 def test_mitchell_h2_vanishes():
@@ -205,13 +227,13 @@ def test_mitchell_explicit_preimage():
     M = trivial_module(Q, FinAbGroup([4]))
     rng = random.Random(9)
     for _ in range(10):
-        f = random_cochain(rng, Q, M, 2, "zero")
+        f = random_cochain(rng, Q, M, 2)
         # all 2-cochains are cocycles here (empty 3-nerve)
         a, b, c, d = Q.index("a"), Q.index("b"), Q.index("c"), Q.index("d")
-        phi = zero_cochain(Q, M, 1, "zero")
+        phi = zero_cochain(Q, M, 1)
         phi.values[(a,)] = f.values[(a, b)]
         phi.values[(c,)] = f.values[(c, d)]
-        assert coboundary(M, phi, "zero").values == f.values
+        assert coboundary(M, phi).values == f.values
 
 
 def test_em_vanishes_on_semigroups_with_zero():
@@ -235,14 +257,15 @@ def test_em_group_cohomology_z2():
 
 @pytest.mark.parametrize("two_sided", [False, True], ids=["left", "right"])
 def test_em_checks_the_module_law_at_zero_products(two_sided):
-    # on C2^0 the scalar g -> -1, 0 -> 1 breaks g.0 = 0 on C3; the zero nerve never reads that product
+    # on C2^0 the scalar g -> -1, 0 -> 1 breaks g.0 = 0 on C3; the zero nerve never reads that product,
+    # and the zero nerve of (C2^0)^0, the em nerve of C2^0, does
     S = adjoin(catalog.cyclic_group(2), "zero")
     g, z = S.index("g"), S.zero
     M = scalar_module(S, FinAbGroup([3]), {S.index("1"): 1, g: -1, z: 1})
     if two_sided:
         M = ZeroModule(S, M.group, trivial_module(S, M.group).action, M.action)
     assert validate_module(M) is None
-    v = zero_product_violation(M)
+    v = validate_module(on_s0(S, M)[1])
     assert (v.kind, v.witness) == (("right-" if two_sided else "") + "composition", (g, z))
     for n in (1, 2):
         for compute in (cohomology_group, brute_cohomology):
@@ -488,29 +511,27 @@ def test_brute_oracle_matches_snf_path():
 
 def test_cocycle_search_matches_the_scan():
     # the reference: every cochain in product order, kept when its full
-    # coboundary vanishes
-    from itertools import product as iproduct
-
+    # coboundary vanishes; the em cases on S^0
     minus = IntMatrix(1, 1, [[-1]])
     one = IntMatrix.identity(1)
     Z2_0 = adjoin(catalog.cyclic_group(2), "zero")
     cases = [
-        (nil4(), trivial_module(nil4(), FinAbGroup([2])), "zero"),
-        (Z2_0, scalar_module(Z2_0, FinAbGroup([3]), {0: 1, 1: -1}), "zero"),
-        (catalog.cyclic_group(2), scalar_module(catalog.cyclic_group(2), FinAbGroup([3]), {0: 1, 1: -1}), "em"),
-        (catalog.two_chain_monoid(), trivial_module(catalog.two_chain_monoid(), FinAbGroup([2])), "em"),
-        (nil4(), trivial_bimodule(nil4(), FinAbGroup([2])), "zero"),
-        (nil4(), ZeroModule(nil4(), FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one}), "zero"),
+        (nil4(), trivial_module(nil4(), FinAbGroup([2]))),
+        (Z2_0, scalar_module(Z2_0, FinAbGroup([3]), {0: 1, 1: -1})),
+        on_s0(catalog.cyclic_group(2), scalar_module(catalog.cyclic_group(2), FinAbGroup([3]), {0: 1, 1: -1})),
+        on_s0(catalog.two_chain_monoid(), trivial_module(catalog.two_chain_monoid(), FinAbGroup([2]))),
+        (nil4(), trivial_bimodule(nil4(), FinAbGroup([2]))),
+        (nil4(), ZeroModule(nil4(), FinAbGroup([3]), {0: one, 1: one, 2: one}, {0: minus, 1: minus, 2: one})),
     ]
-    for S, M, variant in cases:
+    for S, M in cases:
         for n in (0, 1, 2):
-            tuples = nerve(S, n, variant)
+            tuples = nerve(S, n)
             scan = []
-            for combo in iproduct(M.group.elements(), repeat=len(tuples)):
+            for combo in product(M.group.elements(), repeat=len(tuples)):
                 f = Cochain(n, dict(zip(tuples, combo)))
-                if not any(any(v) for v in coboundary(M, f, variant).values.values()):
+                if not any(any(v) for v in coboundary(M, f).values.values()):
                     scan.append(f)
-            assert _brute_cocycles(S, M, n, variant) == scan, (S.elements, variant, n)
+            assert _brute_cocycles(S, M, n) == scan, (S.elements, n)
 
 
 def test_witnesses_generate_cohomology():
@@ -526,21 +547,21 @@ def test_witnesses_generate_cohomology():
     assert sorted(coords) == [(0, 1), (1, 0)]
 
 
-def _pointwise_matrix(S, M, n, variant):
+def _pointwise_matrix(S, M, n):
     """The degree-n coboundary as an IntMatrix, one column per unit cochain.
 
     Built from the pointwise ``coboundary`` only, independently of the
     sparse builder behind ``coboundary_hom``.
     """
     k = M.group.rank
-    upper = nerve(S, n + 1, variant)
+    upper = nerve(S, n + 1)
     height = k * len(upper)
     cols = []
-    for t in nerve(S, n, variant):
+    for t in nerve(S, n):
         for i in range(k):
-            f = zero_cochain(S, M, n, variant)
+            f = zero_cochain(S, M, n)
             f.values[t] = M.group.reduce([int(r == i) for r in range(k)])
-            df = coboundary(M, f, variant)
+            df = coboundary(M, f)
             cols.append([x for u in upper for x in M.group.reduce(df.values[u])])
     return IntMatrix.from_columns(cols, height) if cols else IntMatrix(height, 0)
 
@@ -571,13 +592,15 @@ def test_sparse_coboundaries_against_dense_complexes():
         assert validate_module(M) is None
         cases += [(S, M, n, "zero") for n in range(3)]
     for S, M, n, variant in cases:
-        d_out = coboundary_hom(Nerve(S, variant), M, n)
+        # the entry point reads the em nerve of S as the zero nerve of S^0
+        Z, MZ = (S, M) if variant == "zero" else on_s0(S, M)
+        d_out = coboundary_hom(Nerve(Z), MZ, n)
         assert isinstance(d_out.matrix, IntMatrix)
-        dense_out = GroupHom(d_out.source, d_out.target, _pointwise_matrix(S, M, n, variant))
+        dense_out = GroupHom(d_out.source, d_out.target, _pointwise_matrix(Z, MZ, n))
         assert same_map(d_out.target, d_out.matrix, dense_out.matrix)
         if n:
-            d_in = coboundary_hom(Nerve(S, variant), M, n - 1)
-            dense_in = GroupHom(d_in.source, d_in.target, _pointwise_matrix(S, M, n - 1, variant))
+            d_in = coboundary_hom(Nerve(Z), MZ, n - 1)
+            dense_in = GroupHom(d_in.source, d_in.target, _pointwise_matrix(Z, MZ, n - 1))
             assert same_map(d_in.target, d_in.matrix, dense_in.matrix)
         else:
             d_in = GroupHom(FinAbGroup(()), d_out.source, IntMatrix.from_sparse(d_out.source.rank, []))
@@ -598,7 +621,7 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     # counting alone: its pieces do not refer back to it
     S = nil4()
     M = trivial_module(S, FinAbGroup([2]))
-    N = Nerve(S, "zero")
+    N = Nerve(S)
     d_in, d_out = N.complex_at(1, lambda k: coboundary_hom(N, M, k))
     assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
     assert N.pieces == {}

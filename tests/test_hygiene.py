@@ -17,7 +17,9 @@ A nerve face is built from tuple slices only in ``face_maps`` and in the
 brute-force twins that check it.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
 dense rows are a copy built on demand, so such a write is lost.
-The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``.
+The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``, and only
+the three entry points it calls and the one helper that resolves a
+variant take one: classical cohomology is the zero nerve of S^0.
 Searches and closures run through ``semigroups.backtrack`` and
 ``semigroups.closure``: no other function calls itself, and no other
 function binds a ``frontier``.
@@ -313,3 +315,28 @@ def test_searches_and_closures_run_through_the_shared_loops():
                 frontiers.add(f"{mod}.{qual}")
     assert recursive == {"semigroups.backtrack.extend", "cohomology._extend"}
     assert frontiers == {"semigroups.closure"}
+
+
+def test_only_the_entry_points_take_a_variant():
+    # the em nerve of S is the zero nerve of S^0: one helper resolves a
+    # variant, the entry points hand theirs to it, and nothing else in
+    # the package branches on "em" or, in cohomology, adjoins a zero
+    takes, em = set(), set()
+    for name, tree in _modules().items():
+        mod = name.removesuffix(".py")
+        for qual, fn in _functions(tree):
+            a = fn.args
+            if "variant" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+                takes.add(f"{mod}.{qual}")
+            calls = {getattr(n.func, "id", None) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            if any(isinstance(n, ast.Constant) and n.value == "em" for n in ast.walk(fn)) or (
+                mod == "cohomology" and "adjoin" in calls
+            ):
+                em.add(f"{mod}.{qual}")
+    assert takes == {
+        "cohomology.cohomology_group",
+        "cohomology.brute_cohomology",
+        "cohomology.witness_report",
+        "cohomology._resolve_variant",
+    }
+    assert em == {"cohomology._resolve_variant"}

@@ -19,8 +19,8 @@ def test_coboundary_terms_stay_in_nerve():
         catalog.brandt_b2(),
     ):
         for n in (1, 2, 3):
-            inner = set(nerve(S, n, "zero"))
-            for t in nerve(S, n + 1, "zero"):
+            inner = set(nerve(S, n))
+            for t in nerve(S, n + 1):
                 assert t[1:] in inner
                 assert t[:-1] in inner
                 for i in range(n):

@@ -290,7 +290,7 @@ def test_delta_delta_zero_randomized():
         M = trivial_module(S, FinAbGroup(rng.choice([(2,), (4,), (3,)])))
         D = from_zero_module(M)
         n = rng.choice([0, 1])
-        N = Nerve(S, "zero")
+        N = Nerve(S)
         d_n = natsys_coboundary_hom(N, D, n)
         d_next = natsys_coboundary_hom(N, D, n + 1)
         comp = d_next.compose(d_n)
@@ -318,14 +318,14 @@ def test_baues_compatibility_via_groups():
 def test_bar_rank_one_zero_monoid():
     S = one_zero_monoid()
     e = S.identity
-    N = Nerve(S, "zero")
+    N = Nerve(S)
     bar_resolution(N, 0)
     assert N.level(2) == [(e, e)]  # only (1, 1)
 
 
 @pytest.mark.parametrize(
     "entry",
-    [lambda S, n: bar_resolution(Nerve(S, "zero"), n), bar_exactness_report],
+    [lambda S, n: bar_resolution(Nerve(S), n), bar_exactness_report],
     ids=["bar_resolution", "bar_exactness_report"],
 )
 def test_bar_negative_degree(entry):
@@ -336,7 +336,7 @@ def test_bar_negative_degree(entry):
 
 def test_bar_dd_zero_nil_square_with_identity():
     S = adjoin(catalog.nil_square_semigroup(), "identity")
-    bar_resolution(Nerve(S, "zero"), 2)  # raises on any dd != 0 or naturality failure
+    bar_resolution(Nerve(S), 2)  # raises on any dd != 0 or naturality failure
 
 
 def test_bar_resolution_dd_check_survives_optimize(run_python):
@@ -361,7 +361,7 @@ def corrupt(S, m, upper, index):
 co.face_maps = corrupt
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 try:
-    ns.bar_resolution(co.Nerve(S, "zero"), 2)
+    ns.bar_resolution(co.Nerve(S), 2)
 except NotAComplex as exc:
     print("NotAComplex", exc.witness == (2, S.identity))
 """
@@ -390,7 +390,7 @@ def reversed_on_right(N, m, alpha, beta_):
 
 ns.bar_action = reversed_on_right
 try:
-    ns.bar_resolution(ns.Nerve(S, "zero"), 2)
+    ns.bar_resolution(ns.Nerve(S), 2)
 except FunctorialityError as exc:
     print("FunctorialityError", exc.witness[2:] == ("right", beta))
 """
@@ -411,7 +411,7 @@ def test_bar_resolution_checks_right_naturality(monkeypatch):
 
     monkeypatch.setattr(natsys, "bar_action", wrong_on_right)
     with pytest.raises(FunctorialityError) as exc:
-        bar_resolution(Nerve(S, "zero"), 2)
+        bar_resolution(Nerve(S), 2)
     assert exc.value.witness[2] == "right"
 
 
@@ -419,7 +419,7 @@ def test_bar_resolution_matches_tuples():
     # every symbol lies over its product, and every bar face and action
     # entry is the position of the (n+2)-tuple it stands for
     for S in small_monoids_with_zero():
-        N = Nerve(S, "zero")
+        N = Nerve(S)
         bar_resolution(N, 3)
         e, z = S.identity, S.zero
         for n in range(4):
@@ -488,9 +488,9 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     seen = []
     real_nerve, real_faces, real_action = cohomology.nerve, cohomology.face_maps, natsys.bar_action
 
-    def counted_nerve(S_, n, variant="zero"):
+    def counted_nerve(S_, n):
         seen.append(("level", n))
-        return real_nerve(S_, n, variant)
+        return real_nerve(S_, n)
 
     def counted_faces(S_, m, upper, index):
         seen.append(("faces", m))
@@ -676,9 +676,9 @@ def test_hom_group_rank_bookkeeping():
     M = trivial_module(S, FinAbGroup([2, 2]))
     D = from_zero_module(M)
     for n in (0, 1, 2):
-        tuples = nerve(S, n, "zero")
+        tuples = nerve(S, n)
         expected = sum(2 for _ in tuples)
-        assert natsys_coboundary_hom(Nerve(S, "zero"), D, n).source.rank == expected
+        assert natsys_coboundary_hom(Nerve(S), D, n).source.rank == expected
 
 
 def test_natsys_degree_cap():

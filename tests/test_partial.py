@@ -149,6 +149,17 @@ def test_t_action_satisfies_relations():
         assert all(rep.values()), rep
 
 
+def test_t_action_report_reads_every_relation_of_the_presentation():
+    # one key per defining relation, as the presentation writes it, and
+    # one for the zero word; each holds for every group tried
+    keys = ["AA=1", "BB=1", "ABABAB=1", "CC=C", "AC=C", "CABC=CBAB", "CBC constant"]
+    groups = [catalog.cyclic_group(k) for k in range(1, 7)] + [catalog.klein_four(), catalog.symmetric_group_3()]
+    for G in groups:
+        rep = t_action_relation_report(G)
+        assert list(rep) == keys
+        assert all(rep.values()), (G.elements, rep)
+
+
 def test_t_closure_z2():
     G = catalog.cyclic_group(2)
     g = 1

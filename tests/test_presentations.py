@@ -186,6 +186,12 @@ def test_word_value():
     S = E.semigroup
     assert word_value(E, (0, 1)) == S.index("y")
     assert word_value(E, (1, 0)) == S.zero
+    assert word_value(E, (0, 0, 0, 1)) == S.index("y")
+    # the empty word is the identity in monoid mode only
+    with pytest.raises(ValueError, match="monoid mode"):
+        word_value(E, ())
+    M = enumerate_presentation(P, bound=10, mode="monoid")
+    assert word_value(M, ()) == M.semigroup.identity
 
 
 def test_gown_sequences_null_semigroup():

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from zerocohom import catalog
+from zerocohom.abgroups import FinAbGroup
 from zerocohom.errors import (
     AssociativityError,
     DegenerateSandwich,
@@ -14,6 +15,7 @@ from zerocohom.errors import (
     TableError,
     ZeroError,
 )
+from zerocohom.schur import epsilon_factor_set
 from zerocohom.semigroups import (
     ReesDecomposition,
     _isomorphisms,
@@ -172,6 +174,23 @@ def test_ideal_indices_must_be_elements():
     for indices in ([3, 7], [3, -1]):
         with pytest.raises(TableError):
             subsemigroup(S, indices)
+
+
+def test_a_malformed_ideal_is_refused_with_a_typed_error():
+    # members that do not compare with the indices are refused as a
+    # non-ideal, not with the TypeError of sorting them for the witness
+    for S, subset, call in (
+        (nil4(), [3, "a"], rees_quotient),
+        (catalog.two_chain_monoid(), [1, "x"], lambda S, I: epsilon_factor_set(S, FinAbGroup([2]), I)),
+    ):
+        with pytest.raises(NotAnIdeal) as err:
+            call(S, subset)
+        assert sorted(err.value.witness, key=repr) == err.value.witness
+        assert set(err.value.witness) == set(subset)
+    # a subset of indices keeps its sorted witness
+    with pytest.raises(NotAnIdeal) as err:
+        rees_quotient(nil4(), [3, 0])
+    assert err.value.witness == [0, 3]
 
 
 def test_rees_quotient_full_and_errors():
