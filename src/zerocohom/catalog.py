@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from .semigroups import adjoin, backtrack, rees_matrix_semigroup, subsemigroup, validate_table
+from .semigroups import adjoin, backtrack, isomorphic_semigroups, rees_matrix_semigroup, subsemigroup, validate_table
 
 
 def cyclic_group(n):
@@ -119,11 +119,11 @@ def monoids_of_order(n):
     """All monoids of order n up to isomorphism, identity listed first.
 
     Generated by a ``backtrack`` over the table cells with incremental
-    associativity pruning, then deduplicated by permutations of the
-    non-identity part.
+    associativity pruning; a table is kept unless it is
+    ``isomorphic_semigroups`` to one kept before it.  The tables come in
+    lexicographic order and every relabeling that fixes the identity of
+    a table is one, so the table kept for each class is its least.
     """
-    if n == 1:
-        return [validate_table(["1"], [[0]])]
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
 
     def table_of(values):
@@ -151,24 +151,12 @@ def monoids_of_order(n):
                         return False
         return True
 
-    found = [table_of(values) for values in backtrack([range(n)] * len(cells), assoc_ok)]
-
-    canon = set()
+    names = ["1"] + [f"m{i}" for i in range(1, n)]
     out = []
-    for t in found:
-        best = None
-        for perm in permutations(range(1, n)):
-            p = (0,) + perm
-            inv = [0] * n
-            for a, pa in enumerate(p):
-                inv[pa] = a
-            key = tuple(tuple(inv[t[p[i]][p[j]]] for j in range(n)) for i in range(n))
-            if best is None or key < best:
-                best = key
-        if best not in canon:
-            canon.add(best)
-            names = ["1"] + [f"m{i}" for i in range(1, n)]
-            out.append(validate_table(names, [list(r) for r in best]))
+    for values in backtrack([range(n)] * len(cells), assoc_ok):
+        M = validate_table(names, table_of(values))
+        if not any(isomorphic_semigroups(M, K) for K in out):
+            out.append(M)
     return out
 
 

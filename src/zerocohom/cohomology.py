@@ -1,6 +1,6 @@
 """Nerves, cochains, the coboundary operator, and cohomology groups.
 
-A ``Nerve`` is the one owner of a nerve's levels and face maps: every
+A ``Nerve`` builds and owns a nerve's levels and face maps: every
 coboundary builder reads one, and each entry point builds one per call.
 The builder emits an ``IntMatrix``, whose sparse columns the elimination
 reads as they are.
@@ -46,7 +46,7 @@ from .abgroups import (
 )
 from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero, ShapeMismatch
 from .modules import ZeroModule, ensure_valid
-from .semigroups import adjoin, backtrack
+from .semigroups import adjoin, backtrack, require_same
 
 DEGREE_CAP = 4
 COBOUNDARY_CELL_CAP = 4_000_000  # dense cells of one coboundary matrix
@@ -54,33 +54,12 @@ BRUTE_COCHAIN_CAP = 2_000_000  # cochains one brute_cohomology call may enumerat
 
 
 def nerve(S, n):
-    """Tuples indexing degree-n cochains, lexicographically ordered.
+    """Tuples indexing degree-n cochains, lexicographically ordered: ``Nerve(S).level(n)``.
 
     Degree 0 is the single empty tuple.  The zero nerve keeps only
     tuples of nonzero elements with nonzero full product.
     """
-    if n < 0:
-        raise DegreeMismatch("negative degree")
-    if n == 0:
-        return [()]
-    if not S.has_zero:
-        raise NoZero("the zero nerve needs a semigroup with zero")
-    out = []
-    # depth-first in index order builds the nerve lexicographically sorted
-    for x in S.nonzero():
-        _extend(S, (x,), x, n, out)
-    return out
-
-
-def _extend(S, prefix, prod_so_far, n, out):
-    if len(prefix) == n:
-        out.append(prefix)
-        return
-    z = S.zero
-    for y in S.nonzero():
-        p = S.mul(prod_so_far, y)
-        if p != z:
-            _extend(S, prefix + (y,), p, n, out)
+    return Nerve(S).level(n)
 
 
 class Cochain:
@@ -124,16 +103,15 @@ def random_cochain(rng, S, M, n):
 
 def coboundary(M, f):
     """The coboundary cochain of f (degree goes up by one)."""
-    S = M.semigroup
+    N = Nerve(M.semigroup)
     n = f.degree
-    expected = set(nerve(S, n))
-    if set(f.values) != expected:
+    if set(f.values) != set(N.level(n)):
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
     k = M.group.rank
     for t, v in f.values.items():
         if len(v) != k:
             raise ShapeMismatch(f"cochain value at {t}", k, len(v))
-    out = {t: _coboundary_at(M, f.values, t) for t in nerve(S, n + 1)}
+    out = {t: _coboundary_at(M, f.values, t) for t in N.level(n + 1)}
     return Cochain(n + 1, out)
 
 
@@ -181,7 +159,9 @@ def face_maps(S, m, upper, index):
 class Nerve:
     """The zero nerve of one semigroup, each piece built once, on first use.
 
-    ``level(m)`` is ``nerve(S, m)``, ``index(m)`` maps its tuples
+    ``level(m)`` is ``[()]`` for m = 0, the nonzero letters for m = 1,
+    and above that grows in one pass from level m - 1 and its products,
+    in lexicographic order; ``nerve(S, m)`` reads it.  ``index(m)`` maps its tuples
     to their positions, ``products(m)`` lists their full products (the
     identity for the empty tuple), and ``faces(m)``, for m >= 1, is
     ``face_maps`` from level m to level m - 1.  Every builder reads its
@@ -201,7 +181,22 @@ class Nerve:
         return piece
 
     def level(self, m):
-        return self._piece("level", m, lambda: nerve(self.semigroup, m))
+        if m < 0:
+            raise DegreeMismatch("negative degree")
+        if m == 0:
+            return [()]
+        return self._piece("level", m, lambda: self._grow(m))
+
+    def _grow(self, m):
+        """Level m >= 1: each (x,) + t, x nonzero and t in level m - 1, both in order, whose product is nonzero."""
+        S = self.semigroup
+        if not S.has_zero:
+            raise NoZero("the zero nerve needs a semigroup with zero")
+        if m == 1:
+            return [(x,) for x in S.nonzero()]
+        table, z = S.table, S.zero
+        lower, below = self.level(m - 1), self.products(m - 1)
+        return [(x,) + t for x in S.nonzero() for t, p in zip(lower, below) if table[x][p] != z]
 
     def index(self, m):
         return self._piece("index", m, lambda: {t: p for p, t in enumerate(self.level(m))})
@@ -300,13 +295,14 @@ def _resolve_variant(S, M, variant):
     is S^n in the same order, with the same faces and actions."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "zero":
+    if variant == "zero" or M.semigroup != S:  # a module over another semigroup is refused by _check_module
         return S, M
     S0 = adjoin(S, "zero")
     return S0, ZeroModule(S0, M.group, M.action, M.right)
 
 
 def _check_module(S, M):
+    require_same(S, M.semigroup)
     ensure_valid(M)
     need = set(S.nonzero())
     if not need <= set(M.action):
@@ -344,8 +340,6 @@ def support_cohomology(S, M, n, supports):
     """
     if n > DEGREE_CAP:
         raise CapExceeded("degree", n, DEGREE_CAP)
-    if n < 0:
-        raise DegreeMismatch("negative degree")
     _check_module(S, M)
     N = Nerve(S)
     tuples = N.level(n)
@@ -379,7 +373,7 @@ def witness_report(S, M, f, variant="zero"):
     _check_module(S, M)
     df = coboundary(M, f)
     is_cocycle = all(not any(v) for v in df.values.values())
-    is_coboundary, preimage = _preimage(S, M, f)
+    is_coboundary, preimage = _preimage(Nerve(S), M, f)
     return {
         "is_cocycle": is_cocycle,
         "is_coboundary": is_coboundary,
@@ -395,15 +389,14 @@ def coboundary_preimage(S, M, f):
     module raises ``InvalidModule``.
     """
     _check_module(S, M)
-    return _preimage(S, M, f)
+    return _preimage(Nerve(S), M, f)
 
 
-def _preimage(S, M, f):
-    """``coboundary_preimage`` on a module already checked."""
+def _preimage(N, M, f):
+    """``coboundary_preimage`` on the nerve N, for a module already checked."""
     n = f.degree
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
-    N = Nerve(S)
     d_prev = coboundary_hom(N, M, n - 1)
     x = solve_mod(d_prev.matrix, _vector_on(M, f, N.level(n)), d_prev.target.factors)
     if x is None:
@@ -422,50 +415,36 @@ def brute_cohomology(S, M, n, variant="zero"):
     A = M.group
     if A.order() is None:
         raise CapExceeded(f"degree-{n} cochain count (infinite coefficients)", None, BRUTE_COCHAIN_CAP)
-    tuples = nerve(S, n)
-    total = A.order() ** len(tuples)
-    if total > BRUTE_COCHAIN_CAP:
-        raise CapExceeded(f"degree-{n} cochain count", total, BRUTE_COCHAIN_CAP)
-    elements = A.elements()
-
-    def all_cochains(deg):
-        ts = nerve(S, deg)
-        for combo in product(elements, repeat=len(ts)):
-            yield Cochain(deg, dict(zip(ts, combo)))
-
-    cocycles = [tuple(sorted(f.values.items())) for f in _brute_cocycles(S, M, n)]
-    if n == 0:
-        boundaries = {tuple(sorted(zero_cochain(S, M, n).values.items()))}
-    else:
-        prev_total = A.order() ** len(nerve(S, n - 1))
-        if prev_total > BRUTE_COCHAIN_CAP:
-            raise CapExceeded(f"degree-{n - 1} cochain count", prev_total, BRUTE_COCHAIN_CAP)
-        boundaries = set()
-        for g in all_cochains(n - 1):
-            dg = coboundary(M, g)
-            boundaries.add(tuple(sorted(dg.values.items())))
+    N = Nerve(S)
+    for m in (n, n - 1)[: n + 1]:  # the cochains searched, then those whose coboundaries are listed
+        total = A.order() ** len(N.level(m))
+        if total > BRUTE_COCHAIN_CAP:
+            raise CapExceeded(f"degree-{m} cochain count", total, BRUTE_COCHAIN_CAP)
+    # a cochain is keyed by its values, in nerve order
+    tuples = N.level(n)
+    zero = (A.zero(),) * len(tuples)
+    cocycles = [tuple(f.values[t] for t in tuples) for f in _brute_cocycles(S, M, n)]
+    boundaries = {zero}
+    if n:
+        lower = N.level(n - 1)
+        for combo in product(A.elements(), repeat=len(lower)):
+            dg = coboundary(M, Cochain(n - 1, dict(zip(lower, combo))))
+            boundaries.add(tuple(dg.values[t] for t in tuples))
     # quotient Z/B by brute coset bucketing
     keys = {}
     reps = []
-    tuple_order = sorted(tuples)
-
-    def add_cochains(c1, c2):
-        d1, d2 = dict(c1), dict(c2)
-        return tuple(sorted((t, A.add(d1[t], d2[t])) for t in tuple_order))
-
     for zc in cocycles:
         if zc in keys:
             continue
         cid = len(reps)
         for b in boundaries:
-            keys[add_cochains(zc, b)] = cid
+            keys[tuple(map(A.add, zc, b))] = cid
         reps.append(zc)
 
     def add(c1, c2):
-        return keys[add_cochains(reps[c1], reps[c2])]
+        return keys[tuple(map(A.add, reps[c1], reps[c2]))]
 
-    zero_key = keys[tuple(sorted(zero_cochain(S, M, n).values.items()))]
-    inv = finite_invariants_from_orders(list(range(len(reps))), add, zero_key)
+    inv = finite_invariants_from_orders(list(range(len(reps))), add, keys[zero])
     return FinAbGroup(inv)
 
 
@@ -477,11 +456,11 @@ def _brute_cocycles(S, M, n):
     A.elements() and tests a coordinate as soon as its last tuple is
     fixed.  Every hit is re-checked with the full ``coboundary``.
     """
+    N = Nerve(S)
     elements = M.group.elements()
-    tuples = nerve(S, n)
-    pos = {t: i for i, t in enumerate(tuples)}
+    tuples, pos = N.level(n), N.index(n)
     checks = [[] for _ in tuples]
-    for t in nerve(S, n + 1):
+    for t in N.level(n + 1):
         faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]
         checks[max(pos[face] for face in faces)].append(t)
     values = {}

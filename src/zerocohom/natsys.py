@@ -25,7 +25,7 @@ from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom,
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
 from .cohomology import Nerve, _check_module, assemble_coboundary, cochain_group
 from .modules import trivial_module
-from .semigroups import Frozen
+from .semigroups import Frozen, require_same
 
 
 def _require_monoid_with_zero(S):
@@ -255,6 +255,7 @@ def natsys_cohomology(S, D, n):
     """H^n of the cochain complex of a natural system (n <= 3)."""
     if n > NATSYS_DEGREE_CAP:
         raise CapExceeded("degree", n, NATSYS_DEGREE_CAP)
+    require_same(S, D.semigroup)
     N = Nerve(S)
     return complex_homology(*N.complex_at(n, lambda k: natsys_coboundary_hom(N, D, k))).group
 
@@ -376,6 +377,7 @@ def hom_complex_compare(S, D, n_max=2):
     if n_max > NATSYS_DEGREE_CAP - 1:
         raise CapExceeded("comparison degree", n_max, NATSYS_DEGREE_CAP - 1)
     _require_monoid_with_zero(S)
+    require_same(S, D.semigroup)
     # one Nerve serves the coboundaries, the bar resolution and the hom side
     N = Nerve(S)
     deltas = [natsys_coboundary_hom(N, D, n) for n in range(n_max + 1)]

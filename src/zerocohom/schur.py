@@ -23,7 +23,7 @@ None for a factor set of a monoid.
 from itertools import product
 
 from .abgroups import FinAbGroup, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import Cochain, SemilatticeOfGroups, _preimage, nerve, support_cohomology
+from .cohomology import Cochain, Nerve, SemilatticeOfGroups, _preimage, support_cohomology
 from .errors import (
     CapExceeded,
     CertificateError,
@@ -290,8 +290,9 @@ def equivalent(rho, sigma):
             raise ShapeMismatch(f"sigma's value at {(x, y)}", len(v), len(w))
         ratio_vals[(qindex[x], qindex[y])] = A.reduce([a - b for a, b in zip(v, w)])
     zero = A.zero()
-    ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in nerve(Q, 2)})
-    found, phi = _preimage(Q, MQ, ratio)
+    N = Nerve(Q)
+    ratio = Cochain(2, {t: ratio_vals.get(t, zero) for t in N.level(2)})
+    found, phi = _preimage(N, MQ, ratio)
     if not found:
         return (False, None)
     alpha = {s: zero if s in I_r else phi.values[(qindex[s],)] for s in range(S.order)}

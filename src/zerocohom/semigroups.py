@@ -22,6 +22,7 @@ from .errors import (
     MissingZero,
     NotAGroup,
     NotAnIdeal,
+    SemigroupMismatch,
     TableError,
     ZeroError,
 )
@@ -196,6 +197,12 @@ def opposite(S):
     n = S.order
     table = tuple(tuple(S.table[j][i] for j in range(n)) for i in range(n))
     return Semigroup(S.elements, table, S.zero, S.identity)
+
+
+def require_same(S, T):
+    """Refuse with ``SemigroupMismatch`` unless T is S (compared with ``is`` first, then by value)."""
+    if T is not S and T != S:
+        raise SemigroupMismatch(S, T)
 
 
 def is_ideal(S, subset):
@@ -573,20 +580,22 @@ def _isomorphisms(S, T, s_label, t_label):
     x -> image from a ``backtrack`` that tries the images of 0, 1, ...
     in index order, so the dicts come out lexicographically.  A prefix
     is extended only while it is injective and respects every product
-    it determines.  Nothing is yielded when the label multisets differ.
+    it determines: the check a b = c is filed under max(a, b, c), the
+    last element whose image it reads, and run when that image is set.
+    Nothing is yielded when the label multisets differ.
     """
     n = S.order
+    checks = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c = S.table[a][b]
+            checks[max(a, b, c)].append((a, b, c))
 
     def consistent(mapping):
         k = len(mapping) - 1
         if mapping[k] in mapping[:k]:
             return False
-        for a in range(k + 1):
-            for b in range(k + 1):
-                c = S.table[a][b]
-                if c <= k and T.table[mapping[a]][mapping[b]] != mapping[c]:
-                    return False
-        return True
+        return all(T.table[mapping[a]][mapping[b]] == mapping[c] for a, b, c in checks[k])
 
     if sorted(s_label) == sorted(t_label):
         domains = [[h for h in range(n) if t_label[h] == s_label[x]] for x in range(n)]

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -14,13 +15,14 @@ from zerocohom.cohomology import (
     brute_cohomology,
     coboundary,
     coboundary_hom,
+    coboundary_preimage,
     cohomology_group,
     nerve,
     random_cochain,
     witness_report,
     zero_cochain,
 )
-from zerocohom.errors import CapExceeded, InvalidModule, NoZero
+from zerocohom.errors import CapExceeded, InvalidModule, NoZero, SemigroupMismatch
 from zerocohom.modules import (
     ZeroModule,
     corner_module,
@@ -30,6 +32,8 @@ from zerocohom.modules import (
     trivial_module,
     validate_module,
 )
+from zerocohom.natsys import from_zero_module, hom_complex_compare, natsys_cohomology
+from zerocohom.partial import build_t_semigroup
 from zerocohom.presentations import enumerate_presentation, parse_presentation
 from zerocohom.semigroups import adjoin, zero_direct_union
 
@@ -98,6 +102,45 @@ def test_the_em_nerve_is_the_zero_nerve_of_s0():
     assert len(nerve(adjoin(T, "zero"), 3)) == 8
     with pytest.raises(NoZero):
         nerve(T, 2)
+
+
+def test_nerve_levels_are_the_product_scan():
+    # Nerve grows each level from the one below, and the fast path and the
+    # brute twins read the same levels: only a scan that shares no code
+    # with it can catch a level built out of order
+    semigroups = [adjoin(S, "zero") for S in catalog.monoid_catalogue(4)] + [
+        nil4(),
+        catalog.mitchell_quotient(),
+        catalog.brandt_b2(),
+        catalog.null_semigroup(2),
+    ]
+    for S, top in [(S, 4) for S in semigroups] + [(build_t_semigroup().semigroup, 3)]:
+        N = Nerve(S)
+        for m in range(top + 1):
+            scan = [t for t in product(S.nonzero(), repeat=m) if not t or reduce(S.mul, t) != S.zero]
+            assert N.level(m) == scan == nerve(S, m), (S.elements, m)
+            assert N.products(m) == [reduce(S.mul, t) if t else S.identity for t in scan], (S.elements, m)
+
+
+def test_a_module_or_natural_system_over_another_semigroup_is_refused():
+    S, M = nil4(), trivial_module(catalog.mitchell_quotient(), FinAbGroup([2]))
+    f = zero_cochain(S, trivial_module(S, FinAbGroup([2])), 2)
+    C2_0, C3_0 = adjoin(catalog.cyclic_group(2), "zero"), adjoin(catalog.cyclic_group(3), "zero")
+    D = from_zero_module(trivial_module(C3_0, FinAbGroup([2])))
+    calls = [
+        (S, M, lambda: cohomology_group(S, M, 2)),
+        (S, M, lambda: cohomology_group(S, M, 2, "em")),
+        (S, M, lambda: witness_report(S, M, f)),
+        (S, M, lambda: brute_cohomology(S, M, 2)),
+        (S, M, lambda: coboundary_preimage(S, M, f)),
+        (C2_0, D, lambda: hom_complex_compare(C2_0, D, 2)),
+    ] + [(C2_0, D, lambda n=n: natsys_cohomology(C2_0, D, n)) for n in (0, 1, 2)]
+    for base, X, call in calls:
+        with pytest.raises(SemigroupMismatch) as exc:
+            call()
+        assert exc.value.witness == (base, X.semigroup)
+    # an equal copy of the semigroup is the same semigroup
+    assert cohomology_group(nil4(), trivial_module(nil4(), FinAbGroup([2])), 2).group.invariants() == (2, 2)
 
 
 def test_nerve_subproducts_nonzero():
@@ -626,7 +669,7 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
     assert N.pieces == {}
     assert N.faces(2) is N.faces(2)
-    assert sorted(N.pieces) == [("faces", 2), ("index", 1), ("level", 1), ("level", 2)]
+    assert sorted(N.pieces) == [("faces", 2), ("index", 1), ("level", 1), ("level", 2), ("products", 1)]
     ref = weakref.ref(N)
     gc.disable()
     try:

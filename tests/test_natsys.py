@@ -466,9 +466,9 @@ def _c2_calls():
     }
 
 
-# the nerve levels and face maps each entry point reads, and its
-# validate_module calls; the comparison reads B_0..B_2 (levels 2..4)
-# only, never B_3
+# the nerve levels Nerve grows (level 0 is the constant [()], never
+# grown) and face maps each entry point reads, and its validate_module
+# calls; the comparison reads B_0..B_2 (levels 2..4) only, never B_3
 BUILDS = {
     "cohomology_group-zero": ({1, 2, 3}, {2, 3}, 1),
     "cohomology_group-em": ({1, 2, 3}, {2, 3}, 1),
@@ -476,7 +476,7 @@ BUILDS = {
     "natsys_cohomology": ({1, 2, 3}, {2, 3}, 1),
     "coboundary_preimage": ({1, 2}, {2}, 1),
     "equivalent": ({1, 2}, {2}, 0),
-    "hom_complex_compare": ({0, 1, 2, 3, 4}, {1, 2, 3, 4}, 1),
+    "hom_complex_compare": ({1, 2, 3, 4}, {1, 2, 3, 4}, 1),
     "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
     "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
 }
@@ -486,11 +486,11 @@ BUILDS = {
 def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     call = _c2_calls()[name]
     seen = []
-    real_nerve, real_faces, real_action = cohomology.nerve, cohomology.face_maps, natsys.bar_action
+    real_grow, real_faces, real_action = cohomology.Nerve._grow, cohomology.face_maps, natsys.bar_action
 
-    def counted_nerve(S_, n):
-        seen.append(("level", n))
-        return real_nerve(S_, n)
+    def counted_grow(N, m):
+        seen.append(("level", m))
+        return real_grow(N, m)
 
     def counted_faces(S_, m, upper, index):
         seen.append(("faces", m))
@@ -507,7 +507,7 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
         validated.append(M_)
         return real_validate(M_)
 
-    monkeypatch.setattr(cohomology, "nerve", counted_nerve)
+    monkeypatch.setattr(cohomology.Nerve, "_grow", counted_grow)
     monkeypatch.setattr(cohomology, "face_maps", counted_faces)
     monkeypatch.setattr(natsys, "bar_action", counted_action)
     monkeypatch.setattr(modules, "validate_module", counted_validate)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -424,6 +424,46 @@ def test_group_automorphism_counts(name, count):
     assert autos == sorted(autos, key=lambda a: list(a.values()))
 
 
+def _relabeled(S, rng):
+    """S with its elements listed in a seeded random order."""
+    perm = rng.sample(range(S.order), S.order)
+    at = {old: new for new, old in enumerate(perm)}
+    return validate_table([S.elements[a] for a in perm], [[at[S.table[a][b]] for b in perm] for a in perm])
+
+
+def test_isomorphisms_are_the_permutation_scan():
+    # the search files each product check under the last element it reads;
+    # it must find exactly the bijections that respect every product, in
+    # lexicographic order
+    rng = random.Random(7)
+    semigroups = catalog.monoid_catalogue(4) + [
+        nil4(),
+        catalog.mitchell_quotient(),
+        catalog.brandt_b2(),
+        catalog.null_semigroup(2),
+        catalog.symmetric_group_3(),
+    ]
+    for S in semigroups:
+        T, n = _relabeled(S, rng), S.order
+        scan = [
+            dict(enumerate(p))
+            for p in permutations(range(n))
+            if all(T.table[p[a]][p[b]] == p[S.table[a][b]] for a in range(n) for b in range(n))
+        ]
+        assert scan
+        assert list(_isomorphisms(S, T, [0] * n, [0] * n)) == scan, S.elements
+
+
+def test_seeded_relabelings_are_isomorphic():
+    rng = random.Random(11)
+    semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.mitchell_quotient(), catalog.brandt_b2()]
+    for D in (catalog.cyclic_group(3), catalog.klein_four(), catalog.symmetric_group_3()):
+        for rows, cols in ((2, 3), (3, 3)):
+            semigroups.append(rees_matrix_semigroup(D, rows, cols, regular_sandwich(D, rows, cols, rng)))
+    for S in semigroups:
+        assert isomorphic_semigroups(S, _relabeled(S, rng)), S.elements
+
+
 def test_backtrack_yields_the_accepted_assignments_in_product_order():
     domains = [range(3), "ab", (True, False)]
     calls = []
@@ -474,3 +514,4 @@ def test_monoid_generation_counts():
         for j in range(i + 1, len(m3)):
             assert not isomorphic_semigroups(m3[i], m3[j])
     assert len(m3) == 7
+    assert len(catalog.monoids_of_order(4)) == 35
