@@ -103,7 +103,11 @@ def random_cochain(rng, S, M, n):
 
 def coboundary(M, f):
     """The coboundary cochain of f (degree goes up by one)."""
-    N = Nerve(M.semigroup)
+    return _coboundary_on(Nerve(M.semigroup), M, f)
+
+
+def _coboundary_on(N, M, f):
+    """``coboundary`` on the levels of the nerve N; each value is ``_coboundary_at``, from tuple faces."""
     n = f.degree
     if set(f.values) != set(N.level(n)):
         raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
@@ -143,31 +147,34 @@ def cochain_group(groups):
     return FinAbGroup(factors), offsets
 
 
-def face_maps(S, m, upper, index):
-    """The face maps from nerve level m >= 1 to level m - 1, as index lists.
-
-    ``upper`` is level m, and ``index`` maps each tuple of level m - 1 to
-    its position.  Row i gives, for each tuple t of ``upper`` in order,
-    the position of its face d_i t: d_0 drops the first letter, d_m the
-    last, and d_i for 0 < i < m multiplies t[i - 1] and t[i] together.
-    An empty level gives m + 1 empty rows.
-    """
-    inner = [[index[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :]] for t in upper] for i in range(1, m)]
-    return [[index[t[1:]] for t in upper]] + inner + [[index[t[:-1]] for t in upper]]
-
-
 class Nerve:
     """The zero nerve of one semigroup, each piece built once, on first use.
 
     ``level(m)`` is ``[()]`` for m = 0, the nonzero letters for m = 1,
     and above that grows in one pass from level m - 1 and its products,
-    in lexicographic order; ``nerve(S, m)`` reads it.  ``index(m)`` maps its tuples
-    to their positions, ``products(m)`` lists their full products (the
-    identity for the empty tuple), and ``faces(m)``, for m >= 1, is
-    ``face_maps`` from level m to level m - 1.  Every builder reads its
-    levels and faces here, so one call builds each of them at most once.
-    The pieces are kept in one dict, ``pieces``, keyed by (name, m); they
-    do not refer back to the Nerve, so a dropped Nerve is freed at once.
+    in lexicographic order; ``nerve(S, m)`` reads it.  ``index(m)`` maps
+    its tuples to their positions, and ``products(m)`` lists their full
+    products (the identity for the empty tuple).
+
+    Each level m >= 1 also has an index form, so that faces and actions
+    are index arithmetic and no tuple is built to be looked up.  Tuple p
+    of level m is ``(heads(m)[p],) + level(m - 1)[tails(m)[p]]``, and
+    ``lasts(m)[p]`` is its last letter.  With w = len(level(m - 1)),
+    ``slots(m)[x * w + j]`` is the position of the tuple with first
+    letter x and tail j, and ``rslots(m)[i * |S| + y]`` that of the
+    tuple whose last face sits at i and whose last letter is y; either
+    is -1 when there is no such tuple.  ``faces(m)`` lists the face maps
+    d_0..d_m from level m to level m - 1, each as the positions of the
+    faces in tuple order: d_0 drops the first letter, d_m the last, and
+    d_i for 0 < i < m multiplies letters i - 1 and i together.  They grow
+    from the faces one level down: d_0 is ``tails(m)`` itself, d_1 merges
+    the first letter into the tail's, and d_i for i >= 2 keeps the first
+    letter on d_{i-1} of the tail.
+
+    Every builder reads its levels and faces here, so one call builds
+    each of them at most once.  The pieces are kept in one dict,
+    ``pieces``, keyed by (name, m); they do not refer back to the Nerve,
+    so a dropped Nerve is freed at once.
     """
 
     def __init__(self, S):
@@ -205,8 +212,67 @@ class Nerve:
         S = self.semigroup
         return self._piece("products", m, lambda: [S.mul_word(t) if t else S.identity for t in self.level(m)])
 
+    def _split(self, m):
+        """(heads, tails) of level m >= 1, by the scan that grows it."""
+        if m == 1:
+            heads = [t[0] for t in self.level(1)]
+            return heads, [0] * len(heads)
+        S = self.semigroup
+        table, z, below = S.table, S.zero, self.products(m - 1)
+        positions = list(range(len(below)))  # one int object per tail, shared by every head
+        heads, tails = [], []
+        for x in S.nonzero():
+            row = table[x]
+            js = [j for j, p in zip(positions, below) if row[p] != z]
+            heads += [x] * len(js)
+            tails += js
+        return heads, tails
+
+    def heads(self, m):
+        return self._piece("split", m, lambda: self._split(m))[0]
+
+    def tails(self, m):
+        return self._piece("split", m, lambda: self._split(m))[1]
+
+    def lasts(self, m):
+        if m == 1:
+            return self.heads(1)
+        return self._piece("lasts", m, lambda: list(map(self.lasts(m - 1).__getitem__, self.tails(m))))
+
+    def slots(self, m):
+        def build():
+            w = len(self.level(m - 1))
+            out = [-1] * (self.semigroup.order * w)
+            for p, (x, j) in enumerate(zip(self.heads(m), self.tails(m))):
+                out[x * w + j] = p
+            return out
+
+        return self._piece("slots", m, build)
+
+    def rslots(self, m):
+        def build():
+            s = self.semigroup.order
+            out = [-1] * (len(self.level(m - 1)) * s)
+            for p, (i, y) in enumerate(zip(self.faces(m)[-1], self.lasts(m))):
+                out[i * s + y] = p
+            return out
+
+        return self._piece("rslots", m, build)
+
     def faces(self, m):
-        return self._piece("faces", m, lambda: face_maps(self.semigroup, m, self.level(m), self.index(m - 1)))
+        return self._piece("faces", m, lambda: self._face_rows(m))
+
+    def _face_rows(self, m):
+        """d_0..d_m of level m >= 1, from the faces, slots and index form of level m - 1."""
+        heads, tails = self.heads(m), self.tails(m)
+        if m == 1:
+            return [tails, tails]
+        table, slots, w = self.semigroup.table, self.slots(m - 1), len(self.level(m - 2))
+        lower_heads, lower_tails = self.heads(m - 1), self.tails(m - 1)
+        first = [slots[table[x][lower_heads[j]] * w + lower_tails[j]] for x, j in zip(heads, tails)]
+        base = [x * w for x in heads]
+        kept = [[slots[b + face[j]] for b, j in zip(base, tails)] for face in self.faces(m - 1)[1:]]
+        return [tails, first] + kept
 
     def complex_at(self, n, d):
         """The maps (d_in, d_out) into and out of degree n, whose homology is H^n.
@@ -221,47 +287,80 @@ class Nerve:
         return d_in, d_out
 
 
+def _is_identity(block):
+    return block.m == block.n and all(c == {i: 1} for i, c in enumerate(block.cols))
+
+
+def _all_rank_one(group, offsets):
+    """Whether every block of a cochain group, laid out at ``offsets``, has rank one."""
+    return group.rank == len(offsets) and offsets == list(range(len(offsets)))
+
+
 def assemble_coboundary(N, n, groups, first_block, last_block):
     """The alternating-sum coboundary from level n of the nerve N to level n + 1, as a GroupHom.
 
     ``groups(m)`` lists the coefficient group at each tuple of level m.
-    ``first_block(t, q)`` and ``last_block(t, q)`` are the matrices of
+    ``first_block(x, q)`` and ``last_block(y, q)`` are the matrices of
     the first-slot term (from d_0 t to t) and the last-slot term (from
-    d_{n+1} t to t) at the (n+1)-tuple t, where q is the position of
-    that face in level n.  The middle terms merge two neighbours, keep
-    the full product and so the group, and enter as identity blocks.
-    The matrix is built as one sparse {row: value} column per source
-    coordinate.  The face maps are built after the cap check.
+    d_{n+1} t to t) at the (n+1)-tuple t with first letter x and last
+    letter y, where q is the position of that face in level n.  The
+    middle terms merge two neighbours, keep the full product and so the
+    group, and enter as identity blocks.  The matrix is built face by
+    face, as one sparse {row: value} column per source coordinate, with
+    no entry that cancelled: a face whose blocks are all the identity
+    (each distinct block is tested once) adds +-1 on matching
+    coordinates, and any other adds its blocks.  The faces are built
+    after the cap check.
     """
     src, src_off = cochain_group(groups(n))
+    upper = groups(n + 1)
     # the cap is checked before the larger cochain group is laid out
-    rows = sum(A.rank for A in groups(n + 1))
+    rows = sum(A.rank for A in upper)
     cells = src.rank * max(rows, 1)
     if cells > COBOUNDARY_CELL_CAP:
         raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
-    dst, dst_off = cochain_group(groups(n + 1))
+    dst, dst_off = cochain_group(upper)
     faces = N.faces(n + 1)
     cols = [{} for _ in range(src.rank)]
+    if _all_rank_one(src, src_off) and _all_rank_one(dst, dst_off):
+        lift = lambda face: face  # a coordinate is a tuple position
+    else:
+        # row r0 + r of tuple p, whose block starts at row r0, meets coordinate r of its face's block
+        coords = [(p, r) for p, A in enumerate(upper) for r in range(A.rank)]
+        lift = lambda face: [src_off[face[p]] + r for p, r in coords]
 
-    def add_block(r0, q, block, sign):
-        for c, bcol in enumerate(block.cols, src_off[q]):
+    def add_identity(face, sign):
+        for r, c in enumerate(lift(face)):
             col = cols[c]
-            for r, x in bcol.items():
-                col[r0 + r] = col.get(r0 + r, 0) + sign * x
+            if r in col:
+                x = col[r] + sign
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            else:
+                col[r] = sign
 
-    first, inner, last = faces[0], faces[1:-1], faces[-1]
-    for p, (t, r0, r1) in enumerate(zip(N.level(n + 1), dst_off, dst_off[1:] + [dst.rank])):
-        add_block(r0, first[p], first_block(t, first[p]), 1)
-        sign = -1
-        for d in inner:
-            c0 = src_off[d[p]] - r0
-            for r in range(r0, r1):
-                col = cols[c0 + r]
-                col[r] = col.get(r, 0) + sign
-            sign = -sign
-        add_block(r0, last[p], last_block(t, last[p]), sign)
-    # terms that cancelled are not stored
-    cols = [{r: x for r, x in c.items() if x} for c in cols]
+    def add_blocks(face, letters, block, sign):
+        blocks = [block(x, q) for x, q in zip(letters, face)]
+        # the list keeps every block alive, so an id stands for one block
+        if all(_is_identity(b) for b in {id(b): b for b in blocks}.values()):
+            add_identity(face, sign)
+            return
+        for q, r0, b in zip(face, dst_off, blocks):
+            for c, bcol in enumerate(b.cols, src_off[q]):
+                col = cols[c]
+                for r, x in bcol.items():
+                    v = col.get(r0 + r, 0) + sign * x
+                    if v:
+                        col[r0 + r] = v
+                    else:
+                        col.pop(r0 + r, None)
+
+    add_blocks(faces[0], N.heads(n + 1), first_block, 1)
+    for i, face in enumerate(faces[1:-1], 1):
+        add_identity(face, (-1) ** i)
+    add_blocks(faces[-1], N.lasts(n + 1), last_block, (-1) ** (n + 1))
     return GroupHom(src, dst, IntMatrix.from_sparse(dst.rank, cols))
 
 
@@ -269,8 +368,8 @@ def coboundary_hom(N, M, n):
     """The coboundary in degree n on the nerve N as a GroupHom between cochain groups."""
     A = M.group
     one = IntMatrix.identity(A.rank)
-    last = (lambda t, q: one) if M.right is None else (lambda t, q: M.right[t[-1]])
-    return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda t, q: M.matrix(t[0]), last)
+    last = (lambda y, q: one) if M.right is None else (lambda y, q: M.right[y])
+    return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda x, q: M.matrix(x), last)
 
 
 class CohomologyResult:
@@ -371,9 +470,10 @@ def witness_report(S, M, f, variant="zero"):
     """Certify a cochain: cocycle? coboundary? (with an integer preimage)."""
     S, M = _resolve_variant(S, M, variant)
     _check_module(S, M)
-    df = coboundary(M, f)
+    N = Nerve(S)
+    df = _coboundary_on(N, M, f)
     is_cocycle = all(not any(v) for v in df.values.values())
-    is_coboundary, preimage = _preimage(Nerve(S), M, f)
+    is_coboundary, preimage = _preimage(N, M, f)
     return {
         "is_cocycle": is_cocycle,
         "is_coboundary": is_coboundary,
@@ -423,12 +523,12 @@ def brute_cohomology(S, M, n, variant="zero"):
     # a cochain is keyed by its values, in nerve order
     tuples = N.level(n)
     zero = (A.zero(),) * len(tuples)
-    cocycles = [tuple(f.values[t] for t in tuples) for f in _brute_cocycles(S, M, n)]
+    cocycles = [tuple(f.values[t] for t in tuples) for f in _brute_cocycles(N, M, n)]
     boundaries = {zero}
     if n:
         lower = N.level(n - 1)
         for combo in product(A.elements(), repeat=len(lower)):
-            dg = coboundary(M, Cochain(n - 1, dict(zip(lower, combo))))
+            dg = _coboundary_on(N, M, Cochain(n - 1, dict(zip(lower, combo))))
             boundaries.add(tuple(dg.values[t] for t in tuples))
     # quotient Z/B by brute coset bucketing
     keys = {}
@@ -448,16 +548,15 @@ def brute_cohomology(S, M, n, variant="zero"):
     return FinAbGroup(inv)
 
 
-def _brute_cocycles(S, M, n):
-    """Every degree-n cocycle, in the order of a product scan over the nerve.
+def _brute_cocycles(N, M, n):
+    """Every degree-n cocycle on the nerve N, in the order of a product scan over it.
 
     Each coordinate of the coboundary is attached to the last nerve
     tuple it reads.  A ``backtrack`` fills the values in the order of
     A.elements() and tests a coordinate as soon as its last tuple is
     fixed.  Every hit is re-checked with the full ``coboundary``.
     """
-    N = Nerve(S)
-    elements = M.group.elements()
+    S, elements = N.semigroup, M.group.elements()
     tuples, pos = N.level(n), N.index(n)
     checks = [[] for _ in tuples]
     for t in N.level(n + 1):
@@ -473,7 +572,7 @@ def _brute_cocycles(S, M, n):
     out = []
     for vals in backtrack([elements] * len(tuples), ok):
         f = Cochain(n, dict(zip(tuples, vals)))
-        bad = [t for t, v in coboundary(M, f).values.items() if any(v)]
+        bad = [t for t, v in _coboundary_on(N, M, f).values.items() if any(v)]
         if bad:
             raise CertificateError(bad[0], "search emitted a cochain that is not a cocycle")
         out.append(f)

@@ -99,20 +99,18 @@ class NaturalSystem:
         return self.groups[a]
 
     def left_map(self, alpha, a):
-        hit = self.left.get((alpha, a))
-        if hit is not None:
-            return hit
-        if alpha == self.semigroup.identity:
-            return IntMatrix.identity(self.groups[a].rank)
-        raise KeyError((alpha, a))
+        return self._map(self.left, alpha, a)
 
     def right_map(self, beta, a):
-        hit = self.right.get((beta, a))
+        return self._map(self.right, beta, a)
+
+    def _map(self, stored, g, a):
+        hit = stored.get((g, a))
         if hit is not None:
             return hit
-        if beta == self.semigroup.identity:
+        if g == self.semigroup.identity:
             return IntMatrix.identity(self.groups[a].rank)
-        raise KeyError((beta, a))
+        raise KeyError((g, a))
 
     def morphism_matrix(self, alpha, a, beta):
         """Matrix of D(alpha, a, beta) = alpha_* after beta^*."""
@@ -246,8 +244,8 @@ def natsys_coboundary_hom(N, D, n):
     """
     below = N.products(n)
     groups = lambda m: [D.groups[a] for a in N.products(m)]
-    alpha = lambda t, q: D.left_map(t[0], below[q])
-    beta = lambda t, q: D.right_map(t[-1], below[q])
+    alpha = lambda x, q: D.left_map(x, below[q])
+    beta = lambda y, q: D.right_map(y, below[q])
     return assemble_coboundary(N, n, groups, alpha, beta)
 
 
@@ -271,16 +269,16 @@ def _generators(S):
 
 
 def bar_action(N, m, alpha, beta):
-    """B(alpha, beta) on the symbols of nerve level m, as an index list.
+    """B(alpha, 1) or B(1, beta) on the symbols of nerve level m, as an index list.
 
     Entry p is the position of [alpha a_0 | t | a_{n+1} beta] for the
-    symbol p = [a_0 | t | a_{n+1}] over a, or None if alpha a beta = 0.
+    symbol p = [a_0 | t | a_{n+1}] over a, or -1 if alpha a beta = 0.
     """
-    S, index = N.semigroup, N.index(m)
-    live = {a for a in S.nonzero() if S.mul(S.mul(alpha, a), beta) != S.zero}
-    left, right = S.table[alpha], [row[beta] for row in S.table]
-    symbols = zip(N.level(m), N.products(m))
-    return [index[(left[s[0]],) + s[1:-1] + (right[s[-1]],)] if a in live else None for s, a in symbols]
+    if beta == N.semigroup.identity:
+        slots, w, left = N.slots(m), len(N.level(m - 1)), N.semigroup.table[alpha]
+        return [slots[left[x] * w + j] for x, j in zip(N.heads(m), N.tails(m))]
+    rslots, s, right = N.rslots(m), N.semigroup.order, [row[beta] for row in N.semigroup.table]
+    return [rslots[i * s + right[y]] for i, y in zip(N.faces(m)[-1], N.lasts(m))]
 
 
 def bar_resolution(N, n_max):
@@ -292,10 +290,12 @@ def bar_resolution(N, n_max):
     with witness (n, a)).  Naturality is checked face by face for each
     generating morphism, act_{n-1}[d_i[p]] == d_i[act_n[p]]
     (``FunctorialityError`` with witness (n, a, "left", alpha) or
-    (n, a, "right", beta)).  A negative n_max raises ``DegreeMismatch``.
+    (n, a, "right", beta)).  A negative n_max raises ``DegreeMismatch``, one above the cap ``CapExceeded``.
     """
     if n_max < 0:
         raise DegreeMismatch("negative degree")
+    if n_max > NATSYS_DEGREE_CAP:
+        raise CapExceeded("bar degree", n_max, NATSYS_DEGREE_CAP)
     S = N.semigroup
     _require_monoid_with_zero(S)
     faces = [[]] + [N.faces(n + 2)[1:-1] for n in range(1, n_max + 1)]
@@ -311,7 +311,7 @@ def bar_resolution(N, n_max):
             act = bar_action(N, n + 2, alpha, beta)
             for d in faces[n]:
                 for p, q in enumerate(act):
-                    if q is not None and prev[d[p]] != d[q]:
+                    if q >= 0 and prev[d[p]] != d[q]:
                         raise FunctorialityError((n, N.products(n + 2)[p]) + side)
             prev = act
 
@@ -392,9 +392,9 @@ def hom_complex_compare(S, D, n_max=2):
     # symbol's object: eta holds it once per key (a_0, object of t, a_{n+1}).
     eta, keys_over = {}, {a: [] for a in S.nonzero()}
     for m in range(2, n_max + 3):
-        inner, index = N.products(m - 2), N.index(m - 2)
-        for s, a in zip(N.level(m), N.products(m)):
-            key = (s[0], inner[index[s[1:-1]]], s[-1])
+        inner, tails = N.products(m - 2), N.tails(m - 1)  # the interior is the tail of the last face
+        for a0, i, a1, a in zip(N.heads(m), N.faces(m)[-1], N.lasts(m), N.products(m)):
+            key = (a0, inner[tails[i]], a1)
             if key not in eta:
                 eta[key] = [D.groups[a].reduce(c) for c in D.morphism_matrix(*key).columns()]
                 keys_over[a].append(key)

@@ -635,23 +635,23 @@ def subsemigroup(S, indices):
     return validate_table([S.elements[i] for i in idx], table, zero), pos
 
 
+def _profile(X):
+    """A cheap invariant of each element x: how many y have xy = x, how many yx = x, and whether xx = x."""
+    n = X.order
+    return [
+        (
+            sum(1 for j in range(n) if X.table[i][j] == i),
+            sum(1 for j in range(n) if X.table[j][i] == i),
+            X.table[i][i] == i,
+        )
+        for i in range(n)
+    ]
+
+
 def isomorphic_semigroups(S, T):
     """Isomorphism test, a ``backtrack`` over the images of the elements.
 
     It decides group isomorphism too, and serves the 19-element Rees
     matrix semigroups that ``sandwich_equivalent`` compares.
     """
-
-    # a cheap invariant of each element
-    def profile(X):
-        n = X.order
-        return [
-            (
-                sum(1 for j in range(n) if X.table[i][j] == i),
-                sum(1 for j in range(n) if X.table[j][i] == i),
-                X.table[i][i] == i,
-            )
-            for i in range(n)
-        ]
-
-    return next(_isomorphisms(S, T, profile(S), profile(T)), None) is not None
+    return next(_isomorphisms(S, T, _profile(S), _profile(T)), None) is not None

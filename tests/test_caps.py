@@ -60,6 +60,13 @@ def compare_degree():
     return lambda: hom_complex_compare(S, trivial_Z(S), 3), "comparison degree", 3
 
 
+def bar_degree():
+    # B_4 lives on level 6 (T's holds 50,995,008 tuples); on C1^0, whose
+    # levels hold one tuple each, the uncapped call would be instant
+    S = adjoin(catalog.cyclic_group(1), "zero")
+    return lambda: natsys.bar_exactness_report(S, 4), "bar degree", 4
+
+
 def cohomology_degree():
     S, M = nil_square_c2()
     return lambda: cohomology_group(S, M, 5), "degree", 5
@@ -114,6 +121,7 @@ CASES = [
     (brute_lower_cochains, cohomology, "BRUTE_COCHAIN_CAP", 1, 1),
     (natsys_degree, natsys, "NATSYS_DEGREE_CAP", None, 3),
     (compare_degree, None, None, None, 2),
+    (bar_degree, natsys, "NATSYS_DEGREE_CAP", None, 3),
     (modifications_found, brauer, "MODIFICATION_CAP", 1, 1),
     (modifications_lower_bound, brauer, "MODIFICATION_CAP", None, 4096),
     (weak_cocycle_candidates, brauer, "WEAK_COCYCLE_CAP", None, 2_000_000),

@@ -72,8 +72,10 @@ def on_s0(S, M):
 
 
 def _assert_faces_match_the_tuple_formula(S, N, m):
-    # row i of face_maps is the face d_i written out on tuples: drop the
-    # first letter, merge letters i - 1 and i (in S), or drop the last letter
+    # row i of N.faces(m) is the face d_i written out on tuples: drop the
+    # first letter, merge letters i - 1 and i (in S), or drop the last
+    # letter; the rows grow from the index form, checked first
+    _assert_index_form_matches_the_tuples(S, N, m)
     upper, lower = N.level(m), N.level(m - 1)
     rows = N.faces(m)
     assert len(rows) == m + 1
@@ -82,6 +84,18 @@ def _assert_faces_match_the_tuple_formula(S, N, m):
         *[[t[: i - 1] + (S.mul(t[i - 1], t[i]),) + t[i + 1 :] for t in upper] for i in range(1, m)],
         [t[:-1] for t in upper],
     ], (S.elements, m)
+
+
+def _assert_index_form_matches_the_tuples(S, N, m):
+    # tuple p is (heads[p],) + lower[tails[p]] and lasts[p] is its last
+    # letter; every cell of slots and rslots holds the position of the
+    # tuple it names, or -1 when that tuple is not in the nerve
+    upper, lower, letters = N.level(m), N.level(m - 1), range(N.semigroup.order)
+    assert [(x,) + lower[j] for x, j in zip(N.heads(m), N.tails(m))] == upper, (S.elements, m)
+    assert N.lasts(m) == [t[-1] for t in upper], (S.elements, m)
+    where = {t: p for p, t in enumerate(upper)}
+    assert N.slots(m) == [where.get((x,) + t, -1) for x in letters for t in lower], (S.elements, m)
+    assert N.rslots(m) == [where.get(t + (y,), -1) for t in lower for y in letters], (S.elements, m)
 
 
 def test_the_em_nerve_is_the_zero_nerve_of_s0():
@@ -155,9 +169,11 @@ def test_nerve_subproducts_nonzero():
 
 def test_face_maps_match_the_tuple_formula():
     # an empty level (level 2 of the null semigroup) has m + 1 empty rows;
-    # the nerves of S^0 are checked in test_the_em_nerve_is_the_zero_nerve_of_s0
+    # the nerves of S^0 are checked in test_the_em_nerve_is_the_zero_nerve_of_s0.
+    # T (25 elements) has levels of 24, 468 and 8640 tuples, whose first
+    # letters run over several blocks of tails each
     semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.null_semigroup(2), catalog.brandt_b2()]
-    for S in semigroups:
+    for S in semigroups + [build_t_semigroup().semigroup]:
         if S.has_zero:
             for m in (1, 2, 3):
                 _assert_faces_match_the_tuple_formula(S, Nerve(S), m)
@@ -574,7 +590,7 @@ def test_cocycle_search_matches_the_scan():
                 f = Cochain(n, dict(zip(tuples, combo)))
                 if not any(any(v) for v in coboundary(M, f).values.values()):
                     scan.append(f)
-            assert _brute_cocycles(S, M, n) == scan, (S.elements, n)
+            assert _brute_cocycles(Nerve(S), M, n) == scan, (S.elements, n)
 
 
 def test_witnesses_generate_cohomology():
@@ -661,7 +677,9 @@ def test_sparse_coboundaries_against_dense_complexes():
 def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     # once both maps are built every piece is dropped, level n + 1 and its
     # face maps included, and a dropped Nerve is freed by reference
-    # counting alone: its pieces do not refer back to it
+    # counting alone: its pieces do not refer back to it.  The faces of
+    # level 2 grow from those of level 1 and the index form, not from the
+    # tuples of level 2
     S = nil4()
     M = trivial_module(S, FinAbGroup([2]))
     N = Nerve(S)
@@ -669,7 +687,8 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
     assert N.pieces == {}
     assert N.faces(2) is N.faces(2)
-    assert sorted(N.pieces) == [("faces", 2), ("index", 1), ("level", 1), ("level", 2), ("products", 1)]
+    built = [("faces", 1), ("faces", 2), ("level", 1), ("products", 1), ("slots", 1), ("split", 1), ("split", 2)]
+    assert sorted(N.pieces) == built
     ref = weakref.ref(N)
     gc.disable()
     try:

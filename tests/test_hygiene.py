@@ -13,8 +13,8 @@ The package has no ``assert`` statement, since ``python -O`` drops them.
 No module imports ``dataclasses``: records are plain classes with
 ``__slots__``, and one record style keeps start-up free of ``inspect``.
 The README's caps table lists exactly the package's ``*_CAP`` constants.
-A nerve face is built from tuple slices only in ``face_maps`` and in the
-brute-force twins that check it.
+A nerve face is built from tuple slices only in the brute-force twins:
+``Nerve.faces`` grows by index arithmetic, so the twins stay independent.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
 dense rows are a copy built on demand, so such a write is lost.
 The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``, and only
@@ -228,7 +228,7 @@ def _merges_neighbours(node):
     )
 
 
-def test_faces_are_built_only_in_face_maps_and_the_brute_twins():
+def test_faces_are_built_only_in_the_brute_twins():
     # a face such as t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2:] is a
     # concatenation of a slice and a tuple that merges two neighbours
     builders = set()
@@ -242,7 +242,7 @@ def test_faces_are_built_only_in_face_maps_and_the_brute_twins():
                 sliced = any(isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Slice) for x in sides)
                 if merge and sliced:
                     builders.add(f"{name}:{getattr(stmt, 'name', stmt.lineno)}")
-    assert builders == {"cohomology.py:face_maps", "cohomology.py:_coboundary_at", "cohomology.py:_brute_cocycles"}
+    assert builders == {"cohomology.py:_coboundary_at", "cohomology.py:_brute_cocycles"}
 
 
 def _into_dense_rows(target):

@@ -6,7 +6,15 @@ import pytest
 from zerocohom import catalog, cohomology, modules, natsys
 from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.brauer import brauer_monoid
-from zerocohom.cohomology import Nerve, brute_cohomology, coboundary_preimage, cohomology_group, nerve, zero_cochain
+from zerocohom.cohomology import (
+    Nerve,
+    brute_cohomology,
+    coboundary_preimage,
+    cohomology_group,
+    nerve,
+    witness_report,
+    zero_cochain,
+)
 from zerocohom.errors import CapExceeded, DegreeMismatch, FunctorialityError, InvalidModule, NotMonoidWithZero
 from zerocohom.modules import ZeroModule, scalar_module, trivial_bimodule, trivial_module, validate_module
 from zerocohom.natsys import (
@@ -341,7 +349,9 @@ def test_bar_dd_zero_nil_square_with_identity():
 
 def test_bar_resolution_dd_check_survives_optimize(run_python):
     # under python -O: one corrupted entry of a face map must still raise
-    # NotAComplex, so the check cannot rest on an assert
+    # NotAComplex, so the check cannot rest on an assert.  The faces of B_2
+    # grow from those of B_1, so the first symbol whose identities fail lies
+    # over u
     script = """
 import zerocohom.cohomology as co
 import zerocohom.natsys as ns
@@ -349,25 +359,111 @@ from zerocohom import catalog
 from zerocohom.errors import NotAComplex
 from zerocohom.semigroups import adjoin
 
-real = co.face_maps
+real = co.Nerve._face_rows
 
-def corrupt(S, m, upper, index):
-    rows = real(S, m, upper, index)
+def corrupt(N, m):
+    rows = real(N, m)
     if m == 3:  # the faces of B_1: send d_0 [1 | 1 | 1] elsewhere
-        p = upper.index((S.identity,) * 3)
-        rows[1][p] = (rows[1][p] + 1) % len(index)
+        p = N.level(3).index((N.semigroup.identity,) * 3)
+        rows[1][p] = (rows[1][p] + 1) % len(N.level(2))
     return rows
 
-co.face_maps = corrupt
+co.Nerve._face_rows = corrupt
 S = adjoin(catalog.nil_square_semigroup(), "identity")
 try:
     ns.bar_resolution(co.Nerve(S), 2)
 except NotAComplex as exc:
-    print("NotAComplex", exc.witness == (2, S.identity))
+    print("NotAComplex", exc.witness == (2, S.index("u")))
 """
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "NotAComplex True"
+
+
+# (piece, level, error, witness tail): one wrong cell of ``slots`` or
+# ``rslots``, which B(alpha, 1), B(1, beta) and the faces above are read
+# from; level 3's slots give the faces of B_2, level 4's B(alpha, 1) on B_2
+SLOT_MUTATIONS = [
+    ("slots", 3, "NotAComplex", "(2, e)"),
+    ("slots", 4, "FunctorialityError", "(2, e, 'left', e)"),
+    ("rslots", 3, "FunctorialityError", "(1, e, 'right', u)"),
+]
+
+
+@pytest.mark.parametrize("piece, level, error, witness", SLOT_MUTATIONS, ids=[f"{m[0]}-{m[1]}" for m in SLOT_MUTATIONS])
+def test_bar_resolution_sees_a_wrong_slot_under_optimize(run_python, piece, level, error, witness):
+    # under python -O: a slot sent to the next tuple, for [1 | .. | 1] in
+    # slots and for [1 | .. | 1 | u] in rslots, must raise, so the checks
+    # cannot rest on an assert
+    script = f"""
+import zerocohom.cohomology as co
+import zerocohom.natsys as ns
+from zerocohom import catalog
+from zerocohom.errors import FunctorialityError, NotAComplex
+from zerocohom.semigroups import adjoin
+
+S = adjoin(catalog.nil_square_semigroup(), "identity")
+e, u = S.identity, S.index("u")
+real = co.Nerve.{piece}
+
+def corrupt(N, m):
+    out = real(N, m)
+    if m == {level}:
+        lower, ones = N.level(m - 1), (e,) * (m - 1)
+        if "{piece}" == "slots":
+            k, t = e * len(lower) + lower.index(ones), ones + (e,)
+        else:
+            k, t = lower.index(ones) * S.order + u, ones + (u,)
+        out[k] = (N.level(m).index(t) + 1) % len(N.level(m))
+    return out
+
+co.Nerve.{piece} = corrupt
+try:
+    ns.bar_resolution(co.Nerve(S), 2)
+except (NotAComplex, FunctorialityError) as exc:
+    print(type(exc).__name__, exc.witness == {witness})
+"""
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{error} True"
+
+
+def test_comparison_sees_a_block_read_as_the_identity_under_optimize(run_python):
+    # under python -O: the coboundary assembly adds a face as +-1 only when
+    # every block is the identity; read the generator's -1 as the identity
+    # and the comparison with the bar side must fail
+    script = """
+import zerocohom.cohomology as co
+from zerocohom import catalog
+from zerocohom.abgroups import FinAbGroup
+from zerocohom.modules import scalar_module
+from zerocohom.natsys import from_zero_module, hom_complex_compare
+from zerocohom.semigroups import adjoin
+
+S = adjoin(catalog.cyclic_group(2), "zero")
+D = from_zero_module(scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1}))
+for _ in range(2):
+    rep = hom_complex_compare(S, D, 2)
+    print(rep["naturality"], rep["differentials"], rep["ok"])
+    co._is_identity = lambda block: True
+"""
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", "True", "False", "False"]
+
+
+def test_bar_degree_above_the_cap_builds_no_level(monkeypatch):
+    # B_n lives on level n + 2: the cap trips before any level is grown
+    grown = []
+    real = cohomology.Nerve._grow
+    monkeypatch.setattr(cohomology.Nerve, "_grow", lambda N, m: grown.append(m) or real(N, m))
+    S = one_zero_monoid()
+    N = Nerve(S)
+    for call in (lambda: bar_resolution(N, 4), lambda: bar_exactness_report(S, 4)):
+        with pytest.raises(CapExceeded, match="bar degree 4 exceeds cap 3"):
+            call()
+    assert grown == [] and N.pieces == {}
+    assert bar_exactness_report(S, 3)  # the cap itself is admitted
 
 
 def test_bar_resolution_naturality_check_survives_optimize(run_python):
@@ -440,7 +536,7 @@ def test_bar_resolution_matches_tuples():
                         else None
                         for s, a in zip(level, objects)
                     ]
-                    assert [None if q is None else level[q] for q in act] == images
+                    assert [None if q < 0 else level[q] for q in act] == images
 
 
 def _c2_calls():
@@ -457,6 +553,8 @@ def _c2_calls():
         "cohomology_group-bimodule": lambda: cohomology_group(S, B, 2, "zero"),
         "natsys_cohomology": lambda: natsys_cohomology(S, from_zero_module(M), 2),
         "coboundary_preimage": lambda: coboundary_preimage(S, M, f),
+        "witness_report": lambda: witness_report(S, M, f),
+        "brute_cohomology": lambda: brute_cohomology(S, M, 2),
         # the trivial module of the quotient is valid by construction
         "equivalent": lambda: equivalent(rho, sigma),
         "hom_complex_compare": lambda: hom_complex_compare(S, from_zero_module(M), 2),
@@ -468,17 +566,22 @@ def _c2_calls():
 
 # the nerve levels Nerve grows (level 0 is the constant [()], never
 # grown) and face maps each entry point reads, and its validate_module
-# calls; the comparison reads B_0..B_2 (levels 2..4) only, never B_3
+# calls; the faces of level m grow from those of level m - 1, so every
+# level below the top one's faces is built too; the comparison reads
+# B_0..B_2 (levels 2..4) only, never B_3; the certificates build their
+# faces from tuples and read each level of one Nerve
 BUILDS = {
-    "cohomology_group-zero": ({1, 2, 3}, {2, 3}, 1),
-    "cohomology_group-em": ({1, 2, 3}, {2, 3}, 1),
-    "cohomology_group-bimodule": ({1, 2, 3}, {2, 3}, 1),
-    "natsys_cohomology": ({1, 2, 3}, {2, 3}, 1),
-    "coboundary_preimage": ({1, 2}, {2}, 1),
-    "equivalent": ({1, 2}, {2}, 0),
+    "cohomology_group-zero": ({1, 2, 3}, {1, 2, 3}, 1),
+    "cohomology_group-em": ({1, 2, 3}, {1, 2, 3}, 1),
+    "cohomology_group-bimodule": ({1, 2, 3}, {1, 2, 3}, 1),
+    "natsys_cohomology": ({1, 2, 3}, {1, 2, 3}, 1),
+    "coboundary_preimage": ({1, 2}, {1, 2}, 1),
+    "equivalent": ({1, 2}, {1, 2}, 0),
     "hom_complex_compare": ({1, 2, 3, 4}, {1, 2, 3, 4}, 1),
-    "schur_multiplier": ({1, 2, 3}, {2, 3}, 1),
-    "brauer_monoid": ({1, 2, 3}, {2, 3}, 1),
+    "schur_multiplier": ({1, 2, 3}, {1, 2, 3}, 1),
+    "brauer_monoid": ({1, 2, 3}, {1, 2, 3}, 1),
+    "witness_report": ({1, 2, 3}, {1, 2}, 1),
+    "brute_cohomology": ({1, 2, 3}, set(), 1),
 }
 
 
@@ -486,15 +589,15 @@ BUILDS = {
 def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     call = _c2_calls()[name]
     seen = []
-    real_grow, real_faces, real_action = cohomology.Nerve._grow, cohomology.face_maps, natsys.bar_action
+    real_grow, real_faces, real_action = cohomology.Nerve._grow, cohomology.Nerve._face_rows, natsys.bar_action
 
     def counted_grow(N, m):
         seen.append(("level", m))
         return real_grow(N, m)
 
-    def counted_faces(S_, m, upper, index):
+    def counted_faces(N, m):
         seen.append(("faces", m))
-        return real_faces(S_, m, upper, index)
+        return real_faces(N, m)
 
     def counted_action(N, m, alpha, beta):
         seen.append(("action", m, alpha, beta))
@@ -508,7 +611,7 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
         return real_validate(M_)
 
     monkeypatch.setattr(cohomology.Nerve, "_grow", counted_grow)
-    monkeypatch.setattr(cohomology, "face_maps", counted_faces)
+    monkeypatch.setattr(cohomology.Nerve, "_face_rows", counted_faces)
     monkeypatch.setattr(natsys, "bar_action", counted_action)
     monkeypatch.setattr(modules, "validate_module", counted_validate)
     result = call()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations, product
 
@@ -515,3 +516,41 @@ def test_monoid_generation_counts():
             assert not isomorphic_semigroups(m3[i], m3[j])
     assert len(m3) == 7
     assert len(catalog.monoids_of_order(4)) == 35
+
+
+# sha256 of repr([(M.elements, M.table) for n in 1..4 for M in
+# monoids_of_order(n)]), recorded while every candidate was tested
+# against every kept table with isomorphic_semigroups
+MONOID_TABLES_SHA256 = "c22289ffe6088b428d7fb3db1e3fa1887f628bac6b0d581aa4a6de465e73492e"
+
+
+def test_monoid_generation_profiles_each_table_once(monkeypatch):
+    # each candidate is profiled once, and searched against a kept table
+    # only when their sorted profiles agree; the tables kept are those
+    # that the full pairwise isomorphism test keeps from the same candidates
+    profiled, searched = [], []
+    real_profile, real_search = catalog._profile, catalog._isomorphisms
+
+    def counted_profile(X):
+        profiled.append(X)
+        return real_profile(X)
+
+    def counted_search(S, T, s_label, t_label):
+        searched.append(sorted(s_label) == sorted(t_label))
+        return real_search(S, T, s_label, t_label)
+
+    monkeypatch.setattr(catalog, "_profile", counted_profile)
+    monkeypatch.setattr(catalog, "_isomorphisms", counted_search)
+    tables = []
+    for n in range(1, 5):
+        profiled.clear()
+        kept = catalog.monoids_of_order(n)
+        assert len({id(X) for X in profiled}) == len(profiled)
+        pairwise = []
+        for X in profiled:
+            if not any(isomorphic_semigroups(X, K) for K in pairwise):
+                pairwise.append(X)
+        assert [M.table for M in kept] == [M.table for M in pairwise], n
+        tables += [(M.elements, M.table) for M in kept]
+    assert searched and all(searched)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == MONOID_TABLES_SHA256
