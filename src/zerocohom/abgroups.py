@@ -1,15 +1,15 @@
 """Exact linear algebra over Z and finitely generated abelian groups.
 
-All arithmetic uses plain Python integers, so Smith normal form
-coefficient growth is harmless.  Groups are presented as lists of cyclic
+All arithmetic uses plain Python integers, so coefficient growth in
+the elimination is harmless.  Groups are presented as lists of cyclic
 orders d_i >= 0 where 0 stands for an infinite cyclic factor; elements
 are integer vectors with coordinate i taken mod d_i.  There is one
 matrix type, ``IntMatrix``, kept as sparse {row: value} columns: the
-elimination, the solvers and the map comparisons read those columns,
-and only ``smith_normal_form`` works on dense rows, its own.
+elimination of ``zerocohom.elimination``, the solvers and the map
+comparisons read those columns, and no code here works on dense rows.
 
->>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))[0].diagonal()
-[2, 4]
+>>> QuotientPresentation(2, [[1, 0], [0, 1]], [[2, 6], [4, 8]]).group.factors
+(2, 4)
 >>> FinAbGroup([2, 3]).invariants()
 (6,)
 >>> complex_homology(
@@ -32,6 +32,7 @@ from .elimination import (
     _reduced,
     _relations,
     _retire,
+    _smith,
     _sparse,
     _substitute,
 )
@@ -41,9 +42,10 @@ from .errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 class IntMatrix:
     """Integer matrix kept as sparse {row: value} columns, zeros not stored.
 
-    Every column reader (``_retire``, ``same_map``, the dd check of
-    ``complex_homology``, the coboundary builder) reads ``cols``
-    directly; ``a`` is a read-only dense copy of the rows.
+    Every reader in the package (``_retire``, ``same_map``, the dd check
+    of ``complex_homology``, the coboundary builder) reads ``cols``
+    directly; ``a`` is a read-only dense copy of the rows, for ``repr``
+    and the tests.
     """
 
     __slots__ = ("m", "n", "cols")
@@ -132,156 +134,6 @@ class IntMatrix:
         return f"IntMatrix({self.m}x{self.n}, {self.a})"
 
 
-def smith_normal_form(M):
-    """Return (D, U, V, Uinv) with U*M*V = D in Smith normal form.
-
-    D is diagonal with d_1 | d_2 | ..., all d_i >= 0; U, V are unimodular
-    and the tracked inverse of U satisfies U*Uinv = I exactly.  The
-    elimination works on dense rows of its own.
-    """
-    m, n = M.m, M.n
-
-    def eye(k):
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-
-    a, u, uinv, v = M.a, eye(m), eye(m), eye(n)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:  # column swap on the inverse
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        if c == 0:
-            return
-        ad, asr = a[dst], a[src]
-        for j in range(n):
-            ad[j] += c * asr[j]
-        ud, usr = u[dst], u[src]
-        for j in range(m):
-            ud[j] += c * usr[j]
-        for r in uinv:  # inverse gets the opposite column op
-            r[src] -= c * r[dst]
-
-    def add_col(dst, src, c):
-        if c == 0:
-            return
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def find_pivot(t):
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        return piv
-        return piv
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        # shrink the pivot: any remainder in its row or column becomes the
-        # new (strictly smaller) pivot; clear exactly only once everything
-        # is divisible.  Re-selecting after every promotion keeps the
-        # coefficient growth tame.  A cleared pivot that does not divide
-        # the trailing block takes in the row that it misses, so the next
-        # promotion shrinks it further and d_t | d_{t+1} holds at the end.
-        while True:
-            p = a[t][t]
-            promoted = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x % p:
-                    add_row(i, t, -(x // p))
-                    swap_rows(t, i)
-                    if a[t][t] < 0:
-                        negate_row(t)
-                    promoted = True
-                    break
-            if promoted:
-                continue
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x % p:
-                    add_col(j, t, -(x // p))
-                    swap_cols(t, j)
-                    if a[t][t] < 0:
-                        negate_row(t)
-                    promoted = True
-                    break
-            if promoted:
-                continue
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-            i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
-            if i is None:
-                break
-            add_row(t, i, 1)
-        t += 1
-    return IntMatrix(m, n, a), IntMatrix(m, m, u), IntMatrix(n, n, v), IntMatrix(m, m, uinv)
-
-
-def solve_exact(M, b):
-    """One integer solution of M x = b, or None, from U*M*V = D."""
-    D, U, V, _ = smith_normal_form(M)
-    diag = D.diagonal()
-    ub = U.vec(b)
-    y = [0] * V.m
-    for i in range(U.m):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
-            return None
-    return V.vec(y)
-
-
-def kernel_columns(M):
-    """Basis (list of columns) of the integer kernel lattice of M."""
-    D, U, V, _ = smith_normal_form(M)
-    rank = sum(1 for d in D.diagonal() if d)
-    return [V.col(j) for j in range(rank, M.n)]
-
-
 def solve_mod(M, b, target_factors):
     """Solve M x = b componentwise mod target_factors (0 = exact); b is dense or sparse."""
     x = _substitute(_retire(M.cols, M.m, target_factors), b)
@@ -296,23 +148,6 @@ def kernel_mod(M, target_factors):
     of [M | diag(d)], since every relation column has d > 0.
     """
     return [_dense(t, M.n) for i, _, t in _retire(M.cols, M.m, target_factors) if i is None]
-
-
-def lattice_basis(cols, dim):
-    """Independent basis of the lattice spanned by the given columns."""
-    if not cols:
-        return []
-    A = IntMatrix.from_columns(cols, dim)
-    D, _, _, Uinv = smith_normal_form(A)
-    basis = []
-    for i, d in enumerate(D.diagonal()):
-        if d:
-            col = [d * x for x in Uinv.col(i)]
-            lead = next((x for x in col if x), 0)
-            if lead < 0:
-                col = [-x for x in col]
-            basis.append(col)
-    return basis
 
 
 class FinAbGroup:
@@ -513,16 +348,18 @@ class QuotientPresentation:
     call); any such coordinates do, as they differ by the kernel.  X
     runs through the same elimination.  Its unit pivots each substitute
     a generator away; the other pivots, cleared of the substituted rows,
-    form the core.  A dense Smith form is taken only of that core, and
-    not at all when it is empty.  Each row of ``_urows`` maps
-    K-coordinates to one witness coordinate: a kept row of the core's U,
-    with the substitutions folded in.
+    form the core.  The core's Smith form (``_smith``, alternating
+    echelon passes of the same elimination) is taken only when the core
+    is not empty.  Each row of ``_urows`` maps K-coordinates to one
+    witness coordinate: a kept row of the core's U, with the
+    substitutions folded in; the witnesses are K times the matching
+    columns of U^-1.
 
     With a ``modulus`` p^k (a prime power; 0, the default, is Z) the
     ambient group is (Z/p^k)^dim and the columns come reduced mod p^k:
     both eliminations run over Z/p^k, the core's Smith form is taken
-    with the relation columns p^k e_i beside it, and a generator that no
-    relation reaches has order p^k instead of 0.
+    over Z with the relation columns p^k e_i beside it, and a generator
+    that no relation reaches has order p^k instead of 0.
     """
 
     __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows", "_modulus")
@@ -565,15 +402,12 @@ class QuotientPresentation:
             cols = [{index[i]: x for i, x in c.items()} for c in core]
             if modulus:
                 cols += [{p: modulus} for p in range(len(hit))]
-            D, U, _, Uinv = smith_normal_form(IntMatrix.from_sparse(len(hit), cols))
-            diag, urows = D.diagonal(), U.a
-            for p, row in enumerate(urows):
-                d = diag[p] if p < len(diag) else 0
+            for d, row, col in _smith(cols, len(hit)):
                 if d != 1:
                     urow = [0] * r
-                    for q, i in enumerate(hit):
-                        urow[i] = row[q]
-                    gens.append((d, urow, {hit[q]: x for q, x in Uinv.cols[p].items()}))
+                    for q, x in row.items():
+                        urow[hit[q]] = x
+                    gens.append((d, urow, {hit[q]: x for q, x in col.items()}))
         for i in range(r):
             if i not in gone and i not in index:
                 gens.append((modulus, [int(k == i) for k in range(r)], {i: 1}))

@@ -26,11 +26,22 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
+class _Document(dict):
+    """A JSON object read from a file: a missing field is an input error naming the field and the file."""
+
+    __slots__ = ("path",)
+
+    def __missing__(self, field):
+        raise ValueError(f"{self.path} has no field {field!r}")
+
+
 def _read_object(path):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, not a {type(doc).__name__}")
+    doc = _Document(doc)
+    doc.path = path
     return doc
 
 

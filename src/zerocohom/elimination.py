@@ -4,9 +4,11 @@ Columns are sparse {row: value} dicts.  ``_retire`` brings a matrix,
 with the relation columns of its target factors, to column echelon
 form one pivot at a time, and ``_substitute`` forward-substitutes a
 vector through the pivots it hands out; every kernel, solve and
-subquotient in ``abgroups`` runs on these two.  The ring is Z for
-modulus 0 and Z/p^k for a prime power modulus p^k (``_primes`` and
-``_p_part`` split a finite group into such parts).
+subquotient in ``abgroups`` runs on these two, and so does ``_smith``,
+the Smith form of a subquotient's small non-unit core, by alternating
+column and row echelon passes.  The ring is Z for modulus 0 and Z/p^k
+for a prime power modulus p^k (``_primes`` and ``_p_part`` split a
+finite group into such parts).
 """
 
 from math import gcd
@@ -191,6 +193,51 @@ def _substitute(pivots, b, modulus=0):
     if res:
         return None
     return x
+
+
+def _smith(columns, m):
+    """Smith form over Z of the m-row matrix on the sparse ``columns``: (d, row of U, column of U^-1) per row.
+
+    Column and row echelon passes alternate (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979): a column pass is ``_retire`` without transforms,
+    which leaves M V for some unimodular V, and a row pass is ``_retire``
+    on the transpose, whose transforms are the rows of U.  They stop
+    when every pivot column holds one entry.  Where two divisors do not
+    divide each other, one row is added to the other and the passes go
+    on, so the divisors end in a chain d_1 | d_2 | ..., zeros last, each
+    d >= 0 with U M V = diag(d).  Rows of U and columns of U^-1 are
+    sparse; the columns come from ``_substitute`` through the pivots of U.
+    """
+    cols, urows = columns, [{i: 1} for i in range(m)]
+    while True:
+        pivots = [(i, c) for i, c, _ in _retire(cols, m, (), transforms=False) if i is not None]
+        if all(len(c) == 1 for _, c in pivots):
+            d = {i: c[i] for i, c in pivots}
+            bad = next(((i, j) for i in d for j in d if d[i] % d[j] and d[j] % d[i]), None)
+            if bad is None:
+                break
+            i, j = bad
+            cols = [{k: x, i: x} if k == j else {k: x} for k, x in d.items()]
+            _add_multiple(urows[i], 1, urows[j])
+            continue
+        rows = [{} for _ in range(m)]
+        for k, (_, c) in enumerate(pivots):
+            for i, x in c.items():
+                rows[i][k] = x
+        cols = [{} for _ in pivots]
+        steps = list(_retire(rows, len(pivots), ()))
+        for s, (_, row, _) in enumerate(steps):
+            for k, x in row.items():
+                cols[k][s] = x
+        urows = [_combine(urows, t) for _, _, t in steps]
+    # a negative divisor's sign goes into V, so its row of U stays
+    out = sorted(((abs(d.get(i, 0)), u) for i, u in enumerate(urows)), key=lambda e: (e[0] == 0, e[0]))
+    ucols = [{} for _ in range(m)]
+    for p, (_, u) in enumerate(out):
+        for j, x in u.items():
+            ucols[j][p] = x
+    upivots = [s for s in _retire(ucols, m, ()) if s[0] is not None]
+    return [(x, u, _substitute(upivots, {p: 1})) for p, (x, u) in enumerate(out)]
 
 
 def _primes(n):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from dense_twin import kernel_columns, lattice_basis, smith_normal_form, solve_exact
 
 from zerocohom import catalog
 from zerocohom.abgroups import (
@@ -10,24 +11,37 @@ from zerocohom.abgroups import (
     QuotientPresentation,
     complex_homology,
     finite_invariants_from_orders,
-    kernel_columns,
     kernel_mod,
-    lattice_basis,
-    smith_normal_form,
-    solve_exact,
     solve_mod,
     subgroup,
 )
 from zerocohom.cohomology import Nerve, coboundary_hom
+from zerocohom.elimination import _smith
 from zerocohom.errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 from zerocohom.modules import trivial_module
 
 
-def snf_ok(rows, m=None, n=None):
-    if m is not None:
-        M = IntMatrix(m, n, rows)
-    else:
-        M = IntMatrix.from_rows(rows, n) if rows or n else IntMatrix(0, 0)
+# matrices with their Smith divisors: the dense twin checks itself on
+# them and the core's Smith form (``_smith``) is checked against the twin
+SNF_CASES = {
+    # elementary row/column reduction by hand:
+    # [[2,4],[6,8]] -> [[2,4],[0,-4]] -> [[2,0],[0,-4]] -> diag(2,4)
+    "reduction-example": (IntMatrix.from_rows([[2, 4], [6, 8]]), [2, 4]),
+    "identity": (IntMatrix.from_rows([[1, 0], [0, 1]]), [1, 1]),
+    "zero": (IntMatrix.from_rows([[0, 0], [0, 0]]), [0, 0]),
+    "diag-2-3": (IntMatrix.from_rows([[2, 0], [0, 3]]), [1, 6]),
+    "diag-4-6-10": (IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), [2, 2, 60]),
+    "mixed-signs": (IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]), [2, 6, 12]),
+    # 6 | 10 fails, then 2 | 15 fails: more than one divisibility step
+    "two-divisibility-steps": (IntMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]]), [1, 30, 30]),
+    "no-rows": (IntMatrix(0, 3), []),
+    "no-columns": (IntMatrix(3, 0), []),
+    # square and nonsingular: the product of the divisors is |det| = 3 * 18 - 5 = 49
+    "det-49": (IntMatrix.from_rows([[3, 1, 0], [1, 4, 1], [0, 2, 5]]), [1, 1, 49]),
+}
+
+
+def snf_ok(M):
     D, U, V, Uinv = smith_normal_form(M)
     assert U.mul(Uinv) == IntMatrix.identity(M.m)
     assert U.mul(M).mul(V) == D
@@ -45,28 +59,28 @@ def snf_ok(rows, m=None, n=None):
     return diag
 
 
+def _snf_case(name):
+    M, divisors = SNF_CASES[name]
+    assert snf_ok(M) == divisors
+
+
 def test_snf_reduction_example():
-    # elementary row/column reduction by hand:
-    # [[2,4],[6,8]] -> [[2,4],[0,-4]] -> [[2,0],[0,-4]] -> diag(2,4)
-    assert snf_ok([[2, 4], [6, 8]]) == [2, 4]
+    _snf_case("reduction-example")
 
 
 def test_snf_identity_and_zero():
-    assert snf_ok([[1, 0], [0, 1]]) == [1, 1]
-    assert snf_ok([[0, 0], [0, 0]]) == [0, 0]
+    _snf_case("identity")
+    _snf_case("zero")
 
 
 def test_snf_divisibility_fix():
-    assert snf_ok([[2, 0], [0, 3]]) == [1, 6]
-    assert snf_ok([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
-    assert snf_ok([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
-    # 6 | 10 fails, then 2 | 15 fails: more than one divisibility step
-    assert snf_ok([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
+    for name in ("diag-2-3", "diag-4-6-10", "mixed-signs", "two-divisibility-steps"):
+        _snf_case(name)
 
 
 def test_snf_empty_shapes():
-    assert snf_ok(None, m=0, n=3) == []
-    assert snf_ok(None, m=3, n=0) == []
+    _snf_case("no-rows")
+    _snf_case("no-columns")
 
 
 def test_snf_random():
@@ -75,18 +89,48 @@ def test_snf_random():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        snf_ok(rows)
+        snf_ok(IntMatrix.from_rows(rows))
 
 
 def test_snf_preserves_det_modulus():
     # for square nonsingular M: product of invariants == |det M|
-    M = [[3, 1, 0], [1, 4, 1], [0, 2, 5]]
-    det = 3 * (4 * 5 - 1 * 2) - 1 * (1 * 5 - 0) + 0
-    d = snf_ok(M)
+    _snf_case("det-49")
+    M = SNF_CASES["det-49"][0]
     prod = 1
-    for x in d:
+    for x in snf_ok(M):
         prod *= x
-    assert prod == abs(det)
+    assert prod == abs(3 * (4 * 5 - 1 * 2) - 1 * (1 * 5 - 0) + 0)
+
+
+def _smith_inputs():
+    cases = {name: M for name, (M, _) in SNF_CASES.items()}
+    rng = random.Random(31)
+    for k in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        cases[f"random-{k}"] = IntMatrix(m, n, [[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)])
+    cases["negative-pivots"] = IntMatrix.from_rows([[-2, 0, 0], [0, 0, -3], [0, -5, 0]])
+    cases["negative-entry"] = IntMatrix.from_rows([[-7]])
+    # a core over Z/p^k is factored over Z beside the relation columns p^k e_i
+    for q, core in ((8, [[2, 4], [4, 0], [0, 6]]), (9, [[3, 6, 0], [0, 3, 3]])):
+        cases[f"core-mod-{q}"] = IntMatrix.from_rows([r + [q * (i == j) for j in range(len(core))] for i, r in enumerate(core)])
+    return cases
+
+
+SMITH_INPUTS = _smith_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(SMITH_INPUTS))
+def test_core_smith_form_against_dense_twin(name):
+    M = SMITH_INPUTS[name]
+    triples = _smith(M.cols, M.m)
+    divisors = [d for d, _, _ in triples]
+    twin = smith_normal_form(M)[0].diagonal()
+    assert divisors == twin + [0] * (M.m - len(twin))
+    U = IntMatrix.from_rows([_dense_col(u, M.m) for _, u, _ in triples], M.m)
+    Uinv = IntMatrix.from_columns([_dense_col(c, M.m) for _, _, c in triples], M.m)
+    assert U.mul(Uinv) == IntMatrix.identity(M.m)
+    for d, row in zip(divisors, U.mul(M).a):
+        assert all(x % d == 0 for x in row) if d else not any(row)
 
 
 def test_solve_and_kernel():

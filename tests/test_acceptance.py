@@ -472,7 +472,8 @@ def check_12():
         # stated formula: H^1 = A / {m : a m = 2 m}, a = the generator x
         A = M.group
         act = M.matrix(x)
-        from zerocohom.abgroups import QuotientPresentation, lattice_basis, _relations
+        from dense_twin import lattice_basis
+        from zerocohom.abgroups import QuotientPresentation, _relations
 
         k = A.rank
         rows, eye = act.a, IntMatrix.identity(k).a

@@ -419,6 +419,8 @@ MALFORMED = {
     "action-name": ("module", {"invariant_factors": [2], "action": {"q": [[1]]}}, "unknown element 'q'"),
     "top-level-list": ("semigroup", [NIL4], "must hold a JSON object, not a list"),
     "zero-name": ("semigroup", dict(NIL4, zero="z"), "unknown zero element 'z'"),
+    "no-table": ("semigroup", {k: v for k, v in NIL4.items() if k != "table"}, "bad.json has no field 'table'"),
+    "no-factors": ("module", {"action": {"u": [[1]]}}, "bad.json has no field 'invariant_factors'"),
 }
 
 

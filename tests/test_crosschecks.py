@@ -3,8 +3,10 @@
 import json
 import random
 
+from dense_twin import smith_normal_form
+
 from zerocohom import catalog
-from zerocohom.abgroups import FinAbGroup, IntMatrix, smith_normal_form
+from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.cli import execute
 from zerocohom.cohomology import brute_cohomology, cohomology_group
 from zerocohom.modules import trivial_bimodule

@@ -10,17 +10,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_twin import kernel_columns, lattice_basis, smith_normal_form, solve_exact
+
 from zerocohom.abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
     QuotientPresentation,
     complex_homology,
-    kernel_columns,
     kernel_mod,
-    lattice_basis,
-    smith_normal_form,
-    solve_exact,
     subgroup,
 )
 

@@ -16,7 +16,9 @@ The README's caps table lists exactly the package's ``*_CAP`` constants.
 A nerve face is built from tuple slices only in the brute-force twins:
 ``Nerve.faces`` grows by index arithmetic, so the twins stay independent.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
-dense rows are a copy built on demand, so such a write is lost.
+dense rows are a copy built on demand, so such a write is lost.  In the
+package only ``IntMatrix.__repr__`` reads them: every elimination, the
+core's Smith form too, works on the sparse columns.
 The CLI's ``--variant`` offers exactly ``cohomology.VARIANTS``, and only
 the three entry points it calls and the one helper that resolves a
 variant take one: classical cohomology is the zero nerve of S^0.
@@ -274,6 +276,20 @@ def test_no_store_into_dense_rows():
             if any(map(_into_dense_rows, targets)):
                 stores.append(f"{path.name}:{n.lineno}")
     assert not stores, stores
+
+
+def test_only_repr_reads_dense_rows():
+    readers = set()
+    for name, tree in _modules().items():
+        reads = {id(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "a"}
+        for qual, fn in _functions(tree):
+            inside = {id(n) for n in _own_nodes(fn)} & reads
+            if inside:
+                readers.add(f"{name}:{qual}")
+                reads -= inside
+        if reads:
+            readers.add(f"{name}:<module>")
+    assert readers == {"abgroups.py:IntMatrix.__repr__"}
 
 
 def _subcommand(parser, name):
