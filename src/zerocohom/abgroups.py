@@ -7,6 +7,8 @@ are integer vectors with coordinate i taken mod d_i.  There is one
 matrix type, ``IntMatrix``, kept as sparse {row: value} columns: the
 elimination of ``zerocohom.elimination``, the solvers and the map
 comparisons read those columns, and no code here works on dense rows.
+A subquotient is a ``QuotientPresentation``: over Z/e, e the exponent
+of the groups, for a complex of finite groups, else over Z.
 
 >>> QuotientPresentation(2, [[1, 0], [0, 1]], [[2, 6], [4, 8]]).group.factors
 (2, 4)
@@ -27,8 +29,6 @@ from .elimination import (
     _add_multiple,
     _combine,
     _dense,
-    _p_part,
-    _primes,
     _reduced,
     _relations,
     _retire,
@@ -355,11 +355,11 @@ class QuotientPresentation:
     substitutions folded in; the witnesses are K times the matching
     columns of U^-1.
 
-    With a ``modulus`` p^k (a prime power; 0, the default, is Z) the
-    ambient group is (Z/p^k)^dim and the columns come reduced mod p^k:
-    both eliminations run over Z/p^k, the core's Smith form is taken
-    over Z with the relation columns p^k e_i beside it, and a generator
-    that no relation reaches has order p^k instead of 0.
+    With a ``modulus`` N (any N >= 1; 0, the default, is Z) the ambient
+    group is (Z/N)^dim and the columns are read mod N: both
+    eliminations run over Z/N, the core's Smith form is taken over Z
+    with the relation columns N e_i beside it, and a generator that no
+    relation reaches has order N instead of 0, or is left out for N = 1.
     """
 
     __slots__ = ("dim", "group", "witnesses", "_pivots", "_urows", "_modulus")
@@ -409,11 +409,11 @@ class QuotientPresentation:
                         urow[hit[q]] = x
                     gens.append((d, urow, {hit[q]: x for q, x in col.items()}))
         for i in range(r):
-            if i not in gone and i not in index:
+            if i not in gone and i not in index and modulus != 1:
                 gens.append((modulus, [int(k == i) for k in range(r)], {i: 1}))
         # coords applies the substitutions before the row of U: fold them
-        # into the row, last substitution first (mod p^k is enough, as
-        # every factor divides p^k)
+        # into the row, last substitution first (mod N is enough, as
+        # every factor divides N)
         for i, e, c in reversed(subs):
             for _, urow, _ in gens:
                 s = sum(urow[k] * x for k, x in c.items())
@@ -442,58 +442,6 @@ class QuotientPresentation:
         return tuple(out)
 
 
-class PrimarySum:
-    """A finite group given by its p-primary parts, in invariant-factor form.
-
-    ``factors`` are the ambient cyclic orders, all finite, and ``parts``
-    lists (QuotientPresentation mod p^k, the ambient coordinates it
-    reads, p^k) for distinct primes p.  Factor j of the sum multiplies
-    the parts' factors at j counted from the top, so the divisibility
-    chain holds.  Its witness adds theirs, each lifted to the ambient
-    coordinates by the idempotent of its prime (1 mod p^a and 0 mod the
-    rest of the exponent of the ambient group), and ``coords`` joins the
-    parts' coordinates by the Chinese remainder theorem.  It reads like
-    a QuotientPresentation: ``dim``, ``group``, ``witnesses``,
-    ``coords``.
-    """
-
-    __slots__ = ("dim", "group", "witnesses", "_parts")
-
-    def __init__(self, factors, parts):
-        self.dim = len(factors)
-        top = max((Q.group.rank for Q, _, _ in parts), default=0)
-        orders = [1] * top
-        for Q, _, _ in parts:
-            for j, d in enumerate(Q.group.factors, top - Q.group.rank):
-                orders[j] *= d
-        self.group = FinAbGroup(orders)
-        exponent = lcm(*factors)
-        self.witnesses = [[0] * self.dim for _ in orders]
-        self._parts = []
-        for Q, keep, q in parts:
-            pa = gcd(exponent, q)
-            idem = exponent // pa * pow(exponent // pa, -1, pa)
-            first = top - Q.group.rank
-            for w, v in zip(self.witnesses[first:], Q.witnesses):
-                for r, i in enumerate(keep):
-                    w[i] += idem * v[r]
-            # c * (d / f) * ((d / f)^-1 mod f) is c mod f and 0 mod d / f
-            mults = [d // f * pow(d // f, -1, f) for d, f in zip(orders[first:], Q.group.factors)]
-            self._parts.append((Q, {i: r for r, i in enumerate(keep)}, first, mults))
-        self.witnesses = [[x % d for x, d in zip(w, factors)] for w in self.witnesses]
-
-    def coords(self, v):
-        v = _sparse(v)
-        out = [0] * self.group.rank
-        for Q, at, first, mults in self._parts:
-            c = Q.coords({at[i]: x for i, x in v.items() if i in at})
-            if c is None:
-                return None
-            for j, x, m in zip(range(first, len(out)), c, mults):
-                out[j] += x * m
-        return tuple(x % d for x, d in zip(out, self.group.factors))
-
-
 def _renumbered(cols, rows, n):
     """The sparse columns on the listed rows (of n), renumbered in that order; shared when those are all n."""
     if len(rows) == n:
@@ -502,41 +450,15 @@ def _renumbered(cols, rows, n):
     return [{index[r]: x for r, x in c.items() if r in index} for c in cols]
 
 
-def _primary_homology(mid, out, in_cols, out_cols, primes):
-    """ker/im for finite middle and target groups, one p-primary part at a time.
-
-    For each prime p of the middle group, a coordinate with cyclic order
-    d keeps p^(v_p(d)) and drops out at p^0.  The part's matrices are
-    the same integer ones taken mod p^k, the largest of these powers,
-    which is valid because the maps are well defined, and the part is
-    solved over Z/p^k: a QuotientPresentation mod p^k of the kernel of
-    d_out by the image of d_in.  A single part on every coordinate is
-    the answer; otherwise PrimarySum joins the parts.
-    """
-    parts = []
-    for p in primes:
-        part = {d: _p_part(d, p) for d in set(mid) | set(out)}
-        q = max(part.values())
-        keep = [i for i, d in enumerate(mid) if part[d] > 1]
-        rows = [j for j, d in enumerate(out) if part[d] > 1]
-        cols = _renumbered([out_cols[i] for i in keep], rows, len(out))
-        K = [t for i, _, t in _retire(cols, len(rows), [part[out[j]] for j in rows], q) if i is None and t]
-        m = _renumbered(in_cols, keep, len(mid)) + _relations([part[mid[i]] for i in keep], q)
-        parts.append((QuotientPresentation(len(keep), K, m, q), keep, q))
-    if len(parts) == 1 and len(parts[0][1]) == len(mid):
-        return parts[0][0]
-    return PrimarySum(mid, parts)
-
-
 def complex_homology(d_in, d_out):
     """ker(d_out)/im(d_in) at the middle group, with witnesses and coords.
 
     Raises GroupMismatch when d_in does not end at the source of d_out,
     and NotAComplex (with a witness generator index) when d_out o d_in
-    is nonzero.  When the middle and target groups are finite the
-    complex is solved by primary parts over Z/p^k (``_primary_homology``:
-    a QuotientPresentation mod p^k, or a PrimarySum of several); with a
-    free factor it is solved over Z, as a QuotientPresentation.
+    is nonzero.  The complex is solved over Z/e, e the exponent of the
+    middle and target groups, when both are finite, and over Z (modulus
+    0, which is also lcm's answer) when either has a free factor, as a
+    QuotientPresentation either way.
     """
     mid = d_in.target
     if mid.factors != d_out.source.factors:
@@ -546,12 +468,9 @@ def complex_homology(d_in, d_out):
     for j, c in enumerate(in_cols):
         if _reduced(_combine(out_cols, c), factors):
             raise NotAComplex(j)
-    if 0 not in mid.factors and 0 not in factors:
-        primes = _primes(lcm(*mid.factors))
-        if primes is not None:
-            return _primary_homology(mid.factors, factors, in_cols, out_cols, primes)
-    K = [t for i, _, t in _retire(out_cols, d_out.target.rank, factors) if i is None]
-    return QuotientPresentation(mid.rank, K, in_cols + _relations(mid.factors))
+    e = lcm(*mid.factors, *factors)
+    K = [t for i, _, t in _retire(out_cols, d_out.target.rank, factors, e) if i is None]
+    return QuotientPresentation(mid.rank, K, in_cols + _relations(mid.factors, e), e)
 
 
 def subgroup(group, gen_cols):

@@ -1,4 +1,4 @@
-"""The one sparse column elimination, over Z or over Z/p^k.
+"""The one sparse column elimination, over Z or over Z/N.
 
 Columns are sparse {row: value} dicts.  ``_retire`` brings a matrix,
 with the relation columns of its target factors, to column echelon
@@ -6,9 +6,9 @@ form one pivot at a time, and ``_substitute`` forward-substitutes a
 vector through the pivots it hands out; every kernel, solve and
 subquotient in ``abgroups`` runs on these two, and so does ``_smith``,
 the Smith form of a subquotient's small non-unit core, by alternating
-column and row echelon passes.  The ring is Z for modulus 0 and Z/p^k
-for a prime power modulus p^k (``_primes`` and ``_p_part`` split a
-finite group into such parts).
+column and row echelon passes.  The ring is Z for modulus 0 and Z/N,
+any N >= 1, for modulus N, where the echelon form is a Howell form
+(Howell, Lin. Multilin. Algebra 19, 1986; Storjohann and Mulders, 1998).
 """
 
 from math import gcd
@@ -85,7 +85,11 @@ def _normalize(col, t, i, modulus):
     """Scale a column and its transform, in place, by the unit that makes col[i] = gcd(col[i], modulus)."""
     g = gcd(col[i], modulus)
     if col[i] != g:
-        u = pow(col[i] // g, -1, modulus // g)  # prime to p, so a unit mod p^k
+        n = modulus // g
+        u = pow(col[i] // g, -1, n)
+        # a unit mod N/g need not be one mod N (4 mod 6 gives 2): step to one
+        while gcd(u, modulus) != 1:
+            u += n
         for d in (col, t):
             for r, x in d.items():
                 d[r] = x * u % modulus
@@ -96,22 +100,23 @@ def _retire(columns, m, target_factors, modulus=0, transforms=True):
 
     M is given by its {row: value} ``columns`` (copied, not changed) and
     its row count m; the relation columns of the target factors join
-    them.  The ring is Z for modulus 0, else Z/p^k for modulus p^k, a
-    prime power: then the columns are reduced mod p^k as they are
-    copied, every target factor divides p^k, and only those below it
-    add a relation column (p^k e_i is zero already).
+    them.  The ring is Z for modulus 0, else Z/N for modulus N: then the
+    columns are reduced mod N as they are copied, every target factor
+    divides N, and only those below it add a relation column (N e_i is
+    zero already).
 
     Rows are eliminated in order.  Of the columns hitting the row, the
-    pivot is the one with the smallest gcd(entry, modulus), which is the
-    |entry| over Z and p^v for an entry of valuation v mod p^k (fewest
-    nonzeros on ties).  Mod p^k the pivot is first scaled by a unit so
-    that its entry is p^v itself.  The others are reduced against it by
-    floor quotients: over Z these are Euclid steps, repeated until a
-    single column hits the row; mod p^k every other entry is a multiple
-    of p^v, so one pass clears the row.  The column left is retired as
-    the row's pivot.  Mod p^k a pivot c of valuation v > 0 leaves
-    p^(k-v) c in the span, zero in its row; that column re-enters the
-    elimination, with p^(k-v) times c's transform.  Each column carries
+    pivot is the one with the smallest g = gcd(entry, modulus), which is
+    the |entry| over Z (fewest nonzeros on ties); mod N it is first
+    scaled by a unit so that its entry is g, a divisor of N.  The others
+    are reduced against it by floor quotients, leaving entries below g
+    in size; these Euclid steps repeat until a single column hits the
+    row (one pass mod a prime power, maybe more mod a composite N).  The
+    column left is retired as the row's pivot.  Mod N a pivot c with
+    entry g > 1 leaves (N/g) c in the span, zero in its row; that column
+    re-enters the elimination, with (N/g) times c's transform, so that a
+    combination of pivots zero in one pivot's row lies in the span of
+    the pivots below it (the Howell property).  Each column carries
     the first len(columns) coordinates of its column transform, also
     sparse; a relation column starts with an empty one, and every column
     does when ``transforms`` is false.
@@ -175,9 +180,9 @@ def _substitute(pivots, b, modulus=0):
     may be read straight from ``_retire`` over the same ring: a kernel
     entry's row, None, never holds a residual.  The answer is None when
     a pivot does not divide the residual in its row, or when a residual
-    is left over at the end.  Mod p^k this decides membership too: each
-    pivot's entry is a power p^v, and the span of the pivots below a
-    pivot c holds p^(k-v) c.
+    is left over at the end.  Mod N this decides membership too, by the
+    Howell property of the pivots: each pivot's entry g divides N, and
+    the span of the pivots below a pivot c holds (N/g) c.
     """
     res = _sparse(b)
     if modulus:
@@ -239,31 +244,3 @@ def _smith(columns, m):
     upivots = [s for s in _retire(ucols, m, ()) if s[0] is not None]
     return [(x, u, _substitute(upivots, {p: 1})) for p, (x, u) in enumerate(out)]
 
-
-def _primes(n):
-    """The primes dividing n >= 1, by trial division below 2^10.
-
-    None when a cofactor of 2^20 or more is left, which may be composite.
-    """
-    primes = []
-    p = 2
-    while p * p <= n and p < 1 << 10:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if p * p <= n:
-        return None
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _p_part(d, p):
-    """The largest power of p dividing d > 0."""
-    x = 1
-    while d % p == 0:
-        d //= p
-        x *= p
-    return x

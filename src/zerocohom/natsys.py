@@ -142,15 +142,19 @@ def validate_natural_system(D):
             M = stored.get(key)
             if M is not None and not same_map(D.groups[a], M, IntMatrix.identity(D.groups[a].rank)):
                 return ("identity-map", key)
-    # map shapes and well-definedness
+    # a stored map for each non-identity generator, its shape and well-definedness
     for a in objects:
         for alpha in range(S.order):
             if S.mul(alpha, a) != z:
+                if alpha != e and (alpha, a) not in D.left:
+                    return ("left-missing", (alpha, a))
                 M = D.left_map(alpha, a)
                 if not is_hom(D.groups[a], D.groups[S.mul(alpha, a)], M):
                     return ("left-hom", (alpha, a))
         for beta in range(S.order):
             if S.mul(a, beta) != z:
+                if beta != e and (beta, a) not in D.right:
+                    return ("right-missing", (beta, a))
                 M = D.right_map(beta, a)
                 if not is_hom(D.groups[a], D.groups[S.mul(a, beta)], M):
                     return ("right-hom", (beta, a))

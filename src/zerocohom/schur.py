@@ -128,13 +128,18 @@ def cocycle_failures(S, A, values):
                     yield (x, y, z), lhs, rhs
 
 
-def fs_product(rho, sigma):
-    """Pointwise product, zero absorbing."""
+def _require_comparable(rho, sigma):
+    """Refuse two factor sets over different semigroups or coefficient groups."""
     S, T = rho.semigroup, sigma.semigroup
     if S is not T and S.table != T.table:
         raise SemigroupMismatch(S, T)
     if rho.group.factors != sigma.group.factors:
         raise CoefficientMismatch(rho.group, sigma.group)
+
+
+def fs_product(rho, sigma):
+    """Pointwise product, zero absorbing."""
+    _require_comparable(rho, sigma)
     A = rho.group
     values = {}
     for p, v in rho.values.items():
@@ -266,8 +271,10 @@ def equivalent(rho, sigma):
     """(True, alpha) when rho = (d alpha) * sigma with equal supports.
 
     alpha is a dict element -> coefficient tuple, identity on the
-    support ideal; returns (False, None) otherwise.
+    support ideal; returns (False, None) otherwise.  Refuses factor sets
+    over different monoids or coefficients, as ``fs_product`` does.
     """
+    _require_comparable(rho, sigma)
     S = rho.semigroup
     A = rho.group
     I_r = support_ideal(rho)

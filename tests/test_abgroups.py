@@ -16,7 +16,7 @@ from zerocohom.abgroups import (
     subgroup,
 )
 from zerocohom.cohomology import Nerve, coboundary_hom
-from zerocohom.elimination import _smith
+from zerocohom.elimination import _retire, _smith, _substitute
 from zerocohom.errors import GroupMismatch, NotAComplex, NotInSubgroup, ShapeMismatch
 from zerocohom.modules import trivial_module
 
@@ -200,6 +200,43 @@ def test_sparse_elimination_against_snf_twin():
             solvable += 1
             assert len(x) == n and _congruent(M.vec(x), b, factors)
     assert solvable > 100 and unsolvable > 10
+
+    # over Z/N with N composite, target factors dividing N (all N in half
+    # the draws, so the twin is [M | N I]): the kernel, with N Z^n beside
+    # it, and membership against the same dense twins; x -> 4x mod 6
+    # scales its pivot by a unit of Z/6, not by 2, the inverse of 4 / 2
+    # mod 3
+    solvable = unsolvable = 0
+    for N in (6, 10, 12, 15, 30, 36):
+        divisors = [d for d in range(1, N + 1) if N % d == 0]
+        draws = [(IntMatrix.from_rows([[4]]), [6])] if N == 6 else []
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(0, 4)
+            factors = [N] * m if rng.random() < 0.5 else [rng.choice(divisors) for _ in range(m)]
+            draws.append((IntMatrix(m, n, [[rng.randrange(N) for _ in range(n)] for _ in range(m)]), factors))
+        for M, factors in draws:
+            m, n = M.m, M.n
+            P = _padded(M, factors)
+            steps = list(_retire(M.cols, m, factors, N))
+            K = [_dense_col(t, n) for i, _, t in steps if i is None]
+            for x in K:
+                assert _congruent(M.vec(x), [0] * m, factors)
+            kmat = IntMatrix.from_columns(K + [[N * (r == j) for r in range(n)] for j in range(n)], n)
+            twin = IntMatrix.from_columns([c[:n] for c in kernel_columns(P)], n)
+            assert all(solve_exact(kmat, c) is not None for c in twin.columns()), (M, factors)
+            assert all(solve_exact(twin, c) is not None for c in K), (M, factors)
+
+            pivots = [s for s in steps if s[0] is not None]
+            x0 = [rng.randrange(N) for _ in range(n)]
+            b = M.vec(x0) if rng.random() < 0.5 else [rng.randrange(N) for _ in range(m)]
+            x = _substitute(pivots, b, N)
+            assert (x is None) == (solve_exact(P, b) is None), (M, factors, b)
+            if x is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+                assert _congruent(M.vec(_dense_col(x, n)), b, factors)
+    assert solvable > 60 and unsolvable > 10
 
 
 def test_lattice_basis():

@@ -1,5 +1,5 @@
 """Property tests: complex_homology against the dense Smith-form twin,
-and its primary parts over Z/p^k against the integral path."""
+and its finite complexes, solved over Z/e, against the integral path."""
 
 from math import gcd
 

@@ -149,6 +149,8 @@ SWAP, SIGN = IntMatrix(2, 2, [[0, 1], [1, 0]]), IntMatrix(2, 2, [[1, 0], [0, -1]
         ("right-hom", "right", (1, 0), WIDE, (1, 0)),
         ("left-compose", "left", (1, 0), MINUS, (1, 1, 0)),
         ("right-compose", "right", (1, 0), MINUS, (1, 1, 0)),
+        ("left-missing", "left", (1, 0), None, (1, 0)),
+        ("right-missing", "right", (1, 0), None, (1, 0)),
     ],
 )
 def test_validate_natural_system_names_each_broken_law(kind, store, key, value, witness):
@@ -162,6 +164,15 @@ def test_validate_natural_system_names_each_broken_law(kind, store, key, value, 
     else:
         table[key] = value
     assert validate_natural_system(D) == (kind, witness)
+
+
+def test_natural_system_without_maps_is_refused():
+    # g acts on both sides, so a system with no stored map is refused with
+    # a witness, not with the KeyError of the map lookup
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    with pytest.raises(FunctorialityError) as exc:
+        natural_system(S, {a: FinAbGroup([3]) for a in S.nonzero()}, {}, {})
+    assert exc.value.witness == ("left-missing", (1, 0))
 
 
 def test_validate_natural_system_names_a_square_that_fails():

@@ -1,7 +1,8 @@
-"""complex_homology by primary parts over Z/p^k against the integral twin.
+"""complex_homology of finite complexes over Z/e against the integral twin.
 
 When the middle and target groups are finite, ``complex_homology``
-solves each p-primary part over Z/p^k.  The twin is the integral path
+solves the complex in one pass over Z/e, e the exponent of the two
+groups, prime power or composite.  The twin is the integral path
 on the same complex: the kernel from ``kernel_mod`` (which stays
 integral) and a QuotientPresentation over Z.  Both must give the same
 invariant factors, and the modular witnesses must be a basis of the
@@ -19,7 +20,6 @@ from zerocohom.abgroups import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
-    PrimarySum,
     QuotientPresentation,
     complex_homology,
     kernel_mod,
@@ -105,8 +105,8 @@ def test_c6_with_a_nontrivial_action_matches_the_integral_twin():
 
 
 def test_natural_system_with_different_groups_matches_the_integral_twin():
-    # over {1, e, 0}: D_1 = C6 and D_e = C3 x C4, so the primary parts
-    # keep different coordinates (C3 is a 3-group, C4 a 2-group)
+    # over {1, e, 0}: D_1 = C6 and D_e = C3 x C4, so the ring is Z/12
+    # and the coordinates have three different orders
     S = adjoin(catalog.two_chain_monoid(), "zero")
     one, e = S.identity, S.index("e")
     to_e = IntMatrix(2, 1, [[1], [0]])  # C6 -> C3 x C4, x -> (x, 0)
@@ -121,9 +121,9 @@ def test_natural_system_with_different_groups_matches_the_integral_twin():
     into_0 = GroupHom(FinAbGroup([]), deltas[0].source, IntMatrix(deltas[0].source.rank, 0))
     groups = [assert_agrees_with_twin(d_in, d_out, n) for n, (d_in, d_out) in enumerate(zip([into_0] + deltas, deltas))]
     assert [H.group.factors for H in groups] == [(6,), (), (), ()]
-    # H^0 = C6 joins a 2-part on the C6 and C4 coordinates with a 3-part
-    # on the C6 and C3 ones
-    assert isinstance(groups[0], PrimarySum)
+    # H^0 = C6 is one subquotient over Z/12, not a join of a 2-part and
+    # a 3-part
+    assert isinstance(groups[0], QuotientPresentation)
 
 
 def test_free_factors_take_the_integral_path():
@@ -147,14 +147,21 @@ def test_re_entry_of_a_non_unit_pivot():
 
 
 def test_an_uncertified_prime_takes_the_integral_path():
-    # 3 * (2^31 - 1): trial division below 2^10 leaves a cofactor above
-    # 2^20, which it cannot certify prime, so no primary split is tried
-    # (the split would join two parts in a PrimarySum)
+    # 3 * (2^31 - 1): a cofactor that trial division could not certify
+    # prime does not matter, as the exponent is never factored
     d = 3 * (2**31 - 1)
     mid = FinAbGroup([d])
     H = complex_homology(GroupHom(FinAbGroup([]), mid, IntMatrix(1, 0)), GroupHom(mid, FinAbGroup([d]), [[0]]))
     assert isinstance(H, QuotientPresentation) and H.group.factors == (d,)
-    # with certified primes the same complex splits
+    # nor does a composite exponent with small primes split the complex
     mid = FinAbGroup([15])
     H = complex_homology(GroupHom(FinAbGroup([]), mid, IntMatrix(1, 0)), GroupHom(mid, FinAbGroup([15]), [[0]]))
-    assert isinstance(H, PrimarySum) and H.group.factors == (15,)
+    assert isinstance(H, QuotientPresentation) and H.group.factors == (15,)
+
+
+def test_the_all_trivial_complex_is_the_trivial_group():
+    # every order 1, so the ring is Z/1: no generator of order 1 is kept
+    C1 = FinAbGroup([1])
+    into = GroupHom(FinAbGroup([]), C1, IntMatrix(1, 0))
+    H = assert_agrees_with_twin(into, GroupHom(C1, FinAbGroup([1, 1]), [[1], [0]]))
+    assert H.group.factors == () and H.witnesses == [] and H.coords([5]) == ()

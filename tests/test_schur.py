@@ -383,32 +383,35 @@ def test_restriction_that_is_not_a_cocycle_raises_a_certificate_error(monkeypatc
 
 def test_fs_product_mismatch_checks_survive_optimize(run_python):
     # under python -O: factor sets over different semigroups or with
-    # different coefficients must still be refused with a typed error
+    # different coefficients must still be refused with a typed error, by
+    # fs_product and by equivalent (the idempotent factor sets of one
+    # ideal over C2 and C3 are not equivalent, whatever their values)
     script = """
 from zerocohom import catalog
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresentation
 from zerocohom.errors import CoefficientMismatch, SemigroupMismatch
-from zerocohom.schur import epsilon_factor_set, fs_product
+from zerocohom.schur import epsilon_factor_set, equivalent, fs_product
 
 S = catalog.two_chain_monoid()
 rho = epsilon_factor_set(S, FinAbGroup([2]), frozenset())
-for sigma in (
-    epsilon_factor_set(S, FinAbGroup([3]), frozenset()),
-    epsilon_factor_set(catalog.cyclic_group(2), FinAbGroup([2]), frozenset()),
-):
-    try:
-        fs_product(rho, sigma)
-    except CoefficientMismatch as exc:
-        print("CoefficientMismatch", [A.factors for A in exc.witness])
-    except SemigroupMismatch as exc:
-        print("SemigroupMismatch", [S.elements for S in exc.witness])
+for f in (fs_product, equivalent):
+    for sigma in (
+        epsilon_factor_set(S, FinAbGroup([3]), frozenset()),
+        epsilon_factor_set(catalog.cyclic_group(2), FinAbGroup([2]), frozenset()),
+    ):
+        try:
+            print(f(rho, sigma))
+        except CoefficientMismatch as exc:
+            print("CoefficientMismatch", [A.factors for A in exc.witness])
+        except SemigroupMismatch as exc:
+            print("SemigroupMismatch", [S.elements for S in exc.witness])
 """
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == [
+    assert proc.stdout.split("\n")[:4] == [
         "CoefficientMismatch [(2,), (3,)]",
         "SemigroupMismatch [('1', 'e'), ('1', 'g')]",
-    ]
+    ] * 2
 
 
 def test_fs_product_coefficient_mismatch_carries_both_groups():
