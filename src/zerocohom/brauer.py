@@ -274,15 +274,9 @@ def brauer_components(q, n):
     """{zero pattern: H_0^2 of its modification} for GF(q^n)/GF(q), every component cut from one complex.
 
     The coefficients are the Galois-twisted unit group.  The empty
-    pattern's modification is G^0, whose nerve is all of G^m.  A tuple
-    lies in the nerve of the modification with pattern P exactly when
-    the cells (x_1...x_k, x_{k+1}) that its left-to-right product visits
-    miss P: each tuple's bitmask of visited cells is its last face's
-    mask plus one cell, read in the bits of the pattern masks.  Every
-    modification numbers G u {0} alike and labels x by x, so its nerve
-    is the kept tuples in the same order, with the same faces and
-    actions, and its coboundaries are the submatrices of those of G^0
-    on them (``support_cohomology``).
+    pattern's modification is G^0, whose nerve is all of G^m.  Every
+    modification numbers G u {0} alike and labels x by x, so its table
+    cuts its nerve out of that of G^0 (``support_cohomology``).
     """
     _require_field_order(q)
     _require_few_modifications(n)
@@ -296,16 +290,8 @@ def brauer_components(q, n):
             if m1 | m2 not in present:
                 raise CertificateError((keys[i], k2), "zero patterns not closed under union")
     top = mods[0]  # the empty pattern sorts first
-
-    def supports(N):
-        visited = [[0] * len(N.level(1))]
-        for m in (2, 3):
-            last, below = N.faces(m)[-1], N.products(m - 1)
-            visited.append([visited[-1][p] | 1 << (below[p] * n + t[-1]) for t, p in zip(N.level(m), last)])
-        kept = lambda mask: [[p for p, v in enumerate(level) if not v & mask] for level in visited]
-        return ((k, kept(mask)) for k, mask in zip(keys, masks))
-
-    return support_cohomology(top.semigroup, galois_module_for_modification(top, q), 2, supports)
+    tables = [(m.pattern, m.semigroup.table) for m in mods]
+    return support_cohomology(top.semigroup, galois_module_for_modification(top, q), 2, tables)
 
 
 def brauer_monoid(q, n):

@@ -1,9 +1,9 @@
 """Nerves, cochains, the coboundary operator, and cohomology groups.
 
-A ``Nerve`` builds and owns a nerve's levels and face maps: every
-coboundary builder reads one, and each entry point builds one per call.
-The builder emits an ``IntMatrix``, whose sparse columns the elimination
-reads as they are.
+A ``Nerve`` builds and owns a nerve's levels and face maps, from one
+scan per level: every coboundary builder reads one, and each entry
+point builds one per call.  The builder emits an ``IntMatrix``, whose
+sparse columns the elimination reads as they are.
 
 Cochains live on the zero nerve: tuples of nonzero elements with
 nonzero full product.  Classical (Eilenberg-MacLane) cohomology of S is
@@ -19,14 +19,13 @@ with the degree-0 rule a |-> (x a - a), resp. (x a - a x).  The
 bracketed right action is applied exactly when the module has one
 (``ZeroModule.right``); nothing else decides it.
 
-Restriction: when the nerve of a semigroup is a face-closed subset of
-the nerve of a larger one, in the same order, with the same faces and
-the same first-letter actions, each of its coboundaries is the
-submatrix of the larger one's on the tuples it keeps.  The Rees
-quotients S/I of a monoid sit so inside S^0, and the modifications of
-a group inside G^0.  ``support_cohomology`` therefore builds one nerve
-and one pair of coboundaries for a whole family of such supports, and
-``cohomology_group`` is its case of one support that keeps everything.
+Restriction: a table on the elements of S that agrees with S's off its
+zero cuts from S's nerve the tuples whose product under it is not zero.
+When these are closed under faces, with the same first-letter actions,
+their coboundaries are submatrices of S's.  The Rees quotients S/I of a
+monoid are cut so from S^0, and the modifications of a group from G^0.  ``support_cohomology`` builds one
+nerve and one pair of coboundaries for a family of such tables, and
+``cohomology_group`` is its case of S's own table.
 ``SemilatticeOfGroups.from_restrictions`` links the groups of such a
 family by restricting witnesses to the smaller support: the Schur
 multiplier and the Brauer monoid are built so.
@@ -150,16 +149,15 @@ def cochain_group(groups):
 class Nerve:
     """The zero nerve of one semigroup, each piece built once, on first use.
 
-    ``level(m)`` is ``[()]`` for m = 0, the nonzero letters for m = 1,
-    and above that grows in one pass from level m - 1 and its products,
-    in lexicographic order; ``nerve(S, m)`` reads it.  ``index(m)`` maps
-    its tuples to their positions, and ``products(m)`` lists their full
-    products (the identity for the empty tuple).
-
-    Each level m >= 1 also has an index form, so that faces and actions
-    are index arithmetic and no tuple is built to be looked up.  Tuple p
-    of level m is ``(heads(m)[p],) + level(m - 1)[tails(m)[p]]``, and
-    ``lasts(m)[p]`` is its last letter.  With w = len(level(m - 1)),
+    One scan, ``_split``, builds level m >= 1: for each nonzero x and each
+    tuple t of level m - 1, both in order, it keeps (x,) + t when x times
+    t's product is nonzero, as its first letter ``heads(m)[p]`` and the
+    position ``tails(m)[p]`` of its tail.  Everything else is read from
+    these.  ``products(m)`` folds them from the identity of the empty
+    tuple, ``table[heads[p]][products(m - 1)[tails[p]]]``, and ``fold``
+    does so under any table.  ``size(m)`` counts the tuples, ``level(m)``
+    writes them out, lexicographically ordered (``nerve(S, m)`` reads it),
+    and ``lasts(m)[p]`` is tuple p's last letter.  With w = size(m - 1),
     ``slots(m)[x * w + j]`` is the position of the tuple with first
     letter x and tail j, and ``rslots(m)[i * |S| + y]`` that of the
     tuple whose last face sits at i and whose last letter is y; either
@@ -169,7 +167,7 @@ class Nerve:
     d_i for 0 < i < m multiplies letters i - 1 and i together.  They grow
     from the faces one level down: d_0 is ``tails(m)`` itself, d_1 merges
     the first letter into the tail's, and d_i for i >= 2 keeps the first
-    letter on d_{i-1} of the tail.
+    letter on d_{i-1} of the tail.  A negative m raises ``DegreeMismatch``.
 
     Every builder reads its levels and faces here, so one call builds
     each of them at most once.  The pieces are kept in one dict,
@@ -182,42 +180,21 @@ class Nerve:
         self.pieces = {}
 
     def _piece(self, name, m, build):
+        if m < 0:
+            raise DegreeMismatch("negative degree")
         piece = self.pieces.get((name, m))
         if piece is None:
             piece = self.pieces[name, m] = build()
         return piece
 
-    def level(self, m):
-        if m < 0:
-            raise DegreeMismatch("negative degree")
-        if m == 0:
-            return [()]
-        return self._piece("level", m, lambda: self._grow(m))
-
-    def _grow(self, m):
-        """Level m >= 1: each (x,) + t, x nonzero and t in level m - 1, both in order, whose product is nonzero."""
+    def _split(self, m):
+        """(heads, tails) of level m >= 1: the one scan over level m - 1 and its products."""
         S = self.semigroup
         if not S.has_zero:
             raise NoZero("the zero nerve needs a semigroup with zero")
         if m == 1:
-            return [(x,) for x in S.nonzero()]
-        table, z = S.table, S.zero
-        lower, below = self.level(m - 1), self.products(m - 1)
-        return [(x,) + t for x in S.nonzero() for t, p in zip(lower, below) if table[x][p] != z]
-
-    def index(self, m):
-        return self._piece("index", m, lambda: {t: p for p, t in enumerate(self.level(m))})
-
-    def products(self, m):
-        S = self.semigroup
-        return self._piece("products", m, lambda: [S.mul_word(t) if t else S.identity for t in self.level(m)])
-
-    def _split(self, m):
-        """(heads, tails) of level m >= 1, by the scan that grows it."""
-        if m == 1:
-            heads = [t[0] for t in self.level(1)]
+            heads = list(S.nonzero())
             return heads, [0] * len(heads)
-        S = self.semigroup
         table, z, below = S.table, S.zero, self.products(m - 1)
         positions = list(range(len(below)))  # one int object per tail, shared by every head
         heads, tails = [], []
@@ -234,6 +211,30 @@ class Nerve:
     def tails(self, m):
         return self._piece("split", m, lambda: self._split(m))[1]
 
+    def size(self, m):
+        return 1 if m == 0 else len(self.heads(m))
+
+    def level(self, m):
+        if m == 0:
+            return [()]
+        tuples = lambda: [(x,) + t for x, t in zip(self.heads(m), map(self.level(m - 1).__getitem__, self.tails(m)))]
+        return self._piece("level", m, tuples)
+
+    def products(self, m):
+        if m == 0:
+            return [self.semigroup.identity]
+        return self._piece("products", m, lambda: self.fold(self.semigroup.table, m, self.products(m - 1)))
+
+    def fold(self, table, m, below):
+        """The products under ``table`` of level m's tuples, from those of level m - 1 (``below``).
+
+        Without an identity for the empty tuple, a letter is its own product.
+        """
+        heads = self.heads(m)
+        if m == 1 and self.semigroup.identity is None:
+            return heads
+        return [table[x][below[j]] for x, j in zip(heads, self.tails(m))]
+
     def lasts(self, m):
         if m == 1:
             return self.heads(1)
@@ -241,7 +242,7 @@ class Nerve:
 
     def slots(self, m):
         def build():
-            w = len(self.level(m - 1))
+            w = self.size(m - 1)
             out = [-1] * (self.semigroup.order * w)
             for p, (x, j) in enumerate(zip(self.heads(m), self.tails(m))):
                 out[x * w + j] = p
@@ -252,7 +253,7 @@ class Nerve:
     def rslots(self, m):
         def build():
             s = self.semigroup.order
-            out = [-1] * (len(self.level(m - 1)) * s)
+            out = [-1] * (self.size(m - 1) * s)
             for p, (i, y) in enumerate(zip(self.faces(m)[-1], self.lasts(m))):
                 out[i * s + y] = p
             return out
@@ -267,7 +268,7 @@ class Nerve:
         heads, tails = self.heads(m), self.tails(m)
         if m == 1:
             return [tails, tails]
-        table, slots, w = self.semigroup.table, self.slots(m - 1), len(self.level(m - 2))
+        table, slots, w = self.semigroup.table, self.slots(m - 1), self.size(m - 2)
         lower_heads, lower_tails = self.heads(m - 1), self.tails(m - 1)
         first = [slots[table[x][lower_heads[j]] * w + lower_tails[j]] for x, j in zip(heads, tails)]
         base = [x * w for x in heads]
@@ -369,7 +370,7 @@ def coboundary_hom(N, M, n):
     A = M.group
     one = IntMatrix.identity(A.rank)
     last = (lambda y, q: one) if M.right is None else (lambda y, q: M.right[y])
-    return assemble_coboundary(N, n, lambda m: [A] * len(N.level(m)), lambda x, q: M.matrix(x), last)
+    return assemble_coboundary(N, n, lambda m: [A] * N.size(m), lambda x, q: M.matrix(x), last)
 
 
 class CohomologyResult:
@@ -413,48 +414,60 @@ def cohomology_group(S, M, n, variant="zero"):
 
     ``zero``: H_0^n of a semigroup with zero; ``em``: classical
     cohomology, H_0^n of S^0.  A module with a right action gives the
-    two-sided complex.  This is ``support_cohomology`` with one support
-    that keeps the whole nerve.
+    two-sided complex.  This is ``support_cohomology`` with S's own
+    table, which keeps the whole nerve.
     """
     S, M = _resolve_variant(S, M, variant)
-    return support_cohomology(S, M, n, lambda N: [(None, None)])[None]
+    return support_cohomology(S, M, n, [(None, S.table)])[None]
 
 
 def support_cohomology(S, M, n, supports):
-    """H^n of each subcomplex that ``supports`` cuts out of one nerve, by key.
+    """H^n of the sub-nerve each table cuts out of the nerve of S, by key.
 
-    ``supports(N)`` reads the Nerve N of S before the coboundaries are
-    built, and returns (key, kept) pairs.  ``kept`` lists the positions
-    of the kept tuples in levels n - 1, n and n + 1 (the first list is
-    empty for n = 0), or is None to keep the whole nerve.  M is
-    validated once, and the nerve and the pair of coboundaries into and
-    out of degree n are built once, for every key.  Returns
-    {key: CohomologyResult}, in the order of the pairs.
-
-    The kept tuples must be closed under faces, and their faces and
-    first-letter actions must be those of the support's own semigroup
-    and module.  Then each support's coboundary is the submatrix on the
-    rows and columns it keeps, in their order, and its H^n is read off
-    that submatrix.
+    ``supports`` lists (key, table) pairs.  A table multiplies the
+    elements of S, with the same zero, and must agree with S's wherever
+    it is not zero, else ``CertificateError``.  It keeps the tuples whose
+    product, folded under it from S's identity (``Nerve.fold``), is not
+    zero; these must be closed under faces, as they are for S^0 with an
+    ideal I collapsed (the nerve of S/I) and for a monoid sharing S's
+    identity.  M is validated once, and the nerve and the coboundaries
+    into and out of degree n are built once.  With the support's own
+    first-letter actions, its coboundaries are the submatrices on the
+    tuples it keeps.  Returns {key: CohomologyResult}, in pair order.
     """
     if n > DEGREE_CAP:
         raise CapExceeded("degree", n, DEGREE_CAP)
     _check_module(S, M)
     N = Nerve(S)
     tuples = N.level(n)
-    pairs = supports(N)
+    cuts = [(key, _cut(N, table, n)) for key, table in supports]  # before complex_at drops the levels they read
     d_in, d_out = N.complex_at(n, lambda k: coboundary_hom(N, M, k))
     out = {}
-    for key, kept in pairs:
+    for key, kept in cuts:
         if kept is None:
             H, on = complex_homology(d_in, d_out), tuples
         else:
-            below, mid, above = kept
-            H = complex_homology(_restricted(d_in, M.group, below, mid), _restricted(d_out, M.group, mid, above))
-            on = [tuples[p] for p in mid]
+            H = complex_homology(_restricted(d_in, M.group, *kept[:2]), _restricted(d_out, M.group, *kept[1:]))
+            on = [tuples[p] for p in kept[1]]
         witnesses = [_cochain_on(M, n, on, w) for w in H.witnesses]
         out[key] = CohomologyResult(H.group, witnesses, H, on)
     return out
+
+
+def _cut(N, table, n):
+    """The positions of the tuples of levels n - 1, n and n + 1 that ``table`` keeps, or None for S's own."""
+    S = N.semigroup
+    if table == S.table:
+        return None
+    z, pairs = S.zero, enumerate(zip(table, S.table))
+    bad = next(((x, y) for x, (row, own) in pairs for y, (v, w) in enumerate(zip(row, own)) if z != v != w), None)
+    if bad is not None:
+        raise CertificateError(bad, "the support's table disagrees with the semigroup's off its zero")
+    products, kept = [S.identity], [[], [0]]  # levels -1 (empty) and 0 (the empty tuple)
+    for m in range(1, n + 2):
+        products = N.fold(table, m, products)
+        kept.append([p for p, v in enumerate(products) if v != z])
+    return kept[n:]
 
 
 def _restricted(d, A, src, dst):
@@ -517,7 +530,7 @@ def brute_cohomology(S, M, n, variant="zero"):
         raise CapExceeded(f"degree-{n} cochain count (infinite coefficients)", None, BRUTE_COCHAIN_CAP)
     N = Nerve(S)
     for m in (n, n - 1)[: n + 1]:  # the cochains searched, then those whose coboundaries are listed
-        total = A.order() ** len(N.level(m))
+        total = A.order() ** N.size(m)
         if total > BRUTE_COCHAIN_CAP:
             raise CapExceeded(f"degree-{m} cochain count", total, BRUTE_COCHAIN_CAP)
     # a cochain is keyed by its values, in nerve order
@@ -557,7 +570,8 @@ def _brute_cocycles(N, M, n):
     fixed.  Every hit is re-checked with the full ``coboundary``.
     """
     S, elements = N.semigroup, M.group.elements()
-    tuples, pos = N.level(n), N.index(n)
+    tuples = N.level(n)
+    pos = {t: p for p, t in enumerate(tuples)}
     checks = [[] for _ in tuples]
     for t in N.level(n + 1):
         faces = [t[1:], t[:-1]] + [t[:i] + (S.mul(t[i], t[i + 1]),) + t[i + 2 :] for i in range(n)]

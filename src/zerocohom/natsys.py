@@ -279,7 +279,7 @@ def bar_action(N, m, alpha, beta):
     symbol p = [a_0 | t | a_{n+1}] over a, or -1 if alpha a beta = 0.
     """
     if beta == N.semigroup.identity:
-        slots, w, left = N.slots(m), len(N.level(m - 1)), N.semigroup.table[alpha]
+        slots, w, left = N.slots(m), N.size(m - 1), N.semigroup.table[alpha]
         return [slots[left[x] * w + j] for x, j in zip(N.heads(m), N.tails(m))]
     rslots, s, right = N.rslots(m), N.semigroup.order, [row[beta] for row in N.semigroup.table]
     return [rslots[i * s + right[y]] for i, y in zip(N.faces(m)[-1], N.lasts(m))]
@@ -428,11 +428,11 @@ def hom_complex_compare(S, D, n_max=2):
         # x = t[0] if i = 0 and y = t[-1] if i = n + 1, and 1 otherwise
         src_off, dst_off, below = offsets[n], offsets[n + 1], N.products(n)
         cols = [{} for _ in range(deltas[n].source.rank)]
-        for p, (t, a, r0) in enumerate(zip(N.level(n + 1), N.products(n + 1), dst_off)):
+        for p, (a0, a1, a, r0) in enumerate(zip(N.heads(n + 1), N.lasts(n + 1), N.products(n + 1), dst_off)):
             group = D.groups[a]
             acc = {}
             for i, d in enumerate(N.faces(n + 1)):
-                key = (t[0] if i == 0 else e, below[d[p]], t[-1] if i == n + 1 else e)
+                key = (a0 if i == 0 else e, below[d[p]], a1 if i == n + 1 else e)
                 for c, v in enumerate(eta[key], src_off[d[p]]):
                     acc[c] = [x + (-1) ** i * y for x, y in zip(acc.get(c, [0] * group.rank), v)]
             for c, col in acc.items():

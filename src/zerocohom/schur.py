@@ -36,7 +36,7 @@ from .errors import (
     UncertifiedInput,
 )
 from .modules import Violation, trivial_module
-from .semigroups import Frozen, as_ideal, backtrack, group_inverses, ideals, rees_quotient
+from .semigroups import Frozen, Semigroup, as_ideal, backtrack, group_inverses, ideals, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
 FACTOR_SET_CAP = 6_000_000  # search nodes enumerate_factor_sets visits, over all zero sets
@@ -323,28 +323,29 @@ def twist(rho, alpha):
     return FactorSet(S, A, values)
 
 
+def _require_monoid(S):
+    """Refuse a semigroup without identity, and with ``TypeError`` any other input (say a ``TSemigroupData``)."""
+    if not isinstance(S, Semigroup):
+        raise TypeError(f"expected a Semigroup, got {type(S).__name__}")
+    if S.identity is None:
+        raise ValueError("Schur multipliers are defined over monoids")
+
+
 def multiplier_components(S, A):
     """{ideal I: H_0^2(S/I, A trivial)} for the monoid S, every component cut from one complex.
 
-    The nerve of S/{} = S^0 is all of S^n.  A tuple lies in the nerve of
-    S/I exactly when its full product is not in I, and then no letter or
-    partial product is, as I is an ideal.  S/I numbers the elements off
-    I in order, so its nerve is the kept tuples in the same order, with
-    the same faces, and its coboundaries are the submatrices of those of
-    S^0 on them (``support_cohomology``).  The witnesses are read on
-    S^0, whose nonzero elements are those of S, with the same indices.
+    The nerve of S/{} = S^0 is all of S^n.  The component at I is cut
+    from it by the table of S^0 with I collapsed to the zero
+    (``support_cohomology``).  The witnesses are read on S^0, whose
+    nonzero elements are those of S, with the same indices.
     """
-    if S.identity is None:
-        raise ValueError("Schur multipliers are defined over monoids")
+    _require_monoid(S)
     if S.order > SCHUR_ORDER_CAP:
         raise CapExceeded("monoid order", S.order, SCHUR_ORDER_CAP)
     top = rees_quotient(S, ())
-
-    def supports(N):
-        products = [N.products(m) for m in (1, 2, 3)]
-        return ((I, [[p for p, x in enumerate(level) if x not in I] for level in products]) for I in ideals(S))
-
-    return support_cohomology(top, trivial_module(top, A), 2, supports)
+    z = top.zero
+    tables = ((I, [[z if v in I else v for v in row] for row in top.table]) for I in ideals(S))
+    return support_cohomology(top, trivial_module(top, A), 2, tables)
 
 
 def schur_multiplier(S, A):
@@ -472,8 +473,7 @@ def _cocycle_equations(S, support):
 
 def brute_multiplier(S, A):
     """Oracle: enumerate factor sets, group by support, quotient by twists."""
-    if S.identity is None:
-        raise ValueError("monoids only")
+    _require_monoid(S)
     all_sets = enumerate_factor_sets(S, A)
     by_ideal = {}
     for rho in all_sets:

@@ -363,6 +363,14 @@ def test_compare_negative_degree_is_input_error(nil4m_path, z2_path, capsys):
     assert "input error: negative degree" in err
 
 
+def test_natsys_negative_degree_is_input_error(nil4m_path, z2_path, capsys):
+    argv = ["natsys", "--semigroup", nil4m_path, "--module", z2_path, "--degree", "-1"]
+    code, report, err = run(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "input error: negative degree" in err
+
+
 @pytest.mark.parametrize("command", ["natsys", "compare-thm14"])
 def test_identity_that_is_the_zero_is_input_error(tmp_path, command, capsys):
     one = tmp_path / "one.json"

@@ -35,6 +35,7 @@ from zerocohom.modules import (
 from zerocohom.natsys import from_zero_module, hom_complex_compare, natsys_cohomology
 from zerocohom.partial import build_t_semigroup
 from zerocohom.presentations import enumerate_presentation, parse_presentation
+from zerocohom.schur import schur_multiplier
 from zerocohom.semigroups import adjoin, zero_direct_union
 
 
@@ -678,8 +679,8 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     # once both maps are built every piece is dropped, level n + 1 and its
     # face maps included, and a dropped Nerve is freed by reference
     # counting alone: its pieces do not refer back to it.  The faces of
-    # level 2 grow from those of level 1 and the index form, not from the
-    # tuples of level 2
+    # level 2 grow from those of level 1 and the index form, and no level
+    # is written out as tuples
     S = nil4()
     M = trivial_module(S, FinAbGroup([2]))
     N = Nerve(S)
@@ -687,7 +688,7 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
     assert (d_in.source.rank, d_in.target.rank, d_out.target.rank) == (1, 3, 4)
     assert N.pieces == {}
     assert N.faces(2) is N.faces(2)
-    built = [("faces", 1), ("faces", 2), ("level", 1), ("products", 1), ("slots", 1), ("split", 1), ("split", 2)]
+    built = [("faces", 1), ("faces", 2), ("products", 1), ("slots", 1), ("split", 1), ("split", 2)]
     assert sorted(N.pieces) == built
     ref = weakref.ref(N)
     gc.disable()
@@ -696,3 +697,21 @@ def test_complex_at_holds_no_nerve_piece_through_the_elimination():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_the_top_level_is_never_written_out_as_tuples(monkeypatch):
+    # the coboundary out of degree n reads level n + 1 by index form only
+    # (heads, tails, lasts, faces); its tuples, the largest piece, are
+    # asked for neither by cohomology_group nor by schur_multiplier
+    asked = []
+    real = Nerve._piece
+    monkeypatch.setattr(Nerve, "_piece", lambda N, name, m, build: asked.append((name, m)) or real(N, name, m, build))
+    S = adjoin(catalog.cyclic_group(2), "zero")
+    M = scalar_module(S, FinAbGroup([3]), {0: 1, 1: -1})
+    for n in range(4):
+        asked.clear()
+        cohomology_group(S, M, n)
+        assert ("split", n + 1) in asked and ("level", n + 1) not in asked, n
+    asked.clear()
+    schur_multiplier(catalog.two_chain_monoid(), FinAbGroup([2]))
+    assert ("split", 3) in asked and ("level", 3) not in asked

@@ -96,7 +96,7 @@ def finite_complexes(draw):
 
 
 @given(finite_complexes())
-def test_primary_parts_against_the_integral_twin(pair):
+def test_the_z_e_path_against_the_integral_twin(pair):
     # the modular path against the integral one on the same complex: the
     # same factors, and the modular witnesses a basis of the integral group
     d_in, d_out = pair

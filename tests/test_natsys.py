@@ -464,10 +464,10 @@ for _ in range(2):
 
 
 def test_bar_degree_above_the_cap_builds_no_level(monkeypatch):
-    # B_n lives on level n + 2: the cap trips before any level is grown
+    # B_n lives on level n + 2: the cap trips before any level is scanned
     grown = []
-    real = cohomology.Nerve._grow
-    monkeypatch.setattr(cohomology.Nerve, "_grow", lambda N, m: grown.append(m) or real(N, m))
+    real = cohomology.Nerve._split
+    monkeypatch.setattr(cohomology.Nerve, "_split", lambda N, m: grown.append(m) or real(N, m))
     S = one_zero_monoid()
     N = Nerve(S)
     for call in (lambda: bar_resolution(N, 4), lambda: bar_exactness_report(S, 4)):
@@ -575,8 +575,8 @@ def _c2_calls():
     }
 
 
-# the nerve levels Nerve grows (level 0 is the constant [()], never
-# grown) and face maps each entry point reads, and its validate_module
+# the nerve levels Nerve scans (level 0 is the constant [()], never
+# scanned) and face maps each entry point reads, and its validate_module
 # calls; the faces of level m grow from those of level m - 1, so every
 # level below the top one's faces is built too; the comparison reads
 # B_0..B_2 (levels 2..4) only, never B_3; the certificates build their
@@ -600,11 +600,11 @@ BUILDS = {
 def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
     call = _c2_calls()[name]
     seen = []
-    real_grow, real_faces, real_action = cohomology.Nerve._grow, cohomology.Nerve._face_rows, natsys.bar_action
+    real_split, real_faces, real_action = cohomology.Nerve._split, cohomology.Nerve._face_rows, natsys.bar_action
 
-    def counted_grow(N, m):
+    def counted_split(N, m):
         seen.append(("level", m))
-        return real_grow(N, m)
+        return real_split(N, m)
 
     def counted_faces(N, m):
         seen.append(("faces", m))
@@ -621,7 +621,7 @@ def test_each_call_builds_each_level_and_face_map_once(monkeypatch, name):
         validated.append(M_)
         return real_validate(M_)
 
-    monkeypatch.setattr(cohomology.Nerve, "_grow", counted_grow)
+    monkeypatch.setattr(cohomology.Nerve, "_split", counted_split)
     monkeypatch.setattr(cohomology.Nerve, "_face_rows", counted_faces)
     monkeypatch.setattr(natsys, "bar_action", counted_action)
     monkeypatch.setattr(modules, "validate_module", counted_validate)
@@ -781,6 +781,22 @@ def test_hom_complex_compare_negative_degree():
     S = one_zero_monoid()
     with pytest.raises(DegreeMismatch):
         hom_complex_compare(S, trivial_Z(S), -1)
+
+
+def test_natsys_cohomology_negative_degree():
+    S = one_zero_monoid()
+    with pytest.raises(DegreeMismatch, match="negative degree"):
+        natsys_cohomology(S, trivial_Z(S), -1)
+
+
+@pytest.mark.parametrize("piece", ["level", "size", "products", "heads", "tails", "lasts", "slots", "rslots", "faces"])
+def test_every_nerve_piece_refuses_a_negative_degree(piece):
+    # each accessor, not only level(m): a scan or fold that reached m < 0
+    # would recurse without end
+    N = Nerve(one_zero_monoid())
+    with pytest.raises(DegreeMismatch, match="negative degree"):
+        getattr(N, piece)(-1)
+    assert N.pieces == {}
 
 
 def test_hom_group_rank_bookkeeping():

@@ -146,7 +146,7 @@ def test_re_entry_of_a_non_unit_pivot():
     assert H.group.factors == (4,)
 
 
-def test_an_uncertified_prime_takes_the_integral_path():
+def test_a_large_or_composite_exponent_takes_the_z_e_path():
     # 3 * (2^31 - 1): a cofactor that trial division could not certify
     # prime does not matter, as the exponent is never factored
     d = 3 * (2**31 - 1)

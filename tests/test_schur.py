@@ -8,6 +8,7 @@ from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import brute_cohomology, cohomology_group
 from zerocohom.errors import CertificateError, CoefficientMismatch, NotAnIdeal, ShapeMismatch
 from zerocohom.modules import trivial_module
+from zerocohom.partial import build_t_semigroup
 from zerocohom.schur import (
     FactorSet,
     brute_multiplier,
@@ -420,3 +421,11 @@ def test_fs_product_coefficient_mismatch_carries_both_groups():
     with pytest.raises(CoefficientMismatch) as exc:
         fs_product(epsilon_factor_set(S, C2, frozenset()), epsilon_factor_set(S, C3, frozenset()))
     assert exc.value.witness == (C2, C3)
+
+
+@pytest.mark.parametrize("entry", [schur_multiplier, brute_multiplier], ids=["schur_multiplier", "brute_multiplier"])
+def test_an_input_that_is_not_a_semigroup_is_refused(entry):
+    # build_t_semigroup() returns the data around T; its .semigroup is the monoid
+    data = build_t_semigroup()
+    with pytest.raises(TypeError, match="expected a Semigroup, got TSemigroupData"):
+        entry(data, FinAbGroup([2]))

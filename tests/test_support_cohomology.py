@@ -1,16 +1,19 @@
 """The semilattice builders cut every component from one complex.
 
 ``multiplier_components`` and ``brauer_components`` restrict one nerve
-and one pair of coboundaries to each support.  Each is compared here
-with the per-component path: a Rees quotient or a modification of its
-own, its own module and its own ``cohomology_group`` call.  The
-components, the tuples (as element names), the witness values and the
-link matrices must all be the same.
+and one pair of coboundaries to each support, cut by the support's
+table.  Each is compared here with the per-component path: a Rees
+quotient or a modification of its own, its own module and its own
+``cohomology_group`` call.  The components, the tuples (as element
+names), the witness values and the link matrices must all be the same.
+``support_cohomology`` is compared so in degrees 0, 1 and 3 as well,
+with tables built here from each quotient's own multiplication.
 """
 
 import pytest
 
 from zerocohom import catalog
+from zerocohom.errors import CertificateError
 from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix
 from zerocohom.brauer import (
     brauer_components,
@@ -19,7 +22,7 @@ from zerocohom.brauer import (
     galois_group,
     galois_module_for_modification,
 )
-from zerocohom.cohomology import cohomology_group
+from zerocohom.cohomology import cohomology_group, support_cohomology
 from zerocohom.modules import trivial_module
 from zerocohom.schur import multiplier_components, schur_multiplier
 from zerocohom.semigroups import adjoin, ideals, rees_quotient
@@ -104,3 +107,97 @@ def test_the_cases_reach_nontrivial_components_and_links():
     assert sum(1 for I, J in sl.links if I != J) == 1
     sl = brauer_monoid(2, 6)
     assert (len(sl.links), sum(1 for I, J in sl.links if I != J)) == (99, 64)
+
+
+def _pulled_back_table(top, Q, name_of):
+    """Q's multiplication on the elements of ``top``: a product in Q, named back, else ``top``'s zero.
+
+    ``name_of(x)`` is the name in Q of top's element x, or None when x
+    is zero in Q.  Built from Q's own table, not by collapsing top's.
+    """
+    where = {name: x for x, name in enumerate(top.elements)}
+    table = []
+    for x in range(top.order):
+        row = []
+        for y in range(top.order):
+            a, b = name_of(x), name_of(y)
+            v = None if a is None or b is None else Q.elements[Q.mul(Q.index(a), Q.index(b))]
+            row.append(top.zero if v is None or v == Q.elements[Q.zero] else where[v])
+        table.append(row)
+    return table
+
+
+def _rees_cases():
+    """(S^0, {I: (table of S/I on S^0, S/I)}) for a few monoids, the ideals of each."""
+    picks = catalog.monoid_catalogue(3)[3:7] + [catalog.two_chain_monoid()]
+    picks.append(catalog.direct_product(catalog.cyclic_group(2), catalog.two_chain_monoid()))
+    out = []
+    for S in picks:
+        top = rees_quotient(S, ())
+        cases = {}
+        for I in ideals(S):
+            Q = rees_quotient(S, I)
+            name_of = lambda x, I=I: None if x == top.zero or x in I else top.elements[x]
+            cases[I] = (_pulled_back_table(top, Q, name_of), Q)
+        out.append((top, cases))
+    return out
+
+
+def _modification_cases():
+    out = []
+    for n in (3, 4):
+        mods = enumerate_modifications(galois_group(n))
+        top = mods[0].semigroup
+        cases = {m.pattern: (m.semigroup.table, m.semigroup) for m in mods}
+        out.append((top, cases, mods))
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_support_cohomology_matches_the_per_quotient_path(degree):
+    # degree 0 reads the empty level -1 and level 0 = [()]; degree 1 cuts
+    # its columns from level 0 and degree 3 its rows from level 4
+    A = FinAbGroup([2, 3])
+    for top, cases in _rees_cases():
+        results = support_cohomology(top, trivial_module(top, A), degree, [(I, t) for I, (t, _) in cases.items()])
+        assert list(results) == list(cases)
+        for I, (_, Q) in cases.items():
+            R = cohomology_group(Q, trivial_module(Q, A), degree)
+            assert results[I].group.factors == R.group.factors, (top.elements, I)
+            assert _named(results[I], top.elements) == _named(R, Q.elements), (top.elements, I)
+    for top, cases, mods in _modification_cases():
+        M = galois_module_for_modification(mods[0], 2)
+        results = support_cohomology(top, M, degree, [(k, t) for k, (t, _) in cases.items()])
+        for m in mods:
+            R = cohomology_group(m.semigroup, galois_module_for_modification(m, 2), degree)
+            assert results[m.pattern].group.factors == R.group.factors, m.pattern
+            assert _named(results[m.pattern], top.elements) == _named(R, m.semigroup.elements), m.pattern
+
+
+def test_the_degree_cases_reach_cut_levels_and_nontrivial_groups():
+    # the comparisons above cut level n in degrees 1 and 3 (level 0 is
+    # never cut), and reach a nontrivial group in every degree
+    A = FinAbGroup([2, 3])
+    cut, nontrivial = set(), set()
+    for top, cases in _rees_cases():
+        for degree in (0, 1, 3):
+            results = support_cohomology(top, trivial_module(top, A), degree, [(I, t) for I, (t, _) in cases.items()])
+            full = len(results[frozenset()].tuples)
+            for H in results.values():
+                cut.add((degree, len(H.tuples) < full))
+                nontrivial.add((degree, H.group.rank > 0))
+    assert cut == {(0, False), (1, False), (1, True), (3, False), (3, True)}
+    assert {(0, True), (1, True), (3, True)} <= nontrivial
+
+
+def test_a_table_that_disagrees_off_its_zero_is_refused():
+    # another nonzero product where S's is nonzero, and a nonzero product
+    # where S's is zero
+    S = catalog.two_chain_monoid()
+    top = rees_quotient(S, ())
+    for x, y in ((0, 1), (top.zero, 0)):
+        table = [list(row) for row in top.table]
+        table[x][y] = next(v for v in range(top.order) if v not in (top.zero, top.table[x][y]))
+        with pytest.raises(CertificateError) as exc:
+            support_cohomology(top, trivial_module(top, FinAbGroup([2])), 2, [("bad", table)])
+        assert exc.value.witness == (x, y)
