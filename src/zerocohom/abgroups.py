@@ -179,6 +179,12 @@ class FinAbGroup:
     def rank(self):
         return len(self.factors)
 
+    def repeat(self, k):
+        """The direct sum of k copies, in order; its factors are not checked again."""
+        out = object.__new__(FinAbGroup)
+        out.factors = self.factors * k
+        return out
+
     def order(self):
         """Number of elements, or None if infinite."""
         total = 1

@@ -29,9 +29,13 @@ nerve and one pair of coboundaries for a family of such tables, and
 ``SemilatticeOfGroups.from_restrictions`` links the groups of such a
 family by restricting witnesses to the smaller support: the Schur
 multiplier and the Brauer monoid are built so.
+
+When the identity 1 != 0 of S acts as the identity, the cochains that
+vanish on the tuples holding 1 have the same cohomology (Mac Lane,
+*Homology*, ch. X), and ``support_cohomology`` computes on them.
 """
 
-from itertools import product
+from itertools import chain, product
 
 from . import VARIANTS
 from .abgroups import (
@@ -43,8 +47,9 @@ from .abgroups import (
     finite_invariants_from_orders,
     solve_mod,
 )
-from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, NoZero, ShapeMismatch
+from .errors import CapExceeded, CertificateError, DegreeMismatch, InvalidModule, ShapeMismatch
 from .modules import ZeroModule, ensure_valid
+from .nerve import Nerve
 from .semigroups import adjoin, backtrack, require_same
 
 DEGREE_CAP = 4
@@ -146,148 +151,6 @@ def cochain_group(groups):
     return FinAbGroup(factors), offsets
 
 
-class Nerve:
-    """The zero nerve of one semigroup, each piece built once, on first use.
-
-    One scan, ``_split``, builds level m >= 1: for each nonzero x and each
-    tuple t of level m - 1, both in order, it keeps (x,) + t when x times
-    t's product is nonzero, as its first letter ``heads(m)[p]`` and the
-    position ``tails(m)[p]`` of its tail.  Everything else is read from
-    these.  ``products(m)`` folds them from the identity of the empty
-    tuple, ``table[heads[p]][products(m - 1)[tails[p]]]``, and ``fold``
-    does so under any table.  ``size(m)`` counts the tuples, ``level(m)``
-    writes them out, lexicographically ordered (``nerve(S, m)`` reads it),
-    and ``lasts(m)[p]`` is tuple p's last letter.  With w = size(m - 1),
-    ``slots(m)[x * w + j]`` is the position of the tuple with first
-    letter x and tail j, and ``rslots(m)[i * |S| + y]`` that of the
-    tuple whose last face sits at i and whose last letter is y; either
-    is -1 when there is no such tuple.  ``faces(m)`` lists the face maps
-    d_0..d_m from level m to level m - 1, each as the positions of the
-    faces in tuple order: d_0 drops the first letter, d_m the last, and
-    d_i for 0 < i < m multiplies letters i - 1 and i together.  They grow
-    from the faces one level down: d_0 is ``tails(m)`` itself, d_1 merges
-    the first letter into the tail's, and d_i for i >= 2 keeps the first
-    letter on d_{i-1} of the tail.  A negative m raises ``DegreeMismatch``.
-
-    Every builder reads its levels and faces here, so one call builds
-    each of them at most once.  The pieces are kept in one dict,
-    ``pieces``, keyed by (name, m); they do not refer back to the Nerve,
-    so a dropped Nerve is freed at once.
-    """
-
-    def __init__(self, S):
-        self.semigroup = S
-        self.pieces = {}
-
-    def _piece(self, name, m, build):
-        if m < 0:
-            raise DegreeMismatch("negative degree")
-        piece = self.pieces.get((name, m))
-        if piece is None:
-            piece = self.pieces[name, m] = build()
-        return piece
-
-    def _split(self, m):
-        """(heads, tails) of level m >= 1: the one scan over level m - 1 and its products."""
-        S = self.semigroup
-        if not S.has_zero:
-            raise NoZero("the zero nerve needs a semigroup with zero")
-        if m == 1:
-            heads = list(S.nonzero())
-            return heads, [0] * len(heads)
-        table, z, below = S.table, S.zero, self.products(m - 1)
-        positions = list(range(len(below)))  # one int object per tail, shared by every head
-        heads, tails = [], []
-        for x in S.nonzero():
-            row = table[x]
-            js = [j for j, p in zip(positions, below) if row[p] != z]
-            heads += [x] * len(js)
-            tails += js
-        return heads, tails
-
-    def heads(self, m):
-        return self._piece("split", m, lambda: self._split(m))[0]
-
-    def tails(self, m):
-        return self._piece("split", m, lambda: self._split(m))[1]
-
-    def size(self, m):
-        return 1 if m == 0 else len(self.heads(m))
-
-    def level(self, m):
-        if m == 0:
-            return [()]
-        tuples = lambda: [(x,) + t for x, t in zip(self.heads(m), map(self.level(m - 1).__getitem__, self.tails(m)))]
-        return self._piece("level", m, tuples)
-
-    def products(self, m):
-        if m == 0:
-            return [self.semigroup.identity]
-        return self._piece("products", m, lambda: self.fold(self.semigroup.table, m, self.products(m - 1)))
-
-    def fold(self, table, m, below):
-        """The products under ``table`` of level m's tuples, from those of level m - 1 (``below``).
-
-        Without an identity for the empty tuple, a letter is its own product.
-        """
-        heads = self.heads(m)
-        if m == 1 and self.semigroup.identity is None:
-            return heads
-        return [table[x][below[j]] for x, j in zip(heads, self.tails(m))]
-
-    def lasts(self, m):
-        if m == 1:
-            return self.heads(1)
-        return self._piece("lasts", m, lambda: list(map(self.lasts(m - 1).__getitem__, self.tails(m))))
-
-    def slots(self, m):
-        def build():
-            w = self.size(m - 1)
-            out = [-1] * (self.semigroup.order * w)
-            for p, (x, j) in enumerate(zip(self.heads(m), self.tails(m))):
-                out[x * w + j] = p
-            return out
-
-        return self._piece("slots", m, build)
-
-    def rslots(self, m):
-        def build():
-            s = self.semigroup.order
-            out = [-1] * (self.size(m - 1) * s)
-            for p, (i, y) in enumerate(zip(self.faces(m)[-1], self.lasts(m))):
-                out[i * s + y] = p
-            return out
-
-        return self._piece("rslots", m, build)
-
-    def faces(self, m):
-        return self._piece("faces", m, lambda: self._face_rows(m))
-
-    def _face_rows(self, m):
-        """d_0..d_m of level m >= 1, from the faces, slots and index form of level m - 1."""
-        heads, tails = self.heads(m), self.tails(m)
-        if m == 1:
-            return [tails, tails]
-        table, slots, w = self.semigroup.table, self.slots(m - 1), self.size(m - 2)
-        lower_heads, lower_tails = self.heads(m - 1), self.tails(m - 1)
-        first = [slots[table[x][lower_heads[j]] * w + lower_tails[j]] for x, j in zip(heads, tails)]
-        base = [x * w for x in heads]
-        kept = [[slots[b + face[j]] for b, j in zip(base, tails)] for face in self.faces(m - 1)[1:]]
-        return [tails, first] + kept
-
-    def complex_at(self, n, d):
-        """The maps (d_in, d_out) into and out of degree n, whose homology is H^n.
-
-        ``d(k)`` is the map leaving degree k; into degree 0 comes the zero
-        map.  Every piece is dropped once both are built, so level n + 1,
-        the largest, and its face maps are not held through the elimination.
-        """
-        d_out = d(n)
-        d_in = d(n - 1) if n else GroupHom(FinAbGroup(()), d_out.source, IntMatrix(d_out.source.rank, 0))
-        self.pieces.clear()
-        return d_in, d_out
-
-
 def _is_identity(block):
     return block.m == block.n and all(c == {i: 1} for i, c in enumerate(block.cols))
 
@@ -300,38 +163,46 @@ def _all_rank_one(group, offsets):
 def assemble_coboundary(N, n, groups, first_block, last_block):
     """The alternating-sum coboundary from level n of the nerve N to level n + 1, as a GroupHom.
 
-    ``groups(m)`` lists the coefficient group at each tuple of level m.
+    ``groups`` is the group at every tuple, or lists those of level m.
     ``first_block(x, q)`` and ``last_block(y, q)`` are the matrices of
-    the first-slot term (from d_0 t to t) and the last-slot term (from
-    d_{n+1} t to t) at the (n+1)-tuple t with first letter x and last
-    letter y, where q is the position of that face in level n.  The
-    middle terms merge two neighbours, keep the full product and so the
-    group, and enter as identity blocks.  The matrix is built face by
-    face, as one sparse {row: value} column per source coordinate, with
-    no entry that cancelled: a face whose blocks are all the identity
-    (each distinct block is tested once) adds +-1 on matching
-    coordinates, and any other adds its blocks.  The faces are built
-    after the cap check.
+    the terms from d_0 t and d_{n+1} t to the (n+1)-tuple t with first
+    letter x and last letter y, q the face's position.  The middle terms
+    keep the product, so the group: identity blocks.  A dropped face
+    (-1) adds nothing.  The matrix is built face by face, one sparse
+    {row: value} column per source coordinate, with no entry that
+    cancelled; a face whose distinct blocks are all the identity adds +-1
+    on matching coordinates.  The cap counts the full nerve's cells,
+    before the larger cochain group is laid out.
     """
-    src, src_off = cochain_group(groups(n))
-    upper = groups(n + 1)
-    # the cap is checked before the larger cochain group is laid out
-    rows = sum(A.rank for A in upper)
-    cells = src.rank * max(rows, 1)
+    if isinstance(groups, FinAbGroup):
+        k = groups.rank
+        rows, width = k * N.full_size(n + 1), k * N.full_size(n)
+    else:
+        lower, upper = groups(n), groups(n + 1)
+        rows, width = sum(A.rank for A in upper), sum(A.rank for A in lower)
+    cells = width * max(rows, 1)
     if cells > COBOUNDARY_CELL_CAP:
-        raise CapExceeded(f"coboundary matrix ({rows}x{src.rank}) cell count", cells, COBOUNDARY_CELL_CAP)
-    dst, dst_off = cochain_group(upper)
+        raise CapExceeded(f"coboundary matrix ({rows}x{width}) cell count", cells, COBOUNDARY_CELL_CAP)
+    if isinstance(groups, FinAbGroup):
+        src, dst = groups.repeat(N.size(n)), groups.repeat(N.size(n + 1))
+        src_off, dst_off = range(0, src.rank, k or 1), range(0, dst.rank, k or 1)
+        # row k p + r meets coordinate r of the face's block; a dropped face gives a negative coordinate
+        lift = (lambda face: face) if k == 1 else (lambda face: [k * q + r for q in face for r in range(k)])
+    else:
+        (src, src_off), (dst, dst_off) = cochain_group(lower), cochain_group(upper)
+        if _all_rank_one(src, src_off) and _all_rank_one(dst, dst_off):
+            lift = lambda face: face  # a coordinate is a tuple position
+        else:
+            # row r0 + r of tuple p, whose block starts at row r0, meets coordinate r of its face's block
+            coords = [(p, r) for p, A in enumerate(upper) for r in range(A.rank)]
+            lift = lambda face: [src_off[face[p]] + r for p, r in coords]
     faces = N.faces(n + 1)
     cols = [{} for _ in range(src.rank)]
-    if _all_rank_one(src, src_off) and _all_rank_one(dst, dst_off):
-        lift = lambda face: face  # a coordinate is a tuple position
-    else:
-        # row r0 + r of tuple p, whose block starts at row r0, meets coordinate r of its face's block
-        coords = [(p, r) for p, A in enumerate(upper) for r in range(A.rank)]
-        lift = lambda face: [src_off[face[p]] + r for p, r in coords]
 
     def add_identity(face, sign):
         for r, c in enumerate(lift(face)):
+            if c < 0:
+                continue
             col = cols[c]
             if r in col:
                 x = col[r] + sign
@@ -370,24 +241,63 @@ def coboundary_hom(N, M, n):
     A = M.group
     one = IntMatrix.identity(A.rank)
     last = (lambda y, q: one) if M.right is None else (lambda y, q: M.right[y])
-    return assemble_coboundary(N, n, lambda m: [A] * N.size(m), lambda x, q: M.matrix(x), last)
+    return assemble_coboundary(N, n, A, lambda x, q: M.matrix(x), last)
 
 
 class CohomologyResult:
     """A cohomology group, cocycle representatives of its generators, and the
-    homology presentation and nerve tuples they are read on."""
+    homology presentation and the level n of ``levels`` (0..n) they are read
+    on.  On a normalized result, ``unit`` is the identity, and a witness
+    is 0 on the tuples of the full level n that hold it (``_full_level``)."""
 
-    __slots__ = ("group", "witnesses", "homology", "tuples")
+    __slots__ = ("group", "witnesses", "homology", "tuples", "unit", "degree")
 
-    def __init__(self, group, witnesses, homology, tuples):
-        self.group = group
-        self.witnesses = witnesses
-        self.homology = homology
-        self.tuples = tuples
+    def __init__(self, homology, levels, M, unit):
+        n = self.degree = len(levels) - 1
+        self.group, self.homology, self.tuples, self.unit = homology.group, homology, levels[n], unit
+        full = _full_level(levels, unit) if unit is not None and homology.witnesses else ()
+        full = dict.fromkeys(full, M.group.zero())
+        self.witnesses = [Cochain(n, {**full, **_cochain_on(M, n, self.tuples, w).values}) for w in homology.witnesses]
 
     def coords(self, f, S, M):
-        """The class of the cocycle f on the witnesses, read on the stored nerve."""
-        return self.homology.coords(_vector_on(M, f, self.tuples))
+        """The class of the cochain f on the witnesses, or None when f is not a cocycle.
+
+        A normalized result reads ``_normalized(M, f, unit)``.  Another
+        degree, or no value on a tuple read, raises ``DegreeMismatch``.
+        """
+        if f.degree != self.degree:
+            raise DegreeMismatch(f"a degree-{f.degree} cochain read in degree {self.degree}")
+        try:
+            f = f if self.unit is None else _normalized(M, f, self.unit)
+            return None if f is None else self.homology.coords(_vector_on(M, f, self.tuples))
+        except KeyError:
+            raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % f.degree) from None
+
+
+def _full_level(levels, e):
+    """Level n of the full nerve, lexicographically ordered: each tuple of level n - k with e in k places."""
+    n = len(levels) - 1
+    spots = [(mask, map(iter, levels[n - sum(mask)])) for mask in product((False, True), repeat=n)]
+    return sorted(tuple(e if b else next(it) for b in mask) for mask, its in spots for it in its)
+
+
+def _normalized(M, f, e):
+    """f less coboundaries that clear it on the tuples holding e, or None when a value there survives.
+
+    With s^j f the degree-(n-1) cochain y -> f(y with e put in place j),
+    f <- f - (-1)^j d(s^j f) for j = 0..n-1.  By the simplicial
+    identities, with e acting as the identity, on a cocycle clear before
+    place j this clears place j too, so one pass clears every cocycle.
+    """
+    values = f.values
+    if not any(any(v) for t, v in values.items() if e in t):
+        return f
+    for j in range(f.degree):
+        g = {t[:j] + t[j + 1 :]: v for t, v in values.items() if t[j] == e}
+        sign = 1 if j % 2 else -1
+        dg = {t: _coboundary_at(M, g, t) for t in values}
+        values = {t: M.group.reduce([a + sign * b for a, b in zip(v, dg[t])]) for t, v in values.items()}
+    return None if any(any(v) for t, v in values.items() if e in t) else Cochain(f.degree, values)
 
 
 def _resolve_variant(S, M, variant):
@@ -407,6 +317,15 @@ def _check_module(S, M):
     need = set(S.nonzero())
     if not need <= set(M.action):
         raise InvalidModule(sorted(need - set(M.action)), "action domain too small")
+
+
+def _normalizes(S, M, tables):
+    """Whether S has an identity e != 0 acting as the identity (both sides
+    of a two-sided M), and each table keeps e v = v at its nonzero values v."""
+    e, z = S.identity, S.zero
+    if e is None or e == z or not _is_identity(M.action[e]) or not (M.right is None or _is_identity(M.right[e])):
+        return False
+    return all(all(table[e][v] != z for v in set(chain.from_iterable(table)) - {z}) for table in tables)
 
 
 def cohomology_group(S, M, n, variant="zero"):
@@ -433,41 +352,53 @@ def support_cohomology(S, M, n, supports):
     identity.  M is validated once, and the nerve and the coboundaries
     into and out of degree n are built once.  With the support's own
     first-letter actions, its coboundaries are the submatrices on the
-    tuples it keeps.  Returns {key: CohomologyResult}, in pair order.
+    tuples it keeps.  The nerve is normalized when ``_normalizes`` says
+    so.  Returns {key: CohomologyResult}, in pair order.
     """
     if n > DEGREE_CAP:
         raise CapExceeded("degree", n, DEGREE_CAP)
     _check_module(S, M)
-    N = Nerve(S)
-    tuples = N.level(n)
+    supports = list(supports)
+    N = Nerve(S, _normalizes(S, M, [table for _, table in supports]))
+    levels = [N.level(m) for m in range(n + 1)]
     cuts = [(key, _cut(N, table, n)) for key, table in supports]  # before complex_at drops the levels they read
     d_in, d_out = N.complex_at(n, lambda k: coboundary_hom(N, M, k))
     out = {}
     for key, kept in cuts:
         if kept is None:
-            H, on = complex_homology(d_in, d_out), tuples
+            H, on = complex_homology(d_in, d_out), levels
         else:
-            H = complex_homology(_restricted(d_in, M.group, *kept[:2]), _restricted(d_out, M.group, *kept[1:]))
-            on = [tuples[p] for p in kept[1]]
-        witnesses = [_cochain_on(M, n, on, w) for w in H.witnesses]
-        out[key] = CohomologyResult(H.group, witnesses, H, on)
+            A = M.group
+            H = complex_homology(_restricted(d_in, A, *kept[n : n + 2]), _restricted(d_out, A, *kept[n + 1 : n + 3]))
+            on = [[level[p] for p in ps] for level, ps in zip(levels, kept[1:])]
+        out[key] = CohomologyResult(H, on, M, N.skip)
     return out
 
 
 def _cut(N, table, n):
-    """The positions of the tuples of levels n - 1, n and n + 1 that ``table`` keeps, or None for S's own."""
+    """The positions of the tuples of levels -1..n + 1 that ``table`` keeps, or None for S's own.
+
+    Only the tuples over a kept tail are folded (``Nerve.children``).
+    """
     S = N.semigroup
     if table == S.table:
         return None
-    z, pairs = S.zero, enumerate(zip(table, S.table))
-    bad = next(((x, y) for x, (row, own) in pairs for y, (v, w) in enumerate(zip(row, own)) if z != v != w), None)
+    z, rows = S.zero, [(x, row, own) for x, (row, own) in enumerate(zip(table, S.table)) if tuple(row) != tuple(own)]
+    bad = next(((x, y) for x, row, own in rows for y, (v, w) in enumerate(zip(row, own)) if z != v != w), None)
     if bad is not None:
         raise CertificateError(bad, "the support's table disagrees with the semigroup's off its zero")
-    products, kept = [S.identity], [[], [0]]  # levels -1 (empty) and 0 (the empty tuple)
-    for m in range(1, n + 2):
-        products = N.fold(table, m, products)
-        kept.append([p for p, v in enumerate(products) if v != z])
-    return kept[n:]
+    products = {p: v for p, v in enumerate(N.fold(table, 1, [S.identity])) if v != z}
+    kept = [[], [0], list(products)]  # levels -1 (empty), 0 (the empty tuple) and 1
+    for m in range(2, n + 2):
+        heads, children, above = N.heads(m), N.children(m), {}
+        for j, v in products.items():
+            for p in children[j]:
+                u = table[heads[p]][v]
+                if u != z:
+                    above[p] = u
+        products = above
+        kept.append(sorted(above))
+    return kept
 
 
 def _restricted(d, A, src, dst):
@@ -475,7 +406,7 @@ def _restricted(d, A, src, dst):
     r = A.rank
     rows = [p * r + i for p in dst for i in range(r)]
     cols = _renumbered([d.matrix.cols[p * r + i] for p in src for i in range(r)], rows, d.target.rank)
-    source, target = FinAbGroup(A.factors * len(src)), FinAbGroup(A.factors * len(dst))
+    source, target = A.repeat(len(src)), A.repeat(len(dst))
     return GroupHom(source, target, IntMatrix.from_sparse(len(rows), cols))
 
 

@@ -53,18 +53,30 @@ class Violation(Frozen):
 
 
 def _check_action(S, group, action, domain, opposite=False):
-    """The action law on the products st != 0."""
+    """The action law on the products st != 0.
+
+    Each distinct matrix, and each distinct triple (action[s], action[t],
+    action[st]), keyed by object identity, is checked once, at its first
+    pair: a trivial module shares one matrix.
+    """
+    seen = set()
     for s in domain:
         if s not in action:
             return Violation("missing", s)
-        if not is_hom(group, group, action[s]):
-            return Violation("endomorphism", s)
-    z = S.zero
+        if id(action[s]) not in seen:
+            seen.add(id(action[s]))
+            if not is_hom(group, group, action[s]):
+                return Violation("endomorphism", s)
+    z, inside, seen = S.zero, set(domain), set()
     for s in domain:
         for t in domain:
             st = S.table[t][s] if opposite else S.table[s][t]
-            if st == z or st not in domain:
+            if st == z or st not in inside:
                 continue
+            key = (id(action[s]), id(action[t]), id(action[st]))
+            if key in seen:
+                continue
+            seen.add(key)
             if not same_map(group, action[s].mul(action[t]), action[st]):
                 return Violation("composition", (s, t))
     return None

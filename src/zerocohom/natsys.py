@@ -23,8 +23,9 @@ from itertools import combinations
 
 from .abgroups import FinAbGroup, GroupHom, IntMatrix, complex_homology, is_hom, same_map
 from .errors import CapExceeded, DegreeMismatch, FunctorialityError, NotAComplex, NotMonoidWithZero
-from .cohomology import Nerve, _check_module, assemble_coboundary, cochain_group
+from .cohomology import _check_module, assemble_coboundary, cochain_group
 from .modules import trivial_module
+from .nerve import Nerve
 from .semigroups import Frozen, require_same
 
 

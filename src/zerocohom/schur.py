@@ -23,7 +23,7 @@ None for a factor set of a monoid.
 from itertools import product
 
 from .abgroups import FinAbGroup, finite_invariants_from_orders, kernel_mod, subgroup
-from .cohomology import Cochain, Nerve, SemilatticeOfGroups, _preimage, support_cohomology
+from .cohomology import Cochain, SemilatticeOfGroups, _preimage, support_cohomology
 from .errors import (
     CapExceeded,
     CertificateError,
@@ -36,6 +36,7 @@ from .errors import (
     UncertifiedInput,
 )
 from .modules import Violation, trivial_module
+from .nerve import Nerve
 from .semigroups import Frozen, Semigroup, as_ideal, backtrack, group_inverses, ideals, rees_quotient
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier

@@ -487,7 +487,7 @@ def test_em_module_broken_at_a_zero_product_is_input_error(tmp_path, capsys):
 
 
 # the abelian-group and cohomology layers and the modules built on them
-ALGEBRA = {"abgroups", "elimination", "modules", "cohomology", "schur", "natsys", "brauer"}
+ALGEBRA = {"abgroups", "elimination", "modules", "nerve", "cohomology", "schur", "natsys", "brauer"}
 # brauer_monoid needs the cohomology layer, and enumerate_modifications stays
 # beside it in brauer, where perfbench imports and traces both by name, so
 # modifications loads that layer too
