@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from .semigroups import _isomorphisms, _profile, adjoin, backtrack, rees_matrix_semigroup, subsemigroup, validate_table
+from .semigroups import adjoin, backtrack, isomorphism_classes, rees_matrix_semigroup, subsemigroup, validate_table
 
 
 def cyclic_group(n):
@@ -119,12 +119,10 @@ def monoids_of_order(n):
     """All monoids of order n up to isomorphism, identity listed first.
 
     Generated by a ``backtrack`` over the table cells with incremental
-    associativity pruning; a table is kept unless it is isomorphic to
-    one kept before it.  Each table's element profile is computed once,
-    and the isomorphism search runs only against the kept tables whose
-    sorted profile is the same.  The tables come in lexicographic order
-    and every relabeling that fixes the identity of a table is one, so
-    the table kept for each class is its least.
+    associativity pruning; ``isomorphism_classes`` keeps a table unless
+    it is isomorphic to one kept before it.  The tables come in
+    lexicographic order and every relabeling that fixes the identity of
+    a table is one, so the table kept for each class is its least.
     """
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
 
@@ -154,16 +152,8 @@ def monoids_of_order(n):
         return True
 
     names = ["1"] + [f"m{i}" for i in range(1, n)]
-    kept = []  # (monoid, profile, sorted profile)
-    for values in backtrack([range(n)] * len(cells), assoc_ok):
-        M = validate_table(names, table_of(values))
-        label = _profile(M)
-        key = sorted(label)
-        if not any(
-            K_key == key and next(_isomorphisms(M, K, label, K_label), None) is not None for K, K_label, K_key in kept
-        ):
-            kept.append((M, label, key))
-    return [M for M, _, _ in kept]
+    tables = backtrack([range(n)] * len(cells), assoc_ok)
+    return list(isomorphism_classes(validate_table(names, table_of(values)) for values in tables))
 
 
 def monoid_catalogue(max_order=4):

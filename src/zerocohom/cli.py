@@ -11,6 +11,7 @@ cohomology layer), and the timing on stderr includes them.
 """
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -19,11 +20,15 @@ from . import VARIANTS, __version__
 from .errors import CapExceeded, InvalidModule, TableError, ZerocohomError
 
 
-def _digest(path):
-    import hashlib
-
+def _read(path, inputs=None):
+    """The text of the file at ``path``, read once; ``inputs`` records the sha256 prefix of its bytes."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        data = fh.read()
+    if inputs is not None:
+        import hashlib
+
+        inputs[path] = hashlib.sha256(data).hexdigest()[:16]
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 class _Document(dict):
@@ -35,9 +40,8 @@ class _Document(dict):
         raise ValueError(f"{self.path} has no field {field!r}")
 
 
-def _read_object(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _read_object(path, inputs=None):
+    doc = json.loads(_read(path, inputs))
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, not a {type(doc).__name__}")
     doc = _Document(doc)
@@ -50,10 +54,10 @@ def _integers(values):
     return isinstance(values, list) and all(type(x) is int for x in values)
 
 
-def load_semigroup(path):
+def load_semigroup(path, inputs=None):
     from .semigroups import from_named_table
 
-    doc = _read_object(path)
+    doc = _read_object(path, inputs)
     elements, table = doc["elements"], doc["table"]
     if not (isinstance(elements, list) and isinstance(table, list) and all(isinstance(r, list) for r in table)):
         raise TableError("a semigroup needs a list of elements and a table given as a list of rows")
@@ -69,15 +73,15 @@ def _coefficients(doc):
     return FinAbGroup(factors)
 
 
-def load_coefficients(path):
-    return _coefficients(_read_object(path))
+def load_coefficients(path, inputs=None):
+    return _coefficients(_read_object(path, inputs))
 
 
-def load_module(path, S):
+def load_module(path, S, inputs=None):
     from .abgroups import IntMatrix
     from .modules import ZeroModule
 
-    doc = _read_object(path)
+    doc = _read_object(path, inputs)
     A = _coefficients(doc)
     k = A.rank
 
@@ -139,8 +143,7 @@ def _semilattice_payload(sl, key_name):
 def cmd_validate(args, inputs):
     from .semigroups import ideals, predicates
 
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
+    S = load_semigroup(args.semigroup, inputs)
     p = predicates(S)
     return {
         "order": S.order,
@@ -155,10 +158,8 @@ def cmd_validate(args, inputs):
 def cmd_cohom(args, inputs):
     from .cohomology import brute_cohomology, cohomology_group
 
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
-    M = load_module(args.module, S)
-    inputs[args.module] = _digest(args.module)
+    S = load_semigroup(args.semigroup, inputs)
+    M = load_module(args.module, S, inputs)
     H = cohomology_group(S, M, args.degree, args.variant)
     result = {
         "degree": args.degree,
@@ -176,10 +177,8 @@ def cmd_cohom(args, inputs):
 def cmd_schur(args, inputs):
     from .schur import brute_multiplier, multipliers_agree, schur_multiplier
 
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
-    A = load_coefficients(args.module)
-    inputs[args.module] = _digest(args.module)
+    S = load_semigroup(args.semigroup, inputs)
+    A = load_coefficients(args.module, inputs)
     sl = schur_multiplier(S, A)
     result = _semilattice_payload(sl, "ideal")
     for entry, I in zip(result["components"], sl.indices):
@@ -232,13 +231,10 @@ def cmd_gown(args, inputs):
     if bool(args.presentation) == bool(args.semigroup):
         raise ValueError("gown takes exactly one of --presentation and --semigroup")
     if args.presentation:
-        with open(args.presentation) as fh:
-            P = parse_presentation(fh.read())
-        inputs[args.presentation] = _digest(args.presentation)
+        P = parse_presentation(_read(args.presentation, inputs))
         G = gown_presentation(P) if args.bound is None else gown_presentation(P, args.bound)
         return {"gown_presentation": format_presentation(G)}
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
+    S = load_semigroup(args.semigroup, inputs)
     bound = 4 if args.bound is None else args.bound
     classes = gown_sequences(S, bound)
     return {
@@ -254,9 +250,7 @@ def cmd_gown(args, inputs):
 def cmd_enumerate(args, inputs):
     from .presentations import Truncated, enumerate_presentation, parse_presentation
 
-    with open(args.presentation) as fh:
-        P = parse_presentation(fh.read())
-    inputs[args.presentation] = _digest(args.presentation)
+    P = parse_presentation(_read(args.presentation, inputs))
     E = enumerate_presentation(P, args.bound, args.mode)
     if isinstance(E, Truncated):
         first = ", ".join(E.discovered[:20])
@@ -315,12 +309,10 @@ def _natural_system(args, inputs):
     """The semigroup and its natural system: from --module, else trivial Z."""
     from .natsys import from_zero_module, trivial_Z
 
-    S = load_semigroup(args.semigroup)
-    inputs[args.semigroup] = _digest(args.semigroup)
+    S = load_semigroup(args.semigroup, inputs)
     if not args.module:
         return S, trivial_Z(S)
-    M = load_module(args.module, S)
-    inputs[args.module] = _digest(args.module)
+    M = load_module(args.module, S, inputs)
     return S, from_zero_module(M)
 
 
@@ -361,13 +353,13 @@ def build_parser():
 
     def add(subparsers, name, fn, **arguments):
         p = subparsers.add_parser(name)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, oracle=False)
         for flag, kw in arguments.items():
             p.add_argument(flag, **kw)
         return p
 
     add(sub, "validate", cmd_validate, **{"--semigroup": dict(required=True)})
-    # commands with a brute-force cross-check, which `oracle <name>` forces
+    # commands with a brute-force cross-check, which only `oracle <name>` runs
     checked = {
         "cohom": (
             cmd_cohom,
@@ -382,7 +374,7 @@ def build_parser():
         "brauer": (cmd_brauer, {"--q": dict(type=int, required=True), "--n": dict(type=int, required=True)}),
     }
     for name, (fn, arguments) in checked.items():
-        add(sub, name, fn, **arguments, **{"--oracle": dict(action="store_true")})
+        add(sub, name, fn, **arguments)
     add(sub, "modifications", cmd_modifications, **{"--group": dict(required=True)})
     add(
         sub,
@@ -429,15 +421,13 @@ def build_parser():
     oracle = sub.add_parser("oracle")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
     for name, (fn, arguments) in checked.items():
-        add(osub, name, fn, **arguments).set_defaults(force_oracle=True)
+        add(osub, name, fn, **arguments).set_defaults(oracle=True)
     return ap
 
 
 def execute(argv):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "force_oracle", False):
-        args.oracle = True
     started = time.monotonic()
     inputs = {}
     command = args.command if args.command != "oracle" else f"oracle {args.oracle_command}"
@@ -453,7 +443,7 @@ def execute(argv):
     except (ZerocohomError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "oracle", False) and result.get("oracle_match") is False:
+    if args.oracle and result.get("oracle_match") is False:
         _emit(command, argv, inputs, result)
         print("oracle mismatch", file=sys.stderr)
         return 1

@@ -88,7 +88,7 @@ def validate_module(M):
     action(s)action(t) = action(st) whenever st != 0, on the stored
     action domain.  With a right action, also: it covers the left one's
     domain, its law holds against the opposite semigroup, and the two
-    actions commute.
+    actions commute, checked once per distinct pair of matrices.
     """
     S = M.semigroup
     domain = sorted(M.action)
@@ -102,8 +102,14 @@ def validate_module(M):
     missing = [s for s in domain if s not in M.right]
     if missing:
         return Violation("right-missing", missing[0])
+    # each distinct pair of matrices, keyed as in _check_action, once
+    seen = set()
     for s in domain:
         for t in right_domain:
+            key = (id(M.action[s]), id(M.right[t]))
+            if key in seen:
+                continue
+            seen.add(key)
             if not same_map(M.group, M.action[s].mul(M.right[t]), M.right[t].mul(M.action[s])):
                 return Violation("compatibility", (s, t))
     return None

@@ -90,16 +90,19 @@ def epsilon_factor_set(S, A, ideal):
 def validate_factor_set(rho):
     """None if rho is a factor set, else the first violating pair/triple.
 
-    Checks the normalization over all pairs, then the completed cocycle
-    law over all triples (both sides must vanish together, and agree
-    when nonzero).
+    Checks that every pair has a value, then the normalization over all
+    pairs, then the completed cocycle law over all triples (both sides
+    must vanish together, and agree when nonzero).
     """
     S = rho.semigroup
     if S.identity is None:
         raise ValueError("factor sets are defined over monoids")
-    one = S.identity
-    for x in range(S.order):
-        for y in range(S.order):
+    one, n = S.identity, range(S.order)
+    missing = next(((x, y) for x in n for y in n if (x, y) not in rho.values), None)
+    if missing is not None:
+        return Violation("missing", missing)
+    for x in n:
+        for y in n:
             if (rho.value(x, y) is None) != (rho.value(one, S.mul(x, y)) is None):
                 return Violation("normalization", (x, y))
     bad = next(cocycle_failures(S, rho.group, rho.values), None)

@@ -344,37 +344,23 @@ def predicates(S):
     is_monoid = S.is_monoid
     if not has_zero:
         return Predicates(has_zero, is_monoid, None, None, None, None)
-    z = S.zero
-    cat = True
-    cat_wit = None
-    n = S.order
-    for x in range(n):
-        for y in range(n):
-            xy = S.table[x][y]
-            for w in range(n):
-                if S.table[xy][w] == z and xy != z and S.table[y][w] != z:
-                    cat = False
-                    cat_wit = (x, y, w)
-                    break
-            if not cat:
-                break
-        if not cat:
-            break
-    canc = True
-    canc_wit = None
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for x in range(n):
-                if (S.table[a][x] == S.table[b][x] != z) or (S.table[x][a] == S.table[x][b] != z):
-                    canc = False
-                    canc_wit = (a, b, x)
-                    break
-            if not canc:
-                break
-        if not canc:
-            break
+    z, t, n = S.zero, S.table, range(S.order)
+    cat_wit = next(
+        ((x, y, w) for x in n for y in n if t[x][y] != z for w in n if t[t[x][y]][w] == z and t[y][w] != z),
+        None,
+    )
+    canc_wit = next(
+        (
+            (a, b, x)
+            for a in n
+            for b in n
+            if a != b
+            for x in n
+            if t[a][x] == t[b][x] != z or t[x][a] == t[x][b] != z
+        ),
+        None,
+    )
+    cat, canc = cat_wit is None, canc_wit is None
     return Predicates(has_zero, is_monoid, cat, canc, cat_wit, canc_wit)
 
 
@@ -410,35 +396,33 @@ def zero_direct_union(S, T):
     return validate_table(names, table, z)
 
 
+def _inverses(S):
+    """Each unit x of S, in index order, mapped to its two-sided inverse; empty without an identity."""
+    e, t, n = S.identity, S.table, range(S.order)
+    inv = {}
+    if e is not None:
+        for x in n:
+            y = next((y for y in n if t[x][y] == e == t[y][x]), None)
+            if y is not None:
+                inv[x] = y
+    return inv
+
+
 def is_group(S):
-    if S.identity is None:
-        return False
-    e = S.identity
-    for x in range(S.order):
-        if not any(S.table[x][y] == e and S.table[y][x] == e for y in range(S.order)):
-            return False
-    return True
+    return S.identity is not None and len(_inverses(S)) == S.order
 
 
 def units_of(S):
     """The invertible elements of a monoid, in index order."""
-    e = S.identity
-    return tuple(
-        x for x in range(S.order) if any(S.mul(x, y) == e and S.mul(y, x) == e for y in range(S.order))
-    )
+    return tuple(_inverses(S))
 
 
 def group_inverses(S):
-    if not is_group(S):
+    """The inverse of each element of a group, as a list; ``NotAGroup`` otherwise."""
+    inv = _inverses(S)
+    if S.identity is None or len(inv) != S.order:
         raise NotAGroup("not a group table")
-    e = S.identity
-    inv = [None] * S.order
-    for x in range(S.order):
-        for y in range(S.order):
-            if S.table[x][y] == e:
-                inv[x] = y
-                break
-    return inv
+    return [inv[x] for x in range(S.order)]
 
 
 def rees_matrix_semigroup(D, rows, cols, sandwich):
@@ -490,14 +474,6 @@ def _rees_table(D, rows, cols, P):
     return table
 
 
-def _right_ideal(S, x):
-    return frozenset([x] + [S.table[x][s] for s in range(S.order)])
-
-
-def _left_ideal(S, x):
-    return frozenset([x] + [S.table[s][x] for s in range(S.order)])
-
-
 class ReesDecomposition(Frozen):
     """Rees coordinates: the group and the sandwich matrix, cols x rows,
     whose entries are group element indices or None for zero."""
@@ -534,22 +510,21 @@ def c0s_decompose(S):
     if not idems:
         return None
     e = min(idems)
+    columns = tuple(zip(*S.table))
     rc, lc = {}, {}
     for x in nonzero:
-        rc.setdefault(_right_ideal(S, x), set()).add(x)
-        lc.setdefault(_left_ideal(S, x), set()).add(x)
+        # keyed by the closures {x} u xS and {x} u Sx
+        rc.setdefault(frozenset(closure([x], S.table.__getitem__)), set()).add(x)
+        lc.setdefault(frozenset(closure([x], columns.__getitem__)), set()).add(x)
     e_first = lambda cls: (e not in cls, min(cls))
     r_classes = sorted(rc.values(), key=e_first)
     l_classes = sorted(lc.values(), key=e_first)
-    H = sorted(r_classes[0] & l_classes[0])
-    sub = {x: k for k, x in enumerate(H)}
     try:
-        D = validate_table([S.elements[x] for x in H], [[sub[S.table[x][y]] for y in H] for x in H])
-    except (KeyError, AssociativityError):
+        D, sub = subsemigroup(S, r_classes[0] & l_classes[0])
+        inv = group_inverses(D)
+    except (TableError, NotAGroup):
         return None
-    if not is_group(D):
-        return None
-    inv = group_inverses(D)
+    H = list(sub)
 
     def inverse(p):
         # the inverse in H of p, or e when p is not in H
@@ -603,18 +578,6 @@ def _isomorphisms(S, T, s_label, t_label):
             yield dict(enumerate(mapping))
 
 
-def sandwich_equivalent(dec1, dec2):
-    """Whether two Rees data give isomorphic Rees matrix semigroups.
-
-    By Rees's theorem (Howie 1995, ch. 3) that is equality up to a
-    group isomorphism, permutations of the rows and of the columns, and
-    scalings of rows and columns by group elements.  Degenerate data
-    raise DegenerateSandwich.
-    """
-    S, T = (rees_matrix_semigroup(d.group, d.rows, d.cols, d.sandwich) for d in (dec1, dec2))
-    return isomorphic_semigroups(S, T)
-
-
 def subsemigroup(S, indices):
     """Subsemigroup on the given indices (must be closed and in range)."""
     outside = set(indices) - set(range(S.order))
@@ -651,7 +614,25 @@ def _profile(X):
 def isomorphic_semigroups(S, T):
     """Isomorphism test, a ``backtrack`` over the images of the elements.
 
-    It decides group isomorphism too, and serves the 19-element Rees
-    matrix semigroups that ``sandwich_equivalent`` compares.
+    It decides group isomorphism too, and, by Rees's theorem (Howie
+    1995, ch. 3), whether two Rees data are equal up to a group
+    isomorphism, permutations of the rows and of the columns, and
+    scalings of both by group elements: their Rees matrix semigroups
+    are isomorphic.
     """
     return next(_isomorphisms(S, T, _profile(S), _profile(T)), None) is not None
+
+
+def isomorphism_classes(semigroups):
+    """Yield each of ``semigroups`` that is not isomorphic to one yielded before it.
+
+    Each is profiled once, and the isomorphism search runs only against
+    the kept ones with the same sorted profile.
+    """
+    kept = {}  # sorted profile -> [(semigroup, profile)]
+    for S in semigroups:
+        label = _profile(S)
+        same = kept.setdefault(tuple(sorted(label)), [])
+        if all(next(_isomorphisms(S, K, label, K_label), None) is None for K, K_label in same):
+            same.append((S, label))
+            yield S

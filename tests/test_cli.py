@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,10 +163,22 @@ def chain_path(tmp_path):
 
 
 def test_schur(chain_path, z2_path, capsys):
-    code, report, _ = run(capsys, ["schur", "--semigroup", chain_path, "--module", z2_path, "--oracle"])
+    code, report, _ = run(capsys, ["schur", "--semigroup", chain_path, "--module", z2_path])
     assert code == 0
     assert report["result"]["component_count"] == 3
-    assert report["result"]["oracle_match"] is True
+    assert "oracle_match" not in report["result"]
+    # each input is recorded by the sha256 prefix of its bytes
+    for path in (chain_path, z2_path):
+        with open(path, "rb") as fh:
+            assert report["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def test_oracle_flag_is_refused(chain_path, z2_path, capsys):
+    # the cross-check is asked for only as `oracle schur`
+    with pytest.raises(SystemExit) as exc:
+        execute(["schur", "--semigroup", chain_path, "--module", z2_path, "--oracle"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
 
 
 def test_schur_oracle(chain_path, z2_path, capsys):

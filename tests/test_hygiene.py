@@ -12,7 +12,8 @@ read other than as the receiver of a statement-level ``.append``,
 The package has no ``assert`` statement, since ``python -O`` drops them.
 No module imports ``dataclasses``: records are plain classes with
 ``__slots__``, and one record style keeps start-up free of ``inspect``.
-The README's caps table lists exactly the package's ``*_CAP`` constants.
+The README's caps table lists exactly the package's ``*_CAP`` constants,
+and every name it puts in backticks is one of the repo's.
 A nerve face is built from tuple slices only in the brute-force twins:
 ``Nerve.faces`` grows by index arithmetic, so the twins stay independent.
 No code in the package or the tests stores into ``X.a[...]``: a matrix's
@@ -29,6 +30,7 @@ inner ``extend``, and no other function binds a ``frontier``.
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 from zerocohom.cli import build_parser
@@ -216,6 +218,36 @@ def test_readme_caps_table_lists_every_cap():
         if len(cells) >= 4 and cells[0].startswith("`"):
             table[cells[0].strip("`")] = (cells[1].strip("`"), int(cells[-1].replace(",", "")))
     assert table == caps
+
+
+# backticked words of the README that name no code of the repo: two
+# stdlib modules, JSON's true, and an English word
+README_PROSE = {"dis", "tokenize", "true", "forcing"}
+
+
+def test_readme_names_resolve():
+    # every backticked identifier or dotted name in the README is, part by
+    # part, a module, an identifier or a string of src, tests or perfbench
+    known = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            known.update(path.relative_to(ROOT / folder).with_suffix("").parts)
+            for n in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    known.add(n.name)
+                elif isinstance(n, ast.Name):
+                    known.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    known.add(n.attr)
+                elif isinstance(n, (ast.arg, ast.keyword)):
+                    known.add(n.arg)
+                elif isinstance(n, ast.alias):
+                    known.update(n.name.split("."))
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    known.add(n.value)
+    tokens = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", (ROOT / "README.md").read_text()))
+    unknown = {t for t in tokens if not set(t.split(".")) <= known} - README_PROSE
+    assert not unknown, sorted(unknown)
 
 
 def _merges_neighbours(node):

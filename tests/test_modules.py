@@ -226,6 +226,34 @@ def test_bimodule_with_smaller_right_domain_is_a_violation():
     assert exc.value.witness == 1
 
 
+def test_noncommuting_bimodule_is_a_compatibility_violation():
+    # on the null semigroup every product is 0, so only compatibility can fail;
+    # a1 and a2 share the left matrix L, a0 and a2 the right matrix R
+    S = catalog.null_semigroup(3)
+    A = FinAbGroup([2, 2])
+    one = IntMatrix.identity(2)
+    L, R = IntMatrix(2, 2, [[1, 1], [0, 1]]), IntMatrix(2, 2, [[1, 0], [1, 1]])
+    B = ZeroModule(S, A, {0: one, 1: L, 2: L}, {0: R, 1: one, 2: R})
+    assert validate_module(B) == Violation("compatibility", (1, 0))
+
+
+def test_bimodule_compatibility_checks_each_pair_of_matrices_once(monkeypatch):
+    # T's trivial bimodule shares one matrix on both sides: one check per law
+    from zerocohom import modules
+    from zerocohom.partial import build_t_semigroup
+
+    calls, real = [], modules.same_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "same_map", counted)
+    B = trivial_bimodule(build_t_semigroup().semigroup, FinAbGroup([2]))
+    assert validate_module(B) is None
+    assert len(calls) == 3
+
+
 def test_scalar_module():
     S = catalog.nil_square_semigroup()
     M = scalar_module(S, FinAbGroup([4]), {0: 2, 1: 2, 2: 0})

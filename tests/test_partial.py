@@ -28,7 +28,7 @@ from zerocohom.schur import (
     sigma_from_rho,
     validate_factor_set,
 )
-from zerocohom.semigroups import ReesDecomposition, Semigroup, sandwich_equivalent
+from zerocohom.semigroups import Semigroup, isomorphic_semigroups, rees_matrix_semigroup, subsemigroup
 
 
 def test_build_t_semigroup_constants():
@@ -49,12 +49,13 @@ def test_build_t_semigroup_constants():
         assert sum(1 for x in row if x is None) == 1
     for j in range(3):
         assert sum(1 for row in dec.sandwich if row[j] is None) == 1
-    # full scalar equivalence holds for the corrected matrix (one entry is
-    # the nontrivial unit), not for the all-ones refinement
-    corrected = ReesDecomposition(Z2, 3, 3, ((0, 0, None), (0, None, 1), (None, 0, 0)))
-    displayed = ReesDecomposition(Z2, 3, 3, ((0, 0, None), (0, None, 0), (None, 0, 0)))
-    assert sandwich_equivalent(dec, corrected)
-    assert not sandwich_equivalent(dec, displayed)
+    # the ideal is the Rees matrix semigroup of the corrected matrix (one
+    # entry is the nontrivial unit), not of the all-ones refinement
+    ideal, _ = subsemigroup(S, data.ideal_indices)
+    corrected = rees_matrix_semigroup(Z2, 3, 3, ((0, 0, None), (0, None, 1), (None, 0, 0)))
+    displayed = rees_matrix_semigroup(Z2, 3, 3, ((0, 0, None), (0, None, 0), (None, 0, 0)))
+    assert isomorphic_semigroups(ideal, corrected)
+    assert not isomorphic_semigroups(ideal, displayed)
 
 
 def test_t_structure_certificate_survives_optimize(run_python):

@@ -7,7 +7,7 @@ from zerocohom.abgroups import FinAbGroup, GroupHom, IntMatrix, QuotientPresenta
 from zerocohom.brauer import brauer_monoid
 from zerocohom.cohomology import brute_cohomology, cohomology_group
 from zerocohom.errors import CertificateError, CoefficientMismatch, NotAnIdeal, ShapeMismatch
-from zerocohom.modules import trivial_module
+from zerocohom.modules import Violation, trivial_module
 from zerocohom.partial import build_t_semigroup
 from zerocohom.schur import (
     FactorSet,
@@ -57,6 +57,16 @@ def test_normalization_violation():
     values[(0, 1)] = None  # rho(1, e) = 0 but rho(e, e) != 0
     v = validate_factor_set(FactorSet(S, A, values))
     assert v is not None and v.kind == "normalization"
+
+
+def test_missing_value_is_a_violation():
+    # the first pair without a value, in scan order, before any law is read
+    S = catalog.cyclic_group(2)
+    A = FinAbGroup([2])
+    assert validate_factor_set(FactorSet(S, A, {})) == Violation("missing", (0, 0))
+    values = {(x, y): (0,) for x in range(2) for y in range(2)}
+    del values[(1, 0)]
+    assert validate_factor_set(FactorSet(S, A, values)) == Violation("missing", (1, 0))
 
 
 def test_cocycle_violation_reports_first_triple():

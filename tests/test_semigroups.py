@@ -18,8 +18,8 @@ from zerocohom.errors import (
 )
 from zerocohom.schur import epsilon_factor_set
 from zerocohom.semigroups import (
-    ReesDecomposition,
     _isomorphisms,
+    _profile,
     adjoin,
     backtrack,
     c0s_decompose,
@@ -28,12 +28,12 @@ from zerocohom.semigroups import (
     is_group,
     is_ideal,
     isomorphic_semigroups,
+    isomorphism_classes,
     opposite,
     predicates,
     principal_ideal,
     rees_matrix_semigroup,
     rees_quotient,
-    sandwich_equivalent,
     subsemigroup,
     validate_table,
     zero_direct_union,
@@ -278,8 +278,7 @@ def test_c0s_decompose_roundtrip():
     dec = c0s_decompose(S)
     assert dec is not None
     assert (dec.rows, dec.cols, dec.group.order) == (3, 3, 2)
-    ref = ReesDecomposition(Z2, 3, 3, tuple(tuple(r) for r in P))
-    assert sandwich_equivalent(dec, ref)
+    assert isomorphic_semigroups(rebuilt(dec), S)
 
 
 def test_c0s_decompose_group_with_zero():
@@ -309,7 +308,7 @@ def test_c0s_recovers_random_sandwiches():
         assert dec is not None
         assert (dec.rows, dec.cols, dec.group.order) == (2, 2, 2)
         assert normalized(dec)
-        assert sandwich_equivalent(dec, ReesDecomposition(Z2, 2, 2, tuple(tuple(r) for r in P)))
+        assert isomorphic_semigroups(rebuilt(dec), S)
 
 
 def test_brandt_decomposition():
@@ -317,6 +316,11 @@ def test_brandt_decomposition():
     assert dec is not None
     assert dec.group.order == 1 and dec.rows == 2 and dec.cols == 2
     assert normalized(dec)
+
+
+def rebuilt(dec):
+    # the Rees matrix semigroup of the decomposition's own group and sandwich
+    return rees_matrix_semigroup(dec.group, dec.rows, dec.cols, dec.sandwich)
 
 
 def normalized(dec):
@@ -349,10 +353,12 @@ def test_c0s_decompose_normalizes_seeded_random_sandwiches():
         dec = c0s_decompose(shuffled)
         assert (dec.rows, dec.cols, dec.group.order) == (rows, cols, D.order)
         assert normalized(dec)
-        assert sandwich_equivalent(dec, ReesDecomposition(D, rows, cols, P))
+        assert isomorphic_semigroups(rebuilt(dec), shuffled)
 
 
-def test_sandwich_equivalent_up_to_permutation_scaling_and_automorphism():
+def test_rees_matrix_semigroups_isomorphic_up_to_permutation_scaling_and_automorphism():
+    # Rees's theorem: data equal up to a group automorphism, permutations
+    # of the rows and the columns, and scalings give isomorphic semigroups
     rng = random.Random(5)
     for D in (catalog.cyclic_group(3), catalog.klein_four()):
         inverse = [next(y for y in range(D.order) if D.mul(x, y) == D.identity) for x in range(D.order)]
@@ -370,14 +376,16 @@ def test_sandwich_equivalent_up_to_permutation_scaling_and_automorphism():
                 ]
                 for lam in range(cols)
             ]
-            assert sandwich_equivalent(ReesDecomposition(D, rows, cols, P), ReesDecomposition(D, rows, cols, Q))
+            S, T = (rees_matrix_semigroup(D, rows, cols, X) for X in (P, Q))
+            assert isomorphic_semigroups(S, T)
 
 
-def test_sandwich_equivalent_refuses_degenerate_data():
+def test_rees_matrix_refuses_degenerate_data():
+    # a zero row or a zero column of the sandwich
     Z2 = catalog.cyclic_group(2)
-    dec = ReesDecomposition(Z2, 1, 1, ((0,),))
-    with pytest.raises(DegenerateSandwich):
-        sandwich_equivalent(dec, ReesDecomposition(Z2, 1, 1, ((None,),)))
+    for P in ([[None]], [[0, None], [0, None]]):
+        with pytest.raises(DegenerateSandwich):
+            rees_matrix_semigroup(Z2, len(P[0]), len(P), P)
 
 
 def test_rees_matrix_refuses_entries_outside_the_group():
@@ -455,6 +463,14 @@ def test_isomorphisms_are_the_permutation_scan():
         assert list(_isomorphisms(S, T, [0] * n, [0] * n)) == scan, S.elements
 
 
+def test_isomorphism_classes_keep_the_first_of_each_class():
+    rng = random.Random(13)
+    Z2, Z4, V4 = catalog.cyclic_group(2), catalog.cyclic_group(4), catalog.klein_four()
+    candidates = [Z4, _relabeled(Z2, rng), V4, Z2, _relabeled(Z4, rng), catalog.cyclic_group(3), _relabeled(V4, rng)]
+    kept = list(isomorphism_classes(iter(candidates)))
+    assert [id(X) for X in kept] == [id(X) for X in candidates[:3] + candidates[5:6]]
+
+
 def test_seeded_relabelings_are_isomorphic():
     rng = random.Random(11)
     semigroups = catalog.monoid_catalogue(4) + [nil4(), catalog.mitchell_quotient(), catalog.brandt_b2()]
@@ -529,28 +545,31 @@ def test_monoid_generation_profiles_each_table_once(monkeypatch):
     # only when their sorted profiles agree; the tables kept are those
     # that the full pairwise isomorphism test keeps from the same candidates
     profiled, searched = [], []
-    real_profile, real_search = catalog._profile, catalog._isomorphisms
 
     def counted_profile(X):
         profiled.append(X)
-        return real_profile(X)
+        return _profile(X)
 
     def counted_search(S, T, s_label, t_label):
         searched.append(sorted(s_label) == sorted(t_label))
-        return real_search(S, T, s_label, t_label)
+        return _isomorphisms(S, T, s_label, t_label)
 
-    monkeypatch.setattr(catalog, "_profile", counted_profile)
-    monkeypatch.setattr(catalog, "_isomorphisms", counted_search)
-    tables = []
+    monkeypatch.setattr("zerocohom.semigroups._profile", counted_profile)
+    monkeypatch.setattr("zerocohom.semigroups._isomorphisms", counted_search)
+    runs = []
     for n in range(1, 5):
         profiled.clear()
-        kept = catalog.monoids_of_order(n)
-        assert len({id(X) for X in profiled}) == len(profiled)
+        runs.append((catalog.monoids_of_order(n), list(profiled)))
+    assert searched and all(searched)
+    # isomorphic_semigroups reads the same hooks, so check against it unhooked
+    monkeypatch.undo()
+    tables = []
+    for kept, candidates in runs:
+        assert len({id(X) for X in candidates}) == len(candidates)
         pairwise = []
-        for X in profiled:
+        for X in candidates:
             if not any(isomorphic_semigroups(X, K) for K in pairwise):
                 pairwise.append(X)
-        assert [M.table for M in kept] == [M.table for M in pairwise], n
+        assert [M.table for M in kept] == [M.table for M in pairwise], len(candidates)
         tables += [(M.elements, M.table) for M in kept]
-    assert searched and all(searched)
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == MONOID_TABLES_SHA256
