@@ -27,12 +27,13 @@ monoid are cut so from S^0, and the modifications of a group from G^0.  ``suppor
 nerve and one pair of coboundaries for a family of such tables, and
 ``cohomology_group`` is its case of S's own table.
 ``SemilatticeOfGroups.from_restrictions`` links the groups of such a
-family by restricting witnesses to the smaller support: the Schur
+family by reading each witness in the smaller support: the Schur
 multiplier and the Brauer monoid are built so.
 
-When the identity 1 != 0 of S acts as the identity, the cochains that
-vanish on the tuples holding 1 have the same cohomology (Mac Lane,
-*Homology*, ch. X), and ``support_cohomology`` computes on them.
+H^n is read on a ``Complex``: cochains on nerve tuples, with ``lift`` and
+``read`` to and from cochains on the nerve.  When the identity 1 != 0 of S
+acts as the identity, it is a ``NormalizedComplex``, the cochains vanishing
+on the tuples holding 1, of the same cohomology (Mac Lane, *Homology*, ch. X).
 """
 
 from itertools import chain, product
@@ -82,20 +83,6 @@ class Cochain:
 def zero_cochain(S, M, n):
     zero = M.group.zero()
     return Cochain(n, {t: zero for t in nerve(S, n)})
-
-
-def _cochain_on(M, n, tuples, vec):
-    """The degree-n cochain with value vec[k*i : k*(i+1)] on tuples[i]."""
-    k = M.group.rank
-    values = {}
-    for idx, t in enumerate(tuples):
-        values[t] = M.group.reduce(vec[idx * k : (idx + 1) * k])
-    return Cochain(n, values)
-
-
-def _vector_on(M, f, tuples):
-    """The coefficient vector of f, one block per tuple in order."""
-    return [x for t in tuples for x in M.group.reduce(f.values[t])]
 
 
 def random_cochain(rng, S, M, n):
@@ -244,60 +231,78 @@ def coboundary_hom(N, M, n):
     return assemble_coboundary(N, n, A, lambda x, q: M.matrix(x), last)
 
 
+class Complex:
+    """The degree-n cochains on ``cells``, nerve tuples, over the module M.  ``lift``
+    writes coefficient vectors, a block per cell, as ``Cochain``s; ``read(f)`` is
+    f's vector, or None when f has no class here.  A missing value: ``KeyError``."""
+
+    __slots__ = ("module", "degree", "cells")
+
+    def __init__(self, M, n, cells):
+        self.module, self.degree, self.cells = M, n, cells
+
+    def lift(self, vectors):
+        A, k, cells = self.module.group, self.module.group.rank, self.cells
+        return [Cochain(self.degree, {t: A.reduce(v[i * k : i * k + k]) for i, t in enumerate(cells)}) for v in vectors]
+
+    def read(self, f):
+        return [x for t in self.cells for x in self.module.group.reduce(f.values[t])]
+
+
+class NormalizedComplex(Complex):
+    """The cochains vanishing on the tuples that hold ``unit``, the identity; the
+    cells are level n of ``levels`` (0..n).  ``lift`` extends by 0 to the full
+    level n, sorted: each tuple of level n - k with the unit in k places.  ``read``
+    first clears f there, or answers None when a value survives: with s^j f
+    the cochain y -> f(y with the unit in place j), f <- f - (-1)^j d(s^j f)
+    for j = 0..n-1.  By the simplicial identities, with the unit acting as the
+    identity, this clears each place of a cocycle, in one pass."""
+
+    __slots__ = ("levels", "unit")
+
+    def __init__(self, M, levels, unit):
+        super().__init__(M, len(levels) - 1, levels[-1])
+        self.levels, self.unit = levels, unit
+
+    def lift(self, vectors):
+        if not vectors:
+            return []
+        n, e, z = self.degree, self.unit, self.module.group.zero()
+        spots = [(mask, map(iter, self.levels[n - sum(mask)])) for mask in product((False, True), repeat=n)]
+        full = dict.fromkeys(sorted(tuple(e if b else next(it) for b in mask) for mask, its in spots for it in its), z)
+        return [Cochain(n, {**full, **w.values}) for w in super().lift(vectors)]
+
+    def read(self, f):
+        M, e, values = self.module, self.unit, f.values
+        if not any(any(v) for t, v in values.items() if e in t):
+            return super().read(f)
+        for j in range(f.degree):
+            g = {t[:j] + t[j + 1 :]: v for t, v in values.items() if t[j] == e}
+            sign = 1 if j % 2 else -1
+            dg = {t: _coboundary_at(M, g, t) for t in values}
+            values = {t: M.group.reduce([a + sign * b for a, b in zip(v, dg[t])]) for t, v in values.items()}
+        return None if any(any(v) for t, v in values.items() if e in t) else super().read(Cochain(f.degree, values))
+
+
 class CohomologyResult:
-    """A cohomology group, cocycle representatives of its generators, and the
-    homology presentation and the level n of ``levels`` (0..n) they are read
-    on.  On a normalized result, ``unit`` is the identity, and a witness
-    is 0 on the tuples of the full level n that hold it (``_full_level``)."""
+    """A cohomology group read on a ``complex`` from its ``homology``, and the complex's lifts of its witnesses."""
 
-    __slots__ = ("group", "witnesses", "homology", "tuples", "unit", "degree")
+    __slots__ = ("group", "homology", "complex", "witnesses")
 
-    def __init__(self, homology, levels, M, unit):
-        n = self.degree = len(levels) - 1
-        self.group, self.homology, self.tuples, self.unit = homology.group, homology, levels[n], unit
-        full = _full_level(levels, unit) if unit is not None and homology.witnesses else ()
-        full = dict.fromkeys(full, M.group.zero())
-        self.witnesses = [Cochain(n, {**full, **_cochain_on(M, n, self.tuples, w).values}) for w in homology.witnesses]
+    def __init__(self, homology, complex):
+        self.group, self.homology, self.complex = homology.group, homology, complex
+        self.witnesses = complex.lift(homology.witnesses)
 
-    def coords(self, f, S, M):
-        """The class of the cochain f on the witnesses, or None when f is not a cocycle.
-
-        A normalized result reads ``_normalized(M, f, unit)``.  Another
-        degree, or no value on a tuple read, raises ``DegreeMismatch``.
-        """
-        if f.degree != self.degree:
-            raise DegreeMismatch(f"a degree-{f.degree} cochain read in degree {self.degree}")
+    def coords(self, f, S=None, M=None):
+        """The class of the cochain f on the witnesses, or None when f is not a cocycle; S and M
+        are not read.  Another degree, or no value on a tuple read, raises ``DegreeMismatch``."""
+        if f.degree != self.complex.degree:
+            raise DegreeMismatch(f"a degree-{f.degree} cochain read in degree {self.complex.degree}")
         try:
-            f = f if self.unit is None else _normalized(M, f, self.unit)
-            return None if f is None else self.homology.coords(_vector_on(M, f, self.tuples))
+            v = self.complex.read(f)
         except KeyError:
             raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % f.degree) from None
-
-
-def _full_level(levels, e):
-    """Level n of the full nerve, lexicographically ordered: each tuple of level n - k with e in k places."""
-    n = len(levels) - 1
-    spots = [(mask, map(iter, levels[n - sum(mask)])) for mask in product((False, True), repeat=n)]
-    return sorted(tuple(e if b else next(it) for b in mask) for mask, its in spots for it in its)
-
-
-def _normalized(M, f, e):
-    """f less coboundaries that clear it on the tuples holding e, or None when a value there survives.
-
-    With s^j f the degree-(n-1) cochain y -> f(y with e put in place j),
-    f <- f - (-1)^j d(s^j f) for j = 0..n-1.  By the simplicial
-    identities, with e acting as the identity, on a cocycle clear before
-    place j this clears place j too, so one pass clears every cocycle.
-    """
-    values = f.values
-    if not any(any(v) for t, v in values.items() if e in t):
-        return f
-    for j in range(f.degree):
-        g = {t[:j] + t[j + 1 :]: v for t, v in values.items() if t[j] == e}
-        sign = 1 if j % 2 else -1
-        dg = {t: _coboundary_at(M, g, t) for t in values}
-        values = {t: M.group.reduce([a + sign * b for a, b in zip(v, dg[t])]) for t, v in values.items()}
-    return None if any(any(v) for t, v in values.items() if e in t) else Cochain(f.degree, values)
+        return None if v is None else self.homology.coords(v)
 
 
 def _resolve_variant(S, M, variant):
@@ -371,7 +376,7 @@ def support_cohomology(S, M, n, supports):
             A = M.group
             H = complex_homology(_restricted(d_in, A, *kept[n : n + 2]), _restricted(d_out, A, *kept[n + 1 : n + 3]))
             on = [[level[p] for p in ps] for level, ps in zip(levels, kept[1:])]
-        out[key] = CohomologyResult(H, on, M, N.skip)
+        out[key] = CohomologyResult(H, Complex(M, n, on[n]) if N.skip is None else NormalizedComplex(M, on, N.skip))
     return out
 
 
@@ -439,13 +444,15 @@ def coboundary_preimage(S, M, f):
 def _preimage(N, M, f):
     """``coboundary_preimage`` on the nerve N, for a module already checked."""
     n = f.degree
+    if set(f.values) != set(N.level(n)):
+        raise DegreeMismatch("cochain domain does not match the degree-%d nerve" % n)
     if n == 0:
         return (not any(any(v) for v in f.values.values()), None)
     d_prev = coboundary_hom(N, M, n - 1)
-    x = solve_mod(d_prev.matrix, _vector_on(M, f, N.level(n)), d_prev.target.factors)
+    x = solve_mod(d_prev.matrix, Complex(M, n, N.level(n)).read(f), d_prev.target.factors)
     if x is None:
         return (False, None)
-    return (True, _cochain_on(M, n - 1, N.level(n - 1), x))
+    return (True, Complex(M, n - 1, N.level(n - 1)).lift([x])[0])
 
 
 def brute_cohomology(S, M, n, variant="zero"):
@@ -548,7 +555,7 @@ class SemilatticeOfGroups:
         ``results`` maps each key, in index order, to its degree-2
         CohomologyResult, all read on one nerve, so that the tuples of a
         larger key are among those of a smaller one.  The link I -> J
-        sends each witness of I to the class of its values on J's tuples.
+        sends each witness of I to its class in J, read by J's ``coords``.
         """
         keys = list(results)
         nontrivial = [k for k in keys if results[k].group.rank]
@@ -557,7 +564,10 @@ class SemilatticeOfGroups:
             for J in nontrivial:
                 if not I <= J:
                     continue
-                hom = _restriction(results[I], results[J])
+                cols = [results[J].coords(w) for w in results[I].witnesses]
+                if None in cols:
+                    raise CertificateError(cols.index(None), "restriction of a cocycle is not a cocycle")
+                hom = GroupHom(results[I].group, results[J].group, IntMatrix.from_columns(cols, results[J].group.rank))
                 if not hom.well_defined():
                     raise CertificateError((I, J), "restriction link not well defined on classes")
                 links[(I, J)] = hom
@@ -600,14 +610,3 @@ class SemilatticeOfGroups:
             if not self.link(i, i).equals(GroupHom.identity(self.components[i])):
                 return (i, i, i)
         return None
-
-
-def _restriction(HI, HJ):
-    """Class map H_I -> H_J of restricting each witness of HI to the tuples of HJ."""
-    cols = []
-    for k, w in enumerate(HI.witnesses):
-        c = HJ.homology.coords([x for t in HJ.tuples for x in w.values[t]])
-        if c is None:
-            raise CertificateError(k, "restriction of a cocycle is not a cocycle")
-        cols.append(list(c))
-    return GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))

@@ -22,7 +22,7 @@ from zerocohom.cohomology import (
     witness_report,
     zero_cochain,
 )
-from zerocohom.errors import CapExceeded, InvalidModule, NoZero, SemigroupMismatch
+from zerocohom.errors import CapExceeded, DegreeMismatch, InvalidModule, NoZero, SemigroupMismatch
 from zerocohom.modules import (
     ZeroModule,
     corner_module,
@@ -294,6 +294,20 @@ def test_mitchell_explicit_preimage():
         phi.values[(a,)] = f.values[(a, b)]
         phi.values[(c,)] = f.values[(c, d)]
         assert coboundary(M, phi).values == f.values
+
+
+def test_a_preimage_of_a_cochain_off_the_nerve_is_a_degree_mismatch():
+    # a cochain missing a nerve tuple, or with a value on the pair of
+    # zeros, which is not in the nerve, is refused as witness_report does
+    S = adjoin(catalog.klein_four(), "zero")
+    M = trivial_module(S, FinAbGroup([2]))
+    missing, extra = zero_cochain(S, M, 2), zero_cochain(S, M, 2)
+    del missing.values[nerve(S, 2)[0]]
+    extra.values[S.zero, S.zero] = (0,)
+    for f in (missing, extra):
+        for call in (coboundary_preimage, witness_report):
+            with pytest.raises(DegreeMismatch):
+                call(S, M, f)
 
 
 def test_em_vanishes_on_semigroups_with_zero():

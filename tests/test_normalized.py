@@ -8,7 +8,7 @@ that path is compared with the full one, switched on by patching
 each side must be read by the other side's ``coords`` as a basis of the
 same group.  The full side reads the normalized witnesses as they are;
 the normalized side first clears the full witnesses on the tuples that
-hold 1 (``_normalized``).
+hold 1 (``NormalizedComplex.read``).
 """
 
 import random
@@ -21,7 +21,9 @@ from zerocohom.abgroups import FinAbGroup, IntMatrix
 from zerocohom.brauer import brauer_components, enumerate_modifications, galois_group, galois_module_for_modification
 from zerocohom.cohomology import (
     Cochain,
+    Complex,
     Nerve,
+    NormalizedComplex,
     brute_cohomology,
     coboundary,
     cohomology_group,
@@ -33,7 +35,7 @@ from zerocohom.errors import CapExceeded, DegreeMismatch
 from zerocohom.modules import ZeroModule, scalar_module, trivial_bimodule, trivial_module
 from zerocohom.partial import build_t_semigroup
 from zerocohom.schur import multiplier_components
-from zerocohom.semigroups import adjoin
+from zerocohom.semigroups import adjoin, rees_quotient
 
 C2, C3, C6, Z, C2xC2 = (FinAbGroup(f) for f in ([2], [3], [6], [0], [2, 2]))
 
@@ -66,11 +68,12 @@ def _reads_back(S, M, into, out_of):
 
 
 def _agree(S, M, normal, full):
-    assert normal.unit == S.identity and full.unit is None
+    assert type(normal.complex) is NormalizedComplex and type(full.complex) is Complex
+    assert normal.complex.unit == S.identity
     assert normal.group.invariants() == full.group.invariants()
-    assert all(S.identity not in t for t in normal.tuples)
+    assert all(S.identity not in t for t in normal.complex.cells)
     for w in normal.witnesses:
-        assert set(w.values) == set(full.tuples)
+        assert set(w.values) == set(full.complex.cells)
         assert not any(any(v) for t, v in w.values.items() if S.identity in t)
     _reads_back(S, M, full, normal)
     _reads_back(S, M, normal, full)
@@ -181,7 +184,7 @@ def test_a_module_on_which_the_identity_is_not_the_identity_takes_the_full_path(
     for M in modules:
         for n in (0, 1, 2, 3):
             H = cohomology_group(S, M, n)
-            assert H.unit is None
+            assert type(H.complex) is Complex
             assert H.group.invariants() == brute_cohomology(S, M, n).invariants()
 
 
@@ -208,6 +211,38 @@ def test_coords_clear_a_coboundary_on_the_degenerate_tuples():
                 assert H.coords(f, S, M) is None
 
 
+def test_lift_and_read_are_inverse_on_the_cells_of_each_complex_kind(monkeypatch):
+    # full, cut, normalized, and normalized and cut: read(lift(v)) is v
+    # reduced in A, and a lift's domain is level n of the support's own
+    # nerve, 0 on the tuples holding 1 when normalized
+    rng = random.Random(11)
+    A = FinAbGroup([2, 4])
+    nil, V4 = catalog.nil_square_semigroup(), adjoin(catalog.klein_four(), "zero")
+    S = catalog.direct_product(catalog.cyclic_group(2), catalog.two_chain_monoid())
+    top = rees_quotient(S, ())
+    cases = [(Complex, cohomology_group(nil, trivial_module(nil, A), 2), nerve(nil, 2))]
+    cut = _full(monkeypatch, lambda: multiplier_components(S, A))
+    cases += [(Complex, H, [t for t in nerve(top, 2) if reduce(top.mul, t) not in I]) for I, H in cut.items()]
+    assert any(len(H.complex.cells) < len(nerve(top, 2)) for H in cut.values())
+    cases.append((NormalizedComplex, cohomology_group(V4, trivial_module(V4, A), 2), nerve(V4, 2)))
+    brauer = brauer_components(2, 4)
+    for m in enumerate_modifications(galois_group(4)):
+        cases.append((NormalizedComplex, brauer[m.pattern], nerve(m.semigroup, 2)))
+    assert len({len(level) for _, _, level in cases[-len(brauer) :]}) > 1
+    for kind, H, level in cases:
+        C = H.complex
+        assert type(C) is kind
+        B = C.module.group.repeat(len(C.cells))
+        for _ in range(3):
+            v = [rng.randrange(-9, 10) for _ in range(B.rank)]
+            f = C.lift([v])[0]
+            assert C.read(f) == list(B.reduce(v))
+            assert set(f.values) == set(level)
+            if kind is NormalizedComplex:
+                assert not any(any(x) for t, x in f.values.items() if C.unit in t)
+                assert len(C.cells) < len(level)
+
+
 def test_coords_of_another_degree_is_a_degree_mismatch():
     S = adjoin(catalog.klein_four(), "zero")
     for M in (trivial_module(S, C2), scalar_module(S, C2, {s: 0 for s in S.nonzero()})):
@@ -215,7 +250,7 @@ def test_coords_of_another_degree_is_a_degree_mismatch():
         with pytest.raises(DegreeMismatch):
             H.coords(zero_cochain(S, M, 1), S, M)
         f = zero_cochain(S, M, 2)
-        del f.values[H.tuples[0]]
+        del f.values[H.complex.cells[0]]
         with pytest.raises(DegreeMismatch):
             H.coords(f, S, M)
 

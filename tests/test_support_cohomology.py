@@ -42,8 +42,8 @@ def _monoids():
 
 def _named(H, names):
     """The component's tuples as element names, and each witness's values on them in order."""
-    tuples = [tuple(names[x] for x in t) for t in H.tuples]
-    return tuples, [[w.values[t] for t in H.tuples] for w in H.witnesses]
+    tuples = [tuple(names[x] for x in t) for t in H.complex.cells]
+    return tuples, [[w.values[t] for t in H.complex.cells] for w in H.witnesses]
 
 
 def _reference_links(results, pull):
@@ -55,7 +55,7 @@ def _reference_links(results, pull):
                 continue
             cols = []
             for w in HI.witnesses:
-                c = HJ.homology.coords([x for t in HJ.tuples for x in w.values[pull(I, J, t)]])
+                c = HJ.homology.coords([x for t in HJ.complex.cells for x in w.values[pull(I, J, t)]])
                 assert c is not None, (I, J)
                 cols.append(list(c))
             links[I, J] = GroupHom(HI.group, HJ.group, IntMatrix.from_columns(cols, HJ.group.rank))
@@ -182,9 +182,9 @@ def test_the_degree_cases_reach_cut_levels_and_nontrivial_groups():
     for top, cases in _rees_cases():
         for degree in (0, 1, 3):
             results = support_cohomology(top, trivial_module(top, A), degree, [(I, t) for I, (t, _) in cases.items()])
-            full = len(results[frozenset()].tuples)
+            full = len(results[frozenset()].complex.cells)
             for H in results.values():
-                cut.add((degree, len(H.tuples) < full))
+                cut.add((degree, len(H.complex.cells) < full))
                 nontrivial.add((degree, H.group.rank > 0))
     assert cut == {(0, False), (1, False), (1, True), (3, False), (3, True)}
     assert {(0, True), (1, True), (3, True)} <= nontrivial
