@@ -295,9 +295,17 @@ class CohomologyResult:
 
     def coords(self, f, S=None, M=None):
         """The class of the cochain f on the witnesses, or None when f is not a cocycle; S and M
-        are not read.  Another degree, or no value on a tuple read, raises ``DegreeMismatch``."""
-        if f.degree != self.complex.degree:
-            raise DegreeMismatch(f"a degree-{f.degree} cochain read in degree {self.complex.degree}")
+        are not read.  Another degree, a value on a tuple off the zero nerve of the complex's
+        semigroup (a witness of a larger support is on it), or no value on a tuple read, raises
+        ``DegreeMismatch``."""
+        n, T, cells = self.complex.degree, self.complex.module.semigroup, self.complex.cells
+        if f.degree != n:
+            raise DegreeMismatch(f"a degree-{f.degree} cochain read in degree {n}")
+        letters = set(range(T.order))
+        off = lambda t: len(t) != n or n and not (set(t) <= letters and T.mul_word(t) != T.zero)
+        # with no more values than cells, a value off them leaves a cell without one
+        if len(f.values) > len(cells) and any(map(off, f.values.keys() - set(cells))):
+            raise DegreeMismatch("cochain has a value off the degree-%d nerve" % n)
         try:
             v = self.complex.read(f)
         except KeyError:

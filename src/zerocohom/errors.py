@@ -2,12 +2,25 @@
 
 Every error that carries a witness stores it on the exception object so
 callers (and tests) can inspect the offending element/pair/triple instead
-of parsing the message.
+of parsing the message.  ``WitnessError`` stores it and formats the
+message for most of them.
 """
 
 
 class ZerocohomError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class WitnessError(ZerocohomError):
+    """Base class for the errors whose message is a class's ``template``
+    formatted with the ``witness`` and, where the class takes one, the
+    caller's ``message``."""
+
+    template = "{message} (witness {witness})"
+
+    def __init__(self, witness=None, message=None):
+        self.witness = witness
+        super().__init__(self.template.format(witness=witness, message=message))
 
 
 class TableError(ZerocohomError):
@@ -18,22 +31,16 @@ class DuplicateName(TableError):
     pass
 
 
-class AssociativityError(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"associativity fails at {witness}")
+class AssociativityError(WitnessError):
+    template = "associativity fails at {witness}"
 
 
-class ZeroError(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"declared zero is not absorbing, witness {witness}")
+class ZeroError(WitnessError):
+    template = "declared zero is not absorbing, witness {witness}"
 
 
-class NotAnIdeal(ZerocohomError):
-    def __init__(self, witness=None):
-        self.witness = witness
-        super().__init__(f"subset is not a two-sided ideal (witness {witness})")
+class NotAnIdeal(WitnessError):
+    template = "subset is not a two-sided ideal (witness {witness})"
 
 
 class MissingZero(ZerocohomError):
@@ -74,24 +81,16 @@ class GeneratorIsZero(ZerocohomError):
         super().__init__(f"generator {generator!r} equals zero in the presented semigroup")
 
 
-class NotAComplex(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"composite map is nonzero on generator {witness}")
+class NotAComplex(WitnessError):
+    template = "composite map is nonzero on generator {witness}"
 
 
-class InvalidModule(ZerocohomError):
-    def __init__(self, witness=None, message="module axioms violated"):
-        self.witness = witness
-        super().__init__(f"{message} (witness {witness})")
+class InvalidModule(WitnessError):
+    pass
 
 
-class InvalidFactorSet(ZerocohomError):
+class InvalidFactorSet(WitnessError):
     """A factor set, or the support or weak cocycle of one, that breaks its law."""
-
-    def __init__(self, witness, message):
-        self.witness = witness
-        super().__init__(f"{message} (witness {witness})")
 
 
 class InvalidLabeling(ZerocohomError):
@@ -121,16 +120,12 @@ class CapExceeded(ZerocohomError):
         super().__init__(f"{quantity} {shown} exceeds cap {cap}")
 
 
-class FunctorialityError(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"functoriality fails at {witness}")
+class FunctorialityError(WitnessError):
+    template = "functoriality fails at {witness}"
 
 
-class DivisionUndefined(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"denominator vanishes while numerator does not, at {witness}")
+class DivisionUndefined(WitnessError):
+    template = "denominator vanishes while numerator does not, at {witness}"
 
 
 class UncertifiedInput(ZerocohomError):
@@ -169,18 +164,12 @@ class GroupMismatch(ZerocohomError):
         super().__init__(f"groups differ where the maps meet: {left!r} vs {right!r}")
 
 
-class NotInSubgroup(ZerocohomError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"relation column {witness} lies outside the subgroup lattice")
+class NotInSubgroup(WitnessError):
+    template = "relation column {witness} lies outside the subgroup lattice"
 
 
-class CertificateError(ZerocohomError):
+class CertificateError(WitnessError):
     """A computed object failed the check that certifies it."""
-
-    def __init__(self, witness, message):
-        self.witness = witness
-        super().__init__(f"{message} (witness {witness})")
 
 
 class InvalidFieldOrder(ZerocohomError):

@@ -23,18 +23,12 @@ from .semigroups import Frozen, subsemigroup
 
 
 class ZeroModule(Frozen):
-    """A module over ``semigroup`` on ``group``; equality reads these two, not the actions."""
+    """A module over ``semigroup`` on ``group``, acting by ``action`` (and ``right``)."""
 
     __slots__ = ("semigroup", "group", "action", "right")
 
     def __init__(self, semigroup, group, action, right=None):
         super().__init__(semigroup, group, action, right)
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroModule) and (self.semigroup, self.group) == (other.semigroup, other.group)
-
-    def __hash__(self):
-        return hash((self.semigroup, self.group))
 
     def act(self, s, vec):
         return self.group.reduce(self.action[s].vec(list(vec)))
@@ -53,7 +47,7 @@ class Violation(Frozen):
 
 
 def _check_action(S, group, action, domain, opposite=False):
-    """The action law on the products st != 0.
+    """The action law on the products st != 0 of ``domain``, the action's keys.
 
     Each distinct matrix, and each distinct triple (action[s], action[t],
     action[st]), keyed by object identity, is checked once, at its first
@@ -61,8 +55,6 @@ def _check_action(S, group, action, domain, opposite=False):
     """
     seen = set()
     for s in domain:
-        if s not in action:
-            return Violation("missing", s)
         if id(action[s]) not in seen:
             seen.add(id(action[s]))
             if not is_hom(group, group, action[s]):

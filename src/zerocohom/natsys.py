@@ -143,46 +143,35 @@ def validate_natural_system(D):
             M = stored.get(key)
             if M is not None and not same_map(D.groups[a], M, IntMatrix.identity(D.groups[a].rank)):
                 return ("identity-map", key)
-    # a stored map for each non-identity generator, its shape and well-definedness
+    # each side in one pass, the right one through the opposite product: a
+    # stored map for each non-identity generator, its shape and
+    # well-definedness, then functoriality
+    sides = (
+        ("left", D.left, D.left_map, lambda x, y: (x, y)),
+        ("right", D.right, D.right_map, lambda x, y: (y, x)),
+    )
     for a in objects:
-        for alpha in range(S.order):
-            if S.mul(alpha, a) != z:
-                if alpha != e and (alpha, a) not in D.left:
-                    return ("left-missing", (alpha, a))
-                M = D.left_map(alpha, a)
-                if not is_hom(D.groups[a], D.groups[S.mul(alpha, a)], M):
-                    return ("left-hom", (alpha, a))
-        for beta in range(S.order):
-            if S.mul(a, beta) != z:
-                if beta != e and (beta, a) not in D.right:
-                    return ("right-missing", (beta, a))
-                M = D.right_map(beta, a)
-                if not is_hom(D.groups[a], D.groups[S.mul(a, beta)], M):
-                    return ("right-hom", (beta, a))
-    # functoriality of each side
+        for side, stored, act, order in sides:
+            for g in range(S.order):
+                ga = S.mul(*order(g, a))
+                if ga != z:
+                    if g != e and (g, a) not in stored:
+                        return (f"{side}-missing", (g, a))
+                    if not is_hom(D.groups[a], D.groups[ga], act(g, a)):
+                        return (f"{side}-hom", (g, a))
     for a in objects:
-        for alpha in range(S.order):
-            aa = S.mul(alpha, a)
-            if aa == z:
-                continue
-            for alphap in range(S.order):
-                if S.mul(alphap, aa) == z:
+        for side, stored, act, order in sides:
+            for g in range(S.order):
+                ga = S.mul(*order(g, a))
+                if ga == z:
                     continue
-                lhs = D.left_map(alphap, aa).mul(D.left_map(alpha, a))
-                rhs = D.left_map(S.mul(alphap, alpha), a)
-                if not same_map(D.groups[S.mul(alphap, aa)], lhs, rhs):
-                    return ("left-compose", (alphap, alpha, a))
-        for beta in range(S.order):
-            ab = S.mul(a, beta)
-            if ab == z:
-                continue
-            for betap in range(S.order):
-                if S.mul(ab, betap) == z:
-                    continue
-                lhs = D.right_map(betap, ab).mul(D.right_map(beta, a))
-                rhs = D.right_map(S.mul(beta, betap), a)
-                if not same_map(D.groups[S.mul(ab, betap)], lhs, rhs):
-                    return ("right-compose", (beta, betap, a))
+                for h in range(S.order):
+                    hga = S.mul(*order(h, ga))
+                    if hga == z:
+                        continue
+                    lhs = act(h, ga).mul(act(g, a))
+                    if not same_map(D.groups[hga], lhs, act(S.mul(*order(h, g)), a)):
+                        return (f"{side}-compose", order(h, g) + (a,))
     # the two decompositions of (alpha, beta) agree
     for a in objects:
         for alpha in range(S.order):

@@ -9,7 +9,8 @@ The classifying 25-element monoid-with-zero acts on G x G through
 and a {0,1}-valued map sigma with sigma(1,1) = 1 is a partial factor set
 exactly when its support is closed under the three maps.  This module
 builds that monoid, the closed subsets of G x G, and the Exel monoid of
-G with its partial-homomorphism laws.  The factor sets themselves are
+G with its partial-homomorphism laws; the three maps are
+``semigroups.t_maps``.  The factor sets themselves are
 ``schur.FactorSet``s on G x G and are certified there
 (``idempotent_pfactor``, ``sigma_from_rho`` and the products and
 inverses of certified ones), so this module loads neither the
@@ -18,7 +19,7 @@ abelian-group nor the cohomology layer.
 
 from .catalog import symmetric_group_3
 from .errors import CapExceeded, CertificateError
-from .presentations import EnumeratedSemigroup, enumerate_presentation, parse_presentation
+from .presentations import EnumeratedSemigroup, Presentation, enumerate_presentation, parse_presentation
 from .semigroups import (
     Frozen,
     c0s_decompose,
@@ -28,6 +29,7 @@ from .semigroups import (
     is_group,
     isomorphic_semigroups,
     subsemigroup,
+    t_maps,
     units_of,
     validate_table,
 )
@@ -81,26 +83,6 @@ def build_t_semigroup():
     if (dec.rows, dec.cols) != (3, 3):
         raise CertificateError((dec.rows, dec.cols), "expected a 3x3 sandwich matrix")
     return TSemigroupData(S, E, units, ideal, dec)
-
-
-def t_maps(G):
-    """The three generating transformations of G x G, on index pairs."""
-    inv = group_inverses(G)
-    e = G.identity
-
-    def alpha(p):
-        x, y = p
-        return (G.mul(x, y), inv[y])
-
-    def beta(p):
-        x, y = p
-        return (inv[y], inv[x])
-
-    def gamma(p):
-        x, y = p
-        return (x, e)
-
-    return alpha, beta, gamma
 
 
 def t_closure(G, pairs):
@@ -209,16 +191,15 @@ def _verify_exel(model):
 def exel_matches_presentation(G):
     """Cross-check the pair model against the abstract presentation."""
     model = exel_monoid(G)
-    gens = " ".join(f"x{i}" for i in range(G.order))
-    inv = group_inverses(G)
+    inv, mul = group_inverses(G), G.mul
     rels = []
     for x in range(G.order):
         for y in range(G.order):
-            rels.append(f"x{inv[x]} x{x} x{y} = x{inv[x]} x{G.mul(x, y)}")
-            rels.append(f"x{x} x{y} x{inv[y]} = x{G.mul(x, y)} x{inv[y]}")
-        rels.append(f"x{x} x{G.identity} = x{x}")
-    text = f"gens: {gens}; rels: " + ", ".join(rels)
-    E = enumerate_presentation(parse_presentation(text), bound=len(model.elements) + 4)
+            rels.append(((inv[x], x, y), (inv[x], mul(x, y))))
+            rels.append(((x, y, inv[y]), (mul(x, y), inv[y])))
+        rels.append(((x, G.identity), (x,)))
+    P = Presentation(tuple(f"x{i}" for i in range(G.order)), tuple(rels))
+    E = enumerate_presentation(P, bound=len(model.elements) + 4)
     if not isinstance(E, EnumeratedSemigroup):
         return False
     if E.semigroup.order != len(model.elements):

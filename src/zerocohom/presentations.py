@@ -3,7 +3,8 @@
 The enumeration engine is a two-sided Todd-Coxeter style procedure: it
 grows a right-Cayley graph over the free monoid on the generators,
 traces every defining relation from every node, and merges nodes with a
-union-find until the graph is closed.  Tracing relations from all nodes
+union-find, ``_UnionFind``, until the graph is closed; ``gown_sequences``
+merges its sequences with the same one.  Tracing relations from all nodes
 generates exactly the two-sided congruence, because wP ~ wQ for every
 prefix w and right-multiplication consistency is built into the graph.
 
@@ -28,26 +29,27 @@ from .semigroups import Frozen, backtrack, validate_table
 
 class Presentation(Frozen):
     """Generator names, relations as pairs of words, and zero words; a
-    word is a tuple of generator indices."""
+    word is a tuple of generator indices.  ``has_zero`` is whether there
+    are zero words."""
 
-    __slots__ = ("generators", "relations", "zero_relations", "has_zero")
+    __slots__ = ("generators", "relations", "zero_relations")
 
-    def __init__(self, generators, relations, zero_relations=(), has_zero=False):
-        super().__init__(generators, relations, zero_relations, has_zero)
+    def __init__(self, generators, relations, zero_relations=()):
+        super().__init__(generators, relations, zero_relations)
 
     def __eq__(self, other):
         return isinstance(other, Presentation) and self._values() == other._values()
 
+    @property
+    def has_zero(self):
+        return bool(self.zero_relations)
+
     def word_names(self, word):
-        if not word:
-            return "1"
-        return _join_word([self.generators[g] for g in word])
-
-
-def _join_word(names):
-    if all(len(n) == 1 for n in names):
-        return "".join(names)
-    return ".".join(names)
+        """The word's generator names, run together when all are single letters, else joined
+        by "."; "1" for the empty word, and "0" for the index past the last generator, the
+        zero that ``enumerate_presentation`` adjoins."""
+        names = [self.generators[g] if g < len(self.generators) else "0" for g in word]
+        return ("" if all(len(n) == 1 for n in names) else ".").join(names) or "1"
 
 
 _SECTION_RE = re.compile(r"^\s*(gens|rels|zeros)\s*:\s*(.*)$", re.S)
@@ -122,12 +124,7 @@ def parse_presentation(text):
         if body.strip():
             for item in body.split(","):
                 zero_relations.append(parse_word(item, pos))
-    return Presentation(
-        generators,
-        tuple(relations),
-        tuple(zero_relations),
-        has_zero=bool(zero_relations),
-    )
+    return Presentation(generators, tuple(relations), tuple(zero_relations))
 
 
 def format_presentation(P):
@@ -144,18 +141,23 @@ def format_presentation(P):
 class Truncated(Frozen):
     """An enumeration that stopped at a limit before it finished.
 
-    ``limit`` names the limit that stopped it: "bound" when the presented
-    object has more than ``bound`` elements, "node budget" when the word
-    graph outgrew ``node_budget`` nodes before it closed; the element
-    count is then unknown.  ``discovered`` lists the normal forms found:
-    for a node-budget stop these are the words of the graph's classes at
-    the stop, which later merges could still identify.
+    ``limit`` names the limit that stopped it: "node budget" exactly when
+    ``node_budget`` is set, the word graph having outgrown that many nodes
+    before it closed, so that the element count is unknown; else "bound",
+    the presented object having more than ``bound`` elements.
+    ``discovered`` lists the normal forms found: for a node-budget stop
+    these are the words of the graph's classes at the stop, which later
+    merges could still identify.
     """
 
-    __slots__ = ("discovered", "bound", "limit", "node_budget")
+    __slots__ = ("discovered", "bound", "node_budget")
 
-    def __init__(self, discovered, bound, limit="bound", node_budget=None):
-        super().__init__(discovered, bound, limit, node_budget)
+    def __init__(self, discovered, bound, node_budget=None):
+        super().__init__(discovered, bound, node_budget)
+
+    @property
+    def limit(self):
+        return "bound" if self.node_budget is None else "node budget"
 
     @property
     def found(self):
@@ -174,11 +176,33 @@ class _Budget(Exception):
     pass
 
 
-class _Graph:
+class _UnionFind:
+    """The classes of 0..n-1 under ``join``, each kept under its least member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(self, a, b):
+        """Merge the classes of a and b; their roots, kept then merged, equal when already one."""
+        a, b = self.find(a), self.find(b)
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        return a, b
+
+
+class _Graph(_UnionFind):
     def __init__(self, ngens, budget):
+        super().__init__(0)
         self.ngens = ngens
         self.budget = budget
-        self.parent = []
         self.edges = []
         self.pending = deque()
         self.root = self.new_node()
@@ -191,27 +215,16 @@ class _Graph:
         self.edges.append([None] * self.ngens)
         return idx
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
     def union(self, a, b):
         self.pending.append((a, b))
         self.process()
 
     def process(self):
         while self.pending:
-            a, b = self.pending.popleft()
-            a, b = self.find(a), self.find(b)
+            a, b = self.join(*self.pending.popleft())
             if a == b:
                 continue
-            if b < a:
-                a, b = b, a
-            # merge b into a
-            self.parent[b] = a
+            # b's edges move to a
             ea, eb = self.edges[a], self.edges[b]
             for g in range(self.ngens):
                 if eb[g] is not None:
@@ -290,7 +303,7 @@ def enumerate_presentation(P, bound, mode="semigroup"):
             if not merged_any:
                 break
     except _Budget:
-        return Truncated(_partial_words(graph, P, mode, zero_gen), bound, "node budget", budget)
+        return Truncated(_partial_words(graph, P, mode), bound, budget)
 
     # canonical BFS order and normal forms
     rep = _walk(graph)
@@ -304,18 +317,11 @@ def enumerate_presentation(P, bound, mode="semigroup"):
     else:
         elements = order
     if len(elements) > bound:
-        words = tuple(_word_names(P, rep[x], zero_gen) for x in elements)
+        words = tuple(P.word_names(rep[x]) for x in elements)
         return Truncated(words, bound)
     pos = {x: k for k, x in enumerate(elements)}
-    names = []
-    for x in elements:
-        w = rep[x]
-        if zero_gen is not None and graph.find(graph.trace(graph.root, (zero_gen,))) == x:
-            names.append("0")
-        elif not w:
-            names.append("1")
-        else:
-            names.append(_word_names(P, w, zero_gen))
+    zero = None if zero_gen is None else graph.find(graph.trace(graph.root, (zero_gen,)))
+    names = ["0" if x == zero else P.word_names(rep[x]) for x in elements]
     table = []
     for a in elements:
         row = []
@@ -325,19 +331,9 @@ def enumerate_presentation(P, bound, mode="semigroup"):
                 raise CertificateError((rep[a], rep[b]), "product fell into the empty-word class")
             row.append(pos[prod])
         table.append(row)
-    zero_name = None
-    if zero_gen is not None:
-        zero_name = pos[graph.find(graph.trace(graph.root, (zero_gen,)))]
-    S = validate_table(names, table, zero_name)
+    S = validate_table(names, table, None if zero is None else pos[zero])
     gen_index = tuple(pos[graph.find(graph.trace(graph.root, (g,)))] for g in range(len(P.generators)))
     return EnumeratedSemigroup(S, tuple(tuple(rep[x]) for x in elements), gen_index, mode == "monoid")
-
-
-def _word_names(P, word, zero_gen):
-    names = []
-    for g in word:
-        names.append("0" if g == zero_gen else P.generators[g])
-    return _join_word(names) if names else "1"
 
 
 def _walk(graph):
@@ -359,10 +355,10 @@ def _walk(graph):
     return rep
 
 
-def _partial_words(graph, P, mode, zero_gen):
+def _partial_words(graph, P, mode):
     words = [w for w in _walk(graph).values() if w or mode == "monoid"]
     words.sort(key=lambda w: (len(w), w))
-    return tuple(_word_names(P, w, zero_gen) for w in words)
+    return tuple(P.word_names(w) for w in words)
 
 
 def word_value(E, word):
@@ -400,7 +396,7 @@ def gown_presentation(P, bound=64):
                 continue
             kept.append((a, b))
         relations = tuple(kept)
-    return Presentation(P.generators, tuple(relations), (), has_zero=False)
+    return Presentation(P.generators, tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +466,7 @@ def gown_sequences(S, length_bound):
     z = S.zero
     seqs = _sequences_up_to(S, length_bound)
     index = {s: k for k, s in enumerate(seqs)}
-    parent = list(range(len(seqs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    merged = _UnionFind(len(seqs))
     nonzero = S.nonzero()
     for s in seqs:
         m = len(s)
@@ -497,7 +481,7 @@ def gown_sequences(S, length_bound):
                         continue
                     t = s[:i] + (yi, ynext) + s[i + 2 :]
                     if t in index:
-                        union(index[s], index[t])
+                        merged.join(index[s], index[t])
         # move 2: contract an interior factorization
         for p in range(1, m - 1):
             for u in nonzero:
@@ -510,11 +494,11 @@ def gown_sequences(S, length_bound):
                         continue
                     t = s[: p - 1] + (yprev, ynext) + s[p + 2 :]
                     if t in index:
-                        union(index[s], index[t])
+                        merged.join(index[s], index[t])
 
     groups = {}
     for k, s in enumerate(seqs):
-        groups.setdefault(find(k), []).append(s)
+        groups.setdefault(merged.find(k), []).append(s)
     classes = [frozenset(v) for _, v in sorted(groups.items(), key=lambda kv: min(kv[1]))]
     classes.sort(key=lambda c: (min(len(s) for s in c), sorted(c)))
     class_of = {}

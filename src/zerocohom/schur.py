@@ -13,7 +13,7 @@ the quotient by I with trivial coefficients.
 
 Partial factor sets of a group G are factor sets on G x G of the same
 type, certified here: idempotent ones from a support closed under the
-maps of ``partial``, derived ones from a factor set on the Exel monoid
+maps ``semigroups.t_maps``, derived ones from a factor set on the Exel monoid
 (``sigma_from_rho``), and products and inverses of certified ones.  No
 intrinsic axiom set is known for them, so uncertified raw maps are
 rejected.  Their ``provenance`` records how one was certified, and is
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .modules import Violation, trivial_module
 from .nerve import Nerve
-from .semigroups import Frozen, Semigroup, as_ideal, backtrack, group_inverses, ideals, rees_quotient
+from .semigroups import Frozen, Semigroup, as_ideal, backtrack, group_inverses, ideals, rees_quotient, t_maps
 
 SCHUR_ORDER_CAP = 12  # |S| for schur_multiplier
 FACTOR_SET_CAP = 6_000_000  # search nodes enumerate_factor_sets visits, over all zero sets
@@ -170,21 +170,17 @@ def is_idempotent_pfactor(G, values):
     e = G.identity
     if values.get((e, e)) is None:
         return (False, (e, e))
-    inv = group_inverses(G)
-    for (x, y), v in values.items():
-        if v is None:
-            continue
-        xy = G.mul(x, y)
-        for target in ((xy, inv[y]), (inv[y], inv[x]), (x, e)):
-            if values.get(target) is None:
-                return (False, (x, y))
+    maps = t_maps(G)
+    for p, v in values.items():
+        if v is not None and any(values.get(m(p)) is None for m in maps):
+            return (False, p)
     return (True, None)
 
 
 def idempotent_pfactor(G, support, coeff=None):
     """Certified idempotent factor set with the given support.
 
-    A support without (1, 1), or not closed under ``partial.t_maps``,
+    A support without (1, 1), or not closed under ``semigroups.t_maps``,
     raises ``InvalidFactorSet`` with the offending pair.
     """
     A = coeff if coeff is not None else FinAbGroup([])

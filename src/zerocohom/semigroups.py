@@ -10,9 +10,10 @@ fresh zero adjoined (so the "empty collapse" still produces a semigroup
 with zero).
 
 The package's depth-first searches and worklist closures run on
-``backtrack`` and ``closure``, defined here; only the nerve keeps a
-recursion of its own, which is faster on the cohomology hot path.
-Its immutable records derive from ``Frozen``, also defined here.
+``backtrack`` and ``closure``, defined here; the nerve grows each level
+by one scan of the level below.  Its immutable records derive from
+``Frozen``, also defined here, and the classifying monoid's maps on
+G x G, ``t_maps``, live beside ``group_inverses``, which they read.
 """
 
 from .errors import (
@@ -96,9 +97,6 @@ class Semigroup(Frozen):
         except ValueError:
             raise TableError(f"unknown element {name!r}") from None
 
-    def name(self, i):
-        return self.elements[i]
-
     def __repr__(self):
         z = f", zero={self.elements[self.zero]!r}" if self.zero is not None else ""
         return f"Semigroup({len(self.elements)} elements{z})"
@@ -142,15 +140,8 @@ def validate_table(elements, table, zero=None):
             if table[zero][i] != zero or table[i][zero] != zero:
                 raise ZeroError((zero, i))
     else:
-        for z in range(n):
-            if all(table[z][i] == z and table[i][z] == z for i in range(n)):
-                zero = z
-                break
-    identity = None
-    for e in range(n):
-        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
-            identity = e
-            break
+        zero = next((z for z in range(n) if all(table[z][i] == z == table[i][z] for i in range(n))), None)
+    identity = next((e for e in range(n) if all(table[e][i] == i == table[i][e] for i in range(n))), None)
     return Semigroup(elements, table, zero, identity)
 
 
@@ -423,6 +414,14 @@ def group_inverses(S):
     if S.identity is None or len(inv) != S.order:
         raise NotAGroup("not a group table")
     return [inv[x] for x in range(S.order)]
+
+
+def t_maps(G):
+    """The maps alpha (x, y) -> (xy, y^-1), beta (x, y) -> (y^-1, x^-1) and gamma
+    (x, y) -> (x, 1) of a group G on G x G, on index pairs: the generators A, B, C
+    of the classifying monoid T of partial factor sets (``partial``)."""
+    inv, e, mul = group_inverses(G), G.identity, G.mul
+    return (lambda p: (mul(*p), inv[p[1]]), lambda p: (inv[p[1]], inv[p[0]]), lambda p: (p[0], e))
 
 
 def rees_matrix_semigroup(D, rows, cols, sandwich):

@@ -315,3 +315,15 @@ def test_brauer_monoid_refuses_by_the_bound_before_building_the_group(monkeypatc
     with pytest.raises(CapExceeded) as exc:
         brauer_monoid(2, 40)
     assert (exc.value.quantity, exc.value.requested) == ("modifications (lower bound)", 984789)
+
+
+def test_weak_cocycles_of_one_pattern_with_another_ratio_are_not_equivalent():
+    # over GF(4)/GF(2) a twist by p changes f(g, g) by q p(g) + p(g) = 3 p(g) = 0
+    # mod 3, so another value there, on the same zero pattern, is another class
+    (f,) = [f for f in enumerate_weak_cocycles(2, 2) if None not in f.values.values()]
+    g = dict(f.values)
+    g[(1, 1)] = (g[(1, 1)] + 1) % 3
+    other = WeakCocycle(f.group, f.q, f.n, g)
+    assert weak_cocycles_equivalent(f, f)
+    assert not weak_cocycles_equivalent(f, other)
+    assert not weak_cocycles_equivalent(other, f)

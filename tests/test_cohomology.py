@@ -22,7 +22,7 @@ from zerocohom.cohomology import (
     witness_report,
     zero_cochain,
 )
-from zerocohom.errors import CapExceeded, DegreeMismatch, InvalidModule, NoZero, SemigroupMismatch
+from zerocohom.errors import CapExceeded, DegreeMismatch, InvalidModule, NoZero, SemigroupMismatch, ShapeMismatch
 from zerocohom.modules import (
     ZeroModule,
     corner_module,
@@ -729,3 +729,22 @@ def test_the_top_level_is_never_written_out_as_tuples(monkeypatch):
     asked.clear()
     schur_multiplier(catalog.two_chain_monoid(), FinAbGroup([2]))
     assert ("split", 3) in asked and ("level", 3) not in asked
+
+
+def test_a_degree_zero_preimage_is_only_the_zero_cochain():
+    # in degree 0 only the zero cochain is a coboundary, and it has no preimage cochain
+    S = nil4()
+    M = trivial_module(S, FinAbGroup([2]))
+    assert coboundary_preimage(S, M, zero_cochain(S, M, 0)) == (True, None)
+    assert coboundary_preimage(S, M, Cochain(0, {(): (1,)})) == (False, None)
+
+
+def test_a_cochain_value_of_another_rank_is_a_shape_mismatch():
+    S = nil4()
+    M = trivial_module(S, FinAbGroup([2, 2]))
+    f = zero_cochain(S, M, 1)
+    f.values[(1,)] = (1,)
+    with pytest.raises(ShapeMismatch) as exc:
+        coboundary(M, f)
+    assert exc.value.witness == (2, 1)
+    assert str(exc.value) == "cochain value at (1,): expected 2, got 1"

@@ -25,7 +25,11 @@ the three entry points it calls and the one helper that resolves a
 variant take one: classical cohomology is the zero nerve of S^0.
 Searches and closures run through ``semigroups.backtrack`` and
 ``semigroups.closure``: no function calls itself except ``backtrack``'s
-inner ``extend``, and no other function binds a ``frontier``.
+inner ``extend``, and no other function binds a ``frontier``.  The one
+union-find is ``presentations._UnionFind``: no other function halves a
+path with ``parent[x] = parent[parent[x]]``.
+Every exception class of ``errors`` is raised somewhere in the package,
+unless another class derives from it.
 """
 
 import argparse
@@ -348,10 +352,24 @@ def _functions(tree, prefix=""):
             yield from _functions(node, prefix)
 
 
+def _halves_a_path(node):
+    """An assignment p[x] = p[p[x]]: the path-halving store of a union-find."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Subscript)):
+        return False
+    (target,), value = node.targets, node.value
+    return (
+        isinstance(value, ast.Subscript)
+        and isinstance(value.slice, ast.Subscript)
+        and ast.dump(value.value) == ast.dump(target.value) == ast.dump(value.slice.value)
+        and ast.dump(value.slice.slice) == ast.dump(target.slice)
+    )
+
+
 def test_searches_and_closures_run_through_the_shared_loops():
-    # a hand-rolled depth-first search recurses and a hand-rolled worklist
-    # closure keeps a frontier; Nerve grows a level from the stored one below
-    recursive, frontiers = set(), set()
+    # a hand-rolled depth-first search recurses, a hand-rolled worklist
+    # closure keeps a frontier, and a hand-rolled union-find halves its
+    # paths; Nerve grows a level from the stored one below
+    recursive, frontiers, union_finds = set(), set(), set()
     for name, tree in _modules().items():
         mod = name.removesuffix(".py")
         for qual, fn in _functions(tree):
@@ -361,8 +379,25 @@ def test_searches_and_closures_run_through_the_shared_loops():
             stores = {n.id for n in _own_nodes(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
             if "frontier" in stores:
                 frontiers.add(f"{mod}.{qual}")
+            union_finds.update(f"{mod}.{qual}" for n in _own_nodes(fn) if _halves_a_path(n))
     assert recursive == {"semigroups.backtrack.extend"}
     assert frontiers == {"semigroups.closure"}
+    assert union_finds == {"presentations._UnionFind.find"}
+
+
+def test_every_exception_class_is_raised():
+    # a class another one derives from may be a base only; every other
+    # class of errors.py is raised, as itself, somewhere in the package
+    trees = _modules()
+    classes = {n.name: n for n in trees["errors.py"].body if isinstance(n, ast.ClassDef)}
+    bases = {b.id for n in classes.values() for b in n.bases}
+    raised = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                raised.add(getattr(exc, "id", None))
+    assert sorted(set(classes) - bases - raised) == []
 
 
 def test_only_the_entry_points_take_a_variant():

@@ -166,6 +166,18 @@ def test_validate_natural_system_names_each_broken_law(kind, store, key, value, 
     assert validate_natural_system(D) == (kind, witness)
 
 
+@pytest.mark.parametrize("store, witness", [("left", (2, 1, 0)), ("right", (1, 2, 0))])
+def test_a_compose_witness_lists_the_two_letters_in_product_order(store, witness):
+    # on Z3^0 over Z/5, 2 acting by 2 at the object 1 breaks (2 . 1)_* = 2_* 1_*
+    # on the left and 1^* 2^* = (1 . 2)^* on the right, both first met at the
+    # object 0 with the letter 1 before the letter 2; the witness lists the
+    # two letters as they multiply in S, then the object
+    S = adjoin(catalog.cyclic_group(3), "zero")
+    D = from_zero_module(trivial_module(S, FinAbGroup([5])))
+    getattr(D, store)[(2, 1)] = IntMatrix(1, 1, [[2]])
+    assert validate_natural_system(D) == (f"{store}-compose", witness)
+
+
 def test_natural_system_without_maps_is_refused():
     # g acts on both sides, so a system with no stored map is refused with
     # a witness, not with the KeyError of the map lookup

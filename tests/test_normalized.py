@@ -255,6 +255,33 @@ def test_coords_of_another_degree_is_a_degree_mismatch():
             H.coords(f, S, M)
 
 
+def test_coords_of_a_value_off_the_zero_nerve_is_a_degree_mismatch(monkeypatch):
+    # a value on a tuple of another length, with a zero letter or with a
+    # zero product is refused on either complex kind; a witness of a larger
+    # support, on tuples the smaller one cuts away, is still read
+    V4, nil = adjoin(catalog.klein_four(), "zero"), catalog.nil_square_semigroup()
+    for S, kind in ((V4, NormalizedComplex), (nil, Complex)):
+        M = trivial_module(S, C2)
+        H = cohomology_group(S, M, 2)
+        assert type(H.complex) is kind
+        z = S.zero
+        zero_products = [(x, y) for x in S.nonzero() for y in S.nonzero() if S.mul(x, y) == z]
+        assert bool(zero_products) == (S is nil)
+        for t in [(z, z), (0, z), (0, 1, 2), (0,)] + zero_products:
+            f = zero_cochain(S, M, 2)
+            f.values[t] = (1,) if len(t) != 2 or z in t else (0,)
+            with pytest.raises(DegreeMismatch):
+                H.coords(f, S, M)
+        assert H.coords(zero_cochain(S, M, 2), S, M) == (0,) * len(H.witnesses)
+    S = catalog.direct_product(catalog.cyclic_group(2), catalog.two_chain_monoid())
+    cut = _full(monkeypatch, lambda: multiplier_components(S, C2))
+    wide, narrow = cut[frozenset()], [H for I, H in cut.items() if I and H.group.rank]
+    assert wide.witnesses and narrow
+    for H in narrow:
+        assert len(H.complex.cells) < len(wide.complex.cells)
+        assert all(H.coords(w) is not None for w in wide.witnesses)
+
+
 def test_the_cell_cap_counts_the_full_nerve(monkeypatch):
     # the cap trips on the same requests as the full complex, with its
     # sizes: on S3^0 in degree 2 a cap one below the full cell count

@@ -496,3 +496,19 @@ def test_provenance_is_not_compared():
     raw = FactorSet(G, sigma.group, dict(sigma.values))
     assert raw == sigma and hash(raw) == hash(sigma)
     assert raw.provenance is None and sigma.provenance == "idempotent"
+
+
+def test_partial_hom_violations_names_the_right_and_the_identity_law():
+    from zerocohom.partial import partial_hom_violations
+    from zerocohom.semigroups import validate_table
+
+    # in a left-zero semigroup (st = s) the left law and the identity law
+    # always hold, and the right law asks phi(x) = phi(xy)
+    left_zero = validate_table(["a", "b"], [[0, 0], [1, 1]])
+    assert partial_hom_violations(catalog.cyclic_group(2), left_zero, {0: 0, 1: 1}) == ("right", 0, 1)
+    assert partial_hom_violations(catalog.cyclic_group(2), left_zero, {0: 1, 1: 1}) is None
+    # on the trivial group both laws ask s^3 = s^2 of s = phi(1), and the
+    # identity law s^2 = s: a nilpotent s breaks only the identity law
+    nil = catalog.nil_square_semigroup()
+    (s,) = [s for s in nil.nonzero() if nil.mul(s, s) == nil.zero]
+    assert partial_hom_violations(catalog.cyclic_group(1), nil, {0: s}) == ("identity", 0, None)

@@ -8,6 +8,7 @@ from zerocohom.errors import (
 )
 from zerocohom.presentations import (
     EnumeratedSemigroup,
+    Presentation,
     Truncated,
     enumerate_presentation,
     format_presentation,
@@ -32,6 +33,27 @@ def test_parse_mitchell_presentation():
     assert P.generators == ("a", "b", "c", "d")
     assert P.relations == (((0, 1), (2, 3)),)
     assert not P.has_zero
+
+
+def test_has_zero_and_the_word_names_are_read_from_the_words():
+    P = parse_presentation("gens: x yy; rels: x yy = yy; zeros: yy x")
+    assert P.has_zero and not Presentation(P.generators, P.relations).has_zero
+    with pytest.raises(AttributeError):
+        P.has_zero = False
+    # names run together only when every name in the word is one letter;
+    # the index past the last generator is the adjoined zero
+    assert [P.word_names(w) for w in ((), (0, 0), (0, 1), (0, 2), (2,))] == ["1", "xx", "x.yy", "x0", "0"]
+    assert (Truncated((), 3).limit, Truncated((), 3, 2000).limit) == ("bound", "node budget")
+
+
+def test_the_union_find_keeps_each_class_under_its_least_member():
+    from zerocohom.presentations import _UnionFind
+
+    classes = _UnionFind(5)
+    assert classes.join(3, 1) == (1, 3)
+    assert classes.join(4, 3) == (1, 4)
+    assert classes.join(4, 1) == (1, 1)
+    assert [classes.find(x) for x in range(5)] == [0, 1, 2, 1, 1]
 
 
 def test_parse_monoid_words():

@@ -439,3 +439,33 @@ def test_an_input_that_is_not_a_semigroup_is_refused(entry):
     data = build_t_semigroup()
     with pytest.raises(TypeError, match="expected a Semigroup, got TSemigroupData"):
         entry(data, FinAbGroup([2]))
+
+
+def test_same_support_factor_sets_of_different_classes_are_not_equivalent():
+    # H^2(Z2; C2) = C2: the nontrivial cocycle and the trivial one share the full support
+    rho = total_cocycle_z2()
+    one = epsilon_factor_set(rho.semigroup, rho.group, ())
+    assert support_ideal(rho) == support_ideal(one) == frozenset()
+    assert equivalent(rho, one) == (False, None)
+    assert equivalent(rho, rho)[0]
+
+
+def test_multipliers_agree_reports_each_mismatch():
+    G, C2 = catalog.cyclic_group(2), FinAbGroup([2])
+    sl = schur_multiplier(G, C2)
+    assert multipliers_agree(sl, brute_multiplier(G, C2))["ok"]
+    # other indices: the two-element chain has three ideals, Z2 two
+    assert multipliers_agree(sl, brute_multiplier(catalog.two_chain_monoid(), C2)) == {
+        "indices": False,
+        "components": {},
+        "links": {},
+        "ok": False,
+    }
+    # H^2(Z2; C3) = 0 against H^2(Z2; C2) = C2: the component at the empty
+    # ideal differs, and so do the images and kernels of its two links
+    assert multipliers_agree(sl, brute_multiplier(G, FinAbGroup([3]))) == {
+        "indices": True,
+        "components": {(): False, (0, 1): True},
+        "links": {((), ()): False, ((), (0, 1)): False, ((0, 1), (0, 1)): True},
+        "ok": False,
+    }
